@@ -167,7 +167,7 @@ func BenchmarkFig8BufferSweep(b *testing.B) {
 // effect on the Fig. 2 canonical period.
 func BenchmarkAblationControlPriority(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ScheduleAblation(); err != nil {
+		if _, err := experiments.ScheduleAblation(1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func BenchmarkAblationControlPriority(b *testing.B) {
 // slices (1..256 PEs).
 func BenchmarkAblationPlatformSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.PlatformSweep(); err != nil {
+		if _, err := experiments.PlatformSweep(1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func BenchmarkAblationPlatformSweep(b *testing.B) {
 // without dynamic band selection.
 func BenchmarkAblationFMRadio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FMRadioComparison(); err != nil {
+		if _, err := experiments.FMRadioComparison(1); err != nil {
 			b.Fatal(err)
 		}
 	}

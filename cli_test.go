@@ -4,7 +4,6 @@ package repro
 // against the shipped graph files.
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -91,45 +90,21 @@ func TestCLIBenchSingleExperiment(t *testing.T) {
 	}
 }
 
-func TestCLIBenchJSON(t *testing.T) {
+// TestCLIBenchRetiredModes pins the removal of the cross-machine
+// regression harness: its flags are usage errors now, not silently ignored.
+func TestCLIBenchRetiredModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI runs skipped in -short")
 	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	runTool(t, "tpdf-bench", "-quick", "-json", path)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Experiments []struct {
-			Name    string `json:"name"`
-			NsPerOp int64  `json:"ns_per_op"`
-			Error   string `json:"error"`
-		} `json:"experiments"`
-		Engine struct {
-			SequentialNs int64   `json:"sequential_ns_per_op"`
-			StreamNs     int64   `json:"stream_ns_per_op"`
-			Speedup      float64 `json:"speedup"`
-		} `json:"engine"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bench JSON malformed: %v\n%s", err, data)
-	}
-	if len(rep.Experiments) == 0 {
-		t.Fatal("bench JSON has no experiments")
-	}
-	for _, e := range rep.Experiments {
-		if e.Error != "" {
-			t.Errorf("experiment %s failed: %s", e.Name, e.Error)
+	for _, name := range []string{"compare", "json", "serve", "gen"} {
+		out, err := exec.Command("go", "run", "./cmd/tpdf-bench", "-"+name, "x").CombinedOutput()
+		if err == nil {
+			t.Errorf("tpdf-bench -%s should fail", name)
 		}
-		if e.NsPerOp <= 0 {
-			t.Errorf("experiment %s has no timing", e.Name)
+		if !strings.Contains(string(out), "flag provided but not defined: -"+name) ||
+			!strings.Contains(string(out), "Usage of") {
+			t.Errorf("tpdf-bench -%s: want a usage error, got:\n%s", name, out)
 		}
-	}
-	if rep.Engine.Speedup <= 1 {
-		t.Errorf("engine speedup %.2f not > 1 (sequential %d ns, stream %d ns)",
-			rep.Engine.Speedup, rep.Engine.SequentialNs, rep.Engine.StreamNs)
 	}
 }
 

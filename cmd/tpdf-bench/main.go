@@ -1,48 +1,26 @@
-// Command tpdf-bench regenerates the paper's tables and figures (see
-// DESIGN.md's experiment index and EXPERIMENTS.md for the recorded
-// outcomes), benchmarks the concurrent streaming engine against the
-// sequential runner, and gates performance regressions of the analysis
-// fabric.
+// Command tpdf-bench regenerates the paper's tables and figures and runs
+// the streaming engine's overhead gates. It does not judge performance
+// changes: that is bench/run.sh with BENCHMARK.json, which compares two
+// builds on the same machine.
 //
 // Usage:
 //
-//	tpdf-bench                              # run everything (1024×1024 image for the table)
-//	tpdf-bench -quick                       # reduced image size, shorter sweeps
-//	tpdf-bench -exp f8                      # a single experiment (see tpdf.ExperimentNames)
-//	tpdf-bench -parallel 8                  # shard sweeps + fan out experiments over 8 workers
-//	tpdf-bench -json BENCH_analysis.json    # machine-readable timings + allocation counts
-//	                                        # of every experiment, engine-vs-runner speedup
-//	tpdf-bench -quick -json new.json -compare BENCH_analysis.json
-//	                                        # regression gate: fail when any experiment got
-//	                                        # >25% slower (-threshold) or allocated >50% more
-//	                                        # (-alloc-threshold) than the committed baseline
-//	tpdf-bench -engine -json BENCH_engine.json
-//	                                        # streaming-engine mode: per-graph Stream ns/op +
-//	                                        # allocs/op (transport-bound workloads) instead of
-//	                                        # the analysis experiments; -compare gates it the
-//	                                        # same way against the committed BENCH_engine.json.
-//	                                        # Each workload is also run with a metrics registry
-//	                                        # + trace journal attached ("+metrics" twin);
-//	                                        # -metrics-overhead 0.02 fails the run when the
-//	                                        # instrumented twin is >2% slower or allocates per
-//	                                        # iteration (the zero-overhead observability gate)
-//	tpdf-bench -serve -json BENCH_serve.json
-//	                                        # service-tier mode: an in-process tpdf-serve is
-//	                                        # soaked by the loadgen library; per-endpoint
-//	                                        # median ns/op + p99 (open/pump/close/session,
-//	                                        # analyze/sweep) gated against BENCH_serve.json
-//	tpdf-bench -gen -json BENCH_gen.json
-//	                                        # generator mode: time the property-based test
-//	                                        # generators (tpdf/fuzz) over a fixed seed span —
-//	                                        # graph generation, schedule generation and full
-//	                                        # case assembly ns/op + allocs/op — gated against
-//	                                        # BENCH_gen.json so the fuzz sweep's cost per CI
-//	                                        # run stays bounded
+//	tpdf-bench                  # every table and figure (1024×1024 image for t6)
+//	tpdf-bench -quick           # reduced image size, shorter sweeps
+//	tpdf-bench -exp f8          # a single experiment (see tpdf.ExperimentNames)
+//	tpdf-bench -parallel 8      # shard sweeps + fan out experiments over 8 workers
+//	tpdf-bench -engine -quick -metrics-overhead 0.02 -ckpt-overhead 0.02
+//	                            # overhead gates: every streaming workload is run
+//	                            # bare, with a metrics registry + trace journal
+//	                            # attached ("+metrics") and with checkpoint capture
+//	                            # armed but idle ("+ckpt"), in paired interleaved
+//	                            # rounds inside this one process; the run fails when
+//	                            # a twin is statistically more than 2% slower than
+//	                            # its base or allocates per iteration
 package main
 
 import (
-	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -53,140 +31,8 @@ import (
 	"time"
 
 	"repro/tpdf"
-	"repro/tpdf/fuzz"
 	"repro/tpdf/obs"
-	"repro/tpdf/serve"
 )
-
-// experimentTiming records one artifact regeneration for the JSON report.
-type experimentTiming struct {
-	Name    string `json:"name"`
-	NsPerOp int64  `json:"ns_per_op"`
-	// AllocsPerOp counts heap allocations during the regeneration (all
-	// goroutines): the tracking metric for the simulator fast path.
-	AllocsPerOp uint64 `json:"allocs_per_op,omitempty"`
-	// P99 is the tail latency of the endpoint (serve mode only: NsPerOp is
-	// the median over many requests there, so the tail is worth keeping).
-	P99 int64 `json:"p99_ns,omitempty"`
-	// Iterations is the graph-iteration count of a streaming workload
-	// (engine mode only); the metrics-overhead gate normalizes allocation
-	// deltas per iteration with it.
-	Iterations int64 `json:"iterations,omitempty"`
-	// OverheadPct, set on a "+metrics" twin, is the median over the paired
-	// rounds of (twin - bare)/bare wall time — a paired estimator far more
-	// contention-robust than comparing the two minima (adjacent rounds
-	// share their noise regime, so common-mode slowdowns cancel in the
-	// per-round ratio). Pointers so a measured 0.0 still serializes.
-	OverheadPct *float64 `json:"overhead_pct,omitempty"`
-	// OverheadLoPct is the lower bound of the one-sided 95% confidence
-	// interval around OverheadPct (MAD-based standard error of the
-	// median). The overhead gate judges this bound, not the point
-	// estimate: on a contended runner the median of 25 ratios still
-	// wobbles a couple percent, and a gate that fails only when the
-	// overhead is statistically above budget catches real regressions
-	// without flaking on noise.
-	OverheadLoPct *float64 `json:"overhead_lo_pct,omitempty"`
-	Error         string   `json:"error,omitempty"`
-}
-
-// engineComparison reports the concurrent engine against the sequential
-// runner on the same payload pipeline and behaviors.
-type engineComparison struct {
-	Graph          string  `json:"graph"`
-	Stages         int     `json:"stages"`
-	Iterations     int64   `json:"iterations"`
-	StageLatencyNs int64   `json:"stage_latency_ns"`
-	SequentialNs   int64   `json:"sequential_ns_per_op"`
-	StreamNs       int64   `json:"stream_ns_per_op"`
-	Speedup        float64 `json:"speedup"`
-}
-
-type benchReport struct {
-	Quick bool `json:"quick"`
-	// EngineMode marks a report produced by -engine: Experiments then
-	// holds per-graph streaming timings instead of analysis artifacts.
-	EngineMode bool `json:"engine_mode,omitempty"`
-	// ServeMode marks a report produced by -serve: Experiments holds
-	// per-endpoint service latencies and Serve the full soak report.
-	ServeMode bool `json:"serve_mode,omitempty"`
-	// GenMode marks a report produced by -gen: Experiments holds the
-	// property-based test generator timings (tpdf/fuzz).
-	GenMode     bool               `json:"gen_mode,omitempty"`
-	Parallel    int                `json:"parallel,omitempty"`
-	Experiments []experimentTiming `json:"experiments"`
-	Engine      engineComparison   `json:"engine"`
-	Serve       *serve.LoadReport  `json:"serve,omitempty"`
-}
-
-// latencyBehaviors builds an I/O-bound behavior for every node of g: each
-// firing waits d (a sensor read, a network hop) and forwards its token. A
-// concurrent pipeline overlaps those waits; the sequential runner
-// serializes them — the ratio is the engine speedup.
-func latencyBehaviors(g *tpdf.Graph, d time.Duration) map[string]tpdf.Behavior {
-	b := map[string]tpdf.Behavior{}
-	for _, n := range g.Nodes {
-		b[n.Name] = func(f *tpdf.Firing) error {
-			time.Sleep(d)
-			if in := f.In["i0"]; len(in) > 0 {
-				f.Produce("o0", in[0])
-			} else {
-				f.Produce("o0", int(f.K))
-			}
-			return nil
-		}
-	}
-	return b
-}
-
-// measureEngine times Execute versus Stream on the 5-stage payload
-// pipeline, taking the best of three rounds each.
-func measureEngine(quick bool) (engineComparison, error) {
-	cmp := engineComparison{
-		Graph:          "ofdm-payload-pipeline",
-		Stages:         5,
-		Iterations:     32,
-		StageLatencyNs: int64(500 * time.Microsecond),
-	}
-	if quick {
-		cmp.Iterations = 8
-	}
-	g := tpdf.OFDMPayloadGraph()
-	d := time.Duration(cmp.StageLatencyNs)
-
-	best := func(run func() error) (int64, error) {
-		bestNs := int64(0)
-		for round := 0; round < 3; round++ {
-			start := time.Now()
-			if err := run(); err != nil {
-				return 0, err
-			}
-			if ns := time.Since(start).Nanoseconds(); bestNs == 0 || ns < bestNs {
-				bestNs = ns
-			}
-		}
-		return bestNs, nil
-	}
-
-	var err error
-	cmp.SequentialNs, err = best(func() error {
-		_, err := tpdf.Execute(g, latencyBehaviors(g, d), tpdf.WithIterations(cmp.Iterations))
-		return err
-	})
-	if err != nil {
-		return cmp, fmt.Errorf("sequential run: %v", err)
-	}
-	cmp.StreamNs, err = best(func() error {
-		_, err := tpdf.Stream(g, latencyBehaviors(g, d), tpdf.WithIterations(cmp.Iterations))
-		return err
-	})
-	if err != nil {
-		return cmp, fmt.Errorf("stream run: %v", err)
-	}
-	if cmp.StreamNs > 0 {
-		cmp.Speedup = float64(cmp.SequentialNs) / float64(cmp.StreamNs)
-	}
-	return cmp, nil
-}
 
 // streamWorkload is one graph the -engine mode pushes through tpdf.Stream
 // with throughput-bound behaviors: no sleeps, so ns/op is dominated by the
@@ -208,6 +54,30 @@ type streamWorkload struct {
 func passthrough(f *tpdf.Firing) error {
 	f.Out["o0"] = append(f.Out["o0"], f.In["i0"][0])
 	return nil
+}
+
+// burstPipeline finishes b into SRC[32] -> A -> B -> SNK[snkRate] with a
+// 32-token source burst forwarded by passthrough stages: ~100 firings of
+// real per-epoch work for the boundary-heavy workloads to amortize against.
+func burstPipeline(b *tpdf.GraphBuilder, snkRate string) (*tpdf.Graph, map[string]tpdf.Behavior, error) {
+	g, err := b.Kernel("SRC", 1).Kernel("A", 1).Kernel("B", 1).Kernel("SNK", 1).
+		Connect("SRC[32] -> A[1]").
+		Connect("A[1] -> B[1]").
+		Connect("B[1] -> SNK[" + snkRate + "]").
+		Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, map[string]tpdf.Behavior{
+		"SRC": func(f *tpdf.Firing) error {
+			for i := 0; i < 32; i++ {
+				f.Out["o0"] = append(f.Out["o0"], i)
+			}
+			return nil
+		},
+		"A": passthrough, "B": passthrough,
+		"SNK": func(f *tpdf.Firing) error { return nil },
+	}, nil
 }
 
 // engineWorkloads builds the -engine benchmark set: a unit-rate pipeline,
@@ -293,31 +163,12 @@ func engineWorkloads(quick bool) []streamWorkload {
 		// micrograph would instead measure nothing but boundary cost, where
 		// a single clock read is already percents of the epoch.
 		{name: "stream/reconfigure", iters: 2048 / scale, build: func() (*tpdf.Graph, map[string]tpdf.Behavior, []tpdf.Option, error) {
-			g, err := tpdf.NewGraph("reconf").
-				Param("p", 2, 1, 8).
-				Kernel("SRC", 1).Kernel("A", 1).Kernel("B", 1).Kernel("SNK", 1).
-				Connect("SRC[32] -> A[1]").
-				Connect("A[1] -> B[1]").
-				Connect("B[1] -> SNK[p]").
-				Build()
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			behaviors := map[string]tpdf.Behavior{
-				"SRC": func(f *tpdf.Firing) error {
-					for i := 0; i < 32; i++ {
-						f.Out["o0"] = append(f.Out["o0"], i)
-					}
-					return nil
-				},
-				"A": passthrough, "B": passthrough,
-				"SNK": func(f *tpdf.Firing) error { return nil },
-			}
+			g, behaviors, err := burstPipeline(tpdf.NewGraph("reconf").Param("p", 2, 1, 8), "p")
 			opts := []tpdf.Option{tpdf.WithReconfigure(func(completed int64) map[string]int64 {
 				// Cycle consumption rates that divide SRC's 32-token burst.
 				return map[string]int64{"p": [3]int64{2, 4, 8}[completed%3]}
 			})}
-			return g, behaviors, opts, nil
+			return g, behaviors, opts, err
 		}},
 		// stream/checkpoint measures the full fault-tolerance data path:
 		// the run rehydrates from a checkpoint (one restore, taken outside
@@ -329,24 +180,9 @@ func engineWorkloads(quick bool) []streamWorkload {
 		// stream/reconfigure, so the number reports restore + capture +
 		// copy cost amortized the way a supervisor amortizes it.
 		{name: "stream/checkpoint", iters: 2048 / scale, ckptArmed: true, build: func() (*tpdf.Graph, map[string]tpdf.Behavior, []tpdf.Option, error) {
-			g, err := tpdf.NewGraph("ckpt").
-				Kernel("SRC", 1).Kernel("A", 1).Kernel("B", 1).Kernel("SNK", 1).
-				Connect("SRC[32] -> A[1]").
-				Connect("A[1] -> B[1]").
-				Connect("B[1] -> SNK[4]").
-				Build()
+			g, behaviors, err := burstPipeline(tpdf.NewGraph("ckpt"), "4")
 			if err != nil {
 				return nil, nil, nil, err
-			}
-			behaviors := map[string]tpdf.Behavior{
-				"SRC": func(f *tpdf.Firing) error {
-					for i := 0; i < 32; i++ {
-						f.Out["o0"] = append(f.Out["o0"], i)
-					}
-					return nil
-				},
-				"A": passthrough, "B": passthrough,
-				"SNK": func(f *tpdf.Firing) error { return nil },
 			}
 			// A no-op reconfigure hook forces a barrier per iteration so
 			// every iteration produces a checkpoint, as a supervised
@@ -374,28 +210,52 @@ func engineWorkloads(quick bool) []streamWorkload {
 	}
 }
 
-// measureEngineMode times every streaming workload (best of measureRounds,
-// with allocation counts) plus the engine-vs-runner latency comparison:
-// the regression gate for the execution hot path, the counterpart of the
-// analysis gate in the default mode. Every workload is measured several
-// times over — bare, with a metrics registry + trace journal attached
-// ("+metrics"), and with barrier checkpointing armed but no consumer
-// ("+ckpt") — so the decorated twins feed the -metrics-overhead and
-// -ckpt-overhead gates proving observability and fault-tolerance arming
-// cost nothing on the hot path.
-func measureEngineMode(quick bool) (*benchReport, error) {
-	rep := &benchReport{Quick: quick, EngineMode: true}
+// variant is one configuration of a workload — the bare base or a
+// decorated twin — and its measurement inside the workload's interleaved
+// round set (see measureTimingSet for the estimators).
+type variant struct {
+	name string
+	// prep builds a fresh run closure per round.
+	prep func() (func() error, error)
+	// ns and allocs are wall time and heap allocations (all goroutines) of
+	// the variant's single fastest round.
+	ns     int64
+	allocs uint64
+	// overhead (twins only) is the median paired (twin-base)/base wall-time
+	// ratio; overheadLo is the lower bound of its one-sided 95% confidence
+	// interval, which is what the gates judge: on a contended runner the
+	// median still wobbles a couple percent, and a gate that fails only
+	// when the overhead is statistically above budget catches real
+	// regressions without flaking on noise.
+	overhead, overheadLo float64
+}
+
+// workloadTimings is one engine workload's measured round set: the bare
+// base first, then its decorated twins.
+type workloadTimings struct {
+	iters    int64
+	variants []variant
+}
+
+// measureEngineMode measures every streaming workload several times over —
+// bare, with a metrics registry + trace journal attached ("+metrics"), and
+// with barrier checkpointing armed but no consumer ("+ckpt") — so the
+// decorated twins feed the -metrics-overhead and -ckpt-overhead gates
+// proving observability and fault-tolerance arming cost nothing on the hot
+// path.
+func measureEngineMode(quick bool) ([]workloadTimings, error) {
+	var sets []workloadTimings
 	for _, w := range engineWorkloads(quick) {
 		w := w
-		prepare := func(decorate func([]tpdf.Option) []tpdf.Option) func() (func() error, error) {
+		prepare := func(extra func() []tpdf.Option) func() (func() error, error) {
 			return func() (func() error, error) {
 				g, behaviors, opts, err := w.build()
 				if err != nil {
 					return nil, err
 				}
 				opts = append(opts, tpdf.WithIterations(w.iters))
-				if decorate != nil {
-					opts = decorate(opts)
+				if extra != nil {
+					opts = append(opts, extra()...)
 				}
 				return func() error {
 					_, err := tpdf.Stream(g, behaviors, opts...)
@@ -403,28 +263,25 @@ func measureEngineMode(quick bool) (*benchReport, error) {
 				}, nil
 			}
 		}
-		twins := []twinSpec{{name: w.name + "+metrics", prep: prepare(func(opts []tpdf.Option) []tpdf.Option {
+		variants := []variant{{name: w.name, prep: prepare(nil)}, {name: w.name + "+metrics", prep: prepare(func() []tpdf.Option {
 			// Fresh registry and journal per round, as a server session
 			// would hold them.
-			return append(opts,
-				tpdf.WithMetrics(obs.NewRegistry()),
-				tpdf.WithTraceJournal(obs.NewJournal(256)))
+			return []tpdf.Option{tpdf.WithMetrics(obs.NewRegistry()), tpdf.WithTraceJournal(obs.NewJournal(256))}
 		})}}
 		if !w.ckptArmed {
-			twins = append(twins, twinSpec{name: w.name + "+ckpt", prep: prepare(func(opts []tpdf.Option) []tpdf.Option {
+			variants = append(variants, variant{name: w.name + "+ckpt", prep: prepare(func() []tpdf.Option {
 				// Checkpoint capture armed with no sink: the armed-but-idle
 				// configuration every supervised serve session runs in
 				// between faults.
-				return append(opts, tpdf.WithCheckpoints(nil))
+				return []tpdf.Option{tpdf.WithCheckpoints(nil)}
 			})})
 		}
-		set := measureTimingSet(w.name, prepare(nil), twins...)
-		for i := range set {
-			set[i].Iterations = w.iters
+		if err := measureTimingSet(variants); err != nil {
+			return nil, err
 		}
-		rep.Experiments = append(rep.Experiments, set...)
+		sets = append(sets, workloadTimings{iters: w.iters, variants: variants})
 	}
-	return rep, finishReport(rep, quick)
+	return sets, nil
 }
 
 // metricsSetupAllocs is the fixed allocation budget a decorated twin may
@@ -441,60 +298,45 @@ const metricsSetupAllocs = 512
 const metricsAllocsPerIter = 0.01
 
 // gateTwinOverhead compares every engine workload against one family of
-// decorated twins ("+metrics", "+ckpt") from the same report: the
-// decorated run may be at most tol slower in wall time and must not
-// allocate per iteration beyond the fixed setup budget — the
-// zero-overhead contract, enforced in CI.
-func gateTwinOverhead(rep *benchReport, suffix, what string, tol float64) error {
-	byName := map[string]experimentTiming{}
-	for _, t := range rep.Experiments {
-		byName[t.Name] = t
+// decorated twins ("+metrics", "+ckpt") from the same run: the decorated
+// run may be at most tol slower in wall time (tol 0 disables the gate) —
+// judged on the paired estimator's confidence lower bound, so only
+// statistically significant overhead fails — and must not allocate per
+// iteration beyond the fixed setup budget: the zero-overhead contract,
+// enforced in CI.
+func gateTwinOverhead(sets []workloadTimings, suffix, what string, tol float64) error {
+	if tol <= 0 {
+		return nil
 	}
 	var violations []string
 	checked := 0
 	fmt.Printf("%s overhead gate (<=%.1f%% ns/op, <=%.2f allocs/iteration beyond %d setup):\n",
 		what, tol*100, metricsAllocsPerIter, metricsSetupAllocs)
-	for _, off := range rep.Experiments {
-		if strings.Contains(off.Name, "+") {
-			continue // a twin, not a base
+	for _, set := range sets {
+		off := set.variants[0]
+		for _, on := range set.variants[1:] {
+			if on.name != off.name+suffix {
+				continue
+			}
+			checked++
+			perIter := 0.0
+			if extra := float64(on.allocs) - float64(off.allocs) - metricsSetupAllocs; extra > 0 {
+				perIter = extra / float64(set.iters)
+			}
+			verdict := "ok"
+			if on.overheadLo > tol {
+				verdict = "TIME OVERHEAD"
+				violations = append(violations, fmt.Sprintf("%s: %d -> %d ns/op (%+.1f%% > %.1f%%)",
+					off.name, off.ns, on.ns, on.overheadLo*100, tol*100))
+			}
+			if perIter > metricsAllocsPerIter {
+				verdict = "ALLOC OVERHEAD"
+				violations = append(violations, fmt.Sprintf("%s: %d -> %d allocs/op (%.3f allocs/iteration)",
+					off.name, off.allocs, on.allocs, perIter))
+			}
+			fmt.Printf("  %-20s %12d -> %12d ns/op  %+6.1f%%  %8d -> %8d allocs  %s\n",
+				off.name, off.ns, on.ns, on.overheadLo*100, off.allocs, on.allocs, verdict)
 		}
-		on, ok := byName[off.Name+suffix]
-		if !ok {
-			continue
-		}
-		checked++
-		if off.Error != "" || on.Error != "" {
-			violations = append(violations, fmt.Sprintf("%s: measurement failed (%s%s)", off.Name, off.Error, on.Error))
-			continue
-		}
-		// Judge the paired per-round estimator when the run produced one —
-		// the confidence lower bound if available, so only statistically
-		// significant overhead fails; min-vs-min (two order statistics of
-		// different noise draws) is only the fallback for reports from
-		// older binaries.
-		delta := float64(on.NsPerOp-off.NsPerOp) / float64(off.NsPerOp)
-		if on.OverheadLoPct != nil {
-			delta = *on.OverheadLoPct
-		} else if on.OverheadPct != nil {
-			delta = *on.OverheadPct
-		}
-		perIter := 0.0
-		if extra := float64(on.AllocsPerOp) - float64(off.AllocsPerOp) - metricsSetupAllocs; extra > 0 && off.Iterations > 0 {
-			perIter = extra / float64(off.Iterations)
-		}
-		verdict := "ok"
-		if delta > tol {
-			verdict = "TIME OVERHEAD"
-			violations = append(violations, fmt.Sprintf("%s: %d -> %d ns/op (%+.1f%% > %.1f%%)",
-				off.Name, off.NsPerOp, on.NsPerOp, delta*100, tol*100))
-		}
-		if perIter > metricsAllocsPerIter {
-			verdict = "ALLOC OVERHEAD"
-			violations = append(violations, fmt.Sprintf("%s: %d -> %d allocs/op (%.3f allocs/iteration)",
-				off.Name, off.AllocsPerOp, on.AllocsPerOp, perIter))
-		}
-		fmt.Printf("  %-20s %12d -> %12d ns/op  %+6.1f%%  %8d -> %8d allocs  %s\n",
-			off.Name, off.NsPerOp, on.NsPerOp, delta*100, off.AllocsPerOp, on.AllocsPerOp, verdict)
 	}
 	if checked == 0 {
 		return fmt.Errorf("%s overhead gate matched no workload pairs", what)
@@ -507,173 +349,12 @@ func gateTwinOverhead(rep *benchReport, suffix, what string, tol float64) error 
 	return nil
 }
 
-// measureServeMode boots an in-process tpdf-serve, soaks it with the
-// loadgen library, and reports per-endpoint service latency: the median as
-// ns/op (stable enough to gate) plus the p99 tail. The run itself asserts
-// the soak invariants — zero failed and zero leaked sessions — before any
-// numbers are reported.
-func measureServeMode(quick bool) (*benchReport, error) {
-	rep := &benchReport{Quick: quick, ServeMode: true}
-	srv := serve.New(serve.Config{MaxSessions: 64, AdmitWait: 5 * time.Second})
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx) //nolint:errcheck // bench teardown
-	}()
-
-	cfg := serve.LoadConfig{
-		BaseURL:     "http://" + addr,
-		Sessions:    128,
-		Concurrency: 32,
-		Pumps:       8,
-		Iterations:  16,
-	}
-	batch := serve.BatchLoad{BaseURL: "http://" + addr, Analyzes: 40, Sweeps: 8}
-	if quick {
-		cfg.Sessions, cfg.Concurrency, cfg.Pumps, cfg.Iterations = 48, 16, 4, 8
-		batch.Analyzes, batch.Sweeps = 20, 4
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	lr, err := serve.RunLoad(ctx, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("serve soak: %v", err)
-	}
-	if lr.Failed > 0 || lr.Leaked > 0 {
-		return nil, fmt.Errorf("serve soak: %d failed, %d leaked sessions", lr.Failed, lr.Leaked)
-	}
-	br, err := serve.RunBatchLoad(ctx, batch)
-	if err != nil {
-		return nil, fmt.Errorf("serve batch: %v", err)
-	}
-	rep.Serve = lr
-
-	add := func(name string, p serve.Percentiles) {
-		rep.Experiments = append(rep.Experiments,
-			experimentTiming{Name: name, NsPerOp: p.P50, P99: p.P99})
-		fmt.Printf("%-18s %12d ns/op %12d p99\n", name, p.P50, p.P99)
-	}
-	add("serve/open", lr.Open)
-	add("serve/pump", lr.Pump)
-	add("serve/close", lr.Close)
-	add("serve/session", lr.Session)
-	add("serve/analyze", br.Analyze)
-	add("serve/sweep", br.Sweep)
-	fmt.Printf("serve soak: %d sessions at %d concurrent, %.1f sessions/sec, 0 failed, 0 leaked\n",
-		lr.Sessions, lr.Concurrency, lr.SessionsPerSec)
-
-	// Durable twin: the same soak against a server persisting every
-	// session to disk (synchronous snapshot flush on every pump ack), so
-	// the gate tracks what durability costs the service path.
-	dir, err := os.MkdirTemp("", "tpdf-bench-durable-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	dsrv := serve.New(serve.Config{
-		MaxSessions: 64, AdmitWait: 5 * time.Second,
-		DataDir: dir, PersistEvery: 1,
-	})
-	daddr, err := dsrv.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		dsrv.Shutdown(ctx) //nolint:errcheck // bench teardown
-	}()
-	dcfg := cfg
-	dcfg.BaseURL = "http://" + daddr
-	dlr, err := serve.RunLoad(ctx, dcfg)
-	if err != nil {
-		return nil, fmt.Errorf("durable serve soak: %v", err)
-	}
-	if dlr.Failed > 0 || dlr.Leaked > 0 {
-		return nil, fmt.Errorf("durable serve soak: %d failed, %d leaked sessions", dlr.Failed, dlr.Leaked)
-	}
-	add("serve+durable/open", dlr.Open)
-	add("serve+durable/pump", dlr.Pump)
-	add("serve+durable/close", dlr.Close)
-	add("serve+durable/session", dlr.Session)
-	fmt.Printf("durable serve soak: %d sessions, %.1f sessions/sec, 0 failed, 0 leaked\n",
-		dlr.Sessions, dlr.SessionsPerSec)
-	return rep, nil
-}
-
-// genSink keeps the generator workloads' outputs observably alive so the
-// compiler cannot elide the work being timed.
-var genSink int64
-
-// measureGenMode times the property-based test generators (tpdf/fuzz)
-// over a fixed consecutive seed span: graph generation alone, schedule
-// generation alone (against one fixed graph), and full case assembly
-// including the canonical text both artifacts serialize to — the exact
-// per-case cost the CI fuzz sweep pays. Generation is deterministic by
-// seed, so every round re-derives byte-identical artifacts and the
-// numbers gate generator cost, not input variance.
-func measureGenMode(quick bool) (*benchReport, error) {
-	rep := &benchReport{Quick: quick, GenMode: true}
-	span := int64(2048)
-	if quick {
-		span = 512
-	}
-	scheduleGraph := fuzz.Graph(1, fuzz.GraphConfig{})
-	workloads := []struct {
-		name string
-		run  func() error
-	}{
-		{"gen/graph", func() error {
-			for seed := int64(1); seed <= span; seed++ {
-				g := fuzz.Graph(seed, fuzz.GraphConfig{})
-				genSink += int64(len(g.Nodes))
-			}
-			return nil
-		}},
-		{"gen/schedule", func() error {
-			for seed := int64(1); seed <= span; seed++ {
-				s := fuzz.NewSchedule(seed, scheduleGraph, fuzz.ScheduleConfig{})
-				genSink += s.Iterations
-			}
-			return nil
-		}},
-		{"gen/case", func() error {
-			for seed := int64(1); seed <= span; seed++ {
-				c := fuzz.NewCase(seed)
-				genSink += int64(len(tpdf.Format(c.Graph)) + len(c.Schedule.String()))
-			}
-			return nil
-		}},
-	}
-	for _, w := range workloads {
-		w := w
-		timing := measureTiming(w.name, func() (func() error, error) {
-			return w.run, nil
-		})
-		timing.Iterations = span
-		rep.Experiments = append(rep.Experiments, timing)
-	}
-	return rep, nil
-}
-
 // mallocs reads the process-wide cumulative heap-allocation count.
 func mallocs() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.Mallocs
 }
-
-// measureRounds is how many times each experiment regeneration is timed;
-// the report keeps the best round. A single-shot measurement on a busy or
-// single-core runner jitters far beyond the regression threshold, and the
-// minimum is the round least polluted by scheduler noise and GC debt from
-// preceding experiments.
-const measureRounds = 3
 
 // timeRound builds one fresh run closure (its cost stays outside the
 // measured window) and times it, returning wall nanoseconds and the heap
@@ -693,33 +374,13 @@ func timeRound(prepare func() (func() error, error)) (int64, uint64, error) {
 	return ns, allocs, err
 }
 
-// measureTiming runs one experiment best-of-measureRounds: the reported
-// ns/op + allocs/op pair is the one the single fastest round actually
-// produced.
-func measureTiming(name string, prepare func() (func() error, error)) experimentTiming {
-	timing := experimentTiming{Name: name}
-	for round := 0; round < measureRounds; round++ {
-		ns, allocs, err := timeRound(prepare)
-		if err != nil {
-			timing.Error = err.Error()
-			break
-		}
-		if round == 0 || ns < timing.NsPerOp {
-			timing.NsPerOp = ns
-			timing.AllocsPerOp = allocs
-		}
-	}
-	fmt.Printf("%-18s %12d ns/op %12d allocs/op\n", timing.Name, timing.NsPerOp, timing.AllocsPerOp)
-	return timing
-}
-
 // pairRounds is how many rounds a paired twin measurement takes. Twins
 // exist to be compared against their base at a few-percent tolerance —
-// far below scheduler noise on a shared runner — so they get many more
-// rounds than a standalone experiment (engine runs are milliseconds, the
-// extra rounds are cheap) and every round runs all variants back to back
-// so a noise burst (CPU contention, GC debt) lands on the whole round
-// instead of skewing whichever variant owned that stretch of wall time.
+// far below scheduler noise on a shared runner — so they get many rounds
+// (engine runs are milliseconds, the rounds are cheap) and every round
+// runs all variants back to back so a noise burst (CPU contention, GC
+// debt) lands on the whole round instead of skewing whichever variant
+// owned that stretch of wall time.
 const pairRounds = 41
 
 // pairWarmup is how many leading rounds contribute no overhead ratio:
@@ -729,65 +390,38 @@ const pairRounds = 41
 // minimum-time estimate still considers every round.
 const pairWarmup = 2
 
-// twinSpec is one decorated variant measured against a base experiment
-// inside the same interleaved round set.
-type twinSpec struct {
-	name string
-	prep func() (func() error, error)
-}
-
-// measureTimingSet measures a base experiment and any number of decorated
-// twins with interleaved rounds. Each variant reports its single fastest
-// round; every twin also carries OverheadPct, the median of the per-round
-// (twin-base)/base wall-time ratios — each ratio compares runs adjacent
-// in time, so contention that slows the whole round cancels out of it,
-// and the median discards rounds where a burst hit only one variant. The
-// run order rotates every round so no variant systematically inherits the
-// cache/scheduler state another left behind. Returns base followed by the
-// twins in their given order.
-func measureTimingSet(baseName string, basePrep func() (func() error, error), twins ...twinSpec) []experimentTiming {
-	variants := 1 + len(twins)
-	timings := make([]experimentTiming, variants)
-	timings[0] = experimentTiming{Name: baseName}
-	for i, tw := range twins {
-		timings[i+1] = experimentTiming{Name: tw.name}
-	}
-	preps := make([]func() (func() error, error), variants)
-	preps[0] = basePrep
-	for i, tw := range twins {
-		preps[i+1] = tw.prep
-	}
-	ratios := make([][]float64, len(twins))
-rounds:
+// measureTimingSet measures a base (variants[0]) and its decorated twins
+// with interleaved rounds, filling in each variant's measurement. Each
+// reports its single fastest round; every twin also carries overhead, the
+// median of the per-round (twin-base)/base wall-time ratios — each ratio
+// compares runs adjacent in time, so contention that slows the whole round
+// cancels out of it, and the median discards rounds where a burst hit only
+// one variant. The run order rotates every round so no variant
+// systematically inherits the cache/scheduler state another left behind.
+// A failed run of any variant fails the set.
+func measureTimingSet(variants []variant) error {
+	ratios := make([][]float64, len(variants)) // [0] stays empty: the base
+	ns := make([]int64, len(variants))
 	for round := 0; round < pairRounds; round++ {
-		ns := make([]int64, variants)
-		allocs := make([]uint64, variants)
-		for k := 0; k < variants; k++ {
-			idx := (round + k) % variants
-			n, a, err := timeRound(preps[idx])
+		for k := range variants {
+			idx := (round + k) % len(variants)
+			v := &variants[idx]
+			n, allocs, err := timeRound(v.prep)
 			if err != nil {
-				timings[idx].Error = err.Error()
-				break rounds
+				return fmt.Errorf("%s: %w", v.name, err)
 			}
-			ns[idx], allocs[idx] = n, a
-		}
-		for idx := 0; idx < variants; idx++ {
-			if round == 0 || ns[idx] < timings[idx].NsPerOp {
-				timings[idx].NsPerOp, timings[idx].AllocsPerOp = ns[idx], allocs[idx]
+			if ns[idx] = n; round == 0 || n < v.ns {
+				v.ns, v.allocs = n, allocs
 			}
 		}
-		if ns[0] > 0 && round >= pairWarmup {
-			for i := range twins {
-				ratios[i] = append(ratios[i], float64(ns[i+1]-ns[0])/float64(ns[0]))
+		if round >= pairWarmup {
+			for i := 1; i < len(variants); i++ {
+				ratios[i] = append(ratios[i], float64(ns[i]-ns[0])/float64(ns[0]))
 			}
 		}
 	}
-	for i := range twins {
-		if len(ratios[i]) == 0 {
-			continue
-		}
+	for i := 1; i < len(variants); i++ {
 		med := medianOf(ratios[i])
-		timings[i+1].OverheadPct = &med
 		// Robust standard error of the median: 1.4826*MAD estimates the
 		// ratio spread without letting burst rounds inflate it, and
 		// 1.2533*sd/sqrt(n) is the median's sampling error. The gate
@@ -797,17 +431,16 @@ rounds:
 			dev[j] = math.Abs(r - med)
 		}
 		se := 1.2533 * 1.4826 * medianOf(dev) / math.Sqrt(float64(len(ratios[i])))
-		lo := med - 1.645*se
-		timings[i+1].OverheadLoPct = &lo
+		variants[i].overhead, variants[i].overheadLo = med, med-1.645*se
 	}
-	for _, t := range timings {
+	for i, v := range variants {
 		over := ""
-		if t.OverheadPct != nil {
-			over = fmt.Sprintf("   %+.1f%% paired (lo %+.1f%%)", *t.OverheadPct*100, *t.OverheadLoPct*100)
+		if i > 0 {
+			over = fmt.Sprintf("   %+.1f%% paired (lo %+.1f%%)", v.overhead*100, v.overheadLo*100)
 		}
-		fmt.Printf("%-22s %12d ns/op %12d allocs/op%s\n", t.Name, t.NsPerOp, t.AllocsPerOp, over)
+		fmt.Printf("%-22s %12d ns/op %12d allocs/op%s\n", v.name, v.ns, v.allocs, over)
 	}
-	return timings
+	return nil
 }
 
 // medianOf returns the median; it sorts xs in place.
@@ -820,253 +453,35 @@ func medianOf(xs []float64) float64 {
 	return m
 }
 
-// finishReport appends the engine-vs-runner latency comparison shared by
-// both modes.
-func finishReport(rep *benchReport, quick bool) error {
-	cmp, err := measureEngine(quick)
-	if err != nil {
-		return err
-	}
-	rep.Engine = cmp
-	fmt.Printf("engine vs runner on %s: sequential %d ns, stream %d ns, speedup %.2fx\n",
-		cmp.Graph, cmp.SequentialNs, cmp.StreamNs, cmp.Speedup)
-	return nil
-}
-
-// measure times every experiment (best of measureRounds, with allocation
-// counts) and benchmarks engine vs runner.
-func measure(quick bool, parallel int) (*benchReport, error) {
-	rep := &benchReport{Quick: quick, Parallel: parallel}
-	for _, name := range tpdf.ExperimentNames() {
-		name := name
-		timing := measureTiming(name, func() (func() error, error) {
-			return func() error {
-				_, err := tpdf.RunExperiment(name, quick, tpdf.WithParallelism(parallel))
-				return err
-			}, nil
-		})
-		rep.Experiments = append(rep.Experiments, timing)
-	}
-	return rep, finishReport(rep, quick)
-}
-
-// writeJSON stores the machine-readable report.
-func writeJSON(path string, rep *benchReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// compareFloorNs exempts experiments faster than this from the regression
-// gate: sub-millisecond artifacts are dominated by scheduler and allocator
-// noise, not by the analysis code the gate protects.
-const compareFloorNs = 1_000_000
-
-// compareFloorAllocs exempts experiments allocating less than this from
-// the allocation gate: tiny counts are dominated by runtime bookkeeping
-// (goroutine spin-up, map growth in the harness), not by the analysis hot
-// paths the rebind layer keeps allocation-free.
-const compareFloorAllocs = 1_000
-
-// compare checks the measured report against a committed baseline and
-// returns an error when any sufficiently large experiment regressed beyond
-// the wall-time threshold (e.g. 0.25 = 25% slower) or grew its allocation
-// count beyond allocThreshold — the simulator and rebind fast paths are
-// 0 allocs/op by construction, so a creeping allocs_per_op is a real leak
-// even when the wall clock hides it.
-func compare(baselinePath string, rep *benchReport, threshold, allocThreshold float64) error {
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	var base benchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parse %s: %v", baselinePath, err)
-	}
-	// A baseline from another mode would share no experiment names and
-	// silently gate nothing; refuse it outright.
-	if base.EngineMode != rep.EngineMode || base.ServeMode != rep.ServeMode || base.GenMode != rep.GenMode {
-		return fmt.Errorf("%s is a %s baseline but this run measured %s (wrong -compare file?)",
-			baselinePath, modeName(&base), modeName(rep))
-	}
-	baseline := map[string]experimentTiming{}
-	for _, t := range base.Experiments {
-		baseline[t.Name] = t
-	}
-	var regressions []string
-	matched := 0
-	fmt.Printf("comparison vs %s (time threshold %+.0f%% above %dms, alloc threshold %+.0f%% above %d allocs):\n",
-		baselinePath, threshold*100, compareFloorNs/1_000_000, allocThreshold*100, compareFloorAllocs)
-	for _, t := range rep.Experiments {
-		// A failed experiment must never pass the gate — its near-zero
-		// wall time would otherwise read as a huge speedup.
-		if t.Error != "" {
-			regressions = append(regressions, fmt.Sprintf("%s: FAILED: %s", t.Name, t.Error))
-			fmt.Printf("  %-4s FAILED: %s\n", t.Name, t.Error)
-			continue
-		}
-		old, ok := baseline[t.Name]
-		if !ok || old.NsPerOp <= 0 {
-			continue
-		}
-		matched++
-		delta := float64(t.NsPerOp-old.NsPerOp) / float64(old.NsPerOp)
-		verdict := "ok"
-		switch {
-		case old.NsPerOp < compareFloorNs:
-			verdict = "skipped (below floor)"
-		case delta > threshold:
-			verdict = "REGRESSION"
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %d -> %d ns/op (%+.0f%%)", t.Name, old.NsPerOp, t.NsPerOp, delta*100))
-		}
-		allocNote := ""
-		// Gate when either side clears the floor: a baseline under the
-		// floor must not exempt a fast path that regresses far above it.
-		if old.AllocsPerOp >= compareFloorAllocs || t.AllocsPerOp >= compareFloorAllocs {
-			// Subtract in float space: the counts are uint64 and an
-			// improvement must not wrap around into a huge delta.
-			adelta := (float64(t.AllocsPerOp) - float64(old.AllocsPerOp)) / float64(old.AllocsPerOp)
-			if adelta > allocThreshold {
-				allocNote = "  ALLOC REGRESSION"
-				regressions = append(regressions,
-					fmt.Sprintf("%s: %d -> %d allocs/op (%+.0f%%)", t.Name, old.AllocsPerOp, t.AllocsPerOp, adelta*100))
-			}
-		}
-		fmt.Printf("  %-4s %12d -> %12d ns/op  %+6.1f%%  %8d -> %8d allocs  %s%s\n",
-			t.Name, old.NsPerOp, t.NsPerOp, delta*100, old.AllocsPerOp, t.AllocsPerOp, verdict, allocNote)
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("%d experiment(s) regressed (time >%.0f%%, allocs >%.0f%%) or failed:\n  %s",
-			len(regressions), threshold*100, allocThreshold*100, strings.Join(regressions, "\n  "))
-	}
-	// A gate that matched nothing is a disabled gate, not a pass: the
-	// baseline is stale (workload set renamed) or simply the wrong file.
-	if matched == 0 {
-		return fmt.Errorf("no experiment in this run matched the %s baseline; regenerate it", baselinePath)
-	}
-	fmt.Println("no regressions")
-	return nil
-}
-
-func modeName(rep *benchReport) string {
-	switch {
-	case rep.ServeMode:
-		return "serve"
-	case rep.EngineMode:
-		return "engine"
-	case rep.GenMode:
-		return "gen"
-	default:
-		return "analysis"
-	}
-}
-
 func run() error {
 	quick := flag.Bool("quick", false, "smaller image and sweeps")
 	exp := flag.String("exp", "", "run one experiment: "+strings.Join(tpdf.ExperimentNames(), " "))
-	engineMode := flag.Bool("engine", false, "benchmark the streaming engine per graph (stream ns/op + allocs/op) instead of the analysis experiments")
-	serveMode := flag.Bool("serve", false, "benchmark the service tier: soak an in-process tpdf-serve and report per-endpoint median ns/op + p99")
-	genMode := flag.Bool("gen", false, "benchmark the property-based test generators (tpdf/fuzz): graph/schedule/case ns/op + allocs/op over a fixed seed span")
 	parallel := flag.Int("parallel", 1, "worker pool width: fan experiments out and shard their sweeps")
-	jsonPath := flag.String("json", "", "write machine-readable timings (experiment ns/op + allocs/op, engine-vs-runner speedup) to this file")
-	baseline := flag.String("compare", "", "baseline JSON to compare against; exits nonzero on regression")
-	threshold := flag.Float64("threshold", 0.25, "relative slowdown tolerated by -compare (0.25 = 25%)")
-	allocThreshold := flag.Float64("alloc-threshold", 0.5, "relative allocs_per_op growth tolerated by -compare (0.5 = 50%)")
+	engineMode := flag.Bool("engine", false, "measure every streaming workload bare, +metrics and +ckpt in paired rounds instead of regenerating the paper artifacts")
 	metricsOverhead := flag.Float64("metrics-overhead", 0, "engine mode: max relative slowdown of each workload's +metrics twin (0.02 = 2%; 0 disables the gate)")
 	ckptOverhead := flag.Float64("ckpt-overhead", 0, "engine mode: max relative slowdown of each workload's checkpoint-armed +ckpt twin (0.02 = 2%; 0 disables the gate)")
 	flag.Parse()
 
-	if *engineMode || *serveMode || *genMode {
+	if *engineMode {
 		if *exp != "" {
-			return fmt.Errorf("-exp is mutually exclusive with -engine/-serve/-gen")
+			return errors.New("-exp is mutually exclusive with -engine")
 		}
-		modes := 0
-		for _, on := range []bool{*engineMode, *serveMode, *genMode} {
-			if on {
-				modes++
-			}
-		}
-		if modes > 1 {
-			return fmt.Errorf("-engine, -serve and -gen are mutually exclusive")
-		}
-		if *baseline != "" {
-			if _, err := os.Stat(*baseline); err != nil {
-				return err
-			}
-		}
-		measureMode := measureEngineMode
-		if *serveMode {
-			measureMode = measureServeMode
-		}
-		if *genMode {
-			measureMode = measureGenMode
-		}
-		rep, err := measureMode(*quick)
+		sets, err := measureEngineMode(*quick)
 		if err != nil {
 			return err
 		}
-		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, rep); err != nil {
-				return err
-			}
-		}
-		if *engineMode && *metricsOverhead > 0 {
-			if err := gateTwinOverhead(rep, "+metrics", "metrics", *metricsOverhead); err != nil {
-				return err
-			}
-		}
-		if *engineMode && *ckptOverhead > 0 {
-			if err := gateTwinOverhead(rep, "+ckpt", "checkpoint", *ckptOverhead); err != nil {
-				return err
-			}
-		}
-		if *baseline != "" {
-			return compare(*baseline, rep, *threshold, *allocThreshold)
-		}
-		return nil
-	}
-
-	if *jsonPath != "" || *baseline != "" {
-		if *exp != "" {
-			return fmt.Errorf("-exp is mutually exclusive with -json/-compare (they time every experiment)")
-		}
-		if *baseline != "" {
-			// Fail on a missing/unreadable baseline before spending a full
-			// measurement pass.
-			if _, err := os.Stat(*baseline); err != nil {
-				return err
-			}
-		}
-		rep, err := measure(*quick, *parallel)
-		if err != nil {
+		if err := gateTwinOverhead(sets, "+metrics", "metrics", *metricsOverhead); err != nil {
 			return err
 		}
-		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, rep); err != nil {
-				return err
-			}
-		}
-		if *baseline != "" {
-			return compare(*baseline, rep, *threshold, *allocThreshold)
-		}
-		return nil
+		return gateTwinOverhead(sets, "+ckpt", "checkpoint", *ckptOverhead)
 	}
+	var out string
+	var err error
 	if *exp != "" {
-		out, err := tpdf.RunExperiment(*exp, *quick, tpdf.WithParallelism(*parallel))
-		if err != nil {
-			return err
-		}
-		fmt.Print(out)
-		return nil
+		out, err = tpdf.RunExperiment(*exp, *quick, tpdf.WithParallelism(*parallel))
+	} else {
+		out, err = tpdf.RunAllExperiments(*quick, tpdf.WithParallelism(*parallel))
 	}
-	out, err := tpdf.RunAllExperiments(*quick, tpdf.WithParallelism(*parallel))
 	fmt.Print(out)
 	return err
 }

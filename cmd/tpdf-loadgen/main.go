@@ -1,10 +1,9 @@
 // Command tpdf-loadgen soaks a running tpdf-serve instance: it runs many
 // session lifecycles (open → pump×N → close) at a configured concurrency,
 // retries admission pushback (429/503) as backpressure, and reports
-// per-endpoint latency percentiles plus throughput as JSON — the numbers
-// the BENCH_serve.json CI gate tracks. Mid-run it scrapes GET /metrics and
-// validates the Prometheus exposition; an unparsable exposition fails the
-// run like a failed session does.
+// per-endpoint latency percentiles plus throughput as JSON. Mid-run it
+// scrapes GET /metrics and validates the Prometheus exposition; an
+// unparsable exposition fails the run like a failed session does.
 //
 // Usage:
 //

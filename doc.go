@@ -31,8 +31,7 @@
 //     analysis buffer bounds, backpressure from ring capacity, and
 //     WithReconfigure applying new parameter values only at transaction
 //     boundaries (plus WithWorkers, WithChannelCapacity and
-//     WithStallTimeout). Stream produces results identical to Execute
-//     and is benchmarked against it by cmd/tpdf-bench -engine.
+//     WithStallTimeout). Stream produces results identical to Execute.
 //     tpdf.Schedule list-schedules the canonical period onto a many-core
 //     platform with the control-priority rule;
 //   - tpdf.RunExperiment: the harness regenerating every table and figure
@@ -112,13 +111,23 @@
 //   - the experiment harness fans out across experiments and within each
 //     sweep (tpdf.RunAllExperiments with WithParallelism, tpdf-bench
 //     -parallel);
-//   - regressions are gated: cmd/tpdf-bench -json records per-experiment
-//     wall time (best of three rounds) and allocation counts, -compare
-//     fails when any experiment regresses beyond -threshold in ns/op or
-//     -alloc-threshold in allocs/op against the committed
-//     BENCH_analysis.json seed; -engine applies the same gate to
-//     transport-bound streaming workloads against BENCH_engine.json; and
-//     CI runs both gates on every push.
+//   - a performance change is judged one way: bench/run.sh, the benchmark
+//     BENCHMARK.json declares (five output-checked workloads — steady
+//     streaming, a rebind at every boundary, plain and durable serve pumps,
+//     the analysis pipeline — with end-to-end ops/s, latency percentiles,
+//     allocs/op and set-up time, plus a per-layer cost ladder under
+//     --trace 1; bench/README.md has the protocol). It builds and runs the
+//     parent commit and the change on the same machine, so there are no
+//     committed timing baselines to go stale or to mistake machine class
+//     for a regression. The allocation contracts are ordinary tests
+//     (TestSimulatorSteadyStateAllocs, TestSweepSteadyStateAllocs,
+//     internal/engine/hotpath_test.go);
+//   - cmd/tpdf-bench -engine is the overhead gate only: it measures every
+//     streaming workload bare, with metrics + journal attached and with
+//     checkpointing armed but idle, in paired interleaved rounds inside
+//     one process, and -metrics-overhead / -ckpt-overhead fail the run
+//     when a decorated twin is statistically more than the budget (2% in
+//     CI) slower than its base or allocates per iteration.
 //
 // # Service tier
 //
@@ -171,11 +180,10 @@
 //     durability job gate the kill-and-recover cycle at the binary level;
 //   - cmd/tpdf-loadgen soaks a server (sessions × pumps at a set
 //     concurrency, admission pushback retried as backpressure) and reports
-//     per-endpoint latency percentiles; tpdf-bench -serve runs the same
-//     soak against an in-process server (bare and with durability armed,
-//     the serve+durable twins) and gates the per-endpoint median
-//     ns/op (p99 recorded alongside) against the committed
-//     BENCH_serve.json seed, the third CI bench gate.
+//     per-endpoint latency percentiles; its zero-failed / zero-leaked
+//     invariant is asserted by the CI soak, chaos and durability jobs, and
+//     serve latency is judged by the serve-pump and serve-durable
+//     workloads of bench/run.sh.
 //
 // # Testing
 //
@@ -218,9 +226,8 @@
 // through the full invariant battery in the normal test job forever after.
 // Corpus entries for the native fuzz targets live under each package's
 // testdata/fuzz/<FuzzName>/ in the standard go-fuzz corpus encoding and
-// are committed the same way. tpdf-bench -gen times the generators
-// themselves against the committed BENCH_gen.json seed so the sweep's
-// per-case cost stays bounded.
+// are committed the same way. The CI fuzz job's -timeout bounds the
+// sweep's cost.
 //
 // Everything under internal/ is an implementation detail behind this
 // facade: core (the TPDF model of computation), csdf (the cyclo-static base
@@ -232,6 +239,6 @@
 // The benchmarks in bench_test.go regenerate each paper artifact; the
 // tpdf-analyze, tpdf-sched, tpdf-sim, tpdf-bench, tpdf-serve and
 // tpdf-loadgen commands expose the same functionality on the command line.
-// See DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-// paper-versus-measured outcomes.
+// tpdf.ExperimentNames is the experiment index (tpdf-bench -h prints it),
+// and each rendering states the paper's value next to the reproduced one.
 package repro

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each function produces the textual equivalent of one paper
-// artifact (EXP-F1 … EXP-F8 in DESIGN.md) and is driven both by the
-// tpdf-bench command and by the repository's root benchmarks, so the same
-// code path backs interactive reproduction and performance measurement.
+// artifact (EXP-F1 … EXP-F8, extensions EXT-A1 … EXT-A8) and is driven both
+// by the tpdf-bench command and by the repository's root benchmarks, so the
+// same code path backs interactive reproduction and performance measurement.
 package experiments
 
 import (
@@ -298,15 +298,10 @@ func F7() (string, error) {
 
 // F8 reproduces Fig. 8: minimum buffer size versus vectorization degree for
 // N in {512, 1024}, TPDF against the CSDF baseline, with the paper's
-// analytic formulas for comparison.
-func F8(betas []int64) (string, error) { return F8Parallel(betas, 1) }
-
-// F8Parallel is F8 with the β×N simulation grid sharded across up to
-// parallel workers; the rendered series are byte-identical to F8's.
-func F8Parallel(betas []int64, parallel int) (string, error) {
-	if len(betas) == 0 {
-		betas = []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	}
+// analytic formulas for comparison. The β×N simulation grid is sharded
+// across up to parallel workers; the rendered series do not depend on the
+// worker count.
+func F8(betas []int64, parallel int) (string, error) {
 	var b strings.Builder
 	b.WriteString("EXP-F8 (Fig. 8): buffer size vs vectorization degree (M=4, L=1)\n")
 	var all []buffer.Point
@@ -333,50 +328,68 @@ func F8Parallel(betas []int64, parallel int) (string, error) {
 	return b.String(), nil
 }
 
-// All runs every experiment in paper order. quickImage shrinks the Fig. 6
-// measurement image so the full suite stays fast.
-func All(quickImage bool) (string, error) {
-	return AllOpts(Options{Quick: quickImage, Measure: true, Parallel: 1})
-}
-
-// Steps returns every experiment as a (name, generator) list in paper
-// order, configured by opts. The harness drives this both sequentially and
-// fanned out across a worker pool.
-func Steps(opts Options) []struct {
+// Step is one paper artifact: its tpdf-bench name and its generator.
+type Step struct {
 	Name string
 	Run  func() (string, error)
-} {
+}
+
+// Steps returns every experiment in paper order, configured by opts. It is
+// the one name → generator table: Names, Run and All read it, and the tpdf
+// facade reads those.
+func Steps(opts Options) []Step {
 	size := 1024
+	betas := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	if opts.Quick {
 		size = 256
+		betas = []int64{10, 30, 50, 70, 100}
 	}
 	p := opts.Parallel
-	return []struct {
-		Name string
-		Run  func() (string, error)
-	}{
+	return []Step{
 		{"f1", F1}, {"f2", F2}, {"f3", F3}, {"f4", F4}, {"f5", F5},
 		{"t6", func() (string, error) { return F6Table(size, opts.Measure) }},
 		{"f6", F6Deadline}, {"f7", F7},
-		{"f8", func() (string, error) { return F8Parallel([]int64{10, 30, 50, 70, 100}, p) }},
-		{"a1", func() (string, error) { return ScheduleAblationParallel(p) }},
-		{"a2", func() (string, error) { return PlatformSweepParallel(p) }},
-		{"a3", func() (string, error) { return FMRadioComparisonParallel(p) }},
+		{"f8", func() (string, error) { return F8(betas, p) }},
+		{"a1", func() (string, error) { return ScheduleAblation(p) }},
+		{"a2", func() (string, error) { return PlatformSweep(p) }},
+		{"a3", func() (string, error) { return FMRadioComparison(p) }},
 		{"a4", ADFPruning},
-		{"a5", func() (string, error) { return AVCQualityThresholdParallel(p) }},
-		{"a6", func() (string, error) { return ThroughputValidationParallel(p) }},
-		{"a7", func() (string, error) { return PipelinedSchedulingParallel(p) }},
-		{"a8", func() (string, error) { return CapacityMinimizationParallel(p) }},
+		{"a5", func() (string, error) { return AVCQualityThreshold(p) }},
+		{"a6", func() (string, error) { return ThroughputValidation(p) }},
+		{"a7", func() (string, error) { return PipelinedScheduling(p) }},
+		{"a8", func() (string, error) { return CapacityMinimization(p) }},
 	}
 }
 
-// AllOpts runs every experiment in paper order under the given options.
+// Names lists the experiments in paper order.
+func Names() []string {
+	steps := Steps(Options{})
+	names := make([]string, len(steps))
+	for i, s := range steps {
+		names[i] = s.Name
+	}
+	return names
+}
+
+// Run regenerates the one named experiment under opts: exactly that
+// experiment's section of All(opts).
+func Run(name string, opts Options) (string, error) {
+	imaging.SetParallelism(opts.Parallel)
+	for _, s := range Steps(opts) {
+		if s.Name == name {
+			return s.Run()
+		}
+	}
+	return "", fmt.Errorf("unknown experiment %q (try %s)", name, strings.Join(Names(), ", "))
+}
+
+// All runs every experiment in paper order under the given options.
 // With Parallel > 1 the experiments execute concurrently on a bounded
 // worker pool (each sweep additionally sharding its own parameter grid)
 // and the outputs are joined in paper order, so the rendering matches a
 // sequential run byte for byte as long as Measure is off. On error the
 // outputs of the experiments preceding the failed one are returned.
-func AllOpts(opts Options) (string, error) {
+func All(opts Options) (string, error) {
 	imaging.SetParallelism(opts.Parallel)
 	steps := Steps(opts)
 	outs := make([]string, len(steps))

@@ -95,7 +95,7 @@ func TestF7(t *testing.T) {
 }
 
 func TestF8(t *testing.T) {
-	out, err := F8([]int64{10, 20})
+	out, err := F8([]int64{10, 20}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +111,17 @@ func TestF8(t *testing.T) {
 }
 
 func TestExtensions(t *testing.T) {
-	for name, f := range map[string]func() (string, error){
+	for name, f := range map[string]func(int) (string, error){
 		"ScheduleAblation":     ScheduleAblation,
 		"PlatformSweep":        PlatformSweep,
 		"FMRadioComparison":    FMRadioComparison,
-		"ADFPruning":           ADFPruning,
+		"ADFPruning":           func(int) (string, error) { return ADFPruning() },
 		"AVCQualityThreshold":  AVCQualityThreshold,
 		"ThroughputValidation": ThroughputValidation,
 		"PipelinedScheduling":  PipelinedScheduling,
 		"CapacityMinimization": CapacityMinimization,
 	} {
-		out, err := f()
+		out, err := f(1)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -136,7 +136,7 @@ func TestAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite skipped in -short")
 	}
-	out, err := All(true)
+	out, err := All(Options{Quick: true, Measure: true, Parallel: 1})
 	if err != nil {
 		t.Fatalf("%v\npartial output:\n%s", err, out)
 	}

@@ -44,11 +44,9 @@ func fig2Instance(p int64) (*csdf.Graph, *csdf.Precedence, []bool, error) {
 
 // ScheduleAblation measures the §III-D control-priority rule: makespan of
 // the Fig. 2 canonical period with and without the rule, across PE counts.
-func ScheduleAblation() (string, error) { return ScheduleAblationParallel(1) }
-
-// ScheduleAblationParallel shards the PE-count × rule grid over up to
-// parallel workers (each cell is an independent list-scheduling run).
-func ScheduleAblationParallel(parallel int) (string, error) {
+// The PE-count × rule grid is sharded over up to parallel workers (each
+// cell is an independent list-scheduling run).
+func ScheduleAblation(parallel int) (string, error) {
 	cg, prec, isCtl, err := fig2Instance(16)
 	if err != nil {
 		return "", err
@@ -89,14 +87,11 @@ func ScheduleAblationParallel(parallel int) (string, error) {
 
 // PlatformSweep schedules the Fig. 2 canonical period over growing slices
 // of the MPPA-256 and reports the makespan curve — the §III-D scalability
-// story on the paper's target machine.
-func PlatformSweep() (string, error) { return PlatformSweepParallel(1) }
-
-// PlatformSweepParallel shards the PE-count sweep (each point one
-// list-scheduling run of the ~450-firing canonical period) over up to
-// parallel workers; the speedup column is derived after the joins, so the
-// table matches the sequential rendering.
-func PlatformSweepParallel(parallel int) (string, error) {
+// story on the paper's target machine. The PE-count sweep (each point one
+// list-scheduling run of the ~450-firing canonical period) is sharded over
+// up to parallel workers; the speedup column is derived after the joins,
+// so the table is the same whatever the worker count.
+func PlatformSweep(parallel int) (string, error) {
 	cg, prec, isCtl, err := fig2Instance(64)
 	if err != nil {
 		return "", err
@@ -209,13 +204,11 @@ func ADFPruning() (string, error) {
 // AVCQualityThreshold reproduces the §V AVC-encoder improvement: two real
 // motion searches (exhaustive vs three-step, from internal/imaging) race
 // under frame deadlines; the transaction commits the best finished result.
-func AVCQualityThreshold() (string, error) { return AVCQualityThresholdParallel(1) }
-
-// AVCQualityThresholdParallel races the two ground-truth motion searches
-// on separate workers (each additionally sharding its block rows across
-// imaging.Parallelism) and runs the deadline simulations concurrently —
-// the exhaustive full search dominates this experiment's runtime.
-func AVCQualityThresholdParallel(parallel int) (string, error) {
+// With parallel > 1 the two ground-truth searches run on separate workers
+// (each additionally sharding its block rows across imaging.Parallelism)
+// and the deadline simulations run concurrently — the exhaustive full
+// search dominates this experiment's runtime.
+func AVCQualityThreshold(parallel int) (string, error) {
 	// Quality ground truth from the real searches on a known shift.
 	ref := imaging.Synthetic(128, 128, 7)
 	cur := imaging.Shift(ref, 3, 2)
@@ -266,12 +259,9 @@ func AVCQualityThresholdParallel(parallel int) (string, error) {
 // ThroughputValidation cross-checks the analytical maximum-cycle-ratio
 // period bound against the steady-state iteration period measured by the
 // discrete-event simulator, for pipelines and feedback graphs. Unbounded
-// self-timed execution must converge to the MCR.
-func ThroughputValidation() (string, error) { return ThroughputValidationParallel(1) }
-
-// ThroughputValidationParallel runs the validation cases (each an MCR
-// computation plus two warm simulator runs) on separate workers.
-func ThroughputValidationParallel(parallel int) (string, error) {
+// self-timed execution must converge to the MCR. The cases (each an MCR
+// computation plus two warm simulator runs) run on up to parallel workers.
+func ThroughputValidation(parallel int) (string, error) {
 	type tcase struct {
 		name  string
 		graph *core.Graph
@@ -334,13 +324,10 @@ func ThroughputValidationParallel(parallel int) (string, error) {
 // PipelinedScheduling schedules k unfolded iterations of the Fig. 2 graph
 // (cross-period dependences included) and reports makespan per iteration:
 // software pipelining across canonical periods approaches the analytical
-// MCR bound.
-func PipelinedScheduling() (string, error) { return PipelinedSchedulingParallel(1) }
-
-// PipelinedSchedulingParallel shards the unfold-degree sweep over up to
-// parallel workers (the k=8 unfolding dominates, so the win saturates
-// early, but smaller unfoldings no longer wait behind it).
-func PipelinedSchedulingParallel(parallel int) (string, error) {
+// MCR bound. The unfold-degree sweep is sharded over up to parallel
+// workers (the k=8 unfolding dominates, so the win saturates early, but
+// smaller unfoldings no longer wait behind it).
+func PipelinedScheduling(parallel int) (string, error) {
 	g := apps.Fig2()
 	cg, low, err := g.Instantiate(symb.Env{"p": 4})
 	if err != nil {
@@ -396,13 +383,10 @@ func PipelinedSchedulingParallel(parallel int) (string, error) {
 // CapacityMinimization certifies the Fig. 8 buffer totals: per-edge binary
 // search under back-pressured bounded-buffer execution finds the smallest
 // capacities that still complete the iteration, and their sum equals the
-// paper's analytic 3 + β(12N+L).
-func CapacityMinimization() (string, error) { return CapacityMinimizationParallel(1) }
-
-// CapacityMinimizationParallel fans the feasibility probes of the binary
-// search out over up to parallel pooled simulators (speculative bisection:
-// identical capacities whatever the worker count).
-func CapacityMinimizationParallel(parallel int) (string, error) {
+// paper's analytic 3 + β(12N+L). The feasibility probes fan out over up to
+// parallel pooled simulators (speculative bisection: identical capacities
+// whatever the worker count).
+func CapacityMinimization(parallel int) (string, error) {
 	params := apps.OFDMParams{Beta: 4, M: 4, N: 64, L: 1}
 	g := apps.OFDMTPDF(params)
 	decide, err := apps.OFDMDecide(g, params.M)
@@ -434,12 +418,9 @@ func CapacityMinimizationParallel(parallel int) (string, error) {
 
 // FMRadioComparison is the §V StreamIt observation made concrete: the
 // FM-radio pipeline with TPDF band selection against the CSDF version that
-// must compute every band.
-func FMRadioComparison() (string, error) { return FMRadioComparisonParallel(1) }
-
-// FMRadioComparisonParallel runs the CSDF baseline and the TPDF band
-// selection on separate workers.
-func FMRadioComparisonParallel(parallel int) (string, error) {
+// must compute every band. With parallel > 1 the baseline and the band
+// selection run on separate workers.
+func FMRadioComparison(parallel int) (string, error) {
 	var cres, tres *sim.Result
 	runs := []func() error{
 		func() error {

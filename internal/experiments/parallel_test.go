@@ -13,7 +13,7 @@ import (
 // output. The CI race job runs this under -race, which also exercises the
 // worker pools for data races.
 func TestAllExperimentsParallelByteIdentical(t *testing.T) {
-	seq, err := experiments.AllOpts(experiments.Options{Quick: true, Parallel: 1})
+	seq, err := experiments.All(experiments.Options{Quick: true, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestAllExperimentsParallelByteIdentical(t *testing.T) {
 		t.Fatal("sequential harness produced no output")
 	}
 	for _, workers := range []int{3, 8} {
-		par, err := experiments.AllOpts(experiments.Options{Quick: true, Parallel: workers})
+		par, err := experiments.All(experiments.Options{Quick: true, Parallel: workers})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", workers, err)
 		}
@@ -31,32 +31,30 @@ func TestAllExperimentsParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelExperimentWrappers pins every parallel experiment variant to
-// its sequential rendering individually, so a divergence is attributed to
-// the experiment that introduced it.
+// TestParallelExperimentWrappers pins every sharded experiment to its
+// sequential rendering individually, so a divergence is attributed to the
+// experiment that introduced it.
 func TestParallelExperimentWrappers(t *testing.T) {
 	cases := []struct {
 		name string
-		seq  func() (string, error)
-		par  func(int) (string, error)
+		run  func(parallel int) (string, error)
 	}{
-		{"a1", experiments.ScheduleAblation, experiments.ScheduleAblationParallel},
-		{"a2", experiments.PlatformSweep, experiments.PlatformSweepParallel},
-		{"a3", experiments.FMRadioComparison, experiments.FMRadioComparisonParallel},
-		{"a5", experiments.AVCQualityThreshold, experiments.AVCQualityThresholdParallel},
-		{"a6", experiments.ThroughputValidation, experiments.ThroughputValidationParallel},
-		{"a7", experiments.PipelinedScheduling, experiments.PipelinedSchedulingParallel},
-		{"a8", experiments.CapacityMinimization, experiments.CapacityMinimizationParallel},
-		{"f8", func() (string, error) { return experiments.F8([]int64{2, 5}) },
-			func(p int) (string, error) { return experiments.F8Parallel([]int64{2, 5}, p) }},
+		{"a1", experiments.ScheduleAblation},
+		{"a2", experiments.PlatformSweep},
+		{"a3", experiments.FMRadioComparison},
+		{"a5", experiments.AVCQualityThreshold},
+		{"a6", experiments.ThroughputValidation},
+		{"a7", experiments.PipelinedScheduling},
+		{"a8", experiments.CapacityMinimization},
+		{"f8", func(p int) (string, error) { return experiments.F8([]int64{2, 5}, p) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := tc.seq()
+			want, err := tc.run(1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := tc.par(4)
+			got, err := tc.run(4)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,24 +52,35 @@ func ExampleStream() {
 		Param("p", 2, 1, 8).
 		Kernel("SRC", 1).
 		Kernel("FWD", 1).
-		Kernel("SNK", 1).
+		Kernel("DATA", 1).
+		Kernel("SIZE", 1).
 		Connect("SRC[p] -> FWD[p]").
-		Connect("FWD[p] -> SNK[p]").
+		Connect("FWD[p] -> DATA[p]").
+		Connect("FWD[1] -> SIZE[1]").
 		Build()
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	total := 0
 	behaviors := map[string]tpdf.Behavior{
 		"FWD": func(f *tpdf.Firing) error {
-			f.Produce("o0", f.In["i0"]...) // forward the whole block
+			f.Produce("o0", f.In["i0"]...)   // forward the whole block
+			f.Produce("o1", len(f.In["i0"])) // and announce its size
 			return nil
 		},
-		"SNK": func(f *tpdf.Firing) error {
-			total += len(f.In["i0"])
+	}
+	// Behaviors of different nodes run concurrently, so each sink counts
+	// into a slot of its own, captured by its own closure: per-node state
+	// needs no lock. One map written by both sinks would be a data race
+	// even with distinct keys. The slots are read after Stream returns.
+	sinks := []string{"DATA", "SIZE"}
+	delivered := make([]int, len(sinks))
+	for i, name := range sinks {
+		slot := &delivered[i]
+		behaviors[name] = func(f *tpdf.Firing) error {
+			*slot += len(f.In["i0"])
 			return nil
-		},
+		}
 	}
 	res, err := tpdf.Stream(g, behaviors,
 		tpdf.WithIterations(3),
@@ -79,12 +90,15 @@ func ExampleStream() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("fired: SRC %d, FWD %d, SNK %d\n",
-		res.Firings["SRC"], res.Firings["FWD"], res.Firings["SNK"])
-	fmt.Printf("tokens delivered: %d\n", total)
+	fmt.Printf("fired: SRC %d, FWD %d, DATA %d, SIZE %d\n",
+		res.Firings["SRC"], res.Firings["FWD"], res.Firings["DATA"], res.Firings["SIZE"])
+	for i, name := range sinks {
+		fmt.Printf("tokens delivered to %s: %d\n", name, delivered[i])
+	}
 	// Output:
-	// fired: SRC 3, FWD 3, SNK 3
-	// tokens delivered: 14
+	// fired: SRC 3, FWD 3, DATA 3, SIZE 3
+	// tokens delivered to DATA: 14
+	// tokens delivered to SIZE: 3
 }
 
 // ExampleStream_metrics attaches the observability surface to a streaming

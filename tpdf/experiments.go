@@ -1,78 +1,21 @@
 package tpdf
 
-import (
-	"fmt"
-	"sort"
-	"strings"
+import "repro/internal/experiments"
 
-	"repro/internal/experiments"
-	"repro/internal/imaging"
-)
-
-// experimentTable maps the experiment names tpdf-bench accepts to their
-// artifact generators. quick selects reduced image sizes and sweeps;
-// parallel is the worker budget for the experiment's internal sweeps.
-var experimentTable = map[string]func(quick bool, parallel int) (string, error){
-	"f1": ignoreOpts(experiments.F1),
-	"f2": ignoreOpts(experiments.F2),
-	"f3": ignoreOpts(experiments.F3),
-	"f4": ignoreOpts(experiments.F4),
-	"f5": ignoreOpts(experiments.F5),
-	"t6": func(quick bool, parallel int) (string, error) {
-		size := 1024
-		if quick {
-			size = 256
-		}
-		return experiments.F6Table(size, true)
-	},
-	"f6": ignoreOpts(experiments.F6Deadline),
-	"f7": ignoreOpts(experiments.F7),
-	"f8": func(quick bool, parallel int) (string, error) {
-		betas := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-		if quick {
-			betas = []int64{10, 30, 50, 100}
-		}
-		return experiments.F8Parallel(betas, parallel)
-	},
-	"a1": func(_ bool, p int) (string, error) { return experiments.ScheduleAblationParallel(p) },
-	"a2": func(_ bool, p int) (string, error) { return experiments.PlatformSweepParallel(p) },
-	"a3": func(_ bool, p int) (string, error) { return experiments.FMRadioComparisonParallel(p) },
-	"a4": ignoreOpts(experiments.ADFPruning),
-	"a5": func(_ bool, p int) (string, error) { return experiments.AVCQualityThresholdParallel(p) },
-	"a6": func(_ bool, p int) (string, error) { return experiments.ThroughputValidationParallel(p) },
-	"a7": func(_ bool, p int) (string, error) { return experiments.PipelinedSchedulingParallel(p) },
-	"a8": func(_ bool, p int) (string, error) { return experiments.CapacityMinimizationParallel(p) },
-}
-
-func ignoreOpts(f func() (string, error)) func(bool, int) (string, error) {
-	return func(bool, int) (string, error) { return f() }
-}
-
-// ExperimentNames returns the sorted names of every paper artifact the
-// experiment harness can regenerate (figures f1..f8, table t6, ablations
-// a1..a8).
-func ExperimentNames() []string {
-	names := make([]string, 0, len(experimentTable))
-	for n := range experimentTable {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// ExperimentNames returns, in paper order, the names of every paper
+// artifact the experiment harness can regenerate (figures f1..f8, table
+// t6, ablations a1..a8).
+func ExperimentNames() []string { return experiments.Names() }
 
 // RunExperiment regenerates one named table or figure and returns its
-// rendering. quick trades fidelity for speed (smaller image, shorter
-// sweeps). WithParallelism shards the experiment's internal parameter
-// sweeps across a bounded worker pool; the rendering is byte-identical to
-// a sequential run (modulo measured wall-clock times in t6).
+// rendering: that experiment's section of RunAllExperiments. quick trades
+// fidelity for speed (smaller image, shorter sweeps). WithParallelism
+// shards the experiment's internal parameter sweeps across a bounded
+// worker pool; the rendering is byte-identical to a sequential run (modulo
+// measured wall-clock times in t6).
 func RunExperiment(name string, quick bool, opts ...Option) (string, error) {
-	f, ok := experimentTable[name]
-	if !ok {
-		return "", fmt.Errorf("tpdf: unknown experiment %q (try %s)", name, strings.Join(ExperimentNames(), ", "))
-	}
 	cfg := buildConfig(opts)
-	imaging.SetParallelism(cfg.parallel)
-	return f(quick, cfg.parallel)
+	return experiments.Run(name, experiments.Options{Quick: quick, Measure: true, Parallel: cfg.parallel})
 }
 
 // RunAllExperiments regenerates every paper artifact in order; partial
@@ -81,5 +24,5 @@ func RunExperiment(name string, quick bool, opts ...Option) (string, error) {
 // parameter sweep; outputs are joined in paper order.
 func RunAllExperiments(quick bool, opts ...Option) (string, error) {
 	cfg := buildConfig(opts)
-	return experiments.AllOpts(experiments.Options{Quick: quick, Measure: true, Parallel: cfg.parallel})
+	return experiments.All(experiments.Options{Quick: quick, Measure: true, Parallel: cfg.parallel})
 }

@@ -8,83 +8,10 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/gen"
+	"repro/internal/sinkrec"
 	"repro/tpdf"
 )
-
-// sinkRecorder is the differential tests' observable output: every sink
-// node appends its per-firing consumed-token count to its own sequence.
-// Each sink actor is a single goroutine, so per-sink appends need no
-// locking; the combined map is only read at barriers (snapshot) and after
-// the run.
-type sinkRecorder struct {
-	seq map[string][]int64
-}
-
-func newSinkRecorder(sinks []string) *sinkRecorder {
-	r := &sinkRecorder{seq: make(map[string][]int64, len(sinks))}
-	for _, s := range sinks {
-		r.seq[s] = nil
-	}
-	return r
-}
-
-func (r *sinkRecorder) behaviors(sinks []string) map[string]tpdf.Behavior {
-	b := make(map[string]tpdf.Behavior, len(sinks))
-	for _, name := range sinks {
-		name := name
-		b[name] = func(f *tpdf.Firing) error {
-			n := int64(0)
-			for _, vals := range f.In {
-				n += int64(len(vals))
-			}
-			r.seq[name] = append(r.seq[name], n)
-			return nil
-		}
-	}
-	return b
-}
-
-// snapshot returns a self-contained copy for Checkpoint.User.
-func (r *sinkRecorder) snapshot() any {
-	cp := make(map[string][]int64, len(r.seq))
-	for k, v := range r.seq {
-		cp[k] = append([]int64(nil), v...)
-	}
-	return cp
-}
-
-// restore rewinds the recorder to a snapshot — the rollback discarding
-// whatever the aborted transaction appended.
-func (r *sinkRecorder) restore(u any) {
-	cp := u.(map[string][]int64)
-	for k := range r.seq {
-		r.seq[k] = append(r.seq[k][:0:0], cp[k]...)
-	}
-}
-
-// sinkNodes lists the nodes the differential tests attach behaviors (and
-// inject panics) to: the graph's sinks (no outgoing edges), or every node
-// when the graph is a cycle with no sinks — a recording behavior that
-// produces nothing is legal anywhere, the engine nil-pads its outputs at
-// the declared rates.
-func sinkNodes(g *tpdf.Graph) []string {
-	out := make([]bool, len(g.Nodes))
-	for _, e := range g.Edges {
-		out[e.Src] = true
-	}
-	var sinks []string
-	for ni, n := range g.Nodes {
-		if !out[ni] {
-			sinks = append(sinks, n.Name)
-		}
-	}
-	if len(sinks) == 0 {
-		for _, n := range g.Nodes {
-			sinks = append(sinks, n.Name)
-		}
-	}
-	return sinks
-}
 
 // cycleParams builds a deterministic reconfigure plan over the graph's
 // bounded parameters: at every even boundary it proposes the next value in
@@ -162,7 +89,7 @@ func TestBuiltinDifferentialRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sinks := sinkNodes(g)
+			sinks := gen.SinkNodes(g)
 			if len(sinks) == 0 {
 				t.Fatalf("builtin %s has no sink nodes", name)
 			}
@@ -170,14 +97,14 @@ func TestBuiltinDifferentialRecovery(t *testing.T) {
 			panics, rebinds := faultSchedule(int64(0x5EED)+int64(len(name)), sinks, reconf != nil, iters)
 
 			run := func(withPanics bool) (*tpdf.ExecResult, map[string][]int64, error) {
-				rec := newSinkRecorder(sinks)
+				rec := sinkrec.New(sinks)
 				faults := rebinds
 				if withPanics {
 					faults = append(append([]faultinject.Fault(nil), panics...), rebinds...)
 				}
 				opts := []tpdf.Option{
 					tpdf.WithIterations(iters),
-					tpdf.WithUserState(rec.snapshot, rec.restore),
+					tpdf.WithUserState(rec.Snapshot, rec.Restore),
 					tpdf.WithFaultPlan(faultinject.New(faults...)),
 					tpdf.WithRebindAbortHandler(func(error) {}),
 				}
@@ -189,8 +116,8 @@ func TestBuiltinDifferentialRecovery(t *testing.T) {
 				} else {
 					opts = append(opts, tpdf.WithCheckpoints(nil))
 				}
-				res, err := tpdf.Stream(g, rec.behaviors(sinks), opts...)
-				return res, rec.seq, err
+				res, err := tpdf.Stream(g, rec.Behaviors(), opts...)
+				return res, rec.Seq(), err
 			}
 
 			wantRes, wantSeq, err := run(false)
@@ -230,18 +157,18 @@ func TestBuiltinCrashRestartResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sinks := sinkNodes(g)
+			sinks := gen.SinkNodes(g)
 			reconf := cycleParams(g)
-			opts := func(rec *sinkRecorder, extra ...tpdf.Option) []tpdf.Option {
-				o := []tpdf.Option{tpdf.WithUserState(rec.snapshot, rec.restore)}
+			opts := func(rec *sinkrec.Recorder, extra ...tpdf.Option) []tpdf.Option {
+				o := []tpdf.Option{tpdf.WithUserState(rec.Snapshot, rec.Restore)}
 				if reconf != nil {
 					o = append(o, tpdf.WithReconfigure(reconf))
 				}
 				return append(o, extra...)
 			}
 
-			refRec := newSinkRecorder(sinks)
-			wantRes, err := tpdf.Stream(g, refRec.behaviors(sinks),
+			refRec := sinkrec.New(sinks)
+			wantRes, err := tpdf.Stream(g, refRec.Behaviors(),
 				opts(refRec, tpdf.WithIterations(iters))...)
 			if err != nil {
 				t.Fatalf("uninterrupted run: %v", err)
@@ -249,8 +176,8 @@ func TestBuiltinCrashRestartResume(t *testing.T) {
 
 			// First leg: keep the checkpoint captured at stopAt.
 			var saved *tpdf.Checkpoint
-			legRec := newSinkRecorder(sinks)
-			if _, err := tpdf.Stream(g, legRec.behaviors(sinks),
+			legRec := sinkrec.New(sinks)
+			if _, err := tpdf.Stream(g, legRec.Behaviors(),
 				opts(legRec,
 					tpdf.WithIterations(stopAt),
 					tpdf.WithCheckpoints(func(ck *tpdf.Checkpoint) {
@@ -266,8 +193,8 @@ func TestBuiltinCrashRestartResume(t *testing.T) {
 
 			// Second leg: a fresh recorder (a restarted process's empty
 			// state); WithResume rehydrates it from the checkpoint's User.
-			resRec := newSinkRecorder(sinks)
-			gotRes, err := tpdf.Stream(g, resRec.behaviors(sinks),
+			resRec := sinkrec.New(sinks)
+			gotRes, err := tpdf.Stream(g, resRec.Behaviors(),
 				opts(resRec, tpdf.WithIterations(iters), tpdf.WithResume(saved))...)
 			if err != nil {
 				t.Fatalf("resumed run: %v", err)
@@ -278,8 +205,8 @@ func TestBuiltinCrashRestartResume(t *testing.T) {
 			if !reflect.DeepEqual(gotRes.Remaining, wantRes.Remaining) {
 				t.Errorf("remaining tokens diverged:\n got %v\nwant %v", gotRes.Remaining, wantRes.Remaining)
 			}
-			if !reflect.DeepEqual(resRec.seq, refRec.seq) {
-				t.Errorf("sink sequences diverged:\n got %v\nwant %v", resRec.seq, refRec.seq)
+			if !reflect.DeepEqual(resRec.Seq(), refRec.Seq()) {
+				t.Errorf("sink sequences diverged:\n got %v\nwant %v", resRec.Seq(), refRec.Seq())
 			}
 		})
 	}
@@ -293,7 +220,7 @@ func TestRebindValidationFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sinks := sinkNodes(g)
+	sinks := gen.SinkNodes(g)
 	reconf := cycleParams(g)
 	if reconf == nil {
 		t.Fatal("ofdm should have bounded params")
@@ -302,8 +229,8 @@ func TestRebindValidationFacade(t *testing.T) {
 		return errors.New("rejected by policy")
 	}
 
-	rec := newSinkRecorder(sinks)
-	_, err = tpdf.Stream(g, rec.behaviors(sinks),
+	rec := sinkrec.New(sinks)
+	_, err = tpdf.Stream(g, rec.Behaviors(),
 		tpdf.WithIterations(8),
 		tpdf.WithReconfigure(reconf),
 		tpdf.WithRebindValidation(reject))
@@ -312,8 +239,8 @@ func TestRebindValidationFacade(t *testing.T) {
 	}
 
 	var aborts int
-	rec = newSinkRecorder(sinks)
-	if _, err := tpdf.Stream(g, rec.behaviors(sinks),
+	rec = sinkrec.New(sinks)
+	if _, err := tpdf.Stream(g, rec.Behaviors(),
 		tpdf.WithIterations(8),
 		tpdf.WithReconfigure(reconf),
 		tpdf.WithRebindValidation(reject),

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/faultinject"
+	"repro/internal/sinkrec"
 	"repro/internal/symb"
 	"repro/tpdf"
 )
@@ -47,56 +47,6 @@ func InvariantNames() []string {
 		out[i] = ch.name
 	}
 	return out
-}
-
-// recorder is the harness's observable output: each sink node appends its
-// per-firing consumed-token count to its own sequence. Its checkpoint
-// snapshot is a []any of []int64 in sorted sink order — the durable
-// codec's value vocabulary, so recorded state survives encode/decode.
-type recorder struct {
-	sinks []string // sorted
-	seq   map[string][]int64
-}
-
-func newRecorder(sinks []string) *recorder {
-	sorted := append([]string(nil), sinks...)
-	sort.Strings(sorted)
-	r := &recorder{sinks: sorted, seq: make(map[string][]int64, len(sorted))}
-	for _, s := range sorted {
-		r.seq[s] = nil
-	}
-	return r
-}
-
-func (r *recorder) behaviors() map[string]tpdf.Behavior {
-	b := make(map[string]tpdf.Behavior, len(r.sinks))
-	for _, name := range r.sinks {
-		name := name
-		b[name] = func(f *tpdf.Firing) error {
-			n := int64(0)
-			for _, vals := range f.In {
-				n += int64(len(vals))
-			}
-			r.seq[name] = append(r.seq[name], n)
-			return nil
-		}
-	}
-	return b
-}
-
-func (r *recorder) snapshot() any {
-	out := make([]any, len(r.sinks))
-	for i, s := range r.sinks {
-		out[i] = append([]int64(nil), r.seq[s]...)
-	}
-	return out
-}
-
-func (r *recorder) restore(u any) {
-	vals := u.([]any)
-	for i, s := range r.sinks {
-		r.seq[s] = append(r.seq[s][:0:0], vals[i].([]int64)...)
-	}
 }
 
 // reconfigure turns the schedule's rebind list into a Stream reconfigure
@@ -139,13 +89,13 @@ func CheckTiers(c *Case) error {
 	base := tpdf.WithParams(s.Base)
 	iters := tpdf.WithIterations(s.Iterations)
 
-	execRec := newRecorder(sinks)
-	execRes, err := tpdf.Execute(g, execRec.behaviors(), base, iters)
+	execRec := sinkrec.New(sinks)
+	execRes, err := tpdf.Execute(g, execRec.Behaviors(), base, iters)
 	if err != nil {
 		return fmt.Errorf("execute: %w", err)
 	}
-	streamRec := newRecorder(sinks)
-	streamRes, err := tpdf.Stream(g, streamRec.behaviors(), base, iters)
+	streamRec := sinkrec.New(sinks)
+	streamRes, err := tpdf.Stream(g, streamRec.Behaviors(), base, iters)
 	if err != nil {
 		return fmt.Errorf("stream: %w", err)
 	}
@@ -155,8 +105,8 @@ func CheckTiers(c *Case) error {
 	if !reflect.DeepEqual(execRes.Remaining, streamRes.Remaining) {
 		return fmt.Errorf("remaining: Execute %v, Stream %v", execRes.Remaining, streamRes.Remaining)
 	}
-	if !reflect.DeepEqual(execRec.seq, streamRec.seq) {
-		return fmt.Errorf("sink sequences: Execute %v, Stream %v", execRec.seq, streamRec.seq)
+	if !reflect.DeepEqual(execRec.Seq(), streamRec.Seq()) {
+		return fmt.Errorf("sink sequences: Execute %v, Stream %v", execRec.Seq(), streamRec.Seq())
 	}
 
 	simRes, err := tpdf.Simulate(g, base, iters)
@@ -268,10 +218,10 @@ func CheckRebind(c *Case) error {
 // baseOpts assembles the option set shared by every Stream leg of a
 // stateful check: base valuation, user-state snapshotting, and the
 // schedule's reconfigure plan when it has one.
-func (c *Case) baseOpts(rec *recorder, extra ...tpdf.Option) []tpdf.Option {
+func (c *Case) baseOpts(rec *sinkrec.Recorder, extra ...tpdf.Option) []tpdf.Option {
 	o := []tpdf.Option{
 		tpdf.WithParams(c.Schedule.Base),
-		tpdf.WithUserState(rec.snapshot, rec.restore),
+		tpdf.WithUserState(rec.Snapshot, rec.Restore),
 	}
 	if reconf := c.reconfigure(); reconf != nil {
 		o = append(o, tpdf.WithReconfigure(reconf))
@@ -305,16 +255,16 @@ func CheckResume(c *Case) error {
 	stopAt := s.Iterations / 2
 	sinks := SinkNodes(g)
 
-	refRec := newRecorder(sinks)
-	want, err := tpdf.Stream(g, refRec.behaviors(),
+	refRec := sinkrec.New(sinks)
+	want, err := tpdf.Stream(g, refRec.Behaviors(),
 		c.baseOpts(refRec, tpdf.WithIterations(s.Iterations))...)
 	if err != nil {
 		return fmt.Errorf("uninterrupted run: %w", err)
 	}
 
 	var saved *tpdf.Checkpoint
-	legRec := newRecorder(sinks)
-	if _, err := tpdf.Stream(g, legRec.behaviors(),
+	legRec := sinkrec.New(sinks)
+	if _, err := tpdf.Stream(g, legRec.Behaviors(),
 		c.baseOpts(legRec,
 			tpdf.WithIterations(stopAt),
 			tpdf.WithCheckpoints(func(ck *tpdf.Checkpoint) {
@@ -328,13 +278,13 @@ func CheckResume(c *Case) error {
 		return fmt.Errorf("no checkpoint captured at %d", stopAt)
 	}
 
-	resRec := newRecorder(sinks)
-	got, err := tpdf.Stream(g, resRec.behaviors(),
+	resRec := sinkrec.New(sinks)
+	got, err := tpdf.Stream(g, resRec.Behaviors(),
 		c.baseOpts(resRec, tpdf.WithIterations(s.Iterations), tpdf.WithResume(saved))...)
 	if err != nil {
 		return fmt.Errorf("resumed run: %w", err)
 	}
-	return compareRuns("resume vs uninterrupted", got, want, resRec.seq, refRec.seq)
+	return compareRuns("resume vs uninterrupted", got, want, resRec.Seq(), refRec.Seq())
 }
 
 // faults materializes the schedule's fault sites as an injection plan:
@@ -367,7 +317,7 @@ func CheckRecovery(c *Case) error {
 	sinks := SinkNodes(g)
 
 	run := func(withPanics bool) (*tpdf.ExecResult, map[string][]int64, error) {
-		rec := newRecorder(sinks)
+		rec := sinkrec.New(sinks)
 		faults := shared
 		if withPanics {
 			faults = append(append([]faultinject.Fault(nil), panics...), shared...)
@@ -382,8 +332,8 @@ func CheckRecovery(c *Case) error {
 		} else {
 			opts = append(opts, tpdf.WithCheckpoints(nil))
 		}
-		res, err := tpdf.Stream(g, rec.behaviors(), c.baseOpts(rec, opts...)...)
-		return res, rec.seq, err
+		res, err := tpdf.Stream(g, rec.Behaviors(), c.baseOpts(rec, opts...)...)
+		return res, rec.Seq(), err
 	}
 
 	want, wantSeq, err := run(false)
@@ -410,16 +360,16 @@ func CheckDurable(c *Case) error {
 		stopAt = s.Iterations
 	}
 
-	refRec := newRecorder(sinks)
-	want, err := tpdf.Stream(g, refRec.behaviors(),
+	refRec := sinkrec.New(sinks)
+	want, err := tpdf.Stream(g, refRec.Behaviors(),
 		c.baseOpts(refRec, tpdf.WithIterations(s.Iterations))...)
 	if err != nil {
 		return fmt.Errorf("uninterrupted run: %w", err)
 	}
 
 	var saved *tpdf.Checkpoint
-	legRec := newRecorder(sinks)
-	if _, err := tpdf.Stream(g, legRec.behaviors(),
+	legRec := sinkrec.New(sinks)
+	if _, err := tpdf.Stream(g, legRec.Behaviors(),
 		c.baseOpts(legRec,
 			tpdf.WithIterations(stopAt),
 			tpdf.WithCheckpoints(func(ck *tpdf.Checkpoint) {
@@ -462,13 +412,13 @@ func CheckDurable(c *Case) error {
 		return fmt.Errorf("recorded graph text does not parse: %w", err)
 	}
 
-	resRec := newRecorder(sinks)
-	got, err := tpdf.Stream(cold, resRec.behaviors(),
+	resRec := sinkrec.New(sinks)
+	got, err := tpdf.Stream(cold, resRec.Behaviors(),
 		c.baseOpts(resRec, tpdf.WithIterations(s.Iterations), tpdf.WithResume(dec.Checkpoint))...)
 	if err != nil {
 		return fmt.Errorf("resume from decoded snapshot: %w", err)
 	}
-	return compareRuns("durable resume vs uninterrupted", got, want, resRec.seq, refRec.seq)
+	return compareRuns("durable resume vs uninterrupted", got, want, resRec.Seq(), refRec.Seq())
 }
 
 // CheckSkeleton asserts invariant 6: two concurrent runs stamped from
@@ -482,25 +432,25 @@ func CheckSkeleton(c *Case) error {
 		return fmt.Errorf("compile: %w", err)
 	}
 	sinks := SinkNodes(g)
-	refRec := newRecorder(sinks)
-	want, err := tpdf.Stream(g, refRec.behaviors(),
+	refRec := sinkrec.New(sinks)
+	want, err := tpdf.Stream(g, refRec.Behaviors(),
 		c.baseOpts(refRec, tpdf.WithIterations(s.Iterations))...)
 	if err != nil {
 		return fmt.Errorf("fresh-compile run: %w", err)
 	}
 
 	const sessions = 2
-	recs := make([]*recorder, sessions)
+	recs := make([]*sinkrec.Recorder, sessions)
 	results := make([]*tpdf.ExecResult, sessions)
 	errs := make([]error, sessions)
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
 		i := i
-		recs[i] = newRecorder(sinks)
+		recs[i] = sinkrec.New(sinks)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = tpdf.Stream(g, recs[i].behaviors(),
+			results[i], errs[i] = tpdf.Stream(g, recs[i].Behaviors(),
 				c.baseOpts(recs[i],
 					tpdf.WithIterations(s.Iterations),
 					tpdf.WithCompiled(compiled))...)
@@ -512,7 +462,7 @@ func CheckSkeleton(c *Case) error {
 			return fmt.Errorf("stamped session %d: %w", i, errs[i])
 		}
 		if err := compareRuns(fmt.Sprintf("stamped session %d vs fresh compile", i),
-			results[i], want, recs[i].seq, refRec.seq); err != nil {
+			results[i], want, recs[i].Seq(), refRec.Seq()); err != nil {
 			return err
 		}
 	}

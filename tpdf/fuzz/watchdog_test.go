@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sinkrec"
 	"repro/tpdf"
 )
 
@@ -28,8 +29,8 @@ func TestWatchdogOnGeneratedDeadlocks(t *testing.T) {
 			sinks := SinkNodes(g)
 
 			before := runtime.NumGoroutine()
-			rec := newRecorder(sinks)
-			_, err := tpdf.Stream(g, rec.behaviors(),
+			rec := sinkrec.New(sinks)
+			_, err := tpdf.Stream(g, rec.Behaviors(),
 				tpdf.WithIterations(4),
 				tpdf.WithChannelCapacity(1),
 				tpdf.WithStallTimeout(25*time.Millisecond))
@@ -64,8 +65,8 @@ func TestWatchdogOnGeneratedDeadlocks(t *testing.T) {
 			}
 
 			// And the graph itself is fine: default capacities run clean.
-			rec2 := newRecorder(sinks)
-			if _, err := tpdf.Stream(g, rec2.behaviors(), tpdf.WithIterations(4)); err != nil {
+			rec2 := sinkrec.New(sinks)
+			if _, err := tpdf.Stream(g, rec2.Behaviors(), tpdf.WithIterations(4)); err != nil {
 				t.Fatalf("seed %d: default-capacity run failed: %v", seed, err)
 			}
 		})

@@ -12,7 +12,7 @@
 // per session while compilation cost is paid once per graph.
 //
 // cmd/tpdf-serve exposes the server over HTTP; cmd/tpdf-loadgen soaks it
-// and records the latency percentiles gated by BENCH_serve.json in CI.
+// and reports per-endpoint latency percentiles.
 package serve
 
 import (

@@ -398,81 +398,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	return rep, nil
 }
 
-// BatchLoad drives RunBatchLoad: sequential analyze and sweep requests
-// against the batch endpoints, measured individually.
-type BatchLoad struct {
-	BaseURL string
-	// Analyzes and Sweeps are request counts (defaults 20 and 5).
-	Analyzes int
-	Sweeps   int
-	// Graph is the spec every request names (default builtin fig2).
-	Graph GraphSpec
-	// Axes is the sweep grid (default {"p": 1..4}).
-	Axes map[string][]int64
-	// Timeout bounds each request (default 30s).
-	Timeout time.Duration
-}
-
-// BatchReport holds the measured batch-endpoint latencies.
-type BatchReport struct {
-	Analyze Percentiles `json:"analyze"`
-	Sweep   Percentiles `json:"sweep"`
-}
-
-// RunBatchLoad measures the analyze and sweep endpoints request by request
-// (the batch tier is about bounded concurrency, not throughput, so the
-// interesting number is per-request service latency).
-func RunBatchLoad(ctx context.Context, cfg BatchLoad) (*BatchReport, error) {
-	if cfg.Analyzes <= 0 {
-		cfg.Analyzes = 20
-	}
-	if cfg.Sweeps <= 0 {
-		cfg.Sweeps = 5
-	}
-	if cfg.Graph.Builtin == "" && cfg.Graph.Source == "" {
-		cfg.Graph = GraphSpec{Builtin: "fig2"}
-	}
-	if cfg.Axes == nil {
-		cfg.Axes = map[string][]int64{"p": {1, 2, 3, 4}}
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
-	}
-	cl := &loadClient{base: cfg.BaseURL, hc: &http.Client{Timeout: cfg.Timeout}}
-
-	measure := func(n int, do func() error) ([]int64, error) {
-		ns := make([]int64, 0, n)
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			if err := do(); err != nil {
-				return nil, err
-			}
-			ns = append(ns, int64(time.Since(start)))
-		}
-		return ns, nil
-	}
-
-	analyzeNs, err := measure(cfg.Analyzes, func() error {
-		var resp analyzeResponse
-		return cl.do(ctx, http.MethodPost, "/v1/analyze", analyzeRequest{Graph: cfg.Graph}, &resp)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("analyze: %w", err)
-	}
-	sweepNs, err := measure(cfg.Sweeps, func() error {
-		var resp sweepResponse
-		return cl.do(ctx, http.MethodPost, "/v1/sweep",
-			sweepRequest{Graph: cfg.Graph, Axes: cfg.Axes}, &resp)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
-	}
-	return &BatchReport{Analyze: summarize(analyzeNs), Sweep: summarize(sweepNs)}, nil
-}
-
 // asHTTPError unwraps err (possibly wrapped by url.Error) to an httpError.
 func asHTTPError(err error, out **httpError) bool {
 	for err != nil {

@@ -137,7 +137,7 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Manager exposes the fleet for in-process callers (tests, tpdf-bench).
+// Manager exposes the fleet for in-process callers (the tests).
 func (s *Server) Manager() *Manager { return s.m }
 
 // Handler returns the instrumented HTTP handler (for tests and embedding):

@@ -17,6 +17,16 @@ import (
 // in exchange, payload slices handed to behaviors are valid only for the
 // duration of the firing (keep the values, not the slices).
 //
+// Concurrency contract: behaviors of different nodes run concurrently, on
+// different goroutines; firings of one node never overlap each other.
+// State only one node's behavior touches therefore needs no
+// synchronisation; state shared between the behaviors of different nodes —
+// one map they all write counts as shared even when the keys differ — is
+// the caller's to synchronise. Everything behaviors wrote is visible to
+// the hooks that run at a transaction boundary (WithReconfigure,
+// WithBarrier, WithUserState, WithCheckpoints) and to the caller once
+// Stream returns. See ExampleStream for the slot-per-node pattern.
+//
 // Relevant options: WithParams, WithIterations, WithContext, WithWorkers,
 // WithChannelCapacity, WithReconfigure, WithBarrier, WithCompiled,
 // WithStallTimeout, WithMetrics, WithTraceJournal.
