@@ -69,7 +69,7 @@ func TestMinimalCapacitiesWithModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps, err := sim.MinimalCapacities(cfg)
+	caps, err := sim.MinimalCapacitiesParallel(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,13 +196,6 @@ func (g *Graph) SolveInto(sc *SolverScratch, sol *Solution) error {
 	return nil
 }
 
-// IsConsistent reports whether the balance equations have a non-trivial
-// solution.
-func (g *Graph) IsConsistent() bool {
-	_, err := g.RepetitionVector()
-	return err == nil
-}
-
 // IterationTokens returns the number of tokens transferred over edge ei
 // during one complete iteration (q_src firings of the producer).
 func (g *Graph) IterationTokens(sol *Solution, ei int) int64 {

@@ -164,26 +164,6 @@ func (g *Graph) Phases(j int) int64 {
 	return tau
 }
 
-// CycleProd returns X(τ_src): tokens produced on e during one full cycle of
-// the producer.
-func (g *Graph) CycleProd(e *Edge) int64 {
-	tau := g.Phases(e.Src)
-	if len(e.Prod) == 0 {
-		return 0
-	}
-	return sum64(e.Prod) * (tau / int64(len(e.Prod)))
-}
-
-// CycleCons returns Y(τ_dst): tokens consumed from e during one full cycle
-// of the consumer.
-func (g *Graph) CycleCons(e *Edge) int64 {
-	tau := g.Phases(e.Dst)
-	if len(e.Cons) == 0 {
-		return 0
-	}
-	return sum64(e.Cons) * (tau / int64(len(e.Cons)))
-}
-
 // Validate checks structural sanity: indices in range, unique actor names,
 // non-negative rates and initial tokens, and at least one positive rate in
 // every non-empty sequence.

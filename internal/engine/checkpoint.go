@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/runner"
-	"repro/tpdf/obs"
 )
 
 // ErrRebindAborted reports a reconfiguration rejected at a transaction
@@ -17,9 +16,9 @@ var ErrRebindAborted = errors.New("engine: rebind aborted")
 
 // BehaviorPanicError is a behavior panic converted into a transaction
 // abort: the actor goroutine recovered it, the in-flight epoch was
-// discarded, and — when the engine is checkpoint-armed — the run rolled
-// back to the last barrier checkpoint. Node and Firing locate the panic,
-// Stack is the recovering goroutine's stack.
+// discarded, and the run ended with this error. The newest checkpoint is
+// the state to resume from. Node and Firing locate the panic, Stack is the
+// recovering goroutine's stack.
 type BehaviorPanicError struct {
 	Node   string
 	Firing int64
@@ -194,79 +193,6 @@ func (e *engine) capture(completed int64, env map[string]int64, digest uint64, a
 	}
 	if e.cfg.CheckpointSink != nil {
 		e.cfg.CheckpointSink(ck)
-	}
-}
-
-// rollbackAfterAbort restores the engine to the last barrier checkpoint
-// after a behavior panic killed the in-flight epoch: the run error is
-// cleared, the stop channel replaced (every actor already parked — the
-// epoch WaitGroup observed them exit), and firing counters plus ring
-// contents rewritten from the arena. Returns a non-nil error when the
-// run's context was cancelled — a cancellation racing the abort may have
-// been swallowed by the panic error, so it is re-checked here.
-func (e *engine) rollbackAfterAbort() error {
-	e.mu.Lock()
-	e.err = nil
-	e.stop = make(chan struct{})
-	e.stopped.Store(false)
-	e.mu.Unlock()
-
-	ck := e.ckpt
-	copy(e.fired, ck.Fired)
-	copy(e.base, ck.Base)
-	for ci, r := range e.rings {
-		r.restore(ck.Edges[ci])
-	}
-	if e.cfg.RestoreUser != nil {
-		e.cfg.RestoreUser(ck.User)
-	}
-	if ctx := e.cfg.Context; ctx != nil {
-		if err := ctx.Err(); err != nil {
-			e.fail(err)
-			return err
-		}
-	}
-	return nil
-}
-
-// runGuarded runs one epoch dispatch with panic recovery: a behavior panic
-// aborts the transaction (the epoch's partial effects are discarded), and
-// — within the PanicRetries budget, on a checkpoint-armed engine — the
-// run rolls back to the last barrier checkpoint and the epoch is retried.
-// Non-panic errors pass through untouched. completed is the iteration
-// count at the epoch's opening barrier, published with the abort harvest
-// so /metrics readers see abort counters even when the run then dies.
-func (e *engine) runGuarded(iters, completed int64, retries *int) error {
-	for {
-		err := e.runEpoch(iters)
-		if err == nil {
-			return nil
-		}
-		var pe *BehaviorPanicError
-		if !errors.As(err, &pe) {
-			return err
-		}
-		rollTo := int64(-1)
-		if e.ckpt != nil {
-			rollTo = e.ckpt.Completed
-		}
-		if e.mx != nil {
-			e.mx.aborts++
-		}
-		e.record(obs.Event{Kind: obs.EvAbort, Completed: rollTo, Detail: pe.Node})
-		if e.ckpt == nil || *retries >= e.cfg.PanicRetries {
-			e.harvest(completed, false)
-			return pe
-		}
-		if rerr := e.rollbackAfterAbort(); rerr != nil {
-			return rerr
-		}
-		*retries++
-		if e.mx != nil {
-			e.mx.restores++
-		}
-		e.record(obs.Event{Kind: obs.EvRestore, Completed: rollTo, Detail: pe.Node})
-		e.harvest(completed, true)
 	}
 }
 

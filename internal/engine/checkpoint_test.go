@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -172,62 +173,6 @@ func reconfGraph(t *testing.T) *core.Graph {
 	return g
 }
 
-func TestPanicRollbackRecoversByteIdentical(t *testing.T) {
-	g := pipeline(t)
-	const iters = 10
-
-	run := func(faults *faultinject.Plan, retries int) (*ckRun, map[string]int64, error) {
-		c := &ckRun{}
-		jr := obs.NewJournal(64)
-		res, err := Run(Config{
-			Graph:        g,
-			Behaviors:    pipelineBehaviors(&c.seq),
-			Iterations:   iters,
-			Reconfigure:  func(int64) map[string]int64 { return nil },
-			SnapshotUser: c.snapshot,
-			RestoreUser:  c.restore,
-			PanicRetries: retries,
-			Faults:       faults,
-			Journal:      jr,
-		})
-		if err != nil {
-			return c, nil, err
-		}
-		if faults != nil {
-			kinds := map[obs.EventKind]int{}
-			for _, ev := range jr.Events() {
-				kinds[ev.Kind]++
-			}
-			if kinds[obs.EvAbort] == 0 || kinds[obs.EvRestore] == 0 {
-				return c, nil, fmt.Errorf("journal missing abort/restore events: %v", kinds)
-			}
-		}
-		return c, res.Firings, nil
-	}
-
-	ref, refFirings, err := run(nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults := faultinject.New(
-		faultinject.Fault{Kind: faultinject.KindPanic, Node: "A", K: 6},
-		faultinject.Fault{Kind: faultinject.KindPanic, Node: "SNK", K: 8},
-	)
-	got, gotFirings, err := run(faults, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if faults.Pending() != 0 {
-		t.Fatalf("%d faults never fired", faults.Pending())
-	}
-	if !reflect.DeepEqual(gotFirings, refFirings) {
-		t.Errorf("firings: recovered %v, fault-free %v", gotFirings, refFirings)
-	}
-	if !reflect.DeepEqual(got.seq, ref.seq) {
-		t.Errorf("payload streams differ:\nrecovered  %v\nfault-free %v", got.seq, ref.seq)
-	}
-}
-
 func TestPanicWithoutRetriesReturnsStructuredError(t *testing.T) {
 	g := pipeline(t)
 	behaviors := pipelineBehaviors(new([]int))
@@ -254,37 +199,123 @@ func TestPanicWithoutRetriesReturnsStructuredError(t *testing.T) {
 	}
 }
 
-func TestPanicRetriesExhausted(t *testing.T) {
-	g := pipeline(t)
-	// A deterministic panic: every replay of firing 3 hits it again, so the
-	// retry budget must bound the rollback loop.
-	aborts := 0
-	behaviors := pipelineBehaviors(new([]int))
-	behaviors["A"] = func(f *runner.Firing) error {
-		if f.K == 3 {
-			aborts++
-			panic("always")
-		}
-		f.Produce("o0", f.In["i0"][0].(int)*10)
-		return nil
-	}
+// TestResumeContinuesRegistryCounters pins the one recovery path's
+// observability contract: a run ended by a behavior panic and resumed from
+// its newest cut into the same Registry and Journal keeps every counter
+// monotone, counts the abort and the restore exactly once each, and ends
+// with per-actor Firings equal to Result.Firings — the aborted epoch's
+// firings are not part of the recovered state.
+func TestResumeContinuesRegistryCounters(t *testing.T) {
+	g := reconfGraph(t)
+	plan := []int64{2, 5, 3, 6, 4, 7, 2, 8} // growing p grows the rings
 	mx := obs.NewRegistry()
-	_, err := Run(Config{
-		Graph: g, Behaviors: behaviors, Iterations: 50,
-		Reconfigure:  func(int64) map[string]int64 { return nil },
-		PanicRetries: 2,
-		Metrics:      mx,
-	})
+	jr := obs.NewJournal(128)
+	newest := &Checkpoint{}
+	poisoned := true
+	cfg := Config{
+		Graph: g,
+		Env:   symb.Env{"p": plan[0]},
+		Behaviors: map[string]runner.Behavior{
+			"B": func(f *runner.Firing) error {
+				if poisoned && f.K == 5 {
+					poisoned = false
+					panic("transient")
+				}
+				return nil
+			},
+		},
+		Iterations: int64(len(plan)),
+		Reconfigure: func(completed int64) map[string]int64 {
+			return map[string]int64{"p": plan[completed]}
+		},
+		CheckpointSink: func(ck *Checkpoint) { ck.CopyInto(newest) },
+		Metrics:        mx,
+		Journal:        jr,
+	}
+	_, err := Run(cfg)
+	var pe *BehaviorPanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("first leg: got %v, want *BehaviorPanicError", err)
+	}
+	if newest.Completed != 5 {
+		t.Fatalf("newest cut at %d, want 5 (the poisoned epoch's opening barrier)", newest.Completed)
+	}
+	before := mx.EngineSnapshot()
+	if before.Aborts != 1 || before.Restores != 0 || before.Running {
+		t.Fatalf("after the panic: aborts=%d restores=%d running=%v, want 1/0/false",
+			before.Aborts, before.Restores, before.Running)
+	}
+
+	cfg.Resume = newest
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("resumed leg: %v", err)
+	}
+	after := mx.EngineSnapshot()
+	if after.Aborts != 1 || after.Restores != 1 {
+		t.Errorf("after the resume: aborts=%d restores=%d, want 1/1", after.Aborts, after.Restores)
+	}
+	for _, c := range []struct {
+		name          string
+		before, after int64
+	}{
+		{"Barriers", before.Barriers, after.Barriers},
+		{"Rebinds", before.Rebinds, after.Rebinds},
+		{"RebindNs", before.RebindNs, after.RebindNs},
+		{"BoundaryNs", before.BoundaryNs, after.BoundaryNs},
+	} {
+		if c.after < c.before {
+			t.Errorf("%s went backwards across the resume: %d -> %d", c.name, c.before, c.after)
+		}
+	}
+	// 8 completed epochs plus the aborted one; one rebind per boundary 1..7
+	// (the resumed run skips boundary 5: its rebind is part of the cut).
+	if after.Barriers != 9 || after.Rebinds != 7 {
+		t.Errorf("barriers=%d rebinds=%d, want 9/7", after.Barriers, after.Rebinds)
+	}
+	grew := false
+	for ci, ed := range after.Edges {
+		if ed.Grows < before.Edges[ci].Grows {
+			t.Errorf("edge %s grows went backwards: %d -> %d", ed.Name, before.Edges[ci].Grows, ed.Grows)
+		}
+		grew = grew || before.Edges[ci].Grows > 0
+	}
+	if !grew {
+		t.Error("no ring grew before the panic; the plan no longer exercises Grows continuity")
+	}
+	for _, a := range after.Actors {
+		if a.Firings != res.Firings[a.Name] {
+			t.Errorf("actor %s: metrics say %d firings, Result says %d", a.Name, a.Firings, res.Firings[a.Name])
+		}
+	}
+	kinds := map[obs.EventKind]int{}
+	for _, ev := range jr.Events() {
+		kinds[ev.Kind]++
+	}
+	if kinds[obs.EvAbort] != 1 || kinds[obs.EvRestore] != 1 {
+		t.Errorf("journal has %d abort / %d restore events, want 1/1", kinds[obs.EvAbort], kinds[obs.EvRestore])
+	}
+}
+
+// TestPanicErrorLeavesNoGoroutines checks the teardown of a run that ends
+// on a behavior panic: actors, watchdog and context watcher all exit once
+// Run has returned the error.
+func TestPanicErrorLeavesNoGoroutines(t *testing.T) {
+	g := pipeline(t)
+	baseline := runtime.NumGoroutine()
+	behaviors := pipelineBehaviors(new([]int))
+	behaviors["B"] = func(f *runner.Firing) error { panic("boom") }
+	_, err := Run(Config{Graph: g, Context: context.Background(), Behaviors: behaviors, Iterations: 50})
 	var pe *BehaviorPanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want *BehaviorPanicError", err)
 	}
-	if aborts != 3 { // initial attempt + 2 retries
-		t.Errorf("behavior hit %d times, want 3 (1 + 2 retries)", aborts)
-	}
-	snap := mx.EngineSnapshot()
-	if snap.Aborts != 3 || snap.Restores != 2 {
-		t.Errorf("metrics aborts=%d restores=%d, want 3/2", snap.Aborts, snap.Restores)
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still alive, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -377,40 +408,6 @@ func TestRebindAbortInjected(t *testing.T) {
 	want := []int{2, 3, 3, 5}
 	if !reflect.DeepEqual(observed, want) {
 		t.Errorf("observed rates %v, want %v", observed, want)
-	}
-}
-
-// TestRollbackThenCancel exercises the cancellation-vs-abort race window:
-// a context cancelled while a panic error is pending must still end the
-// run even though the rollback clears the error.
-func TestRollbackThenCancel(t *testing.T) {
-	g := pipeline(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	behaviors := pipelineBehaviors(new([]int))
-	behaviors["A"] = func(f *runner.Firing) error {
-		if f.K == 3 {
-			cancel() // cancellation lands just before the panic is recorded
-			panic("boom")
-		}
-		f.Produce("o0", f.In["i0"][0].(int)*10)
-		return nil
-	}
-	_, err := Run(Config{
-		Graph: g, Context: ctx, Behaviors: behaviors, Iterations: 1000,
-		Reconfigure:  func(int64) map[string]int64 { return nil },
-		PanicRetries: 100,
-	})
-	if err == nil {
-		t.Fatal("run survived cancellation")
-	}
-	if !errors.Is(err, context.Canceled) {
-		// The panic error is an acceptable answer too (the race can resolve
-		// either way), but the run must not hang or succeed.
-		var pe *BehaviorPanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("got %v, want context.Canceled or BehaviorPanicError", err)
-		}
 	}
 }
 

@@ -122,15 +122,14 @@ type Config struct {
 	// verdicts and watchdog near-misses. Recording is bounded and
 	// allocation-free; the hot firing path never records.
 	Journal *obs.Journal
-	// Checkpoint arms barrier checkpointing without a sink: the engine
-	// maintains an internal arena snapshot of the quiescent state at every
-	// transaction boundary — the state panic rollback restores. Arming
-	// never changes the epoch structure, and warm captures reuse the arena,
-	// so the firing path stays allocation-free.
-	Checkpoint bool
-	// CheckpointSink, when non-nil, arms checkpointing and receives the
-	// arena after each capture. The pointer is valid only during the call;
-	// use Checkpoint.CopyInto or Clone to keep state across calls.
+	// CheckpointSink, when non-nil, receives the engine's checkpoint arena
+	// after each capture: a consistent cut of the quiescent state at every
+	// transaction boundary and at run end — the state a restart resumes
+	// from. Checkpointing is armed exactly when a sink, CaptureAtEntry or
+	// Resume is set; it never changes the epoch structure, and warm
+	// captures reuse the arena, so the firing path stays allocation-free.
+	// The pointer is valid only during the call; use Checkpoint.CopyInto or
+	// Clone to keep state across calls.
 	CheckpointSink func(*Checkpoint)
 	// CaptureAtEntry additionally captures a checkpoint at every barrier
 	// *entry* — after the previous epoch drained, before the boundary's
@@ -140,8 +139,7 @@ type Config struct {
 	// entry capture already covers every completed iteration, whereas the
 	// regular post-hook capture for that boundary is only taken once the
 	// hook has returned. Each boundary then produces two sink calls: the
-	// entry cut, then the post-hook cut (which stays the rollback target).
-	// Requires checkpointing to be armed; captures stay allocation-free.
+	// entry cut, then the post-hook cut. Captures stay allocation-free.
 	CaptureAtEntry bool
 	// Resume, when non-nil, starts the run from a checkpoint instead of
 	// the initial token state: ring contents, firing counters and the
@@ -153,13 +151,6 @@ type Config struct {
 	// effects are not part of the state); any other checkpoint skips that
 	// boundary's hook, exactly as before.
 	Resume *Checkpoint
-	// PanicRetries bounds in-engine panic recovery: a behavior panic
-	// aborts the in-flight transaction and, while the budget lasts (and a
-	// checkpoint arena exists), rolls the run back to the last barrier
-	// checkpoint and retries the epoch. At 0 (the default) a panic ends
-	// the run with a BehaviorPanicError — still recovered, the process
-	// never crashes.
-	PanicRetries int
 	// ValidateRebind, when set, is consulted at reconfiguration boundaries
 	// after the rebind has been applied and re-scheduled but before it
 	// takes effect; returning an error aborts the reconfiguration
@@ -171,9 +162,9 @@ type Config struct {
 	OnRebindAbort func(error)
 	// SnapshotUser and RestoreUser extend checkpoints with behavior-side
 	// state: SnapshotUser runs at each capture (its return value travels
-	// in Checkpoint.User), RestoreUser at each rollback or resume — so a
-	// stateful sink's output can be rolled back in lockstep with the
-	// engine and a recovered run stays byte-identical end to end.
+	// in Checkpoint.User), RestoreUser at each resumed start — so a
+	// stateful sink's output is restored in lockstep with the engine and
+	// a recovered run stays byte-identical end to end.
 	SnapshotUser func() any
 	RestoreUser  func(any)
 	// Faults, when non-nil, injects the plan's deterministic fault
@@ -198,11 +189,8 @@ type engine struct {
 	prog *core.Program
 	cg   *csdf.Graph
 
-	// stop is closed on the first error/cancellation and *replaced* by a
-	// panic rollback (only at a quiescent barrier, every actor parked —
-	// the epoch dispatch orders the replacement before the actors' next
-	// read). stopped mirrors it for branch-cheap per-firing checks. Both
-	// are guarded by mu together with err.
+	// stop is closed on the first error/cancellation; stopped mirrors it
+	// for branch-cheap per-firing checks. err is guarded by mu.
 	stop    chan struct{}
 	stopped atomic.Bool
 	quit    chan struct{} // closed when Run returns: actors exit
@@ -268,9 +256,8 @@ type prevBind struct {
 	had bool
 }
 
-// fail records the first error and closes the current stop channel. Not
-// once-gated: a panic rollback clears the error and replaces the channel,
-// after which the next failure must be recordable again.
+// fail records the first error and closes the stop channel; later errors
+// are dropped.
 func (e *engine) fail(err error) {
 	e.mu.Lock()
 	if e.err == nil {
@@ -344,6 +331,7 @@ func Run(cfg Config) (*runner.Result, error) {
 		cg:    prog.Concrete(),
 		stop:  make(chan struct{}),
 		quit:  make(chan struct{}),
+		jr:    cfg.Journal,
 		fired: make([]int64, len(g.Nodes)),
 		base:  make([]int64, len(g.Nodes)),
 	}
@@ -371,20 +359,15 @@ func Run(cfg Config) (*runner.Result, error) {
 		if cfg.RestoreUser != nil {
 			cfg.RestoreUser(resume.User)
 		}
+		e.record(obs.Event{Kind: obs.EvRestore, Completed: start})
 	}
-	armed := cfg.Checkpoint || cfg.CheckpointSink != nil || cfg.CaptureAtEntry || cfg.PanicRetries > 0 || resume != nil
+	armed := cfg.CheckpointSink != nil || cfg.CaptureAtEntry || resume != nil
 	if armed {
 		e.ckpt = e.newCheckpointArena()
 		e.ckptParamsStale = true
-		if resume != nil {
-			// The rollback target must exist before the first fresh capture:
-			// the restored state is the checkpoint.
-			resume.CopyInto(e.ckpt)
-		}
 	}
-	e.jr = cfg.Journal
 	if cfg.Metrics != nil {
-		e.mx = e.newEngMetrics(cfg.Metrics)
+		e.mx = e.newEngMetrics(cfg.Metrics, resume)
 	}
 	// Publish an initial snapshot so readers see names, capacities and the
 	// seeded occupancies as soon as the run exists.
@@ -401,11 +384,6 @@ func Run(cfg Config) (*runner.Result, error) {
 	if ctx := cfg.Context; ctx != nil {
 		ctxDone := make(chan struct{})
 		defer close(ctxDone)
-		// The watcher must not exit on e.stop: a panic rollback clears the
-		// run error and the engine keeps going, so cancellation has to stay
-		// armed for the whole run. A cancellation that lands while a panic
-		// error is pending is a no-op here — rollbackAfterAbort re-checks
-		// ctx.Err for exactly that window.
 		go func() {
 			select {
 			case <-ctx.Done():
@@ -438,13 +416,12 @@ func Run(cfg Config) (*runner.Result, error) {
 		envDigest = obs.ParamsDigest(map[string]int64(env))
 	}
 	completed := start
-	retries := 0
 	if barrier == nil {
 		if armed {
 			e.capture(start, env, envDigest, true)
 		}
 		if iters > start {
-			if err := e.runGuarded(iters-start, start, &retries); err != nil {
+			if err := e.runEpoch(iters-start, start); err != nil {
 				return nil, err
 			}
 		}
@@ -534,7 +511,7 @@ func Run(cfg Config) (*runner.Result, error) {
 								return nil, fmt.Errorf("engine: restoring valuation after aborted rebind: %v", rerr)
 							}
 							if e.mx != nil {
-								e.mx.aborts++
+								e.mx.tot.Aborts++
 							}
 							e.record(obs.Event{Kind: obs.EvAbort, Completed: it,
 								ParamsDigest: envDigest, Detail: "rebind"})
@@ -548,8 +525,8 @@ func Run(cfg Config) (*runner.Result, error) {
 							bend = time.Now()
 							rd := int64(bend.Sub(rt))
 							if e.mx != nil {
-								e.mx.rebinds++
-								e.mx.rebindNs += rd
+								e.mx.tot.Rebinds++
+								e.mx.tot.RebindNs += rd
 							}
 							e.record(obs.Event{TimeUnixNano: bend.UnixNano(),
 								Kind: obs.EvRebind, Completed: it, DurNs: rd,
@@ -563,7 +540,7 @@ func Run(cfg Config) (*runner.Result, error) {
 					}
 					bd := int64(bend.Sub(bt))
 					if e.mx != nil {
-						e.mx.boundaryNs += bd
+						e.mx.tot.BoundaryNs += bd
 					}
 					e.record(obs.Event{TimeUnixNano: bend.UnixNano(),
 						Kind: obs.EvBarrier, Completed: it, DurNs: bd})
@@ -573,7 +550,7 @@ func Run(cfg Config) (*runner.Result, error) {
 				}
 			}
 			skip = false
-			if err := e.runGuarded(1, it, &retries); err != nil {
+			if err := e.runEpoch(1, it); err != nil {
 				return nil, err
 			}
 			completed = it + 1
@@ -757,13 +734,18 @@ func (e *engine) reconfigure(env symb.Env, horizon, completed int64) error {
 }
 
 // runEpoch dispatches iters graph iterations to the parked actors and
-// waits for the pipeline to drain to the barrier.
-func (e *engine) runEpoch(iters int64) error {
+// waits for the pipeline to drain to the barrier; completed is the
+// iteration count at the epoch's opening barrier. A behavior panic aborts
+// the transaction: the epoch's partial effects are discarded with the run,
+// the abort is counted and journaled, and the counters are harvested so
+// /metrics readers see it although the run is over. Recovery is the
+// caller's: start a new Run with Resume set to the newest checkpoint.
+func (e *engine) runEpoch(iters, completed int64) error {
 	if err := e.firstErr(); err != nil {
 		return err
 	}
 	if e.mx != nil {
-		e.mx.barriers++
+		e.mx.tot.Barriers++
 	}
 	sol := e.prog.Solution()
 	e.wg.Add(len(e.work))
@@ -773,7 +755,17 @@ func (e *engine) runEpoch(iters int64) error {
 	e.busy.Add(-1)
 	e.wg.Wait()
 	e.busy.Add(1)
-	return e.firstErr()
+	err := e.firstErr()
+	// A type assertion, not errors.As: fireActor records the panic error
+	// bare, and an As target would escape to the heap on every epoch.
+	if pe, ok := err.(*BehaviorPanicError); ok {
+		if e.mx != nil {
+			e.mx.tot.Aborts++
+		}
+		e.record(obs.Event{Kind: obs.EvAbort, Completed: completed, Detail: pe.Node})
+		e.harvest(completed, false)
+	}
+	return err
 }
 
 // actorLoop is one node's persistent goroutine: spawned once per Run, it
@@ -915,8 +907,9 @@ func (e *engine) fireActor(id int, total int64, ah *actorHot) {
 		if err != nil {
 			var pe *BehaviorPanicError
 			if errors.As(err, &pe) {
-				// Unwrapped: the main goroutine dispatches on the concrete
-				// type to decide between rollback and run failure.
+				// Unwrapped: runEpoch asserts the concrete type, and Run's
+				// caller dispatches on it to decide between a restart and
+				// failure.
 				e.fail(pe)
 			} else {
 				e.fail(fmt.Errorf("engine: %s firing %d: %v", name, fired, err))
@@ -997,9 +990,6 @@ func (e *engine) startWatchdog() func() {
 		last := e.ops.Load()
 		lastProgress := time.Now()
 		idle := 0
-		// The loop does not exit on e.stop: a panic rollback clears the run
-		// error and continues, and the watchdog must keep guarding the
-		// retried epochs. It exits only when Run returns (done).
 		for {
 			select {
 			case <-done:

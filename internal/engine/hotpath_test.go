@@ -127,7 +127,7 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 		// counters land in the preallocated arena, ring contents are peeked
 		// into reusable buffers, and the sink's CopyInto reuses its slices.
 		{"checkpoint", func(cfg *Config) {
-			cfg.Checkpoint = true
+			cfg.CheckpointSink = func(*Checkpoint) {}
 			cfg.Reconfigure = func(int64) map[string]int64 { return nil }
 		}},
 		{"checkpoint+sink", func(cfg *Config) {
@@ -136,7 +136,7 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 			cfg.Reconfigure = func(int64) map[string]int64 { return nil }
 		}},
 		{"checkpoint+metrics", func(cfg *Config) {
-			cfg.Checkpoint = true
+			cfg.CheckpointSink = func(*Checkpoint) {}
 			cfg.Metrics = obs.NewRegistry()
 			cfg.Journal = obs.NewJournal(128)
 			cfg.Reconfigure = func(int64) map[string]int64 { return nil }
@@ -147,7 +147,6 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 		{"checkpoint+entry+sink", func(cfg *Config) {
 			var bufs [2]Checkpoint
 			cur := 0
-			cfg.Checkpoint = true
 			cfg.CaptureAtEntry = true
 			cfg.CheckpointSink = func(ck *Checkpoint) {
 				if ck.AtEntry {

@@ -63,7 +63,8 @@ type sideStats struct {
 const parkSampleMask = 7
 
 // engMetrics is the engine-owned collector: hot blocks for every actor and
-// ring side, plus main-goroutine-owned boundary counters. harvestFn is the
+// ring side, plus the main-goroutine-owned boundary counters, kept in
+// published form in tot (its Actors and Edges are unused). harvestFn is the
 // one closure handed to Registry.UpdateEngine, created once so a
 // barrier-time harvest allocates nothing.
 type engMetrics struct {
@@ -71,17 +72,8 @@ type engMetrics struct {
 	actors []actorHot
 	prod   []sideStats // indexed by concrete edge
 	cons   []sideStats
-
-	// Main-owned boundary counters.
-	barriers   int64
-	completed  int64
-	rebinds    int64
-	rebindNs   int64
-	boundaryNs int64
-	aborts     int64
-	restores   int64
-	grows      []int64
-	running    bool
+	tot    obs.EngineSnapshot
+	grows  []int64
 
 	harvestFn func(*obs.EngineSnapshot)
 }
@@ -96,14 +88,31 @@ func (st *sideStats) blockedEstNs() int64 {
 }
 
 // newEngMetrics sizes the collector for the engine's wired graph and
-// attaches the ring side pointers.
-func (e *engine) newEngMetrics(reg *obs.Registry) *engMetrics {
+// attaches the ring side pointers. A resumed run counts as one restore and
+// continues the counters the previous incarnation left in the registry
+// (zero in a fresh one); actor firings start from the checkpoint's — the
+// aborted epoch's are not part of the state — so the final snapshot equals
+// Result.Firings.
+func (e *engine) newEngMetrics(reg *obs.Registry, resume *Checkpoint) *engMetrics {
 	m := &engMetrics{
 		reg:    reg,
 		actors: make([]actorHot, len(e.cfg.Graph.Nodes)),
 		prod:   make([]sideStats, len(e.cg.Edges)),
 		cons:   make([]sideStats, len(e.cg.Edges)),
 		grows:  make([]int64, len(e.cg.Edges)),
+	}
+	if resume != nil {
+		prev := reg.EngineSnapshot()
+		if len(prev.Edges) == len(m.grows) {
+			for ci := range m.grows {
+				m.grows[ci] = prev.Edges[ci].Grows
+			}
+		}
+		for id := range m.actors {
+			m.actors[id].firings = resume.Fired[id]
+		}
+		m.tot = prev
+		m.tot.Restores++
 	}
 	for ci, r := range e.rings {
 		r.pst = &m.prod[ci]
@@ -123,8 +132,8 @@ func (e *engine) harvest(completed int64, running bool) {
 	if m == nil {
 		return
 	}
-	m.completed = completed
-	m.running = running
+	m.tot.Completed = completed
+	m.tot.Running = running
 	m.reg.UpdateEngine(m.harvestFn)
 }
 
@@ -133,20 +142,15 @@ func (e *engine) harvest(completed int64, running bool) {
 func (e *engine) fillSnapshot(s *obs.EngineSnapshot) {
 	m := e.mx
 	g := e.cfg.Graph
-	if len(s.Actors) != len(g.Nodes) {
-		s.Actors = make([]obs.ActorMetrics, len(g.Nodes))
+	actors, edges := s.Actors, s.Edges
+	if len(actors) != len(g.Nodes) {
+		actors = make([]obs.ActorMetrics, len(g.Nodes))
 	}
-	if len(s.Edges) != len(e.cg.Edges) {
-		s.Edges = make([]obs.EdgeMetrics, len(e.cg.Edges))
+	if len(edges) != len(e.cg.Edges) {
+		edges = make([]obs.EdgeMetrics, len(e.cg.Edges))
 	}
-	s.Running = m.running
-	s.Completed = m.completed
-	s.Barriers = m.barriers
-	s.Rebinds = m.rebinds
-	s.RebindNs = m.rebindNs
-	s.BoundaryNs = m.boundaryNs
-	s.Aborts = m.aborts
-	s.Restores = m.restores
+	*s = m.tot
+	s.Actors, s.Edges = actors, edges
 
 	for id := range g.Nodes {
 		a := &s.Actors[id]

@@ -48,22 +48,6 @@ func RunBounded(cfg Config, capacities []int64) (*Result, bool, error) {
 	return res, complete, nil
 }
 
-// MinimalCapacities searches, per edge, for the smallest channel capacity
-// that still lets the configuration complete, holding other edges at their
-// current bound (seeded by the unbounded run's high-water marks, which are
-// always sufficient). The result is a per-edge buffer allocation in tokens;
-// its sum is the minimum-buffer metric the Fig. 8 experiment compares.
-//
-// Per-edge binary search against a token-accurate run is exact for the
-// monotone property "capacity c suffices given the other capacities";
-// jointly shrinking several edges below their individual minima could in
-// principle trade space between channels, so the result is a (tight) upper
-// bound on the joint optimum, which matches how the paper sizes one buffer
-// per channel.
-func MinimalCapacities(cfg Config) ([]int64, error) {
-	return MinimalCapacitiesParallel(cfg, 1)
-}
-
 // speculationDepth is how many bisection levels are evaluated at once: the
 // 2^d - 1 capacities the next d sequential probes could visit, all checked
 // concurrently. Capped so the speculative waste stays below the win.
@@ -88,13 +72,26 @@ func speculativePivots(lo, hi int64, depth int, out []int64) []int64 {
 	return speculativePivots(mid+1, hi, depth-1, out)
 }
 
-// MinimalCapacitiesParallel is MinimalCapacities with the feasibility
-// probes fanned out over up to parallel workers, each owning a pooled
-// Simulator that is Reset between probes. Parallelism is speculative —
-// the capacities the sequential bisection *could* probe next are evaluated
-// concurrently and the walk then follows the sequential decision path —
-// so the result is identical to MinimalCapacities whatever the worker
-// count, even if feasibility were non-monotone.
+// MinimalCapacitiesParallel searches, per edge, for the smallest channel
+// capacity that still lets the configuration complete, holding other edges
+// at their current bound (seeded by the unbounded run's high-water marks,
+// which are always sufficient). The result is a per-edge buffer allocation
+// in tokens; its sum is the minimum-buffer metric the Fig. 8 experiment
+// compares.
+//
+// Per-edge binary search against a token-accurate run is exact for the
+// monotone property "capacity c suffices given the other capacities";
+// jointly shrinking several edges below their individual minima could in
+// principle trade space between channels, so the result is a (tight) upper
+// bound on the joint optimum, which matches how the paper sizes one buffer
+// per channel.
+//
+// The feasibility probes fan out over up to parallel workers, each owning
+// a pooled Simulator that is Reset between probes. Parallelism is
+// speculative — the capacities the sequential bisection *could* probe next
+// are evaluated concurrently and the walk then follows the sequential
+// decision path — so the result is identical whatever the worker count,
+// even if feasibility were non-monotone.
 func MinimalCapacitiesParallel(cfg Config, parallel int) ([]int64, error) {
 	caps, _, err := MinimalCapacitiesRef(cfg, parallel)
 	return caps, err

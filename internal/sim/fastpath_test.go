@@ -107,7 +107,7 @@ func TestMinimalCapacitiesParallelIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.Config{Graph: g, Env: symb.Env(params.Env()), Decide: decide}
-	want, err := sim.MinimalCapacities(cfg)
+	want, err := sim.MinimalCapacitiesParallel(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

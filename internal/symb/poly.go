@@ -265,12 +265,6 @@ func (p Poly) TryDiv(d Poly) (Poly, bool) {
 	return q, true
 }
 
-// Divides reports whether d divides p exactly.
-func (p Poly) Divides(d Poly) bool {
-	_, ok := d.TryDiv(p)
-	return ok
-}
-
 // ContentMono returns the monomial gcd of all terms (unit for zero poly).
 func (p Poly) ContentMono() Mono {
 	var g Mono

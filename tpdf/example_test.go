@@ -329,14 +329,16 @@ func ExampleStream_durable() {
 	// resumed leg: SNK fired 6 times in total, 12 tokens overall
 }
 
-// ExampleStream_panicRecovery arms in-run recovery: a behavior panic is
-// caught at the epoch barrier and turned into a transaction abort — the
-// engine rolls every ring, counter and parameter back to the checkpoint
-// of the previous quiescent barrier and retries the epoch. Behavior state
-// living outside the engine must travel with the checkpoint, so the token
-// count is registered with WithUserState: it is snapshotted at every
-// capture and restored on rollback, keeping it exact even though the
-// poisoned iteration executes twice.
+// ExampleStream_panicRecovery lets Stream supervise its own run: a
+// behavior panic is caught at the epoch barrier and turned into a
+// transaction abort that ends the engine, and Stream starts it again from
+// the checkpoint of the previous quiescent barrier — rings, counters and
+// parameters exactly as they were there — the same restart a crashed
+// process performs with WithResume. Behavior state living outside the
+// engine must travel with the checkpoint, so the token count is registered
+// with WithUserState: it is snapshotted at every capture and restored on
+// restart, keeping it exact even though the poisoned iteration executes
+// twice.
 func ExampleStream_panicRecovery() {
 	g, err := tpdf.NewGraph("recoverable").
 		Param("p", 2, 1, 8).
@@ -364,7 +366,7 @@ func ExampleStream_panicRecovery() {
 	res, err := tpdf.Stream(g, behaviors,
 		tpdf.WithIterations(4),
 		// A boundary hook makes every iteration its own transaction, so
-		// the rollback repeats only the poisoned iteration.
+		// the restart repeats only the poisoned iteration.
 		tpdf.WithReconfigure(func(int64) map[string]int64 { return nil }),
 		tpdf.WithPanicRecovery(1),
 		tpdf.WithUserState(

@@ -8,10 +8,11 @@ import (
 	"repro/internal/faultinject"
 )
 
-// Fault tolerance facade: barrier checkpoints, speculative rebind with
-// rollback, and behavior-panic isolation, re-exported from the streaming
-// engine. See the package documentation's "Fault tolerance" section for
-// the model.
+// Fault tolerance facade: barrier checkpoints, resume, speculative rebind
+// with rollback, and behavior-panic isolation. There is one recovery
+// mechanism — abort the in-flight transaction, restart from the newest
+// cut — whoever performs the restart. See the package documentation's
+// "Fault tolerance" section for the model.
 
 type (
 	// Checkpoint is a consistent cut of a Stream run captured at a
@@ -39,22 +40,22 @@ var ErrRebindAborted = engine.ErrRebindAborted
 // valid only during the call; keep state across calls with
 // Checkpoint.CopyInto or Checkpoint.Clone. Warm captures perform no heap
 // allocations, so a checkpoint-armed pipeline keeps the 0 allocs/op
-// firing path. A nil sink still arms capture (useful with
-// WithPanicRecovery, which rolls back to the internal arena).
+// firing path. A nil sink still arms capture (the cuts are taken and
+// dropped), which is how the capture cost is measured on its own.
 func WithCheckpoints(sink func(*Checkpoint)) Option {
-	return func(c *config) {
-		c.checkpoint = true
-		c.checkpointSink = sink
+	if sink == nil {
+		sink = func(*Checkpoint) {}
 	}
+	return func(c *config) { c.checkpointSink = sink }
 }
 
 // WithUserState attaches behavior-side state to checkpoints: snapshot is
 // called at every capture barrier and its value travels in
-// Checkpoint.User; restore is called on rollback and resume with that
-// value. Both run on the engine's barrier goroutine while every actor is
-// parked, so they may touch state the behaviors own. snapshot must return
-// a self-contained value (rollback hands it back after further firings
-// have mutated the live state).
+// Checkpoint.User; restore is called with that value whenever a run starts
+// from a checkpoint (WithResume, or a WithPanicRecovery restart). Both run
+// while every actor is parked, so they may touch state the behaviors own.
+// snapshot must return a self-contained value (a restart hands it back
+// after further firings have mutated the live state).
 func WithUserState(snapshot func() any, restore func(any)) Option {
 	return func(c *config) {
 		c.snapshotUser = snapshot
@@ -73,19 +74,19 @@ func WithResume(ck *Checkpoint) Option {
 	return func(c *config) { c.resume = ck }
 }
 
-// WithPanicRecovery arms in-run panic recovery: a behavior panic aborts
-// the in-flight transaction (its partial effects are discarded) and the
-// run rolls back to the last barrier checkpoint and retries, up to
-// retries times across the run. Recovery implies checkpoint capture even
-// without WithCheckpoints. When the budget is exhausted — or with
-// retries <= 0 — the run fails with a *BehaviorPanicError.
+// WithPanicRecovery makes Stream supervise its own run: a behavior panic
+// aborts the in-flight transaction (its partial effects are discarded) and
+// ends the engine; Stream then starts it again from the newest barrier
+// checkpoint — exactly what WithResume does for a crashed process — up to
+// retries times across the run. The recovered run's output is
+// byte-identical to a fault-free one (pair it with WithUserState when
+// behaviors keep state of their own). Recovery implies checkpoint capture
+// even without WithCheckpoints; an attached WithMetrics registry counts
+// every abort and every restart (Aborts, Restores). When the budget is
+// exhausted — or with retries <= 0 — the run fails with a
+// *BehaviorPanicError.
 func WithPanicRecovery(retries int) Option {
-	return func(c *config) {
-		c.panicRetries = retries
-		if retries > 0 {
-			c.checkpoint = true
-		}
-	}
+	return func(c *config) { c.panicRetries = retries }
 }
 
 // WithRebindValidation installs a predicate over proposed valuations:
@@ -262,7 +263,6 @@ func (p *Persister) Close() error { return p.w.Close() }
 // and post-hook alike) and WithUserState.
 func WithDurableCheckpoints(p *Persister) Option {
 	return func(c *config) {
-		c.checkpoint = true
 		c.captureAtEntry = true
 		c.persister = p
 	}

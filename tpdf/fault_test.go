@@ -1,6 +1,7 @@
 package tpdf_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/sinkrec"
 	"repro/tpdf"
+	"repro/tpdf/obs"
 )
 
 // cycleParams builds a deterministic reconfigure plan over the graph's
@@ -254,5 +256,146 @@ func TestRebindValidationFacade(t *testing.T) {
 	}
 	if aborts == 0 {
 		t.Fatal("validation never fired")
+	}
+}
+
+// recoveryPipeline is SRC -> A -> B -> SNK at unit rates with payload
+// behaviors: SRC emits its firing index, A and B transform it, SNK appends
+// to *seq. aHook, when non-nil, runs first in A's every firing.
+func recoveryPipeline(t *testing.T, seq *[]int, aHook func(k int64)) (*tpdf.Graph, map[string]tpdf.Behavior) {
+	t.Helper()
+	g, err := tpdf.NewGraph("pipe").
+		Kernel("SRC", 1).Kernel("A", 1).Kernel("B", 1).Kernel("SNK", 1).
+		Connect("SRC[1] -> A[1]").Connect("A[1] -> B[1]").Connect("B[1] -> SNK[1]").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, map[string]tpdf.Behavior{
+		"SRC": func(f *tpdf.Firing) error {
+			f.Produce("o0", int(f.K))
+			return nil
+		},
+		"A": func(f *tpdf.Firing) error {
+			if aHook != nil {
+				aHook(f.K)
+			}
+			f.Produce("o0", f.In["i0"][0].(int)*10)
+			return nil
+		},
+		"B": func(f *tpdf.Firing) error {
+			f.Produce("o0", f.In["i0"][0].(int)+1)
+			return nil
+		},
+		"SNK": func(f *tpdf.Firing) error {
+			*seq = append(*seq, f.In["i0"][0].(int))
+			return nil
+		},
+	}
+}
+
+// TestPanicRecoveryByteIdentical injects two behavior panics into a payload
+// pipeline whose sink output travels with the checkpoints (WithUserState):
+// the recovered run's firings and payload stream must equal the fault-free
+// run's, and both aborts and both restarts must be journaled.
+func TestPanicRecoveryByteIdentical(t *testing.T) {
+	const iters = 10
+	run := func(faults *faultinject.Plan, retries int) ([]int, *tpdf.ExecResult, *obs.Journal) {
+		var seq []int
+		g, behaviors := recoveryPipeline(t, &seq, nil)
+		jr := obs.NewJournal(128)
+		res, err := tpdf.Stream(g, behaviors,
+			tpdf.WithIterations(iters),
+			tpdf.WithReconfigure(func(int64) map[string]int64 { return nil }),
+			tpdf.WithUserState(
+				func() any { return append([]int(nil), seq...) },
+				func(u any) { seq = append(seq[:0], u.([]int)...) }),
+			tpdf.WithPanicRecovery(retries),
+			tpdf.WithFaultPlan(faults),
+			tpdf.WithTraceJournal(jr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq, res, jr
+	}
+
+	wantSeq, want, _ := run(nil, 0)
+	faults := faultinject.New(
+		faultinject.Fault{Kind: faultinject.KindPanic, Node: "A", K: 6},
+		faultinject.Fault{Kind: faultinject.KindPanic, Node: "SNK", K: 8},
+	)
+	gotSeq, got, jr := run(faults, 2)
+	if faults.Pending() != 0 {
+		t.Fatalf("%d faults never fired", faults.Pending())
+	}
+	if !reflect.DeepEqual(got.Firings, want.Firings) {
+		t.Errorf("firings: recovered %v, fault-free %v", got.Firings, want.Firings)
+	}
+	if !reflect.DeepEqual(gotSeq, wantSeq) {
+		t.Errorf("payload streams differ:\nrecovered  %v\nfault-free %v", gotSeq, wantSeq)
+	}
+	kinds := map[obs.EventKind]int{}
+	for _, ev := range jr.Events() {
+		kinds[ev.Kind]++
+	}
+	if kinds[obs.EvAbort] != 2 || kinds[obs.EvRestore] != 2 {
+		t.Errorf("journal has %d abort / %d restore events, want 2/2", kinds[obs.EvAbort], kinds[obs.EvRestore])
+	}
+}
+
+// TestPanicRecoveryBudgetExhausted replays a deterministic panic: every
+// restart hits it again, so the budget must bound the loop — 1 + n hits,
+// the structured error, and a registry reading n + 1 aborts, n restores.
+func TestPanicRecoveryBudgetExhausted(t *testing.T) {
+	const retries = 2
+	hits := 0
+	g, behaviors := recoveryPipeline(t, new([]int), func(k int64) {
+		if k == 3 {
+			hits++
+			panic("always")
+		}
+	})
+	mx := obs.NewRegistry()
+	_, err := tpdf.Stream(g, behaviors,
+		tpdf.WithIterations(50),
+		tpdf.WithReconfigure(func(int64) map[string]int64 { return nil }),
+		tpdf.WithPanicRecovery(retries),
+		tpdf.WithMetrics(mx))
+	var pe *tpdf.BehaviorPanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("got %v, want *BehaviorPanicError", err)
+	}
+	if pe.Node != "A" || pe.Firing != 3 {
+		t.Errorf("panic located at %s firing %d, want A firing 3", pe.Node, pe.Firing)
+	}
+	if hits != 1+retries {
+		t.Errorf("behavior hit %d times, want %d (1 + %d restarts)", hits, 1+retries, retries)
+	}
+	if snap := mx.EngineSnapshot(); snap.Aborts != retries+1 || snap.Restores != retries {
+		t.Errorf("metrics aborts=%d restores=%d, want %d/%d", snap.Aborts, snap.Restores, retries+1, retries)
+	}
+}
+
+// TestPanicRecoveryThenCancel cancels the run's context from inside the
+// firing that then panics: whichever of the two the engine records first,
+// Stream must not restart a cancelled run — it ends with context.Canceled
+// or the panic error, never a hang and never success.
+func TestPanicRecoveryThenCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g, behaviors := recoveryPipeline(t, new([]int), func(k int64) {
+		if k == 3 {
+			cancel()
+			panic("boom")
+		}
+	})
+	_, err := tpdf.Stream(g, behaviors,
+		tpdf.WithContext(ctx),
+		tpdf.WithIterations(1000),
+		tpdf.WithReconfigure(func(int64) map[string]int64 { return nil }),
+		tpdf.WithPanicRecovery(100))
+	var pe *tpdf.BehaviorPanicError
+	if !errors.Is(err, context.Canceled) && !errors.As(err, &pe) {
+		t.Fatalf("got %v, want context.Canceled or *BehaviorPanicError", err)
 	}
 }

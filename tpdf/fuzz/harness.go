@@ -304,7 +304,7 @@ func (c *Case) faults() (panics, shared []faultinject.Fault) {
 }
 
 // CheckRecovery asserts invariant 4: a run whose behaviors panic at the
-// schedule's fault sites, recovered by checkpoint rollback, is
+// schedule's fault sites, recovered by restart from the newest cut, is
 // byte-identical to a fault-free reference sharing the same rebind-abort
 // schedule — aborted transactions leave no trace. Skipped when the
 // schedule injects nothing.

@@ -34,11 +34,11 @@ const (
 	EvStall
 	// EvAbort is a discarded transaction: an in-flight epoch torn down by a
 	// behavior panic, or a rebind rejected by validation. Completed is the
-	// checkpoint the engine rolled back to (panic) or held at (rebind),
-	// Detail names the panicking node or the validation failure.
+	// barrier the aborted epoch opened at (panic) or the engine held at
+	// (rebind), Detail names the panicking node or the validation failure.
 	EvAbort
-	// EvRestore is a successful recovery: the engine (or a supervised serve
-	// session) resumed from the checkpoint named by Completed.
+	// EvRestore is a run start resumed from the checkpoint named by
+	// Completed — a restart after a panic, or cold-start recovery.
 	EvRestore
 	// EvPersist is a durable snapshot write: the checkpoint at Completed was
 	// encoded and fsynced to the session's snapshot store. DurNs is the
@@ -140,9 +140,6 @@ func (j *Journal) Record(e Event) {
 	j.total++
 	j.mu.Unlock()
 }
-
-// Cap returns the journal's bound.
-func (j *Journal) Cap() int { return len(j.buf) }
 
 // Len returns how many events are currently retained.
 func (j *Journal) Len() int {

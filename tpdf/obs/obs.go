@@ -78,10 +78,10 @@ type EngineSnapshot struct {
 	Rebinds    int64
 	RebindNs   int64
 	BoundaryNs int64
-	// Aborts counts discarded transactions (behavior panics rolled back,
-	// rebinds rejected by validation); Restores counts successful
-	// checkpoint restores (in-engine panic recovery and resume-from-
-	// checkpoint run starts).
+	// Aborts counts discarded transactions (epochs torn down by a behavior
+	// panic, rebinds rejected by validation); Restores counts run starts
+	// resumed from a checkpoint. Both keep counting across the
+	// incarnations of a run that share this registry.
 	Aborts   int64
 	Restores int64
 	Actors   []ActorMetrics

@@ -58,7 +58,6 @@ type config struct {
 	parallel        int
 	metrics         *obs.Registry
 	journal         *obs.Journal
-	checkpoint      bool
 	checkpointSink  func(*Checkpoint)
 	captureAtEntry  bool
 	persister       *Persister

@@ -351,20 +351,22 @@ func (m *Manager) Compile(g *tpdf.Graph) (*tpdf.CompiledGraph, *tpdf.Report, err
 
 // acquireSlot implements the bounded admission queue: an immediate slot if
 // one is free, otherwise wait up to AdmitWait in a queue bounded by
-// MaxQueue; saturation beyond that is an immediate ErrBusy.
+// MaxQueue; saturation beyond that is an immediate ErrBusy. A caller whose
+// context is already done never queues.
 func (m *Manager) acquireSlot(ctx context.Context) error {
 	select {
 	case m.slots <- struct{}{}:
 		return nil
 	default:
 	}
+	if ctx.Err() != nil {
+		return fmt.Errorf("%w: no session slot", ErrBusy)
+	}
 	if m.cfg.AdmitWait < 0 {
-		m.rejectedBusy.Add(1)
 		return fmt.Errorf("%w: %d sessions open", ErrBusy, m.cfg.MaxSessions)
 	}
 	if m.queued.Add(1) > int64(m.cfg.MaxQueue) {
 		m.queued.Add(-1)
-		m.rejectedBusy.Add(1)
 		return fmt.Errorf("%w: admission queue full", ErrBusy)
 	}
 	defer m.queued.Add(-1)
@@ -374,7 +376,6 @@ func (m *Manager) acquireSlot(ctx context.Context) error {
 	case m.slots <- struct{}{}:
 		return nil
 	case <-t.C:
-		m.rejectedBusy.Add(1)
 		return fmt.Errorf("%w: %d sessions open", ErrBusy, m.cfg.MaxSessions)
 	case <-ctx.Done():
 		return ctx.Err()
@@ -387,11 +388,32 @@ func (m *Manager) acquireSlot(ctx context.Context) error {
 // first pump. A non-nil chaos spec (deterministic fault injection) is
 // honored only when the server runs with Config.EnableChaos.
 func (m *Manager) Open(ctx context.Context, tenant string, g *tpdf.Graph, params map[string]int64, chaos *ChaosSpec) (*Session, error) {
-	if m.closed.Load() {
-		return nil, ErrShuttingDown
-	}
 	if chaos != nil && !m.cfg.EnableChaos {
 		return nil, fmt.Errorf("serve: chaos injection requested but the server runs without -chaos")
+	}
+	s, err := m.admit(ctx, "", tenant, g, params, chaos, nil)
+	switch {
+	case err == nil:
+		m.opened.Add(1)
+	case errors.Is(err, ErrQuota):
+		m.rejectedQuota.Add(1)
+	case errors.Is(err, ErrBusy):
+		m.rejectedBusy.Add(1)
+	case errors.Is(err, ErrNotAdmissible):
+		m.rejectedGraph.Add(1)
+	}
+	return s, err
+}
+
+// admit is the one admission path, shared by Open (id "": a fresh ID is
+// minted) and cold-start recovery (the recorded ID and tenant, resuming
+// from the snapshot's checkpoint): reserve the tenant quota, take a slot,
+// start the session, register it. Whether a full fleet is worth queueing
+// for is the caller's context's call — see acquireSlot.
+func (m *Manager) admit(ctx context.Context, id, tenant string, g *tpdf.Graph, params map[string]int64,
+	chaos *ChaosSpec, resume *tpdf.Checkpoint) (*Session, error) {
+	if m.closed.Load() {
+		return nil, ErrShuttingDown
 	}
 	if tenant == "" {
 		tenant = "default"
@@ -402,68 +424,67 @@ func (m *Manager) Open(ctx context.Context, tenant string, g *tpdf.Graph, params
 	m.mu.Lock()
 	if m.perTenant[tenant] >= m.cfg.MaxSessionsPerTenant {
 		m.mu.Unlock()
-		m.rejectedQuota.Add(1)
 		return nil, fmt.Errorf("%w: tenant %q at %d sessions", ErrQuota, tenant, m.cfg.MaxSessionsPerTenant)
 	}
 	m.perTenant[tenant]++
 	m.mu.Unlock()
-	release := func() {
+
+	err := m.acquireSlot(ctx)
+	var s *Session
+	if err == nil {
+		if s, err = m.start(id, tenant, g, params, chaos, resume); err != nil {
+			<-m.slots
+		}
+	}
+	if err != nil {
 		m.mu.Lock()
 		if m.perTenant[tenant]--; m.perTenant[tenant] == 0 {
 			delete(m.perTenant, tenant)
 		}
 		m.mu.Unlock()
-	}
-
-	if err := m.acquireSlot(ctx); err != nil {
-		release()
 		return nil, err
 	}
 
-	compiled, report, err := m.cache.Get(g)
-	if err != nil {
-		<-m.slots
-		release()
-		m.rejectedGraph.Add(1)
-		return nil, fmt.Errorf("%w: %v", ErrNotAdmissible, err)
-	}
-	if report.Err != nil || !report.Bounded {
-		<-m.slots
-		release()
-		m.rejectedGraph.Add(1)
-		if report.Err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrNotAdmissible, report.Err)
-		}
-		return nil, fmt.Errorf("%w: graph %q is not bounded (Theorem 2)", ErrNotAdmissible, report.GraphName)
-	}
-	if m.closed.Load() {
-		<-m.slots
-		release()
-		return nil, ErrShuttingDown
-	}
-
-	id := "s" + strconv.FormatInt(m.nextID.Add(1), 10)
-	s, err := newSession(id, tenant, compiled, params, chaos, m.cfg.policy(), &m.fleet, m.durableEnv(), nil)
-	if err != nil {
-		<-m.slots
-		release()
-		return nil, err
-	}
 	m.mu.Lock()
-	m.sessions[id] = s
+	m.sessions[s.ID] = s
 	m.mu.Unlock()
-	// Drain may have begun between the admission check above and the
-	// registration: its ID snapshot would then miss this session, leaking
-	// an engine (and its slot) past shutdown. Re-check after registering —
-	// one side of the race always sees the other.
+	// Drain may have begun between start's check and the registration: its
+	// ID snapshot would then miss this session, leaking an engine (and its
+	// slot) past shutdown. Re-check after registering — one side of the race
+	// always sees the other. Closing a registered session returns its slot
+	// and quota; a refused fresh session takes its snapshots with it, a
+	// recovered one's stay on disk.
 	if m.closed.Load() {
 		dctx, cancel := context.WithTimeout(context.Background(), m.cfg.DrainTimeout)
-		_, _ = m.Close(dctx, id)
+		_, _ = m.closeSession(dctx, s.ID, resume == nil)
 		cancel()
 		return nil, ErrShuttingDown
 	}
-	m.opened.Add(1)
 	return s, nil
+}
+
+// start is admit's slot-holding half: resolve the graph through the shared
+// program cache, require the Theorem 2 boundedness verdict, then stamp and
+// start the session.
+func (m *Manager) start(id, tenant string, g *tpdf.Graph, params map[string]int64,
+	chaos *ChaosSpec, resume *tpdf.Checkpoint) (*Session, error) {
+	compiled, report, err := m.cache.Get(g)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrNotAdmissible, err)
+	}
+	if report.Err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrNotAdmissible, report.Err)
+	}
+	if !report.Bounded {
+		return nil, fmt.Errorf("%w: graph %q is not bounded (Theorem 2)", ErrNotAdmissible, report.GraphName)
+	}
+	if m.closed.Load() {
+		return nil, ErrShuttingDown
+	}
+	if id == "" {
+		id = "s" + strconv.FormatInt(m.nextID.Add(1), 10)
+	}
+	return newSession(id, tenant, compiled, params, chaos, m.cfg.policy(), &m.fleet, m.durableEnv(), resume)
 }
 
 // Draining reports whether the manager has begun shutting down: new
@@ -657,14 +678,11 @@ func (m *Manager) Recover(ctx context.Context) RecoveryStats {
 	return m.RecoveryStats()
 }
 
-// recoverSession re-opens one session from its newest valid snapshot.
+// recoverSession re-opens one session from its newest valid snapshot:
+// admission with the recorded ID, tenant and checkpoint. No ID bookkeeping
+// here — seedNextID already pushed the counter past every on-disk session
+// before the first Open could run.
 func (m *Manager) recoverSession(id string) error {
-	m.mu.Lock()
-	_, open := m.sessions[id]
-	m.mu.Unlock()
-	if open {
-		return fmt.Errorf("already open")
-	}
 	snap, err := m.store.Load(id)
 	if err != nil {
 		return err
@@ -674,58 +692,12 @@ func (m *Manager) recoverSession(id string) error {
 	if err != nil {
 		return fmt.Errorf("graph text: %w", err)
 	}
-	compiled, report, err := m.cache.Get(g)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNotAdmissible, err)
-	}
-	if report.Err != nil || !report.Bounded {
-		return fmt.Errorf("%w: graph %q no longer admissible", ErrNotAdmissible, report.GraphName)
-	}
-	tenant := snap.Tenant
-	if tenant == "" {
-		tenant = "default"
-	}
-
-	m.mu.Lock()
-	if m.perTenant[tenant] >= m.cfg.MaxSessionsPerTenant {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: tenant %q", ErrQuota, tenant)
-	}
-	m.perTenant[tenant]++
-	m.mu.Unlock()
-	release := func() {
-		m.mu.Lock()
-		if m.perTenant[tenant]--; m.perTenant[tenant] == 0 {
-			delete(m.perTenant, tenant)
-		}
-		m.mu.Unlock()
-	}
-	select {
-	case m.slots <- struct{}{}:
-	default:
-		release()
-		return fmt.Errorf("%w: no session slot", ErrBusy)
-	}
-
-	s, err := newSession(id, tenant, compiled, snap.Checkpoint.Params, nil,
-		m.cfg.policy(), &m.fleet, m.durableEnv(), snap.Checkpoint)
-	if err != nil {
-		<-m.slots
-		release()
-		return err
-	}
-	m.mu.Lock()
-	m.sessions[id] = s
-	m.mu.Unlock()
-	// No ID bookkeeping here: seedNextID already pushed the counter past
-	// every on-disk session before the first Open could run.
-	if m.closed.Load() {
-		dctx, cancel := context.WithTimeout(context.Background(), m.cfg.DrainTimeout)
-		_, _ = m.closeSession(dctx, id, false)
-		cancel()
-		return ErrShuttingDown
-	}
-	return nil
+	// Recovery never queues for a slot — a fleet already full at boot
+	// leaves the session on disk — which admit reads off a done context.
+	noWait, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = m.admit(noWait, id, snap.Tenant, g, snap.Checkpoint.Params, nil, snap.Checkpoint)
+	return err
 }
 
 // AcquireBatch admits one batch (analyze/sweep) job against the bounded

@@ -224,7 +224,7 @@ func (s *Server) writeSessionMetrics(p *obs.PromWriter) {
 	for _, sn := range snaps {
 		p.Int("tpdf_session_aborts_total", base(sn.sess), sn.eng.Aborts)
 	}
-	p.Family("tpdf_session_restores_total", "Checkpoint rollbacks completed inside the engine.", "counter")
+	p.Family("tpdf_session_restores_total", "Engine starts resumed from a checkpoint (supervisor restarts and cold-start recovery).", "counter")
 	for _, sn := range snaps {
 		p.Int("tpdf_session_restores_total", base(sn.sess), sn.eng.Restores)
 	}

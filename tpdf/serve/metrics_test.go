@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -245,5 +246,84 @@ func TestSessionTraceEndpoint(t *testing.T) {
 	}
 	if !names["run_start"] || !names["barrier"] {
 		t.Errorf("trace missing run_start/barrier events: %v", names)
+	}
+}
+
+// sessionSeries parses one scrape into series -> value for the given
+// session, keyed by the full series name including labels.
+func sessionSeries(t *testing.T, text, id string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, ln := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(ln, "tpdf_session_") || !strings.Contains(ln, `{session="`+id+`"`) {
+			continue
+		}
+		sp := strings.LastIndexByte(ln, ' ')
+		v, err := strconv.ParseFloat(ln[sp+1:], 64)
+		if err != nil {
+			t.Fatalf("unparsable sample %q: %v", ln, err)
+		}
+		out[ln[:sp]] = v
+	}
+	return out
+}
+
+// TestMetricsSurviveSupervisorRestart scrapes a chaos session after every
+// pumped iteration, across the supervisor restart its injected panic
+// forces: the engine counters are the session's, not one engine
+// incarnation's, so aborts, barriers and per-actor firings never go
+// backwards, and every restart shows up as one restore.
+func TestMetricsSurviveSupervisorRestart(t *testing.T) {
+	_, ts := testServer(t, Config{EnableChaos: true, RestartBackoff: time.Millisecond, RestartMaxBackoff: 8 * time.Millisecond})
+
+	var opened openResponse
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", openRequest{
+		Graph: GraphSpec{Builtin: "fig2"},
+		Chaos: &ChaosSpec{Seed: 7, Panics: 1, Horizon: 16},
+	}, &opened); code != http.StatusCreated {
+		t.Fatalf("open status = %d", code)
+	}
+	sum := func(m map[string]float64, family string) (v float64) {
+		for k, x := range m {
+			if strings.HasPrefix(k, family+"{") {
+				v += x
+			}
+		}
+		return v
+	}
+
+	var prev map[string]float64
+	firingsBeforeRestart := 0.0
+	for i := 0; i < 20; i++ {
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+opened.ID+"/pump",
+			pumpRequest{Iterations: 1}, nil); code != http.StatusOK {
+			t.Fatalf("pump %d status = %d", i, code)
+		}
+		cur := sessionSeries(t, scrape(t, ts.URL+"/metrics"), opened.ID)
+		for k, was := range prev {
+			for _, family := range []string{"tpdf_session_aborts_total", "tpdf_session_barriers_total",
+				"tpdf_session_actor_firings_total", "tpdf_session_restores_total", "tpdf_session_completed_iterations"} {
+				if strings.HasPrefix(k, family+"{") && cur[k] < was {
+					t.Errorf("after pump %d: %s went backwards, %v -> %v", i, k, was, cur[k])
+				}
+			}
+		}
+		if sum(cur, "tpdf_session_restarts_total") == 0 {
+			firingsBeforeRestart = sum(cur, "tpdf_session_actor_firings_total")
+		}
+		prev = cur
+	}
+	restarts := sum(prev, "tpdf_session_restarts_total")
+	if restarts != 1 {
+		t.Fatalf("restarts_total = %v, want 1 (the injected panic)", restarts)
+	}
+	if firingsBeforeRestart == 0 {
+		t.Fatal("the panic hit before any scrape saw firings; pick a later fault site")
+	}
+	if got := sum(prev, "tpdf_session_restores_total"); got != restarts {
+		t.Errorf("restores_total = %v, restarts_total = %v, want equal", got, restarts)
+	}
+	if got := sum(prev, "tpdf_session_aborts_total"); got != 1 {
+		t.Errorf("aborts_total = %v, want 1", got)
 	}
 }

@@ -152,18 +152,17 @@ type Session struct {
 	pumpPending   map[string]int64
 
 	// ckptArena holds the newest barrier checkpoint (the engine's sink
-	// copies into it at every capture); snapSinks is the matching sink
-	// counter snapshot riding in Checkpoint.User. ckptOK arms WithResume.
+	// copies into it at every capture, cold-start recovery seeds it from the
+	// durable snapshot); snapSinks is the matching sink counter snapshot
+	// riding in Checkpoint.User. ckptOK arms WithResume: an engine
+	// incarnation starts from the arena whenever it holds a cut.
 	ckptArena *tpdf.Checkpoint
 	snapSinks []int64
 	ckptOK    bool
 
 	// persister streams entry checkpoints to the durable snapshot store
-	// (nil when the server runs without -data-dir). resumeFirst makes the
-	// first engine incarnation resume from ckptArena — set when the session
-	// was re-opened from a durable snapshot at cold start.
-	persister   *tpdf.Persister
-	resumeFirst bool
+	// (nil when the server runs without -data-dir).
+	persister *tpdf.Persister
 
 	// metrics and journal are the session's private observability surface:
 	// the engine harvests into them at transaction barriers, /metrics and
@@ -226,7 +225,6 @@ func newSession(id, tenant string, compiled *tpdf.CompiledGraph, params map[stri
 	if resume != nil {
 		resume.CopyInto(s.ckptArena)
 		s.ckptOK = true
-		s.resumeFirst = true
 		s.completed.Store(resume.Completed)
 		// Seed the sink counters from the snapshot so stats are correct
 		// before the engine's own RestoreUser runs at resume.
@@ -293,7 +291,7 @@ func (s *Session) keepCheckpoint(ck *tpdf.Checkpoint) {
 }
 
 // snapshotSinks / restoreSinks carry the sink counters inside each
-// checkpoint, so a rollback discards exactly the tokens of the aborted
+// checkpoint, so a restart discards exactly the tokens of the aborted
 // transaction. The snapshot slice is reused: only the newest checkpoint is
 // ever restored, and arena and slice are rewritten at the same barrier.
 func (s *Session) snapshotSinks() any {
@@ -322,10 +320,12 @@ func (s *Session) onRebindAbort(error) {
 	s.fleet.rebindAborts.Add(1)
 }
 
-// runEngine runs one engine incarnation; resume rehydrates it from the
-// last barrier checkpoint. PanicRetries stays 0: recovery policy
-// (budget, backoff) belongs to the supervisor, not the engine.
-func (s *Session) runEngine(resume bool) (*tpdf.ExecResult, error) {
+// runEngine runs one engine incarnation, from the newest checkpoint when
+// the session holds one — after a panic and at cold start alike. The
+// session's registry and journal are shared by every incarnation, so the
+// engine's counters continue across restarts and each resumed start is
+// counted and journaled there (Restores, EvRestore).
+func (s *Session) runEngine() (*tpdf.ExecResult, error) {
 	opts := []tpdf.Option{
 		tpdf.WithCompiled(s.compiled),
 		tpdf.WithParams(s.params),
@@ -347,7 +347,7 @@ func (s *Session) runEngine(resume bool) (*tpdf.ExecResult, error) {
 		// covered by a durable cut.
 		opts = append(opts, tpdf.WithDurableCheckpoints(s.persister))
 	}
-	if resume {
+	if s.ckptOK {
 		opts = append(opts, tpdf.WithResume(s.ckptArena))
 	}
 	return tpdf.Stream(s.compiled.Graph(), s.behaviors(), opts...)
@@ -389,9 +389,8 @@ func (s *Session) run() {
 		s.persister.Close() //nolint:errcheck // counted via OnPersist
 	}()
 	attempt := 0
-	resume := s.resumeFirst
 	for {
-		res, err := s.runEngine(resume)
+		res, err := s.runEngine()
 		if err == nil {
 			s.result = res
 			s.state.Store(int32(StateDrained))
@@ -424,10 +423,8 @@ func (s *Session) run() {
 			return
 		}
 		attempt++
-		resume = true
 		s.restarts.Add(1)
 		s.fleet.restarts.Add(1)
-		s.journal.Record(obs.Event{Kind: obs.EvRestore, Completed: s.ckptArena.Completed, Detail: pe.Node})
 		s.state.Store(int32(StateRunning))
 	}
 }

@@ -1,6 +1,8 @@
 package tpdf
 
 import (
+	"errors"
+
 	"repro/internal/engine"
 )
 
@@ -61,11 +63,9 @@ func Stream(g *Graph, behaviors map[string]Behavior, opts ...Option) (*ExecResul
 		Metrics:      cfg.metrics,
 		Journal:      cfg.journal,
 
-		Checkpoint:     cfg.checkpoint,
 		CheckpointSink: sink,
 		CaptureAtEntry: cfg.captureAtEntry,
 		Resume:         cfg.resume,
-		PanicRetries:   cfg.panicRetries,
 		ValidateRebind: cfg.validateRebind,
 		OnRebindAbort:  cfg.onRebindAbort,
 		SnapshotUser:   cfg.snapshotUser,
@@ -75,5 +75,29 @@ func Stream(g *Graph, behaviors map[string]Behavior, opts ...Option) (*ExecResul
 	if cfg.compiled != nil {
 		ec.Skeleton = cfg.compiled.sk
 	}
-	return engine.Run(ec)
+	// WithPanicRecovery is supervision, not an engine mode: keep the newest
+	// cut, and when a behavior panic ends the run start the engine again
+	// from it — the restart-from-checkpoint a crashed process or a
+	// tpdf/serve session performs. Every epoch follows a capture or the
+	// resumed start, so a panic always has a cut to restart from.
+	if cfg.panicRetries > 0 {
+		kept := &Checkpoint{}
+		ec.CheckpointSink = func(ck *Checkpoint) {
+			ck.CopyInto(kept)
+			ec.Resume = kept // read by the next Run; this one holds a copy of ec
+			if sink != nil {
+				sink(ck)
+			}
+		}
+	}
+	for budget := cfg.panicRetries; ; budget-- {
+		res, err := engine.Run(ec)
+		var pe *BehaviorPanicError
+		if budget <= 0 || !errors.As(err, &pe) {
+			return res, err
+		}
+		if cfg.ctx != nil && cfg.ctx.Err() != nil {
+			return nil, cfg.ctx.Err()
+		}
+	}
 }

@@ -74,20 +74,23 @@
 // A checkpoint rehydrates a fresh engine with WithResume: the resumed run
 // skips the first boundary's hook and rebind (the checkpoint was taken
 // after that boundary's work ran) and continues toward the WithIterations
-// total, producing output byte-identical to an uninterrupted run. The
-// same machinery backs in-run recovery: WithPanicRecovery(n) turns a
-// panicking behavior into a transaction abort, rolls the engine back to
-// the last checkpoint and retries the epoch up to n times, surfacing a
-// structured *BehaviorPanicError (node, firing, stack) once the budget is
-// spent. Speculative rebinds are transactional too: WithRebindValidation
-// vets a proposed valuation before any engine state changes, and a
-// rejected or failed rebind aborts with ErrRebindAborted, restoring the
-// pre-barrier valuation — observe aborts with WithRebindAbortHandler or
-// receive them as the run error. Deterministic seeded fault injection for
-// tests attaches with WithFaultPlan; tpdf-serve layers session
-// supervision on top — bounded-retry restart from the latest checkpoint
-// with exponential backoff — and tpdf-loadgen -chaos soaks that recovery
-// path in CI. See ExampleStream_checkpoint and
+// total, producing output byte-identical to an uninterrupted run. That is
+// also the only recovery mechanism: a panicking behavior becomes a
+// transaction abort that ends the engine with a structured
+// *BehaviorPanicError (node, firing, stack), and whoever supervises the
+// run restarts it from the newest cut — WithPanicRecovery(n) makes Stream
+// do so itself up to n times, a tpdf-serve session does it with backoff, a
+// restarted process does it from a durable snapshot. A WithMetrics
+// registry shared by the incarnations keeps counting across them (Aborts,
+// Restores, barriers, firings). Speculative rebinds are transactional too:
+// WithRebindValidation vets a proposed valuation before any engine state
+// changes, and a rejected or failed rebind aborts with ErrRebindAborted,
+// restoring the pre-barrier valuation — observe aborts with
+// WithRebindAbortHandler or receive them as the run error. Deterministic
+// seeded fault injection for tests attaches with WithFaultPlan; tpdf-serve
+// layers session supervision on top — bounded-retry restart from the
+// latest checkpoint with exponential backoff — and tpdf-loadgen -chaos
+// soaks that recovery path in CI. See ExampleStream_checkpoint and
 // ExampleStream_panicRecovery.
 //
 // # Durability
