@@ -10,14 +10,13 @@
 //
 //	tpdf-serve [-addr host:port] [-admin host:port] [-max-sessions n]
 //	           [-max-per-tenant n] [-admit-wait d] [-drain-timeout d]
-//	           [-batch-workers n] [-data-dir dir] [-persist-every n]
-//	           [-keep-snapshots k]
+//	           [-batch-workers n] [-data-dir dir] [-keep-snapshots k]
 //
 // -data-dir makes sessions durable: every session's state is snapshotted
-// to <dir>/<session>/ at transaction boundaries (asynchronously, every
-// -persist-every boundaries; synchronously before each pump request is
-// acknowledged, so an acked pump always survives a crash) and the newest
-// -keep-snapshots files are retained per session. On restart with the same
+// to <dir>/<session>/ at the boundary that ends each pump, synchronously
+// before the pump request is acknowledged, so an acked pump always
+// survives a crash, and the newest -keep-snapshots files are retained per
+// session. On restart with the same
 // directory the fleet is rebuilt from disk: each session's graph is
 // recompiled from its recorded text and resumed at its newest valid
 // snapshot — torn or corrupt files from a mid-write crash are detected by
@@ -81,7 +80,6 @@ func run() error {
 	maxRestarts := flag.Int("max-restarts", 3, "engine restarts per session after behavior panics (negative disables recovery)")
 	chaos := flag.Bool("chaos", false, "accept seeded fault-injection specs at session open (testing only)")
 	dataDir := flag.String("data-dir", "", "durable snapshot directory; empty disables persistence")
-	persistEvery := flag.Int("persist-every", 1, "persist asynchronously every n transaction boundaries (acked pumps always flush synchronously)")
 	keepSnapshots := flag.Int("keep-snapshots", 3, "newest snapshots retained per session")
 	flag.Parse()
 
@@ -96,7 +94,6 @@ func run() error {
 		MaxRestarts:          *maxRestarts,
 		EnableChaos:          *chaos,
 		DataDir:              *dataDir,
-		PersistEvery:         *persistEvery,
 		KeepSnapshots:        *keepSnapshots,
 	})
 
@@ -109,8 +106,8 @@ func run() error {
 	}
 	fmt.Fprintf(os.Stderr, "tpdf-serve: listening on %s (%d session slots)\n", bound, *maxSessions)
 	if *dataDir != "" {
-		fmt.Fprintf(os.Stderr, "tpdf-serve: durable sessions in %s (persist every %d, keep %d)\n",
-			*dataDir, *persistEvery, *keepSnapshots)
+		fmt.Fprintf(os.Stderr, "tpdf-serve: durable sessions in %s (keep %d)\n",
+			*dataDir, *keepSnapshots)
 	}
 	if *adminAddr != "" {
 		abound, err := srv.StartAdmin(*adminAddr)

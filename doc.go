@@ -71,8 +71,28 @@
 //     actor is parked at the barrier, and nothing else may touch a
 //     program the engine holds. Boundaries whose hook keeps the
 //     environment unchanged stay in the same engine state — the barrier
-//     is two channel hops per actor, with no rebind, no schedule rebuild
-//     and no ring resize;
+//     is a channel hop and an atomic countdown per actor, with no rebind,
+//     no schedule rebuild and no ring resize;
+//   - the engine stops the world only where somebody wants to change
+//     something: the boundary hook (tpdf.WithBoundary) answers with a
+//     Verdict that says how many iterations it is not needed for, and
+//     those run as one epoch — one dispatch, one barrier wait, one
+//     harvest, one entry cut and one post-hook cut — with an optional Cut
+//     channel that ends the epoch in flight at the next iteration
+//     boundary every actor can reach. WithBarrier and WithReconfigure are
+//     that hook with one-iteration verdicts. tpdf-serve answers a pump of
+//     N with Run N, so a pump is one epoch, one durable cut and one flush;
+//     the serve rungs of the ladder moved as follows (bench/run.sh
+//     --trace 1, parent → change on one box, seeds 1–3, wall-clock at
+//     machine.speed ≈ 0.7): serve.pump_per_iter_us 13.0–14.8 → 7.9–9.5
+//     (what is left is the firings themselves); serve.pump_fixed_us below
+//     resolution before and after (−1.4…5.9 → −5.4…2.8);
+//     durable.snapshots_per_ack 5.5–5.9 → 1.00;
+//     durable.persist_us_per_ack 252–299 → 48–65; durable.allocs_per_ack
+//     176–219 → 41; serve.c2_over_c1 1.35–1.97 → 0.99 — one client got
+//     faster, two concurrent clients did not (serve.c2_ops_per_s ≈ 9–10 k
+//     before and after): with the barriers gone, what two sessions contend
+//     for is the ring spinning of their actor goroutines;
 //   - the simulator (internal/sim) has an allocation-free fast path: a
 //     reusable Simulator preallocates all run state and is Reset between
 //     runs, events move through a typed binary heap (no interface boxing),
@@ -194,11 +214,14 @@
 // tokens, parametric and cyclo-static rates, Transaction/Select-duplicate
 // kernels — paired with execution schedules (base valuation, rebinds at
 // transaction boundaries, pump cadences, behavior panics, rebind aborts,
-// crash points), and checks every generated case against six cross-tier
+// crash points), and checks every generated case against seven cross-tier
 // invariant pairs: Simulate ≡ Execute ≡ Stream; Compile+Rebind ≡ fresh
 // Instantiate; checkpoint/Resume ≡ uninterrupted; panic recovery ≡
 // fault-free reference; durable snapshot encode ∘ decode ∘ restore ≡
-// identity; shared-Skeleton stamping ≡ per-session compile. A separate
+// identity; shared-Skeleton stamping ≡ per-session compile; k-iteration
+// epochs ≡ one-iteration epochs (also resumed from the cut that opens one,
+// and cut short from another goroutine ≡ Execute at the reported count). A
+// separate
 // battery pushes generated graphs through the tpdf-serve HTTP surface
 // (admission, pump cadence, SIGKILL-shaped crash, recovery on a second
 // server over the same data directory) against an uninterrupted

@@ -1,0 +1,443 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/csdf"
+	"repro/internal/symb"
+	"repro/tpdf/obs"
+)
+
+// Verdict is a boundary hook's answer at a transaction boundary. The one
+// rule: parameters change only at consulted boundaries, and a verdict
+// promises no change for Run iterations — so the engine runs them as a
+// single epoch (one dispatch, one barrier wait, one harvest) before it
+// asks again.
+type Verdict struct {
+	// Params are parameter overrides applied at this boundary, before the
+	// epoch starts; nil or empty keeps the environment.
+	Params map[string]int64
+	// Run is how many iterations the hook is not needed for. Values below
+	// 1 mean 1; values beyond the run's remaining iterations are clamped.
+	Run int64
+	// Stop ends the run cleanly at this boundary (Params and Run are
+	// ignored): actors stay parked, leftover tokens are reported in the
+	// Result, no error is raised.
+	Stop bool
+	// Cut, when non-nil, lets the hook take the promise back: once it is
+	// closed (or receives), the epoch in flight ends at the earliest
+	// iteration boundary every actor can still reach and the hook is
+	// consulted there with the true completed count — which may be the
+	// epoch's opening count when no actor had started yet. A nil Cut costs
+	// the actors nothing; a non-nil one costs each an atomic store and load
+	// per iteration.
+	Cut <-chan struct{}
+}
+
+// hook resolves the three spellings of the boundary hook into the one Run
+// consults: Boundary itself, or Barrier / Reconfigure adapted to verdicts
+// of one iteration.
+func (cfg *Config) hook() (func(completed int64) Verdict, error) {
+	set := 0
+	for _, on := range [...]bool{cfg.Boundary != nil, cfg.Barrier != nil, cfg.Reconfigure != nil} {
+		if on {
+			set++
+		}
+	}
+	if set > 1 {
+		return nil, fmt.Errorf("engine: Boundary, Barrier and Reconfigure are mutually exclusive")
+	}
+	switch {
+	case cfg.Barrier != nil:
+		barrier := cfg.Barrier
+		return func(completed int64) Verdict {
+			params, stop := barrier(completed)
+			return Verdict{Params: params, Run: 1, Stop: stop}
+		}, nil
+	case cfg.Reconfigure != nil:
+		// Reconfigure keeps its documented contract: consulted only at
+		// boundaries with at least one completed iteration, never stopping
+		// the run.
+		reconf := cfg.Reconfigure
+		return func(completed int64) Verdict {
+			if completed == 0 {
+				return Verdict{Run: 1}
+			}
+			return Verdict{Params: reconf(completed), Run: 1}
+		}, nil
+	}
+	return cfg.Boundary, nil
+}
+
+// boundary is the transaction-boundary protocol of one Run: it owns the
+// active valuation and its digest, the undo log of one boundary's parameter
+// overwrites, the boundary's clock reads and journal events, and the two
+// cuts around the hook. Only the engine's main goroutine touches it, and
+// only while every actor is parked.
+type boundary struct {
+	e    *engine
+	hook func(completed int64) Verdict
+	// env is the active valuation; digest identifies it on rebind events
+	// and in checkpoints. The digest is maintained incrementally (XOR out
+	// the old binding, XOR in the new) because re-hashing the whole map at
+	// every rebind boundary costs a map iteration per barrier.
+	env    symb.Env
+	digest uint64
+	// iters is the run's total iteration target.
+	iters int64
+	// armed: checkpoints are captured; atEntry: also before the hook;
+	// obsOn: a registry or journal is attached; digestOn: someone reads
+	// the digest.
+	armed, atEntry, obsOn, digestOn bool
+	// undo journals one boundary's parameter overwrites so an aborted
+	// rebind restores the previous valuation without allocating.
+	undo []prevBind
+}
+
+// prevBind is one recorded parameter overwrite: key, previous value, and
+// whether the key existed before the boundary.
+type prevBind struct {
+	k   string
+	v   int64
+	had bool
+}
+
+func (e *engine) newBoundary(hook func(int64) Verdict, env symb.Env, iters int64) boundary {
+	b := boundary{e: e, hook: hook, env: env, iters: iters,
+		armed: e.ckpt != nil, atEntry: e.cfg.CaptureAtEntry,
+		obsOn: e.mx != nil || e.jr != nil}
+	b.digestOn = (b.obsOn && hook != nil) || b.armed
+	if b.digestOn {
+		b.digest = obs.ParamsDigest(map[string]int64(env))
+	}
+	return b
+}
+
+// capture cuts a checkpoint of the quiescent engine under the boundary's
+// valuation.
+func (b *boundary) capture(completed int64, atEntry bool, run int64) {
+	b.e.capture(completed, b.env, b.digest, atEntry, run)
+}
+
+// epochs is the run's transaction loop from start completed iterations to
+// the target: consult the hook, run the epoch its verdict allows, harvest,
+// repeat. Without a hook the whole run is one epoch.
+func (b *boundary) epochs(start int64, resume *Checkpoint) (int64, error) {
+	e := b.e
+	if b.hook == nil {
+		if b.armed {
+			b.capture(start, true, 0)
+		}
+		if b.iters > start {
+			if _, err := e.runEpoch(b.iters-start, start, nil); err != nil {
+				return start, err
+			}
+		}
+		return b.iters, nil
+	}
+	// A run resumed from a post-hook cut replays the verdict the cut
+	// remembers instead of consulting the hook: the checkpoint was taken
+	// after that boundary's work ran (captures are post-hook, post-rebind,
+	// pre-epoch), so re-invoking it would double-apply the boundary — and
+	// the restored state *is* the checkpoint. An *entry* checkpoint is the
+	// opposite cut — taken before the hook ran — so resuming from one must
+	// consult the hook.
+	replay := resume != nil && !resume.AtEntry
+	completed := start
+	for completed < b.iters {
+		var v Verdict
+		if replay {
+			v.Run = b.clampRun(resume.Run, completed)
+			replay = false
+		} else {
+			var err error
+			if v, err = b.cross(completed); err != nil {
+				return completed, err
+			}
+			if v.Stop {
+				break
+			}
+		}
+		ran, err := e.runEpoch(v.Run, completed, v.Cut)
+		if err != nil {
+			return completed, err
+		}
+		completed += ran
+		e.harvest(completed, true)
+	}
+	return completed, nil
+}
+
+func (b *boundary) clampRun(run, completed int64) int64 {
+	if run < 1 {
+		run = 1
+	}
+	if rest := b.iters - completed; run > rest {
+		run = rest
+	}
+	return run
+}
+
+// cross runs one consulted boundary at `it` completed iterations, in
+// order: entry cut → hook → (changed parameters: rebind, validate, commit
+// or undo) → post-hook cut. The returned verdict's Run is clamped to what
+// the epoch will actually run.
+//
+// Clock discipline: time.Now costs ~50-100ns on virtualized hosts, so the
+// boundary takes at most three reads (before the hook, before a rebind,
+// at the end) and every journal event is stamped from the last one rather
+// than letting Record read the clock again.
+func (b *boundary) cross(it int64) (Verdict, error) {
+	e := b.e
+	if b.atEntry {
+		b.capture(it, true, 0)
+	}
+	var bt time.Time
+	if b.obsOn {
+		bt = time.Now()
+	}
+	v := b.hook(it)
+	if v.Stop {
+		// Clean drain at the quiescent boundary: actors are parked,
+		// leftover tokens stay on their edges and are reported in the
+		// Result.
+		e.record(obs.Event{Kind: obs.EvDrain, Completed: it})
+		return v, nil
+	}
+	// A hook may have blocked across a cancellation; don't start another
+	// epoch on a dead run (runEpoch would catch it, but the rebind below
+	// must not run either).
+	if err := e.firstErr(); err != nil {
+		return v, err
+	}
+	v.Run = b.clampRun(v.Run, it)
+	bend, err := b.apply(v.Params, it)
+	if err != nil {
+		return v, err
+	}
+	if b.obsOn {
+		if bend.IsZero() {
+			bend = time.Now()
+		}
+		bd := int64(bend.Sub(bt))
+		if e.mx != nil {
+			e.mx.tot.BoundaryNs += bd
+		}
+		e.record(obs.Event{TimeUnixNano: bend.UnixNano(),
+			Kind: obs.EvBarrier, Completed: it, DurNs: bd})
+	}
+	if b.armed {
+		b.capture(it, false, v.Run)
+	}
+	return v, nil
+}
+
+// apply merges the hook's overrides into the valuation and, when any
+// binding actually changed, reconfigures the engine speculatively: a
+// rejected rebind is undone and reported (fatal unless OnRebindAbort is
+// set). It returns the clock read taken after a committed rebind, zero
+// otherwise.
+func (b *boundary) apply(over map[string]int64, it int64) (bend time.Time, err error) {
+	e := b.e
+	b.undo = b.undo[:0]
+	for k, v := range over {
+		if old, ok := b.env[k]; !ok || old != v {
+			b.undo = append(b.undo, prevBind{k, old, ok})
+			if b.digestOn {
+				if ok {
+					b.digest ^= obs.BindingDigest(k, old)
+				}
+				b.digest ^= obs.BindingDigest(k, v)
+			}
+			b.env[k] = v
+		}
+	}
+	if len(b.undo) == 0 {
+		return bend, nil
+	}
+	e.ckptParamsStale = true
+	var rt time.Time
+	if b.obsOn {
+		rt = time.Now()
+	}
+	err = e.reconfigure(b.env, b.iters-it, it)
+	switch {
+	case err != nil && errors.Is(err, ErrRebindAborted):
+		// Speculative rebind abort: restore the previous valuation
+		// (replaying the recorded bindings through the XOR digest undoes it
+		// — the update is an involution) and rebind the program back to it.
+		// Validation ran before any ring grew, so ring capacities need no
+		// repair.
+		for _, pb := range b.undo {
+			if b.digestOn {
+				b.digest ^= obs.BindingDigest(pb.k, b.env[pb.k])
+				if pb.had {
+					b.digest ^= obs.BindingDigest(pb.k, pb.v)
+				}
+			}
+			if pb.had {
+				b.env[pb.k] = pb.v
+			} else {
+				delete(b.env, pb.k)
+			}
+		}
+		if rerr := e.prog.Rebind(b.env); rerr != nil {
+			return bend, fmt.Errorf("engine: restoring valuation after aborted rebind: %v", rerr)
+		}
+		if e.mx != nil {
+			e.mx.tot.Aborts++
+		}
+		e.record(obs.Event{Kind: obs.EvAbort, Completed: it,
+			ParamsDigest: b.digest, Detail: "rebind"})
+		if e.cfg.OnRebindAbort == nil {
+			return bend, err
+		}
+		e.cfg.OnRebindAbort(err)
+	case err != nil:
+		return bend, err
+	case b.obsOn:
+		bend = time.Now()
+		rd := int64(bend.Sub(rt))
+		if e.mx != nil {
+			e.mx.tot.Rebinds++
+			e.mx.tot.RebindNs += rd
+		}
+		e.record(obs.Event{TimeUnixNano: bend.UnixNano(),
+			Kind: obs.EvRebind, Completed: it, DurNs: rd,
+			ParamsDigest: b.digest})
+	}
+	return bend, nil
+}
+
+// reconfigure applies a changed environment at a quiescent transaction
+// boundary: the compiled program is rebound in place (rate tables and
+// repetition vector overwritten, no fresh graph), ring capacities are grown
+// to the new schedule's bounds, and rate-phase indexing restarts. The
+// rings keep their content — leftover payloads cross the boundary in FIFO
+// order without being drained and re-queued.
+//
+// The rebind is speculative: every failure before the commit point (a
+// rebind the rate tables reject, a new valuation with no bounded schedule
+// — the Theorem 2 check — an injected fault, or the user validation hook)
+// returns an error wrapping ErrRebindAborted, and the caller restores the
+// previous valuation. Validation deliberately precedes the ring growths,
+// which are the only irreversible effect, so an aborted rebind leaves
+// nothing to repair beyond the rate tables.
+func (e *engine) reconfigure(env symb.Env, horizon, completed int64) error {
+	if err := e.prog.Rebind(env); err != nil {
+		return fmt.Errorf("%w: %v", ErrRebindAborted, err)
+	}
+	// The schedule (and therefore the capacity bounds and the liveness
+	// check) starts from the tokens actually on the edges now, not the
+	// declared initial state. The engine owns the Program, so overwriting
+	// the skeleton's Initial fields at the barrier is safe.
+	for ci := range e.cg.Edges {
+		e.cg.Edges[ci].Initial = e.rings[ci].len()
+	}
+	sch, err := e.cg.BuildSchedule(e.prog.Solution(), csdf.Demand)
+	if err != nil {
+		return fmt.Errorf("%w: no sequential schedule: %v", ErrRebindAborted, err)
+	}
+	if e.faults.RebindFault(completed) {
+		return fmt.Errorf("%w: injected validation failure at iteration %d", ErrRebindAborted, completed)
+	}
+	if v := e.cfg.ValidateRebind; v != nil {
+		if verr := v(map[string]int64(env)); verr != nil {
+			return fmt.Errorf("%w: %v", ErrRebindAborted, verr)
+		}
+	}
+	for ci := range e.cg.Edges {
+		before := e.rings[ci].cap()
+		e.rings[ci].grow(e.capacityFor(sch, ci, horizon))
+		if e.mx != nil && e.rings[ci].cap() > before {
+			e.mx.grows[ci]++
+		}
+	}
+	copy(e.base, e.fired)
+	return nil
+}
+
+// epochCut is the cooperative protocol that ends an epoch early at an
+// iteration boundary common to every actor. It is armed only for epochs
+// whose verdict carried a Cut.
+//
+// Each actor announces the iteration it is about to start (started, its
+// own padded slot) and *then* loads phase; the cutter — the engine's main
+// goroutine, when Cut fires — stores phase = deciding and *then* reads
+// every started slot. Both sides are a sequentially-consistent store
+// followed by a load (Dekker), so an actor that saw phase = running has
+// its announcement visible to the cutter, and an actor that did not waits
+// the handful of atomics the decision takes and then obeys it. The
+// decision is until = max(started): the furthest iteration any actor has
+// begun, which every other actor can reach because its peers run that far
+// too — an actor parked in a ring wait needs no wake.
+type epochCut struct {
+	armed   bool // plain: written by main before dispatch, read by actors after
+	phase   atomic.Int32
+	until   atomic.Int64
+	started []startSlot
+}
+
+type startSlot struct {
+	n atomic.Int64
+	_ [cacheLine - 8]byte
+}
+
+const (
+	cutRunning int32 = iota
+	cutDeciding
+	cutDecided
+)
+
+// arm resets the protocol for an epoch of iters iterations over actors
+// actors. Called by main while every actor is parked. The slots are
+// allocated by the first cuttable epoch, so a run that never carries a Cut
+// never pays for them.
+func (c *epochCut) arm(on bool, iters int64, actors int) {
+	c.armed = on
+	if !on {
+		return
+	}
+	if c.started == nil {
+		c.started = make([]startSlot, actors)
+	}
+	for i := range c.started {
+		c.started[i].n.Store(0)
+	}
+	c.until.Store(iters)
+	c.phase.Store(cutRunning)
+}
+
+// enter is an actor's iteration-start check: it reports whether iteration
+// i (0-based within the epoch) is still part of it.
+func (c *epochCut) enter(id int, i int64) bool {
+	c.started[id].n.Store(i + 1)
+	ph := c.phase.Load()
+	if ph == cutRunning {
+		return true
+	}
+	for ph == cutDeciding {
+		runtime.Gosched()
+		ph = c.phase.Load()
+	}
+	return i < c.until.Load()
+}
+
+// decide ends the epoch at the furthest iteration any actor has started
+// and returns it. Called by main, once, while actors run.
+func (c *epochCut) decide() int64 {
+	c.phase.Store(cutDeciding)
+	var t int64
+	for i := range c.started {
+		if n := c.started[i].n.Load(); n > t {
+			t = n
+		}
+	}
+	c.until.Store(t)
+	c.phase.Store(cutDecided)
+	return t
+}

@@ -75,6 +75,12 @@ type Checkpoint struct {
 	// Barrier hook acknowledges completed work the entry capture already
 	// covers every completed iteration.
 	AtEntry bool
+	// Run is the verdict a post-hook cut remembers: the number of
+	// iterations in the epoch the cut opens. A resume from the cut replays
+	// that epoch without re-invoking the hook (values below 1 mean 1).
+	// Always 0 on entry cuts — their resume asks the hook — which are the
+	// only cuts ever persisted, so Run is not part of the durable format.
+	Run int64
 }
 
 // Clone deep-copies the checkpoint (User is copied by reference; snapshot
@@ -111,6 +117,7 @@ func (ck *Checkpoint) CopyInto(dst *Checkpoint) {
 	}
 	dst.User = ck.User
 	dst.AtEntry = ck.AtEntry
+	dst.Run = ck.Run
 }
 
 // Result renders the checkpoint as the runner.Result a run drained at the
@@ -156,18 +163,20 @@ func (e *engine) newCheckpointArena() *Checkpoint {
 }
 
 // capture snapshots the quiescent engine into the arena at a transaction
-// barrier (all actors parked — the epoch WaitGroup is the happens-before
-// edge, exactly as for the metrics harvest) and hands the arena to the
-// sink. atEntry marks a cut taken before the boundary's hook ran (see
-// Checkpoint.AtEntry). Warm captures are allocation-free: counters are
+// barrier (all actors parked — the epoch's drained signal is the
+// happens-before edge, exactly as for the metrics harvest) and hands the
+// arena to the sink. atEntry marks a cut taken before the boundary's hook
+// ran (see Checkpoint.AtEntry); run is the verdict a post-hook cut
+// remembers (Checkpoint.Run). Warm captures are allocation-free: counters are
 // copied into preallocated slices, ring contents peeked into reusable
 // buffers, and the valuation map rewritten only at boundaries that changed
 // it.
-func (e *engine) capture(completed int64, env map[string]int64, digest uint64, atEntry bool) {
+func (e *engine) capture(completed int64, env map[string]int64, digest uint64, atEntry bool, run int64) {
 	ck := e.ckpt
 	ck.Completed = completed
 	ck.Digest = digest
 	ck.AtEntry = atEntry
+	ck.Run = run
 	if e.ckptParamsStale {
 		// Valuations never remove keys, so overwriting suffices.
 		for k, v := range env {

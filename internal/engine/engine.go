@@ -82,31 +82,39 @@ type Config struct {
 	// per-firing rate — a whole batch must fit). Zero selects the
 	// analysis-derived per-edge bounds.
 	Capacity int64
-	// Reconfigure, when set, is called at every transaction boundary with
-	// the number of completed iterations (1, 2, ...) and may return new
-	// parameter values for the remaining iterations; nil or empty keeps
-	// the current environment. The engine drains the pipeline to a
-	// quiescent state before applying the change, so in-flight firings
-	// never observe a mix of old and new parameter values. Boundaries
-	// whose hook keeps the environment unchanged stay in the same engine
-	// state: no rebind, no schedule rebuild, no ring resize — just the
-	// barrier itself (two channel hops per actor).
-	Reconfigure func(completed int64) map[string]int64
-	// Barrier is the server-grade generalization of Reconfigure: when set,
-	// it is consulted at every transaction boundary *including before the
-	// first iteration* (completed = 0, 1, 2, ...) and its verdict drives
-	// the run. Returning stop = true ends the run cleanly at the boundary:
-	// the epoch loop exits, the Result reports the firings and leftover
+	// Boundary is the transaction-boundary hook: it is consulted at
+	// boundaries *including before the first iteration* (completed = 0) and
+	// its Verdict drives the run — parameter overrides to apply, how many
+	// iterations to run before consulting it again, whether to stop, and an
+	// optional Cut that ends an epoch in flight early. The one rule:
+	// parameters change only at consulted boundaries; a verdict promises
+	// none for Run iterations, and the engine runs those as one epoch (one
+	// dispatch, one barrier wait, one harvest, one entry cut and one
+	// post-hook cut) instead of Run of them. The engine drains the pipeline
+	// to a quiescent state before consulting the hook, so in-flight firings
+	// never observe a mix of old and new parameter values; a boundary whose
+	// verdict changes nothing stays in the same engine state (no rebind, no
+	// schedule rebuild, no ring resize). A Stop verdict ends the run
+	// cleanly at the boundary: the Result reports the firings and leftover
 	// ring contents accumulated so far, and no error is raised — this is
 	// how a long-running session drains at a quiescent barrier instead of
-	// being cancelled mid-iteration. Returned parameters are applied
-	// exactly like Reconfigure's. The hook may block (a session parked
+	// being cancelled mid-iteration. The hook may block (a session parked
 	// between client requests blocks here waiting for the next command);
 	// the engine counts boundary work as busy, so a parked session never
 	// trips the stall watchdog. A blocking hook must watch the run's
-	// Context itself and return stop when it is cancelled — the engine
-	// cannot interrupt user code. Mutually exclusive with Reconfigure.
+	// Context itself and stop when it is cancelled — the engine cannot
+	// interrupt user code. At most one of Boundary, Barrier and Reconfigure
+	// may be set.
+	Boundary func(completed int64) Verdict
+	// Barrier is Boundary with one-iteration verdicts: consulted at every
+	// transaction boundary (completed = 0, 1, 2, ...), returning parameter
+	// overrides and whether to stop.
 	Barrier func(completed int64) (params map[string]int64, stop bool)
+	// Reconfigure is Barrier without the completed = 0 boundary and without
+	// a stop verdict: called after every completed iteration (1, 2, ...), it
+	// may return new parameter values for the remaining iterations; nil or
+	// empty keeps the current environment.
+	Reconfigure func(completed int64) map[string]int64
 	// StallTimeout tunes the deadlock watchdog: if no firing completes and
 	// no behavior runs for two consecutive windows, the run fails with a
 	// diagnostic instead of hanging. Default 500ms.
@@ -124,7 +132,7 @@ type Config struct {
 	Journal *obs.Journal
 	// CheckpointSink, when non-nil, receives the engine's checkpoint arena
 	// after each capture: a consistent cut of the quiescent state at every
-	// transaction boundary and at run end — the state a restart resumes
+	// consulted boundary and at run end — the state a restart resumes
 	// from. Checkpointing is armed exactly when a sink, CaptureAtEntry or
 	// Resume is set; it never changes the epoch structure, and warm
 	// captures reuse the arena, so the firing path stays allocation-free.
@@ -149,7 +157,8 @@ type Config struct {
 	// uninterrupted run of the same length. A checkpoint with AtEntry set
 	// re-invokes the hook of the boundary it was cut at (the hook's
 	// effects are not part of the state); any other checkpoint skips that
-	// boundary's hook, exactly as before.
+	// boundary's hook and replays the verdict it remembers
+	// (Checkpoint.Run iterations as one epoch, without a Cut).
 	Resume *Checkpoint
 	// ValidateRebind, when set, is consulted at reconfiguration boundaries
 	// after the rebind has been applied and re-scheduled but before it
@@ -215,10 +224,14 @@ type engine struct {
 	fired []int64
 	base  []int64
 
-	// work dispatches one epoch's firing total to each actor; wg is the
-	// epoch barrier.
-	work []chan int64
-	wg   sync.WaitGroup
+	// work dispatches one epoch's iteration count to each actor; pending
+	// counts the actors still inside the epoch and the last one out signals
+	// drained — the epoch barrier, and the happens-before edge from every
+	// actor's writes to main's reads. cut ends an epoch early.
+	work    []chan int64
+	pending atomic.Int32
+	drained chan struct{}
+	cut     epochCut
 
 	// ops counts completed firings; busy counts actors inside (or queued
 	// for) a behavior plus the main goroutine while it is doing boundary
@@ -239,21 +252,10 @@ type engine struct {
 	// ckpt is the preallocated checkpoint arena (nil when not armed);
 	// ckptParamsStale marks the arena's valuation copy out of date, set at
 	// init and at boundaries that change the environment. faults is the
-	// optional injection plan; prevBinds journals one boundary's parameter
-	// overwrites so an aborted rebind restores the previous valuation
-	// without allocating.
+	// optional injection plan.
 	ckpt            *Checkpoint
 	ckptParamsStale bool
 	faults          *faultinject.Plan
-	prevBinds       []prevBind
-}
-
-// prevBind is one recorded parameter overwrite: key, previous value, and
-// whether the key existed before the boundary.
-type prevBind struct {
-	k   string
-	v   int64
-	had bool
 }
 
 // fail records the first error and closes the stop channel; later errors
@@ -277,8 +279,9 @@ func (e *engine) firstErr() error {
 // Run executes the configured number of iterations concurrently and
 // returns the same Result the sequential runner would.
 func Run(cfg Config) (*runner.Result, error) {
-	if cfg.Reconfigure != nil && cfg.Barrier != nil {
-		return nil, fmt.Errorf("engine: Reconfigure and Barrier are mutually exclusive")
+	hook, err := cfg.hook()
+	if err != nil {
+		return nil, err
 	}
 	g := cfg.Graph
 	var prog *core.Program
@@ -314,9 +317,7 @@ func Run(cfg Config) (*runner.Result, error) {
 	}
 
 	if prog == nil {
-		var err error
-		prog, err = core.Compile(g)
-		if err != nil {
+		if prog, err = core.Compile(g); err != nil {
 			return nil, err
 		}
 	}
@@ -393,169 +394,10 @@ func Run(cfg Config) (*runner.Result, error) {
 		}()
 	}
 
-	barrier := cfg.Barrier
-	if barrier == nil && cfg.Reconfigure != nil {
-		// Reconfigure keeps its documented contract — consulted only at
-		// boundaries with at least one completed iteration, never stopping
-		// the run — expressed as a Barrier.
-		barrier = func(completed int64) (map[string]int64, bool) {
-			if completed == 0 {
-				return nil, false
-			}
-			return cfg.Reconfigure(completed), false
-		}
-	}
-	obsOn := e.mx != nil || e.jr != nil
-	// envDigest identifies the active valuation on rebind events and in
-	// checkpoints. It is maintained incrementally (XOR out the old binding,
-	// XOR in the new) because re-hashing the whole map at every rebind
-	// boundary costs a map iteration per barrier.
-	digestOn := (obsOn && barrier != nil) || armed
-	var envDigest uint64
-	if digestOn {
-		envDigest = obs.ParamsDigest(map[string]int64(env))
-	}
-	completed := start
-	if barrier == nil {
-		if armed {
-			e.capture(start, env, envDigest, true)
-		}
-		if iters > start {
-			if err := e.runEpoch(iters-start, start); err != nil {
-				return nil, err
-			}
-		}
-		completed = iters
-	} else {
-		// A resumed run skips the first boundary's hook, rebind and
-		// capture: the checkpoint was taken after that boundary's work ran
-		// (captures are post-hook, post-rebind, pre-epoch), so re-invoking
-		// it would double-apply the boundary — and the restored state *is*
-		// the checkpoint. An *entry* checkpoint is the opposite cut — taken
-		// before the hook ran — so resuming from one must consult the hook.
-		skip := resume != nil && !resume.AtEntry
-	loop:
-		for it := start; it < iters; it++ {
-			if !skip {
-				if armed && cfg.CaptureAtEntry {
-					e.capture(it, env, envDigest, true)
-				}
-				var bt time.Time
-				if obsOn {
-					bt = time.Now()
-				}
-				over, stopNow := barrier(it)
-				if stopNow {
-					// Clean drain at the quiescent boundary: actors are parked,
-					// leftover tokens stay on their edges and are reported in
-					// Result.Remaining below.
-					e.record(obs.Event{Kind: obs.EvDrain, Completed: it})
-					break loop
-				}
-				// A hook may have blocked across a cancellation; don't start
-				// another epoch on a dead run (runEpoch would catch it, but the
-				// rebind below must not run either).
-				if err := e.firstErr(); err != nil {
-					return nil, err
-				}
-				// Clock discipline: time.Now costs ~50-100ns on virtualized
-				// hosts, so the boundary takes at most three reads (bt above, rt
-				// below, bend here) and every journal event is stamped from bend
-				// rather than letting Record read the clock again.
-				var bend time.Time
-				if len(over) > 0 {
-					changed := false
-					e.prevBinds = e.prevBinds[:0]
-					for k, v := range over {
-						if old, ok := env[k]; !ok || old != v {
-							e.prevBinds = append(e.prevBinds, prevBind{k, old, ok})
-							if digestOn {
-								if ok {
-									envDigest ^= obs.BindingDigest(k, old)
-								}
-								envDigest ^= obs.BindingDigest(k, v)
-							}
-							env[k] = v
-							changed = true
-						}
-					}
-					if changed {
-						e.ckptParamsStale = true
-						var rt time.Time
-						if obsOn {
-							rt = time.Now()
-						}
-						err := e.reconfigure(env, iters-it, it)
-						switch {
-						case err != nil && errors.Is(err, ErrRebindAborted):
-							// Speculative rebind abort: restore the previous
-							// valuation (replaying the recorded bindings through
-							// the XOR digest undoes it — the update is an
-							// involution) and rebind the program back to it.
-							// Validation ran before any ring grew, so ring
-							// capacities need no repair.
-							for _, pb := range e.prevBinds {
-								if digestOn {
-									envDigest ^= obs.BindingDigest(pb.k, env[pb.k])
-									if pb.had {
-										envDigest ^= obs.BindingDigest(pb.k, pb.v)
-									}
-								}
-								if pb.had {
-									env[pb.k] = pb.v
-								} else {
-									delete(env, pb.k)
-								}
-							}
-							if rerr := e.prog.Rebind(env); rerr != nil {
-								return nil, fmt.Errorf("engine: restoring valuation after aborted rebind: %v", rerr)
-							}
-							if e.mx != nil {
-								e.mx.tot.Aborts++
-							}
-							e.record(obs.Event{Kind: obs.EvAbort, Completed: it,
-								ParamsDigest: envDigest, Detail: "rebind"})
-							if e.cfg.OnRebindAbort == nil {
-								return nil, err
-							}
-							e.cfg.OnRebindAbort(err)
-						case err != nil:
-							return nil, err
-						case obsOn:
-							bend = time.Now()
-							rd := int64(bend.Sub(rt))
-							if e.mx != nil {
-								e.mx.tot.Rebinds++
-								e.mx.tot.RebindNs += rd
-							}
-							e.record(obs.Event{TimeUnixNano: bend.UnixNano(),
-								Kind: obs.EvRebind, Completed: it, DurNs: rd,
-								ParamsDigest: envDigest})
-						}
-					}
-				}
-				if obsOn {
-					if bend.IsZero() {
-						bend = time.Now()
-					}
-					bd := int64(bend.Sub(bt))
-					if e.mx != nil {
-						e.mx.tot.BoundaryNs += bd
-					}
-					e.record(obs.Event{TimeUnixNano: bend.UnixNano(),
-						Kind: obs.EvBarrier, Completed: it, DurNs: bd})
-				}
-				if armed {
-					e.capture(it, env, envDigest, false)
-				}
-			}
-			skip = false
-			if err := e.runEpoch(1, it); err != nil {
-				return nil, err
-			}
-			completed = it + 1
-			e.harvest(completed, true)
-		}
+	b := e.newBoundary(hook, env, iters)
+	completed, err := b.epochs(start, resume)
+	if err != nil {
+		return nil, err
 	}
 	if armed {
 		// The final quiescent state is a checkpoint too: a drained session
@@ -565,7 +407,7 @@ func Run(cfg Config) (*runner.Result, error) {
 		// state (a stop verdict rebinds nothing), so a resume from here
 		// must consult the hook at `completed` — exactly what an
 		// uninterrupted longer run would have done.
-		e.capture(completed, env, envDigest, true)
+		b.capture(completed, true, 0)
 	}
 	e.harvest(completed, false)
 	e.record(obs.Event{Kind: obs.EvRunEnd, Completed: completed})
@@ -664,6 +506,7 @@ func (e *engine) wire(horizon int64, resume *Checkpoint) error {
 	e.scratches = make([]*runner.Scratch, len(g.Nodes))
 	e.inBuf = make([][][]any, len(g.Nodes))
 	e.work = make([]chan int64, len(g.Nodes))
+	e.drained = make(chan struct{}, 1)
 	for id, n := range g.Nodes {
 		e.work[id] = make(chan int64, 1)
 		b := e.cfg.Behaviors[n.Name]
@@ -685,75 +528,35 @@ func (e *engine) wire(horizon int64, resume *Checkpoint) error {
 	return nil
 }
 
-// reconfigure applies a changed environment at a quiescent transaction
-// boundary: the compiled program is rebound in place (rate tables and
-// repetition vector overwritten, no fresh graph), ring capacities are grown
-// to the new schedule's bounds, and rate-phase indexing restarts. The
-// rings keep their content — leftover payloads cross the boundary in FIFO
-// order without being drained and re-queued.
-//
-// The rebind is speculative: every failure before the commit point (a
-// rebind the rate tables reject, a new valuation with no bounded schedule
-// — the Theorem 2 check — an injected fault, or the user validation hook)
-// returns an error wrapping ErrRebindAborted, and the caller restores the
-// previous valuation. Validation deliberately precedes the ring growths,
-// which are the only irreversible effect, so an aborted rebind leaves
-// nothing to repair beyond the rate tables.
-func (e *engine) reconfigure(env symb.Env, horizon, completed int64) error {
-	if err := e.prog.Rebind(env); err != nil {
-		return fmt.Errorf("%w: %v", ErrRebindAborted, err)
-	}
-	// The schedule (and therefore the capacity bounds and the liveness
-	// check) starts from the tokens actually on the edges now, not the
-	// declared initial state. The engine owns the Program, so overwriting
-	// the skeleton's Initial fields at the barrier is safe.
-	for ci := range e.cg.Edges {
-		e.cg.Edges[ci].Initial = e.rings[ci].len()
-	}
-	sch, err := e.cg.BuildSchedule(e.prog.Solution(), csdf.Demand)
-	if err != nil {
-		return fmt.Errorf("%w: no sequential schedule: %v", ErrRebindAborted, err)
-	}
-	if e.faults.RebindFault(completed) {
-		return fmt.Errorf("%w: injected validation failure at iteration %d", ErrRebindAborted, completed)
-	}
-	if v := e.cfg.ValidateRebind; v != nil {
-		if verr := v(map[string]int64(env)); verr != nil {
-			return fmt.Errorf("%w: %v", ErrRebindAborted, verr)
-		}
-	}
-	for ci := range e.cg.Edges {
-		before := e.rings[ci].cap()
-		e.rings[ci].grow(e.capacityFor(sch, ci, horizon))
-		if e.mx != nil && e.rings[ci].cap() > before {
-			e.mx.grows[ci]++
-		}
-	}
-	copy(e.base, e.fired)
-	return nil
-}
-
 // runEpoch dispatches iters graph iterations to the parked actors and
 // waits for the pipeline to drain to the barrier; completed is the
-// iteration count at the epoch's opening barrier. A behavior panic aborts
-// the transaction: the epoch's partial effects are discarded with the run,
-// the abort is counted and journaled, and the counters are harvested so
-// /metrics readers see it although the run is over. Recovery is the
-// caller's: start a new Run with Resume set to the newest checkpoint.
-func (e *engine) runEpoch(iters, completed int64) error {
+// iteration count at the epoch's opening barrier. It returns how many
+// iterations the epoch ran: iters, or fewer when cut fired first and the
+// epoch was ended at the earliest iteration boundary every actor could
+// still reach. A behavior panic aborts the transaction: the epoch's partial
+// effects are discarded with the run, the abort is counted and journaled,
+// and the counters are harvested so /metrics readers see it although the
+// run is over. Recovery is the caller's: start a new Run with Resume set to
+// the newest checkpoint.
+func (e *engine) runEpoch(iters, completed int64, cut <-chan struct{}) (int64, error) {
 	if err := e.firstErr(); err != nil {
-		return err
+		return 0, err
 	}
 	if e.mx != nil {
 		e.mx.tot.Barriers++
 	}
-	sol := e.prog.Solution()
-	e.wg.Add(len(e.work))
+	e.cut.arm(cut != nil, iters, len(e.work))
+	e.pending.Store(int32(len(e.work)))
 	for id := range e.work {
-		e.work[id] <- iters * sol.Q[id]
+		e.work[id] <- iters
 	}
 	e.busy.Add(-1)
-	e.wg.Wait()
+	select {
+	case <-e.drained:
+	case <-cut: // nil without a Cut: never ready
+		iters = e.cut.decide()
+		<-e.drained
+	}
 	e.busy.Add(1)
 	err := e.firstErr()
 	// A type assertion, not errors.As: fireActor records the panic error
@@ -765,7 +568,7 @@ func (e *engine) runEpoch(iters, completed int64) error {
 		e.record(obs.Event{Kind: obs.EvAbort, Completed: completed, Detail: pe.Node})
 		e.harvest(completed, false)
 	}
-	return err
+	return iters, err
 }
 
 // actorLoop is one node's persistent goroutine: spawned once per Run, it
@@ -773,25 +576,25 @@ func (e *engine) runEpoch(iters, completed int64) error {
 func (e *engine) actorLoop(id int) {
 	for {
 		select {
-		case total := <-e.work[id]:
-			if total > 0 {
-				e.runActor(id, total)
+		case iters := <-e.work[id]:
+			e.runActor(id, iters)
+			if e.pending.Add(-1) == 0 {
+				e.drained <- struct{}{}
 			}
-			e.wg.Done()
 		case <-e.quit:
 			return
 		}
 	}
 }
 
-// runActor fires the node total times, with sampled epoch-granularity time
+// runActor runs the node through iters iterations, with sampled epoch-granularity time
 // accounting when metrics are enabled: one timestamp pair per sampled epoch
 // (one in activeSampleMask+1, never per firing — blocked time inside ring
 // waits is timed separately by the ring's slow path, and busy is estimated
 // as scaled active minus blocked at harvest).
-func (e *engine) runActor(id int, total int64) {
+func (e *engine) runActor(id int, iters int64) {
 	if e.mx == nil {
-		e.fireActor(id, total, nil)
+		e.fireActor(id, iters, nil)
 		return
 	}
 	ah := &e.mx.actors[id]
@@ -799,20 +602,23 @@ func (e *engine) runActor(id int, total int64) {
 		ah.epochs++
 		ah.timed++
 		t0 := time.Now()
-		e.fireActor(id, total, ah)
+		e.fireActor(id, iters, ah)
 		ah.activeNs += int64(time.Since(t0))
 		return
 	}
 	ah.epochs++
-	e.fireActor(id, total, ah)
+	e.fireActor(id, iters, ah)
 }
 
-// fireActor fires the node total times: consume the input rates, run the
-// behavior, produce the output rates — blocking on ring capacity for
-// backpressure. Rates and solution are read from the compiled program,
-// which is only rewritten while the actor is parked. ah, when non-nil, is
-// this actor's private counter block, bumped with plain stores.
-func (e *engine) fireActor(id int, total int64, ah *actorHot) {
+// fireActor runs the node through iters graph iterations of q firings each
+// (counting iterations, not firings, so no iters × q product can wrap):
+// consume the input rates, run the behavior, produce the output rates —
+// blocking on ring capacity for backpressure. Rates and solution are read
+// from the compiled program, which is only rewritten while the actor is
+// parked. When the epoch is cuttable every iteration starts with the cut
+// protocol's check. ah, when non-nil, is this actor's private counter
+// block, bumped with plain stores.
+func (e *engine) fireActor(id int, iters int64, ah *actorHot) {
 	edges := e.cg.Edges
 	ins, outs := e.ins[id], e.outs[id]
 	behavior := e.behaviors[id]
@@ -820,42 +626,52 @@ func (e *engine) fireActor(id int, total int64, ah *actorHot) {
 	fired := e.fired[id]
 	base := e.base[id]
 	defer func() { e.fired[id] = fired }()
+	q := e.prog.Solution().Q[id]
+	var cut *epochCut
+	if e.cut.armed {
+		cut = &e.cut
+	}
 
 	if behavior == nil {
 		// Token-only node: no Firing is materialized at all — payloads
 		// are consumed unobserved and nil placeholders emitted at the
 		// output rates, exactly as the sequential runner does.
-		for n := int64(0); n < total; n++ {
-			// Check for cancellation/failure at every firing boundary: an
-			// actor whose ring operations never block would otherwise run
-			// the epoch to completion.
-			if e.stopped.Load() {
+		for it := int64(0); it < iters; it++ {
+			if cut != nil && !cut.enter(id, it) {
 				return
 			}
-			kLocal := fired - base
-			for _, pe := range ins {
-				rate := edges[pe.edge].ConsAt(kLocal)
-				if !e.rings[pe.edge].discard(rate, stop) {
+			for n := int64(0); n < q; n++ {
+				// Check for cancellation/failure at every firing boundary: an
+				// actor whose ring operations never block would otherwise run
+				// the epoch to completion.
+				if e.stopped.Load() {
 					return
 				}
+				kLocal := fired - base
+				for _, pe := range ins {
+					rate := edges[pe.edge].ConsAt(kLocal)
+					if !e.rings[pe.edge].discard(rate, stop) {
+						return
+					}
+					if ah != nil {
+						ah.tokensIn += rate
+					}
+				}
+				for _, pe := range outs {
+					rate := edges[pe.edge].ProdAt(kLocal)
+					if !e.rings[pe.edge].writeNil(rate, stop) {
+						return
+					}
+					if ah != nil {
+						ah.tokensOut += rate
+					}
+				}
+				fired++
 				if ah != nil {
-					ah.tokensIn += rate
+					ah.firings++
 				}
+				e.ops.Add(1)
 			}
-			for _, pe := range outs {
-				rate := edges[pe.edge].ProdAt(kLocal)
-				if !e.rings[pe.edge].writeNil(rate, stop) {
-					return
-				}
-				if ah != nil {
-					ah.tokensOut += rate
-				}
-			}
-			fired++
-			if ah != nil {
-				ah.firings++
-			}
-			e.ops.Add(1)
 		}
 		return
 	}
@@ -863,89 +679,94 @@ func (e *engine) fireActor(id int, total int64, ah *actorHot) {
 	scr := e.scratches[id]
 	bufs := e.inBuf[id]
 	name := e.cfg.Graph.Nodes[id].Name
-	for n := int64(0); n < total; n++ {
-		if e.stopped.Load() {
+	for it := int64(0); it < iters; it++ {
+		if cut != nil && !cut.enter(id, it) {
 			return
 		}
-		kLocal := fired - base
-		f := scr.Begin(fired)
-
-		for i, pe := range ins {
-			rate := edges[pe.edge].ConsAt(kLocal)
-			buf := bufs[i]
-			if int64(cap(buf)) < rate {
-				buf = make([]any, rate)
-				bufs[i] = buf
-			} else {
-				buf = buf[:rate]
-			}
-			if !e.rings[pe.edge].read(buf, rate, stop) {
+		for n := int64(0); n < q; n++ {
+			if e.stopped.Load() {
 				return
 			}
-			if ah != nil {
-				ah.tokensIn += rate
-			}
-			// Install even at rate 0 so the In map has the same keys the
-			// sequential runner produces.
-			scr.SetIn(pe.port, buf)
-		}
+			kLocal := fired - base
+			f := scr.Begin(fired)
 
-		e.busy.Add(1)
-		if e.sem != nil {
-			select {
-			case e.sem <- struct{}{}:
-			case <-stop:
-				e.busy.Add(-1)
-				return
-			}
-		}
-		err := e.callBehavior(behavior, f, name, fired)
-		if e.sem != nil {
-			<-e.sem
-		}
-		e.busy.Add(-1)
-		if err != nil {
-			var pe *BehaviorPanicError
-			if errors.As(err, &pe) {
-				// Unwrapped: runEpoch asserts the concrete type, and Run's
-				// caller dispatches on it to decide between a restart and
-				// failure.
-				e.fail(pe)
-			} else {
-				e.fail(fmt.Errorf("engine: %s firing %d: %v", name, fired, err))
-			}
-			return
-		}
-
-		for _, pe := range outs {
-			rate := edges[pe.edge].ProdAt(kLocal)
-			vals := f.Out[pe.port]
-			switch {
-			case int64(len(vals)) == rate:
-				if !e.rings[pe.edge].write(vals, stop) {
+			for i, pe := range ins {
+				rate := edges[pe.edge].ConsAt(kLocal)
+				buf := bufs[i]
+				if int64(cap(buf)) < rate {
+					buf = make([]any, rate)
+					bufs[i] = buf
+				} else {
+					buf = buf[:rate]
+				}
+				if !e.rings[pe.edge].read(buf, rate, stop) {
 					return
 				}
-			case len(vals) == 0:
-				// No behavior output: emit nil payloads to keep the token
-				// count right, as the sequential runner does.
-				if !e.rings[pe.edge].writeNil(rate, stop) {
+				if ah != nil {
+					ah.tokensIn += rate
+				}
+				// Install even at rate 0 so the In map has the same keys the
+				// sequential runner produces.
+				scr.SetIn(pe.port, buf)
+			}
+
+			e.busy.Add(1)
+			if e.sem != nil {
+				select {
+				case e.sem <- struct{}{}:
+				case <-stop:
+					e.busy.Add(-1)
 					return
 				}
-			default:
-				e.fail(fmt.Errorf("engine: %s firing %d: port %s produced %d payloads, rate is %d",
-					name, fired, pe.port, len(vals), rate))
+			}
+			err := e.callBehavior(behavior, f, name, fired)
+			if e.sem != nil {
+				<-e.sem
+			}
+			e.busy.Add(-1)
+			if err != nil {
+				var pe *BehaviorPanicError
+				if errors.As(err, &pe) {
+					// Unwrapped: runEpoch asserts the concrete type, and Run's
+					// caller dispatches on it to decide between a restart and
+					// failure.
+					e.fail(pe)
+				} else {
+					e.fail(fmt.Errorf("engine: %s firing %d: %v", name, fired, err))
+				}
 				return
 			}
-			if ah != nil {
-				ah.tokensOut += rate
-			}
-		}
 
-		fired++
-		if ah != nil {
-			ah.firings++
+			for _, pe := range outs {
+				rate := edges[pe.edge].ProdAt(kLocal)
+				vals := f.Out[pe.port]
+				switch {
+				case int64(len(vals)) == rate:
+					if !e.rings[pe.edge].write(vals, stop) {
+						return
+					}
+				case len(vals) == 0:
+					// No behavior output: emit nil payloads to keep the token
+					// count right, as the sequential runner does.
+					if !e.rings[pe.edge].writeNil(rate, stop) {
+						return
+					}
+				default:
+					e.fail(fmt.Errorf("engine: %s firing %d: port %s produced %d payloads, rate is %d",
+						name, fired, pe.port, len(vals), rate))
+					return
+				}
+				if ah != nil {
+					ah.tokensOut += rate
+				}
+			}
+
+			fired++
+			if ah != nil {
+				ah.firings++
+			}
+			e.ops.Add(1)
 		}
-		e.ops.Add(1)
 	}
 }
 

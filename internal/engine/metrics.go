@@ -10,9 +10,10 @@ import (
 // Metrics follow the barrier-harvest rule: every hot counter below is
 // written with plain stores by exactly one goroutine (the owning actor for
 // actorHot, the producing or consuming side for sideStats) and read only
-// by the engine's main goroutine at transaction barriers, after the epoch
-// WaitGroup has parked every actor — the Wait is the happens-before edge,
-// so no atomics and no locks appear on the firing path. Each struct is
+// by the engine's main goroutine at transaction barriers, after the last
+// actor out of the epoch has signalled drained — the pending countdown and
+// that signal are the happens-before edge, so no atomics and no locks
+// appear on the firing path. Each struct is
 // padded to its own cache line so two actors bumping their counters never
 // write-share a line.
 

@@ -6,7 +6,7 @@
 //
 // A Case pairs one generated graph with one generated schedule
 // (iterations, base valuation, rebinds, pump cadence, fault sites, crash
-// point). Check runs the case through six invariant pairs:
+// point). Check runs the case through seven invariant pairs:
 //
 //  1. Simulate ≡ Execute ≡ Stream (firings, final tokens, sink output)
 //  2. Compile+Rebind ≡ fresh Instantiate (rate tables, repetition vector)
@@ -14,6 +14,8 @@
 //  4. panic-recovery ≡ fault-free reference
 //  5. durable snapshot encode ∘ decode ∘ restore ≡ identity
 //  6. shared-Skeleton stamping ≡ per-session compile
+//  7. k-iteration epochs ≡ one-iteration epochs (also resumed from a cut
+//     inside one, and cut short from another goroutine ≡ Execute)
 //
 // Everything is deterministic by seed: a failing seed reproduces its
 // failure exactly, Shrink bisects it to a smaller case that still fails,

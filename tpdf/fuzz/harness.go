@@ -16,7 +16,7 @@ import (
 
 // Check runs the case through every invariant pair and returns the first
 // violation, wrapped with the invariant's name ("tiers: ...",
-// "recovery: ..."). A nil return means the case passed all six.
+// "recovery: ..."). A nil return means the case passed all seven.
 func Check(c *Case) error {
 	for _, ch := range invariants {
 		if err := ch.fn(c); err != nil {
@@ -38,6 +38,7 @@ var invariants = []struct {
 	{"recovery", CheckRecovery},
 	{"durable", CheckDurable},
 	{"skeleton", CheckSkeleton},
+	{"epochs", CheckEpochs},
 }
 
 // InvariantNames lists the invariant vocabulary in check order.

@@ -140,7 +140,7 @@ func TestServeDifferentialCrashRecovery(t *testing.T) {
 			// Run under test: durable server, crash after the scheduled
 			// pump, recover on a second server over the same directory.
 			dataDir := t.TempDir()
-			cfg := serve.Config{DataDir: dataDir, PersistEvery: 1, DrainTimeout: 10 * time.Second}
+			cfg := serve.Config{DataDir: dataDir, DrainTimeout: 10 * time.Second}
 			srv1 := serve.New(cfg)
 			h1 := httptest.NewServer(srv1.Handler())
 			cl := &serveClient{t: t, base: h1.URL}

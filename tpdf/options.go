@@ -53,6 +53,7 @@ type config struct {
 	channelCap      int64
 	reconfigure     func(completed int64) map[string]int64
 	barrier         func(completed int64) (map[string]int64, bool)
+	boundary        func(completed int64) Verdict
 	compiled        *CompiledGraph
 	stallTimeout    time.Duration
 	parallel        int
@@ -190,7 +191,8 @@ func WithChannelCapacity(n int64) Option {
 // return new parameter values for the remaining ones (nil keeps the current
 // environment). Stream quiesces the pipeline at the boundary before
 // applying the change, so no firing ever observes a mix of old and new
-// parameter values.
+// parameter values. It is WithBoundary with one-iteration verdicts, minus
+// the completed = 0 boundary and the stop verdict.
 func WithReconfigure(fn func(completed int64) map[string]int64) Option {
 	return func(c *config) { c.reconfigure = fn }
 }

@@ -11,6 +11,17 @@
 // own small mutable rate state, so the engine's single-writer rule holds
 // per session while compilation cost is paid once per graph.
 //
+// A session's engine is consulted only where a client needs it: a pump of
+// N iterations runs as one engine epoch — one dispatch, one quiescent
+// barrier, one checkpoint and, on a durable server, one flushed snapshot —
+// and is acknowledged at the boundary that ends it. Session.Completed,
+// GET /v1/sessions/{id} and /metrics therefore advance at those consulted
+// boundaries (pump ends), not per iteration; a drain cuts the epoch in
+// flight short at the next iteration boundary and acks the partial count.
+// A behavior panic in the middle of a pump restarts the engine from the
+// pump's opening cut and replays the whole pump: the client sees one ack,
+// later.
+//
 // cmd/tpdf-serve exposes the server over HTTP; cmd/tpdf-loadgen soaks it
 // and reports per-endpoint latency percentiles.
 package serve

@@ -16,7 +16,7 @@ import (
 func durableConfig(t *testing.T) (Config, string) {
 	t.Helper()
 	dir := t.TempDir()
-	return Config{DataDir: dir, PersistEvery: 1, DrainTimeout: 10 * time.Second}, dir
+	return Config{DataDir: dir, DrainTimeout: 10 * time.Second}, dir
 }
 
 // TestDurableCrashRecovery is the tentpole acceptance test at the package

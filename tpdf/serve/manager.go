@@ -87,12 +87,6 @@ type Config struct {
 	// and a restarted server recovers every session from its newest valid
 	// snapshot. Empty (the default) keeps all checkpoints in memory.
 	DataDir string
-	// PersistEvery is the background persistence cadence: a snapshot write
-	// is triggered every Nth barrier (default 1). Pump acks flush
-	// synchronously regardless, so the cadence trades background I/O
-	// against recovery staleness between acks, never against the acked-work
-	// guarantee.
-	PersistEvery int
 	// KeepSnapshots bounds per-session snapshot retention (default 3;
 	// older files are pruned after each successful write). More than one is
 	// kept so a torn newest write falls back instead of losing the session.
@@ -132,9 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RestartMaxBackoff <= 0 {
 		c.RestartMaxBackoff = 640 * time.Millisecond
-	}
-	if c.PersistEvery <= 0 {
-		c.PersistEvery = 1
 	}
 	if c.KeepSnapshots <= 0 {
 		c.KeepSnapshots = 3
@@ -340,7 +331,7 @@ func (m *Manager) durableEnv() *durableEnv {
 	if m.store == nil {
 		return nil
 	}
-	return &durableEnv{store: m.store, every: m.cfg.PersistEvery, counters: &m.durable}
+	return &durableEnv{store: m.store, counters: &m.durable}
 }
 
 // Compile resolves a graph through the shared program cache (one compile +

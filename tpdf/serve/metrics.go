@@ -203,7 +203,7 @@ func (s *Server) writeSessionMetrics(p *obs.PromWriter) {
 	for _, sn := range snaps {
 		p.Int("tpdf_session_completed_iterations", base(sn.sess), sn.eng.Completed)
 	}
-	p.Family("tpdf_session_barriers_total", "Transaction barriers the engine crossed.", "counter")
+	p.Family("tpdf_session_barriers_total", "Synchronisation barriers (epochs) the engine crossed.", "counter")
 	for _, sn := range snaps {
 		p.Int("tpdf_session_barriers_total", base(sn.sess), sn.eng.Barriers)
 	}

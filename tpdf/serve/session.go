@@ -103,10 +103,12 @@ type pumpAck struct {
 // flushed into the final result) or hard cancellation after the drain
 // deadline.
 //
-// The session is supervised: the engine checkpoints at every transaction
-// barrier, a behavior panic tears down only the in-flight transaction, and
-// the supervisor restarts the engine from the last checkpoint (bounded
-// retries, exponential backoff with deterministic jitter). A panic in one
+// The session is supervised: the engine checkpoints at every boundary its
+// hook is consulted at (the boundaries between pumps), a behavior panic
+// tears down only the in-flight epoch — the pump — and the supervisor
+// restarts the engine from the last checkpoint, replaying the pump from its
+// opening cut (bounded retries, exponential backoff with deterministic
+// jitter). A panic in one
 // session never touches the process or any other session — the engine
 // recovers it on the actor goroutine and returns it as an error value.
 type Session struct {
@@ -135,21 +137,22 @@ type Session struct {
 	sinkNames  []string
 	sinkTokens []atomic.Int64
 
-	// Supervision state. The barrier-hook fields (pumpRemaining,
-	// pumpReply, pumpPending) live on the session rather than in a
-	// closure so an in-flight pump survives an engine restart: the hook
-	// runs on the supervisor goroutine (tpdf.Stream is synchronous), so
-	// one goroutine owns them across engine incarnations.
-	state         atomic.Int32
-	restarts      atomic.Int64
-	panics        atomic.Int64
-	rebindAborts  atomic.Int64
-	policy        restartPolicy
-	fleet         *fleetCounters
-	faults        *faultinject.Plan
-	pumpRemaining int64
-	pumpReply     chan pumpAck
-	pumpPending   map[string]int64
+	// Supervision state. The barrier-hook fields (pumpEnd — the completed
+	// count the pump in flight ends at — pumpReply, non-nil exactly while
+	// a pump is in flight, and pumpPending) live on the session rather
+	// than in a closure so an in-flight pump survives an engine restart:
+	// the hook runs on the supervisor goroutine (tpdf.Stream is
+	// synchronous), so one goroutine owns them across engine incarnations.
+	state        atomic.Int32
+	restarts     atomic.Int64
+	panics       atomic.Int64
+	rebindAborts atomic.Int64
+	policy       restartPolicy
+	fleet        *fleetCounters
+	faults       *faultinject.Plan
+	pumpEnd      int64
+	pumpReply    chan pumpAck
+	pumpPending  map[string]int64
 
 	// ckptArena holds the newest barrier checkpoint (the engine's sink
 	// copies into it at every capture, cold-start recovery seeds it from the
@@ -173,11 +176,10 @@ type Session struct {
 }
 
 // durableEnv is the manager's durability context handed to each session:
-// the shared snapshot store, the persistence cadence, and the fleet-wide
-// durability counters every persist event bumps.
+// the shared snapshot store and the fleet-wide durability counters every
+// persist event bumps.
 type durableEnv struct {
 	store    *tpdf.SnapshotStore
-	every    int
 	counters *durableCounters
 }
 
@@ -234,7 +236,6 @@ func newSession(id, tenant string, compiled *tpdf.CompiledGraph, params map[stri
 	if dur != nil && dur.store != nil {
 		p, err := dur.store.Persister(id, g, tpdf.PersistOptions{
 			Tenant: tenant,
-			Every:  dur.every,
 			OnPersist: func(info tpdf.PersistInfo) {
 				if info.Err != nil {
 					dur.counters.persistErrs.Add(1)
@@ -331,7 +332,7 @@ func (s *Session) runEngine() (*tpdf.ExecResult, error) {
 		tpdf.WithParams(s.params),
 		tpdf.WithIterations(maxSessionIterations),
 		tpdf.WithContext(s.hardCtx),
-		tpdf.WithBarrier(s.barrierHook),
+		tpdf.WithBoundary(s.barrierHook),
 		tpdf.WithMetrics(s.metrics),
 		tpdf.WithTraceJournal(s.journal),
 		tpdf.WithCheckpoints(s.keepCheckpoint),
@@ -348,6 +349,12 @@ func (s *Session) runEngine() (*tpdf.ExecResult, error) {
 		opts = append(opts, tpdf.WithDurableCheckpoints(s.persister))
 	}
 	if s.ckptOK {
+		// A post-hook cut remembers its pump's verdict, but not the Cut
+		// that keeps a drain prompt. Shorten the remembered verdict to one
+		// iteration (always legal: a k-iteration epoch equals k epochs of
+		// one) so the hook is consulted right after it and hands the rest
+		// of the pump a verdict that carries the Cut again.
+		s.ckptArena.Run = min(s.ckptArena.Run, 1)
 		opts = append(opts, tpdf.WithResume(s.ckptArena))
 	}
 	return tpdf.Stream(s.compiled.Graph(), s.behaviors(), opts...)
@@ -433,28 +440,30 @@ func (s *Session) run() {
 // on the supervisor goroutine inside tpdf.Stream: between pumps it blocks
 // here (counted as boundary work, so the stall watchdog stays quiet) and
 // every command takes effect only at this quiescent point — the paper's
-// transaction rule, bent into a server's request loop. Its state lives on
-// the session so an in-flight pump spans engine restarts: the engine
-// resumes mid-pump exactly where the checkpoint was cut.
-func (s *Session) barrierHook(completed int64) (map[string]int64, bool) {
+// transaction rule, bent into a server's request loop. A pump of N
+// iterations is answered with one verdict of Run N: the session needs the
+// engine back only when the pump is over, so the pump is one epoch, one
+// durable cut and one flush, and the hook is next consulted at the
+// boundary that acks it. The verdict carries the soft-drain channel as its
+// Cut, so a drain still stops the pump at the next iteration boundary
+// rather than after the remaining N. The hook's state lives on the session
+// so an in-flight pump spans engine restarts.
+func (s *Session) barrierHook(completed int64) tpdf.Verdict {
 	s.completed.Store(completed)
-	if s.pumpRemaining > 0 {
-		// Mid-pump boundary: keep going unless a drain arrived, in
-		// which case stop here — a pump is not a critical section,
-		// every boundary is a legal stopping point.
+	if s.pumpReply != nil && completed < s.pumpEnd {
+		// Consulted inside a pump: either a drain cut the epoch short —
+		// stop here, a pump is not a critical section and every boundary
+		// is a legal stopping point — or a restarted engine replayed the
+		// pump's first iteration (see runEngine) and the rest runs under a
+		// fresh verdict.
 		select {
 		case <-s.soft:
-			s.finishPump(completed)
-			return nil, true
 		case <-s.hardCtx.Done():
-			s.finishPump(completed)
-			return nil, true
 		default:
+			return tpdf.Verdict{Run: s.pumpEnd - completed, Cut: s.soft}
 		}
-		s.pumpRemaining--
-		if s.pumpRemaining > 0 {
-			return nil, false
-		}
+		s.finishPump(completed)
+		return tpdf.Verdict{Stop: true}
 	}
 	s.finishPump(completed)
 	for {
@@ -469,11 +478,12 @@ func (s *Session) barrierHook(completed int64) (map[string]int64, bool) {
 				}
 			}
 			if cmd.iters > 0 {
-				s.pumpRemaining = cmd.iters
+				// Clamped to the engine's horizon, so the sum cannot wrap.
+				s.pumpEnd = completed + min(cmd.iters, maxSessionIterations-completed)
 				s.pumpReply = cmd.reply
 				p := s.pumpPending
 				s.pumpPending = nil
-				return p, false
+				return tpdf.Verdict{Params: p, Run: s.pumpEnd - completed, Cut: s.soft}
 			}
 			// Pure reconfigure: acknowledged now, applied together
 			// with the next pump's first iteration.
@@ -481,9 +491,9 @@ func (s *Session) barrierHook(completed int64) (map[string]int64, bool) {
 				cmd.reply <- pumpAck{completed: completed}
 			}
 		case <-s.soft:
-			return s.pumpPending, true
+			return tpdf.Verdict{Stop: true}
 		case <-s.hardCtx.Done():
-			return nil, true
+			return tpdf.Verdict{Stop: true}
 		}
 	}
 }
@@ -586,7 +596,9 @@ func (s *Session) exitErr() error {
 	return fmt.Errorf("%w: session %s", ErrClosed, s.ID)
 }
 
-// Completed returns the session's total completed iteration count.
+// Completed returns the session's total completed iteration count as of the
+// last boundary its hook was consulted at: it advances when a pump ends,
+// not per iteration.
 func (s *Session) Completed() int64 { return s.completed.Load() }
 
 // State returns the session's supervision state.
@@ -602,7 +614,7 @@ func (s *Session) Panics() int64 { return s.panics.Load() }
 func (s *Session) RebindAborts() int64 { return s.rebindAborts.Load() }
 
 // Metrics is the session's private observability registry; the engine
-// refreshes it at every transaction barrier.
+// refreshes it at every barrier it crosses (the end of each pump).
 func (s *Session) Metrics() *obs.Registry { return s.metrics }
 
 // TraceJournal is the session's bounded transaction-trace journal.

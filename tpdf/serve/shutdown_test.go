@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/tpdf"
 )
 
 // waitGoroutines polls until the goroutine count returns to within slack of
@@ -94,42 +97,121 @@ func TestGracefulDrain(t *testing.T) {
 	waitGoroutines(t, base, 2)
 }
 
-// TestDrainInFlightPumpCompletes: a pump already accepted by the barrier
-// hook finishes its iterations OR stops cleanly at a barrier with a partial
-// count — never an error, never a hang — when the drain lands mid-pump.
-func TestDrainInFlightPumpCompletes(t *testing.T) {
-	m := NewManager(Config{DrainTimeout: 10 * time.Second})
+// drainMidPump starts a pump of iters iterations on a fresh session, waits
+// until its epoch is demonstrably in flight (sink tokens move), drains the
+// fleet and checks what a drain landing inside a pump owes: it returns
+// within a second — the pump's epoch is cut at the next iteration
+// boundary, not run to its end — the pump is acked with a partial count
+// that is the engine's own, and the sinks hold exactly what a sequential
+// tpdf.Execute of that many iterations delivers. With a chaos spec the
+// drain waits until the injected panics have been recovered from, so it
+// lands inside the *replayed* pump.
+func drainMidPump(t *testing.T, m *Manager, iters int64, chaos *ChaosSpec) (*Session, int64) {
+	t.Helper()
 	ctx := ctxT(t)
-	s, err := m.Open(ctx, "t", testGraph(t), nil, nil)
+	g := testGraph(t)
+	s, err := m.Open(ctx, "t", g, nil, chaos)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 
-	started := make(chan struct{})
 	var n int64
 	var perr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		close(started)
-		n, perr = s.Pump(ctx, 100_000, nil)
+		n, perr = s.Pump(ctx, iters, nil)
 	}()
-	<-started
-	time.Sleep(2 * time.Millisecond) // let the pump get going
+	for moved := false; !moved; time.Sleep(100 * time.Microsecond) {
+		for _, v := range s.SinkTokens() {
+			moved = moved || v > 0
+		}
+		moved = moved && (chaos == nil || s.Restarts() == int64(chaos.Panics))
+	}
+	start := time.Now()
 	if err := m.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("drain inside a %d-iteration pump took %v", iters, d)
+	}
 	<-done
-	if perr != nil && !errors.Is(perr, ErrClosed) {
+	if perr != nil {
 		t.Fatalf("in-flight pump: %v", perr)
 	}
-	if perr == nil && (n <= 0 || n > 100_000) {
-		t.Fatalf("in-flight pump acked %d iterations", n)
+	if n <= 0 || n >= iters {
+		t.Fatalf("in-flight pump acked %d iterations, want a partial count", n)
 	}
-	// The engine stopped at a transaction barrier: the final result exists
-	// and its iteration count matches what the pump observed.
+	if got := s.Completed(); got != n {
+		t.Fatalf("pump acked %d but the engine completed %d", n, got)
+	}
+	// The engine stopped at a transaction barrier: the final result exists.
 	if s.result == nil {
 		t.Fatalf("drained session has no final result (err %v)", s.runErr)
+	}
+
+	want := map[string]int64{}
+	count := map[string]tpdf.Behavior{}
+	for _, name := range s.sinkNames {
+		name := name
+		count[name] = func(f *tpdf.Firing) error {
+			for _, vals := range f.In {
+				want[name] += int64(len(vals))
+			}
+			return nil
+		}
+	}
+	if _, err := tpdf.Execute(g, count, tpdf.WithIterations(n)); err != nil {
+		t.Fatalf("execute %d iterations: %v", n, err)
+	}
+	if got := s.SinkTokens(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sink tokens at %d: session %v, Execute %v", n, got, want)
+	}
+	return s, n
+}
+
+// TestDrainInFlightPumpCompletes: a drain that lands inside a pump far too
+// long to finish stops it cleanly at an iteration boundary with a partial
+// ack — never an error, never a hang, never the remaining iterations.
+func TestDrainInFlightPumpCompletes(t *testing.T) {
+	drainMidPump(t, NewManager(Config{DrainTimeout: 10 * time.Second}), 1<<40, nil)
+}
+
+// TestPumpHugeIterationCountDrains: a pump may ask for more iterations than
+// any firing count can hold; the epoch dispatch counts iterations, so
+// nothing wraps, the pump runs, and a drain ends it.
+func TestPumpHugeIterationCountDrains(t *testing.T) {
+	drainMidPump(t, NewManager(Config{DrainTimeout: 10 * time.Second}), 1<<60, nil)
+}
+
+// TestDrainInsideReplayedPump: a pump replayed after a panic is as
+// cuttable as the original — the restarted engine replays one iteration
+// from the pump's opening cut, then the hook hands the rest a verdict that
+// carries the drain channel again.
+func TestDrainInsideReplayedPump(t *testing.T) {
+	m := chaosManager(func(c *Config) { c.DrainTimeout = 10 * time.Second })
+	s, _ := drainMidPump(t, m, 1<<40, &ChaosSpec{Seed: 7, Panics: 1, Horizon: 16})
+	if s.Panics() != 1 || s.State() != StateDrained {
+		t.Fatalf("panics=%d state=%v, want 1 panic and a clean drain", s.Panics(), s.State())
+	}
+}
+
+// TestDrainInFlightPumpDurable: on a durable session the partial ack is a
+// durable one — the newest snapshot on disk is the cut at exactly the
+// acked count.
+func TestDrainInFlightPumpDurable(t *testing.T) {
+	cfg, dir := durableConfig(t)
+	s, n := drainMidPump(t, NewManager(cfg), 1<<40, nil)
+	store, err := tpdf.OpenSnapshotStore(dir, 3)
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	snap, err := store.Load(s.ID)
+	if err != nil {
+		t.Fatalf("load newest snapshot: %v", err)
+	}
+	if snap.Checkpoint.Completed != n {
+		t.Fatalf("newest snapshot is at %d, pump acked %d", snap.Checkpoint.Completed, n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -75,6 +76,69 @@ func TestSessionPanicRecovery(t *testing.T) {
 	}
 	if _, err := m.Close(ctx, s.ID); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestPumpPanicReplaysWholePump pins what a mid-pump panic costs now that
+// a pump is one epoch: the engine restarts from the pump's opening cut and
+// replays the whole pump — one restore, at the opening count — and the
+// client still sees one ack whose count and sink totals equal a fault-free
+// run's.
+func TestPumpPanicReplaysWholePump(t *testing.T) {
+	const warm, pump = 3, 8
+	ctx := ctxT(t)
+	run := func(m *Manager, chaos *ChaosSpec) *Session {
+		s, err := m.Open(ctx, "t", testGraph(t), nil, chaos)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if n, err := s.Pump(ctx, warm, nil); err != nil || n != warm {
+			t.Fatalf("warm-up pump: n=%d err=%v", n, err)
+		}
+		if n, err := s.Pump(ctx, pump, nil); err != nil || n != warm+pump {
+			t.Fatalf("pump: n=%d err=%v, want one ack at %d", n, err, warm+pump)
+		}
+		return s
+	}
+	ref := run(NewManager(Config{}), nil)
+
+	// Find the seed whose single panic lands in the pump's fifth iteration:
+	// the sink's firings warm+4 .. warm+5 iterations in.
+	sink := ref.sinkNames[0]
+	var q int64
+	for _, a := range ref.Metrics().EngineSnapshot().Actors {
+		if a.Name == sink {
+			q = a.Firings / (warm + pump)
+		}
+	}
+	spec := &ChaosSpec{Panics: 1, Horizon: (warm + pump) * q}
+	for found := false; !found; {
+		spec.Seed++
+		probe := spec.plan(ref.sinkNames[:1])
+		for k := (warm + 4) * q; k < (warm+5)*q; k++ {
+			_, panics := probe.Behavior(sink, k)
+			found = found || panics
+		}
+	}
+
+	s := run(chaosManager(nil), spec)
+	if got, want := s.SinkTokens(), ref.SinkTokens(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sink tokens %v, want %v (fault-free)", got, want)
+	}
+	if s.Panics() != 1 || s.Restarts() != 1 {
+		t.Fatalf("panics=%d restarts=%d, want 1/1", s.Panics(), s.Restarts())
+	}
+	if snap := s.Metrics().EngineSnapshot(); snap.Aborts != 1 || snap.Restores != 1 {
+		t.Fatalf("aborts=%d restores=%d, want 1/1", snap.Aborts, snap.Restores)
+	}
+	var restores []int64
+	for _, ev := range s.TraceJournal().Events() {
+		if ev.Kind == obs.EvRestore {
+			restores = append(restores, ev.Completed)
+		}
+	}
+	if !reflect.DeepEqual(restores, []int64{warm}) {
+		t.Fatalf("restores at %v, want one at the pump's opening count %d", restores, warm)
 	}
 }
 

@@ -25,13 +25,14 @@ import (
 // synchronisation; state shared between the behaviors of different nodes —
 // one map they all write counts as shared even when the keys differ — is
 // the caller's to synchronise. Everything behaviors wrote is visible to
-// the hooks that run at a transaction boundary (WithReconfigure,
-// WithBarrier, WithUserState, WithCheckpoints) and to the caller once
-// Stream returns. See ExampleStream for the slot-per-node pattern.
+// the hooks that run at a transaction boundary (WithBoundary,
+// WithReconfigure, WithBarrier, WithUserState, WithCheckpoints) and to the
+// caller once Stream returns. See ExampleStream for the slot-per-node
+// pattern.
 //
 // Relevant options: WithParams, WithIterations, WithContext, WithWorkers,
-// WithChannelCapacity, WithReconfigure, WithBarrier, WithCompiled,
-// WithStallTimeout, WithMetrics, WithTraceJournal.
+// WithChannelCapacity, WithBoundary, WithReconfigure, WithBarrier,
+// WithCompiled, WithStallTimeout, WithMetrics, WithTraceJournal.
 func Stream(g *Graph, behaviors map[string]Behavior, opts ...Option) (*ExecResult, error) {
 	cfg := buildConfig(opts)
 	sink := cfg.checkpointSink
@@ -59,6 +60,7 @@ func Stream(g *Graph, behaviors map[string]Behavior, opts ...Option) (*ExecResul
 		Capacity:     cfg.channelCap,
 		Reconfigure:  cfg.reconfigure,
 		Barrier:      cfg.barrier,
+		Boundary:     cfg.boundary,
 		StallTimeout: cfg.stallTimeout,
 		Metrics:      cfg.metrics,
 		Journal:      cfg.journal,

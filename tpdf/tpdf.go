@@ -26,7 +26,7 @@
 //     onto a many-core platform. All are configured with functional
 //     options: WithParams, WithIterations, WithProcessors, WithDecisions,
 //     WithContext (for cancellation of long runs), WithTrace,
-//     WithPlatform, WithWorkers, WithReconfigure, ...
+//     WithPlatform, WithWorkers, WithReconfigure, WithBoundary, ...
 //
 //   - The case-study constructors (OFDM, EdgeDetection, FMRadio, VC1,
 //     MotionEstimation) and the experiment registry (RunExperiment)
@@ -60,7 +60,9 @@
 //
 // Streaming runs can arm transactional fault tolerance, built on the same
 // quiescent barriers reconfiguration uses. WithCheckpoints(sink) captures
-// a Checkpoint at every transaction barrier: per-edge ring contents in
+// a Checkpoint at every consulted transaction boundary (every boundary
+// under WithBarrier / WithReconfigure; under WithBoundary, the ones its
+// verdicts' run lengths leave): per-edge ring contents in
 // FIFO order, per-actor firing counters, the parameter valuation with its
 // digest, and (with WithUserState) a snapshot of user behavior state.
 // Rings are only snapshotted at quiescent barriers — between epochs, when
@@ -73,8 +75,13 @@
 //
 // A checkpoint rehydrates a fresh engine with WithResume: the resumed run
 // skips the first boundary's hook and rebind (the checkpoint was taken
-// after that boundary's work ran) and continues toward the WithIterations
-// total, producing output byte-identical to an uninterrupted run. That is
+// after that boundary's work ran), replays the verdict the cut remembers
+// (Checkpoint.Run iterations as one epoch) and continues toward the
+// WithIterations total, producing output byte-identical to an
+// uninterrupted run. A panic in the middle of a k-iteration epoch therefore
+// restarts from the epoch's opening cut and replays all k iterations:
+// longer verdicts trade fewer barriers and cuts for more replayed work.
+// That is
 // also the only recovery mechanism: a panicking behavior becomes a
 // transaction abort that ends the engine with a structured
 // *BehaviorPanicError (node, firing, stack), and whoever supervises the
@@ -89,16 +96,19 @@
 // WithRebindAbortHandler or receive them as the run error. Deterministic
 // seeded fault injection for tests attaches with WithFaultPlan; tpdf-serve
 // layers session supervision on top — bounded-retry restart from the
-// latest checkpoint with exponential backoff — and tpdf-loadgen -chaos
-// soaks that recovery path in CI. See ExampleStream_checkpoint and
+// latest checkpoint with exponential backoff; a pump there is one epoch,
+// so a mid-pump panic replays the pump from its opening cut (un-acked work
+// carries no durability promise, acked work is covered by the cut flushed
+// at the ack boundary) — and tpdf-loadgen -chaos soaks that recovery path
+// in CI. See ExampleStream_checkpoint and
 // ExampleStream_panicRecovery.
 //
 // # Durability
 //
 // The same consistent cuts persist across process death. OpenSnapshotStore
 // opens a snapshot directory; store.Persister(id, graph, opts) returns a
-// Persister that a run arms with WithDurableCheckpoints: every transaction
-// entry cut is captured into a double buffer on the barrier (an
+// Persister that a run arms with WithDurableCheckpoints: the entry cut of
+// every consulted boundary is captured into a double buffer on the barrier (an
 // allocation-free copy; the firing path never touches the disk) and a
 // background writer encodes the newest cut — ring contents, firing
 // counters, valuation, user state, plus the graph's canonical text so a
