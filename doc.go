@@ -25,13 +25,16 @@
 //     time (firings, completion time, buffer high-water marks);
 //     tpdf.Execute runs the graph at the payload level — user Behaviors
 //     consume and produce real values — one firing at a time down a
-//     sequential schedule; tpdf.Stream is the concurrent counterpart of
-//     Execute: one persistent goroutine per actor, edges as
-//     single-producer/single-consumer ring buffers sized from the
-//     analysis buffer bounds, backpressure from ring capacity, and
-//     WithReconfigure applying new parameter values only at transaction
-//     boundaries (plus WithWorkers, WithChannelCapacity and
-//     WithStallTimeout). Stream produces results identical to Execute.
+//     sequential schedule; tpdf.Stream is the long-lived counterpart of
+//     Execute: edges as single-producer/single-consumer ring buffers
+//     sized from the analysis buffer bounds, WithReconfigure /
+//     WithBoundary applying new parameter values only at transaction
+//     boundaries, checkpoints and metrics. By default one goroutine fires
+//     every actor in the order of the schedule the analysis computes;
+//     WithWorkers(n >= 2) or WithChannelCapacity give every actor its own
+//     goroutine (concurrent behaviors, backpressure from ring capacity,
+//     WithStallTimeout's watchdog). Stream produces results identical to
+//     Execute under either.
 //     tpdf.Schedule list-schedules the canonical period onto a many-core
 //     platform with the control-priority rule;
 //   - tpdf.RunExperiment: the harness regenerating every table and figure
@@ -47,52 +50,68 @@
 // The analysis fabric and the streaming engine are built to use every
 // core while staying deterministic:
 //
-//   - the streaming engine (internal/engine, tpdf.Stream) has a
-//     zero-allocation hot path: actor goroutines are spawned once per run
-//     and parked at transaction barriers (never respawned, even when a
-//     WithReconfigure hook fires every iteration); each edge is a
-//     single-producer/single-consumer ring buffer that moves a whole
-//     firing's token batch per synchronization — one atomic publish and
-//     at most one park/wake per firing, not a channel operation per
-//     token; and each actor reuses a runner.Scratch firing context whose
-//     In/Out maps are materialized once and whose payload slices are
-//     truncated in place (nodes without a behavior never build a Firing
-//     at all). A warm steady-state firing performs zero heap allocations
+//   - the streaming engine (internal/engine, tpdf.Stream) executes the
+//     schedule, not the actors: its unit of execution is a context, a
+//     goroutine that fires the actors it owns in the order of the PASS
+//     built for the active valuation. One context holds every actor by
+//     default, so with the analysis-derived capacities every ring
+//     operation is one atomic load — nothing spins, parks or crosses
+//     goroutines; Workers > 1 or a Capacity override makes every actor
+//     its own context (the same loop, firing body and barrier protocol)
+//     and the order is found by blocking on the rings. The hot path is
+//     zero-allocation: contexts are spawned once per run and parked at
+//     transaction barriers (never respawned, even when a WithReconfigure
+//     hook fires every iteration); each edge is a single-producer/
+//     single-consumer ring buffer that moves a whole firing's token batch
+//     per synchronization, not a channel operation per token; and each
+//     actor reuses a runner.Scratch firing context whose In/Out maps are
+//     materialized once and whose payload slices are truncated in place
+//     (nodes without a behavior never build a Firing at all). A warm steady-state firing performs zero heap allocations
 //     (TestStreamSteadyStateAllocs); the price is that payload slices
 //     handed to a Behavior are valid only for the duration of the firing;
 //   - the engine reconfigures by rebinding, not rebuilding: the graph is
 //     compiled once (core.Compile) and a transaction boundary that
 //     changes parameters is a Program.Rebind — rate tables and the
-//     repetition vector overwritten in place — plus in-place ring growth,
-//     with leftover payloads staying on their edges in FIFO order
+//     repetition vector overwritten in place — plus a fresh PASS from the
+//     rings' live occupancy and in-place ring growth, with leftover
+//     payloads staying on their edges in FIFO order
 //     (BenchmarkStreamReconfigure vs the instantiate path it replaced).
 //     The Program single-writer rule applies to engine-held programs
 //     exactly as to sweep workers: the engine rebinds only while every
-//     actor is parked at the barrier, and nothing else may touch a
+//     context is parked at the barrier, and nothing else may touch a
 //     program the engine holds. Boundaries whose hook keeps the
 //     environment unchanged stay in the same engine state — the barrier
-//     is a channel hop and an atomic countdown per actor, with no rebind,
-//     no schedule rebuild and no ring resize;
+//     is a channel hop and an atomic countdown per context, with no
+//     rebind, no schedule rebuild and no ring resize;
 //   - the engine stops the world only where somebody wants to change
 //     something: the boundary hook (tpdf.WithBoundary) answers with a
 //     Verdict that says how many iterations it is not needed for, and
 //     those run as one epoch — one dispatch, one barrier wait, one
 //     harvest, one entry cut and one post-hook cut — with an optional Cut
 //     channel that ends the epoch in flight at the next iteration
-//     boundary every actor can reach. WithBarrier and WithReconfigure are
-//     that hook with one-iteration verdicts. tpdf-serve answers a pump of
-//     N with Run N, so a pump is one epoch, one durable cut and one flush;
-//     the serve rungs of the ladder moved as follows (bench/run.sh
-//     --trace 1, parent → change on one box, seeds 1–3, wall-clock at
-//     machine.speed ≈ 0.7): serve.pump_per_iter_us 13.0–14.8 → 7.9–9.5
-//     (what is left is the firings themselves); serve.pump_fixed_us below
-//     resolution before and after (−1.4…5.9 → −5.4…2.8);
-//     durable.snapshots_per_ack 5.5–5.9 → 1.00;
-//     durable.persist_us_per_ack 252–299 → 48–65; durable.allocs_per_ack
-//     176–219 → 41; serve.c2_over_c1 1.35–1.97 → 0.99 — one client got
-//     faster, two concurrent clients did not (serve.c2_ops_per_s ≈ 9–10 k
-//     before and after): with the barriers gone, what two sessions contend
-//     for is the ring spinning of their actor goroutines;
+//     boundary every context can reach. WithBarrier and WithReconfigure
+//     are that hook with one-iteration verdicts. tpdf-serve answers a pump
+//     of N with Run N, so a pump is one epoch, one durable cut and one
+//     flush, and a session is four goroutines whatever its graph;
+//   - what executing the schedule bought, rung by rung (bench/run.sh
+//     --trace 1, goroutine-per-actor parent → one context on one 2-core
+//     box, seeds 1–3, wall-clock at machine.speed 0.6–1.0):
+//     engine.ns_per_firing 565–642 → 166–339 (runner.ns_per_firing
+//     211–330); engine.ns_per_token 442–502 → 130–266;
+//     engine.parks_per_iter = wakes_per_iter 0.02–0.27 → 0;
+//     engine.p2_over_p1 0.57–0.74 → 0.62–1.28 (the rung is six samples a
+//     side and noisy; one context has nothing to gain or lose from a
+//     second core); proc.cpu_ms_per_op on stream-steady 29–41 → 7.7–9.3;
+//     serve.pump_per_iter_us 7.1–9.2 → 1.3–2.1; serve.c2_over_c1
+//     0.95–1.30 → 2.4–3.7 and durable.c2_over_c1 1.51–1.66 → 2.05–2.75
+//     (two clients no longer fight over ring spinning);
+//     proc.live_heap_kb_per_session 64.2 → 61.6 only — a session's heap is
+//     its rings and Program, not its goroutine stacks. The difference
+//     rungs engine.changed_boundary_us_fresh / _revisit read higher
+//     (8.9–12.5 → 12.1–19.3, 9.6–34.7 → 15.5–43.2) although the rebind
+//     itself, timed directly, is unchanged at GOMAXPROCS 1 and the whole
+//     one-iteration epoch halves (≈ 42 → 22 µs): on two cores the
+//     boundary now runs right after a cross-thread wake;
 //   - the simulator (internal/sim) has an allocation-free fast path: a
 //     reusable Simulator preallocates all run state and is Reset between
 //     runs, events move through a typed binary heap (no interface boxing),
@@ -214,13 +233,15 @@
 // tokens, parametric and cyclo-static rates, Transaction/Select-duplicate
 // kernels — paired with execution schedules (base valuation, rebinds at
 // transaction boundaries, pump cadences, behavior panics, rebind aborts,
-// crash points), and checks every generated case against seven cross-tier
+// crash points), and checks every generated case against eight cross-tier
 // invariant pairs: Simulate ≡ Execute ≡ Stream; Compile+Rebind ≡ fresh
 // Instantiate; checkpoint/Resume ≡ uninterrupted; panic recovery ≡
 // fault-free reference; durable snapshot encode ∘ decode ∘ restore ≡
 // identity; shared-Skeleton stamping ≡ per-session compile; k-iteration
 // epochs ≡ one-iteration epochs (also resumed from the cut that opens one,
-// and cut short from another goroutine ≡ Execute at the reported count). A
+// and cut short from another goroutine ≡ Execute at the reported count);
+// one execution context ≡ one per actor ≡ Execute (also across rebinds,
+// cuts, a cut resumed under the other clustering, and panic recovery). A
 // separate
 // battery pushes generated graphs through the tpdf-serve HTTP surface
 // (admission, pump cadence, SIGKILL-shaped crash, recovery on a second
@@ -254,8 +275,8 @@
 //
 // Everything under internal/ is an implementation detail behind this
 // facade: core (the TPDF model of computation), csdf (the cyclo-static base
-// model), analysis, sched + platform, sim, runner, engine (the concurrent
-// streaming executor), durable (the snapshot codec, store and writer),
+// model), analysis, sched + platform, sim, runner, engine (the streaming
+// executor), durable (the snapshot codec, store and writer),
 // pool, apps, buffer, experiments, trace, graphio and gen (the seeded
 // graph/schedule generator behind tpdf/fuzz).
 //

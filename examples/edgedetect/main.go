@@ -21,9 +21,10 @@ import (
 
 // payloadFanOut pushes frames frames through SRC -> {four detectors} ->
 // SNK at the payload level, with run as the executor (tpdf.Execute or
-// tpdf.Stream), and reports the wall-clock time. The concurrent engine
-// runs the four detectors in their own goroutines; the sequential runner
-// fires them one at a time.
+// tpdf.Stream), and reports the wall-clock time. WithWorkers asks Stream
+// for concurrent behaviors, so it runs one goroutine per node and the four
+// detectors overlap (Stream's default, like the sequential runner, fires
+// them one at a time in schedule order); Execute ignores the option.
 func payloadFanOut(im *imaging.Image, frames int64,
 	run func(*tpdf.Graph, map[string]tpdf.Behavior, ...tpdf.Option) (*tpdf.ExecResult, error)) (time.Duration, error) {
 
@@ -59,7 +60,7 @@ func payloadFanOut(im *imaging.Image, frames int64,
 	}
 
 	start := time.Now()
-	if _, err := run(g, behaviors, tpdf.WithIterations(frames)); err != nil {
+	if _, err := run(g, behaviors, tpdf.WithIterations(frames), tpdf.WithWorkers(len(g.Nodes))); err != nil {
 		return 0, err
 	}
 	return time.Since(start), nil
@@ -141,7 +142,7 @@ func main() {
 	}
 
 	// Payload-level fan-out: all four detectors on real frames, sequential
-	// runner versus concurrent engine (one goroutine per detector).
+	// runner versus the engine with WithWorkers (one goroutine per detector).
 	const frames = 4
 	frame := imaging.Synthetic(256, 256, 1)
 	seqTime, err := payloadFanOut(frame, frames, tpdf.Execute)

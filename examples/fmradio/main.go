@@ -90,15 +90,17 @@ func main() {
 	}
 	seqTime := time.Since(start)
 
-	// Concurrent engine: one goroutine per stage, bounded channels, the
-	// DSP overlaps the paced acquisition.
+	// Concurrent engine: WithWorkers asks for one goroutine per stage
+	// (Stream's default runs the stages one at a time in schedule order),
+	// bounded channels, the DSP overlaps the paced acquisition.
 	var concOut []float64
 	behaviors, err = chainBehaviors(demod, &concOut)
 	if err != nil {
 		log.Fatal(err)
 	}
 	start = time.Now()
-	if _, err := tpdf.Stream(g, behaviors, tpdf.WithIterations(samples/block)); err != nil {
+	if _, err := tpdf.Stream(g, behaviors, tpdf.WithIterations(samples/block),
+		tpdf.WithWorkers(len(g.Nodes))); err != nil {
 		log.Fatal(err)
 	}
 	concTime := time.Since(start)

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/csdf"
 	"repro/internal/symb"
 	"repro/tpdf/obs"
 )
@@ -33,8 +32,8 @@ type Verdict struct {
 	// iteration boundary every actor can still reach and the hook is
 	// consulted there with the true completed count — which may be the
 	// epoch's opening count when no actor had started yet. A nil Cut costs
-	// the actors nothing; a non-nil one costs each an atomic store and load
-	// per iteration.
+	// the firing path nothing; a non-nil one costs each execution context an
+	// atomic store and load per iteration.
 	Cut <-chan struct{}
 }
 
@@ -77,7 +76,7 @@ func (cfg *Config) hook() (func(completed int64) Verdict, error) {
 // active valuation and its digest, the undo log of one boundary's parameter
 // overwrites, the boundary's clock reads and journal events, and the two
 // cuts around the hook. Only the engine's main goroutine touches it, and
-// only while every actor is parked.
+// only while every context is parked.
 type boundary struct {
 	e    *engine
 	hook func(completed int64) Verdict
@@ -264,7 +263,7 @@ func (b *boundary) apply(over map[string]int64, it int64) (bend time.Time, err e
 	if b.obsOn {
 		rt = time.Now()
 	}
-	err = e.reconfigure(b.env, b.iters-it, it)
+	err = e.reconfigure(b.env, it)
 	switch {
 	case err != nil && errors.Is(err, ErrRebindAborted):
 		// Speculative rebind abort: restore the previous valuation
@@ -315,32 +314,33 @@ func (b *boundary) apply(over map[string]int64, it int64) (bend time.Time, err e
 
 // reconfigure applies a changed environment at a quiescent transaction
 // boundary: the compiled program is rebound in place (rate tables and
-// repetition vector overwritten, no fresh graph), ring capacities are grown
-// to the new schedule's bounds, and rate-phase indexing restarts. The
-// rings keep their content — leftover payloads cross the boundary in FIFO
-// order without being drained and re-queued.
+// repetition vector overwritten, no fresh graph), the new schedule's order
+// replaces the old one, ring capacities are grown to its bounds, and
+// rate-phase indexing restarts. The rings keep their content — leftover
+// payloads cross the boundary in FIFO order without being drained and
+// re-queued.
 //
 // The rebind is speculative: every failure before the commit point (a
 // rebind the rate tables reject, a new valuation with no bounded schedule
 // — the Theorem 2 check — an injected fault, or the user validation hook)
 // returns an error wrapping ErrRebindAborted, and the caller restores the
-// previous valuation. Validation deliberately precedes the ring growths,
-// which are the only irreversible effect, so an aborted rebind leaves
-// nothing to repair beyond the rate tables.
-func (e *engine) reconfigure(env symb.Env, horizon, completed int64) error {
+// previous valuation. Validation deliberately precedes the commit — the
+// order, and the ring growths, which are the only irreversible effect — so
+// an aborted rebind leaves nothing to repair beyond the rate tables.
+func (e *engine) reconfigure(env symb.Env, completed int64) error {
 	if err := e.prog.Rebind(env); err != nil {
 		return fmt.Errorf("%w: %v", ErrRebindAborted, err)
 	}
-	// The schedule (and therefore the capacity bounds and the liveness
-	// check) starts from the tokens actually on the edges now, not the
-	// declared initial state. The engine owns the Program, so overwriting
-	// the skeleton's Initial fields at the barrier is safe.
+	// The schedule (and therefore the firing order, the capacity bounds and
+	// the liveness check) starts from the tokens actually on the edges now,
+	// not the declared initial state. The engine owns the Program, so
+	// overwriting the skeleton's Initial fields at the barrier is safe.
 	for ci := range e.cg.Edges {
 		e.cg.Edges[ci].Initial = e.rings[ci].len()
 	}
-	sch, err := e.cg.BuildSchedule(e.prog.Solution(), csdf.Demand)
+	sch, err := e.schedule()
 	if err != nil {
-		return fmt.Errorf("%w: no sequential schedule: %v", ErrRebindAborted, err)
+		return fmt.Errorf("%w: %v", ErrRebindAborted, err)
 	}
 	if e.faults.RebindFault(completed) {
 		return fmt.Errorf("%w: injected validation failure at iteration %d", ErrRebindAborted, completed)
@@ -350,33 +350,38 @@ func (e *engine) reconfigure(env symb.Env, horizon, completed int64) error {
 			return fmt.Errorf("%w: %v", ErrRebindAborted, verr)
 		}
 	}
+	e.order = sch.Order
 	for ci := range e.cg.Edges {
 		before := e.rings[ci].cap()
-		e.rings[ci].grow(e.capacityFor(sch, ci, horizon))
+		e.rings[ci].grow(e.capacityFor(sch, ci))
 		if e.mx != nil && e.rings[ci].cap() > before {
 			e.mx.grows[ci]++
 		}
 	}
-	copy(e.base, e.fired)
+	for id := range e.actors {
+		e.actors[id].base = e.actors[id].fired
+	}
 	return nil
 }
 
 // epochCut is the cooperative protocol that ends an epoch early at an
-// iteration boundary common to every actor. It is armed only for epochs
+// iteration boundary common to every context. It is armed only for epochs
 // whose verdict carried a Cut.
 //
-// Each actor announces the iteration it is about to start (started, its
+// Each context announces the iteration it is about to start (started, its
 // own padded slot) and *then* loads phase; the cutter — the engine's main
 // goroutine, when Cut fires — stores phase = deciding and *then* reads
 // every started slot. Both sides are a sequentially-consistent store
-// followed by a load (Dekker), so an actor that saw phase = running has
-// its announcement visible to the cutter, and an actor that did not waits
+// followed by a load (Dekker), so a context that saw phase = running has
+// its announcement visible to the cutter, and a context that did not waits
 // the handful of atomics the decision takes and then obeys it. The
-// decision is until = max(started): the furthest iteration any actor has
-// begun, which every other actor can reach because its peers run that far
-// too — an actor parked in a ring wait needs no wake.
+// decision is until = max(started): the furthest iteration any context has
+// begun, which every other context can reach because its peers run that far
+// too — an actor parked in a ring wait needs no wake. With one context the
+// maximum is over one slot: the epoch ends when the iteration in progress
+// does.
 type epochCut struct {
-	armed   bool // plain: written by main before dispatch, read by actors after
+	armed   bool // plain: written by main before dispatch, read by contexts after
 	phase   atomic.Int32
 	until   atomic.Int64
 	started []startSlot
@@ -393,17 +398,17 @@ const (
 	cutDecided
 )
 
-// arm resets the protocol for an epoch of iters iterations over actors
-// actors. Called by main while every actor is parked. The slots are
+// arm resets the protocol for an epoch of iters iterations over contexts
+// contexts. Called by main while every context is parked. The slots are
 // allocated by the first cuttable epoch, so a run that never carries a Cut
 // never pays for them.
-func (c *epochCut) arm(on bool, iters int64, actors int) {
+func (c *epochCut) arm(on bool, iters int64, contexts int) {
 	c.armed = on
 	if !on {
 		return
 	}
 	if c.started == nil {
-		c.started = make([]startSlot, actors)
+		c.started = make([]startSlot, contexts)
 	}
 	for i := range c.started {
 		c.started[i].n.Store(0)
@@ -412,10 +417,10 @@ func (c *epochCut) arm(on bool, iters int64, actors int) {
 	c.phase.Store(cutRunning)
 }
 
-// enter is an actor's iteration-start check: it reports whether iteration
-// i (0-based within the epoch) is still part of it.
-func (c *epochCut) enter(id int, i int64) bool {
-	c.started[id].n.Store(i + 1)
+// enter is context ctx's iteration-start check: it reports whether
+// iteration i (0-based within the epoch) is still part of it.
+func (c *epochCut) enter(ctx int, i int64) bool {
+	c.started[ctx].n.Store(i + 1)
 	ph := c.phase.Load()
 	if ph == cutRunning {
 		return true
@@ -427,8 +432,8 @@ func (c *epochCut) enter(id int, i int64) bool {
 	return i < c.until.Load()
 }
 
-// decide ends the epoch at the furthest iteration any actor has started
-// and returns it. Called by main, once, while actors run.
+// decide ends the epoch at the furthest iteration any context has started
+// and returns it. Called by main, once, while contexts run.
 func (c *epochCut) decide() int64 {
 	c.phase.Store(cutDeciding)
 	var t int64

@@ -15,7 +15,7 @@ import (
 var ErrRebindAborted = errors.New("engine: rebind aborted")
 
 // BehaviorPanicError is a behavior panic converted into a transaction
-// abort: the actor goroutine recovered it, the in-flight epoch was
+// abort: the firing context's goroutine recovered it, the in-flight epoch was
 // discarded, and the run ended with this error. The newest checkpoint is
 // the state to resume from. Node and Firing locate the panic, Stack is the
 // recovering goroutine's stack.
@@ -184,8 +184,9 @@ func (e *engine) capture(completed int64, env map[string]int64, digest uint64, a
 		}
 		e.ckptParamsStale = false
 	}
-	copy(ck.Fired, e.fired)
-	copy(ck.Base, e.base)
+	for id := range e.actors {
+		ck.Fired[id], ck.Base[id] = e.actors[id].fired, e.actors[id].base
+	}
 	for ci, r := range e.rings {
 		n := r.len()
 		buf := ck.Edges[ci]

@@ -310,6 +310,13 @@ func TestPanicErrorLeavesNoGoroutines(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want *BehaviorPanicError", err)
 	}
+	waitGoroutines(t, baseline)
+}
+
+// waitGoroutines fails the test unless the goroutine count comes back down
+// to baseline: a Run's goroutines exit shortly after it returned.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline {
 		if time.Now().After(deadline) {

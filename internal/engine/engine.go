@@ -1,37 +1,50 @@
-// Package engine executes TPDF graphs concurrently at the payload level:
-// one persistent goroutine per actor, edges wired as single-producer/
-// single-consumer ring buffers that move a whole firing's token batch per
-// synchronization, natural backpressure from ring capacity, and the paper's
-// transaction semantics — parameter values change only at transaction
-// (iteration) boundaries, so no firing ever observes a mixed environment.
+// Package engine executes TPDF graphs at the payload level by walking the
+// schedule the analysis proves exists. Its unit of execution is a context:
+// a persistent goroutine that owns a set of actors and fires them in the
+// order of the PASS (periodic admissible sequential schedule) of the active
+// valuation, over edges wired as single-producer/single-consumer ring
+// buffers that move a whole firing's token batch per synchronization. The
+// paper's transaction semantics hold throughout — parameter values change
+// only at transaction (iteration) boundaries, so no firing ever observes a
+// mixed environment.
 //
-// It is the concurrent counterpart of internal/runner: behaviors, firing
-// contexts and results are shared with it, and for any graph the runner
-// completes, engine.Run produces the identical Result (same firing counts,
-// same leftover payloads in the same FIFO order). Determinism follows from
-// the model: every edge has exactly one producer and one consumer, each
-// actor fires sequentially in its own goroutine, and payload routing
-// depends only on firing indices — so the execution is a conflict-free
-// (hence confluent) system and every interleaving reaches the same final
-// state.
+// The clustering is decided once per Run from what the caller passed. By
+// default (Workers <= 1 and Capacity == 0) one context holds every actor:
+// with the analysis-derived ring capacities the next firing of the PASS is
+// always enabled, so every ring operation takes its one-atomic-load fast
+// path — nothing spins, parks or is handed between goroutines, and
+// behaviors run one at a time in schedule order. With Workers > 1 (the
+// caller asked for concurrent behaviors) or Capacity > 0 (the caller
+// bounded the buffers itself, so the order has to be found at run time by
+// blocking) every actor is its own context: backpressure from ring
+// capacity, behaviors of different nodes overlapping, a progress watchdog
+// guarding the possibly-too-small capacities. Both are the same loop,
+// firing body, epoch dispatch and cut protocol; a one-actor context's
+// projection of the PASS is Q[id] firings of itself.
 //
-// The hot path is allocation-free: actors are spawned once per Run and
+// The engine shares behaviors, firing contexts and results with
+// internal/runner, and for any graph the runner completes, engine.Run
+// produces the identical Result (same firing counts, same leftover payloads
+// in the same FIFO order) under either clustering: every edge has exactly
+// one producer and one consumer, each actor's firings happen in order, and
+// payload routing depends only on firing indices — a conflict-free (hence
+// confluent) system in which every interleaving reaches the same final
+// state. The static order is safe because an iteration returns every edge
+// to its starting occupancy (asserted where the schedule is built), so one
+// PASS is valid for every iteration of an epoch, and every ring holds at
+// least its high-water mark (the same analysis-derived bounds Analyze and
+// internal/buffer report).
+//
+// The hot path is allocation-free: contexts are spawned once per Run and
 // parked at transaction barriers, each actor reuses a runner.Scratch firing
 // context (maps materialized once, payload slices truncated in place), and
 // the ring transport copies interface values without boxing. The graph is
 // compiled once (core.Compile); a transaction boundary that changes
 // parameters is a Program.Rebind — rate tables and the repetition vector
-// overwritten in place — plus in-place ring growth, never a fresh
-// instantiation or channel rebuild. The engine is the Program's single
-// writer: rebinding happens only while every actor is parked at the
-// barrier.
-//
-// Ring capacities default to the per-edge high-water marks of the
-// demand-driven sequential schedule (the same analysis-derived bounds
-// Analyze and internal/buffer report), corrected for per-iteration token
-// drift on non-returning edges. Capacities that admit one complete
-// schedule make the blocking execution deadlock-free; a progress watchdog
-// still guards user-overridden (possibly too small) capacities.
+// overwritten in place — plus a fresh PASS from the rings' live occupancy
+// and in-place ring growth, never a fresh instantiation or channel rebuild.
+// The engine is the Program's single writer: rebinding happens only while
+// every context is parked at the barrier.
 package engine
 
 import (
@@ -74,13 +87,15 @@ type Config struct {
 	// operation also waits on it, so cancellation interrupts a stalled
 	// pipeline, not just the gaps between firings.
 	Context context.Context
-	// Workers bounds how many behaviors execute concurrently; 0 means one
-	// in-flight behavior per actor (full pipeline parallelism).
+	// Workers above 1 asks for concurrent behaviors: every actor is its own
+	// context and at most Workers behaviors execute at once. 0 or 1 keeps
+	// one context, unless Capacity selects per-actor contexts (where 0
+	// leaves the behaviors unbounded).
 	Workers int
 	// Capacity, when positive, overrides every ring's token capacity
 	// (clamped up to the edge's initial token count and its largest
-	// per-firing rate — a whole batch must fit). Zero selects the
-	// analysis-derived per-edge bounds.
+	// per-firing rate — a whole batch must fit) and selects per-actor
+	// contexts. Zero selects the analysis-derived per-edge bounds.
 	Capacity int64
 	// Boundary is the transaction-boundary hook: it is consulted at
 	// boundaries *including before the first iteration* (completed = 0) and
@@ -181,6 +196,18 @@ type Config struct {
 	Faults *faultinject.Plan
 }
 
+// actorState is one node's firing state: fired is the cumulative firing
+// count and base the count at the last environment change (rate sequences
+// index from there, Firing.K stays global); tokensIn/tokensOut feed the
+// metrics harvest. Plain stores by the owning context, read by main only at
+// barriers; padded because per-actor contexts write neighbouring entries
+// from different goroutines at every firing.
+type actorState struct {
+	fired, base         int64
+	tokensIn, tokensOut int64
+	_                   [cacheLine - 4*8]byte
+}
+
 // portEdge pairs a concrete edge index with the port name an actor sees it
 // under, mirroring internal/runner so In/Out maps are assembled in the
 // same order.
@@ -202,7 +229,7 @@ type engine struct {
 	// for branch-cheap per-firing checks. err is guarded by mu.
 	stop    chan struct{}
 	stopped atomic.Bool
-	quit    chan struct{} // closed when Run returns: actors exit
+	quit    chan struct{} // closed when Run returns: contexts exit
 	mu      sync.Mutex
 	err     error
 
@@ -216,24 +243,26 @@ type engine struct {
 	// inBuf holds, per node and input-edge position, the reusable payload
 	// slice the ring batch is copied into; it backs the Firing's In map.
 	inBuf [][][]any
+	// actors is each node's firing state, owned by the node's context
+	// during an epoch and by Run between epochs.
+	actors []actorState
 
-	// fired is each node's cumulative firing count, owned by the node's
-	// goroutine during an epoch and by Run between epochs. base is the
-	// count at the last environment change: rate sequences index from
-	// there, Firing.K stays global.
-	fired []int64
-	base  []int64
+	// perActor is the clustering, fixed for the run: every actor its own
+	// context, or (the default) one context holding them all and walking
+	// order — the PASS of the active valuation, refreshed by reconfigure.
+	perActor bool
+	order    []int
 
-	// work dispatches one epoch's iteration count to each actor; pending
-	// counts the actors still inside the epoch and the last one out signals
-	// drained — the epoch barrier, and the happens-before edge from every
-	// actor's writes to main's reads. cut ends an epoch early.
+	// work dispatches one epoch's iteration count to each context; pending
+	// counts the contexts still inside the epoch and the last one out
+	// signals drained — the epoch barrier, and the happens-before edge from
+	// every context's writes to main's reads. cut ends an epoch early.
 	work    []chan int64
 	pending atomic.Int32
 	drained chan struct{}
 	cut     epochCut
 
-	// ops counts completed firings; busy counts actors inside (or queued
+	// ops counts completed firings; busy counts contexts inside (or queued
 	// for) a behavior plus the main goroutine while it is doing boundary
 	// work. Together they let the watchdog distinguish a stalled pipeline
 	// from a slow behavior or a slow reconfiguration hook.
@@ -325,19 +354,19 @@ func Run(cfg Config) (*runner.Result, error) {
 		return nil, err
 	}
 
-	cfg.Graph = g // wire/runActor read node metadata through cfg.Graph
+	cfg.Graph = g // wire/fire read node metadata through cfg.Graph
 	e := &engine{
-		cfg:   cfg,
-		prog:  prog,
-		cg:    prog.Concrete(),
-		stop:  make(chan struct{}),
-		quit:  make(chan struct{}),
-		jr:    cfg.Journal,
-		fired: make([]int64, len(g.Nodes)),
-		base:  make([]int64, len(g.Nodes)),
+		cfg:      cfg,
+		prog:     prog,
+		cg:       prog.Concrete(),
+		stop:     make(chan struct{}),
+		quit:     make(chan struct{}),
+		jr:       cfg.Journal,
+		actors:   make([]actorState, len(g.Nodes)),
+		perActor: cfg.Workers > 1 || cfg.Capacity > 0,
 	}
 	e.faults = cfg.Faults
-	if cfg.Workers > 0 {
+	if e.perActor && cfg.Workers > 0 {
 		e.sem = make(chan struct{}, cfg.Workers)
 	}
 	// Main counts as busy whenever it is not parked waiting for an epoch:
@@ -351,12 +380,13 @@ func Run(cfg Config) (*runner.Result, error) {
 		}
 		start = resume.Completed
 	}
-	if err := e.wire(iters-start, resume); err != nil {
+	if err := e.wire(resume); err != nil {
 		return nil, err
 	}
 	if resume != nil {
-		copy(e.fired, resume.Fired)
-		copy(e.base, resume.Base)
+		for id := range e.actors {
+			e.actors[id].fired, e.actors[id].base = resume.Fired[id], resume.Base[id]
+		}
 		if cfg.RestoreUser != nil {
 			cfg.RestoreUser(resume.User)
 		}
@@ -376,8 +406,8 @@ func Run(cfg Config) (*runner.Result, error) {
 	e.record(obs.Event{Kind: obs.EvRunStart, Completed: start})
 
 	defer close(e.quit)
-	for id := range g.Nodes {
-		go e.actorLoop(id)
+	for c := range e.work {
+		go e.contextLoop(c)
 	}
 	stopWatch := e.startWatchdog()
 	defer stopWatch()
@@ -414,8 +444,8 @@ func Run(cfg Config) (*runner.Result, error) {
 
 	res := &runner.Result{Firings: map[string]int64{}, Remaining: map[string][]any{}}
 	for id, n := range g.Nodes {
-		if e.fired[id] > 0 {
-			res.Firings[n.Name] = e.fired[id]
+		if fired := e.actors[id].fired; fired > 0 {
+			res.Firings[n.Name] = fired
 		}
 	}
 	for ci := range e.cg.Edges {
@@ -426,18 +456,13 @@ func Run(cfg Config) (*runner.Result, error) {
 	return res, nil
 }
 
-// capacityFor sizes one ring from the schedule's high-water mark, with
-// drift headroom for edges that accumulate tokens across the remaining
-// iterations, the user override, and the floor of the current content.
-// Because the transport is batched — a firing's whole batch must fit in
-// (or be available from) the ring at once, where the old per-token
-// channels could trickle — every capacity is also clamped up to the
-// edge's largest per-firing rate.
-func (e *engine) capacityFor(sch *csdf.Schedule, ci int, horizon int64) int64 {
+// capacityFor sizes one ring from the schedule's high-water mark, the user
+// override, and the floor of the current content. Because the transport is
+// batched — a firing's whole batch must fit in (or be available from) the
+// ring at once, where the old per-token channels could trickle — every
+// capacity is also clamped up to the edge's largest per-firing rate.
+func (e *engine) capacityFor(sch *csdf.Schedule, ci int) int64 {
 	capTok := sch.MaxTokens[ci]
-	if drift := sch.Final[ci] - e.cg.Edges[ci].Initial; drift > 0 && horizon > 1 {
-		capTok += (horizon - 1) * drift
-	}
 	if e.cfg.Capacity > 0 {
 		capTok = e.cfg.Capacity
 	}
@@ -460,11 +485,31 @@ func (e *engine) capacityFor(sch *csdf.Schedule, ci int, horizon int64) int64 {
 	return capTok
 }
 
-// wire builds the run-once state: rings sized for `horizon` iterations
-// (seeded with the declared initial tokens, or the checkpoint's ring
-// contents when resuming), per-node port wiring, and the reusable firing
-// scratches of every node that has a behavior.
-func (e *engine) wire(horizon int64, resume *Checkpoint) error {
+// schedule builds the PASS of the active valuation from the tokens the
+// edges' Initial fields say are on them now. Reusing it for every iteration
+// of an epoch, and its high-water marks as ring capacities, rests on an
+// iteration returning every edge to its starting occupancy — true of any
+// schedule that fires exactly Q[a] firings per actor on a consistent graph,
+// and checked here rather than assumed.
+func (e *engine) schedule() (*csdf.Schedule, error) {
+	sch, err := e.cg.BuildSchedule(e.prog.Solution(), csdf.Demand)
+	if err != nil {
+		return nil, fmt.Errorf("no sequential schedule: %v", err)
+	}
+	for ci := range e.cg.Edges {
+		if sch.Final[ci] != e.cg.Edges[ci].Initial {
+			return nil, fmt.Errorf("schedule is not periodic: edge %s holds %d tokens before an iteration and %d after",
+				e.cg.Edges[ci].Name, e.cg.Edges[ci].Initial, sch.Final[ci])
+		}
+	}
+	return sch, nil
+}
+
+// wire builds the run-once state: rings sized from the schedule (seeded
+// with the declared initial tokens, or the checkpoint's ring contents when
+// resuming), per-node port wiring, the reusable firing scratches of every
+// node that has a behavior, and one work channel per context.
+func (e *engine) wire(resume *Checkpoint) error {
 	g := e.cfg.Graph
 	if resume != nil {
 		// The schedule (and the capacity bounds) must start from the tokens
@@ -474,14 +519,15 @@ func (e *engine) wire(horizon int64, resume *Checkpoint) error {
 			e.cg.Edges[ci].Initial = int64(len(resume.Edges[ci]))
 		}
 	}
-	sch, err := e.cg.BuildSchedule(e.prog.Solution(), csdf.Demand)
+	sch, err := e.schedule()
 	if err != nil {
-		return fmt.Errorf("engine: no sequential schedule: %v", err)
+		return fmt.Errorf("engine: %v", err)
 	}
+	e.order = sch.Order
 
 	e.rings = make([]*ring, len(e.cg.Edges))
 	for ci := range e.cg.Edges {
-		e.rings[ci] = newRing(e.capacityFor(sch, ci, horizon))
+		e.rings[ci] = newRing(e.capacityFor(sch, ci))
 		if resume != nil {
 			e.rings[ci].restore(resume.Edges[ci])
 		} else {
@@ -505,10 +551,15 @@ func (e *engine) wire(horizon int64, resume *Checkpoint) error {
 	e.behaviors = make([]runner.Behavior, len(g.Nodes))
 	e.scratches = make([]*runner.Scratch, len(g.Nodes))
 	e.inBuf = make([][][]any, len(g.Nodes))
-	e.work = make([]chan int64, len(g.Nodes))
+	e.work = make([]chan int64, 1)
+	if e.perActor {
+		e.work = make([]chan int64, len(g.Nodes))
+	}
+	for c := range e.work {
+		e.work[c] = make(chan int64, 1)
+	}
 	e.drained = make(chan struct{}, 1)
 	for id, n := range g.Nodes {
-		e.work[id] = make(chan int64, 1)
 		b := e.cfg.Behaviors[n.Name]
 		if b == nil {
 			continue
@@ -528,11 +579,11 @@ func (e *engine) wire(horizon int64, resume *Checkpoint) error {
 	return nil
 }
 
-// runEpoch dispatches iters graph iterations to the parked actors and
+// runEpoch dispatches iters graph iterations to the parked contexts and
 // waits for the pipeline to drain to the barrier; completed is the
 // iteration count at the epoch's opening barrier. It returns how many
 // iterations the epoch ran: iters, or fewer when cut fired first and the
-// epoch was ended at the earliest iteration boundary every actor could
+// epoch was ended at the earliest iteration boundary every context could
 // still reach. A behavior panic aborts the transaction: the epoch's partial
 // effects are discarded with the run, the abort is counted and journaled,
 // and the counters are harvested so /metrics readers see it although the
@@ -547,8 +598,8 @@ func (e *engine) runEpoch(iters, completed int64, cut <-chan struct{}) (int64, e
 	}
 	e.cut.arm(cut != nil, iters, len(e.work))
 	e.pending.Store(int32(len(e.work)))
-	for id := range e.work {
-		e.work[id] <- iters
+	for c := range e.work {
+		e.work[c] <- iters
 	}
 	e.busy.Add(-1)
 	select {
@@ -559,8 +610,8 @@ func (e *engine) runEpoch(iters, completed int64, cut <-chan struct{}) (int64, e
 	}
 	e.busy.Add(1)
 	err := e.firstErr()
-	// A type assertion, not errors.As: fireActor records the panic error
-	// bare, and an As target would escape to the heap on every epoch.
+	// A type assertion, not errors.As: fire records the panic error bare,
+	// and an As target would escape to the heap on every epoch.
 	if pe, ok := err.(*BehaviorPanicError); ok {
 		if e.mx != nil {
 			e.mx.tot.Aborts++
@@ -571,13 +622,29 @@ func (e *engine) runEpoch(iters, completed int64, cut <-chan struct{}) (int64, e
 	return iters, err
 }
 
-// actorLoop is one node's persistent goroutine: spawned once per Run, it
-// parks on its work channel between epochs and exits when the run is over.
-func (e *engine) actorLoop(id int) {
+// contextLoop is one context's persistent goroutine: spawned once per Run,
+// it parks on its work channel between epochs and exits when the run is
+// over. With metrics enabled it keeps the sampled epoch-granularity time
+// accounting: one timestamp pair per sampled epoch (one in
+// activeSampleMask+1, never per firing — blocked time inside ring waits is
+// timed separately by the ring's slow path, and busy is estimated as scaled
+// active minus blocked at harvest).
+func (e *engine) contextLoop(c int) {
 	for {
 		select {
-		case iters := <-e.work[id]:
-			e.runActor(id, iters)
+		case iters := <-e.work[c]:
+			if e.mx == nil {
+				e.runContext(c, iters)
+			} else if ch := &e.mx.ctxs[c]; ch.epochs&activeSampleMask == 0 {
+				ch.epochs++
+				ch.timed++
+				t0 := time.Now()
+				e.runContext(c, iters)
+				ch.activeNs += int64(time.Since(t0))
+			} else {
+				ch.epochs++
+				e.runContext(c, iters)
+			}
 			if e.pending.Add(-1) == 0 {
 				e.drained <- struct{}{}
 			}
@@ -587,193 +654,153 @@ func (e *engine) actorLoop(id int) {
 	}
 }
 
-// runActor runs the node through iters iterations, with sampled epoch-granularity time
-// accounting when metrics are enabled: one timestamp pair per sampled epoch
-// (one in activeSampleMask+1, never per firing — blocked time inside ring
-// waits is timed separately by the ring's slow path, and busy is estimated
-// as scaled active minus blocked at harvest).
-func (e *engine) runActor(id int, iters int64) {
-	if e.mx == nil {
-		e.fireActor(id, iters, nil)
-		return
-	}
-	ah := &e.mx.actors[id]
-	if ah.epochs&activeSampleMask == 0 {
-		ah.epochs++
-		ah.timed++
-		t0 := time.Now()
-		e.fireActor(id, iters, ah)
-		ah.activeNs += int64(time.Since(t0))
-		return
-	}
-	ah.epochs++
-	e.fireActor(id, iters, ah)
-}
-
-// fireActor runs the node through iters graph iterations of q firings each
-// (counting iterations, not firings, so no iters × q product can wrap):
-// consume the input rates, run the behavior, produce the output rates —
-// blocking on ring capacity for backpressure. Rates and solution are read
-// from the compiled program, which is only rewritten while the actor is
-// parked. When the epoch is cuttable every iteration starts with the cut
-// protocol's check. ah, when non-nil, is this actor's private counter
-// block, bumped with plain stores.
-func (e *engine) fireActor(id int, iters int64, ah *actorHot) {
-	edges := e.cg.Edges
-	ins, outs := e.ins[id], e.outs[id]
-	behavior := e.behaviors[id]
-	stop := e.stop
-	fired := e.fired[id]
-	base := e.base[id]
-	defer func() { e.fired[id] = fired }()
-	q := e.prog.Solution().Q[id]
+// runContext runs context c through iters graph iterations (counting
+// iterations, not firings, so no iters × q product can wrap), each one its
+// projection of the PASS: the whole order for the context that holds every
+// actor, q firings of itself for an actor that is its own context. Order
+// and solution are only rewritten while the context is parked. When the
+// epoch is cuttable every iteration starts with the cut protocol's check.
+func (e *engine) runContext(c int, iters int64) {
 	var cut *epochCut
 	if e.cut.armed {
 		cut = &e.cut
 	}
-
-	if behavior == nil {
-		// Token-only node: no Firing is materialized at all — payloads
-		// are consumed unobserved and nil placeholders emitted at the
-		// output rates, exactly as the sequential runner does.
-		for it := int64(0); it < iters; it++ {
-			if cut != nil && !cut.enter(id, it) {
-				return
-			}
-			for n := int64(0); n < q; n++ {
-				// Check for cancellation/failure at every firing boundary: an
-				// actor whose ring operations never block would otherwise run
-				// the epoch to completion.
-				if e.stopped.Load() {
-					return
-				}
-				kLocal := fired - base
-				for _, pe := range ins {
-					rate := edges[pe.edge].ConsAt(kLocal)
-					if !e.rings[pe.edge].discard(rate, stop) {
-						return
-					}
-					if ah != nil {
-						ah.tokensIn += rate
-					}
-				}
-				for _, pe := range outs {
-					rate := edges[pe.edge].ProdAt(kLocal)
-					if !e.rings[pe.edge].writeNil(rate, stop) {
-						return
-					}
-					if ah != nil {
-						ah.tokensOut += rate
-					}
-				}
-				fired++
-				if ah != nil {
-					ah.firings++
-				}
-				e.ops.Add(1)
-			}
-		}
-		return
+	order, reps := e.order, int64(1)
+	if e.perActor {
+		order, reps = []int{c}, e.prog.Solution().Q[c]
 	}
-
-	scr := e.scratches[id]
-	bufs := e.inBuf[id]
-	name := e.cfg.Graph.Nodes[id].Name
 	for it := int64(0); it < iters; it++ {
-		if cut != nil && !cut.enter(id, it) {
+		if cut != nil && !cut.enter(c, it) {
 			return
 		}
-		for n := int64(0); n < q; n++ {
-			if e.stopped.Load() {
-				return
-			}
-			kLocal := fired - base
-			f := scr.Begin(fired)
-
-			for i, pe := range ins {
-				rate := edges[pe.edge].ConsAt(kLocal)
-				buf := bufs[i]
-				if int64(cap(buf)) < rate {
-					buf = make([]any, rate)
-					bufs[i] = buf
-				} else {
-					buf = buf[:rate]
-				}
-				if !e.rings[pe.edge].read(buf, rate, stop) {
-					return
-				}
-				if ah != nil {
-					ah.tokensIn += rate
-				}
-				// Install even at rate 0 so the In map has the same keys the
-				// sequential runner produces.
-				scr.SetIn(pe.port, buf)
-			}
-
-			e.busy.Add(1)
-			if e.sem != nil {
-				select {
-				case e.sem <- struct{}{}:
-				case <-stop:
-					e.busy.Add(-1)
+		for n := int64(0); n < reps; n++ {
+			for _, id := range order {
+				if !e.fire(id) {
 					return
 				}
 			}
-			err := e.callBehavior(behavior, f, name, fired)
-			if e.sem != nil {
-				<-e.sem
-			}
-			e.busy.Add(-1)
-			if err != nil {
-				var pe *BehaviorPanicError
-				if errors.As(err, &pe) {
-					// Unwrapped: runEpoch asserts the concrete type, and Run's
-					// caller dispatches on it to decide between a restart and
-					// failure.
-					e.fail(pe)
-				} else {
-					e.fail(fmt.Errorf("engine: %s firing %d: %v", name, fired, err))
-				}
-				return
-			}
-
-			for _, pe := range outs {
-				rate := edges[pe.edge].ProdAt(kLocal)
-				vals := f.Out[pe.port]
-				switch {
-				case int64(len(vals)) == rate:
-					if !e.rings[pe.edge].write(vals, stop) {
-						return
-					}
-				case len(vals) == 0:
-					// No behavior output: emit nil payloads to keep the token
-					// count right, as the sequential runner does.
-					if !e.rings[pe.edge].writeNil(rate, stop) {
-						return
-					}
-				default:
-					e.fail(fmt.Errorf("engine: %s firing %d: port %s produced %d payloads, rate is %d",
-						name, fired, pe.port, len(vals), rate))
-					return
-				}
-				if ah != nil {
-					ah.tokensOut += rate
-				}
-			}
-
-			fired++
-			if ah != nil {
-				ah.firings++
-			}
-			e.ops.Add(1)
 		}
 	}
 }
 
+// fire runs one firing of node id: consume the input rates, run the
+// behavior, produce the output rates — blocking on ring capacity for
+// backpressure when the node's peers live in other contexts. It reports
+// false when the run stopped (cancellation, a failure recorded here or
+// elsewhere). A token-only node (no behavior) materializes no Firing:
+// payloads are consumed unobserved and nil placeholders emitted at the
+// output rates, exactly as the sequential runner does.
+func (e *engine) fire(id int) bool {
+	// Check for cancellation/failure at every firing boundary: a context
+	// whose ring operations never block would otherwise run the epoch to
+	// completion.
+	if e.stopped.Load() {
+		return false
+	}
+	edges, stop := e.cg.Edges, e.stop
+	as := &e.actors[id]
+	fired, kLocal := as.fired, as.fired-as.base
+	behavior, scr := e.behaviors[id], e.scratches[id]
+	var f *runner.Firing
+	if behavior != nil {
+		f = scr.Begin(fired)
+	}
+
+	for i, pe := range e.ins[id] {
+		rate := edges[pe.edge].ConsAt(kLocal)
+		if behavior == nil {
+			if !e.rings[pe.edge].discard(rate, stop) {
+				return false
+			}
+		} else {
+			buf := e.inBuf[id][i]
+			if int64(cap(buf)) < rate {
+				buf = make([]any, rate)
+				e.inBuf[id][i] = buf
+			} else {
+				buf = buf[:rate]
+			}
+			if !e.rings[pe.edge].read(buf, rate, stop) {
+				return false
+			}
+			// Install even at rate 0 so the In map has the same keys the
+			// sequential runner produces.
+			scr.SetIn(pe.port, buf)
+		}
+		as.tokensIn += rate
+	}
+
+	if behavior != nil && !e.invoke(behavior, f, id, fired) {
+		return false
+	}
+
+	for _, pe := range e.outs[id] {
+		rate := edges[pe.edge].ProdAt(kLocal)
+		var vals []any
+		if f != nil {
+			vals = f.Out[pe.port]
+		}
+		switch {
+		case int64(len(vals)) == rate:
+			if !e.rings[pe.edge].write(vals, stop) {
+				return false
+			}
+		case len(vals) == 0:
+			// No behavior output: emit nil payloads to keep the token count
+			// right, as the sequential runner does.
+			if !e.rings[pe.edge].writeNil(rate, stop) {
+				return false
+			}
+		default:
+			e.fail(fmt.Errorf("engine: %s firing %d: port %s produced %d payloads, rate is %d",
+				e.cfg.Graph.Nodes[id].Name, fired, pe.port, len(vals), rate))
+			return false
+		}
+		as.tokensOut += rate
+	}
+
+	as.fired++
+	e.ops.Add(1)
+	return true
+}
+
+// invoke runs the behavior of firing k of node id inside the busy window,
+// holding a Workers slot when the run bounds concurrent behaviors, and
+// records its failure; it reports whether the firing may go on.
+func (e *engine) invoke(behavior runner.Behavior, f *runner.Firing, id int, k int64) bool {
+	name := e.cfg.Graph.Nodes[id].Name
+	e.busy.Add(1)
+	if e.sem != nil {
+		select {
+		case e.sem <- struct{}{}:
+		case <-e.stop:
+			e.busy.Add(-1)
+			return false
+		}
+	}
+	err := e.callBehavior(behavior, f, name, k)
+	if e.sem != nil {
+		<-e.sem
+	}
+	e.busy.Add(-1)
+	if err == nil {
+		return true
+	}
+	var pe *BehaviorPanicError
+	if errors.As(err, &pe) {
+		// Unwrapped: runEpoch asserts the concrete type, and Run's caller
+		// dispatches on it to decide between a restart and failure.
+		e.fail(pe)
+	} else {
+		e.fail(fmt.Errorf("engine: %s firing %d: %v", name, k, err))
+	}
+	return false
+}
+
 // callBehavior runs one behavior firing with panic isolation: a panic in
 // user code (or injected by the fault plan) is recovered into a structured
-// BehaviorPanicError instead of crashing the process — the actor goroutine
-// returns through its normal error path and the panic becomes a
+// BehaviorPanicError instead of crashing the process — the context's
+// goroutine returns through its normal error path and the panic becomes a
 // transaction abort at the epoch barrier. The fault-injection consult
 // rides here too: one nil test per firing when no plan is armed, inside
 // the busy window so an injected delay never trips the stall watchdog.

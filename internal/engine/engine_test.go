@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -160,6 +161,57 @@ func TestReconfigureAtTransactionBoundaries(t *testing.T) {
 	}
 	if len(res.Remaining) != 0 {
 		t.Errorf("unexpected leftovers: %v", res.Remaining)
+	}
+}
+
+// TestReconfigureChangesTheSchedule rebinds a parameter the repetition
+// vector depends on (A[p] -> B[1]: q = [A:1, B:p]), so every changed
+// boundary has a different PASS: the one context must walk the new order,
+// not the one it was wired with, and both clusterings must deliver the same
+// payload stream.
+func TestReconfigureChangesTheSchedule(t *testing.T) {
+	g := core.NewGraph("requeue")
+	g.AddParam("p", 2, 1, 8)
+	a := g.AddKernel("A", 1)
+	b := g.AddKernel("B", 1)
+	if _, err := g.Connect(a, "[p]", b, "[1]", 0); err != nil {
+		t.Fatal(err)
+	}
+	plan := []int64{2, 5, 1, 3} // p per iteration
+	var want []any
+	for it, p := range plan {
+		for i := int64(0); i < p; i++ {
+			want = append(want, it*10+int(i))
+		}
+	}
+	for _, workers := range []int{0, 2} {
+		var got []any
+		behaviors := map[string]runner.Behavior{
+			"A": func(f *runner.Firing) error {
+				for i := int64(0); i < plan[f.K]; i++ {
+					f.Produce("o0", int(f.K)*10+int(i))
+				}
+				return nil
+			},
+			"B": func(f *runner.Firing) error {
+				got = append(got, f.In["i0"][0])
+				return nil
+			},
+		}
+		res, err := Run(Config{Graph: g, Behaviors: behaviors, Iterations: int64(len(plan)), Workers: workers,
+			StallTimeout: 50 * time.Millisecond,
+			Reconfigure: func(completed int64) map[string]int64 {
+				return map[string]int64{"p": plan[completed]}
+			}})
+		if err != nil {
+			t.Fatalf("Workers %d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Workers %d: B saw %v, want %v", workers, got, want)
+		}
+		if res.Firings["A"] != int64(len(plan)) || res.Firings["B"] != int64(len(want)) {
+			t.Errorf("Workers %d: firings %v, want A:%d B:%d", workers, res.Firings, len(plan), len(want))
+		}
 	}
 }
 
@@ -330,25 +382,72 @@ func TestCapacityOverrideClampsToBatchRate(t *testing.T) {
 	}
 }
 
-func TestWorkersBoundsConcurrency(t *testing.T) {
+// fan builds the 6-actor SRC -> {W0..W3} -> SNK with unit rates.
+func fan(t *testing.T) *core.Graph {
+	t.Helper()
 	g := core.NewGraph("fan")
 	src := g.AddKernel("SRC", 1)
 	snk := g.AddKernel("SNK", 1)
-	workers := make([]core.NodeID, 4)
-	for i := range workers {
-		workers[i] = g.AddKernel(fmt.Sprintf("W%d", i), 1)
-		if _, err := g.Connect(src, "[1]", workers[i], "[1]", 0); err != nil {
+	for i := 0; i < 4; i++ {
+		w := g.AddKernel(fmt.Sprintf("W%d", i), 1)
+		if _, err := g.Connect(src, "[1]", w, "[1]", 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := g.Connect(workers[i], "[1]", snk, "[1]", 0); err != nil {
+		if _, err := g.Connect(w, "[1]", snk, "[1]", 0); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return g
+}
+
+// TestDefaultRunIsOneContext pins the clustering rule by what it costs in
+// goroutines: parked in a boundary hook after a completed epoch, a default
+// run of six actors holds at most three more than before Run (the one
+// context, the watchdog, the context watcher), a run that asked for
+// concurrent behaviors at least one per actor — and both give them all back.
+func TestDefaultRunIsOneContext(t *testing.T) {
+	g := fan(t)
+	for _, tc := range []struct {
+		workers  int
+		min, max int
+	}{{0, 1, 3}, {1, 1, 3}, {6, 6, 8}} {
+		// Goroutines of earlier runs exit after their Run returned: wait
+		// until the count has been quiet for 20 reads.
+		baseline := runtime.NumGoroutine()
+		for quiet := 0; quiet < 20; quiet++ {
+			time.Sleep(time.Millisecond)
+			if n := runtime.NumGoroutine(); n != baseline {
+				baseline, quiet = n, 0
+			}
+		}
+		held := -1
+		res, err := Run(Config{Graph: g, Context: context.Background(), Iterations: 4, Workers: tc.workers,
+			Boundary: func(completed int64) Verdict {
+				if completed == 2 {
+					held = runtime.NumGoroutine() - baseline
+				}
+				return Verdict{Run: 2}
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Firings["SNK"] != 4 {
+			t.Errorf("Workers %d: SNK fired %d times, want 4", tc.workers, res.Firings["SNK"])
+		}
+		if held < tc.min || held > tc.max {
+			t.Errorf("Workers %d: run holds %d goroutines at a boundary, want %d..%d", tc.workers, held, tc.min, tc.max)
+		}
+		waitGoroutines(t, baseline)
+	}
+}
+
+func TestWorkersBoundsConcurrency(t *testing.T) {
+	g := fan(t)
 
 	var cur, peak atomic.Int64
 	var mu sync.Mutex
 	behaviors := map[string]runner.Behavior{}
-	for i := range workers {
+	for i := 0; i < 4; i++ {
 		behaviors[fmt.Sprintf("W%d", i)] = func(f *runner.Firing) error {
 			n := cur.Add(1)
 			mu.Lock()
@@ -374,9 +473,10 @@ func TestWorkersBoundsConcurrency(t *testing.T) {
 	}
 }
 
-// TestPipelineOverlapsLatency checks the point of the engine: a pipeline of
-// latency-bound stages must finish in wall-clock time far below the
-// sequential sum of its stage latencies.
+// TestPipelineOverlapsLatency checks the point of per-actor contexts: asked
+// for concurrent behaviors (Workers > 1), a pipeline of latency-bound stages
+// must finish in wall-clock time far below the sequential sum of its stage
+// latencies.
 func TestPipelineOverlapsLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test skipped in -short")
@@ -397,7 +497,7 @@ func TestPipelineOverlapsLatency(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	if _, err := Run(Config{Graph: g, Behaviors: behaviors, Iterations: iters}); err != nil {
+	if _, err := Run(Config{Graph: g, Behaviors: behaviors, Iterations: iters, Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)

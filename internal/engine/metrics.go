@@ -7,39 +7,46 @@ import (
 	"repro/tpdf/obs"
 )
 
-// Metrics follow the barrier-harvest rule: every hot counter below is
-// written with plain stores by exactly one goroutine (the owning actor for
-// actorHot, the producing or consuming side for sideStats) and read only
-// by the engine's main goroutine at transaction barriers, after the last
-// actor out of the epoch has signalled drained — the pending countdown and
-// that signal are the happens-before edge, so no atomics and no locks
-// appear on the firing path. Each struct is
-// padded to its own cache line so two actors bumping their counters never
-// write-share a line.
+// Metrics follow the barrier-harvest rule: every hot counter is written
+// with plain stores by exactly one goroutine (the context that owns the
+// actor for actorState and ctxHot, the context of the producing or
+// consuming actor for sideStats) and read only by the engine's main
+// goroutine at transaction barriers, after the last context out of the
+// epoch has signalled drained — the pending countdown and that signal are
+// the happens-before edge, so no atomics and no locks appear on the firing
+// path. Each struct is padded to its own cache line so two contexts bumping
+// their counters never write-share a line.
 
 // cacheLine is the padding granularity; 128 covers the spatial prefetcher
 // pairing lines on common x86 parts.
 const cacheLine = 128
 
-// actorHot is one actor's private counter block.
-type actorHot struct {
-	firings   int64
-	tokensIn  int64
-	tokensOut int64
-	// Active time is sampled, not exhaustive: runActor times one epoch in
-	// activeSampleMask+1 (always including the first), because a clock
-	// read costs ~50-100ns on virtualized hosts — per-epoch pairs would
-	// dominate barrier-heavy runs. epochs counts every dispatch, timed the
-	// sampled ones, activeNs the wall time inside sampled epochs only;
-	// the harvest scales activeNs by epochs/timed to estimate the total.
+// ctxHot is one execution context's sampled active time. It is sampled, not
+// exhaustive: contextLoop times one epoch in activeSampleMask+1 (always
+// including the first), because a clock read costs ~50-100ns on virtualized
+// hosts — per-epoch pairs would dominate barrier-heavy runs. epochs counts
+// every dispatch, timed the sampled ones, activeNs the wall time inside
+// sampled epochs only; the harvest scales activeNs by epochs/timed to
+// estimate the total and apportions it to the context's actors by firing
+// share (all of it to the one actor of a per-actor context).
+type ctxHot struct {
 	epochs   int64
 	timed    int64
 	activeNs int64
-	_        [cacheLine - 6*8]byte
+	_        [cacheLine - 3*8]byte
 }
 
-// activeSampleMask selects which epochs runActor times: epoch indices with
-// (epochs & mask) == 0, i.e. one in mask+1.
+// activeEstNs scales the sampled epoch time up to an estimate covering
+// every epoch the context ran.
+func (ch *ctxHot) activeEstNs() int64 {
+	if ch.timed > 0 && ch.epochs > ch.timed {
+		return ch.activeNs * ch.epochs / ch.timed
+	}
+	return ch.activeNs
+}
+
+// activeSampleMask selects which epochs contextLoop times: epoch indices
+// with (epochs & mask) == 0, i.e. one in mask+1.
 const activeSampleMask = 7
 
 // sideStats is one side (producer or consumer) of one ring. The producer
@@ -63,18 +70,19 @@ type sideStats struct {
 // (parks & mask) == 0, i.e. one in mask+1.
 const parkSampleMask = 7
 
-// engMetrics is the engine-owned collector: hot blocks for every actor and
-// ring side, plus the main-goroutine-owned boundary counters, kept in
-// published form in tot (its Actors and Edges are unused). harvestFn is the
-// one closure handed to Registry.UpdateEngine, created once so a
-// barrier-time harvest allocates nothing.
+// engMetrics is the engine-owned collector: hot blocks for every context
+// and ring side (the per-actor counters live in engine.actors), plus the
+// main-goroutine-owned boundary counters, kept in published form in tot
+// (its Actors and Edges are unused). harvestFn is the one closure handed to
+// Registry.UpdateEngine, created once so a barrier-time harvest allocates
+// nothing.
 type engMetrics struct {
-	reg    *obs.Registry
-	actors []actorHot
-	prod   []sideStats // indexed by concrete edge
-	cons   []sideStats
-	tot    obs.EngineSnapshot
-	grows  []int64
+	reg   *obs.Registry
+	ctxs  []ctxHot
+	prod  []sideStats // indexed by concrete edge
+	cons  []sideStats
+	tot   obs.EngineSnapshot
+	grows []int64
 
 	harvestFn func(*obs.EngineSnapshot)
 }
@@ -91,16 +99,16 @@ func (st *sideStats) blockedEstNs() int64 {
 // newEngMetrics sizes the collector for the engine's wired graph and
 // attaches the ring side pointers. A resumed run counts as one restore and
 // continues the counters the previous incarnation left in the registry
-// (zero in a fresh one); actor firings start from the checkpoint's — the
-// aborted epoch's are not part of the state — so the final snapshot equals
-// Result.Firings.
+// (zero in a fresh one); actor firings are the engine's own counts, which
+// start from the checkpoint's — the aborted epoch's are not part of the
+// state — so the final snapshot equals Result.Firings.
 func (e *engine) newEngMetrics(reg *obs.Registry, resume *Checkpoint) *engMetrics {
 	m := &engMetrics{
-		reg:    reg,
-		actors: make([]actorHot, len(e.cfg.Graph.Nodes)),
-		prod:   make([]sideStats, len(e.cg.Edges)),
-		cons:   make([]sideStats, len(e.cg.Edges)),
-		grows:  make([]int64, len(e.cg.Edges)),
+		reg:   reg,
+		ctxs:  make([]ctxHot, len(e.work)),
+		prod:  make([]sideStats, len(e.cg.Edges)),
+		cons:  make([]sideStats, len(e.cg.Edges)),
+		grows: make([]int64, len(e.cg.Edges)),
 	}
 	if resume != nil {
 		prev := reg.EngineSnapshot()
@@ -108,9 +116,6 @@ func (e *engine) newEngMetrics(reg *obs.Registry, resume *Checkpoint) *engMetric
 			for ci := range m.grows {
 				m.grows[ci] = prev.Edges[ci].Grows
 			}
-		}
-		for id := range m.actors {
-			m.actors[id].firings = resume.Fired[id]
 		}
 		m.tot = prev
 		m.tot.Restores++
@@ -127,7 +132,7 @@ func (e *engine) newEngMetrics(reg *obs.Registry, resume *Checkpoint) *engMetric
 
 // harvest publishes the current counters into the registry. Called by the
 // engine's main goroutine only, at transaction barriers and run start/end,
-// when every actor is parked.
+// when every context is parked.
 func (e *engine) harvest(completed int64, running bool) {
 	m := e.mx
 	if m == nil {
@@ -153,11 +158,19 @@ func (e *engine) fillSnapshot(s *obs.EngineSnapshot) {
 	*s = m.tot
 	s.Actors, s.Edges = actors, edges
 
+	// One context holding every actor splits its active time by firing
+	// share; a per-actor context's is its actor's.
+	var ctxFirings int64
+	if !e.perActor {
+		for id := range e.actors {
+			ctxFirings += e.actors[id].fired
+		}
+	}
 	for id := range g.Nodes {
 		a := &s.Actors[id]
-		h := &m.actors[id]
+		h := &e.actors[id]
 		a.Name = g.Nodes[id].Name
-		a.Firings = h.firings
+		a.Firings = h.fired
 		a.TokensIn = h.tokensIn
 		a.TokensOut = h.tokensOut
 		a.Parks, a.Spins, a.Wakes, a.BlockedNs = 0, 0, 0, 0
@@ -178,9 +191,11 @@ func (e *engine) fillSnapshot(s *obs.EngineSnapshot) {
 			a.Wakes += p.wakes
 			a.BlockedNs += p.blockedEstNs()
 		}
-		activeNs := h.activeNs
-		if h.timed > 0 && h.epochs > h.timed {
-			activeNs = h.activeNs * h.epochs / h.timed
+		var activeNs int64
+		if e.perActor {
+			activeNs = m.ctxs[id].activeEstNs()
+		} else if ctxFirings > 0 {
+			activeNs = int64(float64(m.ctxs[0].activeEstNs()) * float64(h.fired) / float64(ctxFirings))
 		}
 		if a.BusyNs = activeNs - a.BlockedNs; a.BusyNs < 0 {
 			a.BusyNs = 0
@@ -210,7 +225,7 @@ func (e *engine) record(ev obs.Event) {
 }
 
 // blockedReport describes, from the rings' atomic state only (safe while
-// actors run), which actors are blocked and where — the watchdog's stall
+// contexts run), which actors are blocked and where — the watchdog's stall
 // diagnosis. Returns "" when no ring wait flag is raised.
 func (e *engine) blockedReport() string {
 	var b strings.Builder
@@ -234,7 +249,7 @@ func (e *engine) blockedReport() string {
 }
 
 // ringReport lists every edge's occupancy/capacity from the rings' atomic
-// state (safe while actors run) — the watchdog's full-pipeline view
+// state (safe while contexts run) — the watchdog's full-pipeline view
 // attached to stall errors, where blockedReport covers only edges with a
 // raised wait flag.
 func (e *engine) ringReport() string {

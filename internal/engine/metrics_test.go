@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/runner"
 	"repro/tpdf/obs"
 )
 
@@ -168,6 +169,58 @@ func TestEngineMetricsRebindAndDrain(t *testing.T) {
 	}
 	if drains != 1 {
 		t.Errorf("journaled %d drain verdicts, want 1", drains)
+	}
+}
+
+// TestEngineMetricsByClustering checks what the counters say about the two
+// clusterings of one graph. One context walking the schedule never waits on
+// a ring — no park, spin or wake on any actor or edge, occupancy within the
+// analysis-derived capacity — while per-actor contexts still report their
+// ring waits (the sink stalls once, so its upstream must run out of space);
+// either way the actors' firings add up to the Result's and busy time is
+// reported for actors that fired.
+func TestEngineMetricsByClustering(t *testing.T) {
+	g := multiratePipeline(t)
+	const iters = 64
+	for _, workers := range []int{0, len(g.Nodes)} {
+		reg := obs.NewRegistry()
+		var sunk int64
+		behaviors := hotBehaviors(&sunk)
+		count := behaviors["SNK"]
+		behaviors["SNK"] = func(f *runner.Firing) error {
+			if f.K == 0 {
+				time.Sleep(2 * time.Millisecond)
+			}
+			return count(f)
+		}
+		res, err := Run(Config{Graph: g, Behaviors: behaviors, Iterations: iters, Workers: workers, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.EngineSnapshot()
+		var waits, busy int64
+		for _, a := range snap.Actors {
+			if a.Firings != res.Firings[a.Name] {
+				t.Errorf("Workers %d: %s reports %d firings, Result has %d", workers, a.Name, a.Firings, res.Firings[a.Name])
+			}
+			waits += a.Parks + a.Spins + a.Wakes
+			busy += a.BusyNs
+		}
+		for _, ed := range snap.Edges {
+			if ed.HighWater > ed.Capacity {
+				t.Errorf("Workers %d: edge %s high-water %d above capacity %d", workers, ed.Name, ed.HighWater, ed.Capacity)
+			}
+			waits += ed.ProdParks + ed.ConsParks
+		}
+		if busy <= 0 {
+			t.Errorf("Workers %d: no busy time reported over a timed epoch", workers)
+		}
+		if workers == 0 && waits != 0 {
+			t.Errorf("one context reported %d ring waits/wakes, want none: %+v", waits, snap.Actors)
+		}
+		if workers > 0 && waits == 0 {
+			t.Errorf("Workers %d: no ring wait reported although the sink stalled its upstream", workers)
+		}
 	}
 }
 

@@ -190,8 +190,12 @@ func (r *ring) waitWriteSlow(n int64, stop <-chan struct{}, st *sideStats) bool 
 
 // publish advances the producer cursor by n (after the slots were filled)
 // and wakes a waiting consumer. The atomic store orders the slot writes
-// before the consumer's reads. With metrics enabled the producer also
-// tracks the occupancy high-water mark (one extra atomic load per batch).
+// before the consumer's reads. The wait flag is loaded before it is
+// swapped: the load after the cursor store is the publisher's half of the
+// Dekker pair, and with nobody waiting — always, when both ends of the edge
+// live in one context — the batch costs no locked instruction. With metrics
+// enabled the producer also tracks the occupancy high-water mark (one extra
+// atomic load per batch).
 func (r *ring) publish(n int64) {
 	r.tail += n
 	r.atomicTail.Store(r.tail)
@@ -200,7 +204,7 @@ func (r *ring) publish(n int64) {
 			st.highWater = occ
 		}
 	}
-	if r.cwait.CompareAndSwap(true, false) {
+	if r.cwait.Load() && r.cwait.CompareAndSwap(true, false) {
 		if st := r.pst; st != nil {
 			st.wakes++
 		}
@@ -216,7 +220,7 @@ func (r *ring) publish(n int64) {
 func (r *ring) release(n int64) {
 	r.head += n
 	r.atomicHead.Store(r.head)
-	if r.pwait.CompareAndSwap(true, false) {
+	if r.pwait.Load() && r.pwait.CompareAndSwap(true, false) {
 		if st := r.cst; st != nil {
 			st.wakes++
 		}

@@ -152,9 +152,9 @@ func Seeded(seed int64, spec Spec) *Plan {
 
 // Behavior consults the plan at a firing site: node's k-th firing. It
 // returns the delay to sleep before the behavior runs (0 for none) and
-// whether the firing must panic. Called by the actor goroutine that owns
-// node — per-node fault entries are only ever touched by that one
-// goroutine (or sequentially across engine restarts).
+// whether the firing must panic. Called by the engine goroutine that fires
+// node (its execution context) — per-node fault entries are only ever
+// touched by that one goroutine (or sequentially across engine restarts).
 func (p *Plan) Behavior(node string, k int64) (delay time.Duration, panicNow bool) {
 	if p == nil {
 		return 0, false

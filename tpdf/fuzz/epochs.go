@@ -9,6 +9,34 @@ import (
 	"repro/tpdf"
 )
 
+// epochPlan draws a run length k (possibly past the end of the run) and
+// returns it with the hook that applies the schedule's rebinds and answers
+// Run k — shortened where the next scheduled rebind needs the hook sooner —
+// and one of the boundaries that hook is consulted at, drawn for the leg to
+// keep its post-hook cut.
+func (c *Case) epochPlan(rng *rand.Rand) (k int64, hook func(int64) tpdf.Verdict, saveAt int64) {
+	s := c.Schedule
+	k = 1 + rng.Int63n(s.Iterations+2)
+	params := map[int64]map[string]int64{}
+	for _, rb := range s.Rebinds {
+		params[rb.At] = rb.Params
+	}
+	hook = func(completed int64) tpdf.Verdict {
+		n := k
+		for _, rb := range s.Rebinds {
+			if rb.At > completed && rb.At-completed < n {
+				n = rb.At - completed
+			}
+		}
+		return tpdf.Verdict{Params: params[completed], Run: n}
+	}
+	var consulted []int64
+	for at := int64(0); at < s.Iterations; at += hook(at).Run {
+		consulted = append(consulted, at)
+	}
+	return k, hook, consulted[rng.Intn(len(consulted))]
+}
+
 // epochsLeg is one Stream run of the epochs pair under a boundary hook:
 // its result, sink sequences, final cut (the run-end entry cut), the
 // post-hook cut taken at saveAt (nil when there is none).
@@ -17,6 +45,18 @@ type epochsLeg struct {
 	seq   map[string][]int64
 	final *tpdf.Checkpoint
 	saved *tpdf.Checkpoint
+}
+
+// equal compares the leg with the reference leg: results, sink sequences
+// and the final checkpoint.
+func (l *epochsLeg) equal(label string, want *epochsLeg) error {
+	if err := compareRuns(label, l.res, want.res, l.seq, want.seq); err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(l.final, want.final) {
+		return fmt.Errorf("%s: final checkpoints diverged:\n got %+v\nwant %+v", label, l.final, want.final)
+	}
+	return nil
 }
 
 func (c *Case) epochsLeg(iters int64, hook func(int64) tpdf.Verdict, saveAt int64, extra ...tpdf.Option) (*epochsLeg, error) {
@@ -55,48 +95,20 @@ func (c *Case) epochsLeg(iters int64, hook func(int64) tpdf.Verdict, saveAt int6
 func CheckEpochs(c *Case) error {
 	s := c.Schedule
 	rng := rand.New(rand.NewSource(s.Seed ^ 0x65706f636873)) // "epochs"
-	k := 1 + rng.Int63n(s.Iterations+2)
-
-	params := map[int64]map[string]int64{}
-	for _, rb := range s.Rebinds {
-		params[rb.At] = rb.Params
-	}
-	// runLen is how long the hook is not needed after `completed`: k, or
-	// up to the next scheduled rebind.
-	runLen := func(completed int64) int64 {
-		n := k
-		for _, rb := range s.Rebinds {
-			if rb.At > completed && rb.At-completed < n {
-				n = rb.At - completed
-			}
-		}
-		return n
-	}
-	var consulted []int64
-	for at := int64(0); at < s.Iterations; at += runLen(at) {
-		consulted = append(consulted, at)
-	}
-	saveAt := consulted[rng.Intn(len(consulted))]
+	k, long, saveAt := c.epochPlan(rng)
 
 	want, err := c.epochsLeg(s.Iterations, func(completed int64) tpdf.Verdict {
-		return tpdf.Verdict{Params: params[completed], Run: 1}
+		return tpdf.Verdict{Params: long(completed).Params, Run: 1}
 	}, -1)
 	if err != nil {
 		return fmt.Errorf("run 1: %w", err)
-	}
-	long := func(completed int64) tpdf.Verdict {
-		return tpdf.Verdict{Params: params[completed], Run: runLen(completed)}
 	}
 	got, err := c.epochsLeg(s.Iterations, long, saveAt)
 	if err != nil {
 		return fmt.Errorf("run %d: %w", k, err)
 	}
-	label := fmt.Sprintf("run %d vs run 1", k)
-	if err := compareRuns(label, got.res, want.res, got.seq, want.seq); err != nil {
+	if err := got.equal(fmt.Sprintf("run %d vs run 1", k), want); err != nil {
 		return err
-	}
-	if !reflect.DeepEqual(got.final, want.final) {
-		return fmt.Errorf("%s: final checkpoints diverged:\n got %+v\nwant %+v", label, got.final, want.final)
 	}
 
 	if got.saved == nil {
@@ -106,20 +118,17 @@ func CheckEpochs(c *Case) error {
 	if err != nil {
 		return fmt.Errorf("resume from the cut at %d: %w", saveAt, err)
 	}
-	label = fmt.Sprintf("resumed at %d (run %d) vs run 1", saveAt, got.saved.Run)
-	if err := compareRuns(label, resumed.res, want.res, resumed.seq, want.seq); err != nil {
+	if err := resumed.equal(fmt.Sprintf("resumed at %d (run %d) vs run 1", saveAt, got.saved.Run), want); err != nil {
 		return err
-	}
-	if !reflect.DeepEqual(resumed.final, want.final) {
-		return fmt.Errorf("%s: final checkpoints diverged:\n got %+v\nwant %+v", label, resumed.final, want.final)
 	}
 	return c.checkCut(rng)
 }
 
-// checkCut is the cut-short leg of CheckEpochs: one epoch several times the
+// checkCut is the cut-short leg of CheckEpochs (and, with extra selecting
+// the other clustering, of CheckContexts): one epoch several times the
 // schedule's length, at the base valuation, whose Cut a second goroutine
 // closes once a seeded sink firing has happened.
-func (c *Case) checkCut(rng *rand.Rand) error {
+func (c *Case) checkCut(rng *rand.Rand, extra ...tpdf.Option) error {
 	g, s := c.Graph, c.Schedule
 	sinks := SinkNodes(g)
 	horizon := 4*s.Iterations + 8
@@ -149,7 +158,7 @@ func (c *Case) checkCut(rng *rand.Rand) error {
 	// Consulted once, the epoch ran out before the cut landed; consulted
 	// twice, the second count is where the cut ended it.
 	stoppedAt, calls := horizon, 0
-	got, err := tpdf.Stream(g, behaviors,
+	got, err := tpdf.Stream(g, behaviors, append([]tpdf.Option{
 		tpdf.WithParams(s.Base),
 		tpdf.WithIterations(horizon),
 		tpdf.WithBoundary(func(completed int64) tpdf.Verdict {
@@ -158,7 +167,7 @@ func (c *Case) checkCut(rng *rand.Rand) error {
 			}
 			stoppedAt = completed
 			return tpdf.Verdict{Stop: true}
-		}))
+		})}, extra...)...)
 	if err != nil {
 		return fmt.Errorf("cut run: %w", err)
 	}

@@ -6,7 +6,7 @@
 //
 // A Case pairs one generated graph with one generated schedule
 // (iterations, base valuation, rebinds, pump cadence, fault sites, crash
-// point). Check runs the case through seven invariant pairs:
+// point). Check runs the case through eight invariant pairs:
 //
 //  1. Simulate ≡ Execute ≡ Stream (firings, final tokens, sink output)
 //  2. Compile+Rebind ≡ fresh Instantiate (rate tables, repetition vector)
@@ -16,6 +16,10 @@
 //  6. shared-Skeleton stamping ≡ per-session compile
 //  7. k-iteration epochs ≡ one-iteration epochs (also resumed from a cut
 //     inside one, and cut short from another goroutine ≡ Execute)
+//  8. one execution context (Stream's default) ≡ one per actor
+//     (WithWorkers) ≡ Execute (also across rebinds, k-iteration epochs, a
+//     cut from another goroutine, a cut taken under one clustering and
+//     resumed under the other, and a panic recovered by restart)
 //
 // Everything is deterministic by seed: a failing seed reproduces its
 // failure exactly, Shrink bisects it to a smaller case that still fails,

@@ -16,7 +16,7 @@ import (
 
 // Check runs the case through every invariant pair and returns the first
 // violation, wrapped with the invariant's name ("tiers: ...",
-// "recovery: ..."). A nil return means the case passed all seven.
+// "recovery: ..."). A nil return means the case passed all eight.
 func Check(c *Case) error {
 	for _, ch := range invariants {
 		if err := ch.fn(c); err != nil {
@@ -39,6 +39,7 @@ var invariants = []struct {
 	{"durable", CheckDurable},
 	{"skeleton", CheckSkeleton},
 	{"epochs", CheckEpochs},
+	{"contexts", CheckContexts},
 }
 
 // InvariantNames lists the invariant vocabulary in check order.
@@ -253,17 +254,31 @@ func CheckResume(c *Case) error {
 	if s.Iterations < 2 {
 		return nil
 	}
-	stopAt := s.Iterations / 2
-	sinks := SinkNodes(g)
+	want, wantSeq, saved, err := c.stoppedAt(s.Iterations / 2)
+	if err != nil {
+		return err
+	}
+	resRec := sinkrec.New(SinkNodes(g))
+	got, err := tpdf.Stream(g, resRec.Behaviors(),
+		c.baseOpts(resRec, tpdf.WithIterations(s.Iterations), tpdf.WithResume(saved))...)
+	if err != nil {
+		return fmt.Errorf("resumed run: %w", err)
+	}
+	return compareRuns("resume vs uninterrupted", got, want, resRec.Seq(), wantSeq)
+}
 
+// stoppedAt runs the schedule twice: uninterrupted (the reference result
+// and sink sequences) and as a first leg of stopAt iterations, whose final
+// cut it returns for a fresh engine to resume from.
+func (c *Case) stoppedAt(stopAt int64) (want *tpdf.ExecResult, wantSeq map[string][]int64, saved *tpdf.Checkpoint, err error) {
+	g, s := c.Graph, c.Schedule
+	sinks := SinkNodes(g)
 	refRec := sinkrec.New(sinks)
-	want, err := tpdf.Stream(g, refRec.Behaviors(),
+	want, err = tpdf.Stream(g, refRec.Behaviors(),
 		c.baseOpts(refRec, tpdf.WithIterations(s.Iterations))...)
 	if err != nil {
-		return fmt.Errorf("uninterrupted run: %w", err)
+		return nil, nil, nil, fmt.Errorf("uninterrupted run: %w", err)
 	}
-
-	var saved *tpdf.Checkpoint
 	legRec := sinkrec.New(sinks)
 	if _, err := tpdf.Stream(g, legRec.Behaviors(),
 		c.baseOpts(legRec,
@@ -273,19 +288,12 @@ func CheckResume(c *Case) error {
 					saved = ck.Clone()
 				}
 			}))...); err != nil {
-		return fmt.Errorf("first leg: %w", err)
+		return nil, nil, nil, fmt.Errorf("first leg: %w", err)
 	}
 	if saved == nil {
-		return fmt.Errorf("no checkpoint captured at %d", stopAt)
+		return nil, nil, nil, fmt.Errorf("no checkpoint captured at %d", stopAt)
 	}
-
-	resRec := sinkrec.New(sinks)
-	got, err := tpdf.Stream(g, resRec.Behaviors(),
-		c.baseOpts(resRec, tpdf.WithIterations(s.Iterations), tpdf.WithResume(saved))...)
-	if err != nil {
-		return fmt.Errorf("resumed run: %w", err)
-	}
-	return compareRuns("resume vs uninterrupted", got, want, resRec.Seq(), refRec.Seq())
+	return want, refRec.Seq(), saved, nil
 }
 
 // faults materializes the schedule's fault sites as an injection plan:
@@ -310,42 +318,41 @@ func (c *Case) faults() (panics, shared []faultinject.Fault) {
 // schedule — aborted transactions leave no trace. Skipped when the
 // schedule injects nothing.
 func CheckRecovery(c *Case) error {
-	g, s := c.Graph, c.Schedule
 	panics, shared := c.faults()
 	if len(panics) == 0 && len(shared) == 0 {
 		return nil
 	}
-	sinks := SinkNodes(g)
 
-	run := func(withPanics bool) (*tpdf.ExecResult, map[string][]int64, error) {
-		rec := sinkrec.New(sinks)
-		faults := shared
-		if withPanics {
-			faults = append(append([]faultinject.Fault(nil), panics...), shared...)
-		}
-		opts := []tpdf.Option{
-			tpdf.WithIterations(s.Iterations),
-			tpdf.WithFaultPlan(faultinject.New(faults...)),
-			tpdf.WithRebindAbortHandler(func(error) {}),
-		}
-		if withPanics {
-			opts = append(opts, tpdf.WithPanicRecovery(len(panics)+1))
-		} else {
-			opts = append(opts, tpdf.WithCheckpoints(nil))
-		}
-		res, err := tpdf.Stream(g, rec.Behaviors(), c.baseOpts(rec, opts...)...)
-		return res, rec.Seq(), err
-	}
-
-	want, wantSeq, err := run(false)
+	want, wantSeq, err := c.faultedRun(false)
 	if err != nil {
 		return fmt.Errorf("reference run: %w", err)
 	}
-	got, gotSeq, err := run(true)
+	got, gotSeq, err := c.faultedRun(true)
 	if err != nil {
 		return fmt.Errorf("recovered run: %w", err)
 	}
 	return compareRuns("recovery vs reference", got, want, gotSeq, wantSeq)
+}
+
+// faultedRun is one Stream run of the whole schedule under its shared
+// rebind-abort faults: with the behavior panics injected and recovered by
+// restart from the newest cut, or without them as the fault-free reference.
+func (c *Case) faultedRun(withPanics bool, extra ...tpdf.Option) (*tpdf.ExecResult, map[string][]int64, error) {
+	panics, faults := c.faults()
+	rec := sinkrec.New(SinkNodes(c.Graph))
+	opts := append([]tpdf.Option{
+		tpdf.WithIterations(c.Schedule.Iterations),
+		tpdf.WithRebindAbortHandler(func(error) {}),
+	}, extra...)
+	if withPanics {
+		faults = append(append([]faultinject.Fault(nil), panics...), faults...)
+		opts = append(opts, tpdf.WithPanicRecovery(len(panics)+1))
+	} else {
+		opts = append(opts, tpdf.WithCheckpoints(nil))
+	}
+	opts = append(opts, tpdf.WithFaultPlan(faultinject.New(faults...)))
+	res, err := tpdf.Stream(c.Graph, rec.Behaviors(), c.baseOpts(rec, opts...)...)
+	return res, rec.Seq(), err
 }
 
 // CheckDurable asserts invariant 5: a checkpoint pushed through the
@@ -355,33 +362,13 @@ func CheckRecovery(c *Case) error {
 // path with the store's file layer factored out.
 func CheckDurable(c *Case) error {
 	g, s := c.Graph, c.Schedule
-	sinks := SinkNodes(g)
 	stopAt := s.Iterations / 2
 	if stopAt < 1 {
 		stopAt = s.Iterations
 	}
-
-	refRec := sinkrec.New(sinks)
-	want, err := tpdf.Stream(g, refRec.Behaviors(),
-		c.baseOpts(refRec, tpdf.WithIterations(s.Iterations))...)
+	want, wantSeq, saved, err := c.stoppedAt(stopAt)
 	if err != nil {
-		return fmt.Errorf("uninterrupted run: %w", err)
-	}
-
-	var saved *tpdf.Checkpoint
-	legRec := sinkrec.New(sinks)
-	if _, err := tpdf.Stream(g, legRec.Behaviors(),
-		c.baseOpts(legRec,
-			tpdf.WithIterations(stopAt),
-			tpdf.WithCheckpoints(func(ck *tpdf.Checkpoint) {
-				if ck.Completed == stopAt {
-					saved = ck.Clone()
-				}
-			}))...); err != nil {
-		return fmt.Errorf("first leg: %w", err)
-	}
-	if saved == nil {
-		return fmt.Errorf("no checkpoint captured at %d", stopAt)
+		return err
 	}
 
 	snap := &durable.Snapshot{
@@ -413,13 +400,13 @@ func CheckDurable(c *Case) error {
 		return fmt.Errorf("recorded graph text does not parse: %w", err)
 	}
 
-	resRec := sinkrec.New(sinks)
+	resRec := sinkrec.New(SinkNodes(g))
 	got, err := tpdf.Stream(cold, resRec.Behaviors(),
 		c.baseOpts(resRec, tpdf.WithIterations(s.Iterations), tpdf.WithResume(dec.Checkpoint))...)
 	if err != nil {
 		return fmt.Errorf("resume from decoded snapshot: %w", err)
 	}
-	return compareRuns("durable resume vs uninterrupted", got, want, resRec.Seq(), refRec.Seq())
+	return compareRuns("durable resume vs uninterrupted", got, want, resRec.Seq(), wantSeq)
 }
 
 // CheckSkeleton asserts invariant 6: two concurrent runs stamped from

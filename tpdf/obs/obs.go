@@ -4,11 +4,12 @@
 // writer — everything tpdf-serve's /metrics endpoint and the facade's
 // WithMetrics / WithTraceJournal options are built from.
 //
-// The counters follow the engine's barrier-harvest rule: actors update
-// cache-line-padded private counters with plain stores on their own hot
-// path (no atomics, no locks, no allocations) and the engine copies them
-// into the Registry only at transaction barriers, where every actor is
-// parked and the epoch WaitGroup provides the happens-before edge. Readers
+// The counters follow the engine's barrier-harvest rule: the goroutine that
+// fires an actor updates cache-line-padded private counters with plain
+// stores on its own hot path (no atomics, no locks, no allocations) and the
+// engine copies them into the Registry only at transaction barriers, where
+// every actor is parked and the epoch barrier provides the happens-before
+// edge. Readers
 // therefore see a consistent snapshot that is at most one transaction old,
 // and the warm firing path stays 0 allocs/op with metrics enabled.
 package obs
@@ -26,10 +27,14 @@ type ActorMetrics struct {
 	TokensOut int64
 	// BusyNs estimates time spent firing (consume + behavior + produce)
 	// minus time blocked in ring waits; BlockedNs is the blocked share.
-	// Active time is sampled at epoch granularity (one epoch in eight is
-	// timed and the total scaled up), blocked time covers only actual
-	// channel parks — both exclude time parked at transaction barriers,
-	// and BusyNs is an estimate, not an exact measurement.
+	// Active time is sampled at epoch granularity per engine goroutine (one
+	// epoch in eight is timed and the total scaled up); when one goroutine
+	// fires every actor in schedule order — Stream's default — its active
+	// time is apportioned to the actors by firing share, so a heavy behavior
+	// and a trivial one that fire equally often read the same. Blocked time
+	// covers only actual channel parks — both exclude time parked at
+	// transaction barriers, and BusyNs is an estimate, not an exact
+	// measurement.
 	BusyNs    int64
 	BlockedNs int64
 	// Parks counts ring waits that parked on a wake channel; Spins counts

@@ -166,9 +166,13 @@ func WithoutControlPriority() Option {
 	return func(c *config) { c.controlPriority = false }
 }
 
-// WithWorkers bounds how many Stream behaviors execute concurrently; zero
-// (the default) runs one in-flight behavior per actor, i.e. full pipeline
-// parallelism.
+// WithWorkers asks Stream for concurrent behaviors: with n >= 2 every actor
+// runs on its own goroutine and at most n behaviors execute at once
+// (WithWorkers(len(g.Nodes)) is full pipeline parallelism — the choice for
+// behaviors that wait: I/O, pacing, a device). Zero (the default) or one
+// keeps Stream on one goroutine that fires the actors one at a time in
+// schedule order, the fastest way through behaviors that only compute.
+// Results are identical either way.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
@@ -180,7 +184,10 @@ func WithWorkers(n int) Option {
 // the analysis-derived buffer bounds — the per-edge high-water marks of
 // the demand-driven schedule — which are guaranteed deadlock-free; smaller
 // overrides trade throughput for memory and are guarded by Stream's
-// deadlock watchdog.
+// deadlock watchdog. An override also gives every actor its own goroutine
+// (as WithWorkers does, without bounding the behaviors): under capacities
+// the schedule was not derived for, the firing order has to be found at
+// run time by blocking on the rings.
 func WithChannelCapacity(n int64) Option {
 	return func(c *config) { c.channelCap = n }
 }

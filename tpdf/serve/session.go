@@ -14,11 +14,11 @@ import (
 	"repro/tpdf/obs"
 )
 
-// maxSessionIterations is the engine horizon of a session: effectively
-// unbounded, the session ends by draining at a barrier, not by exhausting
-// iterations. Admission requires the Theorem 2 boundedness verdict, so a
-// huge horizon never inflates ring capacities (bounded graphs have zero
-// per-iteration token drift).
+// maxSessionIterations is the iteration target a session's engine is
+// started with: effectively unbounded, the session ends by draining at a
+// barrier, not by exhausting iterations. The target sizes nothing — ring
+// capacities come from one iteration's schedule, which returns every edge
+// to its starting occupancy.
 const maxSessionIterations = int64(1) << 62
 
 // SessionState is a session's supervision state, readable via
@@ -110,7 +110,8 @@ type pumpAck struct {
 // opening cut (bounded retries, exponential backoff with deterministic
 // jitter). A panic in one
 // session never touches the process or any other session — the engine
-// recovers it on the actor goroutine and returns it as an error value.
+// recovers it on the goroutine that fired the actor and returns it as an
+// error value.
 type Session struct {
 	ID     string
 	Tenant string
@@ -478,7 +479,7 @@ func (s *Session) barrierHook(completed int64) tpdf.Verdict {
 				}
 			}
 			if cmd.iters > 0 {
-				// Clamped to the engine's horizon, so the sum cannot wrap.
+				// Clamped to the engine's iteration target, so the sum cannot wrap.
 				s.pumpEnd = completed + min(cmd.iters, maxSessionIterations-completed)
 				s.pumpReply = cmd.reply
 				p := s.pumpPending

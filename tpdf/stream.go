@@ -6,25 +6,38 @@ import (
 	"repro/internal/engine"
 )
 
-// Stream runs the graph at the payload level like Execute, but
-// concurrently: one persistent goroutine per actor, edges wired as
-// single-producer/single-consumer ring buffers sized from the analysis
-// buffer bounds (a whole firing's token batch moves per synchronization),
-// backpressure from ring capacity, and parameter reconfiguration applied
-// only at transaction (iteration) boundaries via an in-place rebind of the
-// compiled graph. For any graph Execute completes, Stream produces the
-// identical result — same Firings, same Remaining payloads in the same
-// FIFO order — the pipeline just overlaps the behaviors' latencies instead
-// of serializing them. The warm firing path performs no heap allocations;
-// in exchange, payload slices handed to behaviors are valid only for the
-// duration of the firing (keep the values, not the slices).
+// Stream runs the graph at the payload level like Execute, as a
+// long-lived engine: edges wired as single-producer/single-consumer ring
+// buffers sized from the analysis buffer bounds (a whole firing's token
+// batch moves per synchronization), parameter reconfiguration applied only
+// at transaction (iteration) boundaries via an in-place rebind of the
+// compiled graph, and the boundary hooks, checkpoints and metrics below.
+// For any graph Execute completes, Stream produces the identical result —
+// same Firings, same Remaining payloads in the same FIFO order. The warm
+// firing path performs no heap allocations; in exchange, payload slices
+// handed to behaviors are valid only for the duration of the firing (keep
+// the values, not the slices).
 //
-// Concurrency contract: behaviors of different nodes run concurrently, on
-// different goroutines; firings of one node never overlap each other.
-// State only one node's behavior touches therefore needs no
-// synchronisation; state shared between the behaviors of different nodes —
-// one map they all write counts as shared even when the keys differ — is
-// the caller's to synchronise. Everything behaviors wrote is visible to
+// By default Stream executes the schedule the analysis computes for the
+// active parameter values: one goroutine fires every actor in that order,
+// so with the analysis-derived ring sizes no firing ever waits for tokens
+// or space. WithWorkers(n >= 2) asks for concurrent behaviors — one
+// goroutine per actor, backpressure from ring capacity, the pipeline
+// overlapping the behaviors' latencies instead of serializing them — and
+// WithChannelCapacity, which replaces the ring sizes the schedule was
+// derived with, selects the same execution under the deadlock watchdog.
+// Results are identical in every case, and a checkpoint cut under one
+// resumes under the other.
+//
+// Concurrency contract: behaviors of different nodes may run concurrently,
+// on different goroutines (they do under WithWorkers(n >= 2) or
+// WithChannelCapacity; by default they run one at a time in schedule
+// order); firings of one node never overlap each other, and a behavior
+// must not wait for another behavior except through the graph's edges.
+// State only one node's behavior touches needs no synchronisation; state
+// shared between the behaviors of different nodes — one map they all write
+// counts as shared even when the keys differ — is the caller's to
+// synchronise. Everything behaviors wrote is visible to
 // the hooks that run at a transaction boundary (WithBoundary,
 // WithReconfigure, WithBarrier, WithUserState, WithCheckpoints) and to the
 // caller once Stream returns. See ExampleStream for the slot-per-node

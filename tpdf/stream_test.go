@@ -270,7 +270,8 @@ func latencyBehaviors(g *tpdf.Graph, d time.Duration) map[string]tpdf.Behavior {
 
 // TestStreamFasterThanExecute asserts the acceptance criterion directly:
 // on a multi-actor graph with non-trivial (latency-bound) behaviors the
-// concurrent engine beats the sequential runner.
+// engine asked for concurrent behaviors (WithWorkers: one goroutine per
+// actor) beats the sequential runner.
 func TestStreamFasterThanExecute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test skipped in -short")
@@ -286,7 +287,8 @@ func TestStreamFasterThanExecute(t *testing.T) {
 	sequential := time.Since(start)
 
 	start = time.Now()
-	if _, err := tpdf.Stream(g, latencyBehaviors(g, delay), tpdf.WithIterations(iters)); err != nil {
+	if _, err := tpdf.Stream(g, latencyBehaviors(g, delay), tpdf.WithIterations(iters),
+		tpdf.WithWorkers(len(g.Nodes))); err != nil {
 		t.Fatal(err)
 	}
 	concurrent := time.Since(start)

@@ -20,9 +20,15 @@
 //   - Execution comes in three tiers: Simulate executes a graph
 //     token-accurately in virtual time; Execute runs it at the payload
 //     level with user Behaviors, one firing at a time; Stream runs the
-//     same behaviors concurrently — one goroutine per actor, bounded
-//     channels, reconfiguration at transaction boundaries — with results
-//     identical to Execute. Schedule list-schedules the canonical period
+//     same behaviors as a long-lived engine — bounded ring buffers sized
+//     from the analysis, reconfiguration at transaction boundaries,
+//     checkpoints, metrics — with results identical to Execute. By default
+//     Stream executes the schedule the analysis proves exists: one
+//     goroutine fires every actor in schedule order, so no firing ever
+//     waits. WithWorkers(n >= 2) asks for concurrent behaviors and
+//     WithChannelCapacity bounds the buffers by hand; either gives every
+//     actor its own goroutine, with the firing order found at run time by
+//     blocking on the rings. Schedule list-schedules the canonical period
 //     onto a many-core platform. All are configured with functional
 //     options: WithParams, WithIterations, WithProcessors, WithDecisions,
 //     WithContext (for cancellation of long runs), WithTrace,
@@ -39,7 +45,8 @@
 // per-actor counters (firings, tokens moved, estimated busy/blocked time)
 // and per-edge ring gauges (occupancy, high-water, capacity, grows, park
 // and wake counts) into an obs.Registry. Counters are bumped with plain
-// stores on cache-line-padded per-actor blocks and harvested into the
+// stores on cache-line-padded per-actor blocks by the one goroutine that
+// fires the actor and harvested into the
 // registry only at transaction barriers, when the pipeline is quiescent —
 // the warm firing path stays free of locks, atomics and allocations, and
 // clock reads are sampled, so a run with metrics attached is measurably no
