@@ -198,6 +198,7 @@ func BenchmarkAblationFMRadio(b *testing.B) {
 // BenchmarkSymbolicConsistencyFig2 measures the symbolic balance-equation
 // solver on the running example.
 func BenchmarkSymbolicConsistencyFig2(b *testing.B) {
+	b.ReportAllocs()
 	g := apps.Fig2()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -310,6 +311,36 @@ func BenchmarkPolyAddMul(b *testing.B) {
 		acc = p.Mul(q).Add(p).Sub(q)
 	}
 	_ = acc
+}
+
+// BenchmarkExprSumConstants measures the cycle-rate pattern of the
+// consistency solver: a 16-phase integer rate sequence summed through
+// SumExprs, every operand a rational function with denominator 1.
+func BenchmarkExprSumConstants(b *testing.B) {
+	b.ReportAllocs()
+	seq := make([]symb.Expr, 16)
+	for i := range seq {
+		seq[i] = symb.IntExpr(int64(i % 5))
+	}
+	var acc symb.Expr
+	for i := 0; i < b.N; i++ {
+		acc = symb.SumExprs(seq)
+	}
+	_ = acc
+}
+
+// BenchmarkAnalyzeOFDM measures the complete §III chain (consistency, rate
+// safety, liveness probes) on the Fig. 7 demodulator — what an `analysis`
+// op of bench/ and a tpdf-serve admission pay per distinct graph.
+func BenchmarkAnalyzeOFDM(b *testing.B) {
+	b.ReportAllocs()
+	g := apps.OFDMTPDF(apps.OFDMParams{Beta: 10, M: 4, N: 64, L: 1})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := analysis.Analyze(g); rep.Err != nil {
+			b.Fatal(rep.Err)
+		}
+	}
 }
 
 // BenchmarkSimReset measures one steady-state Reset+run cycle of a pooled

@@ -13,8 +13,7 @@ import (
 func EdgeTraffic(g *core.Graph, sol *Solution) []symb.Expr {
 	out := make([]symb.Expr, len(g.Edges))
 	for ei, e := range g.Edges {
-		sp := &g.Nodes[e.Src].Ports[e.SrcPort]
-		out[ei] = sol.R[e.Src].Mul(cycleRate(sp, sol.Tau[e.Src]))
+		out[ei] = sol.R[e.Src].Mul(sol.Prod[ei])
 	}
 	return out
 }
@@ -38,10 +37,8 @@ func SymbolicBufferBound(g *core.Graph, sol *Solution, active func(ei int, e *co
 		e := g.Edges[ei]
 		if active == nil || active(ei, e) {
 			total = total.Add(traffic[ei])
-			if e.Initial > 0 {
-				total = total.Add(symb.IntExpr(e.Initial))
-			}
-		} else if e.Initial > 0 {
+		}
+		if e.Initial > 0 {
 			total = total.Add(symb.IntExpr(e.Initial))
 		}
 	}

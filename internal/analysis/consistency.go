@@ -14,6 +14,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -32,6 +33,11 @@ type Solution struct {
 	R []symb.Expr
 	// Q is the symbolic repetition vector: Q[j] = Tau[j] * R[j] (Theorem 1).
 	Q []symb.Expr
+	// Prod and Cons are the per-edge cycle rates: the tokens edge ei's
+	// source port produces, and its destination port consumes, during one
+	// full cycle (Tau firings) of their nodes. Computed once by Consistency
+	// and read by its verification pass and by EdgeTraffic.
+	Prod, Cons []symb.Expr
 }
 
 // Tau computes the phase count of node j: the LCM of the rate-sequence
@@ -66,14 +72,27 @@ func cycleRate(p *core.Port, tau int64) symb.Expr {
 // non-trivial solution for all parameter values; the solution is found by
 // spanning-tree propagation with exact rational-function arithmetic and then
 // verified on every edge, so inconsistency cannot hide behind normalization.
-func Consistency(g *core.Graph) (*Solution, error) {
+func Consistency(g *core.Graph) (_ *Solution, err error) {
+	defer symb.CatchOverflow(&err)
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	n := len(g.Nodes)
-	sol := &Solution{Graph: g, Tau: make([]int64, n)}
+	sol := &Solution{
+		Graph: g,
+		Tau:   make([]int64, n),
+		Prod:  make([]symb.Expr, len(g.Edges)),
+		Cons:  make([]symb.Expr, len(g.Edges)),
+	}
 	for j := 0; j < n; j++ {
 		sol.Tau[j] = nodeTau(g, core.NodeID(j))
+	}
+	for ei, e := range g.Edges {
+		sol.Prod[ei] = cycleRate(&g.Nodes[e.Src].Ports[e.SrcPort], sol.Tau[e.Src])
+		sol.Cons[ei] = cycleRate(&g.Nodes[e.Dst].Ports[e.DstPort], sol.Tau[e.Dst])
+		if sol.Prod[ei].IsZero() || sol.Cons[ei].IsZero() {
+			return nil, fmt.Errorf("analysis: edge %q has zero cycle rate", e.Name)
+		}
 	}
 
 	ratios := make([]symb.Expr, n)
@@ -84,18 +103,6 @@ func Consistency(g *core.Graph) (*Solution, error) {
 		if e.Dst != e.Src {
 			adj[e.Dst] = append(adj[e.Dst], ei)
 		}
-	}
-
-	edgeRates := func(ei int) (prod, cons symb.Expr, err error) {
-		e := g.Edges[ei]
-		sp := &g.Nodes[e.Src].Ports[e.SrcPort]
-		dp := &g.Nodes[e.Dst].Ports[e.DstPort]
-		prod = cycleRate(sp, sol.Tau[e.Src])
-		cons = cycleRate(dp, sol.Tau[e.Dst])
-		if prod.IsZero() || cons.IsZero() {
-			return prod, cons, fmt.Errorf("analysis: edge %q has zero cycle rate", e.Name)
-		}
-		return prod, cons, nil
 	}
 
 	for root := 0; root < n; root++ {
@@ -110,21 +117,12 @@ func Consistency(g *core.Graph) (*Solution, error) {
 			stack = stack[:len(stack)-1]
 			for _, ei := range adj[u] {
 				e := g.Edges[ei]
-				prod, cons, err := edgeRates(ei)
-				if err != nil {
-					return nil, err
-				}
-				var other int
-				var val symb.Expr
-				if u == int(e.Src) {
-					other = int(e.Dst)
-					val = ratios[u].Mul(prod).Div(cons)
-				} else {
-					other = int(e.Src)
-					val = ratios[u].Mul(cons).Div(prod)
+				other, from, to := int(e.Dst), sol.Prod[ei], sol.Cons[ei]
+				if u != int(e.Src) {
+					other, from, to = int(e.Src), to, from
 				}
 				if !assigned[other] {
-					ratios[other] = val
+					ratios[other] = ratios[u].Mul(from).Div(to)
 					assigned[other] = true
 					stack = append(stack, other)
 				}
@@ -135,13 +133,8 @@ func Consistency(g *core.Graph) (*Solution, error) {
 	// Verify every edge symbolically: r_src·X_src(τ) == r_dst·Y_dst(τ) must
 	// hold as rational functions, i.e. for every parameter value.
 	for ei, e := range g.Edges {
-		prod, cons, err := edgeRates(ei)
-		if err != nil {
-			return nil, err
-		}
-		lhs := ratios[e.Src].Mul(prod)
-		rhs := ratios[e.Dst].Mul(cons)
-		if !lhs.Equal(rhs) {
+		prod, cons := sol.Prod[ei], sol.Cons[ei]
+		if !ratios[e.Src].Mul(prod).Equal(ratios[e.Dst].Mul(cons)) {
 			return nil, fmt.Errorf(
 				"analysis: rate-inconsistent at edge %q: %s·%s ≠ %s·%s (as functions of %s)",
 				e.Name, ratios[e.Src], prod, ratios[e.Dst], cons,
@@ -180,8 +173,8 @@ func (s *Solution) ScheduleString() string {
 	// cond.Comps is in reverse topological order; walk it backwards.
 	var parts []string
 	for ci := len(cond.Comps) - 1; ci >= 0; ci-- {
-		members := append([]int(nil), cond.Comps[ci]...)
-		sortInts(members)
+		members := slices.Clone(cond.Comps[ci])
+		slices.Sort(members)
 		for _, j := range members {
 			q := s.Q[j]
 			if q.IsOne() {
@@ -201,14 +194,6 @@ func compact(e symb.Expr) string {
 		return "(" + s + ")"
 	}
 	return s
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // EvalQ evaluates the symbolic repetition vector under env, returning

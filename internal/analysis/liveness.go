@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -211,8 +212,8 @@ func ClusteredScheduleString(g *core.Graph, sol *Solution, rep *LivenessReport) 
 	var parts []string
 	emitted := map[*Cycle]bool{}
 	for ci := len(cond.Comps) - 1; ci >= 0; ci-- {
-		members := append([]int(nil), cond.Comps[ci]...)
-		sortInts(members)
+		members := slices.Clone(cond.Comps[ci])
+		slices.Sort(members)
 		for _, j := range members {
 			id := core.NodeID(j)
 			if cyc, ok := inCycle[id]; ok {

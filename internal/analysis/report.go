@@ -35,8 +35,11 @@ func Analyze(g *core.Graph, extraEnvs ...symb.Env) *Report {
 // AnalyzeParallel is Analyze with the concrete liveness probes fanned out
 // over up to parallel workers; the symbolic passes (consistency, rate
 // safety) are inherently sequential and unchanged.
-func AnalyzeParallel(g *core.Graph, parallel int, extraEnvs ...symb.Env) *Report {
-	rep := &Report{Graph: g}
+func AnalyzeParallel(g *core.Graph, parallel int, extraEnvs ...symb.Env) (rep *Report) {
+	rep = &Report{Graph: g}
+	// Symbolic coefficient overflow anywhere in the chain ends the analysis
+	// with rep.Err wrapping rat.ErrOverflow.
+	defer symb.CatchOverflow(&rep.Err)
 	sol, err := Consistency(g)
 	if err != nil {
 		rep.Err = err

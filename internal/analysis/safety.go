@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/symb"
@@ -95,7 +96,8 @@ func checkCtrlSafety(g *core.Graph, sol *Solution, ctrl core.NodeID, local *Loca
 // cumSymbolic computes the cumulative rate sum of a cyclo-static sequence
 // over a symbolic firing count n:
 //
-//   - concrete n: direct summation;
+//   - concrete n: (n / len)·sum(seq) + sum(seq[:n % len]), so the cost does
+//     not depend on n;
 //   - uniform sequence (all phases equal r): n·r;
 //   - n divisible by the sequence length as a polynomial: (n/len)·sum(seq).
 func cumSymbolic(seq []symb.Expr, n symb.Expr) (symb.Expr, error) {
@@ -103,21 +105,11 @@ func cumSymbolic(seq []symb.Expr, n symb.Expr) (symb.Expr, error) {
 		if cnt < 0 {
 			return symb.Expr{}, fmt.Errorf("negative firing count %d", cnt)
 		}
-		acc := symb.ZeroExpr()
-		for k := int64(0); k < cnt; k++ {
-			acc = acc.Add(seq[int(k%int64(len(seq)))])
-		}
-		return acc, nil
+		l := int64(len(seq))
+		return symb.SumExprs(seq).ScaleInt(cnt / l).Add(symb.SumExprs(seq[:cnt%l])), nil
 	}
-	uniform := true
-	for i := 1; i < len(seq); i++ {
-		if !seq[i].Equal(seq[0]) {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		return n.Mul(seq[0]), nil
+	if !slices.ContainsFunc(seq, func(r symb.Expr) bool { return !r.Equal(seq[0]) }) {
+		return n.Mul(seq[0]), nil // uniform
 	}
 	reps := n.Div(symb.IntExpr(int64(len(seq))))
 	if _, isPoly := reps.IsPoly(); isPoly {

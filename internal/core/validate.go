@@ -134,10 +134,13 @@ func (g *Graph) Validate() error {
 	}
 
 	// Rates must be non-negative at representative valuations.
-	for _, env := range g.representativeEnvs() {
+	for i, env := range g.representativeEnvs() {
 		for _, n := range g.Nodes {
 			for pi := range n.Ports {
 				for _, r := range n.Ports[pi].Rates {
+					if _, isConst := r.Const(); isConst && i > 0 {
+						continue // its sign was settled at the first valuation
+					}
 					v, err := r.Eval(env, 1)
 					if err != nil {
 						return fmt.Errorf("core: rate %s on %s.%s: %v", r, n.Name, n.Ports[pi].Name, err)

@@ -174,8 +174,9 @@ func (r Rat) Mul(s Rat) (Rat, error) {
 // Div returns r/s. It panics if s is zero and propagates ErrOverflow.
 func (r Rat) Div(s Rat) (Rat, error) { return r.Mul(s.Inv()) }
 
-// MustAdd is Add that panics on overflow; for use in contexts (tests,
-// literal graph construction) where overflow is impossible by construction.
+// MustAdd is Add that panics with ErrOverflow. The Must forms are the
+// symbolic kernel's arithmetic (internal/symb), on user-supplied rates too;
+// its entry points recover that panic into an error (symb.CatchOverflow).
 func (r Rat) MustAdd(s Rat) Rat { return must(r.Add(s)) }
 
 // MustSub is Sub that panics on overflow.

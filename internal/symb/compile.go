@@ -55,7 +55,7 @@ type CompiledPoly struct {
 // Compile lowers p over the index. Every parameter occurring in p must be
 // indexed; evaluation then reads the valuation slice positionally.
 func (p Poly) Compile(pi *ParamIndex) (*CompiledPoly, error) {
-	terms := p.sortedTerms()
+	terms := p.terms
 	c := &CompiledPoly{
 		nparams: pi.Len(),
 		coefs:   make([]rat.Rat, len(terms)),

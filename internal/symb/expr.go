@@ -12,11 +12,19 @@ import (
 //
 // Exprs are normalized on construction: the denominator is never zero, an
 // exact polynomial quotient is taken when possible, common monomial and
-// rational content is cancelled, and the denominator's leading coefficient
-// is positive.
+// rational content is cancelled, the denominator's leading coefficient is
+// positive, and numerator and denominator keep integer coefficients (a
+// fractional scale lives in the denominator: p/2, not (1/2)·p). A
+// denominator of 1 is stored as the zero Poly; every rate of every shipped
+// and generated graph is such a polynomial.
+//
+// Between two polynomials Add, Sub, Mul, ScaleInt, SumExprs and Equal work
+// on the numerators alone and restore the invariant with the
+// integer-content rule (polyExpr); anything with a real denominator goes
+// through normalize, the one general path. Exprs are immutable like Polys.
 type Expr struct {
 	num Poly
-	den Poly // nil/zero treated as 1 so the zero value is usable
+	den Poly // zero Poly means 1
 }
 
 // ZeroExpr returns the expression 0.
@@ -26,16 +34,16 @@ func ZeroExpr() Expr { return Expr{} }
 func OneExpr() Expr { return IntExpr(1) }
 
 // IntExpr returns the constant expression n.
-func IntExpr(n int64) Expr { return Expr{num: PolyInt(n), den: PolyInt(1)} }
+func IntExpr(n int64) Expr { return Expr{num: PolyInt(n)} }
 
 // RatExpr returns the constant expression r.
-func RatExpr(r rat.Rat) Expr { return Expr{num: PolyConst(r), den: PolyInt(1)} }
+func RatExpr(r rat.Rat) Expr { return polyExpr(PolyConst(r)) }
 
 // Var returns the expression consisting of the single parameter name.
-func Var(name string) Expr { return Expr{num: PolyVar(name), den: PolyInt(1)} }
+func Var(name string) Expr { return Expr{num: PolyVar(name)} }
 
 // FromPoly returns the expression p/1.
-func FromPoly(p Poly) Expr { return Expr{num: p, den: PolyInt(1)} }
+func FromPoly(p Poly) Expr { return polyExpr(p) }
 
 // NewExpr returns the normalized rational function num/den.
 // It returns an error if den is the zero polynomial.
@@ -46,20 +54,29 @@ func NewExpr(num, den Poly) (Expr, error) {
 	return normalize(num, den), nil
 }
 
+// polyExpr returns the expression p/1 under the integer-content rule: a
+// polynomial with integer coefficients is its own numerator; fractional
+// coefficients (e.g. (1/2)·p) are scaled by the LCM k of their denominators
+// so the numerator keeps integer coefficients and the denominator carries
+// the scale (p/2).
+func polyExpr(p Poly) Expr {
+	k := p.ContentRat().Den()
+	if k == 1 {
+		return Expr{num: p}
+	}
+	kr := rat.FromInt(k)
+	return Expr{num: p.Scale(kr), den: PolyConst(kr)}
+}
+
+// normalize is the general constructor: num/den for any nonzero den.
 func normalize(num, den Poly) Expr {
 	if num.IsZero() {
-		return Expr{num: ZeroPoly(), den: PolyInt(1)}
+		return Expr{}
 	}
 	// Exact quotient if possible. The quotient may have fractional
-	// coefficients (e.g. 2p/4 -> (1/2)p); re-split so the numerator keeps
-	// integer coefficients and the denominator carries the scale (p/2).
+	// coefficients (e.g. 2p/4 -> (1/2)p), which polyExpr re-splits.
 	if q, ok := num.TryDiv(den); ok {
-		c := q.ContentRat()
-		if c.Den() == 1 {
-			return Expr{num: q, den: PolyInt(1)}
-		}
-		k := rat.FromInt(c.Den())
-		return Expr{num: q.Scale(k), den: PolyConst(k)}
+		return polyExpr(q)
 	}
 	// Cancel common monomial and rational content.
 	np, nc, nm := num.Primitive()
@@ -81,23 +98,22 @@ func normalize(num, den Poly) Expr {
 		num = num.Scale(g.Inv())
 		den = den.Scale(g.Inv())
 	}
-	return Expr{num: num, den: den}
+	return Expr{num: num, den: den} // den is not constant: TryDiv failed
 }
 
 // Num returns the numerator polynomial.
-func (e Expr) Num() Poly {
-	return e.normNum()
-}
+func (e Expr) Num() Poly { return e.num }
 
-func (e Expr) normNum() Poly { return e.num }
-
-// Den returns the denominator polynomial (1 for the zero value).
+// Den returns the denominator polynomial.
 func (e Expr) Den() Poly {
-	if e.den.IsZero() {
+	if e.isPoly() {
 		return PolyInt(1)
 	}
 	return e.den
 }
+
+// isPoly reports whether the denominator is 1.
+func (e Expr) isPoly() bool { return e.den.IsZero() }
 
 // IsZero reports whether e == 0.
 func (e Expr) IsZero() bool { return e.num.IsZero() }
@@ -111,10 +127,10 @@ func (e Expr) IsOne() bool {
 // Const returns the constant value of e if e has no parameters.
 func (e Expr) Const() (rat.Rat, bool) {
 	nc, ok := e.num.Const()
-	if !ok {
-		return rat.Rat{}, false
+	if !ok || e.isPoly() {
+		return nc, ok
 	}
-	dc, ok := e.Den().Const()
+	dc, ok := e.den.Const()
 	if !ok {
 		return rat.Rat{}, false
 	}
@@ -132,8 +148,7 @@ func (e Expr) Int() (int64, bool) {
 
 // IsPoly reports whether the denominator is 1, returning the numerator.
 func (e Expr) IsPoly() (Poly, bool) {
-	d, ok := e.Den().Const()
-	if ok && d.Equal(rat.One) {
+	if e.isPoly() {
 		return e.num, true
 	}
 	return Poly{}, false
@@ -141,42 +156,37 @@ func (e Expr) IsPoly() (Poly, bool) {
 
 // Vars returns the sorted parameter names in e.
 func (e Expr) Vars() []string {
-	set := map[string]bool{}
-	for _, v := range e.num.Vars() {
-		set[v] = true
+	out := e.num.Vars()
+	for _, t := range e.den.terms {
+		out = mergeNames(out, t.mono.vars)
 	}
-	for _, v := range e.Den().Vars() {
-		set[v] = true
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sortStrings(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Add returns e + f.
 func (e Expr) Add(f Expr) Expr {
+	if e.isPoly() && f.isPoly() {
+		return polyExpr(e.num.Add(f.num))
+	}
 	return normalize(e.num.Mul(f.Den()).Add(f.num.Mul(e.Den())), e.Den().Mul(f.Den()))
 }
 
 // Sub returns e - f.
-func (e Expr) Sub(f Expr) Expr { return e.Add(f.Neg()) }
+func (e Expr) Sub(f Expr) Expr {
+	if e.isPoly() && f.isPoly() {
+		return polyExpr(e.num.Sub(f.num))
+	}
+	return e.Add(f.Neg())
+}
 
 // Neg returns -e.
-func (e Expr) Neg() Expr { return Expr{num: e.num.Neg(), den: e.Den()} }
+func (e Expr) Neg() Expr { return Expr{num: e.num.Neg(), den: e.den} }
 
 // Mul returns e * f.
 func (e Expr) Mul(f Expr) Expr {
+	if e.isPoly() && f.isPoly() {
+		return polyExpr(e.num.Mul(f.num))
+	}
 	return normalize(e.num.Mul(f.num), e.Den().Mul(f.Den()))
 }
 
@@ -186,18 +196,34 @@ func (e Expr) Div(f Expr) Expr {
 	if f.IsZero() {
 		panic("symb: division by zero expression")
 	}
-	return normalize(e.num.Mul(f.Den()), e.Den().Mul(f.num))
+	num, den := e.num, f.num
+	if !f.isPoly() {
+		num = num.Mul(f.den)
+	}
+	if !e.isPoly() {
+		den = den.Mul(e.den)
+	}
+	return normalize(num, den)
 }
 
 // Inv returns 1/e. It panics if e is zero.
 func (e Expr) Inv() Expr { return OneExpr().Div(e) }
 
 // ScaleInt returns n * e.
-func (e Expr) ScaleInt(n int64) Expr { return e.Mul(IntExpr(n)) }
+func (e Expr) ScaleInt(n int64) Expr {
+	num := e.num.Scale(rat.FromInt(n))
+	if e.isPoly() {
+		return polyExpr(num)
+	}
+	return normalize(num, e.den)
+}
 
-// Equal reports e == f (by cross multiplication, so representation
-// differences cannot cause false negatives).
+// Equal reports e == f (by cross multiplication when either side has a
+// denominator, so representation differences cannot cause false negatives).
 func (e Expr) Equal(f Expr) bool {
+	if e.isPoly() && f.isPoly() {
+		return e.num.Equal(f.num)
+	}
 	return e.num.Mul(f.Den()).Equal(f.num.Mul(e.Den()))
 }
 
@@ -205,15 +231,15 @@ func (e Expr) Equal(f Expr) bool {
 // defaultVal. It reports an error on overflow or a zero denominator.
 func (e Expr) Eval(env Env, defaultVal int64) (rat.Rat, error) {
 	nv, err := e.num.Eval(env, defaultVal)
-	if err != nil {
-		return rat.Rat{}, err
+	if err != nil || e.isPoly() {
+		return nv, err
 	}
-	dv, err := e.Den().Eval(env, defaultVal)
+	dv, err := e.den.Eval(env, defaultVal)
 	if err != nil {
 		return rat.Rat{}, err
 	}
 	if dv.IsZero() {
-		return rat.Rat{}, fmt.Errorf("symb: denominator %s evaluates to zero", e.Den())
+		return rat.Rat{}, fmt.Errorf("symb: denominator %s evaluates to zero", e.den)
 	}
 	return nv.Div(dv)
 }
@@ -243,7 +269,7 @@ func (e Expr) Substitute(name string, val Expr) Expr {
 // rational function).
 func substPoly(p Poly, name string, val Expr) Expr {
 	acc := ZeroExpr()
-	for _, t := range p.sortedTerms() {
+	for _, t := range p.terms {
 		exp := t.mono.Exp(name)
 		rest, _ := t.mono.Div(MonoPow(name, exp))
 		term := FromPoly(PolyTerm(t.coef, rest))
@@ -257,10 +283,10 @@ func substPoly(p Poly, name string, val Expr) Expr {
 
 // String renders the expression, e.g. "2*p", "p/2", "(p + 1)/(2*q)".
 func (e Expr) String() string {
-	den := e.Den()
-	if c, ok := den.Const(); ok && c.Equal(rat.One) {
+	if e.isPoly() {
 		return e.num.String()
 	}
+	den := e.den
 	ns := e.num.String()
 	ds := den.String()
 	if e.num.NumTerms() > 1 {
@@ -322,14 +348,17 @@ func NormalizeVector(xs []Expr) ([]Expr, error) {
 		if x.IsZero() {
 			return nil, fmt.Errorf("symb: zero entry in solution vector")
 		}
-		l = PolyLCM(l, x.Den())
+		if !x.isPoly() {
+			l = PolyLCM(l, x.den)
+		}
 	}
 	scaled := make([]Poly, len(xs))
 	for i, x := range xs {
-		q, ok := l.TryDiv(x.Den())
-		if !ok {
-			// PolyLCM was conservative; multiply through instead.
-			q = l
+		q := l
+		if !x.isPoly() {
+			if d, ok := l.TryDiv(x.den); ok {
+				q = d
+			} // else PolyLCM was conservative: multiply through instead
 		}
 		scaled[i] = x.num.Mul(q)
 	}
@@ -350,19 +379,7 @@ func NormalizeVector(xs []Expr) ([]Expr, error) {
 	}
 	out := make([]Expr, len(xs))
 	for i, p := range scaled {
-		prim := p.Scale(g.Inv())
-		if !gm.IsUnit() {
-			q := ZeroPoly()
-			for _, t := range prim.sortedTerms() {
-				dm, ok := t.mono.Div(gm)
-				if !ok {
-					return nil, fmt.Errorf("symb: internal: content monomial %s does not divide %s", gm, t.mono)
-				}
-				q = q.addTerm(dm, t.coef)
-			}
-			prim = q
-		}
-		out[i] = FromPoly(prim)
+		out[i] = polyExpr(p.divTerm(g, gm))
 	}
 	return out, nil
 }

@@ -7,6 +7,15 @@
 // exactly: propagation along a spanning tree produces rational-function
 // firing ratios, which are then normalized to the minimal integer symbolic
 // solution exactly as in §III-A of the TPDF paper.
+//
+// There is one representation and one arithmetic. A Poly is a canonical
+// term slice (strictly descending graded-lex order, no zero coefficient,
+// nil for 0), so sums are merges and comparisons are pairwise; an Expr
+// whose denominator is 1 stores no denominator and its arithmetic stays on
+// the numerators (the polynomial path), everything else goes through
+// normalize. All values are immutable and may be shared. Coefficient
+// overflow panics with rat.ErrOverflow inside the kernel; the entry points
+// that take user-supplied rates defer CatchOverflow and return it.
 package symb
 
 import (
@@ -217,10 +226,10 @@ func (m Mono) Cmp(n Mono) int {
 	}
 }
 
-// key returns the canonical map key for the monomial.
-func (m Mono) key() string {
+// String renders the monomial, e.g. "p^2*q"; the unit renders as "1".
+func (m Mono) String() string {
 	if m.IsUnit() {
-		return ""
+		return "1"
 	}
 	var b strings.Builder
 	for i, v := range m.vars {
@@ -234,14 +243,6 @@ func (m Mono) key() string {
 		}
 	}
 	return b.String()
-}
-
-// String renders the monomial; the unit renders as "1".
-func (m Mono) String() string {
-	if m.IsUnit() {
-		return "1"
-	}
-	return m.key()
 }
 
 // Eval evaluates the monomial in the environment. Missing parameters

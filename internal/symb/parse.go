@@ -18,7 +18,8 @@ import (
 // with implicit multiplication allowed between an atom and a following
 // identifier or '(' (so "2p" and "beta(N+L)" parse as products, matching the
 // rate notation used in the paper's figures).
-func ParseExpr(s string) (Expr, error) {
+func ParseExpr(s string) (_ Expr, err error) {
+	defer CatchOverflow(&err)
 	p := &exprParser{src: s}
 	e, err := p.parseExpr()
 	if err != nil {

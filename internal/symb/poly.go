@@ -1,18 +1,25 @@
 package symb
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/rat"
 )
 
 // Poly is a multivariate polynomial with rational coefficients over integer
-// parameters. The zero value is the zero polynomial. Poly values are
-// immutable from the caller's perspective; operations return new values.
+// parameters, held as a canonical term slice: terms strictly descending in
+// the graded-lex order of Mono.Cmp, no zero coefficient, nil for the zero
+// polynomial (the zero value). Equal polynomials are structurally equal,
+// the leading term is terms[0] and a constant test is O(1).
+//
+// Poly values are immutable: an operation returns a fresh slice or one of
+// its operands unchanged and never writes through a slice it was handed,
+// so values may be shared freely.
 type Poly struct {
-	terms map[string]term // canonical mono key -> term
+	terms []term
 }
 
 type term struct {
@@ -20,57 +27,36 @@ type term struct {
 	coef rat.Rat
 }
 
+// CatchOverflow is deferred by the entry points that run the kernel on
+// user-supplied rates: it turns the kernel's one panic, rat.ErrOverflow
+// from coefficient arithmetic, into *err and re-raises anything else.
+func CatchOverflow(err *error) {
+	r := recover()
+	if e, ok := r.(error); ok && errors.Is(e, rat.ErrOverflow) {
+		*err = fmt.Errorf("symb: coefficient arithmetic: %w", e)
+	} else if r != nil {
+		panic(r)
+	}
+}
+
 // ZeroPoly returns the zero polynomial.
 func ZeroPoly() Poly { return Poly{} }
 
 // PolyConst returns the constant polynomial c.
-func PolyConst(c rat.Rat) Poly {
-	p := Poly{}
-	p = p.addTerm(UnitMono, c)
-	return p
-}
+func PolyConst(c rat.Rat) Poly { return PolyTerm(c, UnitMono) }
 
 // PolyInt returns the constant polynomial n.
 func PolyInt(n int64) Poly { return PolyConst(rat.FromInt(n)) }
 
 // PolyVar returns the polynomial consisting of a single parameter.
-func PolyVar(name string) Poly {
-	p := Poly{}
-	return p.addTerm(MonoVar(name), rat.One)
-}
+func PolyVar(name string) Poly { return PolyTerm(rat.One, MonoVar(name)) }
 
 // PolyTerm returns the polynomial c * m.
 func PolyTerm(c rat.Rat, m Mono) Poly {
-	p := Poly{}
-	return p.addTerm(m, c)
-}
-
-// addTerm returns p with c*m added (functional; copies the map).
-func (p Poly) addTerm(m Mono, c rat.Rat) Poly {
 	if c.IsZero() {
-		return p
+		return Poly{}
 	}
-	out := p.clone()
-	k := m.key()
-	if t, ok := out.terms[k]; ok {
-		nc := t.coef.MustAdd(c)
-		if nc.IsZero() {
-			delete(out.terms, k)
-		} else {
-			out.terms[k] = term{m, nc}
-		}
-	} else {
-		out.terms[k] = term{m, c}
-	}
-	return out
-}
-
-func (p Poly) clone() Poly {
-	out := Poly{terms: make(map[string]term, len(p.terms)+1)}
-	for k, t := range p.terms {
-		out.terms[k] = t
-	}
-	return out
+	return Poly{terms: []term{{m, c}}}
 }
 
 // IsZero reports whether p is the zero polynomial.
@@ -81,13 +67,11 @@ func (p Poly) NumTerms() int { return len(p.terms) }
 
 // Const returns the value of p if it is a constant polynomial.
 func (p Poly) Const() (rat.Rat, bool) {
-	switch len(p.terms) {
-	case 0:
+	switch {
+	case len(p.terms) == 0:
 		return rat.Zero, true
-	case 1:
-		if t, ok := p.terms[""]; ok {
-			return t.coef, true
-		}
+	case len(p.terms) == 1 && p.terms[0].mono.IsUnit():
+		return p.terms[0].coef, true
 	}
 	return rat.Rat{}, false
 }
@@ -100,26 +84,37 @@ func (p Poly) IsOne() bool {
 
 // Coef returns the coefficient of monomial m in p.
 func (p Poly) Coef(m Mono) rat.Rat {
-	if t, ok := p.terms[m.key()]; ok {
-		return t.coef
+	for _, t := range p.terms {
+		if t.mono.Equal(m) {
+			return t.coef
+		}
 	}
 	return rat.Zero
 }
 
 // Vars returns the sorted set of parameter names occurring in p.
 func (p Poly) Vars() []string {
-	set := map[string]bool{}
+	var out []string
 	for _, t := range p.terms {
-		for _, v := range t.mono.Vars() {
-			set[v] = true
-		}
+		out = mergeNames(out, t.mono.vars)
 	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
 	return out
+}
+
+// mergeNames merges the names of vs (sorted, as in every Mono) into the
+// sorted, duplicate-free list names.
+func mergeNames(names []string, vs []varExp) []string {
+	i := 0
+	for _, v := range vs {
+		for i < len(names) && names[i] < v.name {
+			i++
+		}
+		if i == len(names) || names[i] != v.name {
+			names = slices.Insert(names, i, v.name)
+		}
+		i++
+	}
+	return names
 }
 
 // Degree returns the total degree of p (-1 for the zero polynomial).
@@ -127,114 +122,90 @@ func (p Poly) Degree() int {
 	if p.IsZero() {
 		return -1
 	}
-	d := 0
-	for _, t := range p.terms {
-		if td := t.mono.Degree(); td > d {
-			d = td
-		}
-	}
-	return d
+	return p.terms[0].mono.Degree() // graded order: the leading term has it
 }
 
 // Add returns p + q.
-func (p Poly) Add(q Poly) Poly {
-	out := p.clone()
-	for k, t := range q.terms {
-		if e, ok := out.terms[k]; ok {
-			nc := e.coef.MustAdd(t.coef)
-			if nc.IsZero() {
-				delete(out.terms, k)
-			} else {
-				out.terms[k] = term{e.mono, nc}
-			}
-		} else {
-			out.terms[k] = t
-		}
+func (p Poly) Add(q Poly) Poly { return p.addMul(q, rat.One, UnitMono) }
+
+// Sub returns p - q.
+func (p Poly) Sub(q Poly) Poly { return p.addMul(q, rat.FromInt(-1), UnitMono) }
+
+// addMul returns p + q·(c·m) in one merge pass over the two term slices.
+// Graded lex is a monomial order, so q's terms times m stay descending and
+// the merge needs no sort.
+func (p Poly) addMul(q Poly, c rat.Rat, m Mono) Poly {
+	if q.IsZero() || c.IsZero() {
+		return p
 	}
-	return out
+	plain := m.IsUnit() && c.Equal(rat.One)
+	if p.IsZero() && plain {
+		return q
+	}
+	out := make([]term, 0, len(p.terms)+len(q.terms))
+	i := 0
+	for _, t := range q.terms {
+		if !plain {
+			t = term{t.mono.Mul(m), t.coef.MustMul(c)}
+		}
+		for i < len(p.terms) && p.terms[i].mono.Cmp(t.mono) > 0 {
+			out = append(out, p.terms[i])
+			i++
+		}
+		if i < len(p.terms) && p.terms[i].mono.Equal(t.mono) {
+			t.coef = p.terms[i].coef.MustAdd(t.coef)
+			i++
+			if t.coef.IsZero() {
+				continue
+			}
+		}
+		out = append(out, t)
+	}
+	out = append(out, p.terms[i:]...)
+	if len(out) == 0 {
+		return Poly{}
+	}
+	return Poly{terms: out}
 }
 
 // Neg returns -p.
-func (p Poly) Neg() Poly {
-	out := Poly{terms: make(map[string]term, len(p.terms))}
-	for k, t := range p.terms {
-		out.terms[k] = term{t.mono, t.coef.Neg()}
-	}
-	return out
-}
-
-// Sub returns p - q.
-func (p Poly) Sub(q Poly) Poly { return p.Add(q.Neg()) }
+func (p Poly) Neg() Poly { return p.Scale(rat.FromInt(-1)) }
 
 // Scale returns c * p.
-func (p Poly) Scale(c rat.Rat) Poly {
-	if c.IsZero() {
-		return ZeroPoly()
-	}
-	out := Poly{terms: make(map[string]term, len(p.terms))}
-	for k, t := range p.terms {
-		out.terms[k] = term{t.mono, t.coef.MustMul(c)}
-	}
-	return out
-}
+func (p Poly) Scale(c rat.Rat) Poly { return p.MulTerm(c, UnitMono) }
 
-// MulTerm returns p * (c * m).
+// MulTerm returns p * (c * m), one order-preserving pass.
 func (p Poly) MulTerm(c rat.Rat, m Mono) Poly {
-	if c.IsZero() {
-		return ZeroPoly()
+	if c.IsZero() || p.IsZero() {
+		return Poly{}
 	}
-	out := Poly{terms: make(map[string]term, len(p.terms))}
-	for _, t := range p.terms {
-		nm := t.mono.Mul(m)
-		out.terms[nm.key()] = term{nm, t.coef.MustMul(c)}
+	if m.IsUnit() && c.Equal(rat.One) {
+		return p
 	}
-	return out
+	out := make([]term, len(p.terms))
+	for i, t := range p.terms {
+		out[i] = term{t.mono.Mul(m), t.coef.MustMul(c)}
+	}
+	return Poly{terms: out}
 }
 
-// Mul returns p * q.
+// Mul returns p * q: the rows p·t, one per term t of q, merged.
 func (p Poly) Mul(q Poly) Poly {
-	out := ZeroPoly()
+	if len(p.terms) < len(q.terms) {
+		p, q = q, p
+	}
+	var out Poly
 	for _, t := range q.terms {
-		out = out.Add(p.MulTerm(t.coef, t.mono))
+		out = out.addMul(p, t.coef, t.mono)
 	}
 	return out
 }
 
 // Equal reports whether p == q.
 func (p Poly) Equal(q Poly) bool {
-	if len(p.terms) != len(q.terms) {
-		return false
-	}
-	for k, t := range p.terms {
-		u, ok := q.terms[k]
-		if !ok || !t.coef.Equal(u.coef) {
-			return false
-		}
-	}
-	return true
-}
-
-// sortedTerms returns the terms in descending graded-lex order.
-func (p Poly) sortedTerms() []term {
-	out := make([]term, 0, len(p.terms))
-	for _, t := range p.terms {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].mono.Cmp(out[j].mono) > 0 })
-	return out
-}
-
-// leadingTerm returns the graded-lex greatest term. p must be nonzero.
-func (p Poly) leadingTerm() term {
-	var best term
-	first := true
-	for _, t := range p.terms {
-		if first || t.mono.Cmp(best.mono) > 0 {
-			best = t
-			first = false
-		}
-	}
-	return best
+	return slices.EqualFunc(p.terms, q.terms, func(a, b term) bool {
+		return a.coef.Equal(b.coef) && a.mono.Equal(b.mono)
+	})
 }
 
 // TryDiv performs exact polynomial division p / d using graded-lex long
@@ -249,39 +220,35 @@ func (p Poly) TryDiv(d Poly) (Poly, bool) {
 	if c, ok := d.Const(); ok {
 		return p.Scale(c.Inv()), true
 	}
-	q := ZeroPoly()
+	// The remainder's leading terms strictly descend, so the quotient's
+	// terms are produced in canonical order.
+	var q []term
 	r := p
-	ld := d.leadingTerm()
+	ld := d.terms[0]
 	for !r.IsZero() {
-		lr := r.leadingTerm()
+		lr := r.terms[0]
 		mq, ok := lr.mono.Div(ld.mono)
 		if !ok {
 			return Poly{}, false
 		}
 		cq := lr.coef.MustDiv(ld.coef)
-		q = q.addTerm(mq, cq)
-		r = r.Sub(d.MulTerm(cq, mq))
+		q = append(q, term{mq, cq})
+		r = r.addMul(d, cq.Neg(), mq)
 	}
-	return q, true
+	return Poly{terms: q}, true
 }
 
 // ContentMono returns the monomial gcd of all terms (unit for zero poly).
 func (p Poly) ContentMono() Mono {
-	var g Mono
-	first := true
-	for _, t := range p.terms {
-		if first {
-			g = t.mono
-			first = false
-		} else {
-			g = g.GCD(t.mono)
-		}
+	if p.IsZero() {
+		return UnitMono
+	}
+	g := p.terms[0].mono
+	for _, t := range p.terms[1:] {
 		if g.IsUnit() {
 			break
 		}
-	}
-	if first {
-		return UnitMono
+		g = g.GCD(t.mono)
 	}
 	return g
 }
@@ -301,6 +268,23 @@ func (p Poly) ContentRat() rat.Rat {
 	return g
 }
 
+// divTerm returns p / (c·m) for a nonzero c and a monomial m dividing every
+// term (dividing by a common factor keeps the terms in order).
+func (p Poly) divTerm(c rat.Rat, m Mono) Poly {
+	if m.IsUnit() && c.Equal(rat.One) {
+		return p
+	}
+	out := make([]term, len(p.terms))
+	for i, t := range p.terms {
+		q, ok := t.mono.Div(m)
+		if !ok {
+			panic("symb: content monomial does not divide term")
+		}
+		out[i] = term{q, t.coef.MustDiv(c)}
+	}
+	return Poly{terms: out}
+}
+
 // Primitive returns p divided by its rational and monomial content, plus the
 // extracted content (c, m) such that p == primitive * c * m. The primitive
 // part has integer coprime coefficients and no common monomial factor, and a
@@ -311,18 +295,10 @@ func (p Poly) Primitive() (prim Poly, c rat.Rat, m Mono) {
 	}
 	m = p.ContentMono()
 	c = p.ContentRat()
-	if p.leadingTerm().coef.Sign() < 0 {
+	if p.terms[0].coef.Sign() < 0 {
 		c = c.Neg()
 	}
-	out := Poly{terms: make(map[string]term, len(p.terms))}
-	for _, t := range p.terms {
-		nm, ok := t.mono.Div(m)
-		if !ok {
-			panic("symb: content monomial does not divide term")
-		}
-		out.terms[nm.key()] = term{nm, t.coef.MustDiv(c)}
-	}
-	return out, c, m
+	return p.divTerm(c, m), c, m
 }
 
 // Eval evaluates p in env; parameters missing from env default to
@@ -353,7 +329,7 @@ func (p Poly) String() string {
 		return "0"
 	}
 	var b strings.Builder
-	for i, t := range p.sortedTerms() {
+	for i, t := range p.terms {
 		c := t.coef
 		if i == 0 {
 			if c.Sign() < 0 {

@@ -134,7 +134,7 @@ func TestPolyPrimitive(t *testing.T) {
 	if c2.Sign() >= 0 {
 		t.Errorf("content sign = %v, want negative", c2)
 	}
-	if prim2.leadingTerm().coef.Sign() <= 0 {
+	if prim2.terms[0].coef.Sign() <= 0 {
 		t.Error("primitive leading coefficient should be positive")
 	}
 }

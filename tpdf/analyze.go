@@ -69,7 +69,7 @@ type Report struct {
 // the parameter defaults and declared range corners, plus any
 // WithProbeEnvs; WithParams sets the valuation at which BufferBound is
 // evaluated.
-func Analyze(g *Graph, opts ...Option) *Report {
+func Analyze(g *Graph, opts ...Option) (rep *Report) {
 	cfg := buildConfig(opts)
 	extra := make([]symb.Env, 0, len(cfg.probeEnvs))
 	for _, e := range cfg.probeEnvs {
@@ -77,7 +77,7 @@ func Analyze(g *Graph, opts ...Option) *Report {
 	}
 	in := analysis.AnalyzeParallel(g, cfg.parallel, extra...)
 
-	rep := &Report{
+	rep = &Report{
 		GraphName:  g.Name,
 		Consistent: in.Consistent,
 		RateSafe:   in.RateSafe,
@@ -85,16 +85,16 @@ func Analyze(g *Graph, opts ...Option) *Report {
 		Bounded:    in.Bounded,
 		Err:        in.Err,
 	}
+	// The buffer bound sums symbolic traffic; coefficient overflow there is
+	// an analysis error like any other, not a panic.
+	defer symb.CatchOverflow(&rep.Err)
 	if in.Solution != nil {
 		rep.RepetitionVector = in.Solution.QString()
 		rep.Schedule = in.Solution.ScheduleString()
 
 		bound := analysis.SymbolicBufferBound(g, in.Solution, nil)
 		rep.BufferBoundExpr = bound.String()
-		env := symb.Env{}
-		for k, v := range g.DefaultEnv() {
-			env[k] = v
-		}
+		env := g.DefaultEnv()
 		for k, v := range cfg.params {
 			env[k] = v
 		}

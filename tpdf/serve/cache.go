@@ -27,10 +27,12 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/rat"
 	"repro/tpdf"
 )
 
@@ -122,6 +124,11 @@ func (c *ProgramCache) Get(g *tpdf.Graph) (*tpdf.CompiledGraph, *tpdf.Report, er
 		// agree on one canonical instance, and so the static verdict is
 		// computed once per graph, not once per admission.
 		e.report = tpdf.Analyze(e.compiled.Graph())
+		// An analysis that could not be carried out (coefficient overflow)
+		// is not a verdict: hold it like a failed compile.
+		if errors.Is(e.report.Err, rat.ErrOverflow) {
+			e.err = fmt.Errorf("%w: %w", ErrNotAdmissible, e.report.Err)
+		}
 	})
 	if e.err != nil {
 		// Leave the failed entry resident: recompiling a broken graph per

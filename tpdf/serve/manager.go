@@ -460,6 +460,9 @@ func (m *Manager) admit(ctx context.Context, id, tenant string, g *tpdf.Graph, p
 func (m *Manager) start(id, tenant string, g *tpdf.Graph, params map[string]int64,
 	chaos *ChaosSpec, resume *tpdf.Checkpoint) (*Session, error) {
 	compiled, report, err := m.cache.Get(g)
+	if errors.Is(err, ErrNotAdmissible) {
+		return nil, err
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotAdmissible, err)
 	}
