@@ -1,10 +1,14 @@
 package analysis
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/graphio"
 	"repro/internal/symb"
 )
 
@@ -156,5 +160,70 @@ func TestRateSafetyEmptyAreaError(t *testing.T) {
 		if r.Err != nil {
 			t.Errorf("OFDM at corner valuation unsafe: %v", r.Err)
 		}
+	}
+}
+
+// TestCumSymbolicClosedFormMatchesLoop: for a concrete count the closed
+// form (cnt/len)·Σseq + Σseq[:cnt%len] is the firing-by-firing sum it
+// replaced, for every count up to four cycles of seeded sequences.
+func TestCumSymbolicClosedFormMatchesLoop(t *testing.T) {
+	rates := []string{"0", "1", "2", "p", "2*p", "p + q", "p*q", "3"}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		s := make([]symb.Expr, 1+rng.Intn(6))
+		for i := range s {
+			s[i] = symb.MustParseExpr(rates[rng.Intn(len(rates))])
+		}
+		loop := symb.ZeroExpr()
+		for cnt := 0; cnt <= 4*len(s); cnt++ {
+			got, err := CumSymbolic(s, symb.IntExpr(int64(cnt)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(loop) || got.String() != loop.String() {
+				t.Fatalf("seq %v over %d firings: closed form %s, loop %s", s, cnt, got, loop)
+			}
+			loop = loop.Add(s[cnt%len(s)])
+		}
+	}
+}
+
+// TestAnalyzeHugeLocalCount: a control actor whose neighbour fires n times
+// per local iteration used to cost one Expr.Add per firing inside rate
+// safety (n = 10^6: seconds; 10^9: over an hour). The verdicts do not
+// depend on n and neither may the time.
+func TestAnalyzeHugeLocalCount(t *testing.T) {
+	build := func(n string) *core.Graph {
+		g, err := graphio.Parse(`graph cum {
+  kernel A exec 1;
+  kernel B exec 1;
+  control C exec 1;
+  transaction T exec 1;
+  kernel Z exec 0;
+  edge e1: A [1] -> [1] B;
+  edge e2: B [1,1] -> [` + n + `] T prio 1;
+  edge e3: B [1,1] -> [` + n + `] C;
+  edge e4: C [1] -> [1] T control;
+  edge e5: T [1] -> [1] Z;
+}`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	small := Analyze(build("1000"))
+	start := time.Now()
+	huge := Analyze(build("1000000000"))
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Analyze with a local count of 10^9 took %v, want < 1s", d)
+	}
+	for i, r := range []*Report{small, huge} {
+		if r.Err != nil || !r.Consistent || !r.RateSafe || !r.Live || !r.Bounded {
+			t.Fatalf("graph %d: err=%v consistent=%v safe=%v live=%v bounded=%v",
+				i, r.Err, r.Consistent, r.RateSafe, r.Live, r.Bounded)
+		}
+	}
+	if got, want := huge.Solution.QString(), "[1000000000, 1000000000, 1, 1, 1]"; got != want {
+		t.Errorf("q = %s, want %s", got, want)
 	}
 }

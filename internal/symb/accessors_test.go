@@ -70,6 +70,17 @@ func TestRatExprAndNewExpr(t *testing.T) {
 	if !ok || !c.Equal(rat.New(3, 2)) {
 		t.Errorf("RatExpr = %v", e)
 	}
+	// The numerator keeps integer coefficients and the denominator carries
+	// the scale, as for every other constructor (it used to hold 3/2 over 1).
+	if e.Num().String() != "3" || e.Den().String() != "2" || e.String() != "3/2" {
+		t.Errorf("RatExpr(3/2) = %s over %s", e.Num(), e.Den())
+	}
+	if h := RatExpr(rat.New(1, 2)); !h.Add(h).IsOne() || h.Add(h).String() != "1" || !h.Equal(IntExpr(1).Div(IntExpr(2))) {
+		t.Errorf("1/2 + 1/2 = %s", h.Add(h))
+	}
+	if i := RatExpr(rat.FromInt(4)); i.String() != "4" || !i.Den().IsOne() {
+		t.Errorf("RatExpr(4) = %s over %s", i.Num(), i.Den())
+	}
 	n, err := NewExpr(PolyVar("p"), PolyInt(2))
 	if err != nil {
 		t.Fatal(err)

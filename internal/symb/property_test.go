@@ -270,3 +270,28 @@ func TestPropNormalizeVectorCanonical(t *testing.T) {
 		}
 	}
 }
+
+// TestConstantExprAllocations: an integer constant is one one-term slice,
+// and arithmetic between constants stays on the polynomial path (the
+// map-based kernel paid 4 allocations for IntExpr, 18 for Add and 16 for
+// ScaleInt).
+func TestConstantExprAllocations(t *testing.T) {
+	a, b := IntExpr(3), IntExpr(4)
+	var sink Expr
+	for _, c := range []struct {
+		name string
+		max  float64
+		op   func()
+	}{
+		{"IntExpr", 2, func() { sink = IntExpr(7) }},
+		{"Add", 2, func() { sink = a.Add(b) }},
+		{"ScaleInt", 2, func() { sink = a.ScaleInt(5) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.op); got > c.max {
+			t.Errorf("%s on integer constants: %.0f allocs, want <= %.0f", c.name, got, c.max)
+		} else {
+			t.Logf("%s: %.0f allocs", c.name, got)
+		}
+	}
+	_ = sink
+}
