@@ -119,6 +119,16 @@
 //     per-probe modulo, and a buffers-only mode skips trace bookkeeping
 //     when callers need only high-water marks. A steady-state Reset+run
 //     cycle performs zero heap allocations (BenchmarkSimReset);
+//   - the static analysis runs on a symbolic kernel (internal/symb) that
+//     keeps a polynomial as a canonical term slice and a rate with
+//     denominator 1 on its numerator alone, and computes each port's cycle
+//     rate once per analysis. Map-per-value parent → this kernel, same box,
+//     bench/run.sh --workload analysis: ops_per_s 59–66 → 265–289,
+//     allocs_per_op 73,084 → 12,100; --trace 1: analysis.analyze_us
+//     696–913 → 39–45, graphio.parse_us 88–109 → 27–36,
+//     core.compile_skeleton_us 37–39 → 15–23, serve.open_us 25–34 → 21–28,
+//     proc.cpu_ms_per_op 19.5–20.4 → 4.6–4.7 (symb.eval_ns, the compiled
+//     evaluator, unchanged at ≈ 208);
 //   - parametric graphs compile once and rebind per valuation: core.Compile
 //     lowers every symbolic rate to flat coefficient/exponent tables over a
 //     fixed parameter index (symb.ParamIndex, Poly.Compile/EvalInto) and

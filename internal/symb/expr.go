@@ -354,11 +354,11 @@ func NormalizeVector(xs []Expr) ([]Expr, error) {
 	}
 	scaled := make([]Poly, len(xs))
 	for i, x := range xs {
+		// Denominator 1 (stored as zero, so TryDiv refuses it), or PolyLCM
+		// was conservative: multiply through by l itself.
 		q := l
-		if !x.isPoly() {
-			if d, ok := l.TryDiv(x.den); ok {
-				q = d
-			} // else PolyLCM was conservative: multiply through instead
+		if d, ok := l.TryDiv(x.den); ok {
+			q = d
 		}
 		scaled[i] = x.num.Mul(q)
 	}
