@@ -134,9 +134,10 @@
 //     fixed parameter index (symb.ParamIndex, Poly.Compile/EvalInto) and
 //     builds the concrete CSDF skeleton a single time; Program.Rebind then
 //     re-evaluates the rate tables and the repetition vector in place —
-//     no maps, no fresh csdf.Graph. One-shot callers keep Instantiate;
-//     anything evaluating one graph at many valuations (sweeps, probes)
-//     pairs a Program with a Simulator via sim.NewSimulatorFromProgram and
+//     no maps, no fresh csdf.Graph. One-shot callers bind a Program too
+//     (core.Bind); anything evaluating one graph at many valuations
+//     (sweeps, probes) pairs it with a Simulator via
+//     sim.NewSimulatorFromProgram and
 //     cycles Rebind+BindProgram+Run, which is zero heap allocations per
 //     warm sweep point (TestSweepSteadyStateAllocs, BenchmarkSweepRebind
 //     vs BenchmarkSweepInstantiate) and byte-identical to fresh
@@ -233,6 +234,26 @@
 //     invariant is asserted by the CI soak, chaos and durability jobs, and
 //     serve latency is judged by the serve-pump and serve-durable
 //     workloads of bench/run.sh.
+//
+// # Reference stack and product stack
+//
+// A graph + valuation becomes rates in two places, on purpose. The product
+// stack is a core.Program bound at the valuation (core.Bind, or Compile /
+// a shared Skeleton + Rebind): the compiled evaluator fills the rate tables
+// of one reusable csdf.Graph, SolveInto the repetition vector,
+// Program.CanonicalPeriod the §III-D precedence graph, and every product
+// entry point — Simulate, Schedule, GenerateCode, Stream, Sweep,
+// MinimalBuffers, IterationPeriod, Analyze's liveness probes, the
+// experiment drivers, tpdf/serve — reads them from there, so which
+// valuations are legal has one answer. The reference stack is
+// core.Graph.Instantiate (map-based symb.Expr.Eval into a fresh
+// csdf.Graph) → csdf RepetitionVector → runner.Run, i.e. tpdf.Execute: an
+// independent computation of the same answer, kept only as the oracle.
+// Four invariant pairs cross the two (rebind, tiers, epochs, contexts),
+// as do core's refusal-parity test and bench/'s output check. The rule:
+// product code does not call Instantiate (CI's "one lowering" step greps
+// for it), and the reference stack does not borrow the product lowering —
+// a pair that compared a function with itself would check nothing.
 //
 // # Testing
 //

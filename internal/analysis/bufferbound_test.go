@@ -24,9 +24,8 @@ func TestFig8FormulasDerivedSymbolically(t *testing.T) {
 	got := SymbolicBufferBound(tg, sol, active)
 	// The graph's merge stage emits beta*M*N; with QAM selected M = 4.
 	want := symb.MustParseExpr("3 + beta*(12*N + L)")
-	gotAtM4 := substituteM(t, got, 4)
-	if !gotAtM4.Equal(want) {
-		t.Errorf("TPDF bound = %s (at M=4: %s), want %s", got, gotAtM4, want)
+	if !equalAtM(t, got, want, 4) {
+		t.Errorf("TPDF bound = %s, want %s at M=4", got, want)
 	}
 
 	// CSDF baseline: β(17N + L).
@@ -42,10 +41,30 @@ func TestFig8FormulasDerivedSymbolically(t *testing.T) {
 	}
 }
 
-// substituteM fixes the parameter M to a concrete value.
-func substituteM(t *testing.T, e symb.Expr, m int64) symb.Expr {
+// equalAtM reports whether got, with the parameter M fixed to m, is the
+// polynomial want: both have degree 1 in each of beta, N and L, so agreeing
+// on a 3×3×3 grid of distinct values makes them identical.
+func equalAtM(t *testing.T, got, want symb.Expr, m int64) bool {
 	t.Helper()
-	return e.Substitute("M", symb.IntExpr(m))
+	for _, beta := range []int64{1, 2, 7} {
+		for _, n := range []int64{1, 5, 64} {
+			for _, l := range []int64{1, 3, 9} {
+				env := symb.Env{"beta": beta, "N": n, "L": l, "M": m}
+				g, err := got.Eval(env, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := want.Eval(env, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !g.Equal(w) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 func TestSymbolicBoundQPSKBranch(t *testing.T) {
@@ -60,10 +79,10 @@ func TestSymbolicBoundQPSKBranch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := substituteM(t, SymbolicBufferBound(g, sol, active), 2)
+	got := SymbolicBufferBound(g, sol, active)
 	want := symb.MustParseExpr("3 + beta*(8*N + L)")
-	if !got.Equal(want) {
-		t.Errorf("QPSK bound = %s, want %s", got, want)
+	if !equalAtM(t, got, want, 2) {
+		t.Errorf("QPSK bound = %s, want %s at M=2", got, want)
 	}
 }
 

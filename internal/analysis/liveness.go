@@ -83,7 +83,7 @@ func LivenessParallel(g *core.Graph, sol *Solution, parallel int, envs ...symb.E
 		for i, v := range comp {
 			members[i] = core.NodeID(v)
 		}
-		sortNodeIDs(members)
+		slices.Sort(members)
 		cyc := Cycle{Members: members, Live: true}
 		if local, err := LocalSolution(sol, members); err == nil {
 			cyc.QG = local.QG
@@ -117,14 +117,6 @@ func LivenessParallel(g *core.Graph, sol *Solution, parallel int, envs ...symb.E
 		rep.Cycles = append(rep.Cycles, cyc)
 	}
 	return rep, nil
-}
-
-func sortNodeIDs(s []core.NodeID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // localScheduleProgram rebinds the compiled graph at env, builds the

@@ -26,16 +26,15 @@ type Report struct {
 }
 
 // Analyze runs rate consistency, rate safety and liveness, probing liveness
-// at the graph's representative parameter valuations plus any extra
-// environments supplied.
-func Analyze(g *core.Graph, extraEnvs ...symb.Env) *Report {
-	return AnalyzeParallel(g, 1, extraEnvs...)
+// at the graph's representative parameter valuations (core.Graph.ProbeEnvs).
+func Analyze(g *core.Graph) *Report {
+	return AnalyzeParallel(g, 1)
 }
 
 // AnalyzeParallel is Analyze with the concrete liveness probes fanned out
 // over up to parallel workers; the symbolic passes (consistency, rate
 // safety) are inherently sequential and unchanged.
-func AnalyzeParallel(g *core.Graph, parallel int, extraEnvs ...symb.Env) (rep *Report) {
+func AnalyzeParallel(g *core.Graph, parallel int) (rep *Report) {
 	rep = &Report{Graph: g}
 	// Symbolic coefficient overflow anywhere in the chain ends the analysis
 	// with rep.Err wrapping rat.ErrOverflow.
@@ -56,8 +55,7 @@ func AnalyzeParallel(g *core.Graph, parallel int, extraEnvs ...symb.Env) (rep *R
 		}
 	}
 
-	envs := append(probeEnvs(g), extraEnvs...)
-	lr, err := LivenessParallel(g, sol, parallel, envs...)
+	lr, err := LivenessParallel(g, sol, parallel, g.ProbeEnvs()...)
 	if err != nil {
 		rep.Err = err
 		return rep
@@ -67,30 +65,6 @@ func AnalyzeParallel(g *core.Graph, parallel int, extraEnvs ...symb.Env) (rep *R
 
 	rep.Bounded = rep.Consistent && rep.RateSafe && rep.Live
 	return rep
-}
-
-// probeEnvs returns the valuations used for concrete checks: defaults plus
-// the declared corners of each parameter range.
-func probeEnvs(g *core.Graph) []symb.Env {
-	def := g.DefaultEnv()
-	if len(g.Params) == 0 {
-		return []symb.Env{def}
-	}
-	lo := symb.Env{}
-	hi := symb.Env{}
-	for _, p := range g.Params {
-		mn := p.Min
-		if mn <= 0 {
-			mn = 1
-		}
-		mx := p.Max
-		if mx <= 0 {
-			mx = mn + 2
-		}
-		lo[p.Name] = mn
-		hi[p.Name] = mx
-	}
-	return []symb.Env{def, lo, hi}
 }
 
 // String renders the full report as the CLI prints it.

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/csdf"
 	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/symb"
@@ -209,32 +208,4 @@ func MeanImprovement(points []Point) float64 {
 		s += p.Improvement()
 	}
 	return s / float64(len(points))
-}
-
-// ScheduleBounds compares per-edge buffer bounds for a concrete CSDF graph
-// under the eager and demand-driven sequential schedules; the smaller of
-// the two is a valid single-core buffer budget for the graph.
-func ScheduleBounds(g *csdf.Graph) (eager, demand []int64, err error) {
-	sol, err := g.RepetitionVector()
-	if err != nil {
-		return nil, nil, err
-	}
-	se, err := g.BuildSchedule(sol, csdf.Eager)
-	if err != nil {
-		return nil, nil, err
-	}
-	sd, err := g.BuildSchedule(sol, csdf.Demand)
-	if err != nil {
-		return nil, nil, err
-	}
-	return se.MaxTokens, sd.MaxTokens, nil
-}
-
-// Total sums a per-edge bound vector.
-func Total(bounds []int64) int64 {
-	var t int64
-	for _, b := range bounds {
-		t += b
-	}
-	return t
 }

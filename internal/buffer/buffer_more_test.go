@@ -31,17 +31,25 @@ func TestScheduleBoundsOFDMBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager, demand, err := ScheduleBounds(g)
+	sol, err := g.RepetitionVector()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Total(demand) > Total(eager) {
-		t.Errorf("demand %d > eager %d", Total(demand), Total(eager))
+	eager, err := g.BuildSchedule(sol, csdf.Eager)
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand, err := g.BuildSchedule(sol, csdf.Demand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if demand.TotalBuffer() > eager.TotalBuffer() {
+		t.Errorf("demand %d > eager %d", demand.TotalBuffer(), eager.TotalBuffer())
 	}
 	// Sequential single-core execution of the chain needs the full
 	// per-iteration transfer on every edge: both equal the paper total.
-	if Total(eager) != 2*(17*16+1) {
-		t.Errorf("eager total = %d, want %d", Total(eager), 2*(17*16+1))
+	if eager.TotalBuffer() != 2*(17*16+1) {
+		t.Errorf("eager total = %d, want %d", eager.TotalBuffer(), 2*(17*16+1))
 	}
 }
 
@@ -51,8 +59,14 @@ func TestScheduleBoundsDeadlockPropagates(t *testing.T) {
 	b := g.AddActor("b")
 	g.Connect(a, []int64{1}, b, []int64{1}, 0)
 	g.Connect(b, []int64{1}, a, []int64{1}, 0)
-	if _, _, err := ScheduleBounds(g); err == nil {
-		t.Error("deadlocked graph must propagate an error")
+	sol, err := g.RepetitionVector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []csdf.SchedulePolicy{csdf.Eager, csdf.Demand} {
+		if _, err := g.BuildSchedule(sol, policy); err == nil {
+			t.Errorf("policy %v: deadlocked graph must propagate an error", policy)
+		}
 	}
 }
 

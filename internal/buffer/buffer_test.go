@@ -58,6 +58,9 @@ func TestSweepNOrdering(t *testing.T) {
 	}
 }
 
+// TestScheduleBounds pins what the engine's ring sizing and the generated
+// code rely on: the demand-driven PASS never needs more buffer than the
+// eager one.
 func TestScheduleBounds(t *testing.T) {
 	g := csdf.NewGraph()
 	a := g.AddActor("a")
@@ -65,15 +68,23 @@ func TestScheduleBounds(t *testing.T) {
 	c := g.AddActor("c")
 	g.Connect(a, []int64{4}, b, []int64{1}, 0)
 	g.Connect(b, []int64{1}, c, []int64{1}, 0)
-	eager, demand, err := ScheduleBounds(g)
+	sol, err := g.RepetitionVector()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Total(demand) > Total(eager) {
-		t.Errorf("demand total %d > eager total %d", Total(demand), Total(eager))
+	eager, err := g.BuildSchedule(sol, csdf.Eager)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if demand[1] != 1 {
-		t.Errorf("demand bound on b->c = %d, want 1", demand[1])
+	demand, err := g.BuildSchedule(sol, csdf.Demand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if demand.TotalBuffer() > eager.TotalBuffer() {
+		t.Errorf("demand total %d > eager total %d", demand.TotalBuffer(), eager.TotalBuffer())
+	}
+	if demand.MaxTokens[1] != 1 {
+		t.Errorf("demand bound on b->c = %d, want 1", demand.MaxTokens[1])
 	}
 }
 

@@ -2,7 +2,7 @@
 // counterpart of the ΣC compilation flow the paper deploys through (§III-D
 // builds canonical periods precisely so a compiler can emit static code).
 //
-// Given a graph and a parameter valuation, Generate produces a
+// Given a Program bound at a parameter valuation, Generate produces a
 // self-contained Go source file with:
 //
 //   - one buffer variable per channel, sized to the schedule's high-water
@@ -21,31 +21,25 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/csdf"
-	"repro/internal/symb"
 )
 
 // Options configures generation.
 type Options struct {
 	// Package is the package name of the generated file (default "schedule").
 	Package string
-	// Env instantiates the graph parameters.
-	Env symb.Env
 }
 
-// Generate returns the Go source of the quasi-static schedule.
-func Generate(g *core.Graph, opts Options) (string, error) {
+// Generate returns the Go source of the quasi-static schedule of the bound
+// program's current valuation.
+func Generate(prog *core.Program, opts Options) (string, error) {
+	if !prog.Bound() {
+		return "", fmt.Errorf("codegen: program is unbound; call Rebind before generating code")
+	}
 	pkg := opts.Package
 	if pkg == "" {
 		pkg = "schedule"
 	}
-	cg, _, err := g.Instantiate(opts.Env)
-	if err != nil {
-		return "", err
-	}
-	sol, err := cg.RepetitionVector()
-	if err != nil {
-		return "", err
-	}
+	g, cg, sol := prog.Source(), prog.Concrete(), prog.Solution()
 	sched, err := cg.BuildSchedule(sol, csdf.Demand)
 	if err != nil {
 		return "", fmt.Errorf("codegen: graph has no sequential schedule: %v", err)

@@ -29,8 +29,18 @@ func parseGenerated(t *testing.T, src string) *ast.File {
 	return f
 }
 
+// bind lowers g at env the way tpdf.GenerateCode does.
+func bind(t *testing.T, g *core.Graph, env symb.Env) *core.Program {
+	t.Helper()
+	prog, err := core.Bind(g, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
 func TestGenerateFig2Parses(t *testing.T) {
-	src, err := Generate(apps.Fig2(), Options{Env: symb.Env{"p": 2}})
+	src, err := Generate(bind(t, apps.Fig2(), symb.Env{"p": 2}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +63,7 @@ func TestGenerateFig2Parses(t *testing.T) {
 }
 
 func TestGenerateCustomPackage(t *testing.T) {
-	src, err := Generate(apps.Fig4a(), Options{Package: "fig4a", Env: symb.Env{"p": 1}})
+	src, err := Generate(bind(t, apps.Fig4a(), symb.Env{"p": 1}), Options{Package: "fig4a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +78,7 @@ func TestGenerateCustomPackage(t *testing.T) {
 }
 
 func TestGenerateOFDM(t *testing.T) {
-	src, err := Generate(apps.OFDMTPDF(apps.OFDMParams{Beta: 2, M: 4, N: 8, L: 1}), Options{})
+	src, err := Generate(bind(t, apps.OFDMTPDF(apps.OFDMParams{Beta: 2, M: 4, N: 8, L: 1}), nil), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +100,7 @@ func TestGenerateScheduleOrderMatchesDependencies(t *testing.T) {
 	if _, err := g.Connect(a, "[1]", b, "[1]", 0); err != nil {
 		t.Fatal(err)
 	}
-	src, err := Generate(g, Options{})
+	src, err := Generate(bind(t, g, nil), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +112,7 @@ func TestGenerateScheduleOrderMatchesDependencies(t *testing.T) {
 }
 
 func TestGenerateDeadlockedGraphFails(t *testing.T) {
-	if _, err := Generate(apps.Fig4Deadlocked(), Options{Env: symb.Env{"p": 1}}); err == nil {
+	if _, err := Generate(bind(t, apps.Fig4Deadlocked(), symb.Env{"p": 1}), Options{}); err == nil {
 		t.Fatal("deadlocked graph must not generate a schedule")
 	}
 }

@@ -16,11 +16,13 @@
 //     highest-priority-at-deadline and active-data-path selection.
 //
 // A Graph is purely structural; the static analyses live in
-// internal/analysis and the executable semantics in internal/sim.
-// Instantiate lowers a TPDF graph to a concrete internal/csdf graph by
-// evaluating every rate under a parameter valuation, keeping every edge
-// present ("ignoring all possible configurations", §III-A), which is the
-// form consumed by scheduling and baseline comparisons.
+// internal/analysis and the executable semantics in internal/sim. A graph
+// is lowered to a concrete internal/csdf graph by evaluating every rate
+// under a parameter valuation, keeping every edge present ("ignoring all
+// possible configurations", §III-A) — the form scheduling, simulation and
+// execution consume. Product code lowers through a Program (Compile, Bind,
+// Rebind); Instantiate is the independent reference lowering the
+// differential tests compare it against.
 package core
 
 import (
@@ -217,6 +219,21 @@ type Param struct {
 	Default int64
 	Min     int64
 	Max     int64
+}
+
+// checkValue applies the one parameter range rule both lowerings enforce:
+// a value is at least 1 and inside the declared [Min, Max] (0 = unbounded).
+func (p Param) checkValue(v int64) error {
+	if v < 1 {
+		return fmt.Errorf("core: parameter %s = %d; parameters must be >= 1", p.Name, v)
+	}
+	if p.Min > 0 && v < p.Min {
+		return fmt.Errorf("core: parameter %s = %d below declared minimum %d", p.Name, v, p.Min)
+	}
+	if p.Max > 0 && v > p.Max {
+		return fmt.Errorf("core: parameter %s = %d above declared maximum %d", p.Name, v, p.Max)
+	}
+	return nil
 }
 
 // Graph is a TPDF graph (Definition 2): kernels K, control actors G, edges

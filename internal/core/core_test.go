@@ -90,8 +90,8 @@ func TestFig2Instantiate(t *testing.T) {
 		if len(low.EdgeOf) != len(g.Edges) {
 			t.Errorf("lowering has %d edges, want %d", len(low.EdgeOf), len(g.Edges))
 		}
-		// e5 must be flagged as control.
-		if !low.ControlEdges[4] {
+		// e5 is the control channel.
+		if !g.IsControlEdge(g.Edges[4]) {
 			t.Error("e5 should be a control edge")
 		}
 	}

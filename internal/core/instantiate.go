@@ -8,23 +8,28 @@ import (
 )
 
 // Lowering records the correspondence between a TPDF graph and the concrete
-// CSDF graph produced by Instantiate.
+// CSDF graph a lowering produced (Instantiate, or a Program's).
 type Lowering struct {
-	Env symb.Env
 	// ActorOf maps NodeID to the csdf actor index (identity here, kept
 	// explicit so callers never assume it).
 	ActorOf []int
 	// EdgeOf maps EdgeID to the csdf edge index.
 	EdgeOf []int
-	// ControlEdges flags, per csdf edge index, whether it lowers a control
-	// channel.
-	ControlEdges []bool
 }
 
 // Instantiate evaluates every rate of g under env (parameters missing from
 // env use their declared defaults) and returns the fully-connected concrete
-// CSDF graph, exactly as used by the §III-A consistency analysis and by the
-// canonical-period scheduler. Modes are not applied: every edge is present.
+// CSDF graph of the §III-A consistency analysis. Modes are not applied:
+// every edge is present.
+//
+// Instantiate is the reference lowering, the first stage of the reference
+// stack (Instantiate → csdf RepetitionVector → runner.Run). It shares
+// Validate and the parameter range rule with the product lowering — a
+// Program bound by Compile + Rebind — and nothing else: rates go through
+// the map-based evaluator into a fresh csdf.Graph, so the differential
+// pairs (rebind, tiers, epochs, contexts) and bench/'s output check compare
+// two independent computations. That is the only reason it exists; product
+// code does not call it (CI's "one lowering" step enforces this).
 func (g *Graph) Instantiate(env symb.Env) (*csdf.Graph, *Lowering, error) {
 	if err := g.Validate(); err != nil {
 		return nil, nil, err
@@ -34,20 +39,13 @@ func (g *Graph) Instantiate(env symb.Env) (*csdf.Graph, *Lowering, error) {
 		full[k] = v
 	}
 	for _, p := range g.Params {
-		v := full[p.Name]
-		if v < 1 {
-			return nil, nil, fmt.Errorf("core: parameter %s = %d; parameters must be >= 1", p.Name, v)
-		}
-		if p.Min > 0 && v < p.Min {
-			return nil, nil, fmt.Errorf("core: parameter %s = %d below declared minimum %d", p.Name, v, p.Min)
-		}
-		if p.Max > 0 && v > p.Max {
-			return nil, nil, fmt.Errorf("core: parameter %s = %d above declared maximum %d", p.Name, v, p.Max)
+		if err := p.checkValue(full[p.Name]); err != nil {
+			return nil, nil, err
 		}
 	}
 
 	cg := csdf.NewGraph()
-	low := &Lowering{Env: full}
+	low := &Lowering{}
 	for _, n := range g.Nodes {
 		low.ActorOf = append(low.ActorOf, cg.AddActor(n.Name, n.Exec...))
 	}
@@ -63,7 +61,6 @@ func (g *Graph) Instantiate(env symb.Env) (*csdf.Graph, *Lowering, error) {
 		}
 		ei := cg.ConnectNamed(e.Name, low.ActorOf[e.Src], prod, low.ActorOf[e.Dst], cons, e.Initial)
 		low.EdgeOf = append(low.EdgeOf, ei)
-		low.ControlEdges = append(low.ControlEdges, g.IsControlEdge(e))
 	}
 	if err := cg.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("core: instantiated graph invalid: %v", err)

@@ -26,11 +26,12 @@ type Skeleton struct {
 	prodC [][]*symb.CompiledExpr // per edge, per phase
 	consC [][]*symb.CompiledExpr
 
-	// actorOf/edgeOf/ctrl are the structural lowering maps, identical for
-	// every stamped Program and shared read-only by their Lowerings.
-	actorOf []int
-	edgeOf  []int
-	ctrl    []bool
+	// actorOf/edgeOf are the structural lowering maps, identical for every
+	// stamped Program and shared read-only by their Lowerings; ctlActor
+	// flags, per csdf actor index, the control actors.
+	actorOf  []int
+	edgeOf   []int
+	ctlActor []bool
 }
 
 // Program is the per-holder mutable half: the concrete CSDF rate tables,
@@ -39,14 +40,18 @@ type Skeleton struct {
 // the existing rate tables and repetition vector in place — no maps, no
 // fresh csdf.Graph, no allocations on the warm path.
 //
-// This is the engine behind the parameter sweeps: Instantiate answers "what
-// is this graph at one valuation", Compile+Rebind answers the same question
-// thousands of times for the price of one instantiation plus cheap
-// re-evaluations. A Program is not safe for concurrent mutation: Rebind
-// must never run while anything (a Simulator, another goroutine) is reading
-// the program's concrete graph or solution. Sweep drivers give each worker
-// its own Program; a server gives each session its own Program stamped from
-// the shared Skeleton (single-writer per session, compile-once per graph).
+// A bound Program is the product stack's one answer to "what is this graph
+// at this valuation": Simulate, Schedule, GenerateCode, Stream, the sweeps,
+// the liveness probes and the experiment drivers all read rates, the
+// repetition vector and the canonical period from one (Bind for a single
+// valuation, Compile + Rebind when the valuation moves). Graph.Instantiate
+// computes the same answer independently and is kept only as the oracle
+// the differential tests compare a Program against. A Program is not safe
+// for concurrent mutation: Rebind must never run while anything (a
+// Simulator, another goroutine) is reading the program's concrete graph or
+// solution. Sweep drivers give each worker its own Program; a server gives
+// each session its own Program stamped from the shared Skeleton
+// (single-writer per session, compile-once per graph).
 type Program struct {
 	sk  *Skeleton
 	cg  *csdf.Graph
@@ -113,12 +118,13 @@ func CompileSkeleton(g *Graph) (*Skeleton, error) {
 	sk.consC = make([][]*symb.CompiledExpr, len(g.Edges))
 	sk.actorOf = make([]int, len(g.Nodes))
 	sk.edgeOf = make([]int, len(g.Edges))
-	sk.ctrl = make([]bool, len(g.Edges))
-	for i := range g.Nodes {
+	sk.ctlActor = make([]bool, len(g.Nodes))
+	for i, n := range g.Nodes {
 		// The lowering is index-preserving (AddActor below returns indices
 		// in insertion order); keep the map explicit so no caller assumes
 		// it.
 		sk.actorOf[i] = i
+		sk.ctlActor[i] = n.Kind == KindControl
 	}
 	for ei, e := range g.Edges {
 		src, dst := g.Nodes[e.Src], g.Nodes[e.Dst]
@@ -132,16 +138,12 @@ func CompileSkeleton(g *Graph) (*Skeleton, error) {
 		}
 		sk.prodC[ei], sk.consC[ei] = pc, cc
 		sk.edgeOf[ei] = ei
-		sk.ctrl[ei] = g.IsControlEdge(e)
 	}
 	return sk, nil
 }
 
 // Source returns the TPDF graph the skeleton was compiled from.
 func (sk *Skeleton) Source() *Graph { return sk.src }
-
-// Params returns the number of indexed parameter slots.
-func (sk *Skeleton) Params() int { return sk.pi.Len() }
 
 // NewProgram stamps a fresh per-holder Program from the shared skeleton:
 // a concrete CSDF graph with rate slices of the right shape (values are
@@ -152,12 +154,7 @@ func (sk *Skeleton) Params() int { return sk.pi.Len() }
 func (sk *Skeleton) NewProgram() *Program {
 	g := sk.src
 	cg := csdf.NewGraph()
-	low := &Lowering{
-		Env:          symb.Env{},
-		ActorOf:      sk.actorOf,
-		EdgeOf:       sk.edgeOf,
-		ControlEdges: sk.ctrl,
-	}
+	low := &Lowering{ActorOf: sk.actorOf, EdgeOf: sk.edgeOf}
 	for _, n := range g.Nodes {
 		cg.AddActor(n.Name, n.Exec...)
 	}
@@ -191,6 +188,20 @@ func Compile(g *Graph) (*Program, error) {
 	return sk.NewProgram(), nil
 }
 
+// Bind compiles the graph and binds it at env in one call: the lowering of
+// every product path that needs one valuation (parameters missing from env
+// keep their declared defaults).
+func Bind(g *Graph, env symb.Env) (*Program, error) {
+	p, err := Compile(g)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Rebind(env); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 func compileSeq(rates []symb.Expr, pi *symb.ParamIndex) ([]*symb.CompiledExpr, error) {
 	out := make([]*symb.CompiledExpr, len(rates))
 	for i, r := range rates {
@@ -221,33 +232,20 @@ func (p *Program) Rebind(env symb.Env) error {
 			p.vals[slot] = v
 		}
 	}
-	// Lowering.Env mirrors the indexed parameters only (defaults overlaid
-	// with env); env keys no rate references are not recorded, so rebinding
-	// can never leave stale extras behind.
-	for i, name := range p.sk.pi.Names() {
-		p.low.Env[name] = p.vals[i]
-	}
 	for _, par := range p.sk.src.Params {
 		slot, _ := p.sk.pi.Index(par.Name)
-		v := p.vals[slot]
-		if v < 1 {
-			return fmt.Errorf("core: parameter %s = %d; parameters must be >= 1", par.Name, v)
-		}
-		if par.Min > 0 && v < par.Min {
-			return fmt.Errorf("core: parameter %s = %d below declared minimum %d", par.Name, v, par.Min)
-		}
-		if par.Max > 0 && v > par.Max {
-			return fmt.Errorf("core: parameter %s = %d above declared maximum %d", par.Name, v, par.Max)
+		if err := par.checkValue(p.vals[slot]); err != nil {
+			return err
 		}
 	}
 
+	src := p.sk.src
 	for ei := range p.cg.Edges {
-		ce := &p.cg.Edges[ei]
-		name := p.sk.src.Edges[ei].Name
-		if err := p.rebindSeq(p.sk.prodC[ei], ce.Prod, name, "production"); err != nil {
+		ce, e := &p.cg.Edges[ei], src.Edges[ei]
+		if err := p.rebindSeq(p.sk.prodC[ei], src.Nodes[e.Src].Ports[e.SrcPort].Rates, ce.Prod, e.Name, "production"); err != nil {
 			return err
 		}
-		if err := p.rebindSeq(p.sk.consC[ei], ce.Cons, name, "consumption"); err != nil {
+		if err := p.rebindSeq(p.sk.consC[ei], src.Nodes[e.Dst].Ports[e.DstPort].Rates, ce.Cons, e.Name, "consumption"); err != nil {
 			return err
 		}
 	}
@@ -260,15 +258,17 @@ func (p *Program) Rebind(env symb.Env) error {
 
 // rebindSeq evaluates one compiled rate sequence into its existing slice,
 // enforcing the same validity rules Instantiate and csdf.Validate apply:
-// no negative rates, at least one positive rate per sequence.
-func (p *Program) rebindSeq(compiled []*symb.CompiledExpr, dst []int64, edge, kind string) error {
+// integer rates, no negative rates, at least one positive rate per
+// sequence. rates is the symbolic sequence compiled was lowered from; a
+// refusal names the edge and the source rate, as Instantiate's does.
+func (p *Program) rebindSeq(compiled []*symb.CompiledExpr, rates []symb.Expr, dst []int64, edge, kind string) error {
 	pos := false
 	for k, c := range compiled {
 		if err := c.EvalIntInto(&dst[k], p.vals); err != nil {
-			return fmt.Errorf("core: edge %q %s: %v", edge, kind, err)
+			return fmt.Errorf("core: edge %q %s: rate %s: %v", edge, kind, rates[k], err)
 		}
 		if dst[k] < 0 {
-			return fmt.Errorf("core: edge %q %s: rate evaluates to negative %d", edge, kind, dst[k])
+			return fmt.Errorf("core: edge %q %s: rate %s evaluates to negative %d", edge, kind, rates[k], dst[k])
 		}
 		if dst[k] > 0 {
 			pos = true
@@ -295,11 +295,26 @@ func (p *Program) Skeleton() *Skeleton { return p.sk }
 // overwritten by Rebind; callers that need a snapshot must copy.
 func (p *Program) Concrete() *csdf.Graph { return p.cg }
 
-// Lowering returns the TPDF→CSDF correspondence. Its Env reflects the
-// current valuation.
+// Lowering returns the TPDF→CSDF correspondence.
 func (p *Program) Lowering() *Lowering { return p.low }
 
 // Solution returns the repetition vector at the current valuation. The
 // slices are reused by Rebind; callers that keep them across rebinds must
 // copy.
 func (p *Program) Solution() *csdf.Solution { return &p.sol }
+
+// ControlActors flags, per csdf actor index, the control actors of the
+// source graph: the set the §III-D control-priority rule schedules first.
+// The slice is shared by every Program of the skeleton; do not mutate.
+func (p *Program) ControlActors() []bool { return p.sk.ctlActor }
+
+// CanonicalPeriod builds the canonical period of the bound program (§III-D):
+// the firing-level precedence graph of one iteration at the current
+// valuation, firings of one actor serialized. List schedulers pair it with
+// ControlActors.
+func (p *Program) CanonicalPeriod() (*csdf.Precedence, error) {
+	if !p.bound {
+		return nil, fmt.Errorf("core: program is unbound; call Rebind before building its canonical period")
+	}
+	return p.cg.BuildPrecedence(&p.sol, true)
+}

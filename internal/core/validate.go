@@ -134,7 +134,7 @@ func (g *Graph) Validate() error {
 	}
 
 	// Rates must be non-negative at representative valuations.
-	for i, env := range g.representativeEnvs() {
+	for i, env := range g.ProbeEnvs() {
 		for _, n := range g.Nodes {
 			for pi := range n.Ports {
 				for _, r := range n.Ports[pi].Rates {
@@ -155,9 +155,12 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// representativeEnvs returns parameter valuations probing the corners of the
-// declared ranges (default, all-min, all-max).
-func (g *Graph) representativeEnvs() []symb.Env {
+// ProbeEnvs returns the parameter valuations concrete checks probe: the
+// defaults and the corners of the declared ranges (all-min, all-max; a
+// parameter with no declared maximum is probed two above its minimum).
+// Validate checks rate signs at them, the liveness analysis schedules
+// every cycle at them.
+func (g *Graph) ProbeEnvs() []symb.Env {
 	def := g.DefaultEnv()
 	if len(g.Params) == 0 {
 		return []symb.Env{def}
@@ -169,7 +172,7 @@ func (g *Graph) representativeEnvs() []symb.Env {
 			mn = 1
 		}
 		if mx <= 0 {
-			mx = mn + 1
+			mx = mn + 2
 		}
 		lo[p.Name] = mn
 		hi[p.Name] = mx
@@ -187,7 +190,7 @@ func checkZeroOne(seq []symb.Expr, node, port string, g *Graph) error {
 			}
 			continue
 		}
-		for _, env := range g.representativeEnvs() {
+		for _, env := range g.ProbeEnvs() {
 			v, err := r.Eval(env, 1)
 			if err != nil {
 				return fmt.Errorf("core: control port %s.%s rate %s: %v", node, port, r, err)

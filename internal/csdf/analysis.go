@@ -195,10 +195,3 @@ func (g *Graph) SolveInto(sc *SolverScratch, sol *Solution) error {
 	}
 	return nil
 }
-
-// IterationTokens returns the number of tokens transferred over edge ei
-// during one complete iteration (q_src firings of the producer).
-func (g *Graph) IterationTokens(sol *Solution, ei int) int64 {
-	e := &g.Edges[ei]
-	return e.CumProd(sol.Q[e.Src])
-}

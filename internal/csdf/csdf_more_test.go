@@ -52,14 +52,15 @@ func TestIterationTokens(t *testing.T) {
 	g := NewGraph()
 	a := g.AddActor("a")
 	b := g.AddActor("b")
-	ei := g.Connect(a, []int64{3}, b, []int64{2}, 0)
+	e := &g.Edges[g.Connect(a, []int64{3}, b, []int64{2}, 0)]
 	sol, err := g.RepetitionVector()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// q = [2, 3]: 6 tokens per iteration.
-	if got := g.IterationTokens(sol, ei); got != 6 {
-		t.Errorf("IterationTokens = %d, want 6", got)
+	// q = [2, 3]: one iteration moves 6 tokens over the edge, produced and
+	// consumed alike (the balance equation).
+	if prod, cons := e.CumProd(sol.Q[e.Src]), e.CumCons(sol.Q[e.Dst]); prod != 6 || cons != 6 {
+		t.Errorf("tokens per iteration: produced %d, consumed %d, want 6 and 6", prod, cons)
 	}
 }
 

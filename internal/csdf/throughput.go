@@ -2,7 +2,6 @@ package csdf
 
 import (
 	"fmt"
-	"math"
 )
 
 // Throughput analysis via maximum cycle ratio (MCR): the classical
@@ -200,17 +199,4 @@ func (g *Graph) UnfoldPrecedence(sol *Solution, k int64) (*Precedence, error) {
 		}
 	}
 	return NewPrecedence(firings, deps), nil
-}
-
-// ThroughputBound returns iterations per time unit (1 / MCR), or +Inf for
-// graphs with zero execution time.
-func (g *Graph) ThroughputBound(sol *Solution, tol float64) (float64, error) {
-	mcr, err := g.MaxCycleRatio(sol, tol)
-	if err != nil {
-		return 0, err
-	}
-	if mcr == 0 {
-		return math.Inf(1), nil
-	}
-	return 1 / mcr, nil
 }

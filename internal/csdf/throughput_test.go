@@ -42,13 +42,6 @@ func TestMCRPipelineBottleneck(t *testing.T) {
 	if math.Abs(mcr-5) > 1e-3 {
 		t.Errorf("MCR = %g, want 5", mcr)
 	}
-	thr, err := g.ThroughputBound(sol, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(thr-0.2) > 1e-3 {
-		t.Errorf("throughput = %g, want 0.2", thr)
-	}
 }
 
 func TestMCRFeedbackCycleDominates(t *testing.T) {
@@ -132,10 +125,6 @@ func TestMCRZeroWork(t *testing.T) {
 	}
 	if mcr != 0 {
 		t.Errorf("MCR = %g, want 0", mcr)
-	}
-	thr, err := g.ThroughputBound(sol, 1e-6)
-	if err != nil || !math.IsInf(thr, 1) {
-		t.Errorf("throughput = %g, want +Inf", thr)
 	}
 }
 

@@ -184,26 +184,12 @@ func F4() (string, error) {
 // F5 reproduces Fig. 5: the canonical period of the Fig. 2 graph at p=1,
 // list-scheduled with the control actor at highest priority.
 func F5() (string, error) {
-	g := apps.Fig2()
-	cg, low, err := g.Instantiate(symb.Env{"p": 1})
+	prog, prec, err := canonicalPeriod(apps.Fig2(), symb.Env{"p": 1})
 	if err != nil {
 		return "", err
 	}
-	sol, err := cg.RepetitionVector()
-	if err != nil {
-		return "", err
-	}
-	prec, err := cg.BuildPrecedence(sol, true)
-	if err != nil {
-		return "", err
-	}
-	isCtl := make([]bool, len(cg.Actors))
-	for id, n := range g.Nodes {
-		if n.Kind == 1 {
-			isCtl[low.ActorOf[id]] = true
-		}
-	}
-	opts := sched.Options{Platform: platform.Simple(4), ControlPriority: true, IsControl: isCtl}
+	cg := prog.Concrete()
+	opts := sched.Options{Platform: platform.Simple(4), ControlPriority: true, IsControl: prog.ControlActors()}
 	res, err := sched.ListSchedule(cg, prec, opts)
 	if err != nil {
 		return "", err

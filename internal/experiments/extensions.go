@@ -17,29 +17,19 @@ import (
 	"repro/internal/trace"
 )
 
-// fig2Instance instantiates Fig. 2, builds its canonical period and control
-// flags; shared by the scheduling experiments.
-func fig2Instance(p int64) (*csdf.Graph, *csdf.Precedence, []bool, error) {
-	g := apps.Fig2()
-	cg, low, err := g.Instantiate(symb.Env{"p": p})
+// canonicalPeriod binds g at env and builds its canonical period (§III-D):
+// the bound program (concrete graph, repetition vector, control flags) and
+// the precedence graph the scheduling experiments list-schedule.
+func canonicalPeriod(g *core.Graph, env symb.Env) (*core.Program, *csdf.Precedence, error) {
+	prog, err := core.Bind(g, env)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	sol, err := cg.RepetitionVector()
+	prec, err := prog.CanonicalPeriod()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	prec, err := cg.BuildPrecedence(sol, true)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	isCtl := make([]bool, len(cg.Actors))
-	for id, n := range g.Nodes {
-		if n.Kind == 1 { // core.KindControl
-			isCtl[low.ActorOf[id]] = true
-		}
-	}
-	return cg, prec, isCtl, nil
+	return prog, prec, nil
 }
 
 // ScheduleAblation measures the §III-D control-priority rule: makespan of
@@ -47,10 +37,11 @@ func fig2Instance(p int64) (*csdf.Graph, *csdf.Precedence, []bool, error) {
 // The PE-count × rule grid is sharded over up to parallel workers (each
 // cell is an independent list-scheduling run).
 func ScheduleAblation(parallel int) (string, error) {
-	cg, prec, isCtl, err := fig2Instance(16)
+	prog, prec, err := canonicalPeriod(apps.Fig2(), symb.Env{"p": 16})
 	if err != nil {
 		return "", err
 	}
+	cg := prog.Concrete()
 	pes := []int{2, 4, 8}
 	rules := []bool{true, false}
 	spans := make([]int64, len(pes)*len(rules))
@@ -58,7 +49,7 @@ func ScheduleAblation(parallel int) (string, error) {
 		opts := sched.Options{
 			Platform:        platform.Simple(pes[i/len(rules)]),
 			ControlPriority: rules[i%len(rules)],
-			IsControl:       isCtl,
+			IsControl:       prog.ControlActors(),
 		}
 		res, err := sched.ListSchedule(cg, prec, opts)
 		if err != nil {
@@ -92,10 +83,11 @@ func ScheduleAblation(parallel int) (string, error) {
 // up to parallel workers; the speedup column is derived after the joins,
 // so the table is the same whatever the worker count.
 func PlatformSweep(parallel int) (string, error) {
-	cg, prec, isCtl, err := fig2Instance(64)
+	prog, prec, err := canonicalPeriod(apps.Fig2(), symb.Env{"p": 64})
 	if err != nil {
 		return "", err
 	}
+	cg := prog.Concrete()
 	mppa := platform.MPPA256()
 	peCounts := []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
 	type point struct {
@@ -108,7 +100,7 @@ func PlatformSweep(parallel int) (string, error) {
 			Platform:        mppa,
 			PEs:             peCounts[i],
 			ControlPriority: true,
-			IsControl:       isCtl,
+			IsControl:       prog.ControlActors(),
 		}
 		res, err := sched.ListSchedule(cg, prec, opts)
 		if err != nil {
@@ -144,18 +136,11 @@ func PlatformSweep(parallel int) (string, error) {
 func ADFPruning() (string, error) {
 	params := apps.OFDMParams{Beta: 4, M: 4, N: 32, L: 1}
 	g := apps.OFDMTPDF(params)
-	cg, low, err := g.Instantiate(symb.Env(params.Env()))
+	prog, prec, err := canonicalPeriod(g, symb.Env(params.Env()))
 	if err != nil {
 		return "", err
 	}
-	sol, err := cg.RepetitionVector()
-	if err != nil {
-		return "", err
-	}
-	prec, err := cg.BuildPrecedence(sol, true)
-	if err != nil {
-		return "", err
-	}
+	cg, low, sol := prog.Concrete(), prog.Lowering(), prog.Solution()
 	// The rejected edges under QAM mode: DUP->QPSK and QPSK->TRAN.
 	rejected := map[int]bool{}
 	for ei, e := range g.Edges {
@@ -174,13 +159,7 @@ func ADFPruning() (string, error) {
 	}
 	pruned, _ := sched.PruneForModes(cg, prec, sol, rejected, keep)
 
-	isCtl := make([]bool, len(cg.Actors))
-	for id, n := range g.Nodes {
-		if n.Kind == 1 {
-			isCtl[low.ActorOf[id]] = true
-		}
-	}
-	opts := sched.Options{Platform: platform.Simple(4), ControlPriority: true, IsControl: isCtl}
+	opts := sched.Options{Platform: platform.Simple(4), ControlPriority: true, IsControl: prog.ControlActors()}
 	fullRes, err := sched.ListSchedule(cg, prec, opts)
 	if err != nil {
 		return "", err
@@ -293,15 +272,11 @@ func ThroughputValidation(parallel int) (string, error) {
 	rows := make([][]string, len(cases))
 	err := pool.Run(len(cases), parallel, func(i int) error {
 		tc := cases[i]
-		cg, _, err := tc.graph.Instantiate(symb.Env{"p": 2})
+		prog, err := core.Bind(tc.graph, symb.Env{"p": 2})
 		if err != nil {
 			return err
 		}
-		sol, err := cg.RepetitionVector()
-		if err != nil {
-			return err
-		}
-		mcr, err := cg.MaxCycleRatio(sol, 1e-6)
+		mcr, err := prog.Concrete().MaxCycleRatio(prog.Solution(), 1e-6)
 		if err != nil {
 			return err
 		}
@@ -328,24 +303,14 @@ func ThroughputValidation(parallel int) (string, error) {
 // workers (the k=8 unfolding dominates, so the win saturates early, but
 // smaller unfoldings no longer wait behind it).
 func PipelinedScheduling(parallel int) (string, error) {
-	g := apps.Fig2()
-	cg, low, err := g.Instantiate(symb.Env{"p": 4})
+	prog, err := core.Bind(apps.Fig2(), symb.Env{"p": 4})
 	if err != nil {
 		return "", err
 	}
-	sol, err := cg.RepetitionVector()
-	if err != nil {
-		return "", err
-	}
+	cg, sol := prog.Concrete(), prog.Solution()
 	mcr, err := cg.MaxCycleRatio(sol, 1e-6)
 	if err != nil {
 		return "", err
-	}
-	isCtl := make([]bool, len(cg.Actors))
-	for id, n := range g.Nodes {
-		if n.Kind == 1 {
-			isCtl[low.ActorOf[id]] = true
-		}
 	}
 	unfolds := []int64{1, 2, 4, 8}
 	rows := make([][]string, len(unfolds))
@@ -355,7 +320,7 @@ func PipelinedScheduling(parallel int) (string, error) {
 		if err != nil {
 			return err
 		}
-		opts := sched.Options{Platform: platform.Simple(8), ControlPriority: true, IsControl: isCtl}
+		opts := sched.Options{Platform: platform.Simple(8), ControlPriority: true, IsControl: prog.ControlActors()}
 		res, err := sched.ListSchedule(cg, prec, opts)
 		if err != nil {
 			return err

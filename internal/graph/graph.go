@@ -222,23 +222,3 @@ func (g *Digraph) Reachable(start int) map[int]bool {
 	}
 	return seen
 }
-
-// Transpose returns the graph with every edge reversed.
-func (g *Digraph) Transpose() *Digraph {
-	t := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
-			t.AddEdge(v, u)
-		}
-	}
-	return t
-}
-
-// NumEdges returns the total number of edges (counting multiplicity).
-func (g *Digraph) NumEdges() int {
-	c := 0
-	for _, a := range g.adj {
-		c += len(a)
-	}
-	return c
-}

@@ -144,25 +144,12 @@ func TestReachable(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	tr := g.Transpose()
-	if len(tr.Succ(1)) != 1 || tr.Succ(1)[0] != 0 {
-		t.Errorf("transpose wrong: %v", tr.Succ(1))
-	}
-	if g.NumEdges() != tr.NumEdges() {
-		t.Error("transpose must preserve edge count")
-	}
-}
-
 func TestParallelEdges(t *testing.T) {
 	g := New(2)
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 1)
-	if g.NumEdges() != 2 {
-		t.Errorf("NumEdges = %d, want 2", g.NumEdges())
+	if len(g.Succ(0)) != 2 {
+		t.Errorf("successors of 0 = %v, want the edge twice", g.Succ(0))
 	}
 	if _, err := g.TopoSort(); err != nil {
 		t.Errorf("parallel edges should not break topo sort: %v", err)

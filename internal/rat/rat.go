@@ -326,19 +326,6 @@ func mul64(a, b int64) (int64, bool) {
 	return p, true
 }
 
-// Sum returns the sum of rs, or ErrOverflow.
-func Sum(rs ...Rat) (Rat, error) {
-	acc := Zero
-	var err error
-	for _, r := range rs {
-		acc, err = acc.Add(r)
-		if err != nil {
-			return Rat{}, err
-		}
-	}
-	return acc, nil
-}
-
 // GCDRat returns the rational gcd of a and b: the largest rational g such
 // that a/g and b/g are integers. gcd(a/b, c/d) = gcd(a*d, c*b)/(b*d) reduced;
 // equivalently gcd(num)/lcm(den). GCDRat(0,0)==0.

@@ -61,7 +61,7 @@ func TestMustOpsPanicOnOverflow(t *testing.T) {
 }
 
 func TestSumPropagatesOverflow(t *testing.T) {
-	if _, err := Sum(FromInt(1<<62), FromInt(1<<62)); err == nil {
+	if _, err := FromInt(1 << 62).Add(FromInt(1 << 62)); err == nil {
 		t.Error("sum overflow undetected")
 	}
 }

@@ -214,7 +214,10 @@ func TestGCDRat(t *testing.T) {
 }
 
 func TestSum(t *testing.T) {
-	s, err := Sum(New(1, 2), New(1, 3), New(1, 6))
+	s, err := New(1, 2).Add(New(1, 3))
+	if err == nil {
+		s, err = s.Add(New(1, 6))
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,15 @@
 // sim is token-count- and time-accurate, runner is value-accurate — and is
 // what the examples use to push images and samples through the paper's
 // application graphs.
+//
+// Run is also the last stage of the reference stack (core.Graph.Instantiate
+// → csdf RepetitionVector → Run), the independent oracle behind
+// tpdf.Execute: it deliberately lowers through Instantiate rather than a
+// core.Program and keeps its own firing loop, so the tiers, epochs and
+// contexts pairs and bench/'s output check compare internal/engine against
+// code that shares neither its lowering nor its firing body. That is why it
+// stays after the engine's one-context path became a schedule walker too;
+// only the Behavior, Firing and Scratch types are shared with the engine.
 package runner
 
 import (

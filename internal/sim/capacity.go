@@ -5,48 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pool"
-	"repro/internal/symb"
 )
-
-// RunBounded executes the configuration with finite channel capacities:
-// a firing cannot start unless every channel it produces on has room for
-// the tokens it will emit (control tokens included). This models the
-// back-pressure a real implementation with statically allocated buffers
-// exhibits. capacities is indexed by edge id; a negative entry means
-// unbounded, zero means the channel can never hold a token.
-//
-// The run reports whether the graph still completed (did not artificially
-// deadlock) under the given capacities, so callers can check a proposed
-// buffer allocation for admissibility.
-func RunBounded(cfg Config, capacities []int64) (*Result, bool, error) {
-	s, err := NewSimulator(cfg)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := s.SetCapacities(capacities); err != nil {
-		return nil, false, err
-	}
-	res, err := s.Run()
-	if err != nil {
-		return nil, false, err
-	}
-	// Completion check: every node fired as many times as the unbounded
-	// reference run, or the graph quiesced with every non-dormant node at
-	// its limit. The cheap proxy used here: re-run unbounded and compare
-	// firing counts.
-	ref, err := Run(cfg)
-	if err != nil {
-		return nil, false, err
-	}
-	complete := true
-	for i := range res.Firings {
-		if res.Firings[i] != ref.Firings[i] {
-			complete = false
-			break
-		}
-	}
-	return res, complete, nil
-}
 
 // speculationDepth is how many bisection levels are evaluated at once: the
 // 2^d - 1 capacities the next d sequential probes could visit, all checked
@@ -108,11 +67,8 @@ func MinimalCapacitiesParallel(cfg Config, parallel int) ([]int64, error) {
 // each worker owns a reusable capacity-trial buffer, so a probe allocates
 // nothing once its simulator is warm.
 func MinimalCapacitiesRef(cfg Config, parallel int) ([]int64, *Result, error) {
-	prog, err := core.Compile(cfg.Graph)
+	prog, err := core.Bind(cfg.Graph, cfg.Env)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := prog.Rebind(cfg.Env); err != nil {
 		return nil, nil, err
 	}
 	refSim, err := NewSimulatorFromProgram(prog, cfg)
@@ -277,30 +233,4 @@ func IterationPeriod(cfg Config, warm, span int64) (float64, error) {
 		return 0, err
 	}
 	return float64(r2.Time-t1) / float64(span), nil
-}
-
-// BoundedFromEnv is a convenience wrapper evaluating a capacity expression
-// per edge under the graph's parameters; used by tests that state expected
-// buffer allocations symbolically.
-func BoundedFromEnv(g *core.Graph, env symb.Env, exprs []string) ([]int64, error) {
-	if len(exprs) != len(g.Edges) {
-		return nil, fmt.Errorf("sim: %d capacity expressions for %d edges", len(exprs), len(g.Edges))
-	}
-	full := g.DefaultEnv()
-	for k, v := range env {
-		full[k] = v
-	}
-	out := make([]int64, len(exprs))
-	for i, s := range exprs {
-		e, err := symb.ParseExpr(s)
-		if err != nil {
-			return nil, err
-		}
-		v, err := e.EvalInt(full, 1)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
 }

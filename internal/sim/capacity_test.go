@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/apps"
@@ -22,12 +23,31 @@ func burstGraph(t *testing.T) *core.Graph {
 	return g
 }
 
-func TestRunBoundedSufficientCapacity(t *testing.T) {
-	g := burstGraph(t)
-	res, complete, err := sim.RunBounded(sim.Config{Graph: g}, []int64{4})
+// runBounded runs cfg under finite per-edge capacities — the path the
+// minimal-capacity search probes with — and reports whether every node
+// still fired as often as in the unbounded run.
+func runBounded(t *testing.T, cfg sim.Config, caps []int64) (*sim.Result, bool) {
+	t.Helper()
+	ref, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, err := sim.NewSimulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetCapacities(caps); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, reflect.DeepEqual(res.Firings, ref.Firings)
+}
+
+func TestRunBoundedSufficientCapacity(t *testing.T) {
+	res, complete := runBounded(t, sim.Config{Graph: burstGraph(t)}, []int64{4})
 	if !complete {
 		t.Fatal("capacity 4 must suffice for a 4-token burst")
 	}
@@ -37,12 +57,7 @@ func TestRunBoundedSufficientCapacity(t *testing.T) {
 }
 
 func TestRunBoundedInsufficientCapacity(t *testing.T) {
-	g := burstGraph(t)
-	_, complete, err := sim.RunBounded(sim.Config{Graph: g}, []int64{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if complete {
+	if _, complete := runBounded(t, sim.Config{Graph: burstGraph(t)}, []int64{3}); complete {
 		t.Fatal("capacity 3 cannot hold a 4-token burst: producer must block")
 	}
 }
@@ -60,10 +75,7 @@ func TestBackpressureThrottlesPipelining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounded, complete, err := sim.RunBounded(sim.Config{Graph: g, Iterations: 5}, []int64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	bounded, complete := runBounded(t, sim.Config{Graph: g, Iterations: 5}, []int64{1})
 	if !complete {
 		t.Fatal("capacity 1 suffices for a 1-token-per-firing pipeline")
 	}
@@ -126,19 +138,5 @@ func TestMinimalCapacitiesOFDMMatchesPaper(t *testing.T) {
 	}
 	if want := apps.PaperTPDFBuffer(params); total != want {
 		t.Errorf("minimal total capacity = %d, want paper %d", total, want)
-	}
-}
-
-func TestBoundedFromEnv(t *testing.T) {
-	g := burstGraph(t)
-	caps, err := sim.BoundedFromEnv(g, nil, []string{"2*2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if caps[0] != 4 {
-		t.Errorf("caps = %v", caps)
-	}
-	if _, err := sim.BoundedFromEnv(g, nil, []string{"1", "2"}); err == nil {
-		t.Error("wrong expression count must fail")
 	}
 }

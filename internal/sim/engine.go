@@ -69,42 +69,32 @@ type Counters struct {
 // Counters returns the lifetime counters accumulated so far.
 func (s *Simulator) Counters() Counters { return s.ctr }
 
-// NewSimulator instantiates the configured graph and preallocates every
-// piece of run state.
+// NewSimulator binds a Program of cfg.Graph at cfg.Env (core.Bind) and
+// builds a simulator over it: NewSimulatorFromProgram for callers that do
+// not hold a Program already.
 func NewSimulator(cfg Config) (*Simulator, error) {
-	g := cfg.Graph
-	cg, low, err := g.Instantiate(cfg.Env)
+	prog, err := core.Bind(cfg.Graph, cfg.Env)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := cg.RepetitionVector()
-	if err != nil {
-		return nil, fmt.Errorf("sim: %v", err)
-	}
-	return newSimulator(cfg, cg, low, sol.Q)
+	return NewSimulatorFromProgram(prog, cfg)
 }
 
-// NewSimulatorFromProgram builds a simulator over a compiled program's
-// current valuation, skipping graph instantiation and the repetition-vector
-// solve (the program already holds both). cfg.Graph and cfg.Env are
-// ignored; the program supplies them. The simulator's rate tables alias
-// the program's concrete graph: after prog.Rebind, call BindProgram to
-// refresh the firing limits and reset the run state. Several simulators
-// may share one program concurrently as long as nobody calls Rebind while
-// any of them is running.
+// NewSimulatorFromProgram builds a simulator over a bound program's current
+// valuation, preallocating every piece of run state (the program already
+// holds the concrete graph and the repetition vector). cfg.Graph and
+// cfg.Env are ignored; the program supplies them. The simulator's rate
+// tables alias the program's concrete graph: after prog.Rebind, call
+// BindProgram to refresh the firing limits and reset the run state.
+// Several simulators may share one program concurrently as long as nobody
+// calls Rebind while any of them is running.
 func NewSimulatorFromProgram(prog *core.Program, cfg Config) (*Simulator, error) {
 	if !prog.Bound() {
 		return nil, fmt.Errorf("sim: program is unbound; call Rebind before building a simulator")
 	}
-	cfg.Graph = prog.Source()
+	g, cg, low, q := prog.Source(), prog.Concrete(), prog.Lowering(), prog.Solution().Q
+	cfg.Graph = g
 	cfg.Env = nil
-	return newSimulator(cfg, prog.Concrete(), prog.Lowering(), prog.Solution().Q)
-}
-
-// newSimulator preallocates every piece of run state for the concrete
-// graph. q is the repetition vector indexed by csdf actor.
-func newSimulator(cfg Config, cg *csdf.Graph, low *core.Lowering, q []int64) (*Simulator, error) {
-	g := cfg.Graph
 	iters := cfg.Iterations
 	if iters <= 0 {
 		iters = 1

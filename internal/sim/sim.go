@@ -28,7 +28,8 @@
 // every run of a configuration is reproducible.
 //
 // Two entry styles exist. Run builds a fresh engine per call, which is
-// convenient but pays graph instantiation and state allocation every time.
+// convenient but pays a graph compilation (core.Bind) and state allocation
+// every time.
 // The analysis sweeps (Fig. 8 buffer grids, capacity minimization) instead
 // construct one Simulator per worker and call Reset between runs: after the
 // first run the event loop is allocation-free, which is what makes the

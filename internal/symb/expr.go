@@ -36,9 +36,6 @@ func OneExpr() Expr { return IntExpr(1) }
 // IntExpr returns the constant expression n.
 func IntExpr(n int64) Expr { return Expr{num: PolyInt(n)} }
 
-// RatExpr returns the constant expression r.
-func RatExpr(r rat.Rat) Expr { return polyExpr(PolyConst(r)) }
-
 // Var returns the expression consisting of the single parameter name.
 func Var(name string) Expr { return Expr{num: PolyVar(name)} }
 
@@ -229,6 +226,13 @@ func (e Expr) Equal(f Expr) bool {
 
 // Eval evaluates e in env; parameters missing from env default to
 // defaultVal. It reports an error on overflow or a zero denominator.
+//
+// This map-based evaluator is the reference one: it sits under
+// core.Graph.Instantiate, the oracle the compiled evaluator (Compile,
+// CompiledExpr.EvalInto — what every repeated evaluation in product code
+// runs) is checked against, and otherwise serves one-shot evaluations
+// (Validate's probes, a buffer bound) where compiling first would be more
+// code and more allocations.
 func (e Expr) Eval(env Env, defaultVal int64) (rat.Rat, error) {
 	nv, err := e.num.Eval(env, defaultVal)
 	if err != nil || e.isPoly() {
@@ -255,30 +259,6 @@ func (e Expr) EvalInt(env Env, defaultVal int64) (int64, error) {
 		return 0, fmt.Errorf("symb: %s evaluates to non-integer %s", e, v)
 	}
 	return n, nil
-}
-
-// Substitute replaces every occurrence of the named parameter with the
-// expression val, e.g. fixing M=4 in beta*M*N to get 4*beta*N.
-func (e Expr) Substitute(name string, val Expr) Expr {
-	num := substPoly(e.num, name, val)
-	den := substPoly(e.Den(), name, val)
-	return num.Div(den)
-}
-
-// substPoly substitutes into a polynomial, producing an Expr (val may be a
-// rational function).
-func substPoly(p Poly, name string, val Expr) Expr {
-	acc := ZeroExpr()
-	for _, t := range p.terms {
-		exp := t.mono.Exp(name)
-		rest, _ := t.mono.Div(MonoPow(name, exp))
-		term := FromPoly(PolyTerm(t.coef, rest))
-		for i := 0; i < exp; i++ {
-			term = term.Mul(val)
-		}
-		acc = acc.Add(term)
-	}
-	return acc
 }
 
 // String renders the expression, e.g. "2*p", "p/2", "(p + 1)/(2*q)".

@@ -169,12 +169,6 @@ func (m Mono) GCD(n Mono) Mono {
 	return Mono{vars: out}
 }
 
-// LCM returns the least common multiple of m and n (max exponents).
-func (m Mono) LCM(n Mono) Mono {
-	q, _ := m.Div(m.GCD(n))
-	return q.Mul(n)
-}
-
 // Equal reports m == n.
 func (m Mono) Equal(n Mono) bool {
 	if len(m.vars) != len(n.vars) {

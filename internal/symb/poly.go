@@ -82,16 +82,6 @@ func (p Poly) IsOne() bool {
 	return ok && c.Equal(rat.One)
 }
 
-// Coef returns the coefficient of monomial m in p.
-func (p Poly) Coef(m Mono) rat.Rat {
-	for _, t := range p.terms {
-		if t.mono.Equal(m) {
-			return t.coef
-		}
-	}
-	return rat.Zero
-}
-
 // Vars returns the sorted set of parameter names occurring in p.
 func (p Poly) Vars() []string {
 	var out []string

@@ -66,16 +66,11 @@ type Report struct {
 
 // Analyze runs rate consistency, rate safety, liveness and boundedness on
 // the graph and derives its symbolic buffer bound. Probing valuations are
-// the parameter defaults and declared range corners, plus any
-// WithProbeEnvs; WithParams sets the valuation at which BufferBound is
-// evaluated.
+// the parameter defaults and declared range corners; WithParams sets the
+// valuation at which BufferBound is evaluated.
 func Analyze(g *Graph, opts ...Option) (rep *Report) {
 	cfg := buildConfig(opts)
-	extra := make([]symb.Env, 0, len(cfg.probeEnvs))
-	for _, e := range cfg.probeEnvs {
-		extra = append(extra, symb.Env(e))
-	}
-	in := analysis.AnalyzeParallel(g, cfg.parallel, extra...)
+	in := analysis.AnalyzeParallel(g, cfg.parallel)
 
 	rep = &Report{
 		GraphName:  g.Name,

@@ -43,10 +43,6 @@ func DefaultOFDM() OFDMParams { return apps.DefaultOFDM() }
 // OFDMGraph builds the runtime-reconfigurable OFDM demodulator of Fig. 7.
 func OFDMGraph(p OFDMParams) *Graph { return apps.OFDMTPDF(p) }
 
-// OFDMBaseline builds the static CSDF demodulator the paper compares
-// against (every branch always computed).
-func OFDMBaseline(p OFDMParams) *Graph { return apps.OFDMCSDF(p) }
-
 // OFDMDecide returns the control decision selecting the demapping branch:
 // QPSK for m=2, QAM for m=4 (§IV-B's dynamic topology change).
 func OFDMDecide(g *Graph, m int64) (map[string]DecideFunc, error) {
@@ -67,11 +63,6 @@ func PaperCSDFBuffer(p OFDMParams) int64 { return apps.PaperCSDFBuffer(p) }
 // OFDMBufferPoint simulates both demodulators at p and compares their
 // buffer totals against the paper's formulas.
 func OFDMBufferPoint(p OFDMParams) (BufferPoint, error) { return buffer.OFDMPoint(p) }
-
-// OFDMBufferSweep regenerates the Fig. 8 sweep over betas and FFT sizes.
-func OFDMBufferSweep(betas, ns []int64, m, l int64) ([]BufferPoint, error) {
-	return buffer.OFDMSweep(betas, ns, m, l)
-}
 
 // MeanImprovement averages the TPDF-over-CSDF buffer saving of a sweep.
 func MeanImprovement(points []BufferPoint) float64 { return buffer.MeanImprovement(points) }

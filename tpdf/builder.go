@@ -147,16 +147,6 @@ func (b *GraphBuilder) Build() (*Graph, error) {
 	return b.g, nil
 }
 
-// MustBuild is Build for tests and program-literal graphs; it panics on
-// error.
-func (b *GraphBuilder) MustBuild() *Graph {
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // edgeSpec is the parsed form of one Connect string.
 type edgeSpec struct {
 	src, dst           string

@@ -18,8 +18,8 @@ type CompiledGraph struct {
 }
 
 // Compile validates the graph and lowers its rate expressions into a
-// read-only CompiledGraph that Stream runs can share via WithCompiled.
-// One-shot callers don't need it — Stream compiles internally — but a
+// read-only CompiledGraph that runs can share via WithCompiled. One-shot
+// callers don't need it — every entry point compiles internally — but a
 // caller about to run many sessions of the same graph should compile once
 // and share.
 func Compile(g *Graph) (*CompiledGraph, error) {
@@ -33,12 +33,12 @@ func Compile(g *Graph) (*CompiledGraph, error) {
 // Graph returns the source graph the compile product was built from.
 func (c *CompiledGraph) Graph() *Graph { return c.sk.Source() }
 
-// WithCompiled makes Stream stamp its per-run mutable program state from
-// the shared compile product instead of compiling the graph itself. The
-// graph passed to Stream must be the one the CompiledGraph was compiled
-// from (or nil to use c.Graph()). Results are byte-identical to a run
-// that compiled freshly; only the setup cost changes. Other entry points
-// ignore this option.
+// WithCompiled makes Stream, Simulate, Schedule and GenerateCode stamp
+// their mutable program state from the shared compile product instead of
+// compiling the graph themselves. The graph passed alongside must be the
+// one the CompiledGraph was compiled from (or nil to use c.Graph()).
+// Results are byte-identical to a run that compiled freshly; only the
+// setup cost changes. Other entry points ignore this option.
 func WithCompiled(c *CompiledGraph) Option {
 	return func(cfg *config) { cfg.compiled = c }
 }

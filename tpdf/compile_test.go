@@ -2,10 +2,12 @@ package tpdf_test
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/tpdf"
+	"repro/tpdf/obs"
 )
 
 // TestCompiledSharingMatchesFreshCompile is the program-cache correctness
@@ -146,5 +148,116 @@ func TestCompiledGraphRejectsForeignGraph(t *testing.T) {
 	}
 	if _, err := tpdf.Stream(g2, nil, tpdf.WithCompiled(compiled), tpdf.WithIterations(1)); err == nil {
 		t.Fatalf("Stream accepted a compiled program from a different graph value")
+	}
+	if _, err := tpdf.Simulate(g2, tpdf.WithCompiled(compiled)); err == nil {
+		t.Error("Simulate accepted a compiled program from a different graph value")
+	}
+	if _, err := tpdf.Schedule(g2, tpdf.WithCompiled(compiled)); err == nil {
+		t.Error("Schedule accepted a compiled program from a different graph value")
+	}
+	if _, err := tpdf.GenerateCode(g2, tpdf.WithCompiled(compiled)); err == nil {
+		t.Error("GenerateCode accepted a compiled program from a different graph value")
+	}
+}
+
+// TestCompiledSharingOneShotEntryPoints extends the sharing contract to the
+// entry points that bind a single Program: Simulate, Schedule and
+// GenerateCode stamped from a shared CompiledGraph (graph passed or nil)
+// answer exactly what they answer when they compile privately.
+func TestCompiledSharingOneShotEntryPoints(t *testing.T) {
+	for _, name := range tpdf.BuiltinNames() {
+		s, err := tpdf.BuiltinScenario(name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := tpdf.Compile(s.Graph)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", name, err)
+		}
+		for _, g := range []*tpdf.Graph{s.Graph, nil} {
+			shared := tpdf.WithCompiled(compiled)
+			wantSim, err1 := tpdf.Simulate(s.Graph, tpdf.WithDecisions(s.Decide))
+			gotSim, err2 := tpdf.Simulate(g, tpdf.WithDecisions(s.Decide), shared)
+			if err1 != nil || err2 != nil || !reflect.DeepEqual(wantSim, gotSim) {
+				t.Errorf("%s: Simulate fresh (%v) and shared (%v) differ", name, err1, err2)
+			}
+			wantSched, err1 := tpdf.Schedule(s.Graph, tpdf.WithProcessors(4))
+			gotSched, err2 := tpdf.Schedule(g, tpdf.WithProcessors(4), shared)
+			if err1 != nil || err2 != nil || !reflect.DeepEqual(wantSched, gotSched) {
+				t.Errorf("%s: Schedule fresh (%v) and shared (%v) differ", name, err1, err2)
+			}
+			wantSrc, err1 := tpdf.GenerateCode(s.Graph)
+			gotSrc, err2 := tpdf.GenerateCode(g, shared)
+			if err1 != nil || err2 != nil || wantSrc != gotSrc {
+				t.Errorf("%s: GenerateCode fresh (%v) and shared (%v) differ", name, err1, err2)
+			}
+		}
+	}
+}
+
+// TestEntryPointsRefuseTheSameValuations is the facade half of refusal
+// parity: the tiers on the product lowering (Simulate, Schedule,
+// GenerateCode, Stream) and the reference tier (Execute) refuse the same
+// valuations, each with an error naming the same parameter or edge.
+func TestEntryPointsRefuseTheSameValuations(t *testing.T) {
+	g, err := tpdf.NewGraph("halves").
+		Param("p", 4, 1, 8).
+		Kernel("A", 1).Kernel("B", 1).
+		Connect("A[p/2] -> B[p/2]").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entryPoints := map[string]func(tpdf.Option) error{
+		"Simulate":     func(o tpdf.Option) error { _, err := tpdf.Simulate(g, o); return err },
+		"Schedule":     func(o tpdf.Option) error { _, err := tpdf.Schedule(g, o); return err },
+		"GenerateCode": func(o tpdf.Option) error { _, err := tpdf.GenerateCode(g, o); return err },
+		"Stream":       func(o tpdf.Option) error { _, err := tpdf.Stream(g, nil, o); return err },
+		"Execute":      func(o tpdf.Option) error { _, err := tpdf.Execute(g, nil, o); return err },
+	}
+	for _, c := range []struct {
+		p     int64
+		names string // what every refusal must mention; "" = accepted
+	}{
+		{0, "parameter p = 0"},
+		{9, "parameter p = 9 above declared maximum 8"},
+		{3, `edge "e1" production`},
+		{5, "p/2"},
+		{4, ""},
+		{8, ""},
+	} {
+		for name, run := range entryPoints {
+			err := run(tpdf.WithParam("p", c.p))
+			switch {
+			case c.names == "" && err != nil:
+				t.Errorf("%s at p=%d: %v", name, c.p, err)
+			case c.names != "" && err == nil:
+				t.Errorf("%s accepted p=%d", name, c.p)
+			case c.names != "" && !strings.Contains(err.Error(), c.names):
+				t.Errorf("%s at p=%d: %q does not name %q", name, c.p, err, c.names)
+			}
+		}
+	}
+}
+
+// TestSimulatePublishesCounters checks the one Simulate path publishes its
+// event counters when, and only when, a registry is attached.
+func TestSimulatePublishesCounters(t *testing.T) {
+	g, err := tpdf.Builtin("fig2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	res, err := tpdf.Simulate(g, tpdf.WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var firings int64
+	for _, f := range res.Firings {
+		firings += f
+	}
+	snap := reg.Sim()
+	if snap.Runs != 1 || snap.Firings != firings || snap.VirtualTime != res.Time {
+		t.Errorf("published %+v, run had %d firings and ended at %d", snap, firings, res.Time)
 	}
 }

@@ -42,15 +42,6 @@ var invariants = []struct {
 	{"contexts", CheckContexts},
 }
 
-// InvariantNames lists the invariant vocabulary in check order.
-func InvariantNames() []string {
-	out := make([]string, len(invariants))
-	for i, ch := range invariants {
-		out[i] = ch.name
-	}
-	return out
-}
-
 // reconfigure turns the schedule's rebind list into a Stream reconfigure
 // plan: a pure function of the completed count, so resumed and reference
 // runs follow the same parameter trajectory. Nil without rebinds.

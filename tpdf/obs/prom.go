@@ -17,7 +17,7 @@ type Label struct {
 
 // PromWriter emits the Prometheus text exposition format (version 0.0.4):
 // families introduced with Family (HELP/TYPE lines), samples appended with
-// Sample/Histo. Errors are sticky; check Err (or the Flush result) once at
+// Int/Histo. Errors are sticky; check Err (or the Flush result) once at
 // the end.
 type PromWriter struct {
 	w   *bufio.Writer
@@ -35,13 +35,8 @@ func (p *PromWriter) Family(name, help, typ string) {
 	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// Sample emits one sample line. Emit samples of a family contiguously,
-// directly after its Family call.
-func (p *PromWriter) Sample(name string, labels []Label, value float64) {
-	p.printf("%s%s %s\n", name, renderLabels(labels), formatValue(value))
-}
-
-// Int emits one integer-valued sample line.
+// Int emits one integer-valued sample line. Emit samples of a family
+// contiguously, directly after its Family call.
 func (p *PromWriter) Int(name string, labels []Label, value int64) {
 	p.printf("%s%s %d\n", name, renderLabels(labels), value)
 }

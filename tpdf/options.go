@@ -45,10 +45,8 @@ type config struct {
 	decide          map[string]DecideFunc
 	record          bool
 	onFire          func(FireEvent)
-	maxEvents       int64
 	platform        *Platform
 	controlPriority bool
-	probeEnvs       []map[string]int64
 	workers         int
 	channelCap      int64
 	reconfigure     func(completed int64) map[string]int64
@@ -71,7 +69,12 @@ type config struct {
 	faults          *faultinject.Plan
 }
 
-// Option configures Analyze, Simulate, Execute, Schedule or GenerateCode.
+// Option configures an entry point; each reads the options its comment
+// lists and ignores the rest. WithCompiled is honoured by Stream, Simulate,
+// Schedule and GenerateCode, which bind a single Program; Sweep,
+// MinimalBuffers, IterationPeriod and Analyze compile the graph themselves
+// (once per worker), and Execute, the reference tier, lowers independently
+// by design.
 type Option func(*config)
 
 func buildConfig(opts []Option) config {
@@ -146,12 +149,6 @@ func WithTrace(fn func(FireEvent)) Option {
 // WithRecord stores the full firing trace in SimResult.Events.
 func WithRecord() Option {
 	return func(c *config) { c.record = true }
-}
-
-// WithMaxEvents guards Simulate against runaway graphs (default 50M
-// events).
-func WithMaxEvents(n int64) Option {
-	return func(c *config) { c.maxEvents = n }
 }
 
 // WithPlatform selects the many-core target for Schedule (default SMP with
@@ -237,13 +234,6 @@ func WithMetrics(r *obs.Registry) Option {
 // (chrome://tracing) or Journal.Summary (aligned table).
 func WithTraceJournal(j *obs.Journal) Option {
 	return func(c *config) { c.journal = j }
-}
-
-// WithProbeEnvs adds parameter valuations at which Analyze probes the
-// concrete checks (liveness), beyond the defaults and declared range
-// corners.
-func WithProbeEnvs(envs ...map[string]int64) Option {
-	return func(c *config) { c.probeEnvs = append(c.probeEnvs, envs...) }
 }
 
 // WithParallelism bounds the worker pool the analysis fabric may use:

@@ -33,7 +33,7 @@ func TestOptionDefaults(t *testing.T) {
 	if !cfg.controlPriority {
 		t.Error("control priority should default on")
 	}
-	if cfg.ctx != nil || cfg.record || cfg.maxEvents != 0 || cfg.platform != nil {
+	if cfg.ctx != nil || cfg.record || cfg.platform != nil {
 		t.Error("zero-value options leaked defaults")
 	}
 }

@@ -13,44 +13,61 @@ import (
 	"repro/tpdf/obs"
 )
 
+// bind returns the graph's Program bound at the configured valuation: the
+// one lowering behind Simulate, Schedule and GenerateCode. WithCompiled
+// makes it stamp the shared compile product instead of compiling g (which
+// must then be the compiled graph, or nil).
+func (c *config) bind(g *Graph) (*core.Program, error) {
+	if c.compiled == nil {
+		return core.Bind(g, c.env())
+	}
+	if g != nil && g != c.compiled.sk.Source() {
+		return nil, fmt.Errorf("tpdf: WithCompiled graph was compiled from a different graph than the one passed")
+	}
+	prog := c.compiled.sk.NewProgram()
+	if err := prog.Rebind(c.env()); err != nil {
+		return nil, err
+	}
+	return prog, nil
+}
+
 // Simulate executes the graph token-accurately in virtual time and reports
 // firings, completion time and per-channel buffer high-water marks.
 // Relevant options: WithParams, WithIterations, WithProcessors,
-// WithDecisions, WithContext, WithTrace, WithRecord, WithMaxEvents,
+// WithDecisions, WithContext, WithTrace, WithRecord, WithCompiled,
 // WithMetrics (event counters published to the registry after the run).
 func Simulate(g *Graph, opts ...Option) (*SimResult, error) {
 	cfg := buildConfig(opts)
-	sc := sim.Config{
-		Graph:      g,
+	prog, err := cfg.bind(g)
+	if err != nil {
+		return nil, err
+	}
+	s, err := sim.NewSimulatorFromProgram(prog, sim.Config{
 		Context:    cfg.ctx,
-		Env:        cfg.env(),
 		Iterations: cfg.iterations,
 		Processors: cfg.processors,
 		Decide:     cfg.decide,
 		OnFire:     cfg.onFire,
 		Record:     cfg.record,
-		MaxEvents:  cfg.maxEvents,
-	}
-	if cfg.metrics == nil {
-		return sim.Run(sc)
-	}
-	s, err := sim.NewSimulator(sc)
+	})
 	if err != nil {
 		return nil, err
 	}
 	res, err := s.Run()
-	ctr := s.Counters()
-	snap := obs.SimSnapshot{
-		Runs:          ctr.Runs,
-		Events:        ctr.Events,
-		Firings:       ctr.Firings,
-		ClockTicks:    ctr.ClockTicks,
-		MaxEventQueue: ctr.MaxEventQueue,
+	if cfg.metrics != nil {
+		ctr := s.Counters()
+		snap := obs.SimSnapshot{
+			Runs:          ctr.Runs,
+			Events:        ctr.Events,
+			Firings:       ctr.Firings,
+			ClockTicks:    ctr.ClockTicks,
+			MaxEventQueue: ctr.MaxEventQueue,
+		}
+		if res != nil {
+			snap.VirtualTime = res.Time
+		}
+		cfg.metrics.UpdateSim(snap)
 	}
-	if res != nil {
-		snap.VirtualTime = res.Time
-	}
-	cfg.metrics.UpdateSim(snap)
 	return res, err
 }
 
@@ -114,7 +131,7 @@ func (r *ScheduleResult) Gantt(width int) string {
 // list-schedules it with the control-priority rule onto the target
 // platform, verifying the result against the precedence constraints.
 // Relevant options: WithParams, WithPlatform, WithProcessors,
-// WithoutControlPriority.
+// WithoutControlPriority, WithCompiled.
 func Schedule(g *Graph, opts ...Option) (*ScheduleResult, error) {
 	cfg := buildConfig(opts)
 	plat := cfg.platform
@@ -126,29 +143,20 @@ func Schedule(g *Graph, opts ...Option) (*ScheduleResult, error) {
 		plat = platform.Simple(n)
 	}
 
-	cg, low, err := g.Instantiate(cfg.env())
+	prog, err := cfg.bind(g)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := cg.RepetitionVector()
+	prec, err := prog.CanonicalPeriod()
 	if err != nil {
 		return nil, err
 	}
-	prec, err := cg.BuildPrecedence(sol, true)
-	if err != nil {
-		return nil, err
-	}
-	isCtl := make([]bool, len(cg.Actors))
-	for id, n := range g.Nodes {
-		if n.Kind == core.KindControl {
-			isCtl[low.ActorOf[id]] = true
-		}
-	}
+	cg, sol := prog.Concrete(), prog.Solution()
 	sopts := sched.Options{
 		Platform:        plat,
 		PEs:             cfg.processors,
 		ControlPriority: cfg.controlPriority,
-		IsControl:       isCtl,
+		IsControl:       prog.ControlActors(),
 	}
 	res, err := sched.ListSchedule(cg, prec, sopts)
 	if err != nil {
@@ -185,10 +193,14 @@ func Schedule(g *Graph, opts ...Option) (*ScheduleResult, error) {
 }
 
 // GenerateCode emits quasi-static Go scheduling code for the graph
-// (WithParams selects the instantiation).
+// (WithParams selects the valuation; WithCompiled is honoured).
 func GenerateCode(g *Graph, opts ...Option) (string, error) {
 	cfg := buildConfig(opts)
-	return codegen.Generate(g, codegen.Options{Env: cfg.env()})
+	prog, err := cfg.bind(g)
+	if err != nil {
+		return "", err
+	}
+	return codegen.Generate(prog, codegen.Options{})
 }
 
 // MinimalBuffers searches the smallest per-edge capacities under which the
@@ -205,7 +217,6 @@ func MinimalBuffers(g *Graph, opts ...Option) ([]int64, error) {
 		Iterations: cfg.iterations,
 		Processors: cfg.processors,
 		Decide:     cfg.decide,
-		MaxEvents:  cfg.maxEvents,
 	}, cfg.parallel)
 }
 
@@ -221,6 +232,5 @@ func IterationPeriod(g *Graph, warm, span int64, opts ...Option) (float64, error
 		Env:        cfg.env(),
 		Processors: cfg.processors,
 		Decide:     cfg.decide,
-		MaxEvents:  cfg.maxEvents,
 	}, warm, span)
 }

@@ -146,7 +146,6 @@ func Sweep(g *Graph, grid []map[string]int64, opts ...Option) ([]SweepPoint, err
 				Iterations:  cfg.iterations,
 				Processors:  cfg.processors,
 				Decide:      cfg.decide,
-				MaxEvents:   cfg.maxEvents,
 				BuffersOnly: true,
 			})
 			if err != nil {
