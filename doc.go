@@ -69,20 +69,26 @@
 //     (nodes without a behavior never build a Firing at all). A warm steady-state firing performs zero heap allocations
 //     (TestStreamSteadyStateAllocs); the price is that payload slices
 //     handed to a Behavior are valid only for the duration of the firing;
-//   - the engine reconfigures by rebinding, not rebuilding: the graph is
-//     compiled once (core.Compile) and a transaction boundary that
-//     changes parameters is a Program.Rebind — rate tables and the
-//     repetition vector overwritten in place — plus a fresh PASS from the
-//     rings' live occupancy and in-place ring growth, with leftover
-//     payloads staying on their edges in FIFO order
-//     (BenchmarkStreamReconfigure vs the instantiate path it replaced).
-//     The Program single-writer rule applies to engine-held programs
-//     exactly as to sweep workers: the engine rebinds only while every
-//     context is parked at the barrier, and nothing else may touch a
-//     program the engine holds. Boundaries whose hook keeps the
-//     environment unchanged stay in the same engine state — the barrier
-//     is a channel hop and an atomic countdown per context, with no
-//     rebind, no schedule rebuild and no ring resize;
+//   - compile once, stamp per holder, bind once per scenario: the graph is
+//     compiled once (a core.Skeleton, shared), and each run keeps a table of
+//     scenario rows — a Program stamped from the skeleton and bound at one
+//     valuation, the PASS built from the rings' occupancy, the ring
+//     capacities it needs. A boundary that changes parameters looks its
+//     valuation up (a linear scan over ≤ 16 integer keys) and, on a hit at
+//     the occupancy the row's PASS started from, swaps to the row, grows
+//     rings in place (never shrinks; leftover payloads stay on their edges
+//     in FIFO order) and restarts rate-phase indexing: no rate evaluated, no
+//     balance equation solved, no schedule built, no allocation
+//     (TestRevisitedBoundaryAllocationFree). Only a first visit binds and
+//     schedules; past 16 rows it recycles the least recently committed
+//     row's Program, never the committed one's, so a run holds at most 16
+//     stamped Programs (one, if it never changes parameters). A refused
+//     valuation never touches the committed row, and the per-boundary
+//     verdicts (validation hook, injected fault) are asked on hits and
+//     misses alike. The table is per run, not per Skeleton: rows are
+//     single-writer by construction (the engine writes them only while
+//     every context is parked) and first visits are not the cost.
+//     Boundaries whose hook keeps the environment unchanged touch nothing;
 //   - the engine stops the world only where somebody wants to change
 //     something: the boundary hook (tpdf.WithBoundary) answers with a
 //     Verdict that says how many iterations it is not needed for, and
@@ -243,7 +249,7 @@
 // of one reusable csdf.Graph, SolveInto the repetition vector,
 // Program.CanonicalPeriod the §III-D precedence graph, and every product
 // entry point — Simulate, Schedule, GenerateCode, Stream, Sweep,
-// MinimalBuffers, IterationPeriod, Analyze's liveness probes, the
+// MinimalBuffers, Analyze's liveness probes, the
 // experiment drivers, tpdf/serve — reads them from there, so which
 // valuations are legal has one answer. The reference stack is
 // core.Graph.Instantiate (map-based symb.Expr.Eval into a fresh
@@ -264,7 +270,7 @@
 // tokens, parametric and cyclo-static rates, Transaction/Select-duplicate
 // kernels — paired with execution schedules (base valuation, rebinds at
 // transaction boundaries, pump cadences, behavior panics, rebind aborts,
-// crash points), and checks every generated case against eight cross-tier
+// crash points), and checks every generated case against nine cross-tier
 // invariant pairs: Simulate ≡ Execute ≡ Stream; Compile+Rebind ≡ fresh
 // Instantiate; checkpoint/Resume ≡ uninterrupted; panic recovery ≡
 // fault-free reference; durable snapshot encode ∘ decode ∘ restore ≡
@@ -272,9 +278,12 @@
 // epochs ≡ one-iteration epochs (also resumed from the cut that opens one,
 // and cut short from another goroutine ≡ Execute at the reported count);
 // one execution context ≡ one per actor ≡ Execute (also across rebinds,
-// cuts, a cut resumed under the other clustering, and panic recovery). A
-// separate
-// battery pushes generated graphs through the tpdf-serve HTTP surface
+// cuts, a cut resumed under the other clustering, and panic recovery); a
+// warm engine revisiting valuations through its scenario table ≡ a chain
+// of cold engines, one per boundary, each resumed from the last one's
+// final cut (also under rebind aborts on a first visit and a revisit, a
+// mid-trajectory resume, and more valuations than the table holds). A
+// separate battery pushes generated graphs through the tpdf-serve HTTP surface
 // (admission, pump cadence, SIGKILL-shaped crash, recovery on a second
 // server over the same data directory) against an uninterrupted
 // reference, and a generated deadlock-prone family exercises the stall

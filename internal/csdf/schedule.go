@@ -78,16 +78,21 @@ func (g *Graph) BuildSchedule(sol *Solution, policy SchedulePolicy) (*Schedule, 
 	}
 	maxTok := append([]int64(nil), tokens...)
 	fired := make([]int64, n)
-	var order []int
 
 	var total int64
 	for _, q := range sol.Q {
 		total += q
 	}
+	// Allocated once, but capped: a deadlocking graph with a huge repetition
+	// vector still fails before it allocates.
+	order := make([]int, 0, min(max(total, 0), 1<<16))
 
+	// One backing array for the three int tables: prio (position -> actor
+	// index, tried in order), deg and back (the edge index below).
+	ints := make([]int, 3*n+2*len(g.Edges))
+	prio, deg, back := ints[:n], ints[n:3*n], ints[3*n:]
 	// Priority order: for Demand, actors later in topological order of the
 	// acyclic condensation fire first.
-	prio := make([]int, n) // position -> actor index, tried in order
 	for i := range prio {
 		prio[i] = i
 	}
@@ -101,35 +106,42 @@ func (g *Graph) BuildSchedule(sol *Solution, policy SchedulePolicy) (*Schedule, 
 		}
 	}
 
+	// ins[a] / outs[a] list actor a's input / output edges in edge order,
+	// indexed once per call so a candidate firing walks only its own edges.
+	adj := make([][]int, 2*n)
+	for ei := range g.Edges {
+		deg[g.Edges[ei].Dst]++
+		deg[n+g.Edges[ei].Src]++
+	}
+	for i, d := range deg {
+		adj[i], back = back[:0:d], back[d:]
+	}
+	for ei := range g.Edges {
+		e := &g.Edges[ei]
+		adj[e.Dst] = append(adj[e.Dst], ei)
+		adj[n+e.Src] = append(adj[n+e.Src], ei)
+	}
+	ins, outs := adj[:n], adj[n:]
+
 	canFire := func(a int) bool {
 		if fired[a] >= sol.Q[a] {
 			return false
 		}
-		for ei := range g.Edges {
-			e := &g.Edges[ei]
-			if e.Dst != a {
-				continue
-			}
-			if tokens[ei] < e.ConsAt(fired[a]) {
+		for _, ei := range ins[a] {
+			if tokens[ei] < g.Edges[ei].ConsAt(fired[a]) {
 				return false
 			}
 		}
 		return true
 	}
 	fire := func(a int) {
-		for ei := range g.Edges {
-			e := &g.Edges[ei]
-			if e.Dst == a {
-				tokens[ei] -= e.ConsAt(fired[a])
-			}
+		for _, ei := range ins[a] {
+			tokens[ei] -= g.Edges[ei].ConsAt(fired[a])
 		}
-		for ei := range g.Edges {
-			e := &g.Edges[ei]
-			if e.Src == a {
-				tokens[ei] += e.ProdAt(fired[a])
-				if tokens[ei] > maxTok[ei] {
-					maxTok[ei] = tokens[ei]
-				}
+		for _, ei := range outs[a] {
+			tokens[ei] += g.Edges[ei].ProdAt(fired[a])
+			if tokens[ei] > maxTok[ei] {
+				maxTok[ei] = tokens[ei]
 			}
 		}
 		fired[a]++

@@ -1,12 +1,14 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/csdf"
 	"repro/internal/symb"
 	"repro/tpdf/obs"
 )
@@ -240,7 +242,7 @@ func (b *boundary) cross(it int64) (Verdict, error) {
 // rejected rebind is undone and reported (fatal unless OnRebindAbort is
 // set). It returns the clock read taken after a committed rebind, zero
 // otherwise.
-func (b *boundary) apply(over map[string]int64, it int64) (bend time.Time, err error) {
+func (b *boundary) apply(over map[string]int64, it int64) (bend time.Time, _ error) {
 	e := b.e
 	b.undo = b.undo[:0]
 	for k, v := range over {
@@ -263,14 +265,11 @@ func (b *boundary) apply(over map[string]int64, it int64) (bend time.Time, err e
 	if b.obsOn {
 		rt = time.Now()
 	}
-	err = e.reconfigure(b.env, it)
-	switch {
-	case err != nil && errors.Is(err, ErrRebindAborted):
-		// Speculative rebind abort: restore the previous valuation
-		// (replaying the recorded bindings through the XOR digest undoes it
-		// — the update is an involution) and rebind the program back to it.
-		// Validation ran before any ring grew, so ring capacities need no
-		// repair.
+	built, err := e.reconfigure(b.env, it)
+	if err != nil {
+		// A refused valuation (every refusal is an ErrRebindAborted) never
+		// touched the committed row: only the valuation is restored —
+		// replaying the recorded bindings through the XOR digest undoes it.
 		for _, pb := range b.undo {
 			if b.digestOn {
 				b.digest ^= obs.BindingDigest(pb.k, b.env[pb.k])
@@ -284,9 +283,6 @@ func (b *boundary) apply(over map[string]int64, it int64) (bend time.Time, err e
 				delete(b.env, pb.k)
 			}
 		}
-		if rerr := e.prog.Rebind(b.env); rerr != nil {
-			return bend, fmt.Errorf("engine: restoring valuation after aborted rebind: %v", rerr)
-		}
 		if e.mx != nil {
 			e.mx.tot.Aborts++
 		}
@@ -296,64 +292,119 @@ func (b *boundary) apply(over map[string]int64, it int64) (bend time.Time, err e
 			return bend, err
 		}
 		e.cfg.OnRebindAbort(err)
-	case err != nil:
-		return bend, err
-	case b.obsOn:
+	} else if b.obsOn {
 		bend = time.Now()
 		rd := int64(bend.Sub(rt))
 		if e.mx != nil {
 			e.mx.tot.Rebinds++
 			e.mx.tot.RebindNs += rd
 		}
+		detail := "row=hit"
+		if built {
+			detail = "row=built"
+		}
 		e.record(obs.Event{TimeUnixNano: bend.UnixNano(),
 			Kind: obs.EvRebind, Completed: it, DurNs: rd,
-			ParamsDigest: b.digest})
+			ParamsDigest: b.digest, Detail: detail})
 	}
 	return bend, nil
 }
 
-// reconfigure applies a changed environment at a quiescent transaction
-// boundary: the compiled program is rebound in place (rate tables and
-// repetition vector overwritten, no fresh graph), the new schedule's order
-// replaces the old one, ring capacities are grown to its bounds, and
-// rate-phase indexing restarts. The rings keep their content — leftover
-// payloads cross the boundary in FIFO order without being drained and
-// re-queued.
-//
-// The rebind is speculative: every failure before the commit point (a
-// rebind the rate tables reject, a new valuation with no bounded schedule
-// — the Theorem 2 check — an injected fault, or the user validation hook)
-// returns an error wrapping ErrRebindAborted, and the caller restores the
-// previous valuation. Validation deliberately precedes the commit — the
-// order, and the ring growths, which are the only irreversible effect — so
-// an aborted rebind leaves nothing to repair beyond the rate tables.
-func (e *engine) reconfigure(env symb.Env, completed int64) error {
-	if err := e.prog.Rebind(env); err != nil {
-		return fmt.Errorf("%w: %v", ErrRebindAborted, err)
-	}
-	// The schedule (and therefore the firing order, the capacity bounds and
-	// the liveness check) starts from the tokens actually on the edges now,
-	// not the declared initial state. The engine owns the Program, so
-	// overwriting the skeleton's Initial fields at the barrier is safe.
-	for ci := range e.cg.Edges {
-		e.cg.Edges[ci].Initial = e.rings[ci].len()
-	}
-	sch, err := e.schedule()
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrRebindAborted, err)
-	}
-	if e.faults.RebindFault(completed) {
-		return fmt.Errorf("%w: injected validation failure at iteration %d", ErrRebindAborted, completed)
-	}
-	if v := e.cfg.ValidateRebind; v != nil {
-		if verr := v(map[string]int64(env)); verr != nil {
-			return fmt.Errorf("%w: %v", ErrRebindAborted, verr)
+// maxRows bounds a run's scenario table, and with it the Programs one run
+// ever stamps.
+const maxRows = 16
+
+// row is one scenario: everything a valuation determines, given the ring
+// occupancy its PASS starts from (held in the bound Program's concrete
+// edges' Initial). The engine's prog, cg and order are the committed row's.
+type row struct {
+	key   []int64 // the declared parameters' values, in declaration order
+	prog  *core.Program
+	order []int   // the PASS; nil while the row is unbound
+	caps  []int64 // per-edge ring capacity floor
+	used  int64   // tick of the last commit: the least recent row is recycled
+}
+
+// startsFrom reports whether the row's PASS was built from occupancy occ.
+func (r *row) startsFrom(occ []int64) bool {
+	for ci, n := range occ {
+		if r.prog.Concrete().Edges[ci].Initial != n {
+			return false
 		}
 	}
-	e.order = sch.Order
-	for ci := range e.cg.Edges {
+	return true
+}
+
+// rowFor returns the row of env at ring occupancy occ: a table hit, or
+// (built) a row bound, scheduled and checked now — in a freshly stamped
+// Program while the table has room, else in that of a stale row of the same
+// valuation, an unbound row or the least recently committed one, never the
+// committed row's. A refusal leaves the row unbound and returns the error.
+func (e *engine) rowFor(env symb.Env, occ []int64) (_ *row, built bool, _ error) {
+	key := e.key[:0]
+	for _, p := range e.cfg.Graph.Params {
+		key = append(key, env[p.Name])
+	}
+	e.key = key
+	var v *row
+	for _, r := range e.rows {
+		if r.order != nil && slices.Equal(r.key, key) {
+			if r.startsFrom(occ) {
+				return r, false, nil
+			}
+			if r.prog != e.prog {
+				r.order, r.used = nil, 0 // stale occupancy: replaced below
+			}
+		}
+		if r.prog != e.prog && (v == nil || r.used < v.used) {
+			v = r
+		}
+	}
+	if v == nil || (v.order != nil && len(e.rows) < maxRows) {
+		v = &row{prog: e.prog.Skeleton().NewProgram()}
+		e.rows = append(e.rows, v)
+	}
+	v.order, v.used = nil, 0
+	v.key = append(v.key[:0], key...)
+	if err := v.prog.Rebind(env); err != nil {
+		return nil, false, err
+	}
+	// The PASS — and so the firing order, the capacity bounds and the
+	// liveness check — starts from the tokens on the edges now, not the
+	// declared initial state. Reusing it for every iteration of an epoch, and
+	// the row at every revisit, rests on an iteration returning every edge to
+	// its starting occupancy: checked here rather than assumed.
+	cg := v.prog.Concrete()
+	for ci := range cg.Edges {
+		cg.Edges[ci].Initial = occ[ci]
+	}
+	sch, err := cg.BuildSchedule(v.prog.Solution(), csdf.Demand)
+	if err != nil {
+		return nil, false, fmt.Errorf("engine: no sequential schedule: %v", err)
+	}
+	v.caps = v.caps[:0]
+	for ci := range cg.Edges {
+		if sch.Final[ci] != occ[ci] {
+			return nil, false, fmt.Errorf("engine: schedule is not periodic: edge %s holds %d tokens before an iteration and %d after",
+				cg.Edges[ci].Name, occ[ci], sch.Final[ci])
+		}
+		v.caps = append(v.caps, capacityFor(&cg.Edges[ci], sch.MaxTokens[ci], e.cfg.Capacity))
+	}
+	v.order = sch.Order
+	return v, true, nil
+}
+
+// commit makes r the run's scenario — the only irreversible step of a
+// boundary: the engine reads rates, Q and the PASS from it, rings grow (never
+// shrink) to its capacities keeping their content — leftover payloads cross
+// the boundary in FIFO order — and rate-phase indexing restarts.
+func (e *engine) commit(r *row) {
+	e.tick++
+	r.used = e.tick
+	e.prog, e.cg, e.order = r.prog, r.prog.Concrete(), r.order
+	for ci, c := range r.caps {
 		before := e.rings[ci].cap()
-		e.rings[ci].grow(e.capacityFor(sch, ci))
+		e.rings[ci].grow(c)
 		if e.mx != nil && e.rings[ci].cap() > before {
 			e.mx.grows[ci]++
 		}
@@ -361,7 +412,36 @@ func (e *engine) reconfigure(env symb.Env, completed int64) error {
 	for id := range e.actors {
 		e.actors[id].base = e.actors[id].fired
 	}
-	return nil
+}
+
+// reconfigure moves the run to env's row at a quiescent transaction
+// boundary and reports whether the row had to be built. What a row caches is
+// a pure function of (valuation, occupancy); the verdicts about *this*
+// boundary — an injected fault, the user validation hook — are asked at
+// every boundary, hit or miss, after the row exists and before the commit.
+// Every refusal wraps ErrRebindAborted and leaves the committed row as it
+// was.
+func (e *engine) reconfigure(env symb.Env, completed int64) (built bool, _ error) {
+	for ci, rg := range e.rings {
+		e.occ[ci] = rg.len()
+	}
+	r, built, err := e.rowFor(env, e.occ)
+	if err != nil {
+		return false, fmt.Errorf("%w: %v", ErrRebindAborted, err)
+	}
+	if built && e.mx != nil {
+		e.mx.tot.RowsBuilt++
+	}
+	if e.faults.RebindFault(completed) {
+		return built, fmt.Errorf("%w: injected validation failure at iteration %d", ErrRebindAborted, completed)
+	}
+	if v := e.cfg.ValidateRebind; v != nil {
+		if verr := v(map[string]int64(env)); verr != nil {
+			return built, fmt.Errorf("%w: %v", ErrRebindAborted, verr)
+		}
+	}
+	e.commit(r)
+	return built, nil
 }
 
 // epochCut is the cooperative protocol that ends an epoch early at an

@@ -39,12 +39,15 @@
 // parked at transaction barriers, each actor reuses a runner.Scratch firing
 // context (maps materialized once, payload slices truncated in place), and
 // the ring transport copies interface values without boxing. The graph is
-// compiled once (core.Compile); a transaction boundary that changes
-// parameters is a Program.Rebind — rate tables and the repetition vector
-// overwritten in place — plus a fresh PASS from the rings' live occupancy
-// and in-place ring growth, never a fresh instantiation or channel rebuild.
-// The engine is the Program's single writer: rebinding happens only while
-// every context is parked at the barrier.
+// compiled once (a core.Skeleton) and bound once per scenario: the run keeps
+// a small table of rows — a Program stamped from the skeleton and bound at
+// one valuation, the PASS built from the rings' occupancy, the ring
+// capacities it needs — so a transaction boundary that returns to a
+// valuation (at the occupancy its PASS started from) swaps to its row and
+// grows rings in place, allocating nothing; only a first visit binds and
+// schedules, and past maxRows rows it recycles the least recently committed
+// one's Program. The engine is every row's single writer, and rows change
+// only while every context is parked at the barrier.
 package engine
 
 import (
@@ -108,15 +111,16 @@ type Config struct {
 	// post-hook cut) instead of Run of them. The engine drains the pipeline
 	// to a quiescent state before consulting the hook, so in-flight firings
 	// never observe a mix of old and new parameter values; a boundary whose
-	// verdict changes nothing stays in the same engine state (no rebind, no
-	// schedule rebuild, no ring resize). A Stop verdict ends the run
-	// cleanly at the boundary: the Result reports the firings and leftover
-	// ring contents accumulated so far, and no error is raised — this is
-	// how a long-running session drains at a quiescent barrier instead of
-	// being cancelled mid-iteration. The hook may block (a session parked
-	// between client requests blocks here waiting for the next command);
-	// the engine counts boundary work as busy, so a parked session never
-	// trips the stall watchdog. A blocking hook must watch the run's
+	// verdict changes nothing stays in the same engine state, and one that
+	// returns to a valuation the run has visited swaps to that scenario's
+	// row (no rebind, no schedule rebuild; rings only ever grow). A Stop
+	// verdict ends the run cleanly at the boundary: the Result reports the
+	// firings and leftover ring contents accumulated so far, and no error is
+	// raised — this is how a long-running session drains at a quiescent
+	// barrier instead of being cancelled mid-iteration. The hook may block (a
+	// session parked between client requests blocks here waiting for the next
+	// command); the engine counts boundary work as busy, so a parked session
+	// never trips the stall watchdog. A blocking hook must watch the run's
 	// Context itself and stop when it is cancelled — the engine cannot
 	// interrupt user code. At most one of Boundary, Barrier and Reconfigure
 	// may be set.
@@ -175,10 +179,10 @@ type Config struct {
 	// boundary's hook and replays the verdict it remembers
 	// (Checkpoint.Run iterations as one epoch, without a Cut).
 	Resume *Checkpoint
-	// ValidateRebind, when set, is consulted at reconfiguration boundaries
-	// after the rebind has been applied and re-scheduled but before it
-	// takes effect; returning an error aborts the reconfiguration
-	// (ErrRebindAborted) and the previous valuation is restored.
+	// ValidateRebind, when set, is consulted at every boundary that changes
+	// parameters, after the new valuation's row exists but before it takes
+	// effect; returning an error aborts the reconfiguration
+	// (ErrRebindAborted) and the run stays on the previous valuation's row.
 	ValidateRebind func(params map[string]int64) error
 	// OnRebindAbort, when set, makes rebind aborts non-fatal: the abort is
 	// reported through it and the run continues under the previous
@@ -216,14 +220,20 @@ type portEdge struct {
 	port string
 }
 
-// engine is one Run's execution state. The concrete CSDF graph and the
-// repetition vector live in the compiled Program and are rewritten in
-// place at transaction boundaries; everything else (rings, wiring,
-// scratches) is built once and reused for the whole run.
+// engine is one Run's execution state. The concrete CSDF graph, the
+// repetition vector and the PASS are the committed row's, swapped at
+// transaction boundaries; everything else (rings, wiring, scratches) is
+// built once and reused for the whole run.
 type engine struct {
 	cfg  Config
 	prog *core.Program
 	cg   *csdf.Graph
+	// rows is the scenario table, backed by rowBuf; key and occ are the
+	// boundary's lookup scratch, tick the commit clock.
+	rows     []*row
+	rowBuf   [maxRows]*row
+	key, occ []int64
+	tick     int64
 
 	// stop is closed on the first error/cancellation; stopped mirrors it
 	// for branch-cheap per-firing checks. err is guarded by mu.
@@ -249,7 +259,7 @@ type engine struct {
 
 	// perActor is the clustering, fixed for the run: every actor its own
 	// context, or (the default) one context holding them all and walking
-	// order — the PASS of the active valuation, refreshed by reconfigure.
+	// order — the committed row's PASS.
 	perActor bool
 	order    []int
 
@@ -271,10 +281,12 @@ type engine struct {
 	sem  chan struct{}
 
 	// mx/jr are the optional observability sinks (Config.Metrics/Journal);
-	// edgeProd/edgeCons name the actor on each side of every concrete
-	// edge, for harvest snapshots and watchdog stall diagnosis.
+	// edgeName/edgeProd/edgeCons name every concrete edge and the actor on
+	// each side of it, for harvest snapshots and watchdog stall diagnosis
+	// (the watchdog runs beside main, so it must not read the swapped cg).
 	mx       *engMetrics
 	jr       *obs.Journal
+	edgeName []string
 	edgeProd []string
 	edgeCons []string
 
@@ -312,15 +324,15 @@ func Run(cfg Config) (*runner.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := cfg.Graph
-	var prog *core.Program
-	if sk := cfg.Skeleton; sk != nil {
+	g, sk := cfg.Graph, cfg.Skeleton
+	if sk != nil {
 		if g == nil {
 			g = sk.Source()
 		} else if g != sk.Source() {
 			return nil, fmt.Errorf("engine: Skeleton was compiled from a different graph than Config.Graph")
 		}
-		prog = sk.NewProgram()
+	} else if sk, err = core.CompileSkeleton(g); err != nil {
+		return nil, err
 	}
 	iters := cfg.Iterations
 	if iters <= 0 {
@@ -345,26 +357,21 @@ func Run(cfg Config) (*runner.Result, error) {
 		}
 	}
 
-	if prog == nil {
-		if prog, err = core.Compile(g); err != nil {
-			return nil, err
-		}
-	}
-	if err := prog.Rebind(env); err != nil {
-		return nil, err
-	}
-
+	// The table starts as one unbound row; wire binds it, and until then its
+	// concrete graph stands in for the structure (edge count, names, declared
+	// initial tokens).
+	seed := &row{prog: sk.NewProgram()}
 	cfg.Graph = g // wire/fire read node metadata through cfg.Graph
 	e := &engine{
 		cfg:      cfg,
-		prog:     prog,
-		cg:       prog.Concrete(),
+		cg:       seed.prog.Concrete(),
 		stop:     make(chan struct{}),
 		quit:     make(chan struct{}),
 		jr:       cfg.Journal,
 		actors:   make([]actorState, len(g.Nodes)),
 		perActor: cfg.Workers > 1 || cfg.Capacity > 0,
 	}
+	e.rows = append(e.rowBuf[:0], seed)
 	e.faults = cfg.Faults
 	if e.perActor && cfg.Workers > 0 {
 		e.sem = make(chan struct{}, cfg.Workers)
@@ -380,7 +387,7 @@ func Run(cfg Config) (*runner.Result, error) {
 		}
 		start = resume.Completed
 	}
-	if err := e.wire(resume); err != nil {
+	if err := e.wire(env, resume); err != nil {
 		return nil, err
 	}
 	if resume != nil {
@@ -461,89 +468,62 @@ func Run(cfg Config) (*runner.Result, error) {
 // batched — a firing's whole batch must fit in (or be available from) the
 // ring at once, where the old per-token channels could trickle — every
 // capacity is also clamped up to the edge's largest per-firing rate.
-func (e *engine) capacityFor(sch *csdf.Schedule, ci int) int64 {
-	capTok := sch.MaxTokens[ci]
-	if e.cfg.Capacity > 0 {
-		capTok = e.cfg.Capacity
+func capacityFor(ed *csdf.Edge, capTok, override int64) int64 {
+	if override > 0 {
+		capTok = override
 	}
-	if capTok < 1 {
-		capTok = 1
+	capTok = max(capTok, 1, ed.Initial)
+	for _, r := range ed.Prod {
+		capTok = max(capTok, r)
 	}
-	if capTok < e.cg.Edges[ci].Initial {
-		capTok = e.cg.Edges[ci].Initial
-	}
-	for _, r := range e.cg.Edges[ci].Prod {
-		if capTok < r {
-			capTok = r
-		}
-	}
-	for _, r := range e.cg.Edges[ci].Cons {
-		if capTok < r {
-			capTok = r
-		}
+	for _, r := range ed.Cons {
+		capTok = max(capTok, r)
 	}
 	return capTok
-}
-
-// schedule builds the PASS of the active valuation from the tokens the
-// edges' Initial fields say are on them now. Reusing it for every iteration
-// of an epoch, and its high-water marks as ring capacities, rests on an
-// iteration returning every edge to its starting occupancy — true of any
-// schedule that fires exactly Q[a] firings per actor on a consistent graph,
-// and checked here rather than assumed.
-func (e *engine) schedule() (*csdf.Schedule, error) {
-	sch, err := e.cg.BuildSchedule(e.prog.Solution(), csdf.Demand)
-	if err != nil {
-		return nil, fmt.Errorf("no sequential schedule: %v", err)
-	}
-	for ci := range e.cg.Edges {
-		if sch.Final[ci] != e.cg.Edges[ci].Initial {
-			return nil, fmt.Errorf("schedule is not periodic: edge %s holds %d tokens before an iteration and %d after",
-				e.cg.Edges[ci].Name, e.cg.Edges[ci].Initial, sch.Final[ci])
-		}
-	}
-	return sch, nil
 }
 
 // wire builds the run-once state: rings sized from the schedule (seeded
 // with the declared initial tokens, or the checkpoint's ring contents when
 // resuming), per-node port wiring, the reusable firing scratches of every
 // node that has a behavior, and one work channel per context.
-func (e *engine) wire(resume *Checkpoint) error {
+func (e *engine) wire(env symb.Env, resume *Checkpoint) error {
 	g := e.cfg.Graph
-	if resume != nil {
-		// The schedule (and the capacity bounds) must start from the tokens
-		// actually in the checkpoint, not the declared initial state —
-		// exactly as reconfigure does at a live boundary.
-		for ci := range e.cg.Edges {
-			e.cg.Edges[ci].Initial = int64(len(resume.Edges[ci]))
+	// The first row is built like any other, from the tokens actually on the
+	// edges: the declared initial state, or the checkpoint's ring contents.
+	ne := len(e.cg.Edges)
+	scratch := make([]int64, ne+len(g.Params))
+	e.occ, e.key = scratch[:ne], scratch[ne:ne]
+	for ci := range e.occ {
+		e.occ[ci] = e.cg.Edges[ci].Initial
+		if resume != nil {
+			e.occ[ci] = int64(len(resume.Edges[ci]))
 		}
 	}
-	sch, err := e.schedule()
+	first, _, err := e.rowFor(env, e.occ)
 	if err != nil {
-		return fmt.Errorf("engine: %v", err)
+		return err
 	}
-	e.order = sch.Order
-
-	e.rings = make([]*ring, len(e.cg.Edges))
-	for ci := range e.cg.Edges {
-		e.rings[ci] = newRing(e.capacityFor(sch, ci))
+	e.rings = make([]*ring, len(first.caps))
+	for ci, c := range first.caps {
+		e.rings[ci] = newRing(c)
 		if resume != nil {
 			e.rings[ci].restore(resume.Edges[ci])
 		} else {
-			e.rings[ci].writeNil(e.cg.Edges[ci].Initial, e.stop)
+			e.rings[ci].writeNil(e.occ[ci], e.stop)
 		}
 	}
+	e.commit(first)
 
 	low := e.prog.Lowering()
 	e.ins = make([][]portEdge, len(g.Nodes))
 	e.outs = make([][]portEdge, len(g.Nodes))
-	e.edgeProd = make([]string, len(e.cg.Edges))
-	e.edgeCons = make([]string, len(e.cg.Edges))
+	names := make([]string, 3*ne)
+	e.edgeName, e.edgeProd, e.edgeCons = names[:ne], names[ne:2*ne], names[2*ne:]
 	for ei, ed := range g.Edges {
 		ci := low.EdgeOf[ei]
 		e.ins[ed.Dst] = append(e.ins[ed.Dst], portEdge{ci, g.Nodes[ed.Dst].Ports[ed.DstPort].Name})
 		e.outs[ed.Src] = append(e.outs[ed.Src], portEdge{ci, g.Nodes[ed.Src].Ports[ed.SrcPort].Name})
+		e.edgeName[ci] = e.cg.Edges[ci].Name
 		e.edgeProd[ci] = g.Nodes[ed.Src].Name
 		e.edgeCons[ci] = g.Nodes[ed.Dst].Name
 	}

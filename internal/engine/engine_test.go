@@ -281,11 +281,15 @@ func TestContextCancellation(t *testing.T) {
 			return nil
 		},
 	}
-	_, err := Run(Config{Graph: g, Context: ctx, Behaviors: behaviors, Iterations: 10000})
+	// Long enough that the run cannot finish before the goroutine watching
+	// ctx is scheduled, however loaded the machine: 10,000 iterations take a
+	// few milliseconds on one context and used to lose that race.
+	const iters = 50_000_000
+	_, err := Run(Config{Graph: g, Context: ctx, Behaviors: behaviors, Iterations: iters})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if snkFirings == 10000 {
+	if snkFirings == iters {
 		t.Error("cancellation did not stop the run early")
 	}
 }

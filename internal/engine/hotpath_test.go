@@ -271,7 +271,8 @@ func TestUnchangedReconfigureMatchesPlainStream(t *testing.T) {
 
 // BenchmarkStreamReconfigure measures the cost of a transaction boundary
 // that changes a parameter every iteration. The "rebind" sub-benchmark is
-// the engine's path (Program.Rebind + in-place ring growth); "instantiate"
+// the engine's path (three scenario rows built once, then table hits);
+// "instantiate"
 // prices what the pre-ring engine paid at every such boundary — a full
 // Instantiate, repetition vector, schedule and channel rebuild — without
 // executing any firings, so the two are directly comparable per boundary.

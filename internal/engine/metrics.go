@@ -236,13 +236,13 @@ func (e *engine) blockedReport() string {
 			if b.Len() > 0 {
 				b.WriteString("; ")
 			}
-			fmtBlocked(&b, e.edgeCons[ci], "waiting for tokens", e.cg.Edges[ci].Name, occ, r.cap())
+			fmtBlocked(&b, e.edgeCons[ci], "waiting for tokens", e.edgeName[ci], occ, r.cap())
 		}
 		if r.pwait.Load() {
 			if b.Len() > 0 {
 				b.WriteString("; ")
 			}
-			fmtBlocked(&b, e.edgeProd[ci], "waiting for space", e.cg.Edges[ci].Name, occ, r.cap())
+			fmtBlocked(&b, e.edgeProd[ci], "waiting for space", e.edgeName[ci], occ, r.cap())
 		}
 	}
 	return b.String()
@@ -258,7 +258,7 @@ func (e *engine) ringReport() string {
 		if ci > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(e.cg.Edges[ci].Name)
+		b.WriteString(e.edgeName[ci])
 		b.WriteByte(' ')
 		b.WriteString(strconv.FormatInt(e.rings[ci].len(), 10))
 		b.WriteByte('/')

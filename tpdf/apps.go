@@ -53,19 +53,12 @@ func OFDMDecide(g *Graph, m int64) (map[string]DecideFunc, error) {
 // payload-level OFDM and FM-radio demos.
 func OFDMPayloadGraph() *Graph { return apps.OFDMPayloadGraph() }
 
-// PaperTPDFBuffer and PaperCSDFBuffer are the paper's Fig. 8 closed forms
-// 3 + β(12N+L) and β(17N+L).
+// PaperTPDFBuffer is the paper's Fig. 8 closed form 3 + β(12N+L).
 func PaperTPDFBuffer(p OFDMParams) int64 { return apps.PaperTPDFBuffer(p) }
-
-// PaperCSDFBuffer is the CSDF closed form β(17N+L).
-func PaperCSDFBuffer(p OFDMParams) int64 { return apps.PaperCSDFBuffer(p) }
 
 // OFDMBufferPoint simulates both demodulators at p and compares their
 // buffer totals against the paper's formulas.
 func OFDMBufferPoint(p OFDMParams) (BufferPoint, error) { return buffer.OFDMPoint(p) }
-
-// MeanImprovement averages the TPDF-over-CSDF buffer saving of a sweep.
-func MeanImprovement(points []BufferPoint) float64 { return buffer.MeanImprovement(points) }
 
 // EdgeDetection builds the §IV-A scenario with the given deadline and
 // per-detector execution times (PaperDetectorTimes when nil).

@@ -6,7 +6,7 @@
 //
 // A Case pairs one generated graph with one generated schedule
 // (iterations, base valuation, rebinds, pump cadence, fault sites, crash
-// point). Check runs the case through eight invariant pairs:
+// point). Check runs the case through nine invariant pairs:
 //
 //  1. Simulate ≡ Execute ≡ Stream (firings, final tokens, sink output)
 //  2. Compile+Rebind ≡ fresh Instantiate (rate tables, repetition vector)
@@ -20,6 +20,10 @@
 //     (WithWorkers) ≡ Execute (also across rebinds, k-iteration epochs, a
 //     cut from another goroutine, a cut taken under one clustering and
 //     resumed under the other, and a panic recovered by restart)
+//  9. a warm engine revisiting valuations through its scenario table ≡ a
+//     chain of cold engines, one per boundary, each resumed from the last
+//     one's final cut (also under rebind aborts, per-actor contexts, a
+//     mid-trajectory resume, and more valuations than the table holds)
 //
 // Everything is deterministic by seed: a failing seed reproduces its
 // failure exactly, Shrink bisects it to a smaller case that still fails,
@@ -58,11 +62,6 @@ type (
 // parses from its own Format text, is consistent, live and Theorem
 // 2-bounded at every valuation in its declared parameter ranges.
 func Graph(seed int64, cfg GraphConfig) *tpdf.Graph { return gen.Graph(seed, cfg) }
-
-// NewSchedule deterministically generates an execution schedule for g.
-func NewSchedule(seed int64, g *tpdf.Graph, cfg ScheduleConfig) *Schedule {
-	return gen.NewSchedule(seed, g, cfg)
-}
 
 // ParseSchedule parses a schedule's canonical text form (corpus files).
 func ParseSchedule(src string) (*Schedule, error) { return gen.ParseSchedule(src) }

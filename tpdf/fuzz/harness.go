@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/csdf"
 	"repro/internal/durable"
 	"repro/internal/faultinject"
 	"repro/internal/sinkrec"
@@ -16,7 +17,7 @@ import (
 
 // Check runs the case through every invariant pair and returns the first
 // violation, wrapped with the invariant's name ("tiers: ...",
-// "recovery: ..."). A nil return means the case passed all eight.
+// "recovery: ..."). A nil return means the case passed all nine.
 func Check(c *Case) error {
 	for _, ch := range invariants {
 		if err := ch.fn(c); err != nil {
@@ -40,6 +41,7 @@ var invariants = []struct {
 	{"skeleton", CheckSkeleton},
 	{"epochs", CheckEpochs},
 	{"contexts", CheckContexts},
+	{"rows", CheckRows},
 }
 
 // reconfigure turns the schedule's rebind list into a Stream reconfigure
@@ -144,22 +146,17 @@ func snapInstantiate(g *tpdf.Graph, env symb.Env) (lowSnapshot, error) {
 	if err != nil {
 		return lowSnapshot{}, fmt.Errorf("repetition vector at %v: %w", env, err)
 	}
-	var s lowSnapshot
-	for ei := range cg.Edges {
-		s.prod = append(s.prod, append([]int64(nil), cg.Edges[ei].Prod...))
-		s.cons = append(s.cons, append([]int64(nil), cg.Edges[ei].Cons...))
-		s.initial = append(s.initial, cg.Edges[ei].Initial)
-	}
-	s.q = append([]int64(nil), sol.Q...)
-	s.r = append([]int64(nil), sol.R...)
-	return s, nil
+	return snapOf(cg, sol), nil
 }
 
 func snapRebind(prog *core.Program, env symb.Env) (lowSnapshot, error) {
 	if err := prog.Rebind(env); err != nil {
 		return lowSnapshot{}, fmt.Errorf("rebind at %v: %w", env, err)
 	}
-	cg, sol := prog.Concrete(), prog.Solution()
+	return snapOf(prog.Concrete(), prog.Solution()), nil
+}
+
+func snapOf(cg *csdf.Graph, sol *csdf.Solution) lowSnapshot {
 	var s lowSnapshot
 	for ei := range cg.Edges {
 		s.prod = append(s.prod, append([]int64(nil), cg.Edges[ei].Prod...))
@@ -168,7 +165,7 @@ func snapRebind(prog *core.Program, env symb.Env) (lowSnapshot, error) {
 	}
 	s.q = append([]int64(nil), sol.Q...)
 	s.r = append([]int64(nil), sol.R...)
-	return s, nil
+	return s
 }
 
 // CheckRebind asserts invariant 2: in-place Rebind through one compiled
@@ -176,21 +173,14 @@ func snapRebind(prog *core.Program, env symb.Env) (lowSnapshot, error) {
 // valuation the schedule's rebinds walk through — twice, so rebinding
 // back over visited valuations is loss-free.
 func CheckRebind(c *Case) error {
-	g, s := c.Graph, c.Schedule
-	envs := []symb.Env{envOf(s.Base)}
-	cur := copyParams(s.Base)
-	for _, rb := range s.Rebinds {
-		for k, v := range rb.Params {
-			cur[k] = v
-		}
-		envs = append(envs, envOf(cur))
-	}
+	g := c.Graph
 	prog, err := core.Compile(g)
 	if err != nil {
 		return fmt.Errorf("compile: %w", err)
 	}
 	for round := 0; round < 2; round++ {
-		for _, env := range envs {
+		for _, v := range c.valuations(nil, 0) {
+			env := envOf(v)
 			want, err := snapInstantiate(g, env)
 			if err != nil {
 				return err

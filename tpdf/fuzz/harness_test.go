@@ -21,7 +21,7 @@ func sweepSize() int64 {
 }
 
 // TestGeneratedSweep is the tentpole: every generated (graph, schedule)
-// case must pass all eight cross-tier invariants. On failure the case is
+// case must pass all nine cross-tier invariants. On failure the case is
 // shrunk (same-invariant-preserving greedy reduction) and written to the
 // corpus, so the counterexample is committed with the fix and replays
 // forever after.

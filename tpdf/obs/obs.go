@@ -79,8 +79,12 @@ type EngineSnapshot struct {
 	// Rebinds counts boundaries that changed parameters; RebindNs is the
 	// total time spent rebinding (rate tables, schedule, ring growth).
 	// BoundaryNs is total time in boundary work overall — hooks included,
-	// so a session parked between requests accrues it.
+	// so a session parked between requests accrues it. RowsBuilt counts the
+	// changed boundaries that had to bind and schedule their valuation (a
+	// first visit, or a re-build after eviction or at another occupancy): a
+	// run cycling among scenarios shows Rebinds ≫ RowsBuilt, a sweep equal.
 	Rebinds    int64
+	RowsBuilt  int64
 	RebindNs   int64
 	BoundaryNs int64
 	// Aborts counts discarded transactions (epochs torn down by a behavior

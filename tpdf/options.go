@@ -72,7 +72,7 @@ type config struct {
 // Option configures an entry point; each reads the options its comment
 // lists and ignores the rest. WithCompiled is honoured by Stream, Simulate,
 // Schedule and GenerateCode, which bind a single Program; Sweep,
-// MinimalBuffers, IterationPeriod and Analyze compile the graph themselves
+// MinimalBuffers and Analyze compile the graph themselves
 // (once per worker), and Execute, the reference tier, lowers independently
 // by design.
 type Option func(*config)

@@ -219,18 +219,3 @@ func MinimalBuffers(g *Graph, opts ...Option) ([]int64, error) {
 		Decide:     cfg.decide,
 	}, cfg.parallel)
 }
-
-// IterationPeriod measures the steady-state iteration period of the
-// configured run: iterations warm+span are simulated and the per-iteration
-// completion-time slope over the last span iterations returned. Options as
-// for Simulate.
-func IterationPeriod(g *Graph, warm, span int64, opts ...Option) (float64, error) {
-	cfg := buildConfig(opts)
-	return sim.IterationPeriod(sim.Config{
-		Graph:      g,
-		Context:    cfg.ctx,
-		Env:        cfg.env(),
-		Processors: cfg.processors,
-		Decide:     cfg.decide,
-	}, warm, span)
-}

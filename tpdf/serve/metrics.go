@@ -211,6 +211,10 @@ func (s *Server) writeSessionMetrics(p *obs.PromWriter) {
 	for _, sn := range snaps {
 		p.Int("tpdf_session_rebinds_total", base(sn.sess), sn.eng.Rebinds)
 	}
+	p.Family("tpdf_session_rebind_rows_built_total", "Rebinds that had to bind and schedule their valuation instead of revisiting a scenario row.", "counter")
+	for _, sn := range snaps {
+		p.Int("tpdf_session_rebind_rows_built_total", base(sn.sess), sn.eng.RowsBuilt)
+	}
 	p.Family("tpdf_session_state", "Supervision state (1 for the session's current state).", "gauge")
 	for _, sn := range snaps {
 		p.Int("tpdf_session_state",
