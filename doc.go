@@ -93,7 +93,9 @@
 //     something: the boundary hook (tpdf.WithBoundary) answers with a
 //     Verdict that says how many iterations it is not needed for, and
 //     those run as one epoch — one dispatch, one barrier wait, one
-//     harvest, one entry cut and one post-hook cut — with an optional Cut
+//     harvest, one cut (the state between two transactions, taken before
+//     the hook; a run resumed from it asks the hook there again, and the
+//     in-process supervisors remember the verdict) — with an optional Cut
 //     channel that ends the epoch in flight at the next iteration
 //     boundary every context can reach. WithBarrier and WithReconfigure
 //     are that hook with one-iteration verdicts. tpdf-serve answers a pump

@@ -167,11 +167,7 @@ func encodeCheckpoint(b []byte, ck *engine.Checkpoint) ([]byte, error) {
 	b = putString(b, ck.Graph)
 	b = binary.AppendVarint(b, ck.Completed)
 	b = binary.LittleEndian.AppendUint64(b, ck.Digest)
-	if ck.AtEntry {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
+	b = append(b, 1) // reserved flag byte: snapshots on disk carry it, readers skip it
 
 	keys := make([]string, 0, len(ck.Params))
 	for k := range ck.Params {
@@ -218,7 +214,7 @@ func decodeCheckpoint(data []byte) (*engine.Checkpoint, error) {
 	ck.Graph = r.str()
 	ck.Completed = r.varint()
 	ck.Digest = r.fixed64()
-	ck.AtEntry = r.byte() != 0
+	r.byte() // reserved flag byte
 
 	np := r.uvarint()
 	if r.err == nil && np > uint64(len(r.buf)) {

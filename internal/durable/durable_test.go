@@ -26,7 +26,6 @@ func randomCheckpoint(rng *rand.Rand) *engine.Checkpoint {
 		Graph:     fmt.Sprintf("g%d", rng.Intn(100)),
 		Completed: rng.Int63n(1 << 40),
 		Digest:    rng.Uint64(),
-		AtEntry:   rng.Intn(2) == 0,
 		Params:    map[string]int64{},
 		Nodes:     make([]string, nNodes),
 		Fired:     make([]int64, nNodes),
@@ -218,7 +217,7 @@ func TestDecodeGuardsCountPreallocations(t *testing.T) {
 	b = putString(b, "g")                      // Graph
 	b = binary.AppendVarint(b, 1)              // Completed
 	b = binary.LittleEndian.AppendUint64(b, 0) // Digest
-	b = append(b, 0)                           // AtEntry
+	b = append(b, 0)                           // reserved
 	b = binary.AppendUvarint(b, 1<<40)         // params count: absurd
 	if _, err := decodeCheckpoint(b); err == nil || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("huge param count not rejected: %v", err)

@@ -26,8 +26,7 @@ func fuzzSeedSnapshot() *Snapshot {
 				nil, true, int(4), int64(5), 3.5, "tok", []byte{1, 2},
 				[]int64{9, 8}, []any{int64(1), "x"},
 			}},
-			User:    []any{[]int64{1, 2, 3}},
-			AtEntry: true,
+			User: []any{[]int64{1, 2, 3}},
 		},
 	}
 }

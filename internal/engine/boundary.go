@@ -39,10 +39,10 @@ type Verdict struct {
 	Cut <-chan struct{}
 }
 
-// hook resolves the three spellings of the boundary hook into the one Run
-// consults: Boundary itself, or Barrier / Reconfigure adapted to verdicts
-// of one iteration.
-func (cfg *Config) hook() (func(completed int64) Verdict, error) {
+// Hook resolves the three spellings of the boundary hook into the one Run
+// (or a supervisor wrapping it) consults, nil when none is set: Boundary
+// itself, or Barrier / Reconfigure adapted to verdicts of one iteration.
+func (cfg *Config) Hook() (func(completed int64) Verdict, error) {
 	set := 0
 	for _, on := range [...]bool{cfg.Boundary != nil, cfg.Barrier != nil, cfg.Reconfigure != nil} {
 		if on {
@@ -76,8 +76,8 @@ func (cfg *Config) hook() (func(completed int64) Verdict, error) {
 
 // boundary is the transaction-boundary protocol of one Run: it owns the
 // active valuation and its digest, the undo log of one boundary's parameter
-// overwrites, the boundary's clock reads and journal events, and the two
-// cuts around the hook. Only the engine's main goroutine touches it, and
+// overwrites, the boundary's clock reads and journal events, and the cut
+// taken before the hook. Only the engine's main goroutine touches it, and
 // only while every context is parked.
 type boundary struct {
 	e    *engine
@@ -90,10 +90,9 @@ type boundary struct {
 	digest uint64
 	// iters is the run's total iteration target.
 	iters int64
-	// armed: checkpoints are captured; atEntry: also before the hook;
-	// obsOn: a registry or journal is attached; digestOn: someone reads
-	// the digest.
-	armed, atEntry, obsOn, digestOn bool
+	// armed: checkpoints are captured; obsOn: a registry or journal is
+	// attached; digestOn: someone reads the digest.
+	armed, obsOn, digestOn bool
 	// undo journals one boundary's parameter overwrites so an aborted
 	// rebind restores the previous valuation without allocating.
 	undo []prevBind
@@ -109,8 +108,7 @@ type prevBind struct {
 
 func (e *engine) newBoundary(hook func(int64) Verdict, env symb.Env, iters int64) boundary {
 	b := boundary{e: e, hook: hook, env: env, iters: iters,
-		armed: e.ckpt != nil, atEntry: e.cfg.CaptureAtEntry,
-		obsOn: e.mx != nil || e.jr != nil}
+		armed: e.ckpt != nil, obsOn: e.mx != nil || e.jr != nil}
 	b.digestOn = (b.obsOn && hook != nil) || b.armed
 	if b.digestOn {
 		b.digest = obs.ParamsDigest(map[string]int64(env))
@@ -119,20 +117,21 @@ func (e *engine) newBoundary(hook func(int64) Verdict, env symb.Env, iters int64
 }
 
 // capture cuts a checkpoint of the quiescent engine under the boundary's
-// valuation.
-func (b *boundary) capture(completed int64, atEntry bool, run int64) {
-	b.e.capture(completed, b.env, b.digest, atEntry, run)
+// valuation, when capture is armed.
+func (b *boundary) capture(completed int64) {
+	if b.armed {
+		b.e.capture(completed, b.env, b.digest)
+	}
 }
 
 // epochs is the run's transaction loop from start completed iterations to
 // the target: consult the hook, run the epoch its verdict allows, harvest,
-// repeat. Without a hook the whole run is one epoch.
-func (b *boundary) epochs(start int64, resume *Checkpoint) (int64, error) {
+// repeat. Without a hook the whole run is one epoch. A resumed run is no
+// special case: its first boundary is the one its cut was taken at.
+func (b *boundary) epochs(start int64) (int64, error) {
 	e := b.e
 	if b.hook == nil {
-		if b.armed {
-			b.capture(start, true, 0)
-		}
+		b.capture(start)
 		if b.iters > start {
 			if _, err := e.runEpoch(b.iters-start, start, nil); err != nil {
 				return start, err
@@ -140,28 +139,14 @@ func (b *boundary) epochs(start int64, resume *Checkpoint) (int64, error) {
 		}
 		return b.iters, nil
 	}
-	// A run resumed from a post-hook cut replays the verdict the cut
-	// remembers instead of consulting the hook: the checkpoint was taken
-	// after that boundary's work ran (captures are post-hook, post-rebind,
-	// pre-epoch), so re-invoking it would double-apply the boundary — and
-	// the restored state *is* the checkpoint. An *entry* checkpoint is the
-	// opposite cut — taken before the hook ran — so resuming from one must
-	// consult the hook.
-	replay := resume != nil && !resume.AtEntry
 	completed := start
 	for completed < b.iters {
-		var v Verdict
-		if replay {
-			v.Run = b.clampRun(resume.Run, completed)
-			replay = false
-		} else {
-			var err error
-			if v, err = b.cross(completed); err != nil {
-				return completed, err
-			}
-			if v.Stop {
-				break
-			}
+		v, err := b.cross(completed)
+		if err != nil {
+			return completed, err
+		}
+		if v.Stop {
+			break
 		}
 		ran, err := e.runEpoch(v.Run, completed, v.Cut)
 		if err != nil {
@@ -173,20 +158,10 @@ func (b *boundary) epochs(start int64, resume *Checkpoint) (int64, error) {
 	return completed, nil
 }
 
-func (b *boundary) clampRun(run, completed int64) int64 {
-	if run < 1 {
-		run = 1
-	}
-	if rest := b.iters - completed; run > rest {
-		run = rest
-	}
-	return run
-}
-
 // cross runs one consulted boundary at `it` completed iterations, in
-// order: entry cut → hook → (changed parameters: rebind, validate, commit
-// or undo) → post-hook cut. The returned verdict's Run is clamped to what
-// the epoch will actually run.
+// order: cut → hook → (changed parameters: rebind, validate, commit or
+// undo). The returned verdict's Run is clamped to what the epoch will
+// actually run.
 //
 // Clock discipline: time.Now costs ~50-100ns on virtualized hosts, so the
 // boundary takes at most three reads (before the hook, before a rebind,
@@ -194,9 +169,7 @@ func (b *boundary) clampRun(run, completed int64) int64 {
 // than letting Record read the clock again.
 func (b *boundary) cross(it int64) (Verdict, error) {
 	e := b.e
-	if b.atEntry {
-		b.capture(it, true, 0)
-	}
+	b.capture(it)
 	var bt time.Time
 	if b.obsOn {
 		bt = time.Now()
@@ -215,7 +188,7 @@ func (b *boundary) cross(it int64) (Verdict, error) {
 	if err := e.firstErr(); err != nil {
 		return v, err
 	}
-	v.Run = b.clampRun(v.Run, it)
+	v.Run = min(max(v.Run, 1), b.iters-it)
 	bend, err := b.apply(v.Params, it)
 	if err != nil {
 		return v, err
@@ -230,9 +203,6 @@ func (b *boundary) cross(it int64) (Verdict, error) {
 		}
 		e.record(obs.Event{TimeUnixNano: bend.UnixNano(),
 			Kind: obs.EvBarrier, Completed: it, DurNs: bd})
-	}
-	if b.armed {
-		b.capture(it, false, v.Run)
 	}
 	return v, nil
 }

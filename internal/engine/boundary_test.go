@@ -32,10 +32,9 @@ func TestBoundaryHooksAreExclusive(t *testing.T) {
 }
 
 // observedRun runs reconfGraph under a boundary hook and returns the rates B
-// observed per firing, the hook's consultation points, the post-hook cut
-// taken at saveAt (nil when saveAt < 0 or no such cut) and the Barriers
+// observed per firing, the hook's consultation points and the Barriers
 // (epochs) counter.
-func observedRun(t *testing.T, iters int64, hook func(int64) Verdict, saveAt int64, resume *Checkpoint) (observed [][2]int, consulted []int64, saved *Checkpoint, epochs int64) {
+func observedRun(t *testing.T, iters int64, hook func(int64) Verdict) (observed [][2]int, consulted []int64, epochs int64) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	res, err := Run(Config{
@@ -48,22 +47,9 @@ func observedRun(t *testing.T, iters int64, hook func(int64) Verdict, saveAt int
 		},
 		Iterations: iters,
 		Metrics:    reg,
-		Resume:     resume,
 		Boundary: func(completed int64) Verdict {
 			consulted = append(consulted, completed)
 			return hook(completed)
-		},
-		SnapshotUser: func() any { return append([][2]int(nil), observed...) },
-		RestoreUser: func(u any) {
-			observed = observed[:0]
-			if u != nil {
-				observed = append(observed, u.([][2]int)...)
-			}
-		},
-		CheckpointSink: func(ck *Checkpoint) {
-			if !ck.AtEntry && ck.Completed == saveAt {
-				saved = ck.Clone()
-			}
 		},
 	})
 	if err != nil {
@@ -72,7 +58,7 @@ func observedRun(t *testing.T, iters int64, hook func(int64) Verdict, saveAt int
 	if got := res.Firings["B"]; got != iters {
 		t.Fatalf("B fired %d times, want %d", got, iters)
 	}
-	return observed, consulted, saved, reg.EngineSnapshot().Barriers
+	return observed, consulted, reg.EngineSnapshot().Barriers
 }
 
 // TestBoundaryRunLengthIsOneEpoch: a verdict of Run k runs k iterations as
@@ -85,15 +71,15 @@ func TestBoundaryRunLengthIsOneEpoch(t *testing.T) {
 	params := func(completed int64) map[string]int64 {
 		return map[string]int64{"p": 2 + (completed/k)%5}
 	}
-	ref, refAt, _, refEpochs := observedRun(t, iters, func(c int64) Verdict {
+	ref, refAt, refEpochs := observedRun(t, iters, func(c int64) Verdict {
 		if c%k != 0 {
 			return Verdict{Run: 1}
 		}
 		return Verdict{Params: params(c), Run: 1}
-	}, -1, nil)
-	got, gotAt, _, gotEpochs := observedRun(t, iters, func(c int64) Verdict {
+	})
+	got, gotAt, gotEpochs := observedRun(t, iters, func(c int64) Verdict {
 		return Verdict{Params: params(c), Run: k}
-	}, -1, nil)
+	})
 
 	if !reflect.DeepEqual(got, ref) {
 		t.Errorf("observed rates differ:\nRun %d %v\nRun 1 %v", k, got, ref)
@@ -104,30 +90,6 @@ func TestBoundaryRunLengthIsOneEpoch(t *testing.T) {
 	if len(refAt) != iters || refEpochs != iters || gotEpochs != 4 {
 		t.Errorf("consultations %d, epochs Run 1 = %d, Run %d = %d; want %d, %d, 4",
 			len(refAt), refEpochs, k, gotEpochs, iters, iters)
-	}
-}
-
-// TestBoundaryResumeReplaysVerdict: a post-hook cut taken at the opening of
-// a k-iteration epoch remembers k; resuming from it replays that epoch
-// without asking the hook again and lands where the uninterrupted run does.
-func TestBoundaryResumeReplaysVerdict(t *testing.T) {
-	const iters, k, at = 15, 5, 5
-	hook := func(c int64) Verdict {
-		return Verdict{Params: map[string]int64{"p": 2 + c/k}, Run: k}
-	}
-	ref, _, saved, _ := observedRun(t, iters, hook, at, nil)
-	if saved == nil {
-		t.Fatalf("no post-hook cut at %d", at)
-	}
-	if saved.Run != k || saved.AtEntry {
-		t.Fatalf("cut = {Run %d, AtEntry %v}, want {Run %d, post-hook}", saved.Run, saved.AtEntry, k)
-	}
-	got, consulted, _, _ := observedRun(t, iters, hook, -1, saved)
-	if !reflect.DeepEqual(got, ref) {
-		t.Errorf("observed rates differ:\nresumed       %v\nuninterrupted %v", got, ref)
-	}
-	if want := []int64{10}; !reflect.DeepEqual(consulted, want) {
-		t.Errorf("resumed run consulted the hook at %v, want %v", consulted, want)
 	}
 }
 
@@ -203,7 +165,7 @@ func hammerGraph(t *testing.T, n int) (*core.Graph, []int64) {
 // TestCutHammer runs many short cuttable epochs whose Cut fires from a
 // second goroutine at random delays — including before the epoch is
 // dispatched — and checks at every boundary that all actors ended on the
-// same iteration: the engine's firing counters (through the entry cut) and
+// same iteration: the engine's firing counters (through the boundary's cut) and
 // the behaviors' own counts both equal completed × q. Runs under the race
 // job's -cpu matrix.
 func TestCutHammer(t *testing.T) {
@@ -223,12 +185,7 @@ func TestCutHammer(t *testing.T) {
 			var last, asked int64
 			res, err := Run(Config{
 				Graph: g, Behaviors: behaviors, Iterations: 1 << 62,
-				CaptureAtEntry: true,
-				CheckpointSink: func(ck *Checkpoint) {
-					if ck.AtEntry {
-						entry = append(entry[:0], ck.Fired...)
-					}
-				},
+				CheckpointSink: func(ck *Checkpoint) { entry = append(entry[:0], ck.Fired...) },
 				Boundary: func(completed int64) Verdict {
 					for i := range q {
 						if entry[i] != completed*q[i] {

@@ -8,10 +8,9 @@ import (
 )
 
 // ErrRebindAborted reports a reconfiguration rejected at a transaction
-// boundary: the rebind (or its validation hook) failed and the engine
-// rolled its rate state back to the pre-boundary valuation instead of
-// poisoning the run. Errors returned by reconfigure wrap it; test with
-// errors.Is.
+// boundary: the rebind (or its validation hook) failed before anything was
+// committed, so the run is still on the pre-boundary valuation's row instead
+// of poisoned. Errors returned by reconfigure wrap it; test with errors.Is.
 var ErrRebindAborted = errors.New("engine: rebind aborted")
 
 // BehaviorPanicError is a behavior panic converted into a transaction
@@ -36,6 +35,12 @@ func (e *BehaviorPanicError) Error() string {
 // Completed iterations. Transaction barriers are the only points where
 // such a cut exists — mid-epoch the rings are owned by running actors —
 // so checkpoints are only ever taken (and restored) there.
+//
+// There is one kind of cut: the state *between* transactions, taken when the
+// engine enters a consulted boundary — after the previous epoch drained,
+// before that boundary's hook ran — and once more when the run ends. What a
+// hook decided is never part of a cut, so a run resumed from any checkpoint
+// consults the hook at Completed, as the uninterrupted run did.
 //
 // A Checkpoint passed to CheckpointSink is the engine's reusable arena:
 // valid only during the call; callers keep state across calls via
@@ -65,22 +70,6 @@ type Checkpoint struct {
 	// behavior-side state that must travel with the engine cut for the
 	// resumed run to be byte-identical (e.g. a sink's committed output).
 	User any
-	// AtEntry marks a cut taken at barrier entry — after the previous
-	// epoch drained, before the boundary's hook and rebind ran (or, for
-	// the run's final capture, a boundary whose hook never ran at all).
-	// Resuming from an entry cut re-invokes that boundary's hook instead
-	// of skipping it: the hook's effects are not part of the state.
-	// Entry captures exist only when Config.CaptureAtEntry is set; they
-	// are the cuts durable persistence wants, because at the moment a
-	// Barrier hook acknowledges completed work the entry capture already
-	// covers every completed iteration.
-	AtEntry bool
-	// Run is the verdict a post-hook cut remembers: the number of
-	// iterations in the epoch the cut opens. A resume from the cut replays
-	// that epoch without re-invoking the hook (values below 1 mean 1).
-	// Always 0 on entry cuts — their resume asks the hook — which are the
-	// only cuts ever persisted, so Run is not part of the durable format.
-	Run int64
 }
 
 // Clone deep-copies the checkpoint (User is copied by reference; snapshot
@@ -116,8 +105,6 @@ func (ck *Checkpoint) CopyInto(dst *Checkpoint) {
 		dst.Edges[i] = append(dst.Edges[i][:0], vals...)
 	}
 	dst.User = ck.User
-	dst.AtEntry = ck.AtEntry
-	dst.Run = ck.Run
 }
 
 // Result renders the checkpoint as the runner.Result a run drained at the
@@ -165,18 +152,14 @@ func (e *engine) newCheckpointArena() *Checkpoint {
 // capture snapshots the quiescent engine into the arena at a transaction
 // barrier (all actors parked — the epoch's drained signal is the
 // happens-before edge, exactly as for the metrics harvest) and hands the
-// arena to the sink. atEntry marks a cut taken before the boundary's hook
-// ran (see Checkpoint.AtEntry); run is the verdict a post-hook cut
-// remembers (Checkpoint.Run). Warm captures are allocation-free: counters are
+// arena to the sink. Warm captures are allocation-free: counters are
 // copied into preallocated slices, ring contents peeked into reusable
 // buffers, and the valuation map rewritten only at boundaries that changed
 // it.
-func (e *engine) capture(completed int64, env map[string]int64, digest uint64, atEntry bool, run int64) {
+func (e *engine) capture(completed int64, env map[string]int64, digest uint64) {
 	ck := e.ckpt
 	ck.Completed = completed
 	ck.Digest = digest
-	ck.AtEntry = atEntry
-	ck.Run = run
 	if e.ckptParamsStale {
 		// Valuations never remove keys, so overwriting suffices.
 		for k, v := range env {

@@ -91,12 +91,13 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 }
 
 // TestCheckpointResumeAcrossRebinds resumes from a checkpoint taken
-// between two parameter changes: the restored valuation (the checkpoint's
-// Params) and the rate-phase base must both survive, or the tail diverges.
+// between two parameter changes: the cut at k carries the valuation *before*
+// k's hook, and the restored valuation (the checkpoint's Params) and the
+// rate-phase base must both survive, or the tail diverges.
 func TestCheckpointResumeAcrossRebinds(t *testing.T) {
 	g := reconfGraph(t)
 	plan := []int64{2, 5, 5, 3, 4, 4, 2, 6}
-	const captureAt = 4 // between the p=3 and p=4 boundaries
+	const captureAt = 4 // after iteration 3 ran at p=3, before hook(4) asks for p=4
 
 	run := func(resume *Checkpoint) ([][2]int, *Checkpoint, error) {
 		var observed [][2]int
@@ -144,8 +145,8 @@ func TestCheckpointResumeAcrossRebinds(t *testing.T) {
 	if saved == nil {
 		t.Fatal("no checkpoint captured")
 	}
-	if saved.Params["p"] != plan[captureAt] {
-		t.Fatalf("checkpoint p = %d, want %d", saved.Params["p"], plan[captureAt])
+	if saved.Params["p"] != plan[captureAt-1] {
+		t.Fatalf("checkpoint p = %d, want the pre-hook %d", saved.Params["p"], plan[captureAt-1])
 	}
 	got, _, err := run(saved)
 	if err != nil {
@@ -269,9 +270,10 @@ func TestResumeContinuesRegistryCounters(t *testing.T) {
 		}
 	}
 	// 8 completed epochs plus the aborted one; one rebind per boundary 1..7
-	// (the resumed run skips boundary 5: its rebind is part of the cut).
-	if after.Barriers != 9 || after.Rebinds != 7 {
-		t.Errorf("barriers=%d rebinds=%d, want 9/7", after.Barriers, after.Rebinds)
+	// and one more for boundary 5, which the resumed run crosses again (its
+	// rebind is not part of the cut).
+	if after.Barriers != 9 || after.Rebinds != 8 {
+		t.Errorf("barriers=%d rebinds=%d, want 9/8", after.Barriers, after.Rebinds)
 	}
 	grew := false
 	for ci, ed := range after.Edges {
@@ -449,16 +451,16 @@ func TestResumeValidation(t *testing.T) {
 	}
 }
 
-// TestEntryCaptureResumeByteIdentical pins the AtEntry contract durable
-// persistence depends on: an entry cut is taken before the boundary's hook
-// runs, so at the moment a Barrier hook acknowledges completed work the
-// entry capture already covers every acknowledged iteration — and resuming
-// from it must re-invoke that boundary's hook (the hook's effects are not
-// part of the cut) and then replay the tail byte-identically.
+// TestEntryCaptureResumeByteIdentical pins the one-cut contract durable
+// persistence depends on: a cut is taken before the boundary's hook runs,
+// so at the moment a Barrier hook acknowledges completed work the cut
+// already covers every acknowledged iteration — and resuming from it must
+// re-invoke that boundary's hook (the hook's effects are not part of the
+// cut) and then replay the tail byte-identically.
 func TestEntryCaptureResumeByteIdentical(t *testing.T) {
 	g := reconfGraph(t)
 	plan := []int64{2, 5, 3, 4, 6, 2, 3, 5}
-	const captureAt = 4 // entry cut at the p=6 boundary, before its rebind
+	const captureAt = 4 // the cut at the p=6 boundary, before its rebind
 
 	run := func(resume *Checkpoint) ([]int, []int64, *Checkpoint, error) {
 		var observed []int
@@ -486,9 +488,8 @@ func TestEntryCaptureResumeByteIdentical(t *testing.T) {
 					observed = append(observed, u.([]int)...)
 				}
 			},
-			CaptureAtEntry: true,
 			CheckpointSink: func(ck *Checkpoint) {
-				if ck.AtEntry && ck.Completed == captureAt && saved == nil {
+				if ck.Completed == captureAt && saved == nil {
 					saved = ck.Clone()
 				}
 			},
@@ -501,15 +502,12 @@ func TestEntryCaptureResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if saved == nil {
-		t.Fatalf("no entry capture at %d", captureAt)
+		t.Fatalf("no cut at %d", captureAt)
 	}
-	if !saved.AtEntry {
-		t.Fatal("capture not marked AtEntry")
-	}
-	// The entry cut precedes the boundary's rebind: it still holds the
+	// The cut precedes the boundary's rebind: it still holds the
 	// previous valuation, and the interrupted prefix never saw hook(4).
 	if saved.Params["p"] != plan[captureAt-1] {
-		t.Fatalf("entry capture p = %d, want pre-rebind %d", saved.Params["p"], plan[captureAt-1])
+		t.Fatalf("cut p = %d, want pre-rebind %d", saved.Params["p"], plan[captureAt-1])
 	}
 
 	got, gotHooks, _, err := run(saved)
@@ -531,24 +529,19 @@ func TestEntryCaptureResumeByteIdentical(t *testing.T) {
 }
 
 // TestEntryCaptureCoversAckedWork is the ack-ordering guarantee: when the
-// Barrier hook observes `completed` iterations, an entry capture with that
+// Barrier hook observes `completed` iterations, a cut with that
 // Completed count has already been handed to the sink — so a service that
-// flushes the newest entry capture before acknowledging a pump can never
+// flushes the newest cut before acknowledging a pump can never
 // ack work that no durable cut covers.
 func TestEntryCaptureCoversAckedWork(t *testing.T) {
 	g := pipeline(t)
 	var newestEntry int64 = -1
 	_, err := Run(Config{
 		Graph: g, Behaviors: pipelineBehaviors(new([]int)), Iterations: 6,
-		CaptureAtEntry: true,
-		CheckpointSink: func(ck *Checkpoint) {
-			if ck.AtEntry {
-				newestEntry = ck.Completed
-			}
-		},
+		CheckpointSink: func(ck *Checkpoint) { newestEntry = ck.Completed },
 		Reconfigure: func(completed int64) map[string]int64 {
 			if newestEntry < completed {
-				t.Errorf("hook saw completed=%d but newest entry capture is %d", completed, newestEntry)
+				t.Errorf("hook saw completed=%d but newest cut is %d", completed, newestEntry)
 			}
 			return nil
 		},
@@ -557,7 +550,7 @@ func TestEntryCaptureCoversAckedWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	if newestEntry != 6 {
-		t.Errorf("final entry capture at %d, want 6 (run end is an entry cut)", newestEntry)
+		t.Errorf("final cut at %d, want 6 (run end is a cut too)", newestEntry)
 	}
 }
 

@@ -48,6 +48,11 @@
 // schedules, and past maxRows rows it recycles the least recently committed
 // one's Program. The engine is every row's single writer, and rows change
 // only while every context is parked at the barrier.
+//
+// Fault tolerance rests on the same boundaries: one kind of cut (Checkpoint,
+// the quiescent state between two transactions) and one resume rule — the
+// hook is consulted at the cut's boundary. Remembering a verdict across a
+// restart is the restarting supervisor's business, not the engine's.
 package engine
 
 import (
@@ -107,8 +112,10 @@ type Config struct {
 	// optional Cut that ends an epoch in flight early. The one rule:
 	// parameters change only at consulted boundaries; a verdict promises
 	// none for Run iterations, and the engine runs those as one epoch (one
-	// dispatch, one barrier wait, one harvest, one entry cut and one
-	// post-hook cut) instead of Run of them. The engine drains the pipeline
+	// dispatch, one barrier wait, one harvest, one cut) instead of Run of
+	// them. A resumed run consults it at its checkpoint's boundary, so it
+	// must answer from completed and from what RestoreUser restores (or be
+	// wrapped by a supervisor that remembers). The engine drains the pipeline
 	// to a quiescent state before consulting the hook, so in-flight firings
 	// never observe a mix of old and new parameter values; a boundary whose
 	// verdict changes nothing stays in the same engine state, and one that
@@ -150,34 +157,25 @@ type Config struct {
 	// allocation-free; the hot firing path never records.
 	Journal *obs.Journal
 	// CheckpointSink, when non-nil, receives the engine's checkpoint arena
-	// after each capture: a consistent cut of the quiescent state at every
-	// consulted boundary and at run end — the state a restart resumes
-	// from. Checkpointing is armed exactly when a sink, CaptureAtEntry or
-	// Resume is set; it never changes the epoch structure, and warm
-	// captures reuse the arena, so the firing path stays allocation-free.
-	// The pointer is valid only during the call; use Checkpoint.CopyInto or
-	// Clone to keep state across calls.
+	// after each capture: on entering every consulted boundary — before the
+	// hook, so a hook that acknowledges completed work acknowledges only
+	// what a cut already covers — and at run end. Checkpointing is armed
+	// exactly when a sink, CaptureAtEntry or Resume is set; it never changes
+	// the epoch structure, and warm captures reuse the arena, so the firing
+	// path stays allocation-free. The pointer is valid only during the call;
+	// use Checkpoint.CopyInto or Clone to keep state across calls.
 	CheckpointSink func(*Checkpoint)
-	// CaptureAtEntry additionally captures a checkpoint at every barrier
-	// *entry* — after the previous epoch drained, before the boundary's
-	// hook and rebind run — marked with Checkpoint.AtEntry. Entry captures
-	// are the cuts durable persistence needs: when a Barrier hook
-	// acknowledges completed work from inside the boundary, the newest
-	// entry capture already covers every completed iteration, whereas the
-	// regular post-hook capture for that boundary is only taken once the
-	// hook has returned. Each boundary then produces two sink calls: the
-	// entry cut, then the post-hook cut. Captures stay allocation-free.
+	// CaptureAtEntry arms capture without a sink (the cuts are taken and
+	// dropped): how the capture cost is measured on its own.
 	CaptureAtEntry bool
 	// Resume, when non-nil, starts the run from a checkpoint instead of
 	// the initial token state: ring contents, firing counters and the
 	// captured valuation are installed before the first epoch. Iterations
 	// is the *total* target — a run resumed at Completed=c performs
-	// Iterations-c more iterations, and its output is byte-identical to an
-	// uninterrupted run of the same length. A checkpoint with AtEntry set
-	// re-invokes the hook of the boundary it was cut at (the hook's
-	// effects are not part of the state); any other checkpoint skips that
-	// boundary's hook and replays the verdict it remembers
-	// (Checkpoint.Run iterations as one epoch, without a Cut).
+	// Iterations-c more iterations, beginning with the boundary at c: its
+	// hook is consulted and its rebind applied (and counted) again, so the
+	// output is byte-identical to an uninterrupted run of the same length
+	// whenever the hook answers at c what it answered there before.
 	Resume *Checkpoint
 	// ValidateRebind, when set, is consulted at every boundary that changes
 	// parameters, after the new valuation's row exists but before it takes
@@ -320,7 +318,7 @@ func (e *engine) firstErr() error {
 // Run executes the configured number of iterations concurrently and
 // returns the same Result the sequential runner would.
 func Run(cfg Config) (*runner.Result, error) {
-	hook, err := cfg.hook()
+	hook, err := cfg.Hook()
 	if err != nil {
 		return nil, err
 	}
@@ -399,8 +397,7 @@ func Run(cfg Config) (*runner.Result, error) {
 		}
 		e.record(obs.Event{Kind: obs.EvRestore, Completed: start})
 	}
-	armed := cfg.CheckpointSink != nil || cfg.CaptureAtEntry || resume != nil
-	if armed {
+	if cfg.CheckpointSink != nil || cfg.CaptureAtEntry || resume != nil {
 		e.ckpt = e.newCheckpointArena()
 		e.ckptParamsStale = true
 	}
@@ -432,20 +429,14 @@ func Run(cfg Config) (*runner.Result, error) {
 	}
 
 	b := e.newBoundary(hook, env, iters)
-	completed, err := b.epochs(start, resume)
+	completed, err := b.epochs(start)
 	if err != nil {
 		return nil, err
 	}
-	if armed {
-		// The final quiescent state is a checkpoint too: a drained session
-		// hands its sink the exact cut it stopped at. It is an entry cut:
-		// whether the run drained at a stop verdict or exhausted its
-		// iterations, the boundary at `completed` applied no work to the
-		// state (a stop verdict rebinds nothing), so a resume from here
-		// must consult the hook at `completed` — exactly what an
-		// uninterrupted longer run would have done.
-		b.capture(completed, true, 0)
-	}
+	// The final quiescent state is a checkpoint too: a drained session hands
+	// its sink the exact cut it stopped at, and a resume from it consults the
+	// hook at `completed`, as an uninterrupted longer run would have.
+	b.capture(completed)
 	e.harvest(completed, false)
 	e.record(obs.Event{Kind: obs.EvRunEnd, Completed: completed})
 

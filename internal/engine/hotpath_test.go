@@ -141,18 +141,15 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 			cfg.Journal = obs.NewJournal(128)
 			cfg.Reconfigure = func(int64) map[string]int64 { return nil }
 		}},
-		// Durable-armed shape: entry captures at every barrier feeding a
-		// double-buffered sink (what the durable writer's Offer does) on top
-		// of the post-hook captures — still zero heap traffic per firing.
+		// Durable-armed shape: the cut at every barrier feeding a
+		// double-buffered sink (what the durable writer's Offer does) —
+		// still zero heap traffic per firing.
 		{"checkpoint+entry+sink", func(cfg *Config) {
 			var bufs [2]Checkpoint
 			cur := 0
-			cfg.CaptureAtEntry = true
 			cfg.CheckpointSink = func(ck *Checkpoint) {
-				if ck.AtEntry {
-					ck.CopyInto(&bufs[cur])
-					cur ^= 1
-				}
+				ck.CopyInto(&bufs[cur])
+				cur ^= 1
 			}
 			cfg.Reconfigure = func(int64) map[string]int64 { return nil }
 		}},

@@ -244,7 +244,7 @@ func ExampleStream_checkpoint() {
 }
 
 // ExampleStream_durable survives a process crash: the first leg streams
-// its barrier checkpoints to an on-disk snapshot store (entry cuts, copied
+// its barrier checkpoints to an on-disk snapshot store (copied
 // into a double buffer at the barrier and fsynced by a background writer),
 // then "dies". A fresh process — sharing nothing but the data directory —
 // loads the newest valid snapshot, re-parses the recorded graph text, and

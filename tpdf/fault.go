@@ -9,10 +9,11 @@ import (
 )
 
 // Fault tolerance facade: barrier checkpoints, resume, speculative rebind
-// with rollback, and behavior-panic isolation. There is one recovery
-// mechanism — abort the in-flight transaction, restart from the newest
-// cut — whoever performs the restart. See the package documentation's
-// "Fault tolerance" section for the model.
+// and behavior-panic isolation. There is one kind of cut — the state between
+// two transactions — and one recovery mechanism — abort the in-flight
+// transaction, restart from the newest cut, ask the hook at that boundary
+// again — whoever restarts. See the package documentation's "Fault
+// tolerance" section for the model.
 
 type (
 	// Checkpoint is a consistent cut of a Stream run captured at a
@@ -29,15 +30,16 @@ type (
 )
 
 // ErrRebindAborted reports a reconfiguration rejected at a transaction
-// boundary: the rebind (or a WithRebindValidation hook) failed, and the
-// engine rolled its rate state back to the pre-boundary valuation.
-// Errors wrap it; test with errors.Is.
+// boundary: the rebind (or a WithRebindValidation hook) failed before
+// anything was committed, so the run is still on the pre-boundary
+// valuation. Errors wrap it; test with errors.Is.
 var ErrRebindAborted = engine.ErrRebindAborted
 
 // WithCheckpoints arms barrier checkpointing on Stream: a consistent cut
-// is captured at every transaction boundary (and once at run end) and
-// handed to sink. The cut passed to sink is the engine's reusable arena —
-// valid only during the call; keep state across calls with
+// is captured on entering every consulted transaction boundary — before its
+// hook runs, so the cut at k holds nothing hook(k) decided — and once at run
+// end, and handed to sink. The cut passed to sink is the engine's reusable
+// arena — valid only during the call; keep state across calls with
 // Checkpoint.CopyInto or Checkpoint.Clone. Warm captures perform no heap
 // allocations, so a checkpoint-armed pipeline keeps the 0 allocs/op
 // firing path. A nil sink still arms capture (the cuts are taken and
@@ -68,8 +70,10 @@ func WithUserState(snapshot func() any, restore func(any)) Option {
 // and user state are installed before the first epoch. WithIterations
 // remains the total target — resuming a 100-iteration run from a
 // checkpoint at 60 runs 40 more and produces a result byte-identical to
-// the uninterrupted run. The checkpoint must come from the same graph
-// (same name, nodes and edges); anything else fails fast.
+// the uninterrupted run. The resumed run first consults the boundary hook at
+// the checkpoint's count (a cut holds no verdict), so the hook must answer
+// from completed and from what WithUserState restores. The checkpoint must
+// come from the same graph (same name, nodes and edges); else it fails fast.
 func WithResume(ck *Checkpoint) Option {
 	return func(c *config) { c.resume = ck }
 }
@@ -78,7 +82,8 @@ func WithResume(ck *Checkpoint) Option {
 // aborts the in-flight transaction (its partial effects are discarded) and
 // ends the engine; Stream then starts it again from the newest barrier
 // checkpoint — exactly what WithResume does for a crashed process — up to
-// retries times across the run. The recovered run's output is
+// retries times across the run, replaying the verdict of the boundary it
+// restarts at, so the hook is still called once per boundary. The output is
 // byte-identical to a fault-free one (pair it with WithUserState when
 // behaviors keep state of their own). Recovery implies checkpoint capture
 // even without WithCheckpoints; an attached WithMetrics registry counts
@@ -92,10 +97,10 @@ func WithPanicRecovery(retries int) Option {
 // WithRebindValidation installs a predicate over proposed valuations:
 // at each transaction boundary the hook sees the post-rebind environment
 // (after Theorem 2's boundedness check has passed) and may reject it by
-// returning an error. A rejection aborts the rebind — the engine rolls
-// back to the pre-boundary valuation — and surfaces as an error wrapping
-// ErrRebindAborted, fatal to the run unless WithRebindAbortHandler is
-// also set.
+// returning an error. A rejection aborts the rebind — nothing was committed
+// yet, the run stays on the pre-boundary valuation — and surfaces as an
+// error wrapping ErrRebindAborted, fatal to the run unless
+// WithRebindAbortHandler is also set.
 func WithRebindValidation(fn func(params map[string]int64) error) Option {
 	return func(c *config) { c.validateRebind = fn }
 }
@@ -103,8 +108,8 @@ func WithRebindValidation(fn func(params map[string]int64) error) Option {
 // WithRebindAbortHandler makes aborted rebinds non-fatal: when a
 // reconfiguration is rejected (unbounded schedule, failed validation, or
 // an injected fault), fn receives the error wrapping ErrRebindAborted and
-// the run continues under the previous valuation — the transaction that
-// proposed the change is discarded, not the session.
+// the run continues under the previous valuation, which it never left — the
+// proposed change is discarded, not the session.
 func WithRebindAbortHandler(fn func(error)) Option {
 	return func(c *config) { c.onRebindAbort = fn }
 }
@@ -230,9 +235,9 @@ func (s *SnapshotStore) Persister(id string, g *Graph, po PersistOptions) (*Pers
 }
 
 // Offer records ck as the newest persistable cut; never blocks on I/O.
-// Stream calls this for every entry capture when the persister is armed
-// via WithDurableCheckpoints; call it directly only for checkpoints
-// obtained some other way.
+// Stream calls this for every cut when the persister is armed via
+// WithDurableCheckpoints; call it directly only for checkpoints obtained
+// some other way.
 func (p *Persister) Offer(ck *Checkpoint) { p.w.Offer(ck) }
 
 // Flush synchronously persists the newest offered checkpoint — the
@@ -244,28 +249,20 @@ func (p *Persister) Flush() error { return p.w.Flush() }
 // Close flushes and stops the background writer. Safe to call twice.
 func (p *Persister) Close() error { return p.w.Close() }
 
-// WithDurableCheckpoints arms crash-consistent persistence on Stream: in
-// addition to the post-hook barrier checkpoints of WithCheckpoints, the
-// engine captures an *entry* cut at every transaction boundary — taken
-// after the previous epoch drained but before the boundary's hook runs —
-// and offers it to p. Entry cuts are what durability wants: at the moment
-// a barrier hook acknowledges completed work, the entry capture covering
-// that work has already been offered, so Persister.Flush before the
-// acknowledgement makes it crash-safe. Resuming from an entry cut
-// re-invokes that boundary's hook (its effects are not part of the cut);
-// parameter changes staged by a hook but not yet applied are therefore
-// not crash-durable — the hook is simply asked again.
+// WithDurableCheckpoints arms crash-consistent persistence on Stream:
+// every cut WithCheckpoints would see is also offered to p. A cut precedes
+// its boundary's hook, so when a hook acknowledges completed work the cut
+// covering it has already been offered, and Persister.Flush before the
+// acknowledgement makes it crash-safe. What a hook staged is in no cut —
+// after a crash the hook is simply asked again.
 //
 // The persistence path costs the barrier an allocation-free double-buffer
 // copy; encoding and fsync happen on p's background goroutine, so the
 // warm firing path stays 0 allocs/op and barrier latency stays flat.
-// Composes with WithCheckpoints (its sink still sees every capture, entry
-// and post-hook alike) and WithUserState.
+// Composes with WithCheckpoints (its sink sees every cut first) and
+// WithUserState.
 func WithDurableCheckpoints(p *Persister) Option {
-	return func(c *config) {
-		c.captureAtEntry = true
-		c.persister = p
-	}
+	return func(c *config) { c.persister = p }
 }
 
 // WithFaultPlan injects a deterministic fault schedule into the run:

@@ -399,3 +399,99 @@ func TestPanicRecoveryThenCancel(t *testing.T) {
 		t.Fatalf("got %v, want context.Canceled or *BehaviorPanicError", err)
 	}
 }
+
+// TestPanicRecoveryStatefulHook is the supervisor half of the one-cut rule
+// (the successor of the engine's TestBoundaryResumeReplaysVerdict): a cut
+// holds no verdict and a restarted engine asks at the cut's boundary again,
+// so Stream's WithPanicRecovery loop remembers the verdict. The hook here
+// hands out rebinds from a queue — whatever count it is consulted at — so it
+// is right only if it is consulted exactly once per boundary. A panic in the
+// epoch right after a consulted boundary, with and without a rebind abort
+// injected at that boundary, must equal the fault-free run: a refused rebind
+// is part of what the boundary did and must not be proposed again.
+func TestPanicRecoveryStatefulHook(t *testing.T) {
+	g, err := tpdf.Builtin("fig2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinks := gen.SinkNodes(g)
+	queue := []tpdf.Verdict{
+		{Params: map[string]int64{"p": 3}, Run: 2},
+		{Params: map[string]int64{"p": 5}, Run: 3}, // boundary 2: the poisoned one
+		{Run: 1},
+		{Params: map[string]int64{"p": 2}, Run: 2},
+		{Params: map[string]int64{"p": 4}, Run: 4},
+	}
+	const iters, poisoned, poisonedAt = 12, 1, 2
+	boundaries := []int64{0, 2, 5, 6, 8}
+
+	type outcome struct {
+		res       *tpdf.ExecResult
+		seq       map[string][]int64
+		consulted []int64
+		aborts    int
+	}
+	run := func(panics, abort bool) outcome {
+		var o outcome
+		rec := sinkrec.New(sinks)
+		behaviors := rec.Behaviors()
+		poison := false
+		record := behaviors[sinks[0]]
+		behaviors[sinks[0]] = func(f *tpdf.Firing) error {
+			if poison {
+				poison = false
+				panic("transient")
+			}
+			return record(f)
+		}
+		next := 0
+		var faults []faultinject.Fault
+		if abort {
+			faults = append(faults, faultinject.Fault{Kind: faultinject.KindRebindAbort, K: poisonedAt})
+		}
+		opts := []tpdf.Option{
+			tpdf.WithIterations(iters),
+			tpdf.WithUserState(rec.Snapshot, rec.Restore),
+			tpdf.WithFaultPlan(faultinject.New(faults...)),
+			tpdf.WithRebindAbortHandler(func(error) { o.aborts++ }),
+			tpdf.WithBoundary(func(completed int64) tpdf.Verdict {
+				o.consulted = append(o.consulted, completed)
+				poison = panics && next == poisoned
+				next++
+				return queue[next-1]
+			}),
+		}
+		mx := obs.NewRegistry()
+		if panics {
+			opts = append(opts, tpdf.WithPanicRecovery(1), tpdf.WithMetrics(mx))
+		} else {
+			opts = append(opts, tpdf.WithCheckpoints(nil))
+		}
+		if o.res, err = tpdf.Stream(g, behaviors, opts...); err != nil {
+			t.Fatalf("panics=%v abort=%v: %v", panics, abort, err)
+		}
+		if panics && mx.EngineSnapshot().Restores != 1 {
+			t.Errorf("abort=%v: %d restores, want 1 (the panic never fired?)", abort, mx.EngineSnapshot().Restores)
+		}
+		o.seq = rec.Seq()
+		return o
+	}
+
+	for _, abort := range []bool{false, true} {
+		want, got := run(false, abort), run(true, abort)
+		if !reflect.DeepEqual(got.res, want.res) || !reflect.DeepEqual(got.seq, want.seq) {
+			t.Errorf("abort=%v: recovered run diverged:\n got %v %v\nwant %v %v", abort, got.res, got.seq, want.res, want.seq)
+		}
+		if !reflect.DeepEqual(got.consulted, boundaries) || !reflect.DeepEqual(want.consulted, boundaries) {
+			t.Errorf("abort=%v: hook consulted at %v (recovered) / %v (fault-free), want once at each of %v",
+				abort, got.consulted, want.consulted, boundaries)
+		}
+		if wantAborts := map[bool]int{true: 1}[abort]; got.aborts != wantAborts || want.aborts != wantAborts {
+			t.Errorf("abort=%v: %d (recovered) / %d (fault-free) rebind aborts, want %d", abort, got.aborts, want.aborts, wantAborts)
+		}
+	}
+	// The two trajectories differ, or the abort leg checks nothing.
+	if a, b := run(false, false), run(false, true); reflect.DeepEqual(a.res.Firings, b.res.Firings) {
+		t.Error("the injected abort does not change the run; the abort leg is vacuous")
+	}
+}

@@ -48,7 +48,7 @@ func CheckContexts(c *Case) error {
 	}
 
 	// The schedule's rebinds, consulted every k iterations or sooner where
-	// a rebind is due; one consulted boundary's post-hook cut is kept.
+	// a rebind is due; one consulted boundary's cut is kept.
 	k, hook, saveAt := c.epochPlan(rng)
 	one, err := c.epochsLeg(s.Iterations, hook, saveAt)
 	if err != nil {
@@ -62,7 +62,7 @@ func CheckContexts(c *Case) error {
 		return err
 	}
 	if one.saved == nil || each.saved == nil {
-		return fmt.Errorf("run %d: no post-hook cut at consulted boundary %d", k, saveAt)
+		return fmt.Errorf("run %d: no cut at consulted boundary %d", k, saveAt)
 	}
 	if !reflect.DeepEqual(each.saved, one.saved) {
 		return fmt.Errorf("cuts at %d diverged:\n per-actor %+v\n one context %+v", saveAt, each.saved, one.saved)

@@ -13,7 +13,7 @@ import (
 // returns it with the hook that applies the schedule's rebinds and answers
 // Run k — shortened where the next scheduled rebind needs the hook sooner —
 // and one of the boundaries that hook is consulted at, drawn for the leg to
-// keep its post-hook cut.
+// keep its cut.
 func (c *Case) epochPlan(rng *rand.Rand) (k int64, hook func(int64) tpdf.Verdict, saveAt int64) {
 	s := c.Schedule
 	k = 1 + rng.Int63n(s.Iterations+2)
@@ -38,8 +38,8 @@ func (c *Case) epochPlan(rng *rand.Rand) (k int64, hook func(int64) tpdf.Verdict
 }
 
 // epochsLeg is one Stream run of the epochs pair under a boundary hook:
-// its result, sink sequences, final cut (the run-end entry cut), the
-// post-hook cut taken at saveAt (nil when there is none).
+// its result, sink sequences, final cut (the last one, taken at run end) and
+// the cut taken on entering boundary saveAt (nil when there is none).
 type epochsLeg struct {
 	res   *tpdf.ExecResult
 	seq   map[string][]int64
@@ -68,10 +68,9 @@ func (c *Case) epochsLeg(iters int64, hook func(int64) tpdf.Verdict, saveAt int6
 		tpdf.WithUserState(rec.Snapshot, rec.Restore),
 		tpdf.WithBoundary(hook),
 		tpdf.WithCheckpoints(func(ck *tpdf.Checkpoint) {
-			if ck.AtEntry {
-				leg.final = ck.Clone()
-			} else if ck.Completed == saveAt {
-				leg.saved = ck.Clone()
+			leg.final = ck.Clone()
+			if ck.Completed == saveAt {
+				leg.saved = leg.final
 			}
 		}),
 	}, extra...)
@@ -87,11 +86,11 @@ func (c *Case) epochsLeg(iters int64, hook func(int64) tpdf.Verdict, saveAt int6
 // where the schedule's next rebind needs the hook sooner — equals the same
 // run with Run 1 at every boundary: firings, leftovers in FIFO order, sink
 // payload streams and the final checkpoint, across the rebinds applied at
-// the consulted boundaries. A fresh engine resumed from the post-hook cut
-// at the opening of one of those k-iteration epochs lands in the same
-// place; and an epoch cut short from another goroutine at a seeded point
-// stops at an iteration boundary whose state equals Execute at the count
-// the hook was told.
+// the consulted boundaries. A fresh engine resumed from the cut at the
+// opening of one of those k-iteration epochs asks the hook there again and
+// lands in the same place; and an epoch cut short from another goroutine at
+// a seeded point stops at an iteration boundary whose state equals Execute
+// at the count the hook was told.
 func CheckEpochs(c *Case) error {
 	s := c.Schedule
 	rng := rand.New(rand.NewSource(s.Seed ^ 0x65706f636873)) // "epochs"
@@ -112,13 +111,13 @@ func CheckEpochs(c *Case) error {
 	}
 
 	if got.saved == nil {
-		return fmt.Errorf("run %d: no post-hook cut at consulted boundary %d", k, saveAt)
+		return fmt.Errorf("run %d: no cut at consulted boundary %d", k, saveAt)
 	}
 	resumed, err := c.epochsLeg(s.Iterations, long, -1, tpdf.WithResume(got.saved))
 	if err != nil {
 		return fmt.Errorf("resume from the cut at %d: %w", saveAt, err)
 	}
-	if err := resumed.equal(fmt.Sprintf("resumed at %d (run %d) vs run 1", saveAt, got.saved.Run), want); err != nil {
+	if err := resumed.equal(fmt.Sprintf("resumed at %d (run %d) vs run 1", saveAt, k), want); err != nil {
 		return err
 	}
 	return c.checkCut(rng)

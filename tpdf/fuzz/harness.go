@@ -296,8 +296,10 @@ func (c *Case) faults() (panics, shared []faultinject.Fault) {
 // CheckRecovery asserts invariant 4: a run whose behaviors panic at the
 // schedule's fault sites, recovered by restart from the newest cut, is
 // byte-identical to a fault-free reference sharing the same rebind-abort
-// schedule — aborted transactions leave no trace. Skipped when the
-// schedule injects nothing.
+// schedule — aborted transactions leave no trace — and so is the same run
+// under a stateful hook, which hands the plan out one entry per consultation
+// whatever the count, so it is right only if a restart does not consult it
+// again (called once per boundary). Skipped when the schedule injects nothing.
 func CheckRecovery(c *Case) error {
 	panics, shared := c.faults()
 	if len(panics) == 0 && len(shared) == 0 {
@@ -312,7 +314,25 @@ func CheckRecovery(c *Case) error {
 	if err != nil {
 		return fmt.Errorf("recovered run: %w", err)
 	}
-	return compareRuns("recovery vs reference", got, want, gotSeq, wantSeq)
+	if err := compareRuns("recovery vs reference", got, want, gotSeq, wantSeq); err != nil {
+		return err
+	}
+	reconf := c.reconfigure()
+	if len(panics) == 0 || reconf == nil {
+		return nil
+	}
+	calls := int64(0)
+	got, gotSeq, err = c.faultedRun(true, tpdf.WithReconfigure(func(int64) map[string]int64 {
+		calls++
+		return reconf(calls)
+	}))
+	if err != nil {
+		return fmt.Errorf("recovered run, stateful hook: %w", err)
+	}
+	if boundaries := c.Schedule.Iterations - 1; calls != boundaries {
+		return fmt.Errorf("recovered run: stateful hook called %d times over %d boundaries", calls, boundaries)
+	}
+	return compareRuns("recovery under a stateful hook vs reference", got, want, gotSeq, wantSeq)
 }
 
 // faultedRun is one Stream run of the whole schedule under its shared

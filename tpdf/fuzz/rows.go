@@ -126,9 +126,10 @@ func (c *Case) checkRows(vals []map[string]int64, laps int) error {
 			return err
 		}
 		if warm.saved == nil {
-			return fmt.Errorf("%s: no post-hook cut at boundary %d", v.name, n/2)
+			return fmt.Errorf("%s: no cut at boundary %d", v.name, n/2)
 		}
-		resumed, err := c.epochsLeg(n, hook, -1, append(v.opts(n/2+1, n), tpdf.WithResume(warm.saved))...)
+		// The resumed run crosses boundary n/2 again, faults included.
+		resumed, err := c.epochsLeg(n, hook, -1, append(v.opts(n/2, n), tpdf.WithResume(warm.saved))...)
 		if err != nil {
 			return fmt.Errorf("%s: resumed at %d: %w", v.name, n/2, err)
 		}

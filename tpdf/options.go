@@ -58,7 +58,6 @@ type config struct {
 	metrics         *obs.Registry
 	journal         *obs.Journal
 	checkpointSink  func(*Checkpoint)
-	captureAtEntry  bool
 	persister       *Persister
 	resume          *Checkpoint
 	panicRetries    int

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/durable"
 )
 
 func durableConfig(t *testing.T) (Config, string) {
@@ -42,7 +44,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 		t.Fatalf("pump: n=%d err=%v", n, err)
 	}
 	// Crash: walk away. No Drain, no Close — exactly what SIGKILL leaves
-	// behind. The pump ack above already flushed its entry cut to disk.
+	// behind. The pump ack above already flushed its cut to disk.
 	crashID := s.ID
 
 	m2 := NewManager(cfg)
@@ -206,6 +208,73 @@ func TestRecoverReportsFailures(t *testing.T) {
 	}
 	if s2.ID == s.ID || s2.ID == "s99" {
 		t.Fatalf("new session reused on-disk ID %q", s2.ID)
+	}
+	if err := m2.Drain(ctx); err != nil {
+		t.Fatalf("drain 2: %v", err)
+	}
+}
+
+// TestRecoverRefusesForeignUserState: a snapshot is outside input. One that
+// passes every checksum but whose user state is not this graph's sink
+// counters — too short, or another type: another build, an edited graph —
+// used to panic in restoreSinks on the goroutine Server.Start spawned, i.e.
+// kill the process at boot. Cold recovery refuses it with a reason, leaves
+// it on disk, and recovers the neighbors.
+func TestRecoverRefusesForeignUserState(t *testing.T) {
+	cfg, dir := durableConfig(t)
+	ctx := ctxT(t)
+
+	m1 := NewManager(cfg)
+	s, err := m1.Open(ctx, "acme", testGraph(t), nil, nil)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if _, err := s.Pump(ctx, 2, nil); err != nil {
+		t.Fatalf("pump: %v", err)
+	}
+	if err := m1.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	st, err := durable.Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := st.LoadNewest(s.ID)
+	if err != nil {
+		t.Fatalf("load %s: %v", s.ID, err)
+	}
+	for id, user := range map[string]any{"s98": []int64{}, "s99": "not counters"} {
+		snap.SessionID, snap.Checkpoint.User = id, user
+		enc, err := durable.Encode(nil, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := st.Session(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ss.Write(enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	m2 := NewManager(cfg)
+	rec := m2.Recover(ctx)
+	if rec.Recovered != 1 || rec.Failed != 2 || len(rec.Reasons) != 2 {
+		t.Fatalf("recovery stats: %+v", rec)
+	}
+	for i, id := range []string{"s98", "s99"} {
+		if !strings.HasPrefix(rec.Reasons[i], id+": ") || !strings.Contains(rec.Reasons[i], "user state") {
+			t.Errorf("reason %d = %q, want %s refused for its user state", i, rec.Reasons[i], id)
+		}
+		if ents, err := os.ReadDir(filepath.Join(dir, id)); err != nil || len(ents) == 0 {
+			t.Errorf("refused session %s should stay on disk: %v, %d files", id, err, len(ents))
+		}
+	}
+	got, err := m2.Get(s.ID)
+	if err != nil || got.Completed() != 2 || !reflect.DeepEqual(got.SinkTokens(), s.SinkTokens()) {
+		t.Fatalf("neighbor %s not recovered intact", s.ID)
 	}
 	if err := m2.Drain(ctx); err != nil {
 		t.Fatalf("drain 2: %v", err)

@@ -103,12 +103,12 @@ type pumpAck struct {
 // flushed into the final result) or hard cancellation after the drain
 // deadline.
 //
-// The session is supervised: the engine checkpoints at every boundary its
-// hook is consulted at (the boundaries between pumps), a behavior panic
-// tears down only the in-flight epoch — the pump — and the supervisor
-// restarts the engine from the last checkpoint, replaying the pump from its
-// opening cut (bounded retries, exponential backoff with deterministic
-// jitter). A panic in one
+// The session is supervised: the engine checkpoints on entering every
+// boundary its hook is consulted at (the boundaries between pumps), a
+// behavior panic tears down only the in-flight epoch — the pump — and the
+// supervisor restarts the engine from the last checkpoint, where the hook is
+// asked again and re-issues the pump it still holds (bounded retries,
+// exponential backoff with deterministic jitter). A panic in one
 // session never touches the process or any other session — the engine
 // recovers it on the goroutine that fired the actor and returns it as an
 // error value.
@@ -140,7 +140,8 @@ type Session struct {
 
 	// Supervision state. The barrier-hook fields (pumpEnd — the completed
 	// count the pump in flight ends at — pumpReply, non-nil exactly while
-	// a pump is in flight, and pumpPending) live on the session rather
+	// a pump is in flight, pumpParams — the pump's overrides, until it ends
+	// or they are refused — and pumpPending) live on the session rather
 	// than in a closure so an in-flight pump survives an engine restart:
 	// the hook runs on the supervisor goroutine (tpdf.Stream is
 	// synchronous), so one goroutine owns them across engine incarnations.
@@ -153,6 +154,7 @@ type Session struct {
 	faults       *faultinject.Plan
 	pumpEnd      int64
 	pumpReply    chan pumpAck
+	pumpParams   map[string]int64
 	pumpPending  map[string]int64
 
 	// ckptArena holds the newest barrier checkpoint (the engine's sink
@@ -164,8 +166,8 @@ type Session struct {
 	snapSinks []int64
 	ckptOK    bool
 
-	// persister streams entry checkpoints to the durable snapshot store
-	// (nil when the server runs without -data-dir).
+	// persister streams the checkpoints to the durable snapshot store (nil
+	// when the server runs without -data-dir).
 	persister *tpdf.Persister
 
 	// metrics and journal are the session's private observability surface:
@@ -226,6 +228,13 @@ func newSession(id, tenant string, compiled *tpdf.CompiledGraph, params map[stri
 		s.faults = chaos.plan(s.sinkNames)
 	}
 	if resume != nil {
+		// A snapshot is outside input (another build, an edited graph):
+		// refuse user state restoreSinks would index past.
+		if vals, ok := resume.User.([]int64); !ok || len(vals) != len(s.sinkNames) {
+			hardCancel()
+			return nil, fmt.Errorf("serve: session %s: snapshot user state %v is not one counter per sink of graph %q (%d)",
+				id, resume.User, g.Name, len(s.sinkNames))
+		}
 		resume.CopyInto(s.ckptArena)
 		s.ckptOK = true
 		s.completed.Store(resume.Completed)
@@ -304,20 +313,18 @@ func (s *Session) snapshotSinks() any {
 }
 
 func (s *Session) restoreSinks(u any) {
-	vals, ok := u.([]int64)
-	if !ok {
-		return
-	}
-	for i := range s.sinkTokens {
-		s.sinkTokens[i].Store(vals[i])
+	// u is snapshotSinks' own slice, or a snapshot's that newSession checked.
+	for i, v := range u.([]int64) {
+		s.sinkTokens[i].Store(v)
 	}
 }
 
-// onRebindAbort makes rejected reconfigurations non-fatal: the engine
-// rolled the valuation back and keeps running under the previous
-// parameters; the session and fleet just count the event (the engine
-// already journaled it).
+// onRebindAbort makes rejected reconfigurations non-fatal: the engine never
+// left the previous valuation; the session and fleet count the event (the
+// engine already journaled it) and the pump forgets the refused overrides,
+// so a restart inside it does not propose them a second time.
 func (s *Session) onRebindAbort(error) {
+	s.pumpParams = nil
 	s.rebindAborts.Add(1)
 	s.fleet.rebindAborts.Add(1)
 }
@@ -344,18 +351,12 @@ func (s *Session) runEngine() (*tpdf.ExecResult, error) {
 		opts = append(opts, tpdf.WithFaultPlan(s.faults))
 	}
 	if s.persister != nil {
-		// Entry captures stream to the background writer; a pump ack
-		// flushes before replying (finishPump), so acked work is always
-		// covered by a durable cut.
+		// Cuts stream to the background writer; a pump ack flushes before
+		// replying (finishPump), so acked work is always covered by a
+		// durable cut.
 		opts = append(opts, tpdf.WithDurableCheckpoints(s.persister))
 	}
 	if s.ckptOK {
-		// A post-hook cut remembers its pump's verdict, but not the Cut
-		// that keeps a drain prompt. Shorten the remembered verdict to one
-		// iteration (always legal: a k-iteration epoch equals k epochs of
-		// one) so the hook is consulted right after it and hands the rest
-		// of the pump a verdict that carries the Cut again.
-		s.ckptArena.Run = min(s.ckptArena.Run, 1)
 		opts = append(opts, tpdf.WithResume(s.ckptArena))
 	}
 	return tpdf.Stream(s.compiled.Graph(), s.behaviors(), opts...)
@@ -454,14 +455,13 @@ func (s *Session) barrierHook(completed int64) tpdf.Verdict {
 	if s.pumpReply != nil && completed < s.pumpEnd {
 		// Consulted inside a pump: either a drain cut the epoch short —
 		// stop here, a pump is not a critical section and every boundary
-		// is a legal stopping point — or a restarted engine replayed the
-		// pump's first iteration (see runEngine) and the rest runs under a
-		// fresh verdict.
+		// is a legal stopping point — or a restarted engine is back at the
+		// pump's opening boundary and gets the pump's verdict again.
 		select {
 		case <-s.soft:
 		case <-s.hardCtx.Done():
 		default:
-			return tpdf.Verdict{Run: s.pumpEnd - completed, Cut: s.soft}
+			return tpdf.Verdict{Params: s.pumpParams, Run: s.pumpEnd - completed, Cut: s.soft}
 		}
 		s.finishPump(completed)
 		return tpdf.Verdict{Stop: true}
@@ -482,9 +482,8 @@ func (s *Session) barrierHook(completed int64) tpdf.Verdict {
 				// Clamped to the engine's iteration target, so the sum cannot wrap.
 				s.pumpEnd = completed + min(cmd.iters, maxSessionIterations-completed)
 				s.pumpReply = cmd.reply
-				p := s.pumpPending
-				s.pumpPending = nil
-				return tpdf.Verdict{Params: p, Run: s.pumpEnd - completed, Cut: s.soft}
+				s.pumpParams, s.pumpPending = s.pumpPending, nil
+				return tpdf.Verdict{Params: s.pumpParams, Run: s.pumpEnd - completed, Cut: s.soft}
 			}
 			// Pure reconfigure: acknowledged now, applied together
 			// with the next pump's first iteration.
@@ -505,9 +504,9 @@ func (s *Session) finishPump(completed int64) {
 	}
 	var err error
 	if s.persister != nil {
-		// Durability point: the entry capture at this boundary (which
-		// covers every iteration being acknowledged) was offered before
-		// this hook ran; flush it to disk before the ack leaves. One
+		// Durability point: the cut at this boundary (which covers every
+		// iteration being acknowledged) was offered before this hook ran;
+		// flush it to disk before the ack leaves. One
 		// fsync per pump, not per iteration. A failed flush fails the
 		// pump — the engine state is fine and the session keeps running,
 		// but the client must not be told the work is durable when it is
@@ -518,7 +517,7 @@ func (s *Session) finishPump(completed int64) {
 		}
 	}
 	s.pumpReply <- pumpAck{completed: completed, err: err}
-	s.pumpReply = nil
+	s.pumpReply, s.pumpParams = nil, nil
 }
 
 // send delivers one command to the barrier hook and waits for its ack.

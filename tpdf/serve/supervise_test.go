@@ -142,6 +142,91 @@ func TestPumpPanicReplaysWholePump(t *testing.T) {
 	}
 }
 
+// TestPumpPanicReissuesParams is the session half of the one-cut rule: the
+// cut a pump restarts from is taken before the hook handed out the pump's
+// verdict, so the hook — which still holds the pump — is asked at the opening
+// boundary again and must issue the pump's overrides again. A panic in the
+// first iteration of a pump that carries params equals a fault-free session
+// in sink tokens, Completed and valuation, both when the rebind is accepted
+// and when an injected abort refuses it: a refusal is part of what the
+// boundary did, and the restart must not propose the overrides a second time.
+func TestPumpPanicReissuesParams(t *testing.T) {
+	const warm, pump, tail = 3, 4, 2
+	ctx := ctxT(t)
+	warmed := func(chaos *ChaosSpec) *Session {
+		m := chaosManager(nil)
+		t.Cleanup(func() { m.Drain(context.Background()) }) //nolint:errcheck
+		s, err := m.Open(ctx, "t", testGraph(t), nil, chaos)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if _, err := s.Pump(ctx, warm, nil); err != nil {
+			t.Fatalf("warm-up pump: %v", err)
+		}
+		return s
+	}
+	// opening is the sink's firing count at the params pump's opening boundary.
+	var opening int64
+	for _, a := range warmed(nil).Metrics().EngineSnapshot().Actors {
+		if a.Name == "SNK" {
+			opening = a.Firings
+		}
+	}
+	run := func(chaos *ChaosSpec) *Session {
+		s := warmed(chaos)
+		if n, err := s.Pump(ctx, pump, map[string]int64{"p": 4}); err != nil || n != warm+pump {
+			t.Fatalf("pump with params: n=%d err=%v, want one ack at %d", n, err, warm+pump)
+		}
+		if _, err := s.Pump(ctx, tail, nil); err != nil {
+			t.Fatalf("tail pump: %v", err)
+		}
+		return s
+	}
+	// seeded finds the schedule whose one panic is the sink's first firing of
+	// the params pump and whose rebind abort, if any, is due by then.
+	seeded := func(aborts int) *ChaosSpec {
+		spec := &ChaosSpec{Panics: 1, RebindAborts: aborts, Horizon: opening + 1}
+		for {
+			spec.Seed++
+			plan := spec.plan([]string{"SNK"})
+			if _, panics := plan.Behavior("SNK", opening); panics && plan.RebindFault(warm) == (aborts > 0) {
+				return spec
+			}
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		aborts int
+		p      int64
+		ref    *ChaosSpec
+	}{
+		{"accepted", 0, 4, nil},
+		{"refused", 1, 2, &ChaosSpec{RebindAborts: 1, Horizon: 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ref, got := run(c.ref), run(seeded(c.aborts))
+			if got.Panics() != 1 || got.Restarts() != 1 {
+				t.Fatalf("panics=%d restarts=%d, want 1/1", got.Panics(), got.Restarts())
+			}
+			if g, w := got.SinkTokens(), ref.SinkTokens(); !reflect.DeepEqual(g, w) {
+				t.Errorf("sink tokens %v, want %v (fault-free)", g, w)
+			}
+			if got.Completed() != ref.Completed() {
+				t.Errorf("completed %d, want %d", got.Completed(), ref.Completed())
+			}
+			// The arena holds the cut of the boundary that acked the last
+			// pump; the supervisor is parked in its hook, so reading it here
+			// races nothing.
+			if g, w := got.ckptArena.Params["p"], ref.ckptArena.Params["p"]; g != w || w != c.p {
+				t.Errorf("valuation p = %d, fault-free %d, want %d", g, w, c.p)
+			}
+			if g, w := got.RebindAborts(), ref.RebindAborts(); g != w || w != int64(c.aborts) {
+				t.Errorf("rebind aborts %d, fault-free %d, want %d", g, w, c.aborts)
+			}
+		})
+	}
+}
+
 // TestSessionPanicIsolation crashes one session repeatedly past its
 // restart budget while a neighbor session keeps pumping: the crashing
 // session must fail alone — the neighbor and the process never notice.

@@ -50,17 +50,15 @@ func Stream(g *Graph, behaviors map[string]Behavior, opts ...Option) (*ExecResul
 	cfg := buildConfig(opts)
 	sink := cfg.checkpointSink
 	if p := cfg.persister; p != nil {
-		// Durable persistence taps the checkpoint stream: entry captures
-		// are offered to the background writer, and the user's sink (if
-		// any) still sees every capture first.
+		// Durable persistence taps the checkpoint stream: every cut is
+		// offered to the background writer, and the user's sink (if any)
+		// still sees it first.
 		user := sink
 		sink = func(ck *Checkpoint) {
 			if user != nil {
 				user(ck)
 			}
-			if ck.AtEntry {
-				p.Offer(ck)
-			}
+			p.Offer(ck)
 		}
 	}
 	ec := engine.Config{
@@ -79,7 +77,6 @@ func Stream(g *Graph, behaviors map[string]Behavior, opts ...Option) (*ExecResul
 		Journal:      cfg.journal,
 
 		CheckpointSink: sink,
-		CaptureAtEntry: cfg.captureAtEntry,
 		Resume:         cfg.resume,
 		ValidateRebind: cfg.validateRebind,
 		OnRebindAbort:  cfg.onRebindAbort,
@@ -90,18 +87,46 @@ func Stream(g *Graph, behaviors map[string]Behavior, opts ...Option) (*ExecResul
 	if cfg.compiled != nil {
 		ec.Skeleton = cfg.compiled.sk
 	}
+	if cfg.panicRetries <= 0 {
+		return engine.Run(ec)
+	}
 	// WithPanicRecovery is supervision, not an engine mode: keep the newest
 	// cut, and when a behavior panic ends the run start the engine again
 	// from it — the restart-from-checkpoint a crashed process or a
 	// tpdf/serve session performs. Every epoch follows a capture or the
-	// resumed start, so a panic always has a cut to restart from.
-	if cfg.panicRetries > 0 {
-		kept := &Checkpoint{}
-		ec.CheckpointSink = func(ck *Checkpoint) {
-			ck.CopyInto(kept)
-			ec.Resume = kept // read by the next Run; this one holds a copy of ec
-			if sink != nil {
-				sink(ck)
+	// resumed start, so a panic always has a cut to restart from. A cut
+	// holds no verdict and the restarted engine asks at its boundary again,
+	// so the supervisor hands the engine one resolved hook that answers the
+	// first consultation after a restart with the verdict it last returned —
+	// minus Params a rebind abort refused: the refusal is part of what that
+	// boundary did (and an injected one fires once).
+	kept := &Checkpoint{}
+	ec.CheckpointSink = func(ck *Checkpoint) {
+		ck.CopyInto(kept)
+		ec.Resume = kept // read by the next Run; this one holds a copy of ec
+		if sink != nil {
+			sink(ck)
+		}
+	}
+	hook, err := ec.Hook()
+	if err != nil {
+		return nil, err
+	}
+	restarted := false
+	if hook != nil {
+		var last Verdict
+		ec.Barrier, ec.Reconfigure = nil, nil
+		ec.Boundary = func(completed int64) Verdict {
+			if !restarted {
+				last = hook(completed)
+			}
+			restarted = false
+			return last
+		}
+		if onAbort := cfg.onRebindAbort; onAbort != nil {
+			ec.OnRebindAbort = func(err error) {
+				last.Params = nil
+				onAbort(err)
 			}
 		}
 	}
@@ -114,5 +139,6 @@ func Stream(g *Graph, behaviors map[string]Behavior, opts ...Option) (*ExecResul
 		if cfg.ctx != nil && cfg.ctx.Err() != nil {
 			return nil, cfg.ctx.Err()
 		}
+		restarted = true
 	}
 }

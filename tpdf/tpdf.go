@@ -67,9 +67,10 @@
 //
 // Streaming runs can arm transactional fault tolerance, built on the same
 // quiescent barriers reconfiguration uses. WithCheckpoints(sink) captures
-// a Checkpoint at every consulted transaction boundary (every boundary
-// under WithBarrier / WithReconfigure; under WithBoundary, the ones its
-// verdicts' run lengths leave): per-edge ring contents in
+// a Checkpoint on entering every consulted transaction boundary (every
+// boundary under WithBarrier / WithReconfigure; under WithBoundary, the ones
+// its verdicts' run lengths leave), before the boundary's hook runs — one
+// kind of cut, the state between two transactions: per-edge ring contents in
 // FIFO order, per-actor firing counters, the parameter valuation with its
 // digest, and (with WithUserState) a snapshot of user behavior state.
 // Rings are only snapshotted at quiescent barriers — between epochs, when
@@ -80,26 +81,30 @@
 // checkpoint-armed-but-idle engine is statistically no slower than a bare
 // one (the tpdf-bench -ckpt-overhead CI gate enforces <2%).
 //
-// A checkpoint rehydrates a fresh engine with WithResume: the resumed run
-// skips the first boundary's hook and rebind (the checkpoint was taken
-// after that boundary's work ran), replays the verdict the cut remembers
-// (Checkpoint.Run iterations as one epoch) and continues toward the
-// WithIterations total, producing output byte-identical to an
-// uninterrupted run. A panic in the middle of a k-iteration epoch therefore
-// restarts from the epoch's opening cut and replays all k iterations:
+// A checkpoint rehydrates a fresh engine with WithResume, and there is one
+// resume rule: the resumed run consults the hook at the checkpoint's
+// boundary — what the uninterrupted run did next — applies its verdict (a
+// rebind is applied, and counted, again) and continues toward the
+// WithIterations total, producing output byte-identical to an uninterrupted
+// run. A hook may assume only that it is a function of the completed count
+// and of what WithUserState restores; one that answers from private state
+// needs a supervisor that remembers its last answer. A panic in the middle
+// of a k-iteration epoch restarts from its opening cut and replays all k:
 // longer verdicts trade fewer barriers and cuts for more replayed work.
-// That is
-// also the only recovery mechanism: a panicking behavior becomes a
+// That is also the only recovery mechanism: a panicking behavior becomes a
 // transaction abort that ends the engine with a structured
 // *BehaviorPanicError (node, firing, stack), and whoever supervises the
 // run restarts it from the newest cut — WithPanicRecovery(n) makes Stream
-// do so itself up to n times, a tpdf-serve session does it with backoff, a
+// do so itself up to n times (replaying the interrupted boundary's verdict:
+// the user's hook is still called once per boundary), a tpdf-serve session
+// does it with backoff (its hook still holds the pump in flight), a
 // restarted process does it from a durable snapshot. A WithMetrics
 // registry shared by the incarnations keeps counting across them (Aborts,
-// Restores, barriers, firings). Speculative rebinds are transactional too:
-// WithRebindValidation vets a proposed valuation before any engine state
-// changes, and a rejected or failed rebind aborts with ErrRebindAborted,
-// restoring the pre-barrier valuation — observe aborts with
+// Restores, barriers, firings, Rebinds — the boundary crossed twice counts
+// twice). Speculative rebinds are transactional too: WithRebindValidation
+// vets a proposed valuation before anything is committed, and a rejected or
+// failed rebind aborts with ErrRebindAborted, the run still on the
+// pre-barrier valuation — observe aborts with
 // WithRebindAbortHandler or receive them as the run error. Deterministic
 // seeded fault injection for tests attaches with WithFaultPlan; tpdf-serve
 // layers session supervision on top — bounded-retry restart from the
@@ -114,8 +119,8 @@
 //
 // The same consistent cuts persist across process death. OpenSnapshotStore
 // opens a snapshot directory; store.Persister(id, graph, opts) returns a
-// Persister that a run arms with WithDurableCheckpoints: the entry cut of
-// every consulted boundary is captured into a double buffer on the barrier (an
+// Persister that a run arms with WithDurableCheckpoints: the cut of every
+// consulted boundary is copied into a double buffer on the barrier (an
 // allocation-free copy; the firing path never touches the disk) and a
 // background writer encodes the newest cut — ring contents, firing
 // counters, valuation, user state, plus the graph's canonical text so a
