@@ -167,7 +167,7 @@ func BenchmarkFig8BufferSweep(b *testing.B) {
 // effect on the Fig. 2 canonical period.
 func BenchmarkAblationControlPriority(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ScheduleAblation(1); err != nil {
+		if _, err := experiments.ScheduleAblation(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func BenchmarkAblationControlPriority(b *testing.B) {
 // slices (1..256 PEs).
 func BenchmarkAblationPlatformSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.PlatformSweep(1); err != nil {
+		if _, err := experiments.PlatformSweep(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func BenchmarkAblationPlatformSweep(b *testing.B) {
 // without dynamic band selection.
 func BenchmarkAblationFMRadio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FMRadioComparison(1); err != nil {
+		if _, err := experiments.FMRadioComparison(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -295,7 +295,7 @@ func BenchmarkRatOps(b *testing.B) {
 	c := rat.New(35, 9)
 	var acc rat.Rat
 	for i := 0; i < b.N; i++ {
-		acc = a.MustAdd(c).MustMul(a).MustSub(c.Inv()).MustDiv(c)
+		acc = a.MustAdd(c).MustMul(a).MustAdd(c.Inv().Neg()).MustDiv(c)
 	}
 	_ = acc
 }

@@ -8,7 +8,7 @@
 //	tpdf-bench                  # every table and figure (1024×1024 image for t6)
 //	tpdf-bench -quick           # reduced image size, shorter sweeps
 //	tpdf-bench -exp f8          # a single experiment (see tpdf.ExperimentNames)
-//	tpdf-bench -parallel 8      # shard sweeps + fan out experiments over 8 workers
+//	tpdf-bench -parallel 8      # run experiments side by side on 8 workers
 //	tpdf-bench -engine -quick -metrics-overhead 0.02 -ckpt-overhead 0.02
 //	                            # overhead gates: every streaming workload is run
 //	                            # bare, with a metrics registry + trace journal
@@ -456,7 +456,7 @@ func medianOf(xs []float64) float64 {
 func run() error {
 	quick := flag.Bool("quick", false, "smaller image and sweeps")
 	exp := flag.String("exp", "", "run one experiment: "+strings.Join(tpdf.ExperimentNames(), " "))
-	parallel := flag.Int("parallel", 1, "worker pool width: fan experiments out and shard their sweeps")
+	parallel := flag.Int("parallel", 1, "worker pool width: run experiments side by side, shard the pixel kernels and the f8 grid")
 	engineMode := flag.Bool("engine", false, "measure every streaming workload bare, +metrics and +ckpt in paired rounds instead of regenerating the paper artifacts")
 	metricsOverhead := flag.Float64("metrics-overhead", 0, "engine mode: max relative slowdown of each workload's +metrics twin (0.02 = 2%; 0 disables the gate)")
 	ckptOverhead := flag.Float64("ckpt-overhead", 0, "engine mode: max relative slowdown of each workload's checkpoint-armed +ckpt twin (0.02 = 2%; 0 disables the gate)")

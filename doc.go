@@ -47,8 +47,10 @@
 //
 // # Performance architecture
 //
-// The analysis fabric and the streaming engine are built to use every
-// core while staying deterministic:
+// The streaming engine executes a schedule and the §III analyses are a
+// compile-time pass (≈ 45 µs a graph) on the caller's goroutine; only two
+// kinds of driver are parallel — the grid shard with worker-owned compiled
+// state and coarse CPU work (pixel kernels, whole experiments):
 //
 //   - the streaming engine (internal/engine, tpdf.Stream) executes the
 //     schedule, not the actors: its unit of execution is a context, a
@@ -100,7 +102,10 @@
 //     boundary every context can reach. WithBarrier and WithReconfigure
 //     are that hook with one-iteration verdicts. tpdf-serve answers a pump
 //     of N with Run N, so a pump is one epoch, one durable cut and one
-//     flush, and a session is four goroutines whatever its graph;
+//     flush, and a session is three goroutines whatever its graph (its
+//     command loop, the one context, the stall watchdog — a Context is
+//     watched through context.AfterFunc, not by a goroutine), plus the
+//     durable writer's when it persists;
 //   - what executing the schedule bought, rung by rung (bench/run.sh
 //     --trace 1, goroutine-per-actor parent → one context on one 2-core
 //     box, seeds 1–3, wall-clock at machine.speed 0.6–1.0):
@@ -150,25 +155,49 @@
 //     warm sweep point (TestSweepSteadyStateAllocs, BenchmarkSweepRebind
 //     vs BenchmarkSweepInstantiate) and byte-identical to fresh
 //     instantiation (differential-tested over every Builtin under -race);
-//   - sweeps shard with worker-owned compiled state: tpdf.Sweep, the
-//     Fig. 8 buffer grid, the capacity minimization (speculative bisection
-//     over pooled simulators sharing one Program), and the liveness probes
-//     give each pool worker its own Program+Simulator pair, reused across
-//     every point the worker shards (pool.WorkersAmortized guarantees
-//     enough points per worker to amortize the compile). The pixel kernels
-//     behind the edge-detection and motion-estimation workloads shard over
-//     the same bounded pool (internal/pool). WithParallelism sets the
-//     budget; every driver writes results by grid index and joins them in
-//     sequential order, so a parallel run is byte-identical to a
-//     sequential one (enforced by differential tests under -race);
-//     tpdf.Sweep honors WithContext and aborts mid-grid on cancellation;
+//   - grids shard with worker-owned compiled state: tpdf.Sweep and the
+//     Fig. 8 buffer grid (buffer.OFDMSweepParallel) give each pool worker
+//     its own Program+Simulator pair, reused across every point the worker
+//     shards, and start a worker per 12 grid points (pool.GridWorkers; the
+//     constant's comment has the measurement), so a grid under 24 points
+//     runs inline. The pixel kernels behind the edge-detection and
+//     motion-estimation workloads shard rows over the same bounded pool
+//     (internal/pool), and experiments.All runs whole experiments side by
+//     side (tpdf.RunAllExperiments, tpdf-bench -parallel) and fans out
+//     nowhere within one. WithParallelism sets the budget of those and of
+//     nothing else; each writes results by index and joins them in order,
+//     so a parallel run is byte-identical to a sequential one
+//     (TestSweepParallelIdentical, TestOFDMSweepParallelIdentical,
+//     TestAllExperimentsParallelByteIdentical, under -race); tpdf.Sweep
+//     honors WithContext and aborts mid-grid on cancellation;
+//   - everything else runs inline, because that measured fastest: until
+//     PR 24 Analyze fanned its liveness probes out (each worker compiling
+//     the graph), MinimalBuffers speculated a k-ary bisection and seven
+//     experiment generators nested a pool.Run, all selected by
+//     WithParallelism and run by no benchmark workload. Parent at width
+//     1 / 2 / 4 → this tree (one range: the width is ignored), 2-core box,
+//     go1.24, scratch go test -bench -cpu 2, min–max of 3–5 alternating
+//     passes, µs. Analyze: fig4a 42–50 / 63–97 / 69–90 → 37–56, fig4b
+//     46–56 / 67–86 / 68–95 → 37–51, fig2 39–57 / 37–57 / 42–57 → 42–57,
+//     vc1 40–62 / 41–62 / 43–60 → 39–72 (no cycle, so no fan-out).
+//     MinimalBuffers at 16 iterations: ofdm-csdf 584–902 / 606–835 /
+//     971–1606 → 462–707, vc1 1332–1971 / 1310–1749 / 2232–4024 →
+//     1293–2097, ofdm 923–1219 / 960–1201 / 2011–2372 → 933–1704 (not the
+//     same work, see below). Experiments at width 1 / 2: a3 108–135 /
+//     132–154 → 114–142, a6 221–246 / 222–249 → 224–253, a5 9.6–11.8 /
+//     5.6–7.6 ms → 10.0–13.1 / 5.6–7.5 ms (the pixel kernels' gain, kept),
+//     f8 675–848 / 743–795 → 716–837 / 664–912; given up, a2 alone 2.7–3.0
+//     / 2.0–2.7 ms → 2.6–3.0 (inside RunAllExperiments the outer fan-out
+//     has the cores anyway: the suite reads 197–209 / 110–193 / 116–134 ms
+//     → 194–206 / 106–195 / 106–147 ms). Kept: tpdf.Sweep over 256 OFDM
+//     points 2465–3184 / 1305–1719 / 1338–1633 → 2413–2724 / 1279–1469 /
+//     1264–1689, over 16 points 192–244 / 145–201 / 170–226 → 180–196
+//     inline. ≥ 4 cores: unverified. (ofdm's search was idle before: see
+//     sim.MinimalCapacitiesRef on edges that never carry a token);
 //   - the list scheduler precomputes the platform's cluster-to-cluster
 //     latency table (platform.LatencyTable) so PE selection is indexed
 //     loads instead of per-pair grid walks, and its ready queue is a typed
 //     heap;
-//   - the experiment harness fans out across experiments and within each
-//     sweep (tpdf.RunAllExperiments with WithParallelism, tpdf-bench
-//     -parallel);
 //   - a performance change is judged one way: bench/run.sh, the benchmark
 //     BENCHMARK.json declares (five output-checked workloads — steady
 //     streaming, a rebind at every boundary, plain and durable serve pumps,

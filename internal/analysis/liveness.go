@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/csdf"
-	"repro/internal/pool"
 	"repro/internal/symb"
 )
 
@@ -58,24 +57,16 @@ type LivenessReport struct {
 // inputs (each channel has a single consumer), so enabledness is monotone
 // and a stuck maximal simulation proves deadlock.
 func Liveness(g *core.Graph, sol *Solution, envs ...symb.Env) (*LivenessReport, error) {
-	return LivenessParallel(g, sol, 1, envs...)
-}
-
-// LivenessParallel is Liveness with the cycle × valuation probe grid
-// fanned out over up to parallel workers. The graph is compiled once per
-// worker — each probe rebinds the worker's Program at its valuation
-// instead of re-instantiating the graph — and programs are reused across
-// cycles. Verdicts are reduced in probe order, so the report is identical
-// to the sequential one.
-func LivenessParallel(g *core.Graph, sol *Solution, parallel int, envs ...symb.Env) (*LivenessReport, error) {
 	if len(envs) == 0 {
 		envs = []symb.Env{g.DefaultEnv()}
 	}
-	cond := dataDigraph(g).Condense()
-	rep := &LivenessReport{Live: true}
 	d := dataDigraph(g)
-	progs := make([]*core.Program, pool.Workers(len(envs), parallel))
-	for _, comp := range cond.Comps {
+	rep := &LivenessReport{Live: true}
+	// The graph is compiled once, on the first cycle found; every probe
+	// rebinds that Program at its valuation.
+	var prog *core.Program
+	var compileErr error
+	for _, comp := range d.Condense().Comps {
 		if len(comp) == 1 && !d.HasSelfLoop(comp[0]) {
 			continue
 		}
@@ -84,36 +75,23 @@ func LivenessParallel(g *core.Graph, sol *Solution, parallel int, envs ...symb.E
 			members[i] = core.NodeID(v)
 		}
 		slices.Sort(members)
-		cyc := Cycle{Members: members, Live: true}
+		cyc := Cycle{Members: members}
 		if local, err := LocalSolution(sol, members); err == nil {
 			cyc.QG = local.QG
 		}
-		orders := make([][]core.NodeID, len(envs))
-		errs := make([]error, len(envs))
-		// Returning the probe error lets the sequential pool path keep the
-		// old early-exit on the first deadlocked valuation; the parallel
-		// path records per-index errors and the reduction below picks the
-		// lowest-indexed one either way.
-		pool.RunWorkers(len(envs), parallel, func(w, i int) error {
-			if progs[w] == nil {
-				if progs[w], errs[i] = core.Compile(g); errs[i] != nil {
-					return errs[i]
-				}
-			}
-			orders[i], errs[i] = localScheduleProgram(progs[w], members, envs[i])
-			return errs[i]
-		})
-		for i := range envs {
-			if errs[i] != nil {
-				cyc.Live = false
-				cyc.Err = errs[i]
-				rep.Live = false
-				break
-			}
-			if i == 0 {
-				cyc.LocalOrder = orders[i]
+		if prog == nil && compileErr == nil {
+			prog, compileErr = core.Compile(g)
+		}
+		cyc.Err = compileErr
+		// The first deadlocked valuation settles the cycle's verdict.
+		for i := 0; i < len(envs) && cyc.Err == nil; i++ {
+			var order []core.NodeID
+			if order, cyc.Err = localScheduleProgram(prog, members, envs[i]); i == 0 {
+				cyc.LocalOrder = order
 			}
 		}
+		cyc.Live = cyc.Err == nil
+		rep.Live = rep.Live && cyc.Live
 		rep.Cycles = append(rep.Cycles, cyc)
 	}
 	return rep, nil

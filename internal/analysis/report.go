@@ -27,14 +27,7 @@ type Report struct {
 
 // Analyze runs rate consistency, rate safety and liveness, probing liveness
 // at the graph's representative parameter valuations (core.Graph.ProbeEnvs).
-func Analyze(g *core.Graph) *Report {
-	return AnalyzeParallel(g, 1)
-}
-
-// AnalyzeParallel is Analyze with the concrete liveness probes fanned out
-// over up to parallel workers; the symbolic passes (consistency, rate
-// safety) are inherently sequential and unchanged.
-func AnalyzeParallel(g *core.Graph, parallel int) (rep *Report) {
+func Analyze(g *core.Graph) (rep *Report) {
 	rep = &Report{Graph: g}
 	// Symbolic coefficient overflow anywhere in the chain ends the analysis
 	// with rep.Err wrapping rat.ErrOverflow.
@@ -55,7 +48,7 @@ func AnalyzeParallel(g *core.Graph, parallel int) (rep *Report) {
 		}
 	}
 
-	lr, err := LivenessParallel(g, sol, parallel, g.ProbeEnvs()...)
+	lr, err := Liveness(g, sol, g.ProbeEnvs()...)
 	if err != nil {
 		rep.Err = err
 		return rep

@@ -159,7 +159,8 @@ func (w *ofdmSweepWorker) point(params apps.OFDMParams) (Point, error) {
 	return pt, nil
 }
 
-// OFDMSweepParallel shards the β×N grid across up to parallel workers.
+// OFDMSweepParallel shards the β×N grid across up to parallel workers
+// (pool.GridWorkers: a small grid runs inline whatever parallel says).
 // Points are written by grid index, so the result order — N-major, β-minor,
 // exactly OFDMSweep's — is independent of the worker count and a parallel
 // sweep is byte-identical to a sequential one. Each worker owns one
@@ -171,9 +172,9 @@ func OFDMSweepParallel(betas []int64, ns []int64, m, l int64, parallel int) ([]P
 	if len(out) == 0 {
 		return out, nil
 	}
-	// A worker's setup compiles two graphs; insist on ≥2 points per worker
-	// so the compile-once cost amortizes even on small grids.
-	parallel = pool.WorkersAmortized(len(out), parallel, 2)
+	// A worker's setup compiles two graphs; GridWorkers keeps a second
+	// worker out until the grid is large enough to amortize that.
+	parallel = pool.GridWorkers(len(out), parallel)
 	workers := make([]*ofdmSweepWorker, parallel)
 	err := pool.RunWorkers(len(out), parallel, func(w, i int) error {
 		n, beta := ns[i/len(betas)], betas[i%len(betas)]

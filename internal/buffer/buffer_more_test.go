@@ -83,7 +83,7 @@ func TestMinimalCapacitiesWithModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps, err := sim.MinimalCapacitiesParallel(cfg, 1)
+	caps, err := sim.MinimalCapacities(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,17 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/buffer"
+	"repro/internal/pool"
 )
+
+// upTo returns 1..n.
+func upTo(n int64) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(i) + 1
+	}
+	return out
+}
 
 // TestOFDMSweepParallelIdentical verifies the sharded Fig. 8 sweep yields
 // exactly the sequential points — same values, same N-major/β-minor order
@@ -16,10 +26,15 @@ func TestOFDMSweepParallelIdentical(t *testing.T) {
 		betas []int64
 		ns    []int64
 	}{
-		{[]int64{2, 5, 9}, []int64{16, 32}},
-		{[]int64{1, 3, 4, 7, 8}, []int64{64}},
+		{upTo(12), []int64{8, 16, 24, 32}},
+		{upTo(25), []int64{64}},
 	}
 	for _, grid := range grids {
+		// Large enough that pool.GridWorkers starts a second worker (a
+		// smaller grid runs inline and would pass vacuously).
+		if nw := pool.GridWorkers(len(grid.betas)*len(grid.ns), 8); nw < 2 {
+			t.Fatalf("a %d×%d grid does not shard", len(grid.betas), len(grid.ns))
+		}
 		want, err := buffer.OFDMSweep(grid.betas, grid.ns, 4, 1)
 		if err != nil {
 			t.Fatal(err)

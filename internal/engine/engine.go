@@ -417,15 +417,8 @@ func Run(cfg Config) (*runner.Result, error) {
 	defer stopWatch()
 
 	if ctx := cfg.Context; ctx != nil {
-		ctxDone := make(chan struct{})
-		defer close(ctxDone)
-		go func() {
-			select {
-			case <-ctx.Done():
-				e.fail(ctx.Err())
-			case <-ctxDone:
-			}
-		}()
+		stop := context.AfterFunc(ctx, func() { e.fail(ctx.Err()) })
+		defer stop()
 	}
 
 	b := e.newBoundary(hook, env, iters)

@@ -406,15 +406,18 @@ func fan(t *testing.T) *core.Graph {
 
 // TestDefaultRunIsOneContext pins the clustering rule by what it costs in
 // goroutines: parked in a boundary hook after a completed epoch, a default
-// run of six actors holds at most three more than before Run (the one
-// context, the watchdog, the context watcher), a run that asked for
-// concurrent behaviors at least one per actor — and both give them all back.
+// run of six actors holds at most two more than before Run (the one
+// context and the watchdog; a cancellable Context is watched through
+// context.AfterFunc, not by a goroutine), a run that asked for concurrent
+// behaviors at least one per actor — and both give them all back.
 func TestDefaultRunIsOneContext(t *testing.T) {
 	g := fan(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, tc := range []struct {
 		workers  int
 		min, max int
-	}{{0, 1, 3}, {1, 1, 3}, {6, 6, 8}} {
+	}{{0, 1, 2}, {1, 1, 2}, {6, 6, 7}} {
 		// Goroutines of earlier runs exit after their Run returned: wait
 		// until the count has been quiet for 20 reads.
 		baseline := runtime.NumGoroutine()
@@ -425,7 +428,7 @@ func TestDefaultRunIsOneContext(t *testing.T) {
 			}
 		}
 		held := -1
-		res, err := Run(Config{Graph: g, Context: context.Background(), Iterations: 4, Workers: tc.workers,
+		res, err := Run(Config{Graph: g, Context: ctx, Iterations: 4, Workers: tc.workers,
 			Boundary: func(completed int64) Verdict {
 				if completed == 2 {
 					held = runtime.NumGoroutine() - baseline

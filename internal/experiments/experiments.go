@@ -33,10 +33,10 @@ type Options struct {
 	// make every experiment's output deterministic (the differential
 	// parallel-vs-sequential tests rely on this).
 	Measure bool
-	// Parallel is the worker budget for the parameter-grid sweeps and the
-	// cross-experiment fan-out; values below 2 run everything sequentially.
-	// Output is byte-identical whatever the value: every sweep writes its
-	// results by grid index and joins them in sequential order.
+	// Parallel is the worker budget of All's cross-experiment fan-out, of
+	// the imaging pixel kernels (t6, a5) and of F8's grid shard; every
+	// other generator runs inline. Output is byte-identical whatever the
+	// value: results are written by index and joined in sequential order.
 	Parallel int
 }
 
@@ -330,20 +330,14 @@ func Steps(opts Options) []Step {
 		size = 256
 		betas = []int64{10, 30, 50, 70, 100}
 	}
-	p := opts.Parallel
 	return []Step{
 		{"f1", F1}, {"f2", F2}, {"f3", F3}, {"f4", F4}, {"f5", F5},
 		{"t6", func() (string, error) { return F6Table(size, opts.Measure) }},
 		{"f6", F6Deadline}, {"f7", F7},
-		{"f8", func() (string, error) { return F8(betas, p) }},
-		{"a1", func() (string, error) { return ScheduleAblation(p) }},
-		{"a2", func() (string, error) { return PlatformSweep(p) }},
-		{"a3", func() (string, error) { return FMRadioComparison(p) }},
-		{"a4", ADFPruning},
-		{"a5", func() (string, error) { return AVCQualityThreshold(p) }},
-		{"a6", func() (string, error) { return ThroughputValidation(p) }},
-		{"a7", func() (string, error) { return PipelinedScheduling(p) }},
-		{"a8", func() (string, error) { return CapacityMinimization(p) }},
+		{"f8", func() (string, error) { return F8(betas, opts.Parallel) }},
+		{"a1", ScheduleAblation}, {"a2", PlatformSweep}, {"a3", FMRadioComparison},
+		{"a4", ADFPruning}, {"a5", AVCQualityThreshold}, {"a6", ThroughputValidation},
+		{"a7", PipelinedScheduling}, {"a8", CapacityMinimization},
 	}
 }
 
@@ -371,10 +365,10 @@ func Run(name string, opts Options) (string, error) {
 
 // All runs every experiment in paper order under the given options.
 // With Parallel > 1 the experiments execute concurrently on a bounded
-// worker pool (each sweep additionally sharding its own parameter grid)
-// and the outputs are joined in paper order, so the rendering matches a
-// sequential run byte for byte as long as Measure is off. On error the
-// outputs of the experiments preceding the failed one are returned.
+// worker pool (the harness's one fan-out besides F8's grid shard and the
+// pixel kernels) and the outputs are joined in paper order: the rendering
+// matches a sequential run byte for byte as long as Measure is off. On
+// error the outputs preceding the failed experiment are returned.
 func All(opts Options) (string, error) {
 	imaging.SetParallelism(opts.Parallel)
 	steps := Steps(opts)

@@ -111,17 +111,17 @@ func TestF8(t *testing.T) {
 }
 
 func TestExtensions(t *testing.T) {
-	for name, f := range map[string]func(int) (string, error){
+	for name, f := range map[string]func() (string, error){
 		"ScheduleAblation":     ScheduleAblation,
 		"PlatformSweep":        PlatformSweep,
 		"FMRadioComparison":    FMRadioComparison,
-		"ADFPruning":           func(int) (string, error) { return ADFPruning() },
+		"ADFPruning":           ADFPruning,
 		"AVCQualityThreshold":  AVCQualityThreshold,
 		"ThroughputValidation": ThroughputValidation,
 		"PipelinedScheduling":  PipelinedScheduling,
 		"CapacityMinimization": CapacityMinimization,
 	} {
-		out, err := f(1)
+		out, err := f()
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue

@@ -10,7 +10,6 @@ import (
 	"repro/internal/csdf"
 	"repro/internal/imaging"
 	"repro/internal/platform"
-	"repro/internal/pool"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/symb"
@@ -34,41 +33,31 @@ func canonicalPeriod(g *core.Graph, env symb.Env) (*core.Program, *csdf.Preceden
 
 // ScheduleAblation measures the §III-D control-priority rule: makespan of
 // the Fig. 2 canonical period with and without the rule, across PE counts.
-// The PE-count × rule grid is sharded over up to parallel workers (each
-// cell is an independent list-scheduling run).
-func ScheduleAblation(parallel int) (string, error) {
+func ScheduleAblation() (string, error) {
 	prog, prec, err := canonicalPeriod(apps.Fig2(), symb.Env{"p": 16})
 	if err != nil {
 		return "", err
 	}
 	cg := prog.Concrete()
-	pes := []int{2, 4, 8}
-	rules := []bool{true, false}
-	spans := make([]int64, len(pes)*len(rules))
-	err = pool.Run(len(spans), parallel, func(i int) error {
-		opts := sched.Options{
-			Platform:        platform.Simple(pes[i/len(rules)]),
-			ControlPriority: rules[i%len(rules)],
-			IsControl:       prog.ControlActors(),
-		}
-		res, err := sched.ListSchedule(cg, prec, opts)
-		if err != nil {
-			return err
-		}
-		if err := sched.Verify(cg, prec, opts, res); err != nil {
-			return err
-		}
-		spans[i] = res.Makespan
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
 	var rows [][]string
-	for i, pe := range pes {
-		rows = append(rows, []string{
-			strconv.Itoa(pe), itoa(spans[2*i]), itoa(spans[2*i+1]),
-		})
+	for _, pe := range []int{2, 4, 8} {
+		row := []string{strconv.Itoa(pe)}
+		for _, rule := range []bool{true, false} {
+			opts := sched.Options{
+				Platform:        platform.Simple(pe),
+				ControlPriority: rule,
+				IsControl:       prog.ControlActors(),
+			}
+			res, err := sched.ListSchedule(cg, prec, opts)
+			if err != nil {
+				return "", err
+			}
+			if err := sched.Verify(cg, prec, opts, res); err != nil {
+				return "", err
+			}
+			row = append(row, itoa(res.Makespan))
+		}
+		rows = append(rows, row)
 	}
 	var b strings.Builder
 	b.WriteString("EXT-A1: control-priority scheduling rule ablation (Fig. 2, p=16)\n")
@@ -78,50 +67,35 @@ func ScheduleAblation(parallel int) (string, error) {
 
 // PlatformSweep schedules the Fig. 2 canonical period over growing slices
 // of the MPPA-256 and reports the makespan curve — the §III-D scalability
-// story on the paper's target machine. The PE-count sweep (each point one
-// list-scheduling run of the ~450-firing canonical period) is sharded over
-// up to parallel workers; the speedup column is derived after the joins,
-// so the table is the same whatever the worker count.
-func PlatformSweep(parallel int) (string, error) {
+// story on the paper's target machine. Each point is one list-scheduling
+// run of the ~450-firing canonical period.
+func PlatformSweep() (string, error) {
 	prog, prec, err := canonicalPeriod(apps.Fig2(), symb.Env{"p": 64})
 	if err != nil {
 		return "", err
 	}
 	cg := prog.Concrete()
 	mppa := platform.MPPA256()
-	peCounts := []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
-	type point struct {
-		makespan    int64
-		utilization float64
-	}
-	points := make([]point, len(peCounts))
-	err = pool.Run(len(peCounts), parallel, func(i int) error {
-		opts := sched.Options{
+	var rows [][]string
+	var base int64 // the 1-PE makespan
+	for i, pes := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256} {
+		res, err := sched.ListSchedule(cg, prec, sched.Options{
 			Platform:        mppa,
-			PEs:             peCounts[i],
+			PEs:             pes,
 			ControlPriority: true,
 			IsControl:       prog.ControlActors(),
-		}
-		res, err := sched.ListSchedule(cg, prec, opts)
+		})
 		if err != nil {
-			return err
+			return "", err
 		}
-		points[i] = point{res.Makespan, res.Utilization()}
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	var rows [][]string
-	base := points[0].makespan
-	for i, pes := range peCounts {
 		speedup := "-"
-		if i > 0 && points[i].makespan > 0 {
-			speedup = ftoa(float64(base) / float64(points[i].makespan))
+		if i == 0 {
+			base = res.Makespan
+		} else if res.Makespan > 0 {
+			speedup = ftoa(float64(base) / float64(res.Makespan))
 		}
 		rows = append(rows, []string{
-			strconv.Itoa(pes), itoa(points[i].makespan),
-			ftoa(points[i].utilization), speedup,
+			strconv.Itoa(pes), itoa(res.Makespan), ftoa(res.Utilization()), speedup,
 		})
 	}
 	var b strings.Builder
@@ -183,25 +157,17 @@ func ADFPruning() (string, error) {
 // AVCQualityThreshold reproduces the §V AVC-encoder improvement: two real
 // motion searches (exhaustive vs three-step, from internal/imaging) race
 // under frame deadlines; the transaction commits the best finished result.
-// With parallel > 1 the two ground-truth searches run on separate workers
-// (each additionally sharding its block rows across imaging.Parallelism)
-// and the deadline simulations run concurrently — the exhaustive full
-// search dominates this experiment's runtime.
-func AVCQualityThreshold(parallel int) (string, error) {
+// The exhaustive full search dominates this experiment's runtime; it shards
+// its block rows across imaging.Parallelism.
+func AVCQualityThreshold() (string, error) {
 	// Quality ground truth from the real searches on a known shift.
 	ref := imaging.Synthetic(128, 128, 7)
 	cur := imaging.Shift(ref, 3, 2)
-	var fullSAD, tssSAD int
-	searches := []func(){
-		func() { fullSAD = imaging.EstimateFrame(cur, ref, 16, 7, imaging.FullSearch) },
-		func() { tssSAD = imaging.EstimateFrame(cur, ref, 16, 7, imaging.ThreeStepSearch) },
-	}
-	pool.Run(len(searches), parallel, func(i int) error { searches[i](); return nil })
+	fullSAD := imaging.EstimateFrame(cur, ref, 16, 7, imaging.FullSearch)
+	tssSAD := imaging.EstimateFrame(cur, ref, 16, 7, imaging.ThreeStepSearch)
 
-	deadlines := []int64{30, 80}
-	rows := make([][]string, len(deadlines))
-	err := pool.Run(len(deadlines), parallel, func(i int) error {
-		deadline := deadlines[i]
+	var rows [][]string
+	for _, deadline := range []int64{30, 80} {
 		app := apps.MotionEstimation(deadline, 60 /*full*/, 15 /*tss*/)
 		res, err := sim.Run(sim.Config{
 			Graph:  app.Graph,
@@ -209,7 +175,7 @@ func AVCQualityThreshold(parallel int) (string, error) {
 			Record: true,
 		})
 		if err != nil {
-			return err
+			return "", err
 		}
 		chosen := "(none)"
 		for _, ev := range res.Events {
@@ -221,11 +187,7 @@ func AVCQualityThreshold(parallel int) (string, error) {
 		if chosen == "ME_FULL" {
 			quality = strconv.Itoa(fullSAD)
 		}
-		rows[i] = []string{itoa(deadline), chosen, quality}
-		return nil
-	})
-	if err != nil {
-		return "", err
+		rows = append(rows, []string{itoa(deadline), chosen, quality})
 	}
 	var b strings.Builder
 	b.WriteString("EXT-A5: AVC motion-vector quality threshold (§V)\n")
@@ -238,9 +200,8 @@ func AVCQualityThreshold(parallel int) (string, error) {
 // ThroughputValidation cross-checks the analytical maximum-cycle-ratio
 // period bound against the steady-state iteration period measured by the
 // discrete-event simulator, for pipelines and feedback graphs. Unbounded
-// self-timed execution must converge to the MCR. The cases (each an MCR
-// computation plus two warm simulator runs) run on up to parallel workers.
-func ThroughputValidation(parallel int) (string, error) {
+// self-timed execution must converge to the MCR.
+func ThroughputValidation() (string, error) {
 	type tcase struct {
 		name  string
 		graph *core.Graph
@@ -268,27 +229,21 @@ func ThroughputValidation(parallel int) (string, error) {
 			return "", err
 		}
 	}
-	cases := []tcase{{"3-stage pipeline", pipe}, {"feedback loop", loop}, {"Fig. 2 (p=2)", apps.Fig2()}}
-	rows := make([][]string, len(cases))
-	err := pool.Run(len(cases), parallel, func(i int) error {
-		tc := cases[i]
+	var rows [][]string
+	for _, tc := range []tcase{{"3-stage pipeline", pipe}, {"feedback loop", loop}, {"Fig. 2 (p=2)", apps.Fig2()}} {
 		prog, err := core.Bind(tc.graph, symb.Env{"p": 2})
 		if err != nil {
-			return err
+			return "", err
 		}
 		mcr, err := prog.Concrete().MaxCycleRatio(prog.Solution(), 1e-6)
 		if err != nil {
-			return err
+			return "", err
 		}
 		measured, err := sim.IterationPeriod(sim.Config{Graph: tc.graph, Env: symb.Env{"p": 2}}, 8, 16)
 		if err != nil {
-			return err
+			return "", err
 		}
-		rows[i] = []string{tc.name, ftoa(mcr), ftoa(measured)}
-		return nil
-	})
-	if err != nil {
-		return "", err
+		rows = append(rows, []string{tc.name, ftoa(mcr), ftoa(measured)})
 	}
 	var b strings.Builder
 	b.WriteString("EXT-A6: analytical period bound (max cycle ratio) vs simulation\n")
@@ -299,10 +254,8 @@ func ThroughputValidation(parallel int) (string, error) {
 // PipelinedScheduling schedules k unfolded iterations of the Fig. 2 graph
 // (cross-period dependences included) and reports makespan per iteration:
 // software pipelining across canonical periods approaches the analytical
-// MCR bound. The unfold-degree sweep is sharded over up to parallel
-// workers (the k=8 unfolding dominates, so the win saturates early, but
-// smaller unfoldings no longer wait behind it).
-func PipelinedScheduling(parallel int) (string, error) {
+// MCR bound.
+func PipelinedScheduling() (string, error) {
 	prog, err := core.Bind(apps.Fig2(), symb.Env{"p": 4})
 	if err != nil {
 		return "", err
@@ -312,31 +265,25 @@ func PipelinedScheduling(parallel int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	unfolds := []int64{1, 2, 4, 8}
-	rows := make([][]string, len(unfolds))
-	err = pool.Run(len(unfolds), parallel, func(i int) error {
-		k := unfolds[i]
+	var rows [][]string
+	for _, k := range []int64{1, 2, 4, 8} {
 		prec, err := cg.UnfoldPrecedence(sol, k)
 		if err != nil {
-			return err
+			return "", err
 		}
 		opts := sched.Options{Platform: platform.Simple(8), ControlPriority: true, IsControl: prog.ControlActors()}
 		res, err := sched.ListSchedule(cg, prec, opts)
 		if err != nil {
-			return err
+			return "", err
 		}
 		if err := sched.Verify(cg, prec, opts, res); err != nil {
-			return err
+			return "", err
 		}
-		rows[i] = []string{
+		rows = append(rows, []string{
 			itoa(k),
 			itoa(res.Makespan),
 			ftoa(float64(res.Makespan) / float64(k)),
-		}
-		return nil
-	})
-	if err != nil {
-		return "", err
+		})
 	}
 	var b strings.Builder
 	b.WriteString("EXT-A7: pipelined scheduling across canonical periods (Fig. 2, p=4, 8 PEs)\n")
@@ -348,10 +295,8 @@ func PipelinedScheduling(parallel int) (string, error) {
 // CapacityMinimization certifies the Fig. 8 buffer totals: per-edge binary
 // search under back-pressured bounded-buffer execution finds the smallest
 // capacities that still complete the iteration, and their sum equals the
-// paper's analytic 3 + β(12N+L). The feasibility probes fan out over up to
-// parallel pooled simulators (speculative bisection: identical capacities
-// whatever the worker count).
-func CapacityMinimization(parallel int) (string, error) {
+// paper's analytic 3 + β(12N+L).
+func CapacityMinimization() (string, error) {
 	params := apps.OFDMParams{Beta: 4, M: 4, N: 64, L: 1}
 	g := apps.OFDMTPDF(params)
 	decide, err := apps.OFDMDecide(g, params.M)
@@ -359,7 +304,7 @@ func CapacityMinimization(parallel int) (string, error) {
 		return "", err
 	}
 	cfg := sim.Config{Graph: g, Env: symb.Env(params.Env()), Decide: decide}
-	caps, ref, err := sim.MinimalCapacitiesRef(cfg, parallel)
+	caps, ref, err := sim.MinimalCapacitiesRef(cfg)
 	if err != nil {
 		return "", err
 	}
@@ -383,27 +328,19 @@ func CapacityMinimization(parallel int) (string, error) {
 
 // FMRadioComparison is the §V StreamIt observation made concrete: the
 // FM-radio pipeline with TPDF band selection against the CSDF version that
-// must compute every band. With parallel > 1 the baseline and the band
-// selection run on separate workers.
-func FMRadioComparison(parallel int) (string, error) {
-	var cres, tres *sim.Result
-	runs := []func() error{
-		func() error {
-			var err error
-			cres, err = sim.Run(sim.Config{Graph: apps.FMRadioCSDF()})
-			return err
-		},
-		func() error {
-			tg := apps.FMRadioTPDF()
-			decide, err := apps.FMRadioSelectBand(tg, 1)
-			if err != nil {
-				return err
-			}
-			tres, err = sim.Run(sim.Config{Graph: tg, Decide: decide})
-			return err
-		},
+// must compute every band.
+func FMRadioComparison() (string, error) {
+	cres, err := sim.Run(sim.Config{Graph: apps.FMRadioCSDF()})
+	if err != nil {
+		return "", err
 	}
-	if err := pool.Run(len(runs), parallel, func(i int) error { return runs[i]() }); err != nil {
+	tg := apps.FMRadioTPDF()
+	decide, err := apps.FMRadioSelectBand(tg, 1)
+	if err != nil {
+		return "", err
+	}
+	tres, err := sim.Run(sim.Config{Graph: tg, Decide: decide})
+	if err != nil {
 		return "", err
 	}
 	var totalFiringsCSDF, totalFiringsTPDF int64

@@ -30,37 +30,3 @@ func TestAllExperimentsParallelByteIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelExperimentWrappers pins every sharded experiment to its
-// sequential rendering individually, so a divergence is attributed to the
-// experiment that introduced it.
-func TestParallelExperimentWrappers(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func(parallel int) (string, error)
-	}{
-		{"a1", experiments.ScheduleAblation},
-		{"a2", experiments.PlatformSweep},
-		{"a3", experiments.FMRadioComparison},
-		{"a5", experiments.AVCQualityThreshold},
-		{"a6", experiments.ThroughputValidation},
-		{"a7", experiments.PipelinedScheduling},
-		{"a8", experiments.CapacityMinimization},
-		{"f8", func(p int) (string, error) { return experiments.F8([]int64{2, 5}, p) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			want, err := tc.run(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := tc.run(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("parallel rendering diverged from sequential:\n--- sequential\n%s\n--- parallel\n%s", want, got)
-			}
-		})
-	}
-}

@@ -179,9 +179,6 @@ func (r Rat) Div(s Rat) (Rat, error) { return r.Mul(s.Inv()) }
 // its entry points recover that panic into an error (symb.CatchOverflow).
 func (r Rat) MustAdd(s Rat) Rat { return must(r.Add(s)) }
 
-// MustSub is Sub that panics on overflow.
-func (r Rat) MustSub(s Rat) Rat { return must(r.Sub(s)) }
-
 // MustMul is Mul that panics on overflow.
 func (r Rat) MustMul(s Rat) Rat { return must(r.Mul(s)) }
 
@@ -240,12 +237,6 @@ func (r Rat) Abs() Rat {
 		return Rat{-r.num, r.den}
 	}
 	return r
-}
-
-// Float returns the nearest float64.
-func (r Rat) Float() float64 {
-	r = r.norm()
-	return float64(r.num) / float64(r.den)
 }
 
 // String renders r as "n" or "n/d".

@@ -1,22 +1,6 @@
 package rat
 
-import (
-	"math"
-	"testing"
-)
-
-func TestFloat(t *testing.T) {
-	if New(1, 2).Float() != 0.5 {
-		t.Error("1/2 as float")
-	}
-	if New(-3, 4).Float() != -0.75 {
-		t.Error("-3/4 as float")
-	}
-	var z Rat
-	if z.Float() != 0 {
-		t.Error("zero value as float")
-	}
-}
+import "testing"
 
 func TestAbs(t *testing.T) {
 	if !New(-5, 3).Abs().Equal(New(5, 3)) {
@@ -72,17 +56,5 @@ func TestGCDRatOverflow(t *testing.T) {
 	b := New(1, (1<<62)-1)
 	if _, err := GCDRat(a, b); err == nil {
 		t.Error("gcd denominator lcm overflow undetected")
-	}
-}
-
-func TestFloatMonotone(t *testing.T) {
-	// Floats preserve order for moderate rationals.
-	prev := math.Inf(-1)
-	for i := int64(-10); i <= 10; i++ {
-		v := New(i, 7).Float()
-		if v < prev {
-			t.Fatal("float conversion not monotone")
-		}
-		prev = v
 	}
 }

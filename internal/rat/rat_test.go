@@ -65,8 +65,8 @@ func TestArithmetic(t *testing.T) {
 	if got := half.MustAdd(third); !got.Equal(New(5, 6)) {
 		t.Errorf("1/2 + 1/3 = %v, want 5/6", got)
 	}
-	if got := half.MustSub(third); !got.Equal(New(1, 6)) {
-		t.Errorf("1/2 - 1/3 = %v, want 1/6", got)
+	if got, err := half.Sub(third); err != nil || !got.Equal(New(1, 6)) {
+		t.Errorf("1/2 - 1/3 = %v, %v, want 1/6", got, err)
 	}
 	if got := half.MustMul(third); !got.Equal(New(1, 6)) {
 		t.Errorf("1/2 * 1/3 = %v, want 1/6", got)

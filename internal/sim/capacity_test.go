@@ -92,7 +92,7 @@ func TestBackpressureThrottlesPipelining(t *testing.T) {
 
 func TestMinimalCapacitiesPipeline(t *testing.T) {
 	g := burstGraph(t)
-	caps, err := sim.MinimalCapacitiesParallel(sim.Config{Graph: g}, 1)
+	caps, err := sim.MinimalCapacities(sim.Config{Graph: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestMinimalCapacitiesRespectInitialTokens(t *testing.T) {
 	if _, err := g.Connect(a, "[1]", b, "[1]", 3); err != nil {
 		t.Fatal(err)
 	}
-	caps, err := sim.MinimalCapacitiesParallel(sim.Config{Graph: g}, 1)
+	caps, err := sim.MinimalCapacities(sim.Config{Graph: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestMinimalCapacitiesOFDMMatchesPaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.Config{Graph: g, Env: symb.Env(params.Env()), Decide: decide}
-	caps, err := sim.MinimalCapacitiesParallel(cfg, 1)
+	caps, err := sim.MinimalCapacities(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

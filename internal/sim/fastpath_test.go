@@ -96,32 +96,6 @@ func TestBuffersOnlyMatchesFullRun(t *testing.T) {
 	}
 }
 
-// TestMinimalCapacitiesParallelIdentical verifies the speculative parallel
-// bisection returns exactly the sequential capacities at several worker
-// counts.
-func TestMinimalCapacitiesParallelIdentical(t *testing.T) {
-	params := apps.OFDMParams{Beta: 3, M: 4, N: 16, L: 1}
-	g := apps.OFDMTPDF(params)
-	decide, err := apps.OFDMDecide(g, params.M)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.Config{Graph: g, Env: symb.Env(params.Env()), Decide: decide}
-	want, err := sim.MinimalCapacitiesParallel(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		got, err := sim.MinimalCapacitiesParallel(cfg, workers)
-		if err != nil {
-			t.Fatalf("parallel=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallel=%d: capacities %v, want %v", workers, got, want)
-		}
-	}
-}
-
 // TestSetIterationsRebounds verifies a pooled simulator re-bounded to more
 // iterations matches a fresh engine at that bound.
 func TestSetIterationsRebounds(t *testing.T) {

@@ -43,18 +43,6 @@ func Table(headers []string, rows [][]string) string {
 	return b.String()
 }
 
-// CSV renders rows as comma-separated values with a header line.
-func CSV(headers []string, rows [][]string) string {
-	var b strings.Builder
-	b.WriteString(strings.Join(headers, ","))
-	b.WriteByte('\n')
-	for _, row := range rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // GanttItem is one bar on a Gantt chart.
 type GanttItem struct {
 	Lane  int // e.g. processing element index

@@ -53,12 +53,6 @@ func TestTableEmptyRows(t *testing.T) {
 	}
 }
 
-func TestCSVEmpty(t *testing.T) {
-	if got := CSV([]string{"x"}, nil); got != "x\n" {
-		t.Errorf("empty CSV = %q", got)
-	}
-}
-
 func TestSeriesMissingValues(t *testing.T) {
 	out := Series("x", []int64{1, 2, 3}, map[string][]int64{"y": {10, 20}}, []string{"y"})
 	if !strings.Contains(out, "3") {

@@ -24,14 +24,6 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	out := CSV([]string{"beta", "tpdf"}, [][]string{{"10", "61441"}})
-	want := "beta,tpdf\n10,61441\n"
-	if out != want {
-		t.Errorf("CSV = %q, want %q", out, want)
-	}
-}
-
 func TestGantt(t *testing.T) {
 	out := Gantt([]GanttItem{
 		{Lane: 0, Label: "A1", Start: 0, End: 50},

@@ -70,7 +70,7 @@ type Report struct {
 // valuation at which BufferBound is evaluated.
 func Analyze(g *Graph, opts ...Option) (rep *Report) {
 	cfg := buildConfig(opts)
-	in := analysis.AnalyzeParallel(g, cfg.parallel)
+	in := analysis.Analyze(g)
 
 	rep = &Report{
 		GraphName:  g.Name,

@@ -196,11 +196,6 @@ type PersistInfo struct {
 type PersistOptions struct {
 	// Tenant is recorded in every snapshot and restored on recovery.
 	Tenant string
-	// Every is the persistence cadence: a background write is triggered
-	// every Every-th offered checkpoint (values < 1 mean every one). The
-	// newest checkpoint is always buffered regardless, so Flush persists
-	// up-to-date state whatever the cadence.
-	Every int
 	// OnPersist, when non-nil, observes every persist attempt — the hook
 	// metrics and journals hang off. Called from the writer's background
 	// goroutine (or the Flush caller); must be safe for that.
@@ -209,9 +204,10 @@ type PersistOptions struct {
 
 // Persister streams one session's checkpoints to a snapshot store without
 // blocking the barrier path: Offer copies into a double buffer
-// (allocation-free once warm) and a background goroutine encodes and
-// writes. Only the newest offered checkpoint is ever written; skipped
-// intermediates are safe because every snapshot is a complete state.
+// (allocation-free once warm) and every offer wakes a background goroutine
+// that encodes and writes. Only the newest offered checkpoint is ever
+// written; intermediates a busy writer skipped are safe because every
+// snapshot is a complete state.
 type Persister struct {
 	w *durable.Writer
 }
@@ -231,7 +227,7 @@ func (s *SnapshotStore) Persister(id string, g *Graph, po PersistOptions) (*Pers
 			hook(PersistInfo{Completed: ev.Completed, Bytes: ev.Bytes, Dur: ev.Dur, Err: ev.Err})
 		}
 	}
-	return &Persister{w: durable.NewWriter(ss, id, po.Tenant, Format(g), po.Every, onEv)}, nil
+	return &Persister{w: durable.NewWriter(ss, id, po.Tenant, Format(g), 1, onEv)}, nil
 }
 
 // Offer records ck as the newest persistable cut; never blocks on I/O.

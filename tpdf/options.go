@@ -70,10 +70,9 @@ type config struct {
 
 // Option configures an entry point; each reads the options its comment
 // lists and ignores the rest. WithCompiled is honoured by Stream, Simulate,
-// Schedule and GenerateCode, which bind a single Program; Sweep,
-// MinimalBuffers and Analyze compile the graph themselves
-// (once per worker), and Execute, the reference tier, lowers independently
-// by design.
+// Schedule and GenerateCode, which bind a single Program; Sweep (once per
+// worker), MinimalBuffers and Analyze compile the graph themselves, and
+// Execute, the reference tier, lowers independently by design.
 type Option func(*config)
 
 func buildConfig(opts []Option) config {
@@ -235,14 +234,14 @@ func WithTraceJournal(j *obs.Journal) Option {
 	return func(c *config) { c.journal = j }
 }
 
-// WithParallelism bounds the worker pool the analysis fabric may use:
-// Sweep shards its parameter grid, Analyze its liveness probes,
-// MinimalBuffers its feasibility probes, and the experiment harness both
-// fans out across experiments and shards within each sweep. The default
-// (and any value below 2) runs everything sequentially on the calling
-// goroutine. Results are deterministic — byte-identical to a sequential
-// run — whatever the value: every parallel driver writes results by index
-// and joins them in sequential order.
+// WithParallelism bounds the worker pool of the two parallel drivers: Sweep
+// shards its parameter grid (a grid too small to amortize a worker's
+// compiled Program and Simulator runs inline), RunAllExperiments runs
+// experiments side by side, and both experiment entry points pass it to the
+// pixel kernels behind t6 and a5 and to f8's grid shard. Every other entry
+// point — Analyze and MinimalBuffers included — runs on the calling
+// goroutine and ignores it. Values below 2 mean sequential. Results are
+// byte-identical whatever the value: the drivers write results by index.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.parallel = n }
 }

@@ -118,8 +118,7 @@ func TestRebindMatchesInstantiateAllBuiltins(t *testing.T) {
 		}
 
 		// Parallel: worker-owned programs over the same valuations.
-		workers := pool.Workers(len(envs), 4)
-		progs := make([]*core.Program, workers)
+		progs := make([]*core.Program, 4)
 		got := make([]lowSnapshot, len(envs))
 		err = pool.RunWorkers(len(envs), 4, func(w, i int) error {
 			if progs[w] == nil {

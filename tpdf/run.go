@@ -205,17 +205,16 @@ func GenerateCode(g *Graph, opts ...Option) (string, error) {
 
 // MinimalBuffers searches the smallest per-edge capacities under which the
 // configured run still completes (deadlock-free), a per-edge refinement of
-// Report.BufferBound. WithParallelism fans the feasibility probes of the
-// per-edge binary search out over pooled simulators (the result is
-// identical whatever the worker count). Other options as for Simulate.
+// Report.BufferBound: one bisection per edge against a pooled simulator, on
+// the caller's goroutine. Options as for Simulate.
 func MinimalBuffers(g *Graph, opts ...Option) ([]int64, error) {
 	cfg := buildConfig(opts)
-	return sim.MinimalCapacitiesParallel(sim.Config{
+	return sim.MinimalCapacities(sim.Config{
 		Graph:      g,
 		Context:    cfg.ctx,
 		Env:        cfg.env(),
 		Iterations: cfg.iterations,
 		Processors: cfg.processors,
 		Decide:     cfg.decide,
-	}, cfg.parallel)
+	})
 }

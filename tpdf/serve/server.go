@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"time"
 
 	"repro/tpdf"
 )
@@ -405,19 +404,4 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		resp.Points[i] = sweepPoint{Params: p.Params, Time: p.Time, TotalBuffer: p.TotalBuffer}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// ListenAndServe runs the server at addr until ctx is cancelled, then
-// shuts down gracefully (sessions drain at barriers within DrainTimeout).
-// This is the loop cmd/tpdf-serve runs.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	bound, err := s.Start(addr)
-	if err != nil {
-		return err
-	}
-	_ = bound
-	<-ctx.Done()
-	sctx, cancel := context.WithTimeout(context.Background(), s.m.cfg.DrainTimeout+5*time.Second)
-	defer cancel()
-	return s.Shutdown(sctx)
 }

@@ -84,7 +84,8 @@ func Grid(axes map[string][]int64) ([]map[string]int64, error) {
 
 // Sweep simulates the graph at every parameter valuation of the grid and
 // returns one point per valuation, in grid order. WithParallelism shards
-// the grid across a bounded worker pool; results are written by grid
+// the grid across a bounded worker pool once it is large enough to pay for
+// a second worker (pool.GridWorkers); results are written by grid
 // index, so the output is identical whatever the worker count. Each
 // valuation is merged over the WithParams baseline (grid entries win).
 // WithContext cancels a running sweep: remaining grid points are abandoned
@@ -105,9 +106,9 @@ func Sweep(g *Graph, grid []map[string]int64, opts ...Option) ([]SweepPoint, err
 	if len(grid) == 0 {
 		return out, nil
 	}
-	// A worker's setup compiles the graph once; insist on ≥2 points per
-	// worker so the compile-once cost amortizes even on small grids.
-	nw := pool.WorkersAmortized(len(grid), cfg.parallel, 2)
+	// A worker's setup compiles the graph once; GridWorkers keeps a second
+	// worker out until the grid is large enough to amortize that.
+	nw := pool.GridWorkers(len(grid), cfg.parallel)
 	progs := make([]*core.Program, nw)
 	sims := make([]*sim.Simulator, nw)
 	env := make([]symb.Env, nw)
