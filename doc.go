@@ -158,42 +158,32 @@
 //   - grids shard with worker-owned compiled state: tpdf.Sweep and the
 //     Fig. 8 buffer grid (buffer.OFDMSweepParallel) give each pool worker
 //     its own Program+Simulator pair, reused across every point the worker
-//     shards, and start a worker per 12 grid points (pool.GridWorkers; the
-//     constant's comment has the measurement), so a grid under 24 points
-//     runs inline. The pixel kernels behind the edge-detection and
-//     motion-estimation workloads shard rows over the same bounded pool
-//     (internal/pool), and experiments.All runs whole experiments side by
-//     side (tpdf.RunAllExperiments, tpdf-bench -parallel) and fans out
-//     nowhere within one. WithParallelism sets the budget of those and of
-//     nothing else; each writes results by index and joins them in order,
-//     so a parallel run is byte-identical to a sequential one
-//     (TestSweepParallelIdentical, TestOFDMSweepParallelIdentical,
+//     shards, and start a worker per 12 point-iterations (grid points ×
+//     WithIterations, pool.GridWorkers), so 23 one-iteration points run
+//     inline and 8 points of 16 iterations shard. The pixel kernels behind
+//     the edge-detection and motion-estimation workloads shard rows over
+//     the same bounded pool (internal/pool), and experiments.All runs whole
+//     experiments side by side (tpdf.RunAllExperiments, tpdf-bench
+//     -parallel) and fans out nowhere within one. WithParallelism sets the
+//     budget of those and of nothing else; each writes results by index and
+//     joins them in order, so a parallel run is byte-identical to a
+//     sequential one (TestSweepParallelIdentical,
+//     TestOFDMSweepParallelIdentical,
 //     TestAllExperimentsParallelByteIdentical, under -race); tpdf.Sweep
 //     honors WithContext and aborts mid-grid on cancellation;
 //   - everything else runs inline, because that measured fastest: until
 //     PR 24 Analyze fanned its liveness probes out (each worker compiling
 //     the graph), MinimalBuffers speculated a k-ary bisection and seven
 //     experiment generators nested a pool.Run, all selected by
-//     WithParallelism and run by no benchmark workload. Parent at width
-//     1 / 2 / 4 → this tree (one range: the width is ignored), 2-core box,
-//     go1.24, scratch go test -bench -cpu 2, min–max of 3–5 alternating
-//     passes, µs. Analyze: fig4a 42–50 / 63–97 / 69–90 → 37–56, fig4b
-//     46–56 / 67–86 / 68–95 → 37–51, fig2 39–57 / 37–57 / 42–57 → 42–57,
-//     vc1 40–62 / 41–62 / 43–60 → 39–72 (no cycle, so no fan-out).
-//     MinimalBuffers at 16 iterations: ofdm-csdf 584–902 / 606–835 /
-//     971–1606 → 462–707, vc1 1332–1971 / 1310–1749 / 2232–4024 →
-//     1293–2097, ofdm 923–1219 / 960–1201 / 2011–2372 → 933–1704 (not the
-//     same work, see below). Experiments at width 1 / 2: a3 108–135 /
-//     132–154 → 114–142, a6 221–246 / 222–249 → 224–253, a5 9.6–11.8 /
-//     5.6–7.6 ms → 10.0–13.1 / 5.6–7.5 ms (the pixel kernels' gain, kept),
-//     f8 675–848 / 743–795 → 716–837 / 664–912; given up, a2 alone 2.7–3.0
-//     / 2.0–2.7 ms → 2.6–3.0 (inside RunAllExperiments the outer fan-out
-//     has the cores anyway: the suite reads 197–209 / 110–193 / 116–134 ms
-//     → 194–206 / 106–195 / 106–147 ms). Kept: tpdf.Sweep over 256 OFDM
-//     points 2465–3184 / 1305–1719 / 1338–1633 → 2413–2724 / 1279–1469 /
-//     1264–1689, over 16 points 192–244 / 145–201 / 170–226 → 180–196
-//     inline. ≥ 4 cores: unverified. (ofdm's search was idle before: see
-//     sim.MinimalCapacitiesRef on edges that never carry a token);
+//     WithParallelism and run by no benchmark workload. On the 2-core box
+//     the probe fan-out cost Analyze ×1.5–2 on graphs with a cycle, the
+//     speculation cost MinimalBuffers ×1.6–2 at width 4 (width 2 was the
+//     sequential walk) and the inner experiment fan-outs were flat or lost,
+//     while a 256-point Sweep gains ×1.8 at width 2 and a 23-point one of
+//     100 iterations ×1.8–1.9. ROADMAP direction 4 keeps the measured
+//     keep/delete table, parent → this tree at width 1 / 2 / 4, and the
+//     grain measurement; ≥ 4 cores: unverified, so a probe-level fan-out
+//     comes back only with a box that shows it winning;
 //   - the list scheduler precomputes the platform's cluster-to-cluster
 //     latency table (platform.LatencyTable) so PE selection is indexed
 //     loads instead of per-pair grid walks, and its ready queue is a typed

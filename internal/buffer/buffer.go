@@ -173,8 +173,9 @@ func OFDMSweepParallel(betas []int64, ns []int64, m, l int64, parallel int) ([]P
 		return out, nil
 	}
 	// A worker's setup compiles two graphs; GridWorkers keeps a second
-	// worker out until the grid is large enough to amortize that.
-	parallel = pool.GridWorkers(len(out), parallel)
+	// worker out until the grid is large enough to amortize that (every
+	// point is three one-iteration runs).
+	parallel = pool.GridWorkers(len(out), 1, parallel)
 	workers := make([]*ofdmSweepWorker, parallel)
 	err := pool.RunWorkers(len(out), parallel, func(w, i int) error {
 		n, beta := ns[i/len(betas)], betas[i%len(betas)]

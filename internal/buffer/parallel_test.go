@@ -32,7 +32,7 @@ func TestOFDMSweepParallelIdentical(t *testing.T) {
 	for _, grid := range grids {
 		// Large enough that pool.GridWorkers starts a second worker (a
 		// smaller grid runs inline and would pass vacuously).
-		if nw := pool.GridWorkers(len(grid.betas)*len(grid.ns), 8); nw < 2 {
+		if nw := pool.GridWorkers(len(grid.betas)*len(grid.ns), 1, 8); nw < 2 {
 			t.Fatalf("a %d×%d grid does not shard", len(grid.betas), len(grid.ns))
 		}
 		want, err := buffer.OFDMSweep(grid.betas, grid.ns, 4, 1)

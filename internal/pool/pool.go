@@ -10,20 +10,16 @@ package pool
 
 import "sync"
 
-// gridPointsPerWorker is the fewest grid points a sweep worker must get
-// before it is worth starting: each worker pays a core.Compile and a pooled
-// Simulator (two of each in buffer.OFDMSweepParallel) before its first
-// point. Measured on the 2-core box (go1.24, -cpu 2) over uniform subsets
-// of the bench OFDM grid (β 1..16 × N 32..512), width 1 against width 2,
-// min–max over 5–10 passes in each of two to four sessions. tpdf.Sweep:
-// 8 points 106–120 vs 115–144 µs (loses); 16 points 174–244 vs 130–214
-// (ranges overlap in three sessions of four); 20 points 204–280 vs 154–213
-// (disjoint); 24 points 240–292 vs 175–245 in 15 passes of 17.
-// buffer.OFDMSweepParallel: 16 points 367–516 vs 299–476 and 20 points
-// 429–564 vs 321–459 (overlap); 24 points 558–716 vs 375–493 (disjoint).
-// 24 points is the first grid on which a second worker beat the spread for
-// both callers: 12 each. ≥ 4 cores: unverified.
-const gridPointsPerWorker = 12
+// gridRunsPerWorker is the fewest simulated iterations — grid points ×
+// iterations per point — a sweep worker must get before it is worth
+// starting: each worker pays a core.Compile and a pooled Simulator (two of
+// each in buffer.OFDMSweepParallel), ≈ 50 µs, before its first point.
+// Calibrated on the 2-core box on OFDM points, which cost ≈ 12 µs + 2 µs
+// per iteration: at 1 iteration width 2 first beats width 1 beyond the
+// run-to-run spread on 24 points, at 16 and 100 iterations it does on every
+// grid of 4 to 23 points (×1.5–1.9 from 8 up). ROADMAP's keep/delete table
+// (direction 4) has the numbers; ≥ 4 cores: unverified.
+const gridRunsPerWorker = 12
 
 // workers clamps the requested parallelism to the number of items:
 // anything below 2 means sequential.
@@ -31,11 +27,16 @@ func workers(n, parallel int) int {
 	return max(1, min(n, parallel))
 }
 
-// GridWorkers is the worker count of a grid shard over n points: the
-// requested parallelism, lowered until every worker has at least
-// gridPointsPerWorker points (so a grid below twice that runs inline).
-func GridWorkers(n, parallel int) int {
-	return workers(n, min(parallel, n/gridPointsPerWorker))
+// GridWorkers is the worker count of a grid shard over n points simulated
+// for the given iterations each (below 1 counts as 1): the requested
+// parallelism, lowered until every worker has at least gridRunsPerWorker
+// point-iterations, so a small grid of cheap points runs inline and one of
+// long runs still shards.
+func GridWorkers(n int, iterations int64, parallel int) int {
+	if iterations < gridRunsPerWorker { // else any one point pays for a worker
+		parallel = min(parallel, n*int(max(1, iterations))/gridRunsPerWorker)
+	}
+	return workers(n, parallel)
 }
 
 // Run invokes fn(i) for every i in [0, n), using up to parallel concurrent

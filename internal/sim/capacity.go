@@ -13,6 +13,12 @@ import (
 // always sufficient). The result is a per-edge buffer allocation in tokens;
 // its sum is the minimum-buffer metric the Fig. 8 experiment compares.
 //
+// A reported 0 means the run put no token on that edge (the branch a mode
+// rejects): it needs no buffer, and it is not a capacity — SetCapacities
+// with a literal 0 there blocks a select-duplicate producer, whose room
+// check covers every output it might select. Leave such an edge unbounded
+// (-1), as the search's own probes do.
+//
 // Per-edge binary search against a token-accurate run is exact for the
 // monotone property "capacity c suffices given the other capacities";
 // jointly shrinking several edges below their individual minima could in
@@ -62,10 +68,10 @@ func MinimalCapacitiesRef(cfg Config) ([]int64, *Result, error) {
 
 	// feasible(ei, c) runs the bounded configuration — current caps with
 	// edge ei tried at c — and compares per-node firing counts with the
-	// unbounded reference. An edge the reference never put a token on (the
-	// branch a mode rejects) reports capacity 0 but is probed unbounded:
-	// the room check is conservative for select-duplicate outputs, so at 0
-	// it refuses every probe and the search returns the high-water marks.
+	// unbounded reference. An edge the reference never put a token on
+	// reports 0 and is probed unbounded (see MinimalCapacities): at 0 it
+	// would refuse every probe and the search would return the high-water
+	// marks.
 	feasible := func(ei int, c int64) (bool, error) {
 		for i, hw := range ref.HighWater {
 			trial[i] = caps[i]

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -138,5 +139,17 @@ func TestMinimalCapacitiesOFDMMatchesPaper(t *testing.T) {
 	}
 	if want := apps.PaperTPDFBuffer(params); total != want {
 		t.Errorf("minimal total capacity = %d, want paper %d", total, want)
+	}
+	// The allocation is per iteration, so a longer run needs no more. The
+	// rejected demapping branch's edge never carries a token: probed at 0 it
+	// blocked the select-duplicate, every probe failed and a 4-iteration
+	// search returned four iterations' high-water marks.
+	cfg.Iterations = 4
+	long, err := sim.MinimalCapacities(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(long, caps) {
+		t.Errorf("minimal capacities over 4 iterations = %v, want the 1-iteration %v", long, caps)
 	}
 }

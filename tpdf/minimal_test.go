@@ -65,12 +65,17 @@ func TestMinimalCapacitiesAreMinimal(t *testing.T) {
 				}
 				return slices.Equal(res.Firings, want)
 			}
-			// An edge the reference never put a token on reports 0 and is
-			// not a buffer: MinimalBuffers leaves it unbounded in its probes
-			// (the simulator's room check would block a select-duplicate on
-			// it), and so does this check.
+			// The documented reading of the vector: 0 is reported for exactly
+			// the edges that carried no token, which are not buffers and stay
+			// unbounded (the simulator's room check would block a
+			// select-duplicate on them at 0); everything else is applied
+			// literally.
 			for ei, c := range caps {
-				if trial[ei] = c; ref.HighWater[ei] == 0 {
+				if (c == 0) != (ref.HighWater[ei] == 0) {
+					t.Errorf("%s ×%d: edge %s reports %d, its high-water mark is %d",
+						sub.name, iters, sub.graph.Edges[ei].Name, c, ref.HighWater[ei])
+				}
+				if trial[ei] = c; c == 0 {
 					trial[ei] = -1
 				}
 			}

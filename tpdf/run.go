@@ -206,7 +206,9 @@ func GenerateCode(g *Graph, opts ...Option) (string, error) {
 // MinimalBuffers searches the smallest per-edge capacities under which the
 // configured run still completes (deadlock-free), a per-edge refinement of
 // Report.BufferBound: one bisection per edge against a pooled simulator, on
-// the caller's goroutine. Options as for Simulate.
+// the caller's goroutine. An edge reported as 0 carried no token in the run
+// (the branch a mode rejects): it needs no buffer, which is not the same as
+// a channel bounded at 0 — leave it unbounded. Options as for Simulate.
 func MinimalBuffers(g *Graph, opts ...Option) ([]int64, error) {
 	cfg := buildConfig(opts)
 	return sim.MinimalCapacities(sim.Config{

@@ -84,9 +84,10 @@ func Grid(axes map[string][]int64) ([]map[string]int64, error) {
 
 // Sweep simulates the graph at every parameter valuation of the grid and
 // returns one point per valuation, in grid order. WithParallelism shards
-// the grid across a bounded worker pool once it is large enough to pay for
-// a second worker (pool.GridWorkers); results are written by grid
-// index, so the output is identical whatever the worker count. Each
+// the grid across a bounded worker pool once points × WithIterations is
+// large enough to pay for a second worker (pool.GridWorkers); results are
+// written by grid index, so the output is identical whatever the worker
+// count. Each
 // valuation is merged over the WithParams baseline (grid entries win).
 // WithContext cancels a running sweep: remaining grid points are abandoned
 // and the context's error is returned. Other options as for Simulate.
@@ -107,8 +108,8 @@ func Sweep(g *Graph, grid []map[string]int64, opts ...Option) ([]SweepPoint, err
 		return out, nil
 	}
 	// A worker's setup compiles the graph once; GridWorkers keeps a second
-	// worker out until the grid is large enough to amortize that.
-	nw := pool.GridWorkers(len(grid), cfg.parallel)
+	// worker out until the grid is enough work to amortize that.
+	nw := pool.GridWorkers(len(grid), cfg.iterations, cfg.parallel)
 	progs := make([]*core.Program, nw)
 	sims := make([]*sim.Simulator, nw)
 	env := make([]symb.Env, nw)

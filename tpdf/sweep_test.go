@@ -72,7 +72,7 @@ func TestSweepParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nw := pool.GridWorkers(len(grid), 4); nw != 4 {
+	if nw := pool.GridWorkers(len(grid), 1, 4); nw != 4 {
 		t.Fatalf("a %d-point grid shards over %d workers, want 4", len(grid), nw)
 	}
 	seq, err := tpdf.Sweep(g, grid)
@@ -93,6 +93,21 @@ func TestSweepParallelIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("parallel sweep diverged from sequential")
+	}
+	// A short grid shards as well once its points are long runs.
+	if nw := pool.GridWorkers(8, 16, 2); nw != 2 {
+		t.Fatalf("8 points of 16 iterations shard over %d workers, want 2", nw)
+	}
+	seq, err = tpdf.Sweep(g, grid[:8], tpdf.WithIterations(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err = tpdf.Sweep(g, grid[:8], tpdf.WithIterations(16), tpdf.WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatal("parallel sweep of long runs diverged from sequential")
 	}
 }
 
