@@ -18,9 +18,11 @@
 //     consistency, control areas and rate safety, liveness by cycle
 //     clustering, the Theorem 2 boundedness verdict, and the symbolic
 //     buffer bound — consolidated into one Report;
-//   - Execution comes in three tiers, all configured with the same
-//     functional options (WithParams, WithIterations, WithProcessors,
-//     WithDecisions, WithContext, WithPlatform, ...):
+//   - Execution comes in three tiers sharing one set of functional
+//     options; each entry point reads the options its comment lists
+//     (WithParams, WithIterations and WithContext are read by all three),
+//     and today only Simulate honours WithDecisions — Execute and Stream
+//     fire every actor wait-all (ROADMAP direction 6):
 //     tpdf.Simulate is token-accurate discrete-event execution in virtual
 //     time (firings, completion time, buffer high-water marks);
 //     tpdf.Execute runs the graph at the payload level — user Behaviors
@@ -86,10 +88,10 @@
 //     row's Program, never the committed one's, so a run holds at most 16
 //     stamped Programs (one, if it never changes parameters). A refused
 //     valuation never touches the committed row, and the per-boundary
-//     verdicts (validation hook, injected fault) are asked on hits and
-//     misses alike. The table is per run, not per Skeleton: rows are
-//     single-writer by construction (the engine writes them only while
-//     every context is parked) and first visits are not the cost.
+//     verdict (an injected fault) is asked on hits and misses alike. The
+//     table is per run, not per Skeleton: rows are single-writer by
+//     construction (the engine writes them only while every context is
+//     parked) and first visits are not the cost.
 //     Boundaries whose hook keeps the environment unchanged touch nothing;
 //   - the engine stops the world only where somebody wants to change
 //     something: the boundary hook (tpdf.WithBoundary) answers with a
@@ -97,15 +99,16 @@
 //     those run as one epoch — one dispatch, one barrier wait, one
 //     harvest, one cut (the state between two transactions, taken before
 //     the hook; a run resumed from it asks the hook there again, and the
-//     in-process supervisors remember the verdict) — with an optional Cut
-//     channel that ends the epoch in flight at the next iteration
-//     boundary every context can reach. WithBarrier and WithReconfigure
-//     are that hook with one-iteration verdicts. tpdf-serve answers a pump
-//     of N with Run N, so a pump is one epoch, one durable cut and one
-//     flush, and a session is three goroutines whatever its graph (its
-//     command loop, the one context, the stall watchdog — a Context is
-//     watched through context.AfterFunc, not by a goroutine), plus the
-//     durable writer's when it persists;
+//     one in-process supervisor, tpdf.WithPanicRecovery, remembers the
+//     verdict) — with an optional Cut channel that ends the epoch in
+//     flight at the next iteration boundary every context can reach.
+//     WithBarrier and WithReconfigure are that hook with one-iteration
+//     verdicts. tpdf-serve answers a pump of N with Run N, so a pump is
+//     one epoch, one durable cut and one flush, and a session is three
+//     goroutines whatever its graph (its command loop, the one context,
+//     the stall watchdog — a Context is watched through
+//     context.AfterFunc, not by a goroutine), plus the durable writer's
+//     when it persists;
 //   - what executing the schedule bought, rung by rung (bench/run.sh
 //     --trace 1, goroutine-per-actor parent → one context on one 2-core
 //     box, seeds 1–3, wall-clock at machine.speed 0.6–1.0):

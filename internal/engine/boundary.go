@@ -386,9 +386,9 @@ func (e *engine) commit(r *row) {
 
 // reconfigure moves the run to env's row at a quiescent transaction
 // boundary and reports whether the row had to be built. What a row caches is
-// a pure function of (valuation, occupancy); the verdicts about *this*
-// boundary — an injected fault, the user validation hook — are asked at
-// every boundary, hit or miss, after the row exists and before the commit.
+// a pure function of (valuation, occupancy); the verdict about *this*
+// boundary — an injected fault — is asked at every boundary, hit or miss,
+// after the row exists and before the commit.
 // Every refusal wraps ErrRebindAborted and leaves the committed row as it
 // was.
 func (e *engine) reconfigure(env symb.Env, completed int64) (built bool, _ error) {
@@ -404,11 +404,6 @@ func (e *engine) reconfigure(env symb.Env, completed int64) (built bool, _ error
 	}
 	if e.faults.RebindFault(completed) {
 		return built, fmt.Errorf("%w: injected validation failure at iteration %d", ErrRebindAborted, completed)
-	}
-	if v := e.cfg.ValidateRebind; v != nil {
-		if verr := v(map[string]int64(env)); verr != nil {
-			return built, fmt.Errorf("%w: %v", ErrRebindAborted, verr)
-		}
 	}
 	e.commit(r)
 	return built, nil

@@ -3,12 +3,10 @@ package engine
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/runner"
 )
 
 // ErrRebindAborted reports a reconfiguration rejected at a transaction
-// boundary: the rebind (or its validation hook) failed before anything was
+// boundary: the rebind (or an injected fault) failed before anything was
 // committed, so the run is still on the pre-boundary valuation's row instead
 // of poisoned. Errors returned by reconfigure wrap it; test with errors.Is.
 var ErrRebindAborted = errors.New("engine: rebind aborted")
@@ -105,24 +103,6 @@ func (ck *Checkpoint) CopyInto(dst *Checkpoint) {
 		dst.Edges[i] = append(dst.Edges[i][:0], vals...)
 	}
 	dst.User = ck.User
-}
-
-// Result renders the checkpoint as the runner.Result a run drained at the
-// capture barrier would have produced — what a supervised session reports
-// when it is closed while holding only a checkpoint.
-func (ck *Checkpoint) Result() *runner.Result {
-	res := &runner.Result{Firings: map[string]int64{}, Remaining: map[string][]any{}}
-	for i, n := range ck.Nodes {
-		if ck.Fired[i] > 0 {
-			res.Firings[n] = ck.Fired[i]
-		}
-	}
-	for i, name := range ck.EdgeNames {
-		if len(ck.Edges[i]) > 0 {
-			res.Remaining[name] = append([]any(nil), ck.Edges[i]...)
-		}
-	}
-	return res
 }
 
 // newCheckpointArena preallocates the engine's capture arena sized for the

@@ -328,14 +328,14 @@ func waitGoroutines(t *testing.T, baseline int) {
 	}
 }
 
+// TestRebindAbortValidation: a rebind refused at its boundary (an injected
+// KindRebindAbort at completed=1) ends the run without a handler and is
+// absorbed with one, the iteration running under the committed valuation.
 func TestRebindAbortValidation(t *testing.T) {
 	g := reconfGraph(t)
-	plan := []int64{2, 7, 3, 4} // p=7 will be rejected
-	validate := func(params map[string]int64) error {
-		if params["p"] > 6 {
-			return fmt.Errorf("p=%d exceeds policy", params["p"])
-		}
-		return nil
+	plan := []int64{2, 7, 3, 4} // p=7, at completed=1, will be rejected
+	refuse := func() *faultinject.Plan {
+		return faultinject.New(faultinject.Fault{Kind: faultinject.KindRebindAbort, K: 1})
 	}
 
 	t.Run("fatal without handler", func(t *testing.T) {
@@ -344,7 +344,7 @@ func TestRebindAbortValidation(t *testing.T) {
 			Reconfigure: func(completed int64) map[string]int64 {
 				return map[string]int64{"p": plan[completed]}
 			},
-			ValidateRebind: validate,
+			Faults: refuse(),
 		})
 		if !errors.Is(err, ErrRebindAborted) {
 			t.Fatalf("got %v, want ErrRebindAborted", err)
@@ -365,8 +365,8 @@ func TestRebindAbortValidation(t *testing.T) {
 			Reconfigure: func(completed int64) map[string]int64 {
 				return map[string]int64{"p": plan[completed]}
 			},
-			ValidateRebind: validate,
-			OnRebindAbort:  func(err error) { abortErrs = append(abortErrs, err) },
+			Faults:        refuse(),
+			OnRebindAbort: func(err error) { abortErrs = append(abortErrs, err) },
 		})
 		if err != nil {
 			t.Fatal(err)

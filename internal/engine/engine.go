@@ -177,11 +177,6 @@ type Config struct {
 	// output is byte-identical to an uninterrupted run of the same length
 	// whenever the hook answers at c what it answered there before.
 	Resume *Checkpoint
-	// ValidateRebind, when set, is consulted at every boundary that changes
-	// parameters, after the new valuation's row exists but before it takes
-	// effect; returning an error aborts the reconfiguration
-	// (ErrRebindAborted) and the run stays on the previous valuation's row.
-	ValidateRebind func(params map[string]int64) error
 	// OnRebindAbort, when set, makes rebind aborts non-fatal: the abort is
 	// reported through it and the run continues under the previous
 	// valuation. When nil, an aborted rebind ends the run with the error.

@@ -268,16 +268,16 @@ func refusalGraph(t *testing.T) *core.Graph {
 
 // TestRefusedValuationLeavesActiveRow: with the table full (more valuations
 // visited than it holds), every way a valuation can be refused — parameter
-// out of range, non-integer rate, no bounded schedule, the validation hook,
-// an injected fault — is attempted twice in a row (for the last two: once
-// building the row, once hitting it), then followed by valid rebinds, one to
-// an evicted valuation and one to a resident one. The run must be
-// byte-identical to one whose hook never made the refused attempts.
+// out of range, non-integer rate, no bounded schedule, an injected fault —
+// is attempted twice in a row (for the fault: once building the row, once
+// hitting it — or hitting a resident row twice), then followed by valid
+// rebinds, one to an evicted valuation and one to a resident one. The run
+// must be byte-identical to one whose hook never made the refused attempts.
 func TestRefusedValuationLeavesActiveRow(t *testing.T) {
 	g := refusalGraph(t)
 	type step struct {
 		params map[string]int64
-		refuse string // "", "rebind", "validate", "fault"
+		refuse string // "", "rebind", "fault"
 	}
 	var plan []step
 	for p := int64(1); p <= maxRows+4; p++ { // fill the table and evict past it
@@ -287,8 +287,8 @@ func TestRefusedValuationLeavesActiveRow(t *testing.T) {
 		{map[string]int64{"p": 41}, "rebind"},
 		{map[string]int64{"h": 3}, "rebind"},
 		{map[string]int64{"c": 3}, "rebind"},
-		{map[string]int64{"p": 30}, "validate"}, // never visited: built, then hit
-		{map[string]int64{"p": 19}, "validate"}, // resident: hit both times
+		{map[string]int64{"p": 30}, "fault"}, // never visited: built, then hit
+		{map[string]int64{"p": 19}, "fault"}, // resident: hit both times
 		{map[string]int64{"p": 31}, "fault"},
 		{map[string]int64{"p": 18}, "fault"},
 	} {
@@ -320,18 +320,12 @@ func TestRefusedValuationLeavesActiveRow(t *testing.T) {
 				aborts++
 			},
 		}
-		validateAt := map[int64]bool{}
 		for at, s := range plan {
-			switch {
-			case s.refuse == "validate":
-				validateAt[int64(at)] = true
-			case s.refuse == "fault" && attempt:
+			if s.refuse == "fault" && attempt {
 				faults = append(faults, faultinject.Fault{Kind: faultinject.KindRebindAbort, K: int64(at)})
 			}
 		}
-		var at int64
 		cfg.Boundary = func(completed int64) Verdict {
-			at = completed
 			s := plan[completed]
 			if s.refuse != "" && !attempt {
 				return Verdict{Run: 1}
@@ -339,12 +333,6 @@ func TestRefusedValuationLeavesActiveRow(t *testing.T) {
 			return Verdict{Params: s.params, Run: 1}
 		}
 		if attempt {
-			cfg.ValidateRebind = func(map[string]int64) error {
-				if validateAt[at] {
-					return fmt.Errorf("not at boundary %d", at)
-				}
-				return nil
-			}
 			cfg.Faults = faultinject.New(faults...)
 		}
 		res, err := Run(cfg)

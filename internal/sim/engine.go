@@ -247,26 +247,6 @@ func (s *Simulator) SetIterations(n int64) {
 	}
 }
 
-// SetRates installs a new repetition vector (indexed by csdf actor, as a
-// Solution.Q is) after the underlying rate tables were overwritten in
-// place, recomputing every node's firing limit. The rate slices themselves
-// are aliased, not copied, so callers that mutate them (core.Program.Rebind
-// does) need only this call plus Reset to run the new valuation.
-func (s *Simulator) SetRates(q []int64) error {
-	if len(q) != len(s.cg.Actors) {
-		return fmt.Errorf("sim: %d repetition entries for %d actors", len(q), len(s.cg.Actors))
-	}
-	iters := s.cfg.Iterations
-	if iters <= 0 {
-		iters = 1
-	}
-	for i := range s.nodes {
-		s.q[i] = q[s.low.ActorOf[i]]
-		s.nodes[i].limit = iters * s.q[i]
-	}
-	return nil
-}
-
 // BindProgram refreshes the simulator after prog.Rebind moved the bound
 // program to a new valuation: the rate tables already alias the program's
 // concrete graph, so only the repetition vector (firing limits) needs
@@ -281,8 +261,13 @@ func (s *Simulator) BindProgram(prog *core.Program) error {
 	if !prog.Bound() {
 		return fmt.Errorf("sim: program is unbound (its last Rebind failed); rebind before running")
 	}
-	if err := s.SetRates(prog.Solution().Q); err != nil {
-		return err
+	// The rate slices alias the program's concrete graph, which Rebind
+	// overwrote in place; only the firing limits are read anew.
+	q := prog.Solution().Q
+	iters := max(s.cfg.Iterations, 1)
+	for i := range s.nodes {
+		s.q[i] = q[s.low.ActorOf[i]]
+		s.nodes[i].limit = iters * s.q[i]
 	}
 	s.Reset()
 	return nil

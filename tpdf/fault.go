@@ -19,8 +19,7 @@ type (
 	// Checkpoint is a consistent cut of a Stream run captured at a
 	// quiescent transaction barrier: firing counters, ring contents in
 	// FIFO order, the active parameter valuation, and optional user state.
-	// Feed it back with WithResume to continue the run, or render it with
-	// Checkpoint.Result.
+	// Feed it back with WithResume to continue the run.
 	Checkpoint = engine.Checkpoint
 
 	// BehaviorPanicError reports a behavior panic converted into a
@@ -30,9 +29,10 @@ type (
 )
 
 // ErrRebindAborted reports a reconfiguration rejected at a transaction
-// boundary: the rebind (or a WithRebindValidation hook) failed before
-// anything was committed, so the run is still on the pre-boundary
-// valuation. Errors wrap it; test with errors.Is.
+// boundary: the rebind (out of range, non-integer rate, no bounded
+// schedule — or an injected WithFaultPlan fault) failed before anything was
+// committed, so the run is still on the pre-boundary valuation. Errors wrap
+// it; test with errors.Is.
 var ErrRebindAborted = engine.ErrRebindAborted
 
 // WithCheckpoints arms barrier checkpointing on Stream: a consistent cut
@@ -94,19 +94,8 @@ func WithPanicRecovery(retries int) Option {
 	return func(c *config) { c.panicRetries = retries }
 }
 
-// WithRebindValidation installs a predicate over proposed valuations:
-// at each transaction boundary the hook sees the post-rebind environment
-// (after Theorem 2's boundedness check has passed) and may reject it by
-// returning an error. A rejection aborts the rebind — nothing was committed
-// yet, the run stays on the pre-boundary valuation — and surfaces as an
-// error wrapping ErrRebindAborted, fatal to the run unless
-// WithRebindAbortHandler is also set.
-func WithRebindValidation(fn func(params map[string]int64) error) Option {
-	return func(c *config) { c.validateRebind = fn }
-}
-
 // WithRebindAbortHandler makes aborted rebinds non-fatal: when a
-// reconfiguration is rejected (unbounded schedule, failed validation, or
+// reconfiguration is rejected (unbounded schedule, out-of-range value, or
 // an injected fault), fn receives the error wrapping ErrRebindAborted and
 // the run continues under the previous valuation, which it never left — the
 // proposed change is discarded, not the session.

@@ -214,9 +214,10 @@ func TestBuiltinCrashRestartResume(t *testing.T) {
 	}
 }
 
-// TestRebindValidationFacade checks the tpdf-level speculative-rebind
-// surface: a validation predicate rejecting a valuation aborts the rebind
-// with ErrRebindAborted (fatal without a handler, absorbed with one).
+// TestRebindValidationFacade checks the tpdf-level rebind-abort surface: a
+// rebind refused at the boundary (here an injected KindRebindAbort at the
+// first parameter change) aborts with ErrRebindAborted — fatal without a
+// handler, absorbed with one.
 func TestRebindValidationFacade(t *testing.T) {
 	g, err := tpdf.Builtin("ofdm")
 	if err != nil {
@@ -227,15 +228,15 @@ func TestRebindValidationFacade(t *testing.T) {
 	if reconf == nil {
 		t.Fatal("ofdm should have bounded params")
 	}
-	reject := func(params map[string]int64) error {
-		return errors.New("rejected by policy")
+	refuseFirst := func() tpdf.Option {
+		return tpdf.WithFaultPlan(faultinject.New(faultinject.Fault{Kind: faultinject.KindRebindAbort}))
 	}
 
 	rec := sinkrec.New(sinks)
 	_, err = tpdf.Stream(g, rec.Behaviors(),
 		tpdf.WithIterations(8),
 		tpdf.WithReconfigure(reconf),
-		tpdf.WithRebindValidation(reject))
+		refuseFirst())
 	if !errors.Is(err, tpdf.ErrRebindAborted) {
 		t.Fatalf("want ErrRebindAborted, got %v", err)
 	}
@@ -245,7 +246,7 @@ func TestRebindValidationFacade(t *testing.T) {
 	if _, err := tpdf.Stream(g, rec.Behaviors(),
 		tpdf.WithIterations(8),
 		tpdf.WithReconfigure(reconf),
-		tpdf.WithRebindValidation(reject),
+		refuseFirst(),
 		tpdf.WithRebindAbortHandler(func(err error) {
 			if !errors.Is(err, tpdf.ErrRebindAborted) {
 				t.Errorf("handler got %v", err)
@@ -254,8 +255,8 @@ func TestRebindValidationFacade(t *testing.T) {
 		})); err != nil {
 		t.Fatalf("run with abort handler: %v", err)
 	}
-	if aborts == 0 {
-		t.Fatal("validation never fired")
+	if aborts != 1 {
+		t.Fatalf("%d aborts, want the one injected", aborts)
 	}
 }
 

@@ -61,7 +61,6 @@ type config struct {
 	persister       *Persister
 	resume          *Checkpoint
 	panicRetries    int
-	validateRebind  func(map[string]int64) error
 	onRebindAbort   func(error)
 	snapshotUser    func() any
 	restoreUser     func(any)

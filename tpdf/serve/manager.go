@@ -68,13 +68,10 @@ type Config struct {
 	DrainTimeout time.Duration
 	// MaxRestarts bounds per-session engine restarts after behavior
 	// panics (default 3; negative disables recovery — the first panic
-	// fails the session).
+	// fails the session). Each restart resumes at once from the newest cut
+	// (tpdf.WithPanicRecovery); the session fails on the panic past the
+	// budget.
 	MaxRestarts int
-	// RestartBackoff is the supervisor's initial restart delay (default
-	// 10ms), doubled per consecutive attempt up to RestartMaxBackoff
-	// (default 640ms), with deterministic per-session jitter.
-	RestartBackoff    time.Duration
-	RestartMaxBackoff time.Duration
 	// EnableChaos accepts ChaosSpec fault-injection requests at session
 	// open (the tpdf-serve -chaos flag). Off by default: a production
 	// server refuses injected faults.
@@ -121,30 +118,10 @@ func (c Config) withDefaults() Config {
 	if c.MaxRestarts == 0 {
 		c.MaxRestarts = 3
 	}
-	if c.RestartBackoff <= 0 {
-		c.RestartBackoff = 10 * time.Millisecond
-	}
-	if c.RestartMaxBackoff <= 0 {
-		c.RestartMaxBackoff = 640 * time.Millisecond
-	}
 	if c.KeepSnapshots <= 0 {
 		c.KeepSnapshots = 3
 	}
 	return c
-}
-
-// policy renders the restart knobs for sessions (negative MaxRestarts
-// means no recovery).
-func (c Config) policy() restartPolicy {
-	p := restartPolicy{
-		maxRestarts: c.MaxRestarts,
-		backoff:     c.RestartBackoff,
-		maxBackoff:  c.RestartMaxBackoff,
-	}
-	if p.maxRestarts < 0 {
-		p.maxRestarts = 0
-	}
-	return p
 }
 
 // Stats is the service-level counter snapshot exposed by /v1/stats.
@@ -169,9 +146,6 @@ type Stats struct {
 	Panics       int64 `json:"panics"`
 	Restarts     int64 `json:"restarts"`
 	RebindAborts int64 `json:"rebind_aborts"`
-	// Recovering counts open sessions currently between engine
-	// incarnations (crashed, waiting out the restart backoff).
-	Recovering int `json:"recovering"`
 	// Durable reports snapshot-store activity; nil when the server runs
 	// without -data-dir.
 	Durable *DurableStats `json:"durable,omitempty"`
@@ -478,7 +452,7 @@ func (m *Manager) start(id, tenant string, g *tpdf.Graph, params map[string]int6
 	if id == "" {
 		id = "s" + strconv.FormatInt(m.nextID.Add(1), 10)
 	}
-	return newSession(id, tenant, compiled, params, chaos, m.cfg.policy(), &m.fleet, m.durableEnv(), resume)
+	return newSession(id, tenant, compiled, params, chaos, max(m.cfg.MaxRestarts, 0), &m.fleet, m.durableEnv(), resume)
 }
 
 // Draining reports whether the manager has begun shutting down: new
@@ -727,12 +701,8 @@ func (m *Manager) Stats() Stats {
 	n := len(m.sessions)
 	t := len(m.perTenant)
 	var live int64
-	recovering := 0
 	for _, s := range m.sessions {
 		live += s.Completed()
-		if s.State() == StateRecovering {
-			recovering++
-		}
 	}
 	m.mu.Unlock()
 	var dur *DurableStats
@@ -760,7 +730,6 @@ func (m *Manager) Stats() Stats {
 		Panics:         m.fleet.panics.Load(),
 		Restarts:       m.fleet.restarts.Load(),
 		RebindAborts:   m.fleet.rebindAborts.Load(),
-		Recovering:     recovering,
 		Durable:        dur,
 		Recovery:       rec,
 	}

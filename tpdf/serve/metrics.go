@@ -122,8 +122,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Int("tpdf_serve_fault_events_total", []obs.Label{{Key: "event", Value: "panic"}}, st.Panics)
 	p.Int("tpdf_serve_fault_events_total", []obs.Label{{Key: "event", Value: "restart"}}, st.Restarts)
 	p.Int("tpdf_serve_fault_events_total", []obs.Label{{Key: "event", Value: "rebind_abort"}}, st.RebindAborts)
-	p.Family("tpdf_serve_sessions_recovering", "Open sessions between engine incarnations (restart backoff).", "gauge")
-	p.Int("tpdf_serve_sessions_recovering", nil, int64(st.Recovering))
 
 	p.Family("tpdf_serve_rejected_total", "Requests refused by admission control.", "counter")
 	p.Int("tpdf_serve_rejected_total", []obs.Label{{Key: "reason", Value: "busy"}}, st.RejectedBusy)

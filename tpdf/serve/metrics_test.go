@@ -274,7 +274,7 @@ func sessionSeries(t *testing.T, text, id string) map[string]float64 {
 // incarnation's, so aborts, barriers and per-actor firings never go
 // backwards, and every restart shows up as one restore.
 func TestMetricsSurviveSupervisorRestart(t *testing.T) {
-	_, ts := testServer(t, Config{EnableChaos: true, RestartBackoff: time.Millisecond, RestartMaxBackoff: 8 * time.Millisecond})
+	_, ts := testServer(t, Config{EnableChaos: true})
 
 	var opened openResponse
 	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", openRequest{

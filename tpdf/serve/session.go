@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/tpdf"
@@ -26,12 +24,9 @@ const maxSessionIterations = int64(1) << 62
 type SessionState int32
 
 const (
-	// StateRunning: the engine is live (parked at a barrier or pumping).
+	// StateRunning: the engine is live (parked at a barrier, pumping, or
+	// restarting from the newest cut after a behavior panic).
 	StateRunning SessionState = iota
-	// StateRecovering: the engine crashed on a behavior panic and the
-	// supervisor is backing off before restarting it from the last barrier
-	// checkpoint. Client commands queue transparently meanwhile.
-	StateRecovering
 	// StateFailed: the engine is gone for good — restart budget exhausted,
 	// a non-recoverable error, or hard cancellation. Commands answer the
 	// run error.
@@ -44,8 +39,6 @@ func (s SessionState) String() string {
 	switch s {
 	case StateRunning:
 		return "running"
-	case StateRecovering:
-		return "recovering"
 	case StateFailed:
 		return "failed"
 	case StateDrained:
@@ -53,13 +46,6 @@ func (s SessionState) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// restartPolicy is the supervisor's restart budget, derived from Config.
-type restartPolicy struct {
-	maxRestarts int
-	backoff     time.Duration
-	maxBackoff  time.Duration
 }
 
 // fleetCounters aggregates fault-tolerance events across the fleet; the
@@ -103,15 +89,14 @@ type pumpAck struct {
 // flushed into the final result) or hard cancellation after the drain
 // deadline.
 //
-// The session is supervised: the engine checkpoints on entering every
-// boundary its hook is consulted at (the boundaries between pumps), a
-// behavior panic tears down only the in-flight epoch — the pump — and the
-// supervisor restarts the engine from the last checkpoint, where the hook is
-// asked again and re-issues the pump it still holds (bounded retries,
-// exponential backoff with deterministic jitter). A panic in one
-// session never touches the process or any other session — the engine
-// recovers it on the goroutine that fired the actor and returns it as an
-// error value.
+// The session is supervised by tpdf.Stream itself (WithPanicRecovery): the
+// engine checkpoints on entering every boundary its hook is consulted at
+// (the boundaries between pumps), a behavior panic tears down only the
+// in-flight epoch — the pump — and Stream restarts the engine from the
+// newest cut, answering the boundary it restarts at with the pump's verdict
+// again, up to Config.MaxRestarts times. A panic in one session never
+// touches the process or any other session — the engine recovers it on the
+// goroutine that fired the actor and returns it as an error value.
 type Session struct {
 	ID     string
 	Tenant string
@@ -140,31 +125,26 @@ type Session struct {
 
 	// Supervision state. The barrier-hook fields (pumpEnd — the completed
 	// count the pump in flight ends at — pumpReply, non-nil exactly while
-	// a pump is in flight, pumpParams — the pump's overrides, until it ends
-	// or they are refused — and pumpPending) live on the session rather
-	// than in a closure so an in-flight pump survives an engine restart:
-	// the hook runs on the supervisor goroutine (tpdf.Stream is
-	// synchronous), so one goroutine owns them across engine incarnations.
+	// a pump is in flight, and pumpPending, the overrides staged for the
+	// next pump) are owned by the run goroutine: tpdf.Stream calls the hook
+	// synchronously, so no other goroutine touches them.
 	state        atomic.Int32
 	restarts     atomic.Int64
 	panics       atomic.Int64
 	rebindAborts atomic.Int64
-	policy       restartPolicy
+	maxRestarts  int
 	fleet        *fleetCounters
 	faults       *faultinject.Plan
 	pumpEnd      int64
 	pumpReply    chan pumpAck
-	pumpParams   map[string]int64
 	pumpPending  map[string]int64
 
-	// ckptArena holds the newest barrier checkpoint (the engine's sink
-	// copies into it at every capture, cold-start recovery seeds it from the
-	// durable snapshot); snapSinks is the matching sink counter snapshot
-	// riding in Checkpoint.User. ckptOK arms WithResume: an engine
-	// incarnation starts from the arena whenever it holds a cut.
-	ckptArena *tpdf.Checkpoint
+	// resume is the durable snapshot a cold-start recovered session starts
+	// from; the first restore clears it, so only later ones count as
+	// restarts. snapSinks is the sink counter snapshot riding in
+	// Checkpoint.User.
+	resume    *tpdf.Checkpoint
 	snapSinks []int64
-	ckptOK    bool
 
 	// persister streams the checkpoints to the durable snapshot store (nil
 	// when the server runs without -data-dir).
@@ -186,31 +166,30 @@ type durableEnv struct {
 	counters *durableCounters
 }
 
-// newSession stamps and starts a session. The supervisor goroutine runs
-// engine incarnations until drain, failure or hard cancellation; the
-// engine parks (zero CPU) whenever no command is pending. A non-nil dur
-// arms durable checkpoint persistence; a non-nil resume seeds the session
-// from a durable snapshot's checkpoint — the first engine incarnation
-// resumes there instead of starting fresh.
+// newSession stamps and starts a session. Its goroutine runs the engine
+// until drain, failure or hard cancellation; the engine parks (zero CPU)
+// whenever no command is pending. A non-nil dur arms durable checkpoint
+// persistence; a non-nil resume seeds the session from a durable
+// snapshot's checkpoint — the engine resumes there instead of starting
+// fresh.
 func newSession(id, tenant string, compiled *tpdf.CompiledGraph, params map[string]int64,
-	chaos *ChaosSpec, policy restartPolicy, fleet *fleetCounters,
+	chaos *ChaosSpec, maxRestarts int, fleet *fleetCounters,
 	dur *durableEnv, resume *tpdf.Checkpoint) (*Session, error) {
 	hardCtx, hardCancel := context.WithCancel(context.Background())
 	s := &Session{
-		ID:         id,
-		Tenant:     tenant,
-		compiled:   compiled,
-		params:     params,
-		cmds:       make(chan sessCmd),
-		soft:       make(chan struct{}),
-		hardCtx:    hardCtx,
-		hardCancel: hardCancel,
-		done:       make(chan struct{}),
-		policy:     policy,
-		fleet:      fleet,
-		ckptArena:  &tpdf.Checkpoint{},
-		metrics:    obs.NewRegistry(),
-		journal:    obs.NewJournal(256),
+		ID:          id,
+		Tenant:      tenant,
+		compiled:    compiled,
+		params:      params,
+		cmds:        make(chan sessCmd),
+		soft:        make(chan struct{}),
+		hardCtx:     hardCtx,
+		hardCancel:  hardCancel,
+		done:        make(chan struct{}),
+		maxRestarts: maxRestarts,
+		fleet:       fleet,
+		metrics:     obs.NewRegistry(),
+		journal:     obs.NewJournal(256),
 	}
 	g := compiled.Graph()
 	out := make([]bool, len(g.Nodes))
@@ -235,8 +214,7 @@ func newSession(id, tenant string, compiled *tpdf.CompiledGraph, params map[stri
 			return nil, fmt.Errorf("serve: session %s: snapshot user state %v is not one counter per sink of graph %q (%d)",
 				id, resume.User, g.Name, len(s.sinkNames))
 		}
-		resume.CopyInto(s.ckptArena)
-		s.ckptOK = true
+		s.resume = resume
 		s.completed.Store(resume.Completed)
 		// Seed the sink counters from the snapshot so stats are correct
 		// before the engine's own RestoreUser runs at resume.
@@ -293,18 +271,11 @@ func (s *Session) behaviors() map[string]tpdf.Behavior {
 	return b
 }
 
-// keepCheckpoint is the session's CheckpointSink: copy the engine's arena
-// into the session's (slice-reusing, so warm captures stay allocation
-// free) and mark resume as possible.
-func (s *Session) keepCheckpoint(ck *tpdf.Checkpoint) {
-	ck.CopyInto(s.ckptArena)
-	s.ckptOK = true
-}
-
 // snapshotSinks / restoreSinks carry the sink counters inside each
 // checkpoint, so a restart discards exactly the tokens of the aborted
 // transaction. The snapshot slice is reused: only the newest checkpoint is
-// ever restored, and arena and slice are rewritten at the same barrier.
+// ever restored, and Stream's copy of the cut and the slice are rewritten
+// at the same barrier.
 func (s *Session) snapshotSinks() any {
 	for i := range s.sinkTokens {
 		s.snapSinks[i] = s.sinkTokens[i].Load()
@@ -319,21 +290,39 @@ func (s *Session) restoreSinks(u any) {
 	}
 }
 
+// restore is the session's WithUserState restore callback. The engine runs
+// it exactly at each resumed start: a cold-start recovered session's first
+// one is its durable snapshot, every other one is Stream restarting the
+// engine after a behavior panic — one panic and one restart, counted here.
+func (s *Session) restore(u any) {
+	s.restoreSinks(u)
+	if s.resume != nil {
+		s.resume = nil
+		return
+	}
+	s.countPanic()
+	s.restarts.Add(1)
+	s.fleet.restarts.Add(1)
+}
+
+func (s *Session) countPanic() {
+	s.panics.Add(1)
+	s.fleet.panics.Add(1)
+}
+
 // onRebindAbort makes rejected reconfigurations non-fatal: the engine never
 // left the previous valuation; the session and fleet count the event (the
-// engine already journaled it) and the pump forgets the refused overrides,
-// so a restart inside it does not propose them a second time.
+// engine already journaled it).
 func (s *Session) onRebindAbort(error) {
-	s.pumpParams = nil
 	s.rebindAborts.Add(1)
 	s.fleet.rebindAborts.Add(1)
 }
 
-// runEngine runs one engine incarnation, from the newest checkpoint when
-// the session holds one — after a panic and at cold start alike. The
-// session's registry and journal are shared by every incarnation, so the
-// engine's counters continue across restarts and each resumed start is
-// counted and journaled there (Restores, EvRestore).
+// runEngine runs the session's engine under Stream's own supervisor: up to
+// maxRestarts behavior panics are recovered by restarting from the newest
+// cut. The session's registry and journal are shared by every incarnation,
+// so the engine's counters continue across restarts and each resumed start
+// is counted and journaled there (Restores, EvRestore).
 func (s *Session) runEngine() (*tpdf.ExecResult, error) {
 	opts := []tpdf.Option{
 		tpdf.WithCompiled(s.compiled),
@@ -343,8 +332,8 @@ func (s *Session) runEngine() (*tpdf.ExecResult, error) {
 		tpdf.WithBoundary(s.barrierHook),
 		tpdf.WithMetrics(s.metrics),
 		tpdf.WithTraceJournal(s.journal),
-		tpdf.WithCheckpoints(s.keepCheckpoint),
-		tpdf.WithUserState(s.snapshotSinks, s.restoreSinks),
+		tpdf.WithPanicRecovery(s.maxRestarts),
+		tpdf.WithUserState(s.snapshotSinks, s.restore),
 		tpdf.WithRebindAbortHandler(s.onRebindAbort),
 	}
 	if s.faults != nil {
@@ -356,90 +345,39 @@ func (s *Session) runEngine() (*tpdf.ExecResult, error) {
 		// durable cut.
 		opts = append(opts, tpdf.WithDurableCheckpoints(s.persister))
 	}
-	if s.ckptOK {
-		opts = append(opts, tpdf.WithResume(s.ckptArena))
+	if s.resume != nil {
+		opts = append(opts, tpdf.WithResume(s.resume))
 	}
 	return tpdf.Stream(s.compiled.Graph(), s.behaviors(), opts...)
 }
 
-// restartBackoff is the supervisor's wait before restart attempt n:
-// exponential from the policy base, capped, with deterministic jitter in
-// [d/2, d) derived from the session ID — sessions crashing together do
-// not restart together, and a test re-running the same fleet sees the
-// same schedule.
-func (s *Session) restartBackoff(attempt int) time.Duration {
-	d := s.policy.backoff << uint(attempt)
-	if d > s.policy.maxBackoff || d <= 0 {
-		d = s.policy.maxBackoff
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d", s.ID, attempt)
-	return d/2 + time.Duration(uint64(d/2)*(h.Sum64()%1024)/1024)
-}
-
-// run is the session's supervisor: it runs engine incarnations until the
-// session drains, fails, or exhausts its restart budget. Only behavior
-// panics are recoverable — the engine isolates them to an error value and
-// the checkpoint names the barrier to restart from; every other error
-// (cancellation, watchdog stalls, admission-time bugs) fails the session.
+// run runs the engine once and records how it ended: drained at a
+// barrier, or failed — a behavior panic past the restart budget (the panic
+// that exhausted it is counted here), cancellation, a watchdog stall or an
+// admission-time bug. Every cut was offered to the persister when it was
+// captured; closing the persister flushes the newest, so once Drain returns
+// the session's last consistent state is on disk.
 func (s *Session) run() {
 	defer close(s.done)
-	// Final durable snapshot (LIFO: this runs before done closes): once
-	// Drain returns, the session's last consistent state is on disk — a
-	// graceful restart neither replays nor loses work. The engine is gone
-	// by now, so offering the arena races nothing.
-	defer func() {
-		if s.persister == nil {
-			return
-		}
-		if s.ckptOK {
-			s.persister.Offer(s.ckptArena)
-		}
-		s.persister.Close() //nolint:errcheck // counted via OnPersist
-	}()
-	attempt := 0
-	for {
-		res, err := s.runEngine()
-		if err == nil {
-			s.result = res
-			s.state.Store(int32(StateDrained))
-			return
-		}
-		var pe *tpdf.BehaviorPanicError
-		recoverable := errors.As(err, &pe)
-		if recoverable {
-			s.panics.Add(1)
-			s.fleet.panics.Add(1)
-		}
-		if !recoverable || !s.ckptOK || attempt >= s.policy.maxRestarts {
-			s.runErr = err
-			s.state.Store(int32(StateFailed))
-			return
-		}
-		s.state.Store(int32(StateRecovering))
-		select {
-		case <-time.After(s.restartBackoff(attempt)):
-		case <-s.soft:
-			// Drained while recovering: the last checkpoint is the
-			// session's final consistent state; report it.
-			s.result = s.ckptArena.Result()
-			s.completed.Store(s.ckptArena.Completed)
-			s.state.Store(int32(StateDrained))
-			return
-		case <-s.hardCtx.Done():
-			s.runErr = err
-			s.state.Store(int32(StateFailed))
-			return
-		}
-		attempt++
-		s.restarts.Add(1)
-		s.fleet.restarts.Add(1)
-		s.state.Store(int32(StateRunning))
+	if s.persister != nil {
+		defer s.persister.Close() //nolint:errcheck // counted via OnPersist
 	}
+	res, err := s.runEngine()
+	if err != nil {
+		var pe *tpdf.BehaviorPanicError
+		if errors.As(err, &pe) {
+			s.countPanic()
+		}
+		s.runErr = err
+		s.state.Store(int32(StateFailed))
+		return
+	}
+	s.result = res
+	s.state.Store(int32(StateDrained))
 }
 
 // barrierHook is the session's transaction-boundary command loop. It runs
-// on the supervisor goroutine inside tpdf.Stream: between pumps it blocks
+// on the session's run goroutine inside tpdf.Stream: between pumps it blocks
 // here (counted as boundary work, so the stall watchdog stays quiet) and
 // every command takes effect only at this quiescent point — the paper's
 // transaction rule, bent into a server's request loop. A pump of N
@@ -448,25 +386,18 @@ func (s *Session) run() {
 // durable cut and one flush, and the hook is next consulted at the
 // boundary that acks it. The verdict carries the soft-drain channel as its
 // Cut, so a drain still stops the pump at the next iteration boundary
-// rather than after the remaining N. The hook's state lives on the session
-// so an in-flight pump spans engine restarts.
+// rather than after the remaining N. A restarted engine never reaches this
+// hook at the boundary it restarts at: Stream answers it with the pump's
+// verdict again.
 func (s *Session) barrierHook(completed int64) tpdf.Verdict {
 	s.completed.Store(completed)
-	if s.pumpReply != nil && completed < s.pumpEnd {
-		// Consulted inside a pump: either a drain cut the epoch short —
-		// stop here, a pump is not a critical section and every boundary
-		// is a legal stopping point — or a restarted engine is back at the
-		// pump's opening boundary and gets the pump's verdict again.
-		select {
-		case <-s.soft:
-		case <-s.hardCtx.Done():
-		default:
-			return tpdf.Verdict{Params: s.pumpParams, Run: s.pumpEnd - completed, Cut: s.soft}
-		}
-		s.finishPump(completed)
+	cut := s.pumpReply != nil && completed < s.pumpEnd
+	s.finishPump(completed)
+	if cut {
+		// A drain cut the pump short: stop here — a pump is not a critical
+		// section and every boundary is a legal stopping point.
 		return tpdf.Verdict{Stop: true}
 	}
-	s.finishPump(completed)
 	for {
 		select {
 		case cmd := <-s.cmds:
@@ -482,8 +413,9 @@ func (s *Session) barrierHook(completed int64) tpdf.Verdict {
 				// Clamped to the engine's iteration target, so the sum cannot wrap.
 				s.pumpEnd = completed + min(cmd.iters, maxSessionIterations-completed)
 				s.pumpReply = cmd.reply
-				s.pumpParams, s.pumpPending = s.pumpPending, nil
-				return tpdf.Verdict{Params: s.pumpParams, Run: s.pumpEnd - completed, Cut: s.soft}
+				params := s.pumpPending
+				s.pumpPending = nil
+				return tpdf.Verdict{Params: params, Run: s.pumpEnd - completed, Cut: s.soft}
 			}
 			// Pure reconfigure: acknowledged now, applied together
 			// with the next pump's first iteration.
@@ -517,12 +449,13 @@ func (s *Session) finishPump(completed int64) {
 		}
 	}
 	s.pumpReply <- pumpAck{completed: completed, err: err}
-	s.pumpReply, s.pumpParams = nil, nil
+	s.pumpReply = nil
 }
 
-// send delivers one command to the barrier hook and waits for its ack.
-// A session in recovery has no engine at a barrier, but the supervisor
-// restarts one within its backoff budget; the command just queues.
+// send delivers one command to the barrier hook and waits for its ack. A
+// command sent while Stream restarts the engine after a panic just queues:
+// the restarted engine replays the pump in flight and its hook takes the
+// command at the boundary that acks it.
 func (s *Session) send(ctx context.Context, cmd sessCmd) (int64, error) {
 	cmd.reply = make(chan pumpAck, 1)
 	select {
@@ -558,7 +491,7 @@ func (s *Session) Pump(ctx context.Context, iters int64, params map[string]int64
 
 // Reconfigure stages parameter overrides; they take effect at the boundary
 // opening the next pumped iteration, per the transaction semantics. An
-// override rejected there (unbounded schedule, failed validation) aborts
+// override rejected there (unbounded schedule, out-of-range value) aborts
 // only that rebind: the engine keeps running under the previous
 // parameters and the abort is counted on the session and the fleet.
 func (s *Session) Reconfigure(ctx context.Context, params map[string]int64) error {
@@ -570,9 +503,8 @@ func (s *Session) Reconfigure(ctx context.Context, params map[string]int64) erro
 }
 
 // Drain stops the session cleanly at the next transaction barrier: parked
-// actors exit, leftover tokens are flushed into the final result. A
-// session draining mid-recovery reports the state of its last checkpoint.
-// If the context expires first (the bounded drain deadline), the engine is
+// actors exit, leftover tokens are flushed into the final result. If the
+// context expires first (the bounded drain deadline), the engine is
 // cancelled outright. Drain is idempotent and always waits for the engine
 // goroutine to exit before returning.
 func (s *Session) Drain(ctx context.Context) (*tpdf.ExecResult, error) {
@@ -604,7 +536,7 @@ func (s *Session) Completed() int64 { return s.completed.Load() }
 // State returns the session's supervision state.
 func (s *Session) State() SessionState { return SessionState(s.state.Load()) }
 
-// Restarts counts engine restarts performed by the supervisor.
+// Restarts counts engine restarts after behavior panics.
 func (s *Session) Restarts() int64 { return s.restarts.Load() }
 
 // Panics counts behavior panics the session's engines hit.

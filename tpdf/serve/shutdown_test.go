@@ -123,10 +123,13 @@ func drainMidPump(t *testing.T, m *Manager, iters int64, chaos *ChaosSpec) (*Ses
 		n, perr = s.Pump(ctx, iters, nil)
 	}()
 	for moved := false; !moved; time.Sleep(100 * time.Microsecond) {
+		// Restarts first: a restart restores the sinks before it is
+		// counted, so tokens read after it are the replay's own.
+		restarted := chaos == nil || s.Restarts() == int64(chaos.Panics)
 		for _, v := range s.SinkTokens() {
 			moved = moved || v > 0
 		}
-		moved = moved && (chaos == nil || s.Restarts() == int64(chaos.Panics))
+		moved = moved && restarted
 	}
 	start := time.Now()
 	if err := m.Drain(ctx); err != nil {
@@ -185,9 +188,8 @@ func TestPumpHugeIterationCountDrains(t *testing.T) {
 }
 
 // TestDrainInsideReplayedPump: a pump replayed after a panic is as
-// cuttable as the original — the restarted engine replays one iteration
-// from the pump's opening cut, then the hook hands the rest a verdict that
-// carries the drain channel again.
+// cuttable as the original — Stream restarts the engine from the pump's
+// opening cut with the pump's verdict again, drain channel included.
 func TestDrainInsideReplayedPump(t *testing.T) {
 	m := chaosManager(func(c *Config) { c.DrainTimeout = 10 * time.Second })
 	s, _ := drainMidPump(t, m, 1<<40, &ChaosSpec{Seed: 7, Panics: 1, Horizon: 16})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
 	"strings"
@@ -11,17 +12,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/tpdf"
 	"repro/tpdf/obs"
 )
 
-// chaosManager builds a manager with fault injection enabled and a fast
-// restart schedule so recovery tests finish quickly.
+// chaosManager builds a manager with fault injection enabled.
 func chaosManager(extra func(*Config)) *Manager {
-	cfg := Config{
-		EnableChaos:       true,
-		RestartBackoff:    time.Millisecond,
-		RestartMaxBackoff: 8 * time.Millisecond,
-	}
+	cfg := Config{EnableChaos: true}
 	if extra != nil {
 		extra(&cfg)
 	}
@@ -144,12 +141,14 @@ func TestPumpPanicReplaysWholePump(t *testing.T) {
 
 // TestPumpPanicReissuesParams is the session half of the one-cut rule: the
 // cut a pump restarts from is taken before the hook handed out the pump's
-// verdict, so the hook — which still holds the pump — is asked at the opening
-// boundary again and must issue the pump's overrides again. A panic in the
-// first iteration of a pump that carries params equals a fault-free session
-// in sink tokens, Completed and valuation, both when the rebind is accepted
-// and when an injected abort refuses it: a refusal is part of what the
-// boundary did, and the restart must not propose the overrides a second time.
+// verdict, so the restarted engine is asked at the opening boundary again
+// and must be given the pump's overrides again (Stream's supervisor answers
+// from the verdict it remembers). A panic in the first iteration of a pump
+// that carries params equals a fault-free session in sink tokens and
+// Completed, and both hold what tpdf.Execute delivers under the valuation
+// the boundary committed — when the rebind is accepted and when an injected
+// abort refuses it: a refusal is part of what the boundary did, and the
+// restart must not propose the overrides a second time.
 func TestPumpPanicReissuesParams(t *testing.T) {
 	const warm, pump, tail = 3, 4, 2
 	ctx := ctxT(t)
@@ -214,11 +213,9 @@ func TestPumpPanicReissuesParams(t *testing.T) {
 			if got.Completed() != ref.Completed() {
 				t.Errorf("completed %d, want %d", got.Completed(), ref.Completed())
 			}
-			// The arena holds the cut of the boundary that acked the last
-			// pump; the supervisor is parked in its hook, so reading it here
-			// races nothing.
-			if g, w := got.ckptArena.Params["p"], ref.ckptArena.Params["p"]; g != w || w != c.p {
-				t.Errorf("valuation p = %d, fault-free %d, want %d", g, w, c.p)
+			spec, _ := specRun(t, []segment{{warm, nil}, {pump + tail, map[string]int64{"p": c.p}}})
+			if g := ref.SinkTokens(); !reflect.DeepEqual(g, spec) {
+				t.Errorf("fault-free sink tokens %v, Execute with p=%d after the warm-up %v", g, c.p, spec)
 			}
 			if g, w := got.RebindAborts(), ref.RebindAborts(); g != w || w != int64(c.aborts) {
 				t.Errorf("rebind aborts %d, fault-free %d, want %d", g, w, c.aborts)
@@ -428,10 +425,8 @@ func TestChaosSoakFleet(t *testing.T) {
 	}
 	base := runtime.NumGoroutine()
 	srv := New(Config{
-		MaxSessions:       64,
-		EnableChaos:       true,
-		RestartBackoff:    time.Millisecond,
-		RestartMaxBackoff: 8 * time.Millisecond,
+		MaxSessions: 64,
+		EnableChaos: true,
 	})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -469,4 +464,206 @@ func TestChaosSoakFleet(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	waitGoroutines(t, base, 4)
+}
+
+// segment is a run of iterations under one set of parameter overrides (nil:
+// the graph's defaults).
+type segment struct {
+	iters  int64
+	params map[string]int64
+}
+
+// specRun is what the specification says a count-profile session on
+// testGraph holds after running segs back to back, each under its own
+// valuation: one tpdf.Execute per segment, summed. An iteration returns
+// every edge to its starting occupancy, so a rebind at the boundary between
+// two segments starts the next from the graph's initial state. It returns
+// every sink's consumed tokens and its firings.
+func specRun(t *testing.T, segs []segment) (tokens, firings map[string]int64) {
+	t.Helper()
+	g := testGraph(t)
+	out := make([]bool, len(g.Nodes))
+	for _, e := range g.Edges {
+		out[e.Src] = true
+	}
+	tokens, firings = map[string]int64{}, map[string]int64{}
+	count := map[string]tpdf.Behavior{}
+	for ni, n := range g.Nodes {
+		if out[ni] {
+			continue
+		}
+		name := n.Name
+		count[name] = func(f *tpdf.Firing) error {
+			for _, vals := range f.In {
+				tokens[name] += int64(len(vals))
+			}
+			return nil
+		}
+	}
+	for _, sg := range segs {
+		res, err := tpdf.Execute(g, count, tpdf.WithParams(sg.params), tpdf.WithIterations(sg.iters))
+		if err != nil {
+			t.Fatalf("execute %d iterations under %v: %v", sg.iters, sg.params, err)
+		}
+		for name := range count {
+			firings[name] += res.Firings[name]
+		}
+	}
+	return tokens, firings
+}
+
+// pumpSeq pumps seq through s and checks that every pump is acked at the
+// running total; it returns the first pump error.
+func pumpSeq(ctx context.Context, t *testing.T, s *Session, seq []segment) error {
+	t.Helper()
+	total := s.Completed()
+	for _, pm := range seq {
+		n, err := s.Pump(ctx, pm.iters, pm.params)
+		if err != nil {
+			return err
+		}
+		if total += pm.iters; n != total {
+			t.Fatalf("pump of %d acked at %d, want %d", pm.iters, n, total)
+		}
+	}
+	return nil
+}
+
+// TestSupervisorRestartBudget is what a session's restart path promises,
+// checked against the specification (tpdf.Execute) rather than against
+// another supervisor. For several fault schedules, k <= MaxRestarts
+// injected panics leave the acks and the sinks exactly what a fault-free
+// execution of the same valuations delivers, with one restart per panic
+// and a clean drain; one panic more fails the session with that panic;
+// MaxRestarts < 0 fails it on the first; and the resumed start of a
+// cold-start recovered session is not a restart.
+func TestSupervisorRestartBudget(t *testing.T) {
+	const maxRestarts = 3
+	ctx := ctxT(t)
+	g := testGraph(t)
+	pumps := []segment{
+		{3, nil}, {4, map[string]int64{"p": 4}}, {2, nil}, {5, map[string]int64{"p": 6}}, {3, map[string]int64{"p": 2}},
+	}
+	// Each pump runs under its overrides on top of the previous valuation.
+	var segs []segment
+	val := map[string]int64{}
+	for _, pm := range pumps {
+		for k, v := range pm.params {
+			val[k] = v
+		}
+		segs = append(segs, segment{pm.iters, maps.Clone(val)})
+	}
+	want, firings := specRun(t, segs)
+	// Panic sites are firing indexes of fig2's one sink: every site below
+	// its total is reached.
+	horizon := firings["SNK"]
+	isPanic := func(t *testing.T, err error) {
+		t.Helper()
+		var pe *tpdf.BehaviorPanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("error %v, want a *tpdf.BehaviorPanicError", err)
+		}
+	}
+
+	for _, seed := range []int64{1, 2, 3} {
+		for _, k := range []int{0, 1, 2, maxRestarts, maxRestarts + 1} {
+			t.Run(fmt.Sprintf("seed=%d/panics=%d", seed, k), func(t *testing.T) {
+				m := chaosManager(func(c *Config) { c.MaxRestarts = maxRestarts })
+				s, err := m.Open(ctx, "t", g, nil, &ChaosSpec{Seed: seed, Panics: k, Horizon: horizon})
+				if err != nil {
+					t.Fatalf("open: %v", err)
+				}
+				err = pumpSeq(ctx, t, s, pumps)
+				_, derr := m.Close(ctx, s.ID)
+				if k > maxRestarts {
+					isPanic(t, err)
+					isPanic(t, derr)
+					if s.Panics() != maxRestarts+1 || s.Restarts() != maxRestarts || s.State() != StateFailed {
+						t.Fatalf("panics=%d restarts=%d state=%v, want %d/%d failed",
+							s.Panics(), s.Restarts(), s.State(), maxRestarts+1, maxRestarts)
+					}
+					return
+				}
+				if err != nil || derr != nil {
+					t.Fatalf("pumps: %v; close: %v", err, derr)
+				}
+				if got := s.SinkTokens(); !reflect.DeepEqual(got, want) {
+					t.Errorf("sink tokens %v, Execute %v", got, want)
+				}
+				if s.Panics() != int64(k) || s.Restarts() != int64(k) || s.State() != StateDrained {
+					t.Errorf("panics=%d restarts=%d state=%v, want %d/%d drained", s.Panics(), s.Restarts(), s.State(), k, k)
+				}
+			})
+		}
+	}
+
+	t.Run("no recovery", func(t *testing.T) {
+		m := chaosManager(func(c *Config) { c.MaxRestarts = -1 })
+		s, err := m.Open(ctx, "t", g, nil, &ChaosSpec{Seed: 1, Panics: 1, Horizon: horizon})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		isPanic(t, pumpSeq(ctx, t, s, pumps))
+		if s.Panics() != 1 || s.Restarts() != 0 {
+			t.Fatalf("panics=%d restarts=%d, want 1/0", s.Panics(), s.Restarts())
+		}
+		m.Close(ctx, s.ID) //nolint:errcheck // the panic, checked above
+	})
+
+	t.Run("cold start is not a restart", func(t *testing.T) {
+		const before = 2
+		cfg, _ := durableConfig(t)
+		cfg.EnableChaos = true
+		m1 := NewManager(cfg)
+		s1, err := m1.Open(ctx, "t", g, nil, nil)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if err := pumpSeq(ctx, t, s1, pumps[:before]); err != nil {
+			t.Fatalf("pumps before the restart: %v", err)
+		}
+		if err := m1.Drain(ctx); err != nil { // keeps the snapshots
+			t.Fatalf("drain: %v", err)
+		}
+
+		m2 := NewManager(cfg)
+		t.Cleanup(func() { m2.Drain(context.Background()) }) //nolint:errcheck
+		snap, err := m2.store.Load(s1.ID)
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		var resumed int64
+		for i, n := range snap.Checkpoint.Nodes {
+			if n == "SNK" {
+				resumed = snap.Checkpoint.Fired[i]
+			}
+		}
+		// A schedule whose one panic lands after the resumed start.
+		spec := &ChaosSpec{Panics: 1, Horizon: horizon}
+		for found := false; !found; {
+			spec.Seed++
+			probe := spec.plan([]string{"SNK"})
+			for k := resumed; k < horizon && !found; k++ {
+				_, found = probe.Behavior("SNK", k)
+			}
+		}
+		sg, err := snap.Graph()
+		if err != nil {
+			t.Fatalf("snapshot graph: %v", err)
+		}
+		// recoverSession's admission, with a fault schedule.
+		s2, err := m2.admit(ctx, s1.ID, snap.Tenant, sg, snap.Checkpoint.Params, spec, snap.Checkpoint)
+		if err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		if err := pumpSeq(ctx, t, s2, pumps[before:]); err != nil {
+			t.Fatalf("pumps after the restart: %v", err)
+		}
+		if got := s2.SinkTokens(); !reflect.DeepEqual(got, want) {
+			t.Errorf("sink tokens %v, Execute %v", got, want)
+		}
+		if s2.Panics() != 1 || s2.Restarts() != 1 {
+			t.Errorf("panics=%d restarts=%d, want 1/1", s2.Panics(), s2.Restarts())
+		}
+	})
 }

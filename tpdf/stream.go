@@ -45,7 +45,9 @@ import (
 //
 // Relevant options: WithParams, WithIterations, WithContext, WithWorkers,
 // WithChannelCapacity, WithBoundary, WithReconfigure, WithBarrier,
-// WithCompiled, WithStallTimeout, WithMetrics, WithTraceJournal.
+// WithCompiled, WithStallTimeout, WithMetrics, WithTraceJournal,
+// WithCheckpoints, WithResume, WithUserState, WithPanicRecovery,
+// WithDurableCheckpoints, WithRebindAbortHandler, WithFaultPlan.
 func Stream(g *Graph, behaviors map[string]Behavior, opts ...Option) (*ExecResult, error) {
 	cfg := buildConfig(opts)
 	sink := cfg.checkpointSink
@@ -78,7 +80,6 @@ func Stream(g *Graph, behaviors map[string]Behavior, opts ...Option) (*ExecResul
 
 		CheckpointSink: sink,
 		Resume:         cfg.resume,
-		ValidateRebind: cfg.validateRebind,
 		OnRebindAbort:  cfg.onRebindAbort,
 		SnapshotUser:   cfg.snapshotUser,
 		RestoreUser:    cfg.restoreUser,

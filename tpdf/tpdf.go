@@ -94,25 +94,22 @@
 // That is also the only recovery mechanism: a panicking behavior becomes a
 // transaction abort that ends the engine with a structured
 // *BehaviorPanicError (node, firing, stack), and whoever supervises the
-// run restarts it from the newest cut — WithPanicRecovery(n) makes Stream
-// do so itself up to n times (replaying the interrupted boundary's verdict:
-// the user's hook is still called once per boundary), a tpdf-serve session
-// does it with backoff (its hook still holds the pump in flight), a
-// restarted process does it from a durable snapshot. A WithMetrics
-// registry shared by the incarnations keeps counting across them (Aborts,
-// Restores, barriers, firings, Rebinds — the boundary crossed twice counts
-// twice). Speculative rebinds are transactional too: WithRebindValidation
-// vets a proposed valuation before anything is committed, and a rejected or
-// failed rebind aborts with ErrRebindAborted, the run still on the
-// pre-barrier valuation — observe aborts with
+// run restarts it from the newest cut. In process there is one supervisor:
+// WithPanicRecovery(n) makes Stream do so itself up to n times (replaying
+// the interrupted boundary's verdict: the user's hook is still called once
+// per boundary), and a tpdf-serve session is a Stream run under it. Out of
+// process, a restarted process does it from a durable snapshot. A
+// WithMetrics registry shared by the incarnations keeps counting across
+// them (Aborts, Restores, barriers, firings, Rebinds — the boundary crossed
+// twice counts twice). Rebinds are transactional too: a rejected or failed
+// rebind aborts with ErrRebindAborted before anything is committed, the run
+// still on the pre-barrier valuation — observe aborts with
 // WithRebindAbortHandler or receive them as the run error. Deterministic
-// seeded fault injection for tests attaches with WithFaultPlan; tpdf-serve
-// layers session supervision on top — bounded-retry restart from the
-// latest checkpoint with exponential backoff; a pump there is one epoch,
-// so a mid-pump panic replays the pump from its opening cut (un-acked work
-// carries no durability promise, acked work is covered by the cut flushed
-// at the ack boundary) — and tpdf-loadgen -chaos soaks that recovery path
-// in CI. See ExampleStream_checkpoint and
+// seeded fault injection for tests attaches with WithFaultPlan. A
+// tpdf-serve pump is one epoch, so a mid-pump panic replays the pump from
+// its opening cut (un-acked work carries no durability promise, acked work
+// is covered by the cut flushed at the ack boundary), and tpdf-loadgen
+// -chaos soaks that recovery path in CI. See ExampleStream_checkpoint and
 // ExampleStream_panicRecovery.
 //
 // # Durability
