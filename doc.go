@@ -33,10 +33,10 @@
 //     WithBoundary applying new parameter values only at transaction
 //     boundaries, checkpoints and metrics. By default one goroutine fires
 //     every actor in the order of the schedule the analysis computes;
-//     WithWorkers(n >= 2) or WithChannelCapacity give every actor its own
-//     goroutine (concurrent behaviors, backpressure from ring capacity,
-//     WithStallTimeout's watchdog). Stream produces results identical to
-//     Execute under either.
+//     WithWorkers(n >= 2) gives every actor its own goroutine (concurrent
+//     behaviors, backpressure from ring capacity). The rings keep the
+//     analysis-derived sizes under either, and Stream produces results
+//     identical to Execute under either.
 //     tpdf.Schedule list-schedules the canonical period onto a many-core
 //     platform with the control-priority rule;
 //   - tpdf.RunExperiment: the harness regenerating every table and figure
@@ -60,8 +60,8 @@
 //     built for the active valuation. One context holds every actor by
 //     default, so with the analysis-derived capacities every ring
 //     operation is one atomic load — nothing spins, parks or crosses
-//     goroutines; Workers > 1 or a Capacity override makes every actor
-//     its own context (the same loop, firing body and barrier protocol)
+//     goroutines; Workers > 1 makes every actor its own context (the same
+//     loop, firing body and barrier protocol, the same ring capacities)
 //     and the order is found by blocking on the rings. The hot path is
 //     zero-allocation: contexts are spawned once per run and parked at
 //     transaction barriers (never respawned, even when a WithReconfigure
@@ -310,8 +310,7 @@
 // separate battery pushes generated graphs through the tpdf-serve HTTP surface
 // (admission, pump cadence, SIGKILL-shaped crash, recovery on a second
 // server over the same data directory) against an uninterrupted
-// reference, and a generated deadlock-prone family exercises the stall
-// watchdog's diagnostics.
+// reference.
 //
 // Determinism and seeding rules: every generated artifact is derived from
 // a single int64 seed through one rand source — no map iteration, no time,

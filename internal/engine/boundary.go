@@ -358,7 +358,7 @@ func (e *engine) rowFor(env symb.Env, occ []int64) (_ *row, built bool, _ error)
 			return nil, false, fmt.Errorf("engine: schedule is not periodic: edge %s holds %d tokens before an iteration and %d after",
 				cg.Edges[ci].Name, occ[ci], sch.Final[ci])
 		}
-		v.caps = append(v.caps, capacityFor(&cg.Edges[ci], sch.MaxTokens[ci], e.cfg.Capacity))
+		v.caps = append(v.caps, capacityFor(&cg.Edges[ci], sch.MaxTokens[ci]))
 	}
 	v.order = sch.Order
 	return v, true, nil

@@ -553,21 +553,3 @@ func TestEntryCaptureCoversAckedWork(t *testing.T) {
 		t.Errorf("final cut at %d, want 6 (run end is a cut too)", newestEntry)
 	}
 }
-
-// TestStallErrorIncludesRingOccupancy pins the watchdog diagnostics: the
-// deadlock error must name the stalled actors *and* report every edge's
-// ring occupancy/capacity.
-func TestStallErrorIncludesRingOccupancy(t *testing.T) {
-	g := deadlockDiamond(t)
-	_, err := Run(Config{Graph: g, Capacity: 1, StallTimeout: 30 * time.Millisecond})
-	if err == nil {
-		t.Fatal("capacity-1 diamond did not deadlock")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "actor ") || !strings.Contains(msg, "waiting") {
-		t.Errorf("stall error names no blocked actor: %q", msg)
-	}
-	if !strings.Contains(msg, "ring occupancy:") {
-		t.Errorf("stall error carries no ring occupancy snapshot: %q", msg)
-	}
-}

@@ -8,19 +8,18 @@
 // only at transaction (iteration) boundaries, so no firing ever observes a
 // mixed environment.
 //
-// The clustering is decided once per Run from what the caller passed. By
-// default (Workers <= 1 and Capacity == 0) one context holds every actor:
-// with the analysis-derived ring capacities the next firing of the PASS is
-// always enabled, so every ring operation takes its one-atomic-load fast
-// path — nothing spins, parks or is handed between goroutines, and
-// behaviors run one at a time in schedule order. With Workers > 1 (the
-// caller asked for concurrent behaviors) or Capacity > 0 (the caller
-// bounded the buffers itself, so the order has to be found at run time by
-// blocking) every actor is its own context: backpressure from ring
-// capacity, behaviors of different nodes overlapping, a progress watchdog
-// guarding the possibly-too-small capacities. Both are the same loop,
-// firing body, epoch dispatch and cut protocol; a one-actor context's
-// projection of the PASS is Q[id] firings of itself.
+// The clustering is decided once per Run from Workers. By default
+// (Workers <= 1) one context holds every actor: with the analysis-derived
+// ring capacities the next firing of the PASS is always enabled, so every
+// ring operation takes its one-atomic-load fast path — nothing spins, parks
+// or is handed between goroutines, and behaviors run one at a time in
+// schedule order. With Workers > 1 (the caller asked for concurrent
+// behaviors) every actor is its own context and at most Workers behaviors
+// run at once: backpressure from ring capacity, behaviors of different
+// nodes overlapping. Both are the same loop, firing body, epoch dispatch
+// and cut protocol; a one-actor context's projection of the PASS is Q[id]
+// firings of itself. Every ring is always sized from the schedule, under
+// either clustering.
 //
 // The engine shares behaviors, firing contexts and results with
 // internal/runner, and for any graph the runner completes, engine.Run
@@ -97,14 +96,8 @@ type Config struct {
 	Context context.Context
 	// Workers above 1 asks for concurrent behaviors: every actor is its own
 	// context and at most Workers behaviors execute at once. 0 or 1 keeps
-	// one context, unless Capacity selects per-actor contexts (where 0
-	// leaves the behaviors unbounded).
+	// one context. Ring capacities are the schedule's either way.
 	Workers int
-	// Capacity, when positive, overrides every ring's token capacity
-	// (clamped up to the edge's initial token count and its largest
-	// per-firing rate — a whole batch must fit) and selects per-actor
-	// contexts. Zero selects the analysis-derived per-edge bounds.
-	Capacity int64
 	// Boundary is the transaction-boundary hook: it is consulted at
 	// boundaries *including before the first iteration* (completed = 0) and
 	// its Verdict drives the run — parameter overrides to apply, how many
@@ -141,10 +134,6 @@ type Config struct {
 	// may return new parameter values for the remaining iterations; nil or
 	// empty keeps the current environment.
 	Reconfigure func(completed int64) map[string]int64
-	// StallTimeout tunes the deadlock watchdog: if no firing completes and
-	// no behavior runs for two consecutive windows, the run fails with a
-	// diagnostic instead of hanging. Default 500ms.
-	StallTimeout time.Duration
 	// Metrics, when non-nil, receives per-actor and per-edge counters.
 	// Actors update private cache-line-padded blocks with plain stores on
 	// the hot path; the engine copies them into the registry only at
@@ -362,11 +351,11 @@ func Run(cfg Config) (*runner.Result, error) {
 		quit:     make(chan struct{}),
 		jr:       cfg.Journal,
 		actors:   make([]actorState, len(g.Nodes)),
-		perActor: cfg.Workers > 1 || cfg.Capacity > 0,
+		perActor: cfg.Workers > 1,
 	}
 	e.rows = append(e.rowBuf[:0], seed)
 	e.faults = cfg.Faults
-	if e.perActor && cfg.Workers > 0 {
+	if e.perActor {
 		e.sem = make(chan struct{}, cfg.Workers)
 	}
 	// Main counts as busy whenever it is not parked waiting for an epoch:
@@ -408,7 +397,7 @@ func Run(cfg Config) (*runner.Result, error) {
 	for c := range e.work {
 		go e.contextLoop(c)
 	}
-	stopWatch := e.startWatchdog()
+	stopWatch := e.startWatchdog(stallWindow)
 	defer stopWatch()
 
 	if ctx := cfg.Context; ctx != nil {
@@ -442,15 +431,12 @@ func Run(cfg Config) (*runner.Result, error) {
 	return res, nil
 }
 
-// capacityFor sizes one ring from the schedule's high-water mark, the user
-// override, and the floor of the current content. Because the transport is
-// batched — a firing's whole batch must fit in (or be available from) the
-// ring at once, where the old per-token channels could trickle — every
-// capacity is also clamped up to the edge's largest per-firing rate.
-func capacityFor(ed *csdf.Edge, capTok, override int64) int64 {
-	if override > 0 {
-		capTok = override
-	}
+// capacityFor sizes one ring from the schedule's high-water mark and the
+// floor of the current content. Because the transport is batched — a
+// firing's whole batch must fit in (or be available from) the ring at once,
+// where the old per-token channels could trickle — every capacity is also
+// clamped up to the edge's largest per-firing rate.
+func capacityFor(ed *csdf.Edge, capTok int64) int64 {
 	capTok = max(capTok, 1, ed.Initial)
 	for _, r := range ed.Prod {
 		capTok = max(capTok, r)
@@ -779,17 +765,19 @@ func (e *engine) callBehavior(behavior runner.Behavior, f *runner.Firing, name s
 	return behavior(f)
 }
 
+// stallWindow is the watchdog's window: two consecutive windows without
+// progress fail the run.
+const stallWindow = 500 * time.Millisecond
+
 // startWatchdog returns a stopper for a goroutine that fails the run when
 // it makes no progress: no firing completed, no behavior ran and no
-// boundary work happened for two consecutive stall windows. With
-// analysis-derived capacities this cannot trigger (they admit a complete
-// schedule, and the execution is conflict-free); it turns a deadlock under
-// a too-small Capacity override into an error instead of a hang.
-func (e *engine) startWatchdog() func() {
-	stall := e.cfg.StallTimeout
-	if stall <= 0 {
-		stall = 500 * time.Millisecond
-	}
+// boundary work happened for two consecutive stall windows. Under the
+// analysis-derived capacities every run has, no stall can happen (they
+// admit a complete schedule, and the execution is conflict-free); the
+// watchdog stays as the safety net for the two protocols those capacities do not
+// prove — the ring's wait-flag handshake and the epoch cut — turning a bug
+// in either into a diagnosed error instead of a hang.
+func (e *engine) startWatchdog(stall time.Duration) func() {
 	done := make(chan struct{})
 	go func() {
 		tick := time.NewTicker(stall)
@@ -814,7 +802,7 @@ func (e *engine) startWatchdog() func() {
 						msg = "no actor is blocked on a ring (behavior stuck?)"
 					}
 					e.record(obs.Event{Kind: obs.EvStall, Detail: msg})
-					e.fail(fmt.Errorf("engine: deadlock: no progress for %v, last progress at %s, %d firings completed (channel capacity override too small?): %s; ring occupancy: %s",
+					e.fail(fmt.Errorf("engine: deadlock: no progress for %v, last progress at %s, %d firings completed: %s; ring occupancy: %s",
 						2*stall, lastProgress.Format(time.RFC3339Nano), cur, msg, e.ringReport()))
 					return
 				}

@@ -199,7 +199,6 @@ func TestReconfigureChangesTheSchedule(t *testing.T) {
 			},
 		}
 		res, err := Run(Config{Graph: g, Behaviors: behaviors, Iterations: int64(len(plan)), Workers: workers,
-			StallTimeout: 50 * time.Millisecond,
 			Reconfigure: func(completed int64) map[string]int64 {
 				return map[string]int64{"p": plan[completed]}
 			}})
@@ -308,81 +307,6 @@ func TestBehaviorErrorAbortsRun(t *testing.T) {
 	_, err := Run(Config{Graph: g, Behaviors: behaviors, Iterations: 50})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("got %v, want the behavior error", err)
-	}
-}
-
-// deadlockDiamond builds a graph that wedges under a capacity-1 override
-// even though every per-firing rate is 1 (so the batch clamp keeps the
-// override): A must push two e2 tokens before its second phase feeds M,
-// but e2 only drains after B consumed M's token — a circular wait. The
-// demand schedule needs e2 to hold 2 tokens, so analysis-derived
-// capacities run it fine.
-func deadlockDiamond(t *testing.T) *core.Graph {
-	t.Helper()
-	g := core.NewGraph("dead")
-	a := g.AddKernel("A", 1)
-	m := g.AddKernel("M", 1)
-	b := g.AddKernel("B", 1)
-	// Declaration order fixes the blocking order: B reads M's edge before
-	// the direct edge.
-	if _, err := g.Connect(m, "[1]", b, "[1,0]", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Connect(a, "[1]", b, "[1]", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Connect(a, "[0,1]", m, "[1]", 0); err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-// TestDeadlockDetected forces an artificial deadlock with a too-small
-// capacity override. The watchdog must turn the hang into an error.
-func TestDeadlockDetected(t *testing.T) {
-	g := deadlockDiamond(t)
-
-	_, err := Run(Config{Graph: g, Iterations: 1, Capacity: 1, StallTimeout: 20 * time.Millisecond})
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("got %v, want a deadlock diagnostic", err)
-	}
-
-	// The analysis-derived capacities run the same graph fine
-	// (q = [A:2, M:1, B:2]).
-	res, err := Run(Config{Graph: g, Iterations: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Firings["B"] != 8 {
-		t.Fatalf("B fired %d times, want 8", res.Firings["B"])
-	}
-}
-
-// TestCapacityOverrideClampsToBatchRate pins the batch-transport clamp: a
-// capacity-1 override on a rate-2 edge is raised to the batch size, so a
-// graph the per-token engine completed under that override still
-// completes instead of deadlocking on an impossible 2-token batch in a
-// 1-slot ring.
-func TestCapacityOverrideClampsToBatchRate(t *testing.T) {
-	g := core.NewGraph("clamp")
-	a := g.AddKernel("A", 1)
-	m := g.AddKernel("M", 1)
-	b := g.AddKernel("B", 1)
-	if _, err := g.Connect(m, "[1]", b, "[1]", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Connect(a, "[2]", b, "[2]", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Connect(a, "[1]", m, "[1]", 0); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Config{Graph: g, Iterations: 4, Capacity: 1, StallTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Firings["B"] != 4 {
-		t.Fatalf("B fired %d times, want 4", res.Firings["B"])
 	}
 }
 

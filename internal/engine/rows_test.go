@@ -176,7 +176,7 @@ func checkCommitted(t *testing.T, e *engine, env symb.Env, label string) {
 		}
 	}
 	for ci := range fcg.Edges {
-		want := capacityFor(&fcg.Edges[ci], sch.MaxTokens[ci], 0)
+		want := capacityFor(&fcg.Edges[ci], sch.MaxTokens[ci])
 		if active.caps[ci] != want || e.rings[ci].cap() < want {
 			t.Fatalf("%s: edge %d: row capacity %d, ring %d, fresh %d", label, ci, active.caps[ci], e.rings[ci].cap(), want)
 		}

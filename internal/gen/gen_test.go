@@ -93,24 +93,6 @@ func TestScheduleParseErrors(t *testing.T) {
 	}
 }
 
-func TestDeadlockCaseShape(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		g, victim := DeadlockCase(seed)
-		if _, ok := g.NodeByName(victim); !ok {
-			t.Fatalf("seed %d: victim %q not in graph", seed, victim)
-		}
-		rep := analysis.Analyze(g)
-		if !rep.Consistent || !rep.Live || !rep.Bounded {
-			t.Fatalf("seed %d: deadlock case must be statically valid (deadlock comes from the capacity override): %+v",
-				seed, rep.Err)
-		}
-		t1, _ := DeadlockCase(seed)
-		if graphio.Format(g) != graphio.Format(t1) {
-			t.Fatalf("seed %d: DeadlockCase not deterministic", seed)
-		}
-	}
-}
-
 // Config knobs actually suppress what they claim to.
 func TestConfigKnobs(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {

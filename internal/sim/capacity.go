@@ -51,11 +51,10 @@ func MinimalCapacitiesRef(cfg Config) ([]int64, *Result, error) {
 	}
 	caps := slices.Clone(ref.HighWater)
 
-	// Trace callbacks and busy-time accounting are irrelevant during
-	// feasibility probes, only firing counts matter.
+	// The trace and busy-time accounting are irrelevant during feasibility
+	// probes, only firing counts matter.
 	probeCfg := cfg
 	probeCfg.Record = false
-	probeCfg.OnFire = nil
 	probeCfg.BuffersOnly = true
 	probe, err := NewSimulatorFromProgram(prog, probeCfg)
 	if err != nil {

@@ -565,17 +565,11 @@ func (s *Simulator) complete(i int) {
 	}
 	s.res.Busy[i] += s.now - pf.start
 
-	if s.cfg.Record || s.cfg.OnFire != nil {
-		ev := FireEvent{
+	if s.cfg.Record {
+		s.res.Events = append(s.res.Events, FireEvent{
 			Node: n.Name, Firing: firing, Start: pf.start, End: s.now,
 			Mode: pf.tok.Mode, Selected: s.selectedNames(pf),
-		}
-		if s.cfg.Record {
-			s.res.Events = append(s.res.Events, ev)
-		}
-		if s.cfg.OnFire != nil {
-			s.cfg.OnFire(ev)
-		}
+		})
 	}
 }
 

@@ -98,15 +98,15 @@ func TestClockSkipsTickWhileBusy(t *testing.T) {
 	if _, err := g.ConnectControl(clk, "[1]", tr, 0); err != nil {
 		t.Fatal(err)
 	}
-	var ends []int64
-	res, err := sim.Run(sim.Config{Graph: g,
-		OnFire: func(ev sim.FireEvent) {
-			if ev.Node == "clk" {
-				ends = append(ends, ev.End)
-			}
-		}})
+	res, err := sim.Run(sim.Config{Graph: g, Record: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var ends []int64
+	for _, ev := range res.Events {
+		if ev.Node == "clk" {
+			ends = append(ends, ev.End)
+		}
 	}
 	if !res.Quiescent {
 		t.Error("must quiesce")
@@ -148,18 +148,18 @@ func TestProcessorsControlPriority(t *testing.T) {
 	if _, err := g.ConnectControl(con, "[1]", tr, 0); err != nil {
 		t.Fatal(err)
 	}
-	var conStart, heavyStart int64 = -1, -1
-	_, err := sim.Run(sim.Config{Graph: g, Processors: 1,
-		OnFire: func(ev sim.FireEvent) {
-			switch ev.Node {
-			case "con":
-				conStart = ev.Start
-			case "heavy":
-				heavyStart = ev.Start
-			}
-		}})
+	res, err := sim.Run(sim.Config{Graph: g, Processors: 1, Record: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var conStart, heavyStart int64 = -1, -1
+	for _, ev := range res.Events {
+		switch ev.Node {
+		case "con":
+			conStart = ev.Start
+		case "heavy":
+			heavyStart = ev.Start
+		}
 	}
 	if conStart < 0 || heavyStart < 0 {
 		t.Fatal("both must fire")

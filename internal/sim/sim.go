@@ -82,8 +82,6 @@ type Config struct {
 	Processors int
 	// Decide supplies mode decisions per control-actor name.
 	Decide map[string]DecideFunc
-	// OnFire, when set, receives every completed firing.
-	OnFire func(FireEvent)
 	// Record stores completed firings in Result.Events.
 	Record bool
 	// MaxEvents guards against runaway simulations (default 50M).
@@ -91,7 +89,7 @@ type Config struct {
 	// BuffersOnly skips per-node busy-time accounting and trace
 	// bookkeeping: callers that only need buffer totals (high-water marks,
 	// final token counts, firing counts) get a leaner event loop. Record
-	// and OnFire are ignored when set.
+	// is ignored when set.
 	BuffersOnly bool
 }
 

@@ -264,15 +264,15 @@ func TestEdgeDetectionDeadlineSweep(t *testing.T) {
 
 func TestClockTicksAtPeriod(t *testing.T) {
 	app := apps.EdgeDetection(500, nil)
-	var clockEnd int64 = -1
-	res, err := sim.Run(sim.Config{Graph: app.Graph, Decide: app.DeadlineDecide(),
-		OnFire: func(ev sim.FireEvent) {
-			if ev.Node == "Clock" {
-				clockEnd = ev.End
-			}
-		}})
+	res, err := sim.Run(sim.Config{Graph: app.Graph, Decide: app.DeadlineDecide(), Record: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var clockEnd int64 = -1
+	for _, ev := range res.Events {
+		if ev.Node == "Clock" {
+			clockEnd = ev.End
+		}
 	}
 	if clockEnd != 500 {
 		t.Errorf("clock fired at %d, want 500", clockEnd)

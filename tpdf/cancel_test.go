@@ -7,13 +7,15 @@ import (
 	"time"
 
 	"repro/tpdf"
+	"repro/tpdf/obs"
 )
 
 // TestStreamCancelUnparksRingWait pins the cancellation latency of actors
-// parked inside the ring transport: with a capacity-1 channel and a slow
-// consumer, the producer spends nearly all its time blocked in a ring
-// write wait — cancelling the run context must unpark it and return
-// promptly, not after the consumer drains the backlog.
+// parked inside the ring transport: under per-actor contexts the derived
+// capacity of A[1] -> B[1] is one token, so with a slow consumer the
+// producer spends nearly all its time blocked in a ring write wait —
+// cancelling the run context must unpark it and return promptly, not after
+// the consumer drains the backlog.
 func TestStreamCancelUnparksRingWait(t *testing.T) {
 	g, err := tpdf.NewGraph("cancel").
 		Kernel("A", 1).Kernel("B", 1).
@@ -33,6 +35,16 @@ func TestStreamCancelUnparksRingWait(t *testing.T) {
 		},
 	}
 
+	// The premise, read from the registry: the ring holds one token and A
+	// parks on it.
+	reg := obs.NewRegistry()
+	if _, err := tpdf.Stream(g, behaviors, tpdf.WithIterations(8), tpdf.WithWorkers(2), tpdf.WithMetrics(reg)); err != nil {
+		t.Fatal(err)
+	}
+	if snap := reg.EngineSnapshot(); len(snap.Edges) != 1 || snap.Edges[0].Capacity != 1 || snap.Edges[0].ProdParks == 0 {
+		t.Fatalf("want A parked on a 1-token ring, got %+v", snap.Edges)
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
@@ -41,7 +53,7 @@ func TestStreamCancelUnparksRingWait(t *testing.T) {
 	start := time.Now()
 	_, err = tpdf.Stream(g, behaviors,
 		tpdf.WithIterations(100_000),
-		tpdf.WithChannelCapacity(1),
+		tpdf.WithWorkers(2),
 		tpdf.WithContext(ctx))
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {

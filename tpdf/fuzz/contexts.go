@@ -11,12 +11,13 @@ import (
 
 // CheckContexts asserts invariant 8: how the engine clusters actors into
 // execution contexts does not change what a run computes. Stream's default
-// (one goroutine walking the schedule) and WithWorkers(len(nodes)) (one
-// goroutine per actor, order found by blocking on the rings) both equal
-// Execute at the base valuation, and equal each other — firings, leftovers
-// in FIFO order, sink payload streams, final checkpoint — over the
-// schedule's parameter changes at consulted boundaries with k-iteration
-// epochs between them; the cuts the two take at a consulted boundary are
+// (one goroutine walking the schedule), WithWorkers(len(nodes)) (one
+// goroutine per actor, order found by blocking on the rings) and
+// WithWorkers(2) (the same, at most two behaviors at once) all equal
+// Execute at the base valuation; the first two equal each other —
+// firings, leftovers in FIFO order, sink payload streams, final
+// checkpoint — over the schedule's parameter changes at consulted
+// boundaries with k-iteration epochs between them; the cuts the two take at a consulted boundary are
 // identical, and one resumed under the other clustering lands in the same
 // place (CheckEpochs resumes it under its own); an epoch cut short from a
 // second goroutine stops at an iteration boundary under per-actor contexts
@@ -36,7 +37,11 @@ func CheckContexts(c *Case) error {
 	for _, cl := range []struct {
 		name string
 		opts []tpdf.Option
-	}{{"one context", nil}, {"per-actor contexts", []tpdf.Option{perActor}}} {
+	}{
+		{"one context", nil},
+		{"per-actor contexts", []tpdf.Option{perActor}},
+		{"per-actor contexts, two workers", []tpdf.Option{tpdf.WithWorkers(2)}},
+	} {
 		rec := sinkrec.New(sinks)
 		got, err := tpdf.Stream(g, rec.Behaviors(), append(cl.opts, tpdf.WithParams(s.Base), tpdf.WithIterations(s.Iterations))...)
 		if err != nil {

@@ -66,12 +66,6 @@ func Graph(seed int64, cfg GraphConfig) *tpdf.Graph { return gen.Graph(seed, cfg
 // ParseSchedule parses a schedule's canonical text form (corpus files).
 func ParseSchedule(src string) (*Schedule, error) { return gen.ParseSchedule(src) }
 
-// DeadlockCase generates a graph that deadlocks under a channel-capacity
-// override of 1 but runs fine at default capacities, plus the name of a
-// node inside the deadlocked clique — the fixture family for
-// stall-watchdog tests.
-func DeadlockCase(seed int64) (*tpdf.Graph, string) { return gen.DeadlockCase(seed) }
-
 // SinkNodes lists the nodes the harness attaches recording behaviors to:
 // the graph's sinks, or every node when a cycle leaves no sinks.
 func SinkNodes(g *tpdf.Graph) []string { return gen.SinkNodes(g) }

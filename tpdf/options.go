@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/symb"
@@ -44,16 +43,13 @@ type config struct {
 	processors      int
 	decide          map[string]DecideFunc
 	record          bool
-	onFire          func(FireEvent)
 	platform        *Platform
 	controlPriority bool
 	workers         int
-	channelCap      int64
 	reconfigure     func(completed int64) map[string]int64
 	barrier         func(completed int64) (map[string]int64, bool)
 	boundary        func(completed int64) Verdict
 	compiled        *CompiledGraph
-	stallTimeout    time.Duration
 	parallel        int
 	metrics         *obs.Registry
 	journal         *obs.Journal
@@ -138,11 +134,6 @@ func WithDecisions(decide map[string]DecideFunc) Option {
 	return func(c *config) { c.decide = decide }
 }
 
-// WithTrace streams every completed firing to fn during Simulate.
-func WithTrace(fn func(FireEvent)) Option {
-	return func(c *config) { c.onFire = fn }
-}
-
 // WithRecord stores the full firing trace in SimResult.Events.
 func WithRecord() Option {
 	return func(c *config) { c.record = true }
@@ -166,24 +157,10 @@ func WithoutControlPriority() Option {
 // behaviors that wait: I/O, pacing, a device). Zero (the default) or one
 // keeps Stream on one goroutine that fires the actors one at a time in
 // schedule order, the fastest way through behaviors that only compute.
-// Results are identical either way.
+// It is the only choice of goroutines: the rings keep the capacities the
+// analysis derived either way, and results are identical.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
-}
-
-// WithChannelCapacity overrides the per-edge channel capacity Stream uses
-// (in tokens, clamped up to each edge's initial token count and its
-// largest per-firing rate — the ring transport moves whole firing batches,
-// so a batch must always fit). The default, zero, sizes every channel from
-// the analysis-derived buffer bounds — the per-edge high-water marks of
-// the demand-driven schedule — which are guaranteed deadlock-free; smaller
-// overrides trade throughput for memory and are guarded by Stream's
-// deadlock watchdog. An override also gives every actor its own goroutine
-// (as WithWorkers does, without bounding the behaviors): under capacities
-// the schedule was not derived for, the firing order has to be found at
-// run time by blocking on the rings.
-func WithChannelCapacity(n int64) Option {
-	return func(c *config) { c.channelCap = n }
 }
 
 // WithReconfigure installs a Stream reconfiguration hook, the runtime half
@@ -196,17 +173,6 @@ func WithChannelCapacity(n int64) Option {
 // the completed = 0 boundary and the stop verdict.
 func WithReconfigure(fn func(completed int64) map[string]int64) Option {
 	return func(c *config) { c.reconfigure = fn }
-}
-
-// WithStallTimeout tunes Stream's deadlock watchdog window (default
-// 500ms): when no firing completes and no behavior runs for two
-// consecutive windows, the run fails with a diagnostic instead of hanging.
-// Lower it to fail fast when probing undersized WithChannelCapacity
-// settings; raise it when behaviors legitimately pause longer than a
-// second (a slow sensor, a network hop under retry) so the watchdog does
-// not misread the pause as a deadlock. Zero or negative keeps the default.
-func WithStallTimeout(d time.Duration) Option {
-	return func(c *config) { c.stallTimeout = d }
 }
 
 // WithMetrics attaches an observability registry to the run. Stream

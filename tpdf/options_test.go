@@ -95,15 +95,6 @@ func TestSimulateOptionBehavior(t *testing.T) {
 	if len(rec.Events) != 3 {
 		t.Errorf("recorded %d events, want 3", len(rec.Events))
 	}
-
-	// WithTrace streams events.
-	var streamed int
-	if _, err := Simulate(g, WithTrace(func(FireEvent) { streamed++ })); err != nil {
-		t.Fatal(err)
-	}
-	if streamed != 3 {
-		t.Errorf("streamed %d events, want 3", streamed)
-	}
 }
 
 func TestSimulateContextCancellation(t *testing.T) {

@@ -34,7 +34,7 @@ func (c *config) bind(g *Graph) (*core.Program, error) {
 // Simulate executes the graph token-accurately in virtual time and reports
 // firings, completion time and per-channel buffer high-water marks.
 // Relevant options: WithParams, WithIterations, WithProcessors,
-// WithDecisions, WithContext, WithTrace, WithRecord, WithCompiled,
+// WithDecisions, WithContext, WithRecord, WithCompiled,
 // WithMetrics (event counters published to the registry after the run).
 func Simulate(g *Graph, opts ...Option) (*SimResult, error) {
 	cfg := buildConfig(opts)
@@ -47,7 +47,6 @@ func Simulate(g *Graph, opts ...Option) (*SimResult, error) {
 		Iterations: cfg.iterations,
 		Processors: cfg.processors,
 		Decide:     cfg.decide,
-		OnFire:     cfg.onFire,
 		Record:     cfg.record,
 	})
 	if err != nil {

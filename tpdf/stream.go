@@ -22,17 +22,17 @@ import (
 // active parameter values: one goroutine fires every actor in that order,
 // so with the analysis-derived ring sizes no firing ever waits for tokens
 // or space. WithWorkers(n >= 2) asks for concurrent behaviors — one
-// goroutine per actor, backpressure from ring capacity, the pipeline
-// overlapping the behaviors' latencies instead of serializing them — and
-// WithChannelCapacity, which replaces the ring sizes the schedule was
-// derived with, selects the same execution under the deadlock watchdog.
-// Results are identical in every case, and a checkpoint cut under one
-// resumes under the other.
+// goroutine per actor, at most n behaviors at once, backpressure from ring
+// capacity, the pipeline overlapping the behaviors' latencies instead of
+// serializing them. The rings keep the analysis-derived sizes either way,
+// so no run can wedge on a ring; a watchdog still fails a run that makes
+// no progress for a second instead of letting it hang. Results are
+// identical in both cases, and a checkpoint cut under one resumes under
+// the other.
 //
 // Concurrency contract: behaviors of different nodes may run concurrently,
-// on different goroutines (they do under WithWorkers(n >= 2) or
-// WithChannelCapacity; by default they run one at a time in schedule
-// order); firings of one node never overlap each other, and a behavior
+// on different goroutines (they do under WithWorkers(n >= 2); by default
+// they run one at a time in schedule order); firings of one node never overlap each other, and a behavior
 // must not wait for another behavior except through the graph's edges.
 // State only one node's behavior touches needs no synchronisation; state
 // shared between the behaviors of different nodes — one map they all write
@@ -44,10 +44,10 @@ import (
 // pattern.
 //
 // Relevant options: WithParams, WithIterations, WithContext, WithWorkers,
-// WithChannelCapacity, WithBoundary, WithReconfigure, WithBarrier,
-// WithCompiled, WithStallTimeout, WithMetrics, WithTraceJournal,
-// WithCheckpoints, WithResume, WithUserState, WithPanicRecovery,
-// WithDurableCheckpoints, WithRebindAbortHandler, WithFaultPlan.
+// WithBoundary, WithReconfigure, WithBarrier, WithCompiled, WithMetrics,
+// WithTraceJournal, WithCheckpoints, WithResume, WithUserState,
+// WithPanicRecovery, WithDurableCheckpoints, WithRebindAbortHandler,
+// WithFaultPlan.
 func Stream(g *Graph, behaviors map[string]Behavior, opts ...Option) (*ExecResult, error) {
 	cfg := buildConfig(opts)
 	sink := cfg.checkpointSink
@@ -64,19 +64,17 @@ func Stream(g *Graph, behaviors map[string]Behavior, opts ...Option) (*ExecResul
 		}
 	}
 	ec := engine.Config{
-		Graph:        g,
-		Env:          cfg.env(),
-		Behaviors:    behaviors,
-		Iterations:   cfg.iterations,
-		Context:      cfg.ctx,
-		Workers:      cfg.workers,
-		Capacity:     cfg.channelCap,
-		Reconfigure:  cfg.reconfigure,
-		Barrier:      cfg.barrier,
-		Boundary:     cfg.boundary,
-		StallTimeout: cfg.stallTimeout,
-		Metrics:      cfg.metrics,
-		Journal:      cfg.journal,
+		Graph:       g,
+		Env:         cfg.env(),
+		Behaviors:   behaviors,
+		Iterations:  cfg.iterations,
+		Context:     cfg.ctx,
+		Workers:     cfg.workers,
+		Reconfigure: cfg.reconfigure,
+		Barrier:     cfg.barrier,
+		Boundary:    cfg.boundary,
+		Metrics:     cfg.metrics,
+		Journal:     cfg.journal,
 
 		CheckpointSink: sink,
 		Resume:         cfg.resume,

@@ -25,14 +25,14 @@
 //     checkpoints, metrics — with results identical to Execute. By default
 //     Stream executes the schedule the analysis proves exists: one
 //     goroutine fires every actor in schedule order, so no firing ever
-//     waits. WithWorkers(n >= 2) asks for concurrent behaviors and
-//     WithChannelCapacity bounds the buffers by hand; either gives every
-//     actor its own goroutine, with the firing order found at run time by
-//     blocking on the rings. Schedule list-schedules the canonical period
-//     onto a many-core platform. All are configured with functional
-//     options: WithParams, WithIterations, WithProcessors, WithDecisions,
-//     WithContext (for cancellation of long runs), WithTrace,
-//     WithPlatform, WithWorkers, WithReconfigure, WithBoundary, ...
+//     waits. WithWorkers(n >= 2) asks for concurrent behaviors: every
+//     actor gets its own goroutine, with the firing order found at run
+//     time by blocking on rings that keep the analysis-derived sizes.
+//     Schedule list-schedules the canonical period onto a many-core
+//     platform. They share one set of functional options, and each entry
+//     point reads the options its comment lists (WithParams,
+//     WithIterations and WithContext are read by all three execution
+//     tiers).
 //
 //   - The case-study constructors (OFDM, EdgeDetection, FMRadio, VC1,
 //     MotionEstimation) and the experiment registry (RunExperiment)
