@@ -31,8 +31,8 @@
 //     Execute: edges as single-producer/single-consumer ring buffers
 //     sized from the analysis buffer bounds, WithReconfigure /
 //     WithBoundary applying new parameter values only at transaction
-//     boundaries, checkpoints and metrics. By default one goroutine fires
-//     every actor in the order of the schedule the analysis computes;
+//     boundaries, checkpoints and metrics. By default the calling goroutine
+//     fires every actor in the order of the schedule the analysis computes;
 //     WithWorkers(n >= 2) gives every actor its own goroutine (concurrent
 //     behaviors, backpressure from ring capacity). The rings keep the
 //     analysis-derived sizes under either, and Stream produces results
@@ -55,24 +55,30 @@
 // state and coarse CPU work (pixel kernels, whole experiments):
 //
 //   - the streaming engine (internal/engine, tpdf.Stream) executes the
-//     schedule, not the actors: its unit of execution is a context, a
-//     goroutine that fires the actors it owns in the order of the PASS
-//     built for the active valuation. One context holds every actor by
-//     default, so with the analysis-derived capacities every ring
-//     operation is one atomic load — nothing spins, parks or crosses
-//     goroutines; Workers > 1 makes every actor its own context (the same
-//     loop, firing body and barrier protocol, the same ring capacities)
-//     and the order is found by blocking on the rings. The hot path is
-//     zero-allocation: contexts are spawned once per run and parked at
-//     transaction barriers (never respawned, even when a WithReconfigure
-//     hook fires every iteration); each edge is a single-producer/
-//     single-consumer ring buffer that moves a whole firing's token batch
-//     per synchronization, not a channel operation per token; and each
-//     actor reuses a runner.Scratch firing context whose In/Out maps are
-//     materialized once and whose payload slices are truncated in place
-//     (nodes without a behavior never build a Firing at all). A warm steady-state firing performs zero heap allocations
-//     (TestStreamSteadyStateAllocs); the price is that payload slices
-//     handed to a Behavior are valid only for the duration of the firing;
+//     schedule, not the actors: its unit of execution is a context, a loop
+//     that fires the actors it owns in the order of the PASS built for the
+//     active valuation, and context 0 is the goroutine that called Stream.
+//     One context holds every actor by default, so a default run starts no
+//     goroutine, an epoch is a function call, and with the
+//     analysis-derived capacities every ring operation is one atomic load
+//     — nothing spins, parks or crosses goroutines, and a ring wait that
+//     no other context could end fails the run at once instead of parking.
+//     Workers > 1 makes every actor its own context (the same loop, firing
+//     body and barrier protocol, the same ring capacities; contexts
+//     1..n−1 on goroutines spawned once per run and parked at transaction
+//     barriers, a stall watchdog beside them) and the order is found by
+//     blocking on the rings. The hot path is zero-allocation and, on one
+//     context, free of locked instructions: each edge is a
+//     single-producer/single-consumer ring buffer that moves a whole
+//     firing's token batch per synchronization, not a channel operation
+//     per token; each actor reuses one Firing whose In/Out maps are
+//     materialized once, whose inputs are installed and whose outputs are
+//     truncated by the firing body as it moves them (nodes without a
+//     behavior never build a Firing at all); and the watchdog's progress
+//     counters exist only under Workers > 1. A warm steady-state firing
+//     performs zero heap allocations (TestStreamSteadyStateAllocs); the
+//     price is that payload slices handed to a Behavior are valid only for
+//     the duration of the firing;
 //   - compile once, stamp per holder, bind once per scenario: the graph is
 //     compiled once (a core.Skeleton, shared), and each run keeps a table of
 //     scenario rows — a Program stamped from the skeleton and bound at one
@@ -104,11 +110,10 @@
 //     flight at the next iteration boundary every context can reach.
 //     WithBarrier and WithReconfigure are that hook with one-iteration
 //     verdicts. tpdf-serve answers a pump of N with Run N, so a pump is
-//     one epoch, one durable cut and one flush, and a session is three
-//     goroutines whatever its graph (its command loop, the one context,
-//     the stall watchdog — a Context is watched through
-//     context.AfterFunc, not by a goroutine), plus the durable writer's
-//     when it persists;
+//     one epoch, one durable cut and one flush, and a session is one
+//     goroutine whatever its graph (its command loop, which is also its one
+//     context; a Context is watched through context.AfterFunc, not by a
+//     goroutine), plus the durable writer's when it persists;
 //   - what executing the schedule bought, rung by rung (bench/run.sh
 //     --trace 1, goroutine-per-actor parent → one context on one 2-core
 //     box, seeds 1–3, wall-clock at machine.speed 0.6–1.0):

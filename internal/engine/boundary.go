@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/csdf"
@@ -33,9 +32,12 @@ type Verdict struct {
 	// closed (or receives), the epoch in flight ends at the earliest
 	// iteration boundary every actor can still reach and the hook is
 	// consulted there with the true completed count — which may be the
-	// epoch's opening count when no actor had started yet. A nil Cut costs
-	// the firing path nothing; a non-nil one costs each execution context an
-	// atomic store and load per iteration.
+	// epoch's opening count when no actor had started yet. Context 0 (the
+	// goroutine that called Run) looks at Cut when it starts an iteration,
+	// so a one-context epoch ends exactly at the iteration after the one
+	// that saw Cut fire. A nil Cut costs the firing path nothing; a non-nil
+	// one costs each execution context an atomic store and load per
+	// iteration, and context 0 a non-blocking receive.
 	Cut <-chan struct{}
 }
 
@@ -96,6 +98,8 @@ type boundary struct {
 	// undo journals one boundary's parameter overwrites so an aborted
 	// rebind restores the previous valuation without allocating.
 	undo []prevBind
+	// rebind is the committed rebind's journal event, recorded by cross.
+	rebind obs.Event
 }
 
 // prevBind is one recorded parameter overwrite: key, previous value, and
@@ -163,16 +167,18 @@ func (b *boundary) epochs(start int64) (int64, error) {
 // undo). The returned verdict's Run is clamped to what the epoch will
 // actually run.
 //
-// Clock discipline: time.Now costs ~50-100ns on virtualized hosts, so the
-// boundary takes at most three reads (before the hook, before a rebind,
-// at the end) and every journal event is stamped from the last one rather
-// than letting Record read the clock again.
+// Clock discipline: a clock read costs ~50-100ns on virtualized hosts, so
+// the boundary takes at most three (before the hook, before a rebind, at
+// the end), each a monotonic offset from the run's clock anchor
+// (engine.clock) rather than a wall-clock time.Now; every journal event is
+// stamped from the last one rather than letting Record read the clock
+// again, and the boundary's events share one journal lock.
 func (b *boundary) cross(it int64) (Verdict, error) {
 	e := b.e
 	b.capture(it)
-	var bt time.Time
+	var bt int64
 	if b.obsOn {
-		bt = time.Now()
+		bt = e.clock()
 	}
 	v := b.hook(it)
 	if v.Stop {
@@ -189,20 +195,26 @@ func (b *boundary) cross(it int64) (Verdict, error) {
 		return v, err
 	}
 	v.Run = min(max(v.Run, 1), b.iters-it)
-	bend, err := b.apply(v.Params, it)
-	if err != nil {
+	if err := b.apply(v.Params, it); err != nil {
 		return v, err
 	}
 	if b.obsOn {
-		if bend.IsZero() {
-			bend = time.Now()
+		// A committed rebind's closing read is the boundary's too.
+		rebound := b.rebind.Kind != 0
+		end := b.rebind.TimeUnixNano
+		if !rebound {
+			end = e.clock0Unix + e.clock()
 		}
-		bd := int64(bend.Sub(bt))
+		bd := end - e.clock0Unix - bt
 		if e.mx != nil {
 			e.mx.tot.BoundaryNs += bd
 		}
-		e.record(obs.Event{TimeUnixNano: bend.UnixNano(),
-			Kind: obs.EvBarrier, Completed: it, DurNs: bd})
+		barrier := obs.Event{TimeUnixNano: end, Kind: obs.EvBarrier, Completed: it, DurNs: bd}
+		if e.jr != nil && rebound {
+			e.jr.Record(b.rebind, barrier)
+		} else if e.jr != nil {
+			e.jr.Record(barrier)
+		}
 	}
 	return v, nil
 }
@@ -210,11 +222,12 @@ func (b *boundary) cross(it int64) (Verdict, error) {
 // apply merges the hook's overrides into the valuation and, when any
 // binding actually changed, reconfigures the engine speculatively: a
 // rejected rebind is undone and reported (fatal unless OnRebindAbort is
-// set). It returns the clock read taken after a committed rebind, zero
-// otherwise.
-func (b *boundary) apply(over map[string]int64, it int64) (bend time.Time, _ error) {
+// set). When observed, a committed rebind's journal event waits in b.rebind
+// (zero Kind otherwise) for cross to record it with the barrier's, under
+// one journal lock.
+func (b *boundary) apply(over map[string]int64, it int64) error {
 	e := b.e
-	b.undo = b.undo[:0]
+	b.undo, b.rebind.Kind = b.undo[:0], 0
 	for k, v := range over {
 		if old, ok := b.env[k]; !ok || old != v {
 			b.undo = append(b.undo, prevBind{k, old, ok})
@@ -228,12 +241,12 @@ func (b *boundary) apply(over map[string]int64, it int64) (bend time.Time, _ err
 		}
 	}
 	if len(b.undo) == 0 {
-		return bend, nil
+		return nil
 	}
 	e.ckptParamsStale = true
-	var rt time.Time
+	var rt int64
 	if b.obsOn {
-		rt = time.Now()
+		rt = e.clock()
 	}
 	built, err := e.reconfigure(b.env, it)
 	if err != nil {
@@ -259,12 +272,12 @@ func (b *boundary) apply(over map[string]int64, it int64) (bend time.Time, _ err
 		e.record(obs.Event{Kind: obs.EvAbort, Completed: it,
 			ParamsDigest: b.digest, Detail: "rebind"})
 		if e.cfg.OnRebindAbort == nil {
-			return bend, err
+			return err
 		}
 		e.cfg.OnRebindAbort(err)
 	} else if b.obsOn {
-		bend = time.Now()
-		rd := int64(bend.Sub(rt))
+		bend := e.clock()
+		rd := bend - rt
 		if e.mx != nil {
 			e.mx.tot.Rebinds++
 			e.mx.tot.RebindNs += rd
@@ -273,11 +286,11 @@ func (b *boundary) apply(over map[string]int64, it int64) (bend time.Time, _ err
 		if built {
 			detail = "row=built"
 		}
-		e.record(obs.Event{TimeUnixNano: bend.UnixNano(),
+		b.rebind = obs.Event{TimeUnixNano: e.clock0Unix + bend,
 			Kind: obs.EvRebind, Completed: it, DurNs: rd,
-			ParamsDigest: b.digest, Detail: detail})
+			ParamsDigest: b.digest, Detail: detail}
 	}
-	return bend, nil
+	return nil
 }
 
 // maxRows bounds a run's scenario table, and with it the Programs one run
@@ -292,6 +305,7 @@ type row struct {
 	prog  *core.Program
 	order []int   // the PASS; nil while the row is unbound
 	caps  []int64 // per-edge ring capacity floor
+	peak  []int64 // per-edge occupancy high-water mark of one iteration
 	used  int64   // tick of the last commit: the least recent row is recycled
 }
 
@@ -360,7 +374,7 @@ func (e *engine) rowFor(env symb.Env, occ []int64) (_ *row, built bool, _ error)
 		}
 		v.caps = append(v.caps, capacityFor(&cg.Edges[ci], sch.MaxTokens[ci]))
 	}
-	v.order = sch.Order
+	v.order, v.peak = sch.Order, sch.MaxTokens
 	return v, true, nil
 }
 
@@ -371,12 +385,13 @@ func (e *engine) rowFor(env symb.Env, occ []int64) (_ *row, built bool, _ error)
 func (e *engine) commit(r *row) {
 	e.tick++
 	r.used = e.tick
-	e.prog, e.cg, e.order = r.prog, r.prog.Concrete(), r.order
+	e.prog, e.cg, e.order, e.peak = r.prog, r.prog.Concrete(), r.order, r.peak
 	for ci, c := range r.caps {
 		before := e.rings[ci].cap()
 		e.rings[ci].grow(c)
 		if e.mx != nil && e.rings[ci].cap() > before {
 			e.mx.grows[ci]++
+			e.mx.edgesStale = true
 		}
 	}
 	for id := range e.actors {
@@ -414,19 +429,20 @@ func (e *engine) reconfigure(env symb.Env, completed int64) (built bool, _ error
 // whose verdict carried a Cut.
 //
 // Each context announces the iteration it is about to start (started, its
-// own padded slot) and *then* loads phase; the cutter — the engine's main
-// goroutine, when Cut fires — stores phase = deciding and *then* reads
-// every started slot. Both sides are a sequentially-consistent store
-// followed by a load (Dekker), so a context that saw phase = running has
-// its announcement visible to the cutter, and a context that did not waits
-// the handful of atomics the decision takes and then obeys it. The
-// decision is until = max(started): the furthest iteration any context has
-// begun, which every other context can reach because its peers run that far
-// too — an actor parked in a ring wait needs no wake. With one context the
-// maximum is over one slot: the epoch ends when the iteration in progress
-// does.
+// own padded slot) and *then* loads phase; the cutter — context 0, on the
+// engine's main goroutine, at the first iteration start that finds Cut
+// fired — stores phase = deciding and *then* reads every started slot. Both
+// sides are a sequentially-consistent store followed by a load (Dekker), so
+// a context that saw phase = running has its announcement visible to the
+// cutter, and a context that did not waits the handful of atomics the
+// decision takes and then obeys it. The decision is until = max(started):
+// the furthest iteration any context has begun, which every other context
+// can reach because its peers run that far too — an actor parked in a ring
+// wait needs no wake. With one context the maximum is over one slot: the
+// epoch ends where the iteration that saw Cut fire would have started.
 type epochCut struct {
-	armed   bool // plain: written by main before dispatch, read by contexts after
+	armed   bool            // plain: written by main before dispatch, read by contexts after
+	ch      <-chan struct{} // the verdict's Cut until it fires; context 0's alone
 	phase   atomic.Int32
 	until   atomic.Int64
 	started []startSlot
@@ -444,12 +460,12 @@ const (
 )
 
 // arm resets the protocol for an epoch of iters iterations over contexts
-// contexts. Called by main while every context is parked. The slots are
-// allocated by the first cuttable epoch, so a run that never carries a Cut
-// never pays for them.
-func (c *epochCut) arm(on bool, iters int64, contexts int) {
-	c.armed = on
-	if !on {
+// contexts, cuttable when ch is non-nil. Called by main while every peer
+// context is parked. The slots are allocated by the first cuttable epoch,
+// so a run that never carries a Cut never pays for them.
+func (c *epochCut) arm(ch <-chan struct{}, iters int64, contexts int) {
+	c.armed, c.ch = ch != nil, ch
+	if ch == nil {
 		return
 	}
 	if c.started == nil {
@@ -460,6 +476,21 @@ func (c *epochCut) arm(on bool, iters int64, contexts int) {
 	}
 	c.until.Store(iters)
 	c.phase.Store(cutRunning)
+}
+
+// poll is context 0's look at the verdict's Cut before it enters an
+// iteration: the first time Cut has fired, context 0 decides the cut
+// itself.
+func (c *epochCut) poll() {
+	if c.ch == nil {
+		return
+	}
+	select {
+	case <-c.ch:
+		c.ch = nil
+		c.decide()
+	default:
+	}
 }
 
 // enter is context ctx's iteration-start check: it reports whether
@@ -477,9 +508,9 @@ func (c *epochCut) enter(ctx int, i int64) bool {
 	return i < c.until.Load()
 }
 
-// decide ends the epoch at the furthest iteration any context has started
-// and returns it. Called by main, once, while contexts run.
-func (c *epochCut) decide() int64 {
+// decide ends the epoch at the furthest iteration any context has started.
+// Called by context 0, once, while the peers run.
+func (c *epochCut) decide() {
 	c.phase.Store(cutDeciding)
 	var t int64
 	for i := range c.started {
@@ -489,5 +520,4 @@ func (c *epochCut) decide() int64 {
 	}
 	c.until.Store(t)
 	c.phase.Store(cutDecided)
-	return t
 }

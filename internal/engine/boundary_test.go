@@ -133,6 +133,39 @@ func TestCutEndsEpochEarly(t *testing.T) {
 	if !reflect.DeepEqual(got.Remaining, want.Remaining) {
 		t.Errorf("remaining at %d: engine %v, runner %v", stoppedAt, got.Remaining, want.Remaining)
 	}
+
+	// Deterministic under one context: a Cut closed by a behavior during
+	// iteration i is seen by context 0 when it starts iteration i+1, so the
+	// epoch ends at exactly i+1 completed iterations.
+	for _, i := range []int64{0, 6, 99} {
+		cut := make(chan struct{})
+		var consulted []int64
+		res, err := Run(Config{
+			Graph: pipeline(t), Iterations: 1 << 62,
+			Behaviors: map[string]runner.Behavior{"B": func(f *runner.Firing) error {
+				if f.K == i {
+					close(cut)
+				}
+				return nil
+			}},
+			Boundary: func(completed int64) Verdict {
+				consulted = append(consulted, completed)
+				if completed == 0 {
+					return Verdict{Run: 1 << 40, Cut: cut}
+				}
+				return Verdict{Stop: true}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int64{0, i + 1}; !reflect.DeepEqual(consulted, want) {
+			t.Errorf("cut in iteration %d: hook consulted at %v, want %v", i, consulted, want)
+		}
+		if res.Firings["SNK"] != i+1 {
+			t.Errorf("cut in iteration %d: SNK fired %d times, want %d", i, res.Firings["SNK"], i+1)
+		}
+	}
 }
 
 // hammerGraph is a chain of n actors with repetition vector 1,2,1,2,...
@@ -166,66 +199,73 @@ func hammerGraph(t *testing.T, n int) (*core.Graph, []int64) {
 // second goroutine at random delays — including before the epoch is
 // dispatched — and checks at every boundary that all actors ended on the
 // same iteration: the engine's firing counters (through the boundary's cut) and
-// the behaviors' own counts both equal completed × q. Runs under the race
-// job's -cpu matrix.
+// the behaviors' own counts both equal completed × q. Under per-actor
+// contexts the cutter, context 0, is one actor among them, deciding while
+// the others run. Runs under the race job's -cpu matrix.
 func TestCutHammer(t *testing.T) {
 	const epochs = 300
 	for n := 4; n <= 8; n++ {
 		t.Run(fmt.Sprintf("actors=%d", n), func(t *testing.T) {
-			g, q := hammerGraph(t, n)
-			rng := rand.New(rand.NewSource(int64(n)))
-			counts := make([]atomic.Int64, n)
-			behaviors := map[string]runner.Behavior{}
-			for i := 0; i < n; i += 2 { // odd actors stay token-only
-				c := &counts[i]
-				behaviors[g.Nodes[i].Name] = func(*runner.Firing) error { c.Add(1); return nil }
-			}
-			var entry []int64
-			var consulted, short int
-			var last, asked int64
-			res, err := Run(Config{
-				Graph: g, Behaviors: behaviors, Iterations: 1 << 62,
-				CheckpointSink: func(ck *Checkpoint) { entry = append(entry[:0], ck.Fired...) },
-				Boundary: func(completed int64) Verdict {
-					for i := range q {
-						if entry[i] != completed*q[i] {
-							t.Errorf("boundary %d: actor %d fired %d, want %d", completed, i, entry[i], completed*q[i])
-						}
-						if i%2 == 0 && counts[i].Load() != completed*q[i] {
-							t.Errorf("boundary %d: behavior %d ran %d times, want %d", completed, i, counts[i].Load(), completed*q[i])
-						}
-					}
-					if completed < last+asked {
-						short++
-					}
-					if consulted++; consulted > epochs || t.Failed() {
-						last = completed
-						return Verdict{Stop: true}
-					}
-					cut := make(chan struct{})
-					delay := time.Duration(rng.Intn(60)) * time.Microsecond
-					if delay == 0 {
-						close(cut)
-					} else {
-						time.AfterFunc(delay, func() { close(cut) })
-					}
-					last, asked = completed, 1+int64(rng.Intn(200))
-					return Verdict{Run: asked, Cut: cut}
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("%d of %d epochs cut short, %d iterations", short, epochs, last)
-			if short == 0 {
-				t.Errorf("no epoch of %d was cut short", epochs)
-			}
-			for i, node := range g.Nodes {
-				if got := res.Firings[node.Name]; got != last*q[i] {
-					t.Errorf("final: %s fired %d, want %d", node.Name, got, last*q[i])
-				}
+			for _, workers := range []int{0, n} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { hammerCuts(t, n, workers, epochs) })
 			}
 		})
+	}
+}
+
+func hammerCuts(t *testing.T, n, workers, epochs int) {
+	g, q := hammerGraph(t, n)
+	rng := rand.New(rand.NewSource(int64(n)))
+	counts := make([]atomic.Int64, n)
+	behaviors := map[string]runner.Behavior{}
+	for i := 0; i < n; i += 2 { // odd actors stay token-only
+		c := &counts[i]
+		behaviors[g.Nodes[i].Name] = func(*runner.Firing) error { c.Add(1); return nil }
+	}
+	var entry []int64
+	var consulted, short int
+	var last, asked int64
+	res, err := Run(Config{
+		Graph: g, Behaviors: behaviors, Iterations: 1 << 62, Workers: workers,
+		CheckpointSink: func(ck *Checkpoint) { entry = append(entry[:0], ck.Fired...) },
+		Boundary: func(completed int64) Verdict {
+			for i := range q {
+				if entry[i] != completed*q[i] {
+					t.Errorf("boundary %d: actor %d fired %d, want %d", completed, i, entry[i], completed*q[i])
+				}
+				if i%2 == 0 && counts[i].Load() != completed*q[i] {
+					t.Errorf("boundary %d: behavior %d ran %d times, want %d", completed, i, counts[i].Load(), completed*q[i])
+				}
+			}
+			if completed < last+asked {
+				short++
+			}
+			if consulted++; consulted > epochs || t.Failed() {
+				last = completed
+				return Verdict{Stop: true}
+			}
+			cut := make(chan struct{})
+			delay := time.Duration(rng.Intn(60)) * time.Microsecond
+			if delay == 0 {
+				close(cut)
+			} else {
+				time.AfterFunc(delay, func() { close(cut) })
+			}
+			last, asked = completed, 1+int64(rng.Intn(200))
+			return Verdict{Run: asked, Cut: cut}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d of %d epochs cut short, %d iterations", short, epochs, last)
+	if short == 0 {
+		t.Errorf("no epoch of %d was cut short", epochs)
+	}
+	for i, node := range g.Nodes {
+		if got := res.Firings[node.Name]; got != last*q[i] {
+			t.Errorf("final: %s fired %d, want %d", node.Name, got, last*q[i])
+		}
 	}
 }
 

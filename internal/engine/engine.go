@@ -1,25 +1,30 @@
 // Package engine executes TPDF graphs at the payload level by walking the
 // schedule the analysis proves exists. Its unit of execution is a context:
-// a persistent goroutine that owns a set of actors and fires them in the
-// order of the PASS (periodic admissible sequential schedule) of the active
-// valuation, over edges wired as single-producer/single-consumer ring
-// buffers that move a whole firing's token batch per synchronization. The
-// paper's transaction semantics hold throughout — parameter values change
-// only at transaction (iteration) boundaries, so no firing ever observes a
-// mixed environment.
+// a loop that owns a set of actors and fires them in the order of the PASS
+// (periodic admissible sequential schedule) of the active valuation, over
+// edges wired as single-producer/single-consumer ring buffers that move a
+// whole firing's token batch per synchronization. The paper's transaction
+// semantics hold throughout — parameter values change only at transaction
+// (iteration) boundaries, so no firing ever observes a mixed environment.
 //
-// The clustering is decided once per Run from Workers. By default
-// (Workers <= 1) one context holds every actor: with the analysis-derived
-// ring capacities the next firing of the PASS is always enabled, so every
-// ring operation takes its one-atomic-load fast path — nothing spins, parks
-// or is handed between goroutines, and behaviors run one at a time in
-// schedule order. With Workers > 1 (the caller asked for concurrent
-// behaviors) every actor is its own context and at most Workers behaviors
-// run at once: backpressure from ring capacity, behaviors of different
-// nodes overlapping. Both are the same loop, firing body, epoch dispatch
-// and cut protocol; a one-actor context's projection of the PASS is Q[id]
-// firings of itself. Every ring is always sized from the schedule, under
-// either clustering.
+// The clustering is decided once per Run from Workers. Context 0 always
+// runs on the goroutine that called Run. By default (Workers <= 1) it is
+// the only context and holds every actor: with the analysis-derived ring
+// capacities the next firing of the PASS is always enabled, so every ring
+// operation takes its one-atomic-load fast path — nothing spins, parks or
+// is handed between goroutines, behaviors run one at a time in schedule
+// order, and a default run starts no goroutine of its own. With Workers > 1
+// (the caller asked for concurrent behaviors) every actor is its own
+// context, contexts 1..n−1 on persistent goroutines, and at most Workers
+// behaviors run at once: backpressure from ring capacity, behaviors of
+// different nodes overlapping. Both are the same loop, firing body, epoch
+// dispatch and cut protocol; a one-actor context's projection of the PASS
+// is Q[id] firings of itself. Every ring is always sized from the schedule,
+// under either clustering. A ring whose producer and consumer share a
+// context (solo: every ring of a one-context run, a self-loop under
+// per-actor contexts) never waits — if it would have to, no peer could ever
+// end the wait, so the run fails at once with a deadlock diagnosis — and
+// only the rings that cross contexts can park, under a stall watchdog.
 //
 // The engine shares behaviors, firing contexts and results with
 // internal/runner, and for any graph the runner completes, engine.Run
@@ -34,10 +39,11 @@
 // least its high-water mark (the same analysis-derived bounds Analyze and
 // internal/buffer report).
 //
-// The hot path is allocation-free: contexts are spawned once per Run and
-// parked at transaction barriers, each actor reuses a runner.Scratch firing
-// context (maps materialized once, payload slices truncated in place), and
-// the ring transport copies interface values without boxing. The graph is
+// The hot path is allocation-free: peer contexts are spawned once per Run
+// and parked at transaction barriers, each actor reuses one runner.Firing
+// (maps materialized once; the firing body installs every input slice and
+// truncates the output slices it has just written, in place), and the ring
+// transport copies interface values without boxing. The graph is
 // compiled once (a core.Skeleton) and bound once per scenario: the run keeps
 // a small table of rows — a Program stamped from the skeleton and bound at
 // one valuation, the PASS built from the rings' occupancy, the ring
@@ -46,7 +52,7 @@
 // grows rings in place, allocating nothing; only a first visit binds and
 // schedules, and past maxRows rows it recycles the least recently committed
 // one's Program. The engine is every row's single writer, and rows change
-// only while every context is parked at the barrier.
+// only while every context is parked.
 //
 // Fault tolerance rests on the same boundaries: one kind of cut (Checkpoint,
 // the quiescent state between two transactions) and one resume rule — the
@@ -95,8 +101,10 @@ type Config struct {
 	// pipeline, not just the gaps between firings.
 	Context context.Context
 	// Workers above 1 asks for concurrent behaviors: every actor is its own
-	// context and at most Workers behaviors execute at once. 0 or 1 keeps
-	// one context. Ring capacities are the schedule's either way.
+	// context, all but one on a goroutine of its own, and at most Workers
+	// behaviors execute at once. 0 or 1 keeps one context, which fires every
+	// actor on the goroutine that called Run. Ring capacities are the
+	// schedule's either way.
 	Workers int
 	// Boundary is the transaction-boundary hook: it is consulted at
 	// boundaries *including before the first iteration* (completed = 0) and
@@ -228,10 +236,10 @@ type engine struct {
 	rings []*ring
 	ins   [][]portEdge
 	outs  [][]portEdge
-	// behaviors and scratches are indexed by node; scratch is nil for
-	// token-only nodes (no behavior), which never materialize a Firing.
+	// behaviors and firings are indexed by node; a firing is nil for
+	// token-only nodes (no behavior), which never materialize one.
 	behaviors []runner.Behavior
-	scratches []*runner.Scratch
+	firings   []*runner.Firing
 	// inBuf holds, per node and input-edge position, the reusable payload
 	// slice the ring batch is copied into; it backs the Firing's In map.
 	inBuf [][][]any
@@ -240,15 +248,18 @@ type engine struct {
 	actors []actorState
 
 	// perActor is the clustering, fixed for the run: every actor its own
-	// context, or (the default) one context holding them all and walking
-	// order — the committed row's PASS.
+	// context, or (the default, and any one-node graph) one context holding
+	// them all and walking order — the committed row's PASS, whose
+	// per-edge occupancy high-water mark is peak.
 	perActor bool
 	order    []int
+	peak     []int64
 
-	// work dispatches one epoch's iteration count to each context; pending
-	// counts the contexts still inside the epoch and the last one out
-	// signals drained — the epoch barrier, and the happens-before edge from
-	// every context's writes to main's reads. cut ends an epoch early.
+	// work dispatches one epoch's iteration count to contexts 1..n−1 (none
+	// by default); context 0 is the goroutine that called Run. pending
+	// counts the peers still inside the epoch and the last one out signals
+	// drained — the epoch barrier, and the happens-before edge from every
+	// peer's writes to main's reads. cut ends an epoch early.
 	work    []chan int64
 	pending atomic.Int32
 	drained chan struct{}
@@ -257,7 +268,9 @@ type engine struct {
 	// ops counts completed firings; busy counts contexts inside (or queued
 	// for) a behavior plus the main goroutine while it is doing boundary
 	// work. Together they let the watchdog distinguish a stalled pipeline
-	// from a slow behavior or a slow reconfiguration hook.
+	// from a slow behavior or a slow reconfiguration hook; only per-actor
+	// runs have a watchdog, so only they touch them. sem bounds their
+	// concurrent behaviors.
 	ops  atomic.Int64
 	busy atomic.Int64
 	sem  chan struct{}
@@ -266,11 +279,16 @@ type engine struct {
 	// edgeName/edgeProd/edgeCons name every concrete edge and the actor on
 	// each side of it, for harvest snapshots and watchdog stall diagnosis
 	// (the watchdog runs beside main, so it must not read the swapped cg).
-	mx       *engMetrics
-	jr       *obs.Journal
-	edgeName []string
-	edgeProd []string
-	edgeCons []string
+	// clock0 is the run's clock anchor when either sink is attached: the
+	// engine's timings are monotonic offsets from it (clock), and journal
+	// stamps are clock0Unix plus an offset.
+	mx         *engMetrics
+	jr         *obs.Journal
+	edgeName   []string
+	edgeProd   []string
+	edgeCons   []string
+	clock0     time.Time
+	clock0Unix int64
 
 	// ckpt is the preallocated checkpoint arena (nil when not armed);
 	// ckptParamsStale marks the arena's valuation copy out of date, set at
@@ -351,15 +369,16 @@ func Run(cfg Config) (*runner.Result, error) {
 		quit:     make(chan struct{}),
 		jr:       cfg.Journal,
 		actors:   make([]actorState, len(g.Nodes)),
-		perActor: cfg.Workers > 1,
+		perActor: cfg.Workers > 1 && len(g.Nodes) > 1,
 	}
 	e.rows = append(e.rowBuf[:0], seed)
 	e.faults = cfg.Faults
 	if e.perActor {
 		e.sem = make(chan struct{}, cfg.Workers)
 	}
-	// Main counts as busy whenever it is not parked waiting for an epoch:
-	// boundary work (rebinds, user hooks) must not trip the watchdog.
+	// Main counts as busy whenever it is outside an epoch (inside one it is
+	// context 0, counted like any context): boundary work (rebinds, user
+	// hooks) must not trip the watchdog.
 	e.busy.Add(1)
 
 	start := int64(0)
@@ -388,6 +407,10 @@ func Run(cfg Config) (*runner.Result, error) {
 	if cfg.Metrics != nil {
 		e.mx = e.newEngMetrics(cfg.Metrics, resume)
 	}
+	if e.mx != nil || e.jr != nil {
+		e.clock0 = time.Now()
+		e.clock0Unix = e.clock0.UnixNano()
+	}
 	// Publish an initial snapshot so readers see names, capacities and the
 	// seeded occupancies as soon as the run exists.
 	e.harvest(start, true)
@@ -395,10 +418,12 @@ func Run(cfg Config) (*runner.Result, error) {
 
 	defer close(e.quit)
 	for c := range e.work {
-		go e.contextLoop(c)
+		go e.contextLoop(c + 1)
 	}
-	stopWatch := e.startWatchdog(stallWindow)
-	defer stopWatch()
+	if e.perActor {
+		stopWatch := e.startWatchdog(stallWindow)
+		defer stopWatch()
+	}
 
 	if ctx := cfg.Context; ctx != nil {
 		stop := context.AfterFunc(ctx, func() { e.fail(ctx.Err()) })
@@ -449,8 +474,9 @@ func capacityFor(ed *csdf.Edge, capTok int64) int64 {
 
 // wire builds the run-once state: rings sized from the schedule (seeded
 // with the declared initial tokens, or the checkpoint's ring contents when
-// resuming), per-node port wiring, the reusable firing scratches of every
-// node that has a behavior, and one work channel per context.
+// resuming) and marked solo where one context holds both ends, per-node
+// port wiring, the reusable Firing of every node that has a behavior, and
+// one work channel per peer context.
 func (e *engine) wire(env symb.Env, resume *Checkpoint) error {
 	g := e.cfg.Graph
 	// The first row is built like any other, from the tokens actually on the
@@ -471,11 +497,6 @@ func (e *engine) wire(env symb.Env, resume *Checkpoint) error {
 	e.rings = make([]*ring, len(first.caps))
 	for ci, c := range first.caps {
 		e.rings[ci] = newRing(c)
-		if resume != nil {
-			e.rings[ci].restore(resume.Edges[ci])
-		} else {
-			e.rings[ci].writeNil(e.occ[ci], e.stop)
-		}
 	}
 	e.commit(first)
 
@@ -492,48 +513,59 @@ func (e *engine) wire(env symb.Env, resume *Checkpoint) error {
 		e.edgeProd[ci] = g.Nodes[ed.Src].Name
 		e.edgeCons[ci] = g.Nodes[ed.Dst].Name
 	}
+	for ci, r := range e.rings {
+		// Marked before it is seeded: capacityFor makes every seed fit, and
+		// a broken bound then surfaces as the first firing's deadlock
+		// diagnosis instead of a seed parked forever.
+		r.solo = !e.perActor || e.edgeProd[ci] == e.edgeCons[ci]
+		if resume != nil {
+			r.restore(resume.Edges[ci])
+		} else {
+			r.writeNil(e.occ[ci], e.stop)
+		}
+	}
 
 	e.behaviors = make([]runner.Behavior, len(g.Nodes))
-	e.scratches = make([]*runner.Scratch, len(g.Nodes))
+	e.firings = make([]*runner.Firing, len(g.Nodes))
 	e.inBuf = make([][][]any, len(g.Nodes))
-	e.work = make([]chan int64, 1)
 	if e.perActor {
-		e.work = make([]chan int64, len(g.Nodes))
+		e.work = make([]chan int64, len(g.Nodes)-1)
+		for c := range e.work {
+			e.work[c] = make(chan int64, 1)
+		}
+		e.drained = make(chan struct{}, 1)
 	}
-	for c := range e.work {
-		e.work[c] = make(chan int64, 1)
-	}
-	e.drained = make(chan struct{}, 1)
 	for id, n := range g.Nodes {
 		b := e.cfg.Behaviors[n.Name]
 		if b == nil {
 			continue
 		}
 		e.behaviors[id] = b
-		inPorts := make([]string, len(e.ins[id]))
-		for i, pe := range e.ins[id] {
-			inPorts[i] = pe.port
+		f := &runner.Firing{Node: n.Name,
+			In: make(map[string][]any, len(e.ins[id])), Out: make(map[string][]any, len(e.outs[id]))}
+		for _, pe := range e.ins[id] {
+			f.In[pe.port] = nil
 		}
-		outPorts := make([]string, len(e.outs[id]))
-		for i, pe := range e.outs[id] {
-			outPorts[i] = pe.port
+		for _, pe := range e.outs[id] {
+			f.Out[pe.port] = nil
 		}
-		e.scratches[id] = runner.NewScratch(n.Name, inPorts, outPorts)
+		e.firings[id] = f
 		e.inBuf[id] = make([][]any, len(e.ins[id]))
 	}
 	return nil
 }
 
-// runEpoch dispatches iters graph iterations to the parked contexts and
-// waits for the pipeline to drain to the barrier; completed is the
+// runEpoch runs iters graph iterations as one epoch: it dispatches them to
+// the parked peer contexts, runs context 0 itself on the calling goroutine
+// and waits for the peers to drain to the barrier; completed is the
 // iteration count at the epoch's opening barrier. It returns how many
-// iterations the epoch ran: iters, or fewer when cut fired first and the
-// epoch was ended at the earliest iteration boundary every context could
-// still reach. A behavior panic aborts the transaction: the epoch's partial
-// effects are discarded with the run, the abort is counted and journaled,
-// and the counters are harvested so /metrics readers see it although the
-// run is over. Recovery is the caller's: start a new Run with Resume set to
-// the newest checkpoint.
+// iterations the epoch ran: iters, or fewer when cut fired first and
+// context 0 ended the epoch at the earliest iteration boundary every
+// context could still reach. A behavior panic aborts the transaction: the
+// epoch's partial effects are discarded with the run, the abort is counted
+// and journaled, and the counters are harvested so /metrics readers see it
+// although the run is over. Recovery is the caller's: start a new Run with
+// Resume set to the newest checkpoint.
 func (e *engine) runEpoch(iters, completed int64, cut <-chan struct{}) (int64, error) {
 	if err := e.firstErr(); err != nil {
 		return 0, err
@@ -541,20 +573,24 @@ func (e *engine) runEpoch(iters, completed int64, cut <-chan struct{}) (int64, e
 	if e.mx != nil {
 		e.mx.tot.Barriers++
 	}
-	e.cut.arm(cut != nil, iters, len(e.work))
+	e.cut.arm(cut, iters, len(e.work)+1)
 	e.pending.Store(int32(len(e.work)))
-	for c := range e.work {
-		e.work[c] <- iters
+	for _, w := range e.work {
+		w <- iters
 	}
 	e.busy.Add(-1)
-	select {
-	case <-e.drained:
-	case <-cut: // nil without a Cut: never ready
-		iters = e.cut.decide()
+	e.runTimed(0, iters)
+	if len(e.work) > 0 {
 		<-e.drained
 	}
 	e.busy.Add(1)
+	if e.cut.armed {
+		iters = e.cut.until.Load()
+	}
 	err := e.firstErr()
+	if e.mx != nil && err == nil && iters > 0 {
+		e.soloPeaks()
+	}
 	// A type assertion, not errors.As: fire records the panic error bare,
 	// and an As target would escape to the heap on every epoch.
 	if pe, ok := err.(*BehaviorPanicError); ok {
@@ -567,29 +603,14 @@ func (e *engine) runEpoch(iters, completed int64, cut <-chan struct{}) (int64, e
 	return iters, err
 }
 
-// contextLoop is one context's persistent goroutine: spawned once per Run,
-// it parks on its work channel between epochs and exits when the run is
-// over. With metrics enabled it keeps the sampled epoch-granularity time
-// accounting: one timestamp pair per sampled epoch (one in
-// activeSampleMask+1, never per firing — blocked time inside ring waits is
-// timed separately by the ring's slow path, and busy is estimated as scaled
-// active minus blocked at harvest).
+// contextLoop is peer context c's persistent goroutine: spawned once per
+// Run, it parks on its work channel between epochs and exits when the run
+// is over.
 func (e *engine) contextLoop(c int) {
 	for {
 		select {
-		case iters := <-e.work[c]:
-			if e.mx == nil {
-				e.runContext(c, iters)
-			} else if ch := &e.mx.ctxs[c]; ch.epochs&activeSampleMask == 0 {
-				ch.epochs++
-				ch.timed++
-				t0 := time.Now()
-				e.runContext(c, iters)
-				ch.activeNs += int64(time.Since(t0))
-			} else {
-				ch.epochs++
-				e.runContext(c, iters)
-			}
+		case iters := <-e.work[c-1]:
+			e.runTimed(c, iters)
 			if e.pending.Add(-1) == 0 {
 				e.drained <- struct{}{}
 			}
@@ -599,12 +620,40 @@ func (e *engine) contextLoop(c int) {
 	}
 }
 
+// runTimed runs context c's share of an epoch. With metrics enabled it
+// keeps the sampled epoch-granularity time accounting: one timestamp pair
+// per sampled epoch (one in activeSampleMask+1, never per firing — blocked
+// time inside ring waits is timed separately by the ring's slow path, and
+// busy is estimated as scaled active minus blocked at harvest).
+func (e *engine) runTimed(c int, iters int64) {
+	if e.mx == nil {
+		e.runContext(c, iters)
+		return
+	}
+	ch := &e.mx.ctxs[c]
+	sampled := ch.epochs&activeSampleMask == 0
+	ch.epochs++
+	if !sampled {
+		e.runContext(c, iters)
+		return
+	}
+	ch.timed++
+	t0 := e.clock()
+	e.runContext(c, iters)
+	ch.activeNs += e.clock() - t0
+}
+
+// clock reads the monotonic clock as an offset from the run's anchor: one
+// clock read, where time.Now takes a wall-clock read as well.
+func (e *engine) clock() int64 { return int64(time.Since(e.clock0)) }
+
 // runContext runs context c through iters graph iterations (counting
 // iterations, not firings, so no iters × q product can wrap), each one its
 // projection of the PASS: the whole order for the context that holds every
 // actor, q firings of itself for an actor that is its own context. Order
 // and solution are only rewritten while the context is parked. When the
-// epoch is cuttable every iteration starts with the cut protocol's check.
+// epoch is cuttable every iteration starts with the cut protocol's check,
+// and context 0 first looks at the verdict's Cut itself.
 func (e *engine) runContext(c int, iters int64) {
 	var cut *epochCut
 	if e.cut.armed {
@@ -615,8 +664,13 @@ func (e *engine) runContext(c int, iters int64) {
 		order, reps = []int{c}, e.prog.Solution().Q[c]
 	}
 	for it := int64(0); it < iters; it++ {
-		if cut != nil && !cut.enter(c, it) {
-			return
+		if cut != nil {
+			if c == 0 {
+				cut.poll()
+			}
+			if !cut.enter(c, it) {
+				return
+			}
 		}
 		for n := int64(0); n < reps; n++ {
 			for _, id := range order {
@@ -634,7 +688,10 @@ func (e *engine) runContext(c int, iters int64) {
 // false when the run stopped (cancellation, a failure recorded here or
 // elsewhere). A token-only node (no behavior) materializes no Firing:
 // payloads are consumed unobserved and nil placeholders emitted at the
-// output rates, exactly as the sequential runner does.
+// output rates, exactly as the sequential runner does. A node's Firing is
+// reset by the firing body itself: every input slice is installed before
+// the behavior runs and every output slice truncated once its batch is in
+// the ring, so the next firing starts from empty outputs.
 func (e *engine) fire(id int) bool {
 	// Check for cancellation/failure at every firing boundary: a context
 	// whose ring operations never block would otherwise run the epoch to
@@ -645,17 +702,16 @@ func (e *engine) fire(id int) bool {
 	edges, stop := e.cg.Edges, e.stop
 	as := &e.actors[id]
 	fired, kLocal := as.fired, as.fired-as.base
-	behavior, scr := e.behaviors[id], e.scratches[id]
-	var f *runner.Firing
-	if behavior != nil {
-		f = scr.Begin(fired)
+	f := e.firings[id]
+	if f != nil {
+		f.K = fired
 	}
 
 	for i, pe := range e.ins[id] {
 		rate := edges[pe.edge].ConsAt(kLocal)
-		if behavior == nil {
+		if f == nil {
 			if !e.rings[pe.edge].discard(rate, stop) {
-				return false
+				return e.halted()
 			}
 		} else {
 			buf := e.inBuf[id][i]
@@ -666,16 +722,16 @@ func (e *engine) fire(id int) bool {
 				buf = buf[:rate]
 			}
 			if !e.rings[pe.edge].read(buf, rate, stop) {
-				return false
+				return e.halted()
 			}
 			// Install even at rate 0 so the In map has the same keys the
 			// sequential runner produces.
-			scr.SetIn(pe.port, buf)
+			f.In[pe.port] = buf
 		}
 		as.tokensIn += rate
 	}
 
-	if behavior != nil && !e.invoke(behavior, f, id, fired) {
+	if f != nil && !e.invoke(e.behaviors[id], f, id, fired) {
 		return false
 	}
 
@@ -688,13 +744,16 @@ func (e *engine) fire(id int) bool {
 		switch {
 		case int64(len(vals)) == rate:
 			if !e.rings[pe.edge].write(vals, stop) {
-				return false
+				return e.halted()
+			}
+			if len(vals) > 0 {
+				f.Out[pe.port] = vals[:0]
 			}
 		case len(vals) == 0:
 			// No behavior output: emit nil payloads to keep the token count
 			// right, as the sequential runner does.
 			if !e.rings[pe.edge].writeNil(rate, stop) {
-				return false
+				return e.halted()
 			}
 		default:
 			e.fail(fmt.Errorf("engine: %s firing %d: port %s produced %d payloads, rate is %d",
@@ -705,17 +764,36 @@ func (e *engine) fire(id int) bool {
 	}
 
 	as.fired++
-	e.ops.Add(1)
+	if e.perActor {
+		e.ops.Add(1)
+	}
 	return true
 }
 
-// invoke runs the behavior of firing k of node id inside the busy window,
-// holding a Workers slot when the run bounds concurrent behaviors, and
-// records its failure; it reports whether the firing may go on.
+// halted is the firing body's exit after a ring operation returned false:
+// the run stopped (cancelled, or failed elsewhere), or a solo ring refused
+// to wait. A solo ring's producer and consumer share one context, so no
+// peer could ever end that wait; under the derived capacities it cannot
+// happen (the next firing of the PASS is always enabled), and if it does
+// the run fails at once with the watchdog's diagnosis instead of hanging.
+func (e *engine) halted() bool {
+	if !e.stopped.Load() {
+		msg := e.blockedReport()
+		e.record(obs.Event{Kind: obs.EvStall, Detail: msg})
+		e.fail(fmt.Errorf("engine: deadlock: %s, and no other context shares the ring to end the wait; ring occupancy: %s",
+			msg, e.ringReport()))
+	}
+	return false
+}
+
+// invoke runs the behavior of firing k of node id and records its failure;
+// it reports whether the firing may go on. Under per-actor contexts the
+// behavior holds a Workers slot and runs inside the busy window the
+// watchdog reads.
 func (e *engine) invoke(behavior runner.Behavior, f *runner.Firing, id int, k int64) bool {
 	name := e.cfg.Graph.Nodes[id].Name
-	e.busy.Add(1)
 	if e.sem != nil {
+		e.busy.Add(1)
 		select {
 		case e.sem <- struct{}{}:
 		case <-e.stop:
@@ -726,8 +804,8 @@ func (e *engine) invoke(behavior runner.Behavior, f *runner.Firing, id int, k in
 	err := e.callBehavior(behavior, f, name, k)
 	if e.sem != nil {
 		<-e.sem
+		e.busy.Add(-1)
 	}
-	e.busy.Add(-1)
 	if err == nil {
 		return true
 	}
@@ -771,12 +849,14 @@ const stallWindow = 500 * time.Millisecond
 
 // startWatchdog returns a stopper for a goroutine that fails the run when
 // it makes no progress: no firing completed, no behavior ran and no
-// boundary work happened for two consecutive stall windows. Under the
-// analysis-derived capacities every run has, no stall can happen (they
-// admit a complete schedule, and the execution is conflict-free); the
-// watchdog stays as the safety net for the two protocols those capacities do not
-// prove — the ring's wait-flag handshake and the epoch cut — turning a bug
-// in either into a diagnosed error instead of a hang.
+// boundary work happened for two consecutive stall windows. Only runs with
+// more than one context start it: a solo ring never waits (halted fails
+// the run at once), so what it guards are the rings that cross contexts.
+// Under the analysis-derived capacities every run has, no stall can happen
+// (they admit a complete schedule, and the execution is conflict-free);
+// the watchdog stays as the safety net for the two protocols those
+// capacities do not prove — the ring's wait-flag handshake and the epoch
+// cut — turning a bug in either into a diagnosed error instead of a hang.
 func (e *engine) startWatchdog(stall time.Duration) func() {
 	done := make(chan struct{})
 	go func() {

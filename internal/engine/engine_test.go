@@ -280,9 +280,11 @@ func TestContextCancellation(t *testing.T) {
 			return nil
 		},
 	}
-	// Long enough that the run cannot finish before the goroutine watching
-	// ctx is scheduled, however loaded the machine: 10,000 iterations take a
-	// few milliseconds on one context and used to lose that race.
+	// cancel runs inside B's first firing, on the goroutine that called Run
+	// (the one context); the run stops once context.AfterFunc's goroutine
+	// has failed it. The horizon must outlast that goroutine's scheduling
+	// however loaded the machine: 10,000 iterations take a few milliseconds
+	// on one context and used to lose that race.
 	const iters = 50_000_000
 	_, err := Run(Config{Graph: g, Context: ctx, Behaviors: behaviors, Iterations: iters})
 	if !errors.Is(err, context.Canceled) {
@@ -330,18 +332,20 @@ func fan(t *testing.T) *core.Graph {
 
 // TestDefaultRunIsOneContext pins the clustering rule by what it costs in
 // goroutines: parked in a boundary hook after a completed epoch, a default
-// run of six actors holds at most two more than before Run (the one
-// context and the watchdog; a cancellable Context is watched through
-// context.AfterFunc, not by a goroutine), a run that asked for concurrent
-// behaviors at least one per actor — and both give them all back.
+// run of six actors holds no goroutine besides the caller's (its one
+// context runs there, a one-context run has no stall watchdog, and a
+// cancellable Context is watched through context.AfterFunc, not by a
+// goroutine), while a run that asked for concurrent behaviors holds exactly
+// one per actor but the first (context 0 is the caller's) plus the
+// watchdog — and both give them all back.
 func TestDefaultRunIsOneContext(t *testing.T) {
 	g := fan(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for _, tc := range []struct {
-		workers  int
-		min, max int
-	}{{0, 1, 2}, {1, 1, 2}, {6, 6, 7}} {
+		workers int
+		held    int
+	}{{0, 0}, {1, 0}, {6, len(g.Nodes) - 1 + 1}} {
 		// Goroutines of earlier runs exit after their Run returned: wait
 		// until the count has been quiet for 20 reads.
 		baseline := runtime.NumGoroutine()
@@ -365,8 +369,8 @@ func TestDefaultRunIsOneContext(t *testing.T) {
 		if res.Firings["SNK"] != 4 {
 			t.Errorf("Workers %d: SNK fired %d times, want 4", tc.workers, res.Firings["SNK"])
 		}
-		if held < tc.min || held > tc.max {
-			t.Errorf("Workers %d: run holds %d goroutines at a boundary, want %d..%d", tc.workers, held, tc.min, tc.max)
+		if held != tc.held {
+			t.Errorf("Workers %d: run holds %d goroutines at a boundary, want %d", tc.workers, held, tc.held)
 		}
 		waitGoroutines(t, baseline)
 	}

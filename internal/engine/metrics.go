@@ -22,7 +22,7 @@ import (
 const cacheLine = 128
 
 // ctxHot is one execution context's sampled active time. It is sampled, not
-// exhaustive: contextLoop times one epoch in activeSampleMask+1 (always
+// exhaustive: runTimed times one epoch in activeSampleMask+1 (always
 // including the first), because a clock read costs ~50-100ns on virtualized
 // hosts — per-epoch pairs would dominate barrier-heavy runs. epochs counts
 // every dispatch, timed the sampled ones, activeNs the wall time inside
@@ -45,7 +45,7 @@ func (ch *ctxHot) activeEstNs() int64 {
 	return ch.activeNs
 }
 
-// activeSampleMask selects which epochs contextLoop times: epoch indices
+// activeSampleMask selects which epochs runTimed times: epoch indices
 // with (epochs & mask) == 0, i.e. one in mask+1.
 const activeSampleMask = 7
 
@@ -83,6 +83,9 @@ type engMetrics struct {
 	cons  []sideStats
 	tot   obs.EngineSnapshot
 	grows []int64
+	// named: the snapshot holds this run's names; edgesStale: its edge
+	// fields need a refresh (see fillSnapshot).
+	named, edgesStale bool
 
 	harvestFn func(*obs.EngineSnapshot)
 }
@@ -105,7 +108,7 @@ func (st *sideStats) blockedEstNs() int64 {
 func (e *engine) newEngMetrics(reg *obs.Registry, resume *Checkpoint) *engMetrics {
 	m := &engMetrics{
 		reg:   reg,
-		ctxs:  make([]ctxHot, len(e.work)),
+		ctxs:  make([]ctxHot, len(e.work)+1),
 		prod:  make([]sideStats, len(e.cg.Edges)),
 		cons:  make([]sideStats, len(e.cg.Edges)),
 		grows: make([]int64, len(e.cg.Edges)),
@@ -121,13 +124,32 @@ func (e *engine) newEngMetrics(reg *obs.Registry, resume *Checkpoint) *engMetric
 		m.tot.Restores++
 	}
 	for ci, r := range e.rings {
-		r.pst = &m.prod[ci]
-		r.cst = &m.cons[ci]
+		// A solo ring never waits, and soloPeaks keeps its high-water mark,
+		// so it carries no per-publish stats.
+		if !r.solo {
+			r.pst = &m.prod[ci]
+			r.cst = &m.cons[ci]
+		}
 		// Seeded initial tokens are the occupancy before any publish.
 		m.prod[ci].highWater = r.len()
 	}
 	m.harvestFn = e.fillSnapshot
 	return m
+}
+
+// soloPeaks raises every solo ring's high-water mark to the committed
+// PASS's after an epoch that ran at least one iteration. Both ends of a solo
+// ring are fired by one context in the order of the PASS (or, for a
+// self-loop, in its actor's own order), so every iteration replays the
+// occupancy trace the schedule was built from, and its peak is the
+// schedule's MaxTokens — the mark a per-publish check would have found.
+func (e *engine) soloPeaks() {
+	for ci, r := range e.rings {
+		if st := &e.mx.prod[ci]; r.solo && e.peak[ci] > st.highWater {
+			st.highWater = e.peak[ci]
+			e.mx.edgesStale = true
+		}
+	}
 }
 
 // harvest publishes the current counters into the registry. Called by the
@@ -144,7 +166,12 @@ func (e *engine) harvest(completed int64, running bool) {
 }
 
 // fillSnapshot copies the collector into the registry's snapshot in place,
-// reusing the snapshot's slices after the first harvest.
+// reusing the snapshot's slices after the first harvest. The run's first
+// harvest writes the names (and the wait counters, which stay zero under one
+// context); after that a one-context boundary rewrites only what an epoch
+// moves — the totals and each actor's counters — and the edges when
+// edgesStale says a commit or soloPeaks changed them. Occupancy needs no
+// refresh in between: an iteration returns every edge to it.
 func (e *engine) fillSnapshot(s *obs.EngineSnapshot) {
 	m := e.mx
 	g := e.cfg.Graph
@@ -157,57 +184,69 @@ func (e *engine) fillSnapshot(s *obs.EngineSnapshot) {
 	}
 	*s = m.tot
 	s.Actors, s.Edges = actors, edges
+	if !m.named {
+		for id := range g.Nodes {
+			s.Actors[id] = obs.ActorMetrics{Name: g.Nodes[id].Name}
+		}
+		for ci := range s.Edges {
+			s.Edges[ci] = obs.EdgeMetrics{Name: e.edgeName[ci], Producer: e.edgeProd[ci], Consumer: e.edgeCons[ci]}
+		}
+		m.named, m.edgesStale = true, true
+	}
 
-	// One context holding every actor splits its active time by firing
-	// share; a per-actor context's is its actor's.
-	var ctxFirings int64
 	if !e.perActor {
+		// One context holding every actor splits its active time by firing
+		// share; every ring of it is solo, so nothing ever waited.
+		var ctxFirings int64
 		for id := range e.actors {
 			ctxFirings += e.actors[id].fired
 		}
+		var perFiring float64
+		if ctxFirings > 0 {
+			perFiring = float64(m.ctxs[0].activeEstNs()) / float64(ctxFirings)
+		}
+		for id := range s.Actors {
+			a, h := &s.Actors[id], &e.actors[id]
+			a.Firings, a.TokensIn, a.TokensOut = h.fired, h.tokensIn, h.tokensOut
+			a.BusyNs = int64(perFiring * float64(h.fired))
+		}
+	} else {
+		for id := range s.Actors {
+			a, h := &s.Actors[id], &e.actors[id]
+			a.Firings, a.TokensIn, a.TokensOut = h.fired, h.tokensIn, h.tokensOut
+			a.Parks, a.Spins, a.Wakes, a.BlockedNs = 0, 0, 0, 0
+			// Ring waits are attributed to the actor that performed them:
+			// the consumer side of its input edges, the producer side of
+			// its output edges.
+			for _, pe := range e.ins[id] {
+				c := &m.cons[pe.edge]
+				a.Parks += c.parks
+				a.Spins += c.spins
+				a.Wakes += c.wakes
+				a.BlockedNs += c.blockedEstNs()
+			}
+			for _, pe := range e.outs[id] {
+				p := &m.prod[pe.edge]
+				a.Parks += p.parks
+				a.Spins += p.spins
+				a.Wakes += p.wakes
+				a.BlockedNs += p.blockedEstNs()
+			}
+			if a.BusyNs = m.ctxs[id].activeEstNs() - a.BlockedNs; a.BusyNs < 0 {
+				a.BusyNs = 0
+			}
+		}
+		m.edgesStale = true
 	}
-	for id := range g.Nodes {
-		a := &s.Actors[id]
-		h := &e.actors[id]
-		a.Name = g.Nodes[id].Name
-		a.Firings = h.fired
-		a.TokensIn = h.tokensIn
-		a.TokensOut = h.tokensOut
-		a.Parks, a.Spins, a.Wakes, a.BlockedNs = 0, 0, 0, 0
-		// Ring waits are attributed to the actor that performed them: the
-		// consumer side of its input edges, the producer side of its
-		// output edges.
-		for _, pe := range e.ins[id] {
-			c := &m.cons[pe.edge]
-			a.Parks += c.parks
-			a.Spins += c.spins
-			a.Wakes += c.wakes
-			a.BlockedNs += c.blockedEstNs()
-		}
-		for _, pe := range e.outs[id] {
-			p := &m.prod[pe.edge]
-			a.Parks += p.parks
-			a.Spins += p.spins
-			a.Wakes += p.wakes
-			a.BlockedNs += p.blockedEstNs()
-		}
-		var activeNs int64
-		if e.perActor {
-			activeNs = m.ctxs[id].activeEstNs()
-		} else if ctxFirings > 0 {
-			activeNs = int64(float64(m.ctxs[0].activeEstNs()) * float64(h.fired) / float64(ctxFirings))
-		}
-		if a.BusyNs = activeNs - a.BlockedNs; a.BusyNs < 0 {
-			a.BusyNs = 0
-		}
+	if !m.edgesStale && s.Running {
+		return
 	}
-	for ci := range e.cg.Edges {
+	m.edgesStale = false
+	for ci := range s.Edges {
 		ed := &s.Edges[ci]
-		ed.Name = e.cg.Edges[ci].Name
-		ed.Producer = e.edgeProd[ci]
-		ed.Consumer = e.edgeCons[ci]
-		ed.Capacity = e.rings[ci].cap()
-		ed.Occupancy = e.rings[ci].len()
+		r := e.rings[ci]
+		ed.Capacity = r.cap()
+		ed.Occupancy = r.len()
 		ed.HighWater = m.prod[ci].highWater
 		ed.Grows = m.grows[ci]
 		ed.ProdBlockedNs = m.prod[ci].blockedEstNs()

@@ -27,6 +27,12 @@ const spinYields = 2
 // on its wake channel. A stale wakeup token left in the channel costs one
 // spin around the loop, never a lost wakeup.
 //
+// A solo ring — producer and consumer in the same context — has no peer
+// that could ever publish or release while one side waits, so its slow
+// path refuses instead of parking: it raises the waiting side's flag (so
+// the engine's diagnosis names it) and returns false. Under the derived
+// capacities the fast path always succeeds on a solo ring.
+//
 // Cursors are absolute token counts (monotonically increasing); occupancy
 // is tail-head and slot indices are cursor mod len(buf). The plain `head`
 // and `tail` fields are cached copies owned by their side; the atomic
@@ -52,10 +58,14 @@ type ring struct {
 	// pst/cst, when non-nil, collect producer-/consumer-side metrics
 	// (parks, spins, wakes, blocked time, occupancy high-water). Each is
 	// written only by its owning side with plain stores and read only at
-	// barriers; nil when metrics are disabled, keeping the fast paths
-	// untouched.
+	// barriers; nil when metrics are disabled or the ring is solo (it never
+	// waits, and soloPeaks keeps its high-water mark), keeping the fast
+	// paths untouched.
 	pst *sideStats
 	cst *sideStats
+
+	// solo is set at wiring when one context holds both ends.
+	solo bool
 }
 
 func newRing(capacity int64) *ring {
@@ -77,13 +87,14 @@ func (r *ring) cap() int64 { return int64(len(r.buf)) }
 func (r *ring) len() int64 { return r.atomicTail.Load() - r.atomicHead.Load() }
 
 // waitRead blocks until at least n tokens are published or stop closes
-// (returning false). Consumer side only. The fast path is one atomic load
-// and a compare; the slow path classifies metrics-enabled waits as spin or
-// park with plain counter bumps and reads the clock only around sampled
-// channel parks (one in parkSampleMask+1) — spin-resolved waits happen per
-// firing under load and parks in a pipelining chain are frequent and
-// individually cheap, so a time.Now pair around each would be the dominant
-// cost of the instrumentation.
+// (returning false; a solo ring returns false instead of blocking).
+// Consumer side only. The fast path is one atomic load and a compare; the
+// slow path classifies metrics-enabled waits as spin or park with plain
+// counter bumps and reads the clock only around sampled channel parks (one
+// in parkSampleMask+1) — spin-resolved waits happen per firing under load
+// and parks in a pipelining chain are frequent and individually cheap, so a
+// time.Now pair around each would be the dominant cost of the
+// instrumentation.
 func (r *ring) waitRead(n int64, stop <-chan struct{}) bool {
 	if r.atomicTail.Load()-r.head >= n {
 		return true
@@ -92,6 +103,10 @@ func (r *ring) waitRead(n int64, stop <-chan struct{}) bool {
 }
 
 func (r *ring) waitReadSlow(n int64, stop <-chan struct{}, st *sideStats) bool {
+	if r.solo {
+		r.cwait.Store(true)
+		return false
+	}
 	for s := 0; s < spinYields; s++ {
 		runtime.Gosched()
 		if r.atomicTail.Load()-r.head >= n {
@@ -145,6 +160,10 @@ func (r *ring) waitWrite(n int64, stop <-chan struct{}) bool {
 }
 
 func (r *ring) waitWriteSlow(n int64, stop <-chan struct{}, st *sideStats) bool {
+	if r.solo {
+		r.pwait.Store(true)
+		return false
+	}
 	for s := 0; s < spinYields; s++ {
 		runtime.Gosched()
 		if r.cap()-(r.tail-r.atomicHead.Load()) >= n {
@@ -194,8 +213,8 @@ func (r *ring) waitWriteSlow(n int64, stop <-chan struct{}, st *sideStats) bool 
 // swapped: the load after the cursor store is the publisher's half of the
 // Dekker pair, and with nobody waiting — always, when both ends of the edge
 // live in one context — the batch costs no locked instruction. With metrics
-// enabled the producer also tracks the occupancy high-water mark (one extra
-// atomic load per batch).
+// enabled on a ring that crosses contexts the producer also tracks the
+// occupancy high-water mark (one extra atomic load per batch).
 func (r *ring) publish(n int64) {
 	r.tail += n
 	r.atomicTail.Store(r.tail)

@@ -12,7 +12,8 @@
 // contexts pairs and bench/'s output check compare internal/engine against
 // code that shares neither its lowering nor its firing body. That is why it
 // stays after the engine's one-context path became a schedule walker too;
-// only the Behavior, Firing and Scratch types are shared with the engine.
+// only the Behavior and Firing types are shared with the engine (Scratch,
+// the runner's reset-per-firing Firing holder, is its own).
 package runner
 
 import (

@@ -54,8 +54,3 @@ func (s *Scratch) Begin(k int64) *Firing {
 	}
 	return &s.f
 }
-
-// SetIn installs the consumed payloads for one input port. The slice is
-// owned by the caller's transport scratch and follows the firing-lifetime
-// rule above.
-func (s *Scratch) SetIn(port string, vals []any) { s.f.In[port] = vals }

@@ -122,22 +122,24 @@ func NewJournal(capacity int) *Journal {
 	return &Journal{buf: make([]Event, capacity)}
 }
 
-// Record appends an event, overwriting the oldest when full. The zero
-// TimeUnixNano is stamped with the current wall clock.
-func (j *Journal) Record(e Event) {
+// Record appends events in order under one lock, overwriting the oldest
+// when full. A zero TimeUnixNano is stamped with the current wall clock.
+func (j *Journal) Record(evs ...Event) {
 	j.mu.Lock()
-	if e.TimeUnixNano == 0 {
-		if j.nowfn != nil {
-			e.TimeUnixNano = j.nowfn()
-		} else {
-			e.TimeUnixNano = time.Now().UnixNano()
+	for _, e := range evs {
+		if e.TimeUnixNano == 0 {
+			if j.nowfn != nil {
+				e.TimeUnixNano = j.nowfn()
+			} else {
+				e.TimeUnixNano = time.Now().UnixNano()
+			}
 		}
+		j.buf[j.next] = e
+		if j.next++; j.next == len(j.buf) {
+			j.next = 0
+		}
+		j.total++
 	}
-	j.buf[j.next] = e
-	if j.next++; j.next == len(j.buf) {
-		j.next = 0
-	}
-	j.total++
 	j.mu.Unlock()
 }
 

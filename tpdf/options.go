@@ -152,13 +152,14 @@ func WithoutControlPriority() Option {
 }
 
 // WithWorkers asks Stream for concurrent behaviors: with n >= 2 every actor
-// runs on its own goroutine and at most n behaviors execute at once
-// (WithWorkers(len(g.Nodes)) is full pipeline parallelism — the choice for
-// behaviors that wait: I/O, pacing, a device). Zero (the default) or one
-// keeps Stream on one goroutine that fires the actors one at a time in
-// schedule order, the fastest way through behaviors that only compute.
-// It is the only choice of goroutines: the rings keep the capacities the
-// analysis derived either way, and results are identical.
+// runs on its own goroutine (the first on the calling one) and at most n
+// behaviors execute at once (WithWorkers(len(g.Nodes)) is full pipeline
+// parallelism — the choice for behaviors that wait: I/O, pacing, a
+// device). Zero (the default) or one keeps Stream on the calling goroutine,
+// which fires the actors one at a time in schedule order, the fastest way
+// through behaviors that only compute. It is the only choice of
+// goroutines: the rings keep the capacities the analysis derived either
+// way, and results are identical.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }

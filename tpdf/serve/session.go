@@ -353,7 +353,7 @@ func (s *Session) runEngine() (*tpdf.ExecResult, error) {
 
 // run runs the engine once and records how it ended: drained at a
 // barrier, or failed — a behavior panic past the restart budget (the panic
-// that exhausted it is counted here), cancellation, a watchdog stall or an
+// that exhausted it is counted here), cancellation, a deadlock diagnosis or an
 // admission-time bug. Every cut was offered to the persister when it was
 // captured; closing the persister flushes the newest, so once Drain returns
 // the session's last consistent state is on disk.
@@ -377,8 +377,8 @@ func (s *Session) run() {
 }
 
 // barrierHook is the session's transaction-boundary command loop. It runs
-// on the session's run goroutine inside tpdf.Stream: between pumps it blocks
-// here (counted as boundary work, so the stall watchdog stays quiet) and
+// on the session's run goroutine inside tpdf.Stream, which is also the
+// session's one execution context: between pumps it blocks here and
 // every command takes effect only at this quiescent point — the paper's
 // transaction rule, bent into a server's request loop. A pump of N
 // iterations is answered with one verdict of Run N: the session needs the

@@ -19,21 +19,25 @@ import (
 // the values, not the slices).
 //
 // By default Stream executes the schedule the analysis computes for the
-// active parameter values: one goroutine fires every actor in that order,
-// so with the analysis-derived ring sizes no firing ever waits for tokens
-// or space. WithWorkers(n >= 2) asks for concurrent behaviors — one
-// goroutine per actor, at most n behaviors at once, backpressure from ring
-// capacity, the pipeline overlapping the behaviors' latencies instead of
-// serializing them. The rings keep the analysis-derived sizes either way,
-// so no run can wedge on a ring; a watchdog still fails a run that makes
-// no progress for a second instead of letting it hang. Results are
-// identical in both cases, and a checkpoint cut under one resumes under
-// the other.
+// active parameter values on the calling goroutine: it fires every actor
+// in that order and starts no goroutine of its own, and with the
+// analysis-derived ring sizes no firing ever waits for tokens or space (a
+// wait that no other goroutine could ever end fails the run at once with a
+// deadlock error instead). WithWorkers(n >= 2) asks for concurrent
+// behaviors — one goroutine per actor (the first actor's is the calling
+// one), at most n behaviors at once, backpressure from ring capacity, the
+// pipeline overlapping the behaviors' latencies instead of serializing
+// them. The rings keep the analysis-derived sizes either way, so no run can
+// wedge on a ring; under WithWorkers(n >= 2) a watchdog still fails a run
+// that makes no progress for a second instead of letting it hang. Results
+// are identical in both cases, and a checkpoint cut under one resumes
+// under the other.
 //
 // Concurrency contract: behaviors of different nodes may run concurrently,
 // on different goroutines (they do under WithWorkers(n >= 2); by default
-// they run one at a time in schedule order); firings of one node never overlap each other, and a behavior
-// must not wait for another behavior except through the graph's edges.
+// they run one at a time in schedule order, on the calling goroutine);
+// firings of one node never overlap each other, and a behavior must not
+// wait for another behavior except through the graph's edges.
 // State only one node's behavior touches needs no synchronisation; state
 // shared between the behaviors of different nodes — one map they all write
 // counts as shared even when the keys differ — is the caller's to
