@@ -305,9 +305,9 @@
 // # Testing
 //
 // Beyond the unit and differential tests each package carries, the
-// repository is fuzzed property-based: the tpdf/fuzz package (over
-// internal/gen) generates valid-by-construction TPDF graphs — random
-// topologies including chains, fan-out/fan-in and cycles with initial
+// repository is fuzzed property-based: the differential harness in the
+// _test.go files of tpdf/fuzz (over internal/gen) generates
+// valid-by-construction TPDF graphs — random topologies including chains, fan-out/fan-in and cycles with initial
 // tokens, parametric and cyclo-static rates, Transaction/Select-duplicate
 // kernels — paired with execution schedules (base valuation, rebinds at
 // transaction boundaries, pump cadences, behavior panics, rebind aborts,
@@ -327,7 +327,11 @@
 // separate battery pushes generated graphs through the tpdf-serve HTTP surface
 // (admission, pump cadence, SIGKILL-shaped crash, recovery on a second
 // server over the same data directory) against an uninterrupted
-// reference.
+// reference. The static code GenerateCode emits is built and run too
+// (TestGeneratedCodeRunsLikeExecute): for every builtin and generated
+// graphs 1–24 its RunIteration fires each node as often as Execute does,
+// and a behavior producing more payloads than its rate fails the firing in
+// both.
 //
 // Determinism and seeding rules: every generated artifact is derived from
 // a single int64 seed through one rand source — no map iteration, no time,

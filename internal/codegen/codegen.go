@@ -8,11 +8,14 @@
 //   - one buffer variable per channel, sized to the schedule's high-water
 //     mark (the statically guaranteed bound of Theorem 2);
 //   - a RunIteration function executing one complete iteration in PASS
-//     order, calling into a user-supplied Behaviors table;
-//   - the repetition vector and schedule recorded as constants.
+//     order, calling into a user-supplied Behaviors table and failing a
+//     firing whose output count is neither its port's rate nor zero, as
+//     the runner and the engine do;
+//   - the repetition vector and schedule recorded as comments.
 //
-// The output compiles as a standalone package; tests validate it with
-// go/parser and go/types-level checks via parsing.
+// The output is one file of package schedule that imports only fmt. This
+// package's tests type-check it; tpdf's TestGeneratedCodeRunsLikeExecute
+// builds and runs it against Execute.
 package codegen
 
 import (
@@ -23,21 +26,11 @@ import (
 	"repro/internal/csdf"
 )
 
-// Options configures generation.
-type Options struct {
-	// Package is the package name of the generated file (default "schedule").
-	Package string
-}
-
-// Generate returns the Go source of the quasi-static schedule of the bound
-// program's current valuation.
-func Generate(prog *core.Program, opts Options) (string, error) {
+// Generate returns the Go source, in package schedule, of the
+// quasi-static schedule of the bound program's current valuation.
+func Generate(prog *core.Program) (string, error) {
 	if !prog.Bound() {
 		return "", fmt.Errorf("codegen: program is unbound; call Rebind before generating code")
-	}
-	pkg := opts.Package
-	if pkg == "" {
-		pkg = "schedule"
 	}
 	g, cg, sol := prog.Source(), prog.Concrete(), prog.Solution()
 	sched, err := cg.BuildSchedule(sol, csdf.Demand)
@@ -49,7 +42,7 @@ func Generate(prog *core.Program, opts Options) (string, error) {
 	fmt.Fprintf(&b, "// Code generated by tpdf codegen for graph %q; DO NOT EDIT.\n", g.Name)
 	fmt.Fprintf(&b, "//\n// Repetition vector: %v\n", sol.Q)
 	fmt.Fprintf(&b, "// Schedule: %s\n", sched.Format(cg))
-	fmt.Fprintf(&b, "package %s\n\n", pkg)
+	b.WriteString("package schedule\n\nimport \"fmt\"\n\n")
 
 	b.WriteString("// Token is one data item on a channel.\ntype Token any\n\n")
 	b.WriteString("// Firing receives the consumed tokens per input port and returns the\n")
@@ -98,8 +91,10 @@ func Generate(prog *core.Program, opts Options) (string, error) {
 	}
 
 	b.WriteString("// RunIteration executes one complete graph iteration in schedule order.\n")
-	b.WriteString("// Behaviors maps node names to firing functions; nil entries forward\n")
-	b.WriteString("// placeholder tokens so rate structure is preserved.\n")
+	b.WriteString("// Behaviors maps node names to firing functions. A firing must produce\n")
+	b.WriteString("// exactly its rate on each output port, or nothing, which forwards nil\n")
+	b.WriteString("// placeholder tokens; any other count is an error naming the firing and\n")
+	b.WriteString("// port. Nodes without a behavior forward placeholders.\n")
 	b.WriteString("func RunIteration(behaviors map[string]Firing) error {\n")
 	fired := make([]int64, len(cg.Actors))
 	for _, actor := range sched.Order {
@@ -117,24 +112,14 @@ func Generate(prog *core.Program, opts Options) (string, error) {
 			fmt.Fprintf(&b, "\t\tin[%q] = buf%d[:%d]\n", pe.port, pe.edge, rate)
 			fmt.Fprintf(&b, "\t\tbuf%d = buf%d[%d:]\n", pe.edge, pe.edge, rate)
 		}
-		produces := false
-		for _, pe := range outs[actor] {
-			if cg.Edges[pe.edge].ProdAt(k) > 0 {
-				produces = true
-			}
-		}
-		if produces {
-			fmt.Fprintf(&b, "\t\tout := fire(behaviors, %q, in)\n", name)
-		} else {
+		if len(outs[actor]) == 0 {
 			fmt.Fprintf(&b, "\t\tfire(behaviors, %q, in)\n", name)
+		} else {
+			fmt.Fprintf(&b, "\t\tout := fire(behaviors, %q, in)\n", name)
 		}
 		for _, pe := range outs[actor] {
-			rate := cg.Edges[pe.edge].ProdAt(k)
-			if rate == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "\t\tbuf%d = appendN(buf%d, out[%q], %d)\n",
-				pe.edge, pe.edge, pe.port, rate)
+			fmt.Fprintf(&b, "\t\tif err := appendN(&buf%d, out[%q], %d, %q, %d, %q); err != nil {\n\t\t\treturn err\n\t\t}\n",
+				pe.edge, pe.port, cg.Edges[pe.edge].ProdAt(k), name, k+1, pe.port)
 		}
 		b.WriteString("\t}\n")
 		fired[actor]++
@@ -142,36 +127,33 @@ func Generate(prog *core.Program, opts Options) (string, error) {
 	b.WriteString("\treturn nil\n}\n\n")
 
 	// Support runtime.
-	b.WriteString(`// fire invokes a behavior or synthesizes empty output.
+	b.WriteString(`// fire invokes a behavior; a node without one produces nothing.
 func fire(behaviors map[string]Firing, node string, in map[string][]Token) map[string][]Token {
-	if f, ok := behaviors[node]; ok && f != nil {
-		if out := f(in); out != nil {
-			return out
-		}
+	if f := behaviors[node]; f != nil {
+		return f(in)
 	}
-	return map[string][]Token{}
+	return nil
 }
 
-// appendN appends exactly n tokens, padding with nil when the behavior
-// produced fewer (rate structure always holds).
-func appendN(buf []Token, vals []Token, n int) []Token {
-	for i := 0; i < n; i++ {
-		if i < len(vals) {
-			buf = append(buf, vals[i])
-		} else {
-			buf = append(buf, nil)
+// appendN appends one firing's output on one port: the n tokens the
+// behavior produced, or n nil placeholders when it produced none.
+func appendN(buf *[]Token, vals []Token, n int, node string, firing int, port string) error {
+	switch len(vals) {
+	case n:
+		*buf = append(*buf, vals...)
+	case 0:
+		for i := 0; i < n; i++ {
+			*buf = append(*buf, nil)
 		}
+	default:
+		return fmt.Errorf("schedule: %s firing %d: port %s produced %d payloads, rate is %d", node, firing, port, len(vals), n)
 	}
-	return buf
+	return nil
 }
 
-type scheduleError struct{ node, edge string }
-
-func (e scheduleError) Error() string {
-	return "schedule underflow at " + e.node + " on " + e.edge
+func errUnderflow(node, edge string) error {
+	return fmt.Errorf("schedule underflow at %s on %s", node, edge)
 }
-
-func errUnderflow(node, edge string) error { return scheduleError{node, edge} }
 `)
 	return b.String(), nil
 }

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -14,7 +15,8 @@ import (
 )
 
 // parseGenerated parses and fully type-checks the generated source (it
-// imports nothing, so go/types can verify it without an importer).
+// imports only fmt). TestGeneratedCodeRunsLikeExecute in package tpdf
+// builds and runs it.
 func parseGenerated(t *testing.T, src string) *ast.File {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -22,7 +24,7 @@ func parseGenerated(t *testing.T, src string) *ast.File {
 	if err != nil {
 		t.Fatalf("generated code does not parse: %v\n%s", err, src)
 	}
-	conf := types.Config{}
+	conf := types.Config{Importer: importer.Default()}
 	if _, err := conf.Check(f.Name.Name, fset, []*ast.File{f}, nil); err != nil {
 		t.Fatalf("generated code does not type-check: %v\n%s", err, src)
 	}
@@ -40,7 +42,7 @@ func bind(t *testing.T, g *core.Graph, env symb.Env) *core.Program {
 }
 
 func TestGenerateFig2Parses(t *testing.T) {
-	src, err := Generate(bind(t, apps.Fig2(), symb.Env{"p": 2}), Options{})
+	src, err := Generate(bind(t, apps.Fig2(), symb.Env{"p": 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,23 +64,8 @@ func TestGenerateFig2Parses(t *testing.T) {
 	}
 }
 
-func TestGenerateCustomPackage(t *testing.T) {
-	src, err := Generate(bind(t, apps.Fig4a(), symb.Env{"p": 1}), Options{Package: "fig4a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := parseGenerated(t, src)
-	if f.Name.Name != "fig4a" {
-		t.Errorf("package = %q", f.Name.Name)
-	}
-	// Initial tokens materialize in an init function.
-	if !strings.Contains(src, "func init()") {
-		t.Error("initial tokens should generate an init function")
-	}
-}
-
 func TestGenerateOFDM(t *testing.T) {
-	src, err := Generate(bind(t, apps.OFDMTPDF(apps.OFDMParams{Beta: 2, M: 4, N: 8, L: 1}), nil), Options{})
+	src, err := Generate(bind(t, apps.OFDMTPDF(apps.OFDMParams{Beta: 2, M: 4, N: 8, L: 1}), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +87,7 @@ func TestGenerateScheduleOrderMatchesDependencies(t *testing.T) {
 	if _, err := g.Connect(a, "[1]", b, "[1]", 0); err != nil {
 		t.Fatal(err)
 	}
-	src, err := Generate(bind(t, g, nil), Options{})
+	src, err := Generate(bind(t, g, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +99,7 @@ func TestGenerateScheduleOrderMatchesDependencies(t *testing.T) {
 }
 
 func TestGenerateDeadlockedGraphFails(t *testing.T) {
-	if _, err := Generate(bind(t, apps.Fig4Deadlocked(), symb.Env{"p": 1}), Options{}); err == nil {
+	if _, err := Generate(bind(t, apps.Fig4Deadlocked(), symb.Env{"p": 1})); err == nil {
 		t.Fatal("deadlocked graph must not generate a schedule")
 	}
 }

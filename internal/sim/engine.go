@@ -46,28 +46,7 @@ type Simulator struct {
 	inFlight int
 	total    int64 // completed firings
 	res      Result
-	ctr      Counters
 }
-
-// Counters accumulates lightweight lifetime statistics across every run of
-// one simulator (they survive Reset, unlike the Result). Plain fields,
-// owned by the simulator's single goroutine; read them via Counters after
-// a run. tpdf.Simulate publishes them to an obs.Registry when metrics are
-// attached.
-type Counters struct {
-	// Runs and Resets count Run and Reset calls; Events, Firings and
-	// ClockTicks count processed heap events by kind across all runs.
-	Runs       int64
-	Resets     int64
-	Events     int64
-	Firings    int64
-	ClockTicks int64
-	// MaxEventQueue is the event heap's high-water mark.
-	MaxEventQueue int64
-}
-
-// Counters returns the lifetime counters accumulated so far.
-func (s *Simulator) Counters() Counters { return s.ctr }
 
 // NewSimulator binds a Program of cfg.Graph at cfg.Env (core.Bind) and
 // builds a simulator over it: NewSimulatorFromProgram for callers that do
@@ -211,10 +190,8 @@ func (s *Simulator) start() {
 
 // Reset restores the simulator to its initial state so Run can execute the
 // configuration again. Results returned by previous Run calls alias the
-// simulator's internal vectors and are invalidated. Lifetime Counters are
-// not reset.
+// simulator's internal vectors and are invalidated.
 func (s *Simulator) Reset() {
-	s.ctr.Resets++
 	s.start()
 }
 
@@ -290,13 +267,9 @@ func (s *Simulator) maxEvents() int64 {
 // into the simulator's preallocated state: it remains valid until the next
 // Reset. Callers that keep results across runs must copy what they need.
 func (s *Simulator) Run() (*Result, error) {
-	s.ctr.Runs++
 	s.startAllEnabled()
 	var processed int64
 	for s.events.len() > 0 {
-		if n := int64(s.events.len()); n > s.ctr.MaxEventQueue {
-			s.ctr.MaxEventQueue = n
-		}
 		if processed++; processed > s.maxEvents() {
 			return nil, fmt.Errorf("sim: exceeded %d events at t=%d", s.maxEvents(), s.now)
 		}
@@ -307,13 +280,10 @@ func (s *Simulator) Run() (*Result, error) {
 		}
 		ev := s.events.pop()
 		s.now = ev.time
-		s.ctr.Events++
 		switch ev.kind {
 		case 0:
-			s.ctr.Firings++
 			s.complete(ev.node)
 		case 1:
-			s.ctr.ClockTicks++
 			s.clockTick(ev.node)
 		}
 		s.startAllEnabled()

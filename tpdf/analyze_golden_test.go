@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/tpdf"
-	"repro/tpdf/fuzz"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/analyze.golden from the current analysis output")
@@ -89,7 +89,7 @@ func TestAnalyzeGolden(t *testing.T) {
 		record("source "+g.Name, g)
 	}
 	for seed := int64(1); seed <= 256; seed++ {
-		record(fmt.Sprintf("generated %d", seed), fuzz.Graph(seed, fuzz.GraphConfig{}))
+		record(fmt.Sprintf("generated %d", seed), gen.Graph(seed, gen.GraphConfig{}))
 	}
 
 	path := filepath.Join("testdata", "analyze.golden")

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/tpdf"
-	"repro/tpdf/obs"
 )
 
 // TestCompiledSharingMatchesFreshCompile is the program-cache correctness
@@ -237,27 +236,5 @@ func TestEntryPointsRefuseTheSameValuations(t *testing.T) {
 				t.Errorf("%s at p=%d: %q does not name %q", name, c.p, err, c.names)
 			}
 		}
-	}
-}
-
-// TestSimulatePublishesCounters checks the one Simulate path publishes its
-// event counters when, and only when, a registry is attached.
-func TestSimulatePublishesCounters(t *testing.T) {
-	g, err := tpdf.Builtin("fig2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	res, err := tpdf.Simulate(g, tpdf.WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var firings int64
-	for _, f := range res.Firings {
-		firings += f
-	}
-	snap := reg.Sim()
-	if snap.Runs != 1 || snap.Firings != firings || snap.VirtualTime != res.Time {
-		t.Errorf("published %+v, run had %d firings and ended at %d", snap, firings, res.Time)
 	}
 }

@@ -10,10 +10,35 @@ import (
 	"repro/internal/csdf"
 	"repro/internal/durable"
 	"repro/internal/faultinject"
+	"repro/internal/gen"
 	"repro/internal/sinkrec"
 	"repro/internal/symb"
 	"repro/tpdf"
 )
+
+// Case is one generated differential-test case: a graph and a schedule
+// to drive it with.
+type Case struct {
+	// Seed generated the case (0 for cases loaded from corpus files).
+	Seed     int64
+	Graph    *tpdf.Graph
+	Schedule *gen.Schedule
+	// fromSeed marks seed-generated cases: only those can shrink their
+	// topology by rerunning the generator at a smaller node count.
+	fromSeed bool
+}
+
+// NewCase generates the case for a seed: graph and schedule drawn with
+// default configs from the same seed.
+func NewCase(seed int64) *Case {
+	g := gen.Graph(seed, gen.GraphConfig{})
+	return &Case{Seed: seed, Graph: g, Schedule: gen.NewSchedule(seed, g, gen.ScheduleConfig{}), fromSeed: true}
+}
+
+// String identifies the case in failure output.
+func (c *Case) String() string {
+	return fmt.Sprintf("case seed=%d graph=%s iters=%d", c.Seed, c.Graph.Name, c.Schedule.Iterations)
+}
 
 // Check runs the case through every invariant pair and returns the first
 // violation, wrapped with the invariant's name ("tiers: ...",
@@ -80,7 +105,7 @@ func copyParams(m map[string]int64) map[string]int64 {
 // sink observation sequences.
 func CheckTiers(c *Case) error {
 	g, s := c.Graph, c.Schedule
-	sinks := SinkNodes(g)
+	sinks := gen.SinkNodes(g)
 	base := tpdf.WithParams(s.Base)
 	iters := tpdf.WithIterations(s.Iterations)
 
@@ -239,7 +264,7 @@ func CheckResume(c *Case) error {
 	if err != nil {
 		return err
 	}
-	resRec := sinkrec.New(SinkNodes(g))
+	resRec := sinkrec.New(gen.SinkNodes(g))
 	got, err := tpdf.Stream(g, resRec.Behaviors(),
 		c.baseOpts(resRec, tpdf.WithIterations(s.Iterations), tpdf.WithResume(saved))...)
 	if err != nil {
@@ -253,7 +278,7 @@ func CheckResume(c *Case) error {
 // cut it returns for a fresh engine to resume from.
 func (c *Case) stoppedAt(stopAt int64) (want *tpdf.ExecResult, wantSeq map[string][]int64, saved *tpdf.Checkpoint, err error) {
 	g, s := c.Graph, c.Schedule
-	sinks := SinkNodes(g)
+	sinks := gen.SinkNodes(g)
 	refRec := sinkrec.New(sinks)
 	want, err = tpdf.Stream(g, refRec.Behaviors(),
 		c.baseOpts(refRec, tpdf.WithIterations(s.Iterations))...)
@@ -340,7 +365,7 @@ func CheckRecovery(c *Case) error {
 // restart from the newest cut, or without them as the fault-free reference.
 func (c *Case) faultedRun(withPanics bool, extra ...tpdf.Option) (*tpdf.ExecResult, map[string][]int64, error) {
 	panics, faults := c.faults()
-	rec := sinkrec.New(SinkNodes(c.Graph))
+	rec := sinkrec.New(gen.SinkNodes(c.Graph))
 	opts := append([]tpdf.Option{
 		tpdf.WithIterations(c.Schedule.Iterations),
 		tpdf.WithRebindAbortHandler(func(error) {}),
@@ -401,7 +426,7 @@ func CheckDurable(c *Case) error {
 		return fmt.Errorf("recorded graph text does not parse: %w", err)
 	}
 
-	resRec := sinkrec.New(SinkNodes(g))
+	resRec := sinkrec.New(gen.SinkNodes(g))
 	got, err := tpdf.Stream(cold, resRec.Behaviors(),
 		c.baseOpts(resRec, tpdf.WithIterations(s.Iterations), tpdf.WithResume(dec.Checkpoint))...)
 	if err != nil {
@@ -420,7 +445,7 @@ func CheckSkeleton(c *Case) error {
 	if err != nil {
 		return fmt.Errorf("compile: %w", err)
 	}
-	sinks := SinkNodes(g)
+	sinks := gen.SinkNodes(g)
 	refRec := sinkrec.New(sinks)
 	want, err := tpdf.Stream(g, refRec.Behaviors(),
 		c.baseOpts(refRec, tpdf.WithIterations(s.Iterations))...)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 
+	"repro/internal/gen"
 	"repro/internal/sinkrec"
 	"repro/tpdf"
 )
@@ -27,7 +28,7 @@ func CheckContexts(c *Case) error {
 	g, s := c.Graph, c.Schedule
 	rng := rand.New(rand.NewSource(s.Seed ^ 0x636f6e7465787473)) // "contexts"
 	perActor := tpdf.WithWorkers(len(g.Nodes))
-	sinks := SinkNodes(g)
+	sinks := gen.SinkNodes(g)
 
 	execRec := sinkrec.New(sinks)
 	want, err := tpdf.Execute(g, execRec.Behaviors(), tpdf.WithParams(s.Base), tpdf.WithIterations(s.Iterations))

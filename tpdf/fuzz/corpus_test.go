@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/gen"
 	"repro/tpdf"
 )
 
@@ -86,7 +87,7 @@ func LoadCorpus(dir string) ([]CorpusEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		sched, err := ParseSchedule(string(sSrc))
+		sched, err := gen.ParseSchedule(string(sSrc))
 		if err != nil {
 			return nil, fmt.Errorf("fuzz: corpus %s: %w", name+".schedule", err)
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 
+	"repro/internal/gen"
 	"repro/internal/sinkrec"
 	"repro/tpdf"
 )
@@ -60,7 +61,7 @@ func (l *epochsLeg) equal(label string, want *epochsLeg) error {
 }
 
 func (c *Case) epochsLeg(iters int64, hook func(int64) tpdf.Verdict, saveAt int64, extra ...tpdf.Option) (*epochsLeg, error) {
-	rec := sinkrec.New(SinkNodes(c.Graph))
+	rec := sinkrec.New(gen.SinkNodes(c.Graph))
 	leg := &epochsLeg{}
 	opts := append([]tpdf.Option{
 		tpdf.WithParams(c.Schedule.Base),
@@ -129,7 +130,7 @@ func CheckEpochs(c *Case) error {
 // closes once a seeded sink firing has happened.
 func (c *Case) checkCut(rng *rand.Rand, extra ...tpdf.Option) error {
 	g, s := c.Graph, c.Schedule
-	sinks := SinkNodes(g)
+	sinks := gen.SinkNodes(g)
 	horizon := 4*s.Iterations + 8
 	trigger := sinks[rng.Intn(len(sinks))]
 	fireAt := rng.Int63n(2 * s.Iterations)

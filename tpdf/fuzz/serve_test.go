@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gen"
 	"repro/tpdf"
 	"repro/tpdf/serve"
 )
@@ -78,7 +79,7 @@ func (c *serveClient) pump(id string, iters int64, params map[string]int64) (pum
 // that pump's start boundary (the only boundary HTTP can hit). Both the
 // reference and the crash-recovered run apply the same sets, so their
 // trajectories match whatever the alignment drops.
-func pumpParams(s *Schedule) []map[string]int64 {
+func pumpParams(s *gen.Schedule) []map[string]int64 {
 	out := make([]map[string]int64, len(s.Pumps))
 	cum := int64(0)
 	for i := range s.Pumps {

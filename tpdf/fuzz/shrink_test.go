@@ -86,11 +86,11 @@ func candidates(c *Case) []*Case {
 	// seed at a smaller node count. Only for seed-generated cases — a
 	// corpus-loaded graph has no generator configuration to rerun.
 	if c.fromSeed && len(c.Graph.Nodes) > 2 {
-		g := gen.Graph(c.Seed, GraphConfig{Nodes: len(c.Graph.Nodes) - 1})
+		g := gen.Graph(c.Seed, gen.GraphConfig{Nodes: len(c.Graph.Nodes) - 1})
 		out = append(out, &Case{
 			Seed:     c.Seed,
 			Graph:    g,
-			Schedule: gen.NewSchedule(c.Seed, g, ScheduleConfig{}),
+			Schedule: gen.NewSchedule(c.Seed, g, gen.ScheduleConfig{}),
 			fromSeed: true,
 		})
 	}
@@ -100,12 +100,12 @@ func candidates(c *Case) []*Case {
 // clipSchedule shortens a schedule to iters iterations, dropping rebinds,
 // aborts and crash points that fall beyond the new horizon and re-fitting
 // the pump cadence.
-func clipSchedule(s *Schedule, iters int64) *Schedule {
-	ns := &Schedule{Seed: s.Seed, Iterations: iters, Base: copyParams(s.Base), CrashAfterPump: -1}
+func clipSchedule(s *gen.Schedule, iters int64) *gen.Schedule {
+	ns := &gen.Schedule{Seed: s.Seed, Iterations: iters, Base: copyParams(s.Base), CrashAfterPump: -1}
 	kept := map[int64]bool{}
 	for _, rb := range s.Rebinds {
 		if rb.At < iters {
-			ns.Rebinds = append(ns.Rebinds, Rebind{At: rb.At, Params: copyParams(rb.Params)})
+			ns.Rebinds = append(ns.Rebinds, gen.Rebind{At: rb.At, Params: copyParams(rb.Params)})
 			kept[rb.At] = true
 		}
 	}
@@ -135,18 +135,18 @@ func clipSchedule(s *Schedule, iters int64) *Schedule {
 	return ns
 }
 
-func cloneSchedule(s *Schedule) *Schedule {
-	ns := &Schedule{
+func cloneSchedule(s *gen.Schedule) *gen.Schedule {
+	ns := &gen.Schedule{
 		Seed:           s.Seed,
 		Iterations:     s.Iterations,
 		Base:           copyParams(s.Base),
 		Pumps:          append([]int64(nil), s.Pumps...),
-		Panics:         append([]FaultSite(nil), s.Panics...),
+		Panics:         append([]gen.FaultSite(nil), s.Panics...),
 		RebindAborts:   append([]int64(nil), s.RebindAborts...),
 		CrashAfterPump: s.CrashAfterPump,
 	}
 	for _, rb := range s.Rebinds {
-		ns.Rebinds = append(ns.Rebinds, Rebind{At: rb.At, Params: copyParams(rb.Params)})
+		ns.Rebinds = append(ns.Rebinds, gen.Rebind{At: rb.At, Params: copyParams(rb.Params)})
 	}
 	return ns
 }

@@ -1,5 +1,5 @@
 // Package obs is the observability surface of the tpdf runtime: a
-// Registry of engine and simulator counters, a bounded transaction-trace
+// Registry of streaming-engine counters, a bounded transaction-trace
 // Journal, latency Histograms, and a hand-rolled Prometheus text-exposition
 // writer — everything tpdf-serve's /metrics endpoint and the facade's
 // WithMetrics / WithTraceJournal options are built from.
@@ -97,27 +97,14 @@ type EngineSnapshot struct {
 	Edges    []EdgeMetrics
 }
 
-// SimSnapshot is the simulator counterpart: lightweight counters from
-// token-accurate discrete-event runs (tpdf.Simulate with WithMetrics).
-type SimSnapshot struct {
-	Runs          int64
-	Events        int64
-	Firings       int64
-	ClockTicks    int64
-	MaxEventQueue int64
-	// VirtualTime is the completion time of the last run.
-	VirtualTime int64
-}
-
-// Registry is the shared rendezvous between one runtime (engine or
-// simulator) and any number of readers. Writers integrate via UpdateEngine
-// at barriers; readers take consistent copies via EngineSnapshot. A
-// Registry is typically per-session (tpdf/serve creates one per Stream
-// engine) so series never mix runs.
+// Registry is the shared rendezvous between one streaming engine run and
+// any number of readers. Writers integrate via UpdateEngine at barriers;
+// readers take consistent copies via EngineSnapshot. A Registry is
+// typically per-session (tpdf/serve creates one per Stream engine) so
+// series never mix runs.
 type Registry struct {
 	mu     sync.Mutex
 	engine EngineSnapshot
-	sim    SimSnapshot
 }
 
 // NewRegistry returns an empty registry.
@@ -142,20 +129,6 @@ func (r *Registry) EngineSnapshot() EngineSnapshot {
 	s.Actors = append([]ActorMetrics(nil), r.engine.Actors...)
 	s.Edges = append([]EdgeMetrics(nil), r.engine.Edges...)
 	return s
-}
-
-// UpdateSim publishes simulator counters.
-func (r *Registry) UpdateSim(s SimSnapshot) {
-	r.mu.Lock()
-	r.sim = s
-	r.mu.Unlock()
-}
-
-// Sim returns the last published simulator counters.
-func (r *Registry) Sim() SimSnapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sim
 }
 
 // ParamsDigest hashes a parameter valuation into a stable 64-bit digest,

@@ -176,15 +176,15 @@ func WithReconfigure(fn func(completed int64) map[string]int64) Option {
 	return func(c *config) { c.reconfigure = fn }
 }
 
-// WithMetrics attaches an observability registry to the run. Stream
-// harvests per-actor counters (firings, tokens in/out, busy and blocked
-// time, park/spin/wake events) and per-edge ring gauges (occupancy,
-// high-water, grow events) into it at every transaction barrier — the
-// firing path itself updates only private cache-line-padded counters with
-// plain stores and stays 0 allocs/op — and Simulate publishes its event
-// counters after the run. Read a consistent copy at any time with
-// Registry.EngineSnapshot; it is at most one transaction old. Use one
-// registry per run (tpdf/serve keeps one per session) so series never mix.
+// WithMetrics attaches an observability registry to a Stream run (no other
+// entry point reads it). Stream harvests per-actor counters (firings,
+// tokens in/out, busy and blocked time, park/spin/wake events) and
+// per-edge ring gauges (occupancy, high-water, grow events) into it at
+// every transaction barrier — the firing path itself updates only private
+// cache-line-padded counters with plain stores and stays 0 allocs/op. Read
+// a consistent copy at any time with Registry.EngineSnapshot; it is at most
+// one transaction old. Use one registry per run (tpdf/serve keeps one per
+// session) so series never mix.
 func WithMetrics(r *obs.Registry) Option {
 	return func(c *config) { c.metrics = r }
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/tpdf/obs"
 )
 
 // bind returns the graph's Program bound at the configured valuation: the
@@ -34,8 +33,7 @@ func (c *config) bind(g *Graph) (*core.Program, error) {
 // Simulate executes the graph token-accurately in virtual time and reports
 // firings, completion time and per-channel buffer high-water marks.
 // Relevant options: WithParams, WithIterations, WithProcessors,
-// WithDecisions, WithContext, WithRecord, WithCompiled,
-// WithMetrics (event counters published to the registry after the run).
+// WithDecisions, WithContext, WithRecord, WithCompiled.
 func Simulate(g *Graph, opts ...Option) (*SimResult, error) {
 	cfg := buildConfig(opts)
 	prog, err := cfg.bind(g)
@@ -52,22 +50,7 @@ func Simulate(g *Graph, opts ...Option) (*SimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.Run()
-	if cfg.metrics != nil {
-		ctr := s.Counters()
-		snap := obs.SimSnapshot{
-			Runs:          ctr.Runs,
-			Events:        ctr.Events,
-			Firings:       ctr.Firings,
-			ClockTicks:    ctr.ClockTicks,
-			MaxEventQueue: ctr.MaxEventQueue,
-		}
-		if res != nil {
-			snap.VirtualTime = res.Time
-		}
-		cfg.metrics.UpdateSim(snap)
-	}
-	return res, err
+	return s.Run()
 }
 
 // Execute runs the graph at the payload level: behaviors map node names to
@@ -191,15 +174,19 @@ func Schedule(g *Graph, opts ...Option) (*ScheduleResult, error) {
 	return out, nil
 }
 
-// GenerateCode emits quasi-static Go scheduling code for the graph
-// (WithParams selects the valuation; WithCompiled is honoured).
+// GenerateCode emits quasi-static Go scheduling code for the graph, as one
+// file of package schedule (WithParams selects the valuation; WithCompiled
+// is honoured). Its RunIteration fires one canonical period in schedule
+// order and returns an error naming the node, firing and port when a
+// behavior produces neither its port's rate nor nothing, the firing
+// Execute and Stream would fail.
 func GenerateCode(g *Graph, opts ...Option) (string, error) {
 	cfg := buildConfig(opts)
 	prog, err := cfg.bind(g)
 	if err != nil {
 		return "", err
 	}
-	return codegen.Generate(prog, codegen.Options{})
+	return codegen.Generate(prog)
 }
 
 // MinimalBuffers searches the smallest per-edge capacities under which the
