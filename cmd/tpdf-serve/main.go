@@ -12,14 +12,14 @@
 //	           [-max-per-tenant n] [-admit-wait d] [-drain-timeout d]
 //	           [-batch-workers n] [-data-dir dir] [-keep-snapshots k]
 //
-// -data-dir makes sessions durable: every session's state is snapshotted
-// to <dir>/<session>/ at the boundary that ends each pump, synchronously
-// before the pump request is acknowledged, so an acked pump always
-// survives a crash, and the newest -keep-snapshots files are retained per
-// session. On restart with the same
+// -data-dir makes sessions durable: every session's state is appended to
+// the log <dir>/<session>/log at the boundary that ends each pump,
+// synchronously before the pump request is acknowledged, so an acked pump
+// always survives a crash; the log is rewritten down to its newest
+// -keep-snapshots records every 64 appends. On restart with the same
 // directory the fleet is rebuilt from disk: each session's graph is
 // recompiled from its recorded text and resumed at its newest valid
-// snapshot — torn or corrupt files from a mid-write crash are detected by
+// snapshot — a torn or corrupt record from a mid-write crash is detected by
 // checksum and skipped. /healthz answers 503 "recovering" until recovery
 // completes; /v1/stats reports its progress and /metrics carries the
 // tpdf_durable_* families. Sessions closed by the client delete their
@@ -80,7 +80,7 @@ func run() error {
 	maxRestarts := flag.Int("max-restarts", 3, "engine restarts per session after behavior panics (negative disables recovery)")
 	chaos := flag.Bool("chaos", false, "accept seeded fault-injection specs at session open (testing only)")
 	dataDir := flag.String("data-dir", "", "durable snapshot directory; empty disables persistence")
-	keepSnapshots := flag.Int("keep-snapshots", 3, "newest snapshots retained per session")
+	keepSnapshots := flag.Int("keep-snapshots", 3, "newest records a session's log keeps when it is rewritten")
 	flag.Parse()
 
 	srv := serve.New(serve.Config{

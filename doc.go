@@ -259,14 +259,16 @@
 //     boundedness verdict are admitted, so a session's rings stay at their
 //     analysis-derived capacities over an unbounded lifetime;
 //   - durable sessions (tpdf-serve -data-dir): every session's consistent
-//     barrier cut is persisted to a per-session snapshot directory —
+//     barrier cut is persisted to a per-session append-only log —
 //     asynchronous double-buffered capture on the barrier, checksummed
-//     binary frames written atomically, newest-K retention, and a
+//     binary frames appended and fsynced (one write and one fsync per
+//     ack, refused if the file is no longer the log at its path), the log
+//     rewritten down to its newest K records every 64 appends, and a
 //     synchronous flush before every pump acknowledgment so acked work
 //     always survives SIGKILL. On restart the fleet is rebuilt from disk
 //     (graphs recompiled from their recorded canonical text through the
 //     shared program cache, sessions resumed from their newest valid
-//     snapshot, torn files skipped by checksum); /healthz answers 503
+//     snapshot, a torn tail skipped by checksum); /healthz answers 503
 //     "recovering" until done and /metrics carries the tpdf_durable_*
 //     families. The internal/durable package holds the codec, store and
 //     writer; tpdf-loadgen -crash-record / -crash-verify and the CI

@@ -1,14 +1,16 @@
 // Package durable persists engine checkpoints as crash-consistent
-// snapshot files: a versioned binary codec over length-prefixed,
-// CRC-checksummed frames (this file), a per-session snapshot store with
-// atomic write discipline and keep-last-K retention (store.go), and a
-// double-buffered background writer that keeps the engine's warm firing
-// path allocation-free while snapshots stream to disk (writer.go).
+// snapshots: a versioned binary codec over length-prefixed,
+// CRC-checksummed frames (this file), a store holding one append-only log
+// per session, where a durable cut is one append and one fsync and the log
+// is rewritten down to its newest K records every so many appends
+// (store.go), and a double-buffered background writer that keeps the
+// engine's warm firing path allocation-free while snapshots stream to disk
+// (writer.go).
 //
 // A snapshot is self-describing: besides the engine cut (ring contents,
 // firing counters, valuation + digest, user state) it carries the
 // session's identity — tenant and the canonical textual graph — so a cold
-// restart can recompile the skeleton and resume the run from the file
+// restart can recompile the skeleton and resume the run from the record
 // alone. Encoding is deterministic (maps are emitted in sorted key order),
 // so encode(decode(encode(x))) is byte-identical to encode(x) and
 // snapshots diff cleanly.
@@ -25,15 +27,15 @@ import (
 	"repro/internal/engine"
 )
 
-// magic opens every snapshot file; the trailing byte is the format
-// version. A reader seeing any other prefix rejects the file before
-// trusting a single length field.
+// magic opens every snapshot record; the trailing byte is the format
+// version. A reader seeing any other prefix rejects the record before
+// trusting a single length field, and a log scan resynchronises on it.
 var magic = []byte("TPDFCK\x00\x01")
 
-// ErrCorrupt reports a snapshot file that failed structural validation:
+// ErrCorrupt reports a snapshot record that failed structural validation:
 // bad magic, a torn (truncated) frame, or a CRC mismatch. The store treats
-// such files as casualties of a crash mid-write and falls back to the next
-// older snapshot.
+// such records as casualties of a crash mid-write and falls back to the
+// next older snapshot.
 var ErrCorrupt = errors.New("durable: corrupt snapshot")
 
 // Snapshot is one durable cut of a session: the engine checkpoint plus
@@ -70,7 +72,7 @@ const (
 // Encode appends the snapshot's binary form to buf (pass buf[:0] to reuse
 // an arena across persists) and returns the extended slice. The layout is
 // magic, then two frames — identity and engine state — each length-
-// prefixed and CRC32-guarded, so torn or bit-flipped files are detected
+// prefixed and CRC32-guarded, so torn or bit-flipped records are detected
 // at every byte offset.
 func Encode(buf []byte, s *Snapshot) ([]byte, error) {
 	if s.Checkpoint == nil {
@@ -108,13 +110,41 @@ func Encode(buf []byte, s *Snapshot) ([]byte, error) {
 	})
 }
 
-// Decode parses a snapshot file produced by Encode. Structural damage —
+// Decode parses a snapshot produced by Encode. Structural damage —
 // wrong magic, truncation anywhere, a CRC mismatch on either frame —
 // returns an error wrapping ErrCorrupt; the caller falls back to an older
 // snapshot.
 func Decode(data []byte) (*Snapshot, error) {
+	meta, state, n, err := split(data)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(data) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-n)
+	}
+
+	s := &Snapshot{}
+	r := reader{buf: meta}
+	s.SessionID = r.str()
+	s.Tenant = r.str()
+	s.GraphText = r.str()
+	if r.err != nil {
+		return nil, fmt.Errorf("%w: identity frame: %v", ErrCorrupt, r.err)
+	}
+	ck, err := decodeCheckpoint(state)
+	if err != nil {
+		return nil, err
+	}
+	s.Checkpoint = ck
+	return s, nil
+}
+
+// split checks the record at the head of data — magic, identity frame,
+// state frame, both CRCs — and returns the two payloads and the record's
+// length. A session log is a run of such records; Decode is exactly one.
+func split(data []byte) (meta, state []byte, n int, err error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic) {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return nil, nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	rest := data[len(magic):]
 	readFrame := func() ([]byte, error) {
@@ -134,33 +164,10 @@ func Decode(data []byte) (*Snapshot, error) {
 		}
 		return payload, nil
 	}
-
-	meta, err := readFrame()
-	if err != nil {
-		return nil, err
+	if meta, err = readFrame(); err == nil {
+		state, err = readFrame()
 	}
-	state, err := readFrame()
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
-	}
-
-	s := &Snapshot{}
-	r := reader{buf: meta}
-	s.SessionID = r.str()
-	s.Tenant = r.str()
-	s.GraphText = r.str()
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: identity frame: %v", ErrCorrupt, r.err)
-	}
-	ck, err := decodeCheckpoint(state)
-	if err != nil {
-		return nil, err
-	}
-	s.Checkpoint = ck
-	return s, nil
+	return meta, state, len(data) - len(rest), err
 }
 
 func encodeCheckpoint(b []byte, ck *engine.Checkpoint) ([]byte, error) {
@@ -216,60 +223,33 @@ func decodeCheckpoint(data []byte) (*engine.Checkpoint, error) {
 	ck.Digest = r.fixed64()
 	r.byte() // reserved flag byte
 
-	np := r.uvarint()
-	if r.err == nil && np > uint64(len(r.buf)) {
-		// Same guard as the node/edge counts below: a lying length field
-		// must not force a huge preallocation before any key is read.
-		r.err = fmt.Errorf("param count %d exceeds frame", np)
-	}
-	if r.err == nil {
-		ck.Params = make(map[string]int64, np)
-		for i := uint64(0); i < np && r.err == nil; i++ {
-			k := r.str()
-			ck.Params[k] = r.varint()
-		}
+	np := r.count("param")
+	ck.Params = make(map[string]int64, np)
+	for i := uint64(0); i < np && r.err == nil; i++ {
+		k := r.str()
+		ck.Params[k] = r.varint()
 	}
 
-	nn := r.uvarint()
-	if r.err == nil && nn > uint64(len(r.buf)) {
-		// A length field can only lie within what the CRC admitted, but
-		// guard the preallocation anyway.
-		r.err = fmt.Errorf("node count %d exceeds frame", nn)
-	}
-	if r.err == nil {
-		ck.Nodes = make([]string, nn)
-		ck.Fired = make([]int64, nn)
-		ck.Base = make([]int64, nn)
-		for i := range ck.Nodes {
-			ck.Nodes[i] = r.str()
-			ck.Fired[i] = r.varint()
-			ck.Base[i] = r.varint()
-		}
+	nn := r.count("node")
+	ck.Nodes = make([]string, nn)
+	ck.Fired = make([]int64, nn)
+	ck.Base = make([]int64, nn)
+	for i := range ck.Nodes {
+		ck.Nodes[i] = r.str()
+		ck.Fired[i] = r.varint()
+		ck.Base[i] = r.varint()
 	}
 
-	ne := r.uvarint()
-	if r.err == nil && ne > uint64(len(r.buf)) {
-		r.err = fmt.Errorf("edge count %d exceeds frame", ne)
-	}
-	if r.err == nil {
-		ck.EdgeNames = make([]string, ne)
-		ck.Edges = make([][]any, ne)
-		for i := range ck.EdgeNames {
-			ck.EdgeNames[i] = r.str()
-			nt := r.uvarint()
-			if r.err != nil {
-				break
-			}
-			if nt > uint64(len(r.buf)) {
-				r.err = fmt.Errorf("edge %s token count %d exceeds frame", ck.EdgeNames[i], nt)
-				break
-			}
-			vals := make([]any, nt)
-			for j := range vals {
-				vals[j] = r.value(0)
-			}
-			ck.Edges[i] = vals
+	ne := r.count("edge")
+	ck.EdgeNames = make([]string, ne)
+	ck.Edges = make([][]any, ne)
+	for i := range ck.EdgeNames {
+		ck.EdgeNames[i] = r.str()
+		vals := make([]any, r.count("token"))
+		for j := range vals {
+			vals[j] = r.value(0)
 		}
+		ck.Edges[i] = vals
 	}
 	ck.User = r.value(0)
 	if r.err == nil && len(r.buf) != 0 {
@@ -379,6 +359,19 @@ func (r *reader) varint() int64 {
 	return v
 }
 
+// count reads a uvarint element count and fails it if it exceeds the bytes
+// left in the frame — every element takes at least one — so a lying length
+// field cannot force a huge preallocation before any element is read. A
+// failed count is 0, so the caller's loop simply does not run.
+func (r *reader) count(what string) uint64 {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.buf)) {
+		r.err = fmt.Errorf("%s count %d exceeds frame", what, n)
+		return 0
+	}
+	return n
+}
+
 func (r *reader) fixed64() uint64 {
 	if r.err != nil || len(r.buf) < 8 {
 		r.fail("truncated fixed64")
@@ -431,41 +424,18 @@ func (r *reader) value(depth int) any {
 	case tagString:
 		return r.str()
 	case tagBytes:
-		n := r.uvarint()
-		if r.err != nil {
-			return nil
-		}
-		if n > uint64(len(r.buf)) {
-			r.fail("truncated bytes")
-			return nil
-		}
+		n := r.count("byte")
 		v := append([]byte(nil), r.buf[:n]...)
 		r.buf = r.buf[n:]
 		return v
 	case tagInt64Slice:
-		n := r.uvarint()
-		if r.err != nil {
-			return nil
-		}
-		if n > uint64(len(r.buf)) {
-			r.fail("truncated int64 slice")
-			return nil
-		}
-		v := make([]int64, n)
+		v := make([]int64, r.count("int64"))
 		for i := range v {
 			v[i] = r.varint()
 		}
 		return v
 	case tagAnySlice:
-		n := r.uvarint()
-		if r.err != nil {
-			return nil
-		}
-		if n > uint64(len(r.buf)) {
-			r.fail("truncated any slice")
-			return nil
-		}
-		v := make([]any, n)
+		v := make([]any, r.count("value"))
 		for i := range v {
 			v[i] = r.value(depth + 1)
 		}

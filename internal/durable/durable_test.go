@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -213,14 +214,22 @@ func TestCodecCorruptionDetectedEverywhere(t *testing.T) {
 // count fields lie must be rejected before the decoder preallocates for
 // them — a huge params/node/edge hint would otherwise OOM on make().
 func TestDecodeGuardsCountPreallocations(t *testing.T) {
-	var b []byte
-	b = putString(b, "g")                      // Graph
-	b = binary.AppendVarint(b, 1)              // Completed
-	b = binary.LittleEndian.AppendUint64(b, 0) // Digest
-	b = append(b, 0)                           // reserved
-	b = binary.AppendUvarint(b, 1<<40)         // params count: absurd
-	if _, err := decodeCheckpoint(b); err == nil || !errors.Is(err, ErrCorrupt) {
+	head := func() []byte {
+		var b []byte
+		b = putString(b, "g")                      // Graph
+		b = binary.AppendVarint(b, 1)              // Completed
+		b = binary.LittleEndian.AppendUint64(b, 0) // Digest
+		return append(b, 0)                        // reserved
+	}
+	params := binary.AppendUvarint(head(), 1<<40) // params count: absurd
+	if _, err := decodeCheckpoint(params); err == nil || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("huge param count not rejected: %v", err)
+	}
+	// A slice count is the sharper case: make([]T, 1<<40) panics where a
+	// map hint is merely ignored.
+	nodes := binary.AppendUvarint(binary.AppendUvarint(head(), 0), 1<<40)
+	if _, err := decodeCheckpoint(nodes); err == nil || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("huge node count not rejected: %v", err)
 	}
 }
 
@@ -239,8 +248,8 @@ func testSnapshot(seed int64, completed int64) *Snapshot {
 	return &Snapshot{SessionID: "s1", Tenant: "t", GraphText: "graph g {}\n", Checkpoint: ck}
 }
 
-// TestStoreFallbackToPreviousValid: when the newest snapshot file is torn
-// or corrupted, LoadNewest counts it and returns the previous valid one.
+// TestStoreFallbackToPreviousValid: when the newest record in the log is
+// torn or corrupted, LoadNewest counts it and returns the previous valid one.
 func TestStoreFallbackToPreviousValid(t *testing.T) {
 	st, err := Open(t.TempDir(), 5)
 	if err != nil {
@@ -260,11 +269,8 @@ func TestStoreFallbackToPreviousValid(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seqs, _ := ss.list()
-	newest := ss.path(seqs[len(seqs)-1])
-
-	// Torn write: truncate the newest file mid-frame.
-	if err := os.Truncate(newest, int64(len(encBad)/2)); err != nil {
+	// Torn write: truncate the log in the middle of the newest record.
+	if err := os.Truncate(ss.path, int64(len(encGood)+len(encBad)/2)); err != nil {
 		t.Fatal(err)
 	}
 	snap, discarded, err := st.LoadNewest("s1")
@@ -275,15 +281,30 @@ func TestStoreFallbackToPreviousValid(t *testing.T) {
 		t.Fatalf("want fallback to completed=7 with 1 discard, got completed=%d discarded=%d", snap.Checkpoint.Completed, discarded)
 	}
 
-	// Bit rot: full-length file, one flipped byte.
+	// Bit rot: full-length record, one flipped byte.
 	mut := append([]byte(nil), encBad...)
 	mut[len(mut)/2] ^= 0xff
-	if err := os.WriteFile(newest, mut, 0o644); err != nil {
+	if err := os.WriteFile(ss.path, append(append([]byte(nil), encGood...), mut...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	snap, discarded, err = st.LoadNewest("s1")
 	if err != nil || discarded != 1 || snap.Checkpoint.Completed != 7 {
 		t.Fatalf("want fallback after bit rot, got snap=%v discarded=%d err=%v", snap, discarded, err)
+	}
+
+	// A record whose frames verify but whose state does not decode.
+	crafted := append([]byte(nil), magic...)
+	for _, payload := range [][]byte{putString(putString(putString(nil, "s1"), "t"), ""), []byte("not a checkpoint")} {
+		crafted = binary.LittleEndian.AppendUint32(crafted, uint32(len(payload)))
+		crafted = binary.LittleEndian.AppendUint32(crafted, crc32.ChecksumIEEE(payload))
+		crafted = append(crafted, payload...)
+	}
+	if err := os.WriteFile(ss.path, append(append([]byte(nil), encGood...), crafted...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, discarded, err = st.LoadNewest("s1")
+	if err != nil || discarded != 1 || snap.Checkpoint.Completed != 7 {
+		t.Fatalf("want fallback past an undecodable record, got snap=%v discarded=%d err=%v", snap, discarded, err)
 	}
 }
 
@@ -298,8 +319,14 @@ func TestStoreNoSnapshotVsAllCorrupt(t *testing.T) {
 	ss, _ := st.Session("junk")
 	enc, _ := Encode(nil, testSnapshot(1, 1))
 	ss.Write(enc)
-	seqs, _ := ss.list()
-	if err := os.WriteFile(ss.path(seqs[0]), []byte("garbage"), 0o644); err != nil {
+	ss.Close()
+	if err := os.WriteFile(ss.path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.LoadNewest("junk"); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("empty log: want ErrNoSnapshot, got %v", err)
+	}
+	if err := os.WriteFile(ss.path, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, discarded, err := st.LoadNewest("junk")
@@ -308,35 +335,58 @@ func TestStoreNoSnapshotVsAllCorrupt(t *testing.T) {
 	}
 }
 
+// logCompleted decodes every record of a session's log, in order.
+func logCompleted(t *testing.T, path string) []int64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	for _, sp := range scan(data) {
+		snap, err := Decode(data[sp.off:sp.end])
+		if err != nil {
+			t.Fatalf("record at %d: %v", sp.off, err)
+		}
+		got = append(got, snap.Checkpoint.Completed)
+	}
+	return got
+}
+
 func TestStoreRetentionAndTmpSweep(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, 2)
+	const keep = 2
+	st, err := Open(dir, keep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ss, _ := st.Session("s1")
-	for i := int64(1); i <= 5; i++ {
+	// The append after keep+rollEvery records rolls the log down to its
+	// newest keep first.
+	total := int64(keep + rollEvery + 3)
+	for i := int64(1); i <= total; i++ {
 		enc, _ := Encode(nil, testSnapshot(i, i))
 		if _, err := ss.Write(enc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	seqs, _ := ss.list()
-	if len(seqs) != 2 {
-		t.Fatalf("retention: want 2 files, got %d", len(seqs))
+	want := []int64{total - 4, total - 3, total - 2, total - 1, total}
+	if got := logCompleted(t, ss.path); !reflect.DeepEqual(got, want) {
+		t.Fatalf("retention: log holds %v, want %v", got, want)
 	}
-	snap, _, err := ss.LoadNewest()
-	if err != nil || snap.Checkpoint.Completed != 5 {
-		t.Fatalf("want newest completed=5, got %v err=%v", snap, err)
+	snap, _, err := st.LoadNewest("s1")
+	if err != nil || snap.Checkpoint.Completed != total {
+		t.Fatalf("want newest completed=%d, got %v err=%v", total, snap, err)
 	}
+	ss.Close()
 
-	// A crash mid-write leaves a tmp file; reopening sweeps it and the
-	// sequence continues past the highest committed snapshot.
-	tmp := filepath.Join(dir, "s1", snapPrefix+"00000000000000ff"+snapSuffix+tmpSuffix)
+	// A crash mid-roll leaves log.tmp; the next writer's open sweeps it and
+	// appends after the log's last record.
+	tmp := ss.path + tmpSuffix
 	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := Open(dir, 2)
+	st2, err := Open(dir, keep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,20 +398,24 @@ func TestStoreRetentionAndTmpSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatalf("tmp file not swept: %v", err)
-	}
-	enc, _ := Encode(nil, testSnapshot(6, 6))
+	enc, _ := Encode(nil, testSnapshot(total+1, total+1))
 	if _, err := ss2.Write(enc); err != nil {
 		t.Fatal(err)
 	}
-	snap, _, err = ss2.LoadNewest()
-	if err != nil || snap.Checkpoint.Completed != 6 {
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("tmp file not swept: %v", err)
+	}
+	snap, _, err = st2.LoadNewest("s1")
+	if err != nil || snap.Checkpoint.Completed != total+1 {
 		t.Fatalf("post-reopen newest: %v err=%v", snap, err)
 	}
 
+	// Remove closes the log the write left open before deleting it.
 	if err := st2.Remove("s1"); err != nil {
 		t.Fatal(err)
+	}
+	if n := openFDs(dir); n != 0 {
+		t.Fatalf("%d descriptors still open on the store after Remove", n)
 	}
 	ids, _ = st2.Sessions()
 	if len(ids) != 0 {
@@ -390,7 +444,7 @@ func TestWriterPersistsNewestAndFlushes(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	snap, _, err := ss.LoadNewest()
+	snap, _, err := st.LoadNewest("s1")
 	if err != nil || snap.Checkpoint.Completed != 5 {
 		t.Fatalf("flush did not persist newest: %v err=%v", snap, err)
 	}
@@ -431,7 +485,7 @@ func TestWriterDetachesIntSliceUser(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	snap, _, err := ss.LoadNewest()
+	snap, _, err := st.LoadNewest("s1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +521,7 @@ func TestWriterDetachesAllMutableUserTypes(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	snap, _, err := ss.LoadNewest()
+	snap, _, err := st.LoadNewest("s1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,43 +550,48 @@ func TestWriterFlushReportsBackgroundError(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss, _ := st.Session("s1")
-	w := NewWriter(ss, "s1", "", "graph g {}\n", 1, nil)
+	failed := make(chan struct{}, 1)
+	w := NewWriter(ss, "s1", "", "graph g {}\n", 1, func(ev PersistEvent) {
+		if ev.Err != nil {
+			select {
+			case failed <- struct{}{}:
+			default:
+			}
+		}
+	})
 	defer w.Close()
 
-	// Make the session directory unwritable so the next persist fails.
+	// Replace the session directory with a plain file so the next persist
+	// fails (ENOTDIR), even as root.
 	sessDir := filepath.Join(dir, "s1")
-	if err := os.Chmod(sessDir, 0o555); err != nil {
+	if err := os.RemoveAll(sessDir); err != nil {
 		t.Fatal(err)
 	}
-	defer os.Chmod(sessDir, 0o755)
-	if os.Getuid() == 0 {
-		t.Skip("running as root: chmod cannot induce write failure")
+	if err := os.WriteFile(sessDir, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	ck := testSnapshot(40, 4).Checkpoint
 	w.Offer(ck)
-	waitFor(t, func() bool { return w.Err() != nil })
+	select {
+	case <-failed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("background persist did not fail")
+	}
 	if err := w.Flush(); err == nil {
 		t.Fatal("flush swallowed the background persist error")
 	}
-	// Recovery: once the directory is writable again a fresh offer clears it.
-	os.Chmod(sessDir, 0o755)
+	// Recovery: once the directory is back a fresh offer clears it.
+	if err := os.Remove(sessDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(sessDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	ck.Completed = 5
 	w.Offer(ck)
 	if err := w.Flush(); err != nil {
 		t.Fatalf("flush after recovery: %v", err)
 	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("condition not reached in time")
 }
 
 // TestWriterOfferAllocationFree: once the double buffer is warm, Offer on

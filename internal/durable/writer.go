@@ -14,7 +14,7 @@ type PersistEvent struct {
 	Completed int64
 	// Bytes is the encoded snapshot size (0 on error).
 	Bytes int
-	// Dur is the persist latency: encode + write + fsync + rename.
+	// Dur is the persist latency: encode + append + fsync.
 	Dur time.Duration
 	// Err is non-nil when the write failed.
 	Err error
@@ -43,7 +43,8 @@ type Writer struct {
 
 	// persistMu serializes persists and orders them: held across
 	// swap+encode+write so a background persist of an older cut can never
-	// land after (and thus shadow, by sequence) a Flush of a newer one.
+	// land after (and thus shadow, in the log) a Flush of a newer one. It
+	// also guards encBuf and lastErr.
 	persistMu sync.Mutex
 	encBuf    []byte
 	lastErr   error
@@ -174,9 +175,8 @@ func (w *Writer) persist() error {
 
 	w.mu.Lock()
 	if !w.dirty {
-		err := w.lastErr
 		w.mu.Unlock()
-		return err
+		return w.lastErr
 	}
 	w.dirty = false
 	idx := w.cur
@@ -194,9 +194,7 @@ func (w *Writer) persist() error {
 		w.encBuf = enc
 		n, err = w.ss.Write(enc)
 	}
-	w.mu.Lock()
 	w.lastErr = err
-	w.mu.Unlock()
 	if w.onEv != nil {
 		w.onEv(PersistEvent{Completed: ck.Completed, Bytes: n, Dur: time.Since(start), Err: err})
 	}
@@ -210,20 +208,15 @@ func (w *Writer) Flush() error {
 	return w.persist()
 }
 
-// Err returns the most recent persist outcome without writing anything.
-func (w *Writer) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastErr
-}
-
-// Close flushes the pending checkpoint and stops the background goroutine.
-// Safe to call more than once; later calls return the first close's error.
+// Close flushes the pending checkpoint, stops the background goroutine and
+// closes the session's log file. Safe to call more than once; later calls
+// return the first close's error.
 func (w *Writer) Close() error {
 	w.closeOnce.Do(func() {
 		w.closeErr = w.Flush()
 		close(w.done)
 		<-w.loopDone
+		w.ss.Close() //nolint:errcheck // every append was fsynced; Flush reported the last
 	})
 	return w.closeErr
 }

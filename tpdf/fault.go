@@ -108,18 +108,23 @@ func WithRebindAbortHandler(fn func(error)) Option {
 // surfaces as a plain error. Test with errors.Is.
 var ErrNoSnapshot = durable.ErrNoSnapshot
 
-// SnapshotStore is the durable half of fault tolerance: a directory of
-// per-session checkpoint snapshots with crash-safe write discipline
-// (tmp-write → fsync → rename → directory fsync), keep-last-K retention,
-// and CRC-guarded torn-write detection on load. Open one, derive a
-// Persister per run, and arm it with WithDurableCheckpoints; after a
-// crash, Load the newest valid snapshot and resume with WithResume.
+// SnapshotStore is the durable half of fault tolerance: a directory holding
+// one append-only log per session. A persist appends one CRC-guarded record
+// to the session's open log and fsyncs it, and is reported durable only
+// while that file is still the log at its path. A load returns the newest
+// record whose checksums verify, skipping a torn tail. Every so many
+// appends, and when a writer reopens a log with a torn tail, the log is
+// rewritten as its newest valid records (tmp-write → fsync → rename →
+// directory fsync). Open one, derive a Persister per run, and arm it with
+// WithDurableCheckpoints; after a crash, Load the newest valid snapshot and
+// resume with WithResume.
 type SnapshotStore struct {
 	st *durable.Store
 }
 
 // OpenSnapshotStore opens (creating if needed) a snapshot store rooted at
-// dir, keeping the newest keepLast snapshots per session (clamped to 1).
+// dir. keepLast (clamped to 1) is the number of newest records per session
+// a log keeps when it is rewritten; between rewrites it holds more.
 func OpenSnapshotStore(dir string, keepLast int) (*SnapshotStore, error) {
 	st, err := durable.Open(dir, keepLast)
 	if err != nil {
@@ -145,8 +150,8 @@ type DurableSnapshot struct {
 	GraphText string
 	// Checkpoint is the consistent cut to hand to WithResume.
 	Checkpoint *Checkpoint
-	// Discarded counts newer snapshot files skipped as torn or corrupt
-	// before this one decoded cleanly — each is a crash casualty.
+	// Discarded counts newer stretches of the log skipped as torn or
+	// corrupt before this record decoded cleanly — each is a crash casualty.
 	Discarded int
 }
 
@@ -154,7 +159,8 @@ type DurableSnapshot struct {
 func (d *DurableSnapshot) Graph() (*Graph, error) { return Parse(d.GraphText) }
 
 // Load decodes the newest valid snapshot for id, walking backward past
-// torn or corrupt files. ErrNoSnapshot when the session has none.
+// torn or corrupt records. ErrNoSnapshot when the session has none. It
+// never modifies the log.
 func (s *SnapshotStore) Load(id string) (*DurableSnapshot, error) {
 	snap, discarded, err := s.st.LoadNewest(id)
 	if err != nil {
@@ -175,7 +181,7 @@ type PersistInfo struct {
 	Completed int64
 	// Bytes is the encoded snapshot size (0 when the write failed).
 	Bytes int
-	// Dur is the persist latency: encode + write + fsync + rename.
+	// Dur is the persist latency: encode + append + fsync.
 	Dur time.Duration
 	// Err is non-nil when the write failed.
 	Err error

@@ -42,7 +42,7 @@ const (
 	EvRestore
 	// EvPersist is a durable snapshot write: the checkpoint at Completed was
 	// encoded and fsynced to the session's snapshot store. DurNs is the
-	// persist latency (encode + write + fsync + rename); Detail carries the
+	// persist latency (encode + append + fsync); Detail carries the
 	// error text when the write failed.
 	EvPersist
 	// EvRecover is a cold-start recovery: a session was re-opened from its

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -158,7 +159,7 @@ func TestDurableCloseDeletesDrainKeeps(t *testing.T) {
 	}
 }
 
-// TestRecoverReportsFailures: a session directory whose snapshots are all
+// TestRecoverReportsFailures: a session directory whose log is all
 // garbage is reported (with a reason) and left on disk for forensics,
 // while valid neighbors still recover.
 func TestRecoverReportsFailures(t *testing.T) {
@@ -181,7 +182,7 @@ func TestRecoverReportsFailures(t *testing.T) {
 	if err := os.MkdirAll(bad, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(bad, "ck-0000000000000001.snap"), []byte("not a snapshot"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(bad, "log"), []byte("not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -193,7 +194,7 @@ func TestRecoverReportsFailures(t *testing.T) {
 	if len(rec.Reasons) != 1 || !strings.HasPrefix(rec.Reasons[0], "s99: ") {
 		t.Fatalf("failure reasons: %v", rec.Reasons)
 	}
-	if _, err := os.Stat(filepath.Join(bad, "ck-0000000000000001.snap")); err != nil {
+	if _, err := os.Stat(filepath.Join(bad, "log")); err != nil {
 		t.Fatalf("failed session's snapshots should stay on disk: %v", err)
 	}
 	if st := m2.Stats(); st.Durable.RecoveryFailed != 1 {
@@ -324,6 +325,59 @@ func TestOpenDuringRecoveryNoIDCollision(t *testing.T) {
 	if err := m2.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
+}
+
+// TestDurableSessionsLeakNoFDs: a durable session holds its log open while
+// it runs; closing it (a client DELETE, which removes the log) or draining
+// it (which keeps the log) gives the descriptor back. Only descriptors on
+// files under the data directory are counted, so files other tests left
+// for the garbage collector to close do not blur the count.
+func TestDurableSessionsLeakNoFDs(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd")
+	}
+	cfg, dir := durableConfig(t)
+	ctx := ctxT(t)
+	fds := func() (n int) {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if target, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name())); err == nil && strings.HasPrefix(target, dir) {
+				n++
+			}
+		}
+		return n
+	}
+
+	m := NewManager(cfg)
+	const n = 8
+	for i := 0; i < n; i++ {
+		s, err := m.Open(ctx, "acme", testGraph(t), nil, nil)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if _, err := s.Pump(ctx, 2, nil); err != nil {
+			t.Fatalf("pump: %v", err)
+		}
+		if i%2 == 0 {
+			if _, err := m.Close(ctx, s.ID); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+		}
+	}
+	if open := fds(); open != n/2 {
+		t.Fatalf("%d descriptors on the data directory with %d durable sessions open, want one log each", open, n/2)
+	}
+	if err := m.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if left := fds(); left != 0 {
+		t.Fatalf("%d descriptors on the data directory after every session closed", left)
+	}
+	// The manager holds the store, so no finalizer closed a leaked log.
+	runtime.KeepAlive(m)
 }
 
 // TestPumpNotDurableOnFlushFailure: when the synchronous flush covering a

@@ -78,15 +78,15 @@ type Config struct {
 	EnableChaos bool
 	// DataDir enables durable sessions: every session streams its barrier
 	// checkpoints to a per-session snapshot store under this directory
-	// (crash-safe tmp-write → fsync → rename), a pump is acknowledged only
+	// (one append-only log per session), a pump is acknowledged only
 	// after its covering checkpoint is fsynced (a failed flush fails the
 	// pump with ErrNotDurable — the work ran but is reported non-durable),
 	// and a restarted server recovers every session from its newest valid
 	// snapshot. Empty (the default) keeps all checkpoints in memory.
 	DataDir string
-	// KeepSnapshots bounds per-session snapshot retention (default 3;
-	// older files are pruned after each successful write). More than one is
-	// kept so a torn newest write falls back instead of losing the session.
+	// KeepSnapshots is the number of newest records a session's log keeps
+	// when it is rewritten (default 3). More than one is kept so a torn
+	// newest record falls back instead of losing the session.
 	KeepSnapshots int
 }
 
@@ -163,9 +163,9 @@ type DurableStats struct {
 	PersistErrors     int64 `json:"persist_errors"`
 	Bytes             int64 `json:"bytes"`
 	LastSnapshotBytes int64 `json:"last_snapshot_bytes"`
-	// TornDiscarded counts snapshot files skipped as torn or corrupt
-	// during recovery (each was a crash casualty; recovery fell back to an
-	// older valid snapshot).
+	// TornDiscarded counts log records skipped as torn or corrupt during
+	// recovery (each was a crash casualty; recovery fell back to an older
+	// valid snapshot).
 	TornDiscarded int64 `json:"torn_discarded"`
 	// Recovered / RecoveryFailed count cold-start session recoveries.
 	Recovered      int64 `json:"recovered"`
@@ -590,7 +590,7 @@ func (m *Manager) setRecovery(mut func(*RecoveryStats)) {
 // Recover rebuilds the fleet from the snapshot store: every session found
 // on disk is re-compiled from its recorded graph text (through the shared
 // program cache), re-admitted against quota and slots, and resumed from
-// its newest valid snapshot — torn or corrupt newer files are skipped and
+// its newest valid snapshot — torn or corrupt newer records are skipped and
 // counted. Sessions that cannot be recovered (invalid graph, no slot,
 // unreadable snapshots) are left on disk and reported in RecoveryStats.
 // Synchronous; Server.Start runs it in the background and gates /healthz

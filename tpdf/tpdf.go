@@ -119,24 +119,24 @@
 // Persister that a run arms with WithDurableCheckpoints: the cut of every
 // consulted boundary is copied into a double buffer on the barrier (an
 // allocation-free copy; the firing path never touches the disk) and a
-// background writer encodes the newest cut — ring contents, firing
-// counters, valuation, user state, plus the graph's canonical text so a
-// cold process can recompile it — into a checksummed binary snapshot,
-// written atomically (temp file, fsync, rename) with the newest K retained
-// per session. Persister.Flush forces a synchronous write of the newest
-// cut; tpdf-serve calls it before acknowledging a pump, so an acked pump
-// always survives a crash — and when the flush itself fails, the pump is
-// failed (serve.ErrNotDurable) rather than acked, so the client is never
-// told unsynced work is durable. After a crash, store.Load(id) returns the
-// newest snapshot whose checksums verify — torn files from a mid-write
-// power cut are detected and skipped, falling back to the previous good
-// one — and its Graph() plus Checkpoint rehydrate a fresh run via
-// WithResume, byte-identical from the cut onward. tpdf-serve -data-dir
-// wires this end to end: the fleet is rebuilt from disk at boot (/healthz
-// answers 503 "recovering" until done), client-closed sessions delete
-// their snapshots, drained ones keep them, and tpdf-loadgen -crash-record
-// / -crash-verify gate the whole cycle — SIGKILL, restart, no acked work
-// lost — in CI. See ExampleStream_durable.
+// background writer encodes the newest cut — ring contents, firing counters,
+// valuation, user state, plus the graph's canonical text so a cold process
+// can recompile it — into a checksummed binary snapshot, appended to the
+// session's log and fsynced, with the log rewritten down to its newest K
+// records every so many appends. Persister.Flush forces a synchronous write
+// of the newest cut; tpdf-serve calls it before acknowledging a pump, so an
+// acked pump always survives a crash — and when the flush itself fails, the
+// pump is failed (serve.ErrNotDurable) rather than acked, so the client is
+// never told unsynced work is durable. After a crash, store.Load(id) returns
+// the newest snapshot whose checksums verify — a torn tail from a mid-write
+// power cut is detected and skipped, falling back to the previous good
+// record — and its Graph() plus Checkpoint rehydrate a fresh run via
+// WithResume, byte-identical from the cut onward. tpdf-serve -data-dir wires
+// this end to end: the fleet is rebuilt from disk at boot (/healthz answers
+// 503 "recovering" until done), client-closed sessions delete their
+// snapshots, drained ones keep them, and tpdf-loadgen -crash-record /
+// -crash-verify gate the whole cycle — SIGKILL, restart, no acked work lost
+// — in CI. See ExampleStream_durable.
 package tpdf
 
 import (
