@@ -11,8 +11,8 @@
 //	tpdf-bench -parallel 8      # run experiments side by side on 8 workers
 //	tpdf-bench -engine -quick -metrics-overhead 0.02 -ckpt-overhead 0.02
 //	                            # overhead gates: every streaming workload is run
-//	                            # bare, with a metrics registry + trace journal
-//	                            # attached ("+metrics") and with checkpoint capture
+//	                            # bare, with a metrics registry attached
+//	                            # ("+metrics") and with checkpoint capture
 //	                            # armed but idle ("+ckpt"), in paired interleaved
 //	                            # rounds inside this one process; the run fails when
 //	                            # a twin is statistically more than 2% slower than
@@ -238,7 +238,7 @@ type workloadTimings struct {
 }
 
 // measureEngineMode measures every streaming workload several times over —
-// bare, with a metrics registry + trace journal attached ("+metrics"), and
+// bare, with a metrics registry attached ("+metrics"), and
 // with barrier checkpointing armed but no consumer ("+ckpt") — so the
 // decorated twins feed the -metrics-overhead and -ckpt-overhead gates
 // proving observability and fault-tolerance arming cost nothing on the hot
@@ -264,9 +264,8 @@ func measureEngineMode(quick bool) ([]workloadTimings, error) {
 			}
 		}
 		variants := []variant{{name: w.name, prep: prepare(nil)}, {name: w.name + "+metrics", prep: prepare(func() []tpdf.Option {
-			// Fresh registry and journal per round, as a server session
-			// would hold them.
-			return []tpdf.Option{tpdf.WithMetrics(obs.NewRegistry()), tpdf.WithTraceJournal(obs.NewJournal(256))}
+			// A fresh registry per round, as a server session would hold.
+			return []tpdf.Option{tpdf.WithMetrics(obs.NewRegistry())}
 		})}}
 		if !w.ckptArmed {
 			variants = append(variants, variant{name: w.name + "+ckpt", prep: prepare(func() []tpdf.Option {
@@ -287,7 +286,7 @@ func measureEngineMode(quick bool) ([]workloadTimings, error) {
 // metricsSetupAllocs is the fixed allocation budget a decorated twin may
 // spend per run outside the firing path: for "+metrics" the registry
 // snapshot slices (sized once at the first harvest), the options
-// themselves, and journal construction; for "+ckpt" the checkpoint arena
+// themselves, and registry construction; for "+ckpt" the checkpoint arena
 // (per-edge buffers sized once to ring capacities). Everything beyond it
 // must amortize to ~zero per iteration.
 const metricsSetupAllocs = 512

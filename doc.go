@@ -216,7 +216,7 @@
 //     (TestSimulatorSteadyStateAllocs, TestSweepSteadyStateAllocs,
 //     internal/engine/hotpath_test.go);
 //   - cmd/tpdf-bench -engine is the overhead gate only: it measures every
-//     streaming workload bare, with metrics + journal attached and with
+//     streaming workload bare, with a metrics registry attached and with
 //     checkpointing armed but idle, in paired interleaved rounds inside
 //     one process, and -metrics-overhead / -ckpt-overhead fail the run
 //     when a decorated twin is statistically more than the budget (2% in

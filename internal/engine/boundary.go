@@ -78,7 +78,7 @@ func (cfg *Config) Hook() (func(completed int64) Verdict, error) {
 
 // boundary is the transaction-boundary protocol of one Run: it owns the
 // active valuation and its digest, the undo log of one boundary's parameter
-// overwrites, the boundary's clock reads and journal events, and the cut
+// overwrites, the boundary's clock reads and records, and the cut
 // taken before the hook. Only the engine's main goroutine touches it, and
 // only while every context is parked.
 type boundary struct {
@@ -92,14 +92,12 @@ type boundary struct {
 	digest uint64
 	// iters is the run's total iteration target.
 	iters int64
-	// armed: checkpoints are captured; obsOn: a registry or journal is
-	// attached; digestOn: someone reads the digest.
+	// armed: checkpoints are captured; obsOn: a registry is attached;
+	// digestOn: someone reads the digest.
 	armed, obsOn, digestOn bool
 	// undo journals one boundary's parameter overwrites so an aborted
 	// rebind restores the previous valuation without allocating.
 	undo []prevBind
-	// rebind is the committed rebind's journal event, recorded by cross.
-	rebind obs.Event
 }
 
 // prevBind is one recorded parameter overwrite: key, previous value, and
@@ -112,7 +110,7 @@ type prevBind struct {
 
 func (e *engine) newBoundary(hook func(int64) Verdict, env symb.Env, iters int64) boundary {
 	b := boundary{e: e, hook: hook, env: env, iters: iters,
-		armed: e.ckpt != nil, obsOn: e.mx != nil || e.jr != nil}
+		armed: e.ckpt != nil, obsOn: e.mx != nil}
 	b.digestOn = (b.obsOn && hook != nil) || b.armed
 	if b.digestOn {
 		b.digest = obs.ParamsDigest(map[string]int64(env))
@@ -130,13 +128,15 @@ func (b *boundary) capture(completed int64) {
 
 // epochs is the run's transaction loop from start completed iterations to
 // the target: consult the hook, run the epoch its verdict allows, harvest,
-// repeat. Without a hook the whole run is one epoch. A resumed run is no
-// special case: its first boundary is the one its cut was taken at.
+// repeat. Without a hook the whole run is one epoch behind one boundary. A
+// resumed run is no special case: its first boundary is the one its cut was
+// taken at.
 func (b *boundary) epochs(start int64) (int64, error) {
 	e := b.e
 	if b.hook == nil {
 		b.capture(start)
 		if b.iters > start {
+			e.record(obs.Event{Kind: obs.EvBarrier, Completed: start})
 			if _, err := e.runEpoch(b.iters-start, start, nil); err != nil {
 				return start, err
 			}
@@ -170,9 +170,9 @@ func (b *boundary) epochs(start int64) (int64, error) {
 // Clock discipline: a clock read costs ~50-100ns on virtualized hosts, so
 // the boundary takes at most three (before the hook, before a rebind, at
 // the end), each a monotonic offset from the run's clock anchor
-// (engine.clock) rather than a wall-clock time.Now; every journal event is
-// stamped from the last one rather than letting Record read the clock
-// again, and the boundary's events share one journal lock.
+// (engine.clock) rather than a wall-clock time.Now; every record is stamped
+// from the last one, and the boundary's records reach the registry with the
+// next harvest, under its one lock.
 func (b *boundary) cross(it int64) (Verdict, error) {
 	e := b.e
 	b.capture(it)
@@ -195,26 +195,16 @@ func (b *boundary) cross(it int64) (Verdict, error) {
 		return v, err
 	}
 	v.Run = min(max(v.Run, 1), b.iters-it)
-	if err := b.apply(v.Params, it); err != nil {
+	end, err := b.apply(v.Params, it)
+	if err != nil {
 		return v, err
 	}
 	if b.obsOn {
 		// A committed rebind's closing read is the boundary's too.
-		rebound := b.rebind.Kind != 0
-		end := b.rebind.TimeUnixNano
-		if !rebound {
-			end = e.clock0Unix + e.clock()
+		if end == 0 {
+			end = e.clock()
 		}
-		bd := end - e.clock0Unix - bt
-		if e.mx != nil {
-			e.mx.tot.BoundaryNs += bd
-		}
-		barrier := obs.Event{TimeUnixNano: end, Kind: obs.EvBarrier, Completed: it, DurNs: bd}
-		if e.jr != nil && rebound {
-			e.jr.Record(b.rebind, barrier)
-		} else if e.jr != nil {
-			e.jr.Record(barrier)
-		}
+		e.record(obs.Event{TimeUnixNano: e.clock0Unix + end, Kind: obs.EvBarrier, Completed: it, DurNs: end - bt})
 	}
 	return v, nil
 }
@@ -222,12 +212,11 @@ func (b *boundary) cross(it int64) (Verdict, error) {
 // apply merges the hook's overrides into the valuation and, when any
 // binding actually changed, reconfigures the engine speculatively: a
 // rejected rebind is undone and reported (fatal unless OnRebindAbort is
-// set). When observed, a committed rebind's journal event waits in b.rebind
-// (zero Kind otherwise) for cross to record it with the barrier's, under
-// one journal lock.
-func (b *boundary) apply(over map[string]int64, it int64) error {
+// set). When observed, a committed rebind returns its closing clock offset,
+// which is the boundary's closing read too (0 otherwise).
+func (b *boundary) apply(over map[string]int64, it int64) (end int64, _ error) {
 	e := b.e
-	b.undo, b.rebind.Kind = b.undo[:0], 0
+	b.undo = b.undo[:0]
 	for k, v := range over {
 		if old, ok := b.env[k]; !ok || old != v {
 			b.undo = append(b.undo, prevBind{k, old, ok})
@@ -241,7 +230,7 @@ func (b *boundary) apply(over map[string]int64, it int64) error {
 		}
 	}
 	if len(b.undo) == 0 {
-		return nil
+		return 0, nil
 	}
 	e.ckptParamsStale = true
 	var rt int64
@@ -266,31 +255,24 @@ func (b *boundary) apply(over map[string]int64, it int64) error {
 				delete(b.env, pb.k)
 			}
 		}
-		if e.mx != nil {
-			e.mx.tot.Aborts++
-		}
 		e.record(obs.Event{Kind: obs.EvAbort, Completed: it,
 			ParamsDigest: b.digest, Detail: "rebind"})
 		if e.cfg.OnRebindAbort == nil {
-			return err
+			return 0, err
 		}
 		e.cfg.OnRebindAbort(err)
-	} else if b.obsOn {
-		bend := e.clock()
-		rd := bend - rt
-		if e.mx != nil {
-			e.mx.tot.Rebinds++
-			e.mx.tot.RebindNs += rd
-		}
+		return 0, nil
+	}
+	if b.obsOn {
+		end = e.clock()
 		detail := "row=hit"
 		if built {
-			detail = "row=built"
+			detail = obs.RowBuilt
 		}
-		b.rebind = obs.Event{TimeUnixNano: e.clock0Unix + bend,
-			Kind: obs.EvRebind, Completed: it, DurNs: rd,
-			ParamsDigest: b.digest, Detail: detail}
+		e.record(obs.Event{TimeUnixNano: e.clock0Unix + end, Kind: obs.EvRebind, Completed: it,
+			DurNs: end - rt, ParamsDigest: b.digest, Detail: detail})
 	}
-	return nil
+	return end, nil
 }
 
 // maxRows bounds a run's scenario table, and with it the Programs one run
@@ -413,9 +395,6 @@ func (e *engine) reconfigure(env symb.Env, completed int64) (built bool, _ error
 	r, built, err := e.rowFor(env, e.occ)
 	if err != nil {
 		return false, fmt.Errorf("%w: %v", ErrRebindAborted, err)
-	}
-	if built && e.mx != nil {
-		e.mx.tot.RowsBuilt++
 	}
 	if e.faults.RebindFault(completed) {
 		return built, fmt.Errorf("%w: injected validation failure at iteration %d", ErrRebindAborted, completed)

@@ -202,7 +202,7 @@ func TestPanicWithoutRetriesReturnsStructuredError(t *testing.T) {
 
 // TestResumeContinuesRegistryCounters pins the one recovery path's
 // observability contract: a run ended by a behavior panic and resumed from
-// its newest cut into the same Registry and Journal keeps every counter
+// its newest cut into the same Registry keeps every counter
 // monotone, counts the abort and the restore exactly once each, and ends
 // with per-actor Firings equal to Result.Firings — the aborted epoch's
 // firings are not part of the recovered state.
@@ -210,7 +210,6 @@ func TestResumeContinuesRegistryCounters(t *testing.T) {
 	g := reconfGraph(t)
 	plan := []int64{2, 5, 3, 6, 4, 7, 2, 8} // growing p grows the rings
 	mx := obs.NewRegistry()
-	jr := obs.NewJournal(128)
 	newest := &Checkpoint{}
 	poisoned := true
 	cfg := Config{
@@ -231,7 +230,6 @@ func TestResumeContinuesRegistryCounters(t *testing.T) {
 		},
 		CheckpointSink: func(ck *Checkpoint) { ck.CopyInto(newest) },
 		Metrics:        mx,
-		Journal:        jr,
 	}
 	_, err := Run(cfg)
 	var pe *BehaviorPanicError
@@ -242,9 +240,8 @@ func TestResumeContinuesRegistryCounters(t *testing.T) {
 		t.Fatalf("newest cut at %d, want 5 (the poisoned epoch's opening barrier)", newest.Completed)
 	}
 	before := mx.EngineSnapshot()
-	if before.Aborts != 1 || before.Restores != 0 || before.Running {
-		t.Fatalf("after the panic: aborts=%d restores=%d running=%v, want 1/0/false",
-			before.Aborts, before.Restores, before.Running)
+	if before.Aborts != 1 || before.Restores != 0 {
+		t.Fatalf("after the panic: aborts=%d restores=%d, want 1/0", before.Aborts, before.Restores)
 	}
 
 	cfg.Resume = newest
@@ -291,11 +288,11 @@ func TestResumeContinuesRegistryCounters(t *testing.T) {
 		}
 	}
 	kinds := map[obs.EventKind]int{}
-	for _, ev := range jr.Events() {
+	for _, ev := range mx.Events() {
 		kinds[ev.Kind]++
 	}
 	if kinds[obs.EvAbort] != 1 || kinds[obs.EvRestore] != 1 {
-		t.Errorf("journal has %d abort / %d restore events, want 1/1", kinds[obs.EvAbort], kinds[obs.EvRestore])
+		t.Errorf("registry has %d abort / %d restore records, want 1/1", kinds[obs.EvAbort], kinds[obs.EvRestore])
 	}
 }
 

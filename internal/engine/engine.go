@@ -142,17 +142,16 @@ type Config struct {
 	// may return new parameter values for the remaining iterations; nil or
 	// empty keeps the current environment.
 	Reconfigure func(completed int64) map[string]int64
-	// Metrics, when non-nil, receives per-actor and per-edge counters.
-	// Actors update private cache-line-padded blocks with plain stores on
-	// the hot path; the engine copies them into the registry only at
-	// transaction barriers (and at run start/end), so the warm firing path
-	// stays allocation-free and the snapshot is always consistent.
+	// Metrics, when non-nil, is the run's observability sink. It receives
+	// the run's records — run start/end, barrier spans, rebinds (with params
+	// digest), aborts, restores, drain verdicts and watchdog stalls — from
+	// which it sums the boundary totals, and per-actor and per-edge
+	// counters. Actors update private cache-line-padded blocks with plain
+	// stores on the hot path; the engine hands counters and the boundaries'
+	// records to the registry together, only at transaction barriers (and at
+	// run start/end), so the warm firing path stays allocation-free, never
+	// records, and the snapshot is always consistent.
 	Metrics *obs.Registry
-	// Journal, when non-nil, receives transaction-trace events: run
-	// start/end, barrier spans, rebinds (with params digest), drain
-	// verdicts and watchdog near-misses. Recording is bounded and
-	// allocation-free; the hot firing path never records.
-	Journal *obs.Journal
 	// CheckpointSink, when non-nil, receives the engine's checkpoint arena
 	// after each capture: on entering every consulted boundary — before the
 	// hook, so a hook that acknowledges completed work acknowledges only
@@ -192,14 +191,13 @@ type Config struct {
 
 // actorState is one node's firing state: fired is the cumulative firing
 // count and base the count at the last environment change (rate sequences
-// index from there, Firing.K stays global); tokensIn/tokensOut feed the
-// metrics harvest. Plain stores by the owning context, read by main only at
+// index from there, Firing.K stays global); tokensOut feeds the metrics
+// harvest. Plain stores by the owning context, read by main only at
 // barriers; padded because per-actor contexts write neighbouring entries
 // from different goroutines at every firing.
 type actorState struct {
-	fired, base         int64
-	tokensIn, tokensOut int64
-	_                   [cacheLine - 4*8]byte
+	fired, base, tokensOut int64
+	_                      [cacheLine - 3*8]byte
 }
 
 // portEdge pairs a concrete edge index with the port name an actor sees it
@@ -275,15 +273,14 @@ type engine struct {
 	busy atomic.Int64
 	sem  chan struct{}
 
-	// mx/jr are the optional observability sinks (Config.Metrics/Journal);
+	// mx collects for the optional observability sink (Config.Metrics);
 	// edgeName/edgeProd/edgeCons name every concrete edge and the actor on
 	// each side of it, for harvest snapshots and watchdog stall diagnosis
 	// (the watchdog runs beside main, so it must not read the swapped cg).
-	// clock0 is the run's clock anchor when either sink is attached: the
-	// engine's timings are monotonic offsets from it (clock), and journal
+	// clock0 is the run's clock anchor when the sink is attached: the
+	// engine's timings are monotonic offsets from it (clock), and record
 	// stamps are clock0Unix plus an offset.
 	mx         *engMetrics
-	jr         *obs.Journal
 	edgeName   []string
 	edgeProd   []string
 	edgeCons   []string
@@ -367,7 +364,6 @@ func Run(cfg Config) (*runner.Result, error) {
 		cg:       seed.prog.Concrete(),
 		stop:     make(chan struct{}),
 		quit:     make(chan struct{}),
-		jr:       cfg.Journal,
 		actors:   make([]actorState, len(g.Nodes)),
 		perActor: cfg.Workers > 1 && len(g.Nodes) > 1,
 	}
@@ -391,6 +387,11 @@ func Run(cfg Config) (*runner.Result, error) {
 	if err := e.wire(env, resume); err != nil {
 		return nil, err
 	}
+	if cfg.Metrics != nil {
+		e.mx = e.newEngMetrics(cfg.Metrics, resume)
+		e.clock0 = time.Now()
+		e.clock0Unix = e.clock0.UnixNano()
+	}
 	if resume != nil {
 		for id := range e.actors {
 			e.actors[id].fired, e.actors[id].base = resume.Fired[id], resume.Base[id]
@@ -404,17 +405,10 @@ func Run(cfg Config) (*runner.Result, error) {
 		e.ckpt = e.newCheckpointArena()
 		e.ckptParamsStale = true
 	}
-	if cfg.Metrics != nil {
-		e.mx = e.newEngMetrics(cfg.Metrics, resume)
-	}
-	if e.mx != nil || e.jr != nil {
-		e.clock0 = time.Now()
-		e.clock0Unix = e.clock0.UnixNano()
-	}
 	// Publish an initial snapshot so readers see names, capacities and the
 	// seeded occupancies as soon as the run exists.
-	e.harvest(start, true)
 	e.record(obs.Event{Kind: obs.EvRunStart, Completed: start})
+	e.harvest(start, false)
 
 	defer close(e.quit)
 	for c := range e.work {
@@ -433,14 +427,17 @@ func Run(cfg Config) (*runner.Result, error) {
 	b := e.newBoundary(hook, env, iters)
 	completed, err := b.epochs(start)
 	if err != nil {
+		// Readers see what the failed run recorded (an abort, the torn
+		// rings of an aborted epoch) although the run is over.
+		e.harvest(completed, true)
 		return nil, err
 	}
 	// The final quiescent state is a checkpoint too: a drained session hands
 	// its sink the exact cut it stopped at, and a resume from it consults the
 	// hook at `completed`, as an uninterrupted longer run would have.
 	b.capture(completed)
-	e.harvest(completed, false)
 	e.record(obs.Event{Kind: obs.EvRunEnd, Completed: completed})
+	e.harvest(completed, true)
 
 	res := &runner.Result{Firings: map[string]int64{}, Remaining: map[string][]any{}}
 	for id, n := range g.Nodes {
@@ -562,16 +559,12 @@ func (e *engine) wire(env symb.Env, resume *Checkpoint) error {
 // iterations the epoch ran: iters, or fewer when cut fired first and
 // context 0 ended the epoch at the earliest iteration boundary every
 // context could still reach. A behavior panic aborts the transaction: the
-// epoch's partial effects are discarded with the run, the abort is counted
-// and journaled, and the counters are harvested so /metrics readers see it
-// although the run is over. Recovery is the caller's: start a new Run with
-// Resume set to the newest checkpoint.
+// epoch's partial effects are discarded with the run and the abort is
+// recorded. Recovery is the caller's: start a new Run with Resume set to the
+// newest checkpoint.
 func (e *engine) runEpoch(iters, completed int64, cut <-chan struct{}) (int64, error) {
 	if err := e.firstErr(); err != nil {
 		return 0, err
-	}
-	if e.mx != nil {
-		e.mx.tot.Barriers++
 	}
 	e.cut.arm(cut, iters, len(e.work)+1)
 	e.pending.Store(int32(len(e.work)))
@@ -579,7 +572,7 @@ func (e *engine) runEpoch(iters, completed int64, cut <-chan struct{}) (int64, e
 		w <- iters
 	}
 	e.busy.Add(-1)
-	e.runTimed(0, iters)
+	e.runContext(0, iters)
 	if len(e.work) > 0 {
 		<-e.drained
 	}
@@ -594,11 +587,7 @@ func (e *engine) runEpoch(iters, completed int64, cut <-chan struct{}) (int64, e
 	// A type assertion, not errors.As: fire records the panic error bare,
 	// and an As target would escape to the heap on every epoch.
 	if pe, ok := err.(*BehaviorPanicError); ok {
-		if e.mx != nil {
-			e.mx.tot.Aborts++
-		}
 		e.record(obs.Event{Kind: obs.EvAbort, Completed: completed, Detail: pe.Node})
-		e.harvest(completed, false)
 	}
 	return iters, err
 }
@@ -610,7 +599,7 @@ func (e *engine) contextLoop(c int) {
 	for {
 		select {
 		case iters := <-e.work[c-1]:
-			e.runTimed(c, iters)
+			e.runContext(c, iters)
 			if e.pending.Add(-1) == 0 {
 				e.drained <- struct{}{}
 			}
@@ -618,29 +607,6 @@ func (e *engine) contextLoop(c int) {
 			return
 		}
 	}
-}
-
-// runTimed runs context c's share of an epoch. With metrics enabled it
-// keeps the sampled epoch-granularity time accounting: one timestamp pair
-// per sampled epoch (one in activeSampleMask+1, never per firing — blocked
-// time inside ring waits is timed separately by the ring's slow path, and
-// busy is estimated as scaled active minus blocked at harvest).
-func (e *engine) runTimed(c int, iters int64) {
-	if e.mx == nil {
-		e.runContext(c, iters)
-		return
-	}
-	ch := &e.mx.ctxs[c]
-	sampled := ch.epochs&activeSampleMask == 0
-	ch.epochs++
-	if !sampled {
-		e.runContext(c, iters)
-		return
-	}
-	ch.timed++
-	t0 := e.clock()
-	e.runContext(c, iters)
-	ch.activeNs += e.clock() - t0
 }
 
 // clock reads the monotonic clock as an offset from the run's anchor: one
@@ -728,7 +694,6 @@ func (e *engine) fire(id int) bool {
 			// sequential runner produces.
 			f.In[pe.port] = buf
 		}
-		as.tokensIn += rate
 	}
 
 	if f != nil && !e.invoke(e.behaviors[id], f, id, fired) {
@@ -779,7 +744,7 @@ func (e *engine) fire(id int) bool {
 func (e *engine) halted() bool {
 	if !e.stopped.Load() {
 		msg := e.blockedReport()
-		e.record(obs.Event{Kind: obs.EvStall, Detail: msg})
+		e.recordNow(obs.Event{Kind: obs.EvStall, Detail: msg})
 		e.fail(fmt.Errorf("engine: deadlock: %s, and no other context shares the ring to end the wait; ring occupancy: %s",
 			msg, e.ringReport()))
 	}
@@ -881,15 +846,15 @@ func (e *engine) startWatchdog(stall time.Duration) func() {
 					if msg == "" {
 						msg = "no actor is blocked on a ring (behavior stuck?)"
 					}
-					e.record(obs.Event{Kind: obs.EvStall, Detail: msg})
+					e.recordNow(obs.Event{Kind: obs.EvStall, Detail: msg})
 					e.fail(fmt.Errorf("engine: deadlock: no progress for %v, last progress at %s, %d firings completed: %s; ring occupancy: %s",
 						2*stall, lastProgress.Format(time.RFC3339Nano), cur, msg, e.ringReport()))
 					return
 				}
 				// Near-miss: one idle window elapsed; a second consecutive
-				// one fails the run. Journal it so slow-but-alive pipelines
+				// one fails the run. Record it so slow-but-alive pipelines
 				// leave a trace.
-				e.record(obs.Event{Kind: obs.EvStallWarn, Detail: e.blockedReport()})
+				e.recordNow(obs.Event{Kind: obs.EvStallWarn, Detail: e.blockedReport()})
 			}
 		}
 	}()

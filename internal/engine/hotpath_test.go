@@ -94,13 +94,13 @@ func mallocsOfRun(t testing.TB, g *core.Graph, iters int64, decorate func(*Confi
 // preallocated or reused. Run setup (goroutines, rings, schedule) is
 // identical in both runs and cancels out of the delta.
 //
-// The metrics variant proves the barrier-harvest rule: with a Registry, a
-// Journal and a nil-returning Reconfigure hook attached (so every
-// iteration is a separate epoch with a harvest and journal events at its
-// boundary), the per-firing and per-barrier paths must still allocate
-// nothing — counters are plain stores into preallocated blocks, the
-// harvest reuses one stored closure and the snapshot's slices, and journal
-// entries land in a preallocated ring.
+// The metrics variant proves the barrier-harvest rule: with a Registry and
+// a nil-returning Reconfigure hook attached (so every iteration is a
+// separate epoch with a harvest and records at its boundary), the
+// per-firing and per-barrier paths must still allocate nothing — counters
+// are plain stores into preallocated blocks, the harvest reuses one stored
+// closure, the snapshot's slices and the pending-record slice, and records
+// land in the registry's fixed ring.
 func TestStreamSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting skipped in -short (race CI inflates runtime bookkeeping)")
@@ -115,11 +115,9 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 		{"plain", nil},
 		{"metrics", func(cfg *Config) {
 			cfg.Metrics = obs.NewRegistry()
-			cfg.Journal = obs.NewJournal(128)
 		}},
 		{"metrics+barriers", func(cfg *Config) {
 			cfg.Metrics = obs.NewRegistry()
-			cfg.Journal = obs.NewJournal(128)
 			cfg.Reconfigure = func(int64) map[string]int64 { return nil }
 		}},
 		// Checkpoint-armed variants: a capture at every transaction barrier
@@ -138,7 +136,6 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 		{"checkpoint+metrics", func(cfg *Config) {
 			cfg.CheckpointSink = func(*Checkpoint) {}
 			cfg.Metrics = obs.NewRegistry()
-			cfg.Journal = obs.NewJournal(128)
 			cfg.Reconfigure = func(int64) map[string]int64 { return nil }
 		}},
 		// Durable-armed shape: the cut at every barrier feeding a

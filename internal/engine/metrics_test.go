@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/runner"
 	"repro/tpdf/obs"
 )
@@ -16,18 +20,14 @@ import (
 func TestEngineMetricsCounters(t *testing.T) {
 	g := multiratePipeline(t)
 	reg := obs.NewRegistry()
-	j := obs.NewJournal(64)
 	var sunk int64
 	const iters = 10
 	if _, err := Run(Config{Graph: g, Behaviors: hotBehaviors(&sunk), Iterations: iters,
-		Metrics: reg, Journal: j}); err != nil {
+		Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 
 	snap := reg.EngineSnapshot()
-	if snap.Running {
-		t.Error("Running still true after the run ended")
-	}
 	if snap.Completed != iters {
 		t.Errorf("Completed = %d, want %d", snap.Completed, iters)
 	}
@@ -37,11 +37,11 @@ func TestEngineMetricsCounters(t *testing.T) {
 
 	// q = [SRC:1, A:2, B:1, SNK:3]; token counts are per-iteration rate
 	// sums times iters.
-	want := map[string]struct{ firings, in, out int64 }{
-		"SRC": {1 * iters, 0, 4 * iters},
-		"A":   {2 * iters, 4 * iters, 4 * iters},
-		"B":   {1 * iters, 4 * iters, 3 * iters},
-		"SNK": {3 * iters, 3 * iters, 0},
+	want := map[string]struct{ firings, out int64 }{
+		"SRC": {1 * iters, 4 * iters},
+		"A":   {2 * iters, 4 * iters},
+		"B":   {1 * iters, 3 * iters},
+		"SNK": {3 * iters, 0},
 	}
 	if len(snap.Actors) != len(want) {
 		t.Fatalf("got %d actors, want %d", len(snap.Actors), len(want))
@@ -52,19 +52,13 @@ func TestEngineMetricsCounters(t *testing.T) {
 			t.Errorf("unexpected actor %q", a.Name)
 			continue
 		}
-		if a.Firings != w.firings || a.TokensIn != w.in || a.TokensOut != w.out {
-			t.Errorf("%s: firings/in/out = %d/%d/%d, want %d/%d/%d",
-				a.Name, a.Firings, a.TokensIn, a.TokensOut, w.firings, w.in, w.out)
-		}
-		if a.BusyNs < 0 || a.BlockedNs < 0 {
-			t.Errorf("%s: negative time accounting busy=%d blocked=%d", a.Name, a.BusyNs, a.BlockedNs)
+		if a.Firings != w.firings || a.TokensOut != w.out {
+			t.Errorf("%s: firings/out = %d/%d, want %d/%d",
+				a.Name, a.Firings, a.TokensOut, w.firings, w.out)
 		}
 	}
 
 	for _, ed := range snap.Edges {
-		if ed.Producer == "" || ed.Consumer == "" {
-			t.Errorf("edge %s missing actor names: %+v", ed.Name, ed)
-		}
 		if ed.Occupancy != 0 {
 			t.Errorf("edge %s: occupancy %d after a schedule that returns to empty", ed.Name, ed.Occupancy)
 		}
@@ -76,9 +70,9 @@ func TestEngineMetricsCounters(t *testing.T) {
 		}
 	}
 
-	evs := j.Events()
+	evs := reg.Events()
 	if len(evs) < 2 || evs[0].Kind != obs.EvRunStart || evs[len(evs)-1].Kind != obs.EvRunEnd {
-		t.Fatalf("journal should be bracketed by run_start/run_end: %+v", evs)
+		t.Fatalf("records should be bracketed by run_start/run_end: %+v", evs)
 	}
 	if evs[len(evs)-1].Completed != iters {
 		t.Errorf("run_end Completed = %d, want %d", evs[len(evs)-1].Completed, iters)
@@ -86,8 +80,8 @@ func TestEngineMetricsCounters(t *testing.T) {
 }
 
 // TestEngineMetricsRebindAndDrain drives the rebind counters and the
-// journal through a parameter-changing Barrier hook that finally drains:
-// every boundary is journaled, changed boundaries carry a rebind with a
+// records through a parameter-changing Barrier hook that finally drains:
+// every boundary is recorded, changed boundaries carry a rebind with a
 // valuation digest, and the drain verdict lands at the right iteration.
 func TestEngineMetricsRebindAndDrain(t *testing.T) {
 	g := core.NewGraph("rebind")
@@ -99,9 +93,8 @@ func TestEngineMetricsRebindAndDrain(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	j := obs.NewJournal(64)
 	const stopAt = 4
-	res, err := Run(Config{Graph: g, Iterations: 100, Metrics: reg, Journal: j,
+	res, err := Run(Config{Graph: g, Iterations: 100, Metrics: reg,
 		Barrier: func(completed int64) (map[string]int64, bool) {
 			if completed == stopAt {
 				return nil, true
@@ -137,7 +130,7 @@ func TestEngineMetricsRebindAndDrain(t *testing.T) {
 
 	var barriers, rebinds, drains int
 	digests := map[uint64]bool{}
-	for _, e := range j.Events() {
+	for _, e := range reg.Events() {
 		switch e.Kind {
 		case obs.EvBarrier:
 			barriers++
@@ -158,26 +151,25 @@ func TestEngineMetricsRebindAndDrain(t *testing.T) {
 		}
 	}
 	if barriers != stopAt {
-		t.Errorf("journaled %d barriers, want %d", barriers, stopAt)
+		t.Errorf("recorded %d barriers, want %d", barriers, stopAt)
 	}
 	if rebinds != 3 {
-		t.Errorf("journaled %d rebinds, want 3", rebinds)
+		t.Errorf("recorded %d rebinds, want 3", rebinds)
 	}
 	if len(digests) != 3 {
 		t.Errorf("got %d distinct digests, want 3 (p = 3, 4, 2)", len(digests))
 	}
 	if drains != 1 {
-		t.Errorf("journaled %d drain verdicts, want 1", drains)
+		t.Errorf("recorded %d drain verdicts, want 1", drains)
 	}
 }
 
 // TestEngineMetricsByClustering checks what the counters say about the two
 // clusterings of one graph. One context walking the schedule never waits on
-// a ring — no park, spin or wake on any actor or edge, occupancy within the
+// a ring — no park or wake on any actor, occupancy within the
 // analysis-derived capacity — while per-actor contexts still report their
 // ring waits (the sink stalls once, so its upstream must run out of space);
-// either way the actors' firings add up to the Result's and busy time is
-// reported for actors that fired.
+// either way the actors' firings add up to the Result's.
 func TestEngineMetricsByClustering(t *testing.T) {
 	g := multiratePipeline(t)
 	const iters = 64
@@ -197,22 +189,17 @@ func TestEngineMetricsByClustering(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := reg.EngineSnapshot()
-		var waits, busy int64
+		var waits int64
 		for _, a := range snap.Actors {
 			if a.Firings != res.Firings[a.Name] {
 				t.Errorf("Workers %d: %s reports %d firings, Result has %d", workers, a.Name, a.Firings, res.Firings[a.Name])
 			}
-			waits += a.Parks + a.Spins + a.Wakes
-			busy += a.BusyNs
+			waits += a.Parks + a.Wakes
 		}
 		for _, ed := range snap.Edges {
 			if ed.HighWater > ed.Capacity {
 				t.Errorf("Workers %d: edge %s high-water %d above capacity %d", workers, ed.Name, ed.HighWater, ed.Capacity)
 			}
-			waits += ed.ProdParks + ed.ConsParks
-		}
-		if busy <= 0 {
-			t.Errorf("Workers %d: no busy time reported over a timed epoch", workers)
 		}
 		if workers == 0 && waits != 0 {
 			t.Errorf("one context reported %d ring waits/wakes, want none: %+v", waits, snap.Actors)
@@ -220,5 +207,60 @@ func TestEngineMetricsByClustering(t *testing.T) {
 		if workers > 0 && waits == 0 {
 			t.Errorf("Workers %d: no ring wait reported although the sink stalled its upstream", workers)
 		}
+	}
+}
+
+// TestTraceShape pins which records a deterministic hooked run makes — a
+// reconfigure walk with revisits, one rebind rejected by the fault plan, a
+// two-iteration verdict and a drain — against testdata/trace_shape.json,
+// the Chrome trace of the same run with timestamps and durations zeroed:
+// every event, kind, order, completed count, digest and detail.
+func TestTraceShape(t *testing.T) {
+	g := modesGraph(t)
+	walk := []struct{ p, run int64 }{{2, 1}, {4, 1}, {4, 2}, {8, 1}, {2, 1}, {8, 1}, {4, 1}, {2, 1}}
+	reg := obs.NewRegistry()
+	var sunk int64
+	at := 0
+	_, err := Run(Config{Graph: g, Iterations: 20, Metrics: reg,
+		Behaviors: modesBehaviors(&sunk),
+		Boundary: func(completed int64) Verdict {
+			if at == len(walk) {
+				return Verdict{Stop: true}
+			}
+			s := walk[at]
+			at++
+			return Verdict{Params: map[string]int64{"p": s.p}, Run: s.run}
+		},
+		Faults:        faultinject.New(faultinject.Fault{Kind: faultinject.KindRebindAbort, K: 4}),
+		OnRebindAbort: func(error) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var evs []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		for _, k := range []string{"ts", "dur"} {
+			if _, ok := ev[k]; ok {
+				ev[k] = 0
+			}
+		}
+	}
+	got, err := json.MarshalIndent(evs, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/trace_shape.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(append(got, '\n')) != string(want) {
+		t.Errorf("trace shape changed:\n got %s\nwant %s", got, want)
 	}
 }

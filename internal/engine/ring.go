@@ -3,7 +3,6 @@ package engine
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 )
 
 // spinYields is how many scheduler yields a ring op tries before the full
@@ -56,7 +55,7 @@ type ring struct {
 	psig  chan struct{}
 
 	// pst/cst, when non-nil, collect producer-/consumer-side metrics
-	// (parks, spins, wakes, blocked time, occupancy high-water). Each is
+	// (parks, wakes, occupancy high-water). Each is
 	// written only by its owning side with plain stores and read only at
 	// barriers; nil when metrics are disabled or the ring is solo (it never
 	// waits, and soloPeaks keeps its high-water mark), keeping the fast
@@ -89,20 +88,16 @@ func (r *ring) len() int64 { return r.atomicTail.Load() - r.atomicHead.Load() }
 // waitRead blocks until at least n tokens are published or stop closes
 // (returning false; a solo ring returns false instead of blocking).
 // Consumer side only. The fast path is one atomic load and a compare; the
-// slow path classifies metrics-enabled waits as spin or park with plain
-// counter bumps and reads the clock only around sampled channel parks (one
-// in parkSampleMask+1) — spin-resolved waits happen per firing under load
-// and parks in a pipelining chain are frequent and individually cheap, so a
-// time.Now pair around each would be the dominant cost of the
-// instrumentation.
+// slow path counts a metrics-enabled wait's channel parks with a plain
+// store and reads no clock.
 func (r *ring) waitRead(n int64, stop <-chan struct{}) bool {
 	if r.atomicTail.Load()-r.head >= n {
 		return true
 	}
-	return r.waitReadSlow(n, stop, r.cst)
+	return r.waitReadSlow(n, stop)
 }
 
-func (r *ring) waitReadSlow(n int64, stop <-chan struct{}, st *sideStats) bool {
+func (r *ring) waitReadSlow(n int64, stop <-chan struct{}) bool {
 	if r.solo {
 		r.cwait.Store(true)
 		return false
@@ -110,9 +105,6 @@ func (r *ring) waitReadSlow(n int64, stop <-chan struct{}, st *sideStats) bool {
 	for s := 0; s < spinYields; s++ {
 		runtime.Gosched()
 		if r.atomicTail.Load()-r.head >= n {
-			if st != nil {
-				st.spins++
-			}
 			return true
 		}
 	}
@@ -120,31 +112,15 @@ func (r *ring) waitReadSlow(n int64, stop <-chan struct{}, st *sideStats) bool {
 		r.cwait.Store(true)
 		if r.atomicTail.Load()-r.head >= n {
 			r.cwait.Store(false)
-			if st != nil {
-				st.spins++
-			}
 			return true
 		}
-		if st != nil && st.parks&parkSampleMask == 0 {
-			st.parks++
-			st.timedParks++
-			t0 := time.Now()
-			select {
-			case <-r.csig:
-				st.blockedNs += int64(time.Since(t0))
-			case <-stop:
-				st.blockedNs += int64(time.Since(t0))
-				return false
-			}
-		} else {
-			if st != nil {
-				st.parks++
-			}
-			select {
-			case <-r.csig:
-			case <-stop:
-				return false
-			}
+		if r.cst != nil {
+			r.cst.parks++
+		}
+		select {
+		case <-r.csig:
+		case <-stop:
+			return false
 		}
 	}
 	return true
@@ -156,10 +132,10 @@ func (r *ring) waitWrite(n int64, stop <-chan struct{}) bool {
 	if r.cap()-(r.tail-r.atomicHead.Load()) >= n {
 		return true
 	}
-	return r.waitWriteSlow(n, stop, r.pst)
+	return r.waitWriteSlow(n, stop)
 }
 
-func (r *ring) waitWriteSlow(n int64, stop <-chan struct{}, st *sideStats) bool {
+func (r *ring) waitWriteSlow(n int64, stop <-chan struct{}) bool {
 	if r.solo {
 		r.pwait.Store(true)
 		return false
@@ -167,9 +143,6 @@ func (r *ring) waitWriteSlow(n int64, stop <-chan struct{}, st *sideStats) bool 
 	for s := 0; s < spinYields; s++ {
 		runtime.Gosched()
 		if r.cap()-(r.tail-r.atomicHead.Load()) >= n {
-			if st != nil {
-				st.spins++
-			}
 			return true
 		}
 	}
@@ -177,31 +150,15 @@ func (r *ring) waitWriteSlow(n int64, stop <-chan struct{}, st *sideStats) bool 
 		r.pwait.Store(true)
 		if r.cap()-(r.tail-r.atomicHead.Load()) >= n {
 			r.pwait.Store(false)
-			if st != nil {
-				st.spins++
-			}
 			return true
 		}
-		if st != nil && st.parks&parkSampleMask == 0 {
-			st.parks++
-			st.timedParks++
-			t0 := time.Now()
-			select {
-			case <-r.psig:
-				st.blockedNs += int64(time.Since(t0))
-			case <-stop:
-				st.blockedNs += int64(time.Since(t0))
-				return false
-			}
-		} else {
-			if st != nil {
-				st.parks++
-			}
-			select {
-			case <-r.psig:
-			case <-stop:
-				return false
-			}
+		if r.pst != nil {
+			r.pst.parks++
+		}
+		select {
+		case <-r.psig:
+		case <-stop:
+			return false
 		}
 	}
 	return true

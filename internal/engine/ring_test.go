@@ -136,7 +136,7 @@ func TestRingWriteNilAndDiscard(t *testing.T) {
 // ring, or cancels a parked consumer and a parked producer through the stop
 // channel — after which the next epoch must carry on as if nothing
 // happened. It runs bare and with the per-side metrics blocks attached
-// (the sampled-park branch). No timing is asserted anywhere.
+// (the park-counting branch). No timing is asserted anywhere.
 func TestRingHammer(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -264,10 +264,11 @@ func hammerRing(t *testing.T, stats bool) {
 		t.Fatalf("consumed %d of %d tokens, checksum %#x, want %#x", consumed, produced, gotSum, wantSum)
 	}
 	if stats {
-		t.Logf("producer: %d parks, %d spins, %d wakes; consumer: %d parks, %d spins, %d wakes",
-			r.pst.parks, r.pst.spins, r.pst.wakes, r.cst.parks, r.cst.spins, r.cst.wakes)
-		if r.pst.parks+r.pst.spins == 0 || r.cst.parks+r.cst.spins == 0 {
-			t.Error("a side never waited: the ring is too large to exercise the blocking protocol")
+		t.Logf("producer: %d parks, %d wakes; consumer: %d parks, %d wakes",
+			r.pst.parks, r.pst.wakes, r.cst.parks, r.cst.wakes)
+		// cancelParkedSides parks each side every 50th epoch.
+		if r.pst.parks == 0 || r.cst.parks == 0 {
+			t.Error("a side never parked: the blocking protocol went unexercised")
 		}
 	}
 }

@@ -62,8 +62,8 @@ func modesBehaviors(sunk *int64) map[string]runner.Behavior {
 // TestRevisitedBoundaryAllocationFree pins the scenario table's contract:
 // once every valuation of a cycle has its row (one lap), a changed boundary
 // is a table hit and allocates nothing — two runs differing only in how many
-// laps they make allocate the same, bare and with a registry, a journal and
-// a copying checkpoint sink attached.
+// laps they make allocate the same, bare and with a registry and a copying
+// checkpoint sink attached.
 func TestRevisitedBoundaryAllocationFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting skipped in -short (race CI inflates runtime bookkeeping)")
@@ -81,7 +81,6 @@ func TestRevisitedBoundaryAllocationFree(t *testing.T) {
 		{"metrics+journal+checkpoints", func(cfg *Config) {
 			held := &Checkpoint{}
 			cfg.Metrics = obs.NewRegistry()
-			cfg.Journal = obs.NewJournal(128)
 			cfg.CheckpointSink = func(ck *Checkpoint) { ck.CopyInto(held) }
 		}},
 	} {
@@ -418,8 +417,7 @@ func TestOccupancyMismatchIsAMiss(t *testing.T) {
 		t.Fatalf("checkpoint holds %d tokens on e1, want 5", len(saved.Edges[0]))
 	}
 	reg := obs.NewRegistry()
-	jr := obs.NewJournal(64)
-	if _, err := Run(Config{Graph: g2, Iterations: 10, Reconfigure: hook, Resume: saved, Metrics: reg, Journal: jr}); err != nil {
+	if _, err := Run(Config{Graph: g2, Iterations: 10, Reconfigure: hook, Resume: saved, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	// Boundaries 4..9 change p every time. The cut's valuation, p=2, is the
@@ -430,7 +428,7 @@ func TestOccupancyMismatchIsAMiss(t *testing.T) {
 		t.Errorf("resumed run: %d rebinds, %d rows built; want 6 and 2", snap.Rebinds, snap.RowsBuilt)
 	}
 	var details []string
-	for _, ev := range jr.Events() {
+	for _, ev := range reg.Events() {
 		if ev.Kind == obs.EvRebind {
 			details = append(details, ev.Detail)
 		}

@@ -13,14 +13,14 @@ import (
 // edge A -> B whose 3-token ring holds 2 tokens, A parked writing 2 (one
 // slot free) and B parked reading 3. No firing can complete, so the
 // watchdog, started once both sides have raised their wait flags, must fail
-// the run. It returns the run's journal and error, and fails the test if
+// the run. It returns the run's registry and error, and fails the test if
 // the parked goroutines do not return once the run has failed.
-func wedge(t *testing.T) (*obs.Journal, error) {
+func wedge(t *testing.T) (*obs.Registry, error) {
 	t.Helper()
 	r := newRing(3)
 	e := &engine{
 		stop:     make(chan struct{}),
-		jr:       obs.NewJournal(16),
+		mx:       &engMetrics{reg: obs.NewRegistry()},
 		rings:    []*ring{r},
 		edgeName: []string{"e0"},
 		edgeProd: []string{"A"},
@@ -54,7 +54,7 @@ func wedge(t *testing.T) (*obs.Journal, error) {
 			t.Fatal("a parked goroutine did not return after the run failed")
 		}
 	}
-	return e.jr, e.firstErr()
+	return e.mx.reg, e.firstErr()
 }
 
 // TestDeadlockDetected: the watchdog turns a wedged ring into an error
@@ -95,7 +95,7 @@ func TestDeadlockDetected(t *testing.T) {
 // TestWatchdogStallReportNamesActor requires the watchdog's error to name
 // the blocked actors, their wait direction, the edge occupancy and the
 // last-progress timestamp — a diagnosable report, not just "stall" — and
-// the journal to hold the near-miss before the one stall.
+// the registry to hold the near-miss before the one stall.
 func TestWatchdogStallReportNamesActor(t *testing.T) {
 	j, err := wedge(t)
 	if err == nil {
@@ -127,10 +127,10 @@ func TestWatchdogStallReportNamesActor(t *testing.T) {
 		}
 	}
 	if warns < 1 {
-		t.Error("no watchdog near-miss journaled before the stall")
+		t.Error("no watchdog near-miss recorded before the stall")
 	}
 	if stalls != 1 {
-		t.Errorf("journaled %d stall events, want 1", stalls)
+		t.Errorf("recorded %d stall events, want 1", stalls)
 	}
 }
 

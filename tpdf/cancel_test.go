@@ -35,14 +35,14 @@ func TestStreamCancelUnparksRingWait(t *testing.T) {
 		},
 	}
 
-	// The premise, read from the registry: the ring holds one token and A
-	// parks on it.
+	// The premise, read from the registry: the ring holds one token and A,
+	// its producer, parks on it.
 	reg := obs.NewRegistry()
 	if _, err := tpdf.Stream(g, behaviors, tpdf.WithIterations(8), tpdf.WithWorkers(2), tpdf.WithMetrics(reg)); err != nil {
 		t.Fatal(err)
 	}
-	if snap := reg.EngineSnapshot(); len(snap.Edges) != 1 || snap.Edges[0].Capacity != 1 || snap.Edges[0].ProdParks == 0 {
-		t.Fatalf("want A parked on a 1-token ring, got %+v", snap.Edges)
+	if snap := reg.EngineSnapshot(); len(snap.Edges) != 1 || snap.Edges[0].Capacity != 1 || snap.Actors[0].Name != "A" || snap.Actors[0].Parks == 0 {
+		t.Fatalf("want A parked on a 1-token ring, got %+v / %+v", snap.Actors, snap.Edges)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -104,9 +104,10 @@ func ExampleStream() {
 // ExampleStream_metrics attaches the observability surface to a streaming
 // run: a Registry receives per-actor and per-edge counters harvested at
 // every transaction barrier (never on the firing path, which stays
-// allocation-free), and a bounded Journal records barrier, rebind and
-// drain events for export as a Chrome trace or a table. Both are safe to
-// read concurrently while the run is live; here they are read after it.
+// allocation-free), and keeps the run's barrier, rebind and drain records,
+// from which it sums its boundary totals, for export as a Chrome trace. It
+// is safe to read concurrently while the run is live; here it is read
+// after it.
 func ExampleStream_metrics() {
 	g, err := tpdf.NewGraph("observed").
 		Param("p", 2, 1, 8).
@@ -119,11 +120,9 @@ func ExampleStream_metrics() {
 	}
 
 	reg := obs.NewRegistry()
-	journal := obs.NewJournal(64)
 	_, err = tpdf.Stream(g, nil,
 		tpdf.WithIterations(4),
 		tpdf.WithMetrics(reg),
-		tpdf.WithTraceJournal(journal),
 		tpdf.WithReconfigure(func(completed int64) map[string]int64 {
 			return map[string]int64{"p": 2 + completed} // 2, 3, 4, 5
 		}))
@@ -134,21 +133,21 @@ func ExampleStream_metrics() {
 	snap := reg.EngineSnapshot()
 	fmt.Printf("completed %d iterations, %d rebinds\n", snap.Completed, snap.Rebinds)
 	for _, a := range snap.Actors {
-		fmt.Printf("%s: %d firings, %d in, %d out\n",
-			a.Name, a.Firings, a.TokensIn, a.TokensOut)
+		fmt.Printf("%s: %d firings, %d out\n", a.Name, a.Firings, a.TokensOut)
 	}
+	evs := reg.Events()
 	rebinds := 0
-	for _, ev := range journal.Events() {
+	for _, ev := range evs {
 		if ev.Kind == obs.EvRebind {
 			rebinds++
 		}
 	}
-	fmt.Printf("journal: %d events, %d rebind records\n", journal.Len(), rebinds)
+	fmt.Printf("trace: %d events, %d rebind records\n", len(evs), rebinds)
 	// Output:
 	// completed 4 iterations, 3 rebinds
-	// SRC: 4 firings, 0 in, 14 out
-	// SNK: 4 firings, 14 in, 0 out
-	// journal: 9 events, 3 rebind records
+	// SRC: 4 firings, 14 out
+	// SNK: 4 firings, 0 out
+	// trace: 9 events, 3 rebind records
 }
 
 // ExampleStream_reconfigure changes a parameter mid-stream: the hook runs

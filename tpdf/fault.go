@@ -192,7 +192,7 @@ type PersistOptions struct {
 	// Tenant is recorded in every snapshot and restored on recovery.
 	Tenant string
 	// OnPersist, when non-nil, observes every persist attempt — the hook
-	// metrics and journals hang off. Called from the writer's background
+	// metrics and trace records hang off. Called from the writer's background
 	// goroutine (or the Flush caller); must be safe for that.
 	OnPersist func(PersistInfo)
 }

@@ -298,13 +298,13 @@ func recoveryPipeline(t *testing.T, seq *[]int, aHook func(k int64)) (*tpdf.Grap
 // TestPanicRecoveryByteIdentical injects two behavior panics into a payload
 // pipeline whose sink output travels with the checkpoints (WithUserState):
 // the recovered run's firings and payload stream must equal the fault-free
-// run's, and both aborts and both restarts must be journaled.
+// run's, and both aborts and both restarts must be recorded.
 func TestPanicRecoveryByteIdentical(t *testing.T) {
 	const iters = 10
-	run := func(faults *faultinject.Plan, retries int) ([]int, *tpdf.ExecResult, *obs.Journal) {
+	run := func(faults *faultinject.Plan, retries int) ([]int, *tpdf.ExecResult, *obs.Registry) {
 		var seq []int
 		g, behaviors := recoveryPipeline(t, &seq, nil)
-		jr := obs.NewJournal(128)
+		jr := obs.NewRegistry()
 		res, err := tpdf.Stream(g, behaviors,
 			tpdf.WithIterations(iters),
 			tpdf.WithReconfigure(func(int64) map[string]int64 { return nil }),
@@ -313,7 +313,7 @@ func TestPanicRecoveryByteIdentical(t *testing.T) {
 				func(u any) { seq = append(seq[:0], u.([]int)...) }),
 			tpdf.WithPanicRecovery(retries),
 			tpdf.WithFaultPlan(faults),
-			tpdf.WithTraceJournal(jr))
+			tpdf.WithMetrics(jr))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +340,7 @@ func TestPanicRecoveryByteIdentical(t *testing.T) {
 		kinds[ev.Kind]++
 	}
 	if kinds[obs.EvAbort] != 2 || kinds[obs.EvRestore] != 2 {
-		t.Errorf("journal has %d abort / %d restore events, want 2/2", kinds[obs.EvAbort], kinds[obs.EvRestore])
+		t.Errorf("registry has %d abort / %d restore records, want 2/2", kinds[obs.EvAbort], kinds[obs.EvRestore])
 	}
 }
 

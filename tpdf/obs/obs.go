@@ -1,55 +1,43 @@
 // Package obs is the observability surface of the tpdf runtime: a
-// Registry of streaming-engine counters, a bounded transaction-trace
-// Journal, latency Histograms, and a hand-rolled Prometheus text-exposition
-// writer — everything tpdf-serve's /metrics endpoint and the facade's
-// WithMetrics / WithTraceJournal options are built from.
+// Registry — one per run, holding the streaming engine's counters and a
+// bounded ring of its transaction-boundary records — latency Histograms,
+// and a hand-rolled Prometheus text-exposition writer. tpdf-serve's
+// /metrics and /v1/sessions/{id}/trace endpoints and the facade's
+// WithMetrics option are built from it.
 //
-// The counters follow the engine's barrier-harvest rule: the goroutine that
-// fires an actor updates cache-line-padded private counters with plain
-// stores on its own hot path (no atomics, no locks, no allocations) and the
-// engine copies them into the Registry only at transaction barriers, where
-// every actor is parked and the epoch barrier provides the happens-before
-// edge. Readers
-// therefore see a consistent snapshot that is at most one transaction old,
-// and the warm firing path stays 0 allocs/op with metrics enabled.
+// The per-actor and per-edge counters follow the engine's barrier-harvest
+// rule: the goroutine that fires an actor updates cache-line-padded private
+// counters with plain stores on its own hot path (no atomics, no locks, no
+// allocations) and the engine copies them into the Registry only at
+// transaction barriers, where every actor is parked and the epoch barrier
+// provides the happens-before edge. The boundary totals are not harvested:
+// they are sums of the records the engine hands the Registry, so the
+// counters and the trace cannot disagree. Readers see a consistent
+// snapshot that is at most one transaction old, and the warm firing path
+// stays 0 allocs/op with metrics enabled.
 package obs
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
-// ActorMetrics is one actor's counters as of the last harvest. Firings and
-// token counts are exact; the time and park/spin/wake counters attribute
-// each ring wait to the actor that performed it.
+// ActorMetrics is one actor's counters as of the last harvest.
 type ActorMetrics struct {
 	Name string
-	// Firings completed and tokens moved since the run started.
+	// Firings completed and tokens produced since the run started.
 	Firings   int64
-	TokensIn  int64
 	TokensOut int64
-	// BusyNs estimates time spent firing (consume + behavior + produce)
-	// minus time blocked in ring waits; BlockedNs is the blocked share.
-	// Active time is sampled at epoch granularity per engine goroutine (one
-	// epoch in eight is timed and the total scaled up); when one goroutine
-	// fires every actor in schedule order — Stream's default — its active
-	// time is apportioned to the actors by firing share, so a heavy behavior
-	// and a trivial one that fire equally often read the same. Blocked time
-	// covers only actual channel parks — both exclude time parked at
-	// transaction barriers, and BusyNs is an estimate, not an exact
-	// measurement.
-	BusyNs    int64
-	BlockedNs int64
-	// Parks counts ring waits that parked on a wake channel; Spins counts
-	// waits resolved by spinning/yielding without a park; Wakes counts
-	// wakeups this actor issued to a parked peer.
+	// Parks counts ring waits this actor parked in; Wakes counts wakeups
+	// it issued to a parked peer. Both stay zero under one context, whose
+	// rings never wait.
 	Parks int64
-	Spins int64
 	Wakes int64
 }
 
 // EdgeMetrics is one edge's ring gauges as of the last harvest.
 type EdgeMetrics struct {
-	Name     string
-	Producer string
-	Consumer string
+	Name string
 	// Capacity and Occupancy are the ring's token capacity and content at
 	// the harvest barrier; HighWater is the largest occupancy ever
 	// observed at a publish (including the initial-token seed).
@@ -59,69 +47,116 @@ type EdgeMetrics struct {
 	// Grows counts barrier-time capacity growths (reconfigurations whose
 	// new schedule needed a larger ring).
 	Grows int64
-	// Blocked/park split per side: the producer waits for free space, the
-	// consumer waits for published tokens.
-	ProdBlockedNs int64
-	ConsBlockedNs int64
-	ProdParks     int64
-	ConsParks     int64
 }
 
-// EngineSnapshot is the full engine view published at each transaction
-// barrier.
+// EngineSnapshot is the full engine view: Completed, Actors and Edges as
+// harvested at the last transaction barrier, and the boundary totals
+// summed from the records handed to Record.
 type EngineSnapshot struct {
-	// Running is true between run start and the final harvest.
-	Running bool
 	// Completed counts finished graph iterations; Barriers counts
-	// transaction boundaries crossed (epoch dispatches).
+	// transaction boundaries crossed (epoch dispatches, EvBarrier).
 	Completed int64
 	Barriers  int64
-	// Rebinds counts boundaries that changed parameters; RebindNs is the
-	// total time spent rebinding (rate tables, schedule, ring growth).
-	// BoundaryNs is total time in boundary work overall — hooks included,
-	// so a session parked between requests accrues it. RowsBuilt counts the
-	// changed boundaries that had to bind and schedule their valuation (a
-	// first visit, or a re-build after eviction or at another occupancy): a
-	// run cycling among scenarios shows Rebinds ≫ RowsBuilt, a sweep equal.
+	// Rebinds counts boundaries that changed parameters (EvRebind);
+	// RebindNs is the total time spent rebinding (rate tables, schedule,
+	// ring growth). BoundaryNs is total time in boundary work overall —
+	// hooks included, so a session parked between requests accrues it.
+	// RowsBuilt counts the rebinds that had to bind and schedule their
+	// valuation (Detail RowBuilt: a first visit, or a re-build after
+	// eviction or at another occupancy): a run cycling among scenarios
+	// shows Rebinds ≫ RowsBuilt, a sweep equal.
 	Rebinds    int64
 	RowsBuilt  int64
 	RebindNs   int64
 	BoundaryNs int64
-	// Aborts counts discarded transactions (epochs torn down by a behavior
-	// panic, rebinds rejected by validation); Restores counts run starts
-	// resumed from a checkpoint. Both keep counting across the
-	// incarnations of a run that share this registry.
+	// Aborts counts discarded transactions (EvAbort: epochs torn down by a
+	// behavior panic, rebinds rejected by validation); Restores counts run
+	// starts resumed from a checkpoint (EvRestore). Both keep counting
+	// across the incarnations of a run that share this registry.
 	Aborts   int64
 	Restores int64
 	Actors   []ActorMetrics
 	Edges    []EdgeMetrics
 }
 
-// Registry is the shared rendezvous between one streaming engine run and
-// any number of readers. Writers integrate via UpdateEngine at barriers;
-// readers take consistent copies via EngineSnapshot. A Registry is
-// typically per-session (tpdf/serve creates one per Stream engine) so
-// series never mix runs.
+// RowBuilt is the Detail of an EvRebind whose valuation had to be bound
+// and scheduled; the other rebinds revisit a scenario row ("row=hit").
+const RowBuilt = "row=built"
+
+// traceCap bounds the records a Registry retains.
+const traceCap = 256
+
+// Registry is the one observability sink of a streaming run and the
+// rendezvous between it and any number of readers. The engine records its
+// boundary records with Record and harvests its per-actor and per-edge
+// counters with UpdateEngine; readers take consistent copies with
+// EngineSnapshot and Events. A Registry is per session (tpdf/serve creates
+// one per session) so series never mix runs, and it is safe to leave
+// attached forever: the newest traceCap records are kept, older ones
+// overwritten, and recording is O(1) with no allocation.
 type Registry struct {
 	mu     sync.Mutex
 	engine EngineSnapshot
+	// events is the record ring: record n lives at n % traceCap, and total
+	// counts every record ever made.
+	events [traceCap]Event
+	total  int64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// UpdateEngine runs mutate with the registry locked. This is the engine's
-// harvest hook: the engine keeps one long-lived closure and fills the
-// snapshot in place, so a barrier-time harvest performs no allocations.
-// mutate must not retain the snapshot past the call.
-func (r *Registry) UpdateEngine(mutate func(*EngineSnapshot)) {
+// Record appends evs in order under one lock, overwriting the oldest when
+// full, and adds each to the totals it counts toward. A zero TimeUnixNano
+// is stamped with the current wall clock.
+func (r *Registry) Record(evs ...Event) {
 	r.mu.Lock()
+	r.record(evs)
+	r.mu.Unlock()
+}
+
+// record is the one place a record enters the registry: the trace ring
+// and the totals are updated together. r.mu is held.
+func (r *Registry) record(evs []Event) {
+	s := &r.engine
+	for _, e := range evs {
+		if e.TimeUnixNano == 0 {
+			e.TimeUnixNano = time.Now().UnixNano()
+		}
+		r.events[r.total%traceCap] = e
+		r.total++
+		switch e.Kind {
+		case EvBarrier:
+			s.Barriers++
+			s.BoundaryNs += e.DurNs
+		case EvRebind:
+			s.Rebinds++
+			s.RebindNs += e.DurNs
+			if e.Detail == RowBuilt {
+				s.RowsBuilt++
+			}
+		case EvAbort:
+			s.Aborts++
+		case EvRestore:
+			s.Restores++
+		}
+	}
+}
+
+// UpdateEngine records evs as Record does and then runs mutate, under one
+// lock. This is the engine's harvest: it hands over the records of the
+// boundaries since the last harvest and fills Completed, Actors and Edges
+// in place with one long-lived closure, so a barrier-time harvest performs
+// no allocations. mutate must not retain the snapshot past the call.
+func (r *Registry) UpdateEngine(mutate func(*EngineSnapshot), evs ...Event) {
+	r.mu.Lock()
+	r.record(evs)
 	mutate(&r.engine)
 	r.mu.Unlock()
 }
 
-// EngineSnapshot returns a deep copy of the last harvested engine state,
-// safe to hold and read without further synchronization.
+// EngineSnapshot returns a deep copy of the engine state, safe to hold and
+// read without further synchronization.
 func (r *Registry) EngineSnapshot() EngineSnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -129,6 +164,18 @@ func (r *Registry) EngineSnapshot() EngineSnapshot {
 	s.Actors = append([]ActorMetrics(nil), r.engine.Actors...)
 	s.Edges = append([]EdgeMetrics(nil), r.engine.Edges...)
 	return s
+}
+
+// Events returns the retained records oldest-first.
+func (r *Registry) Events() []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := min(r.total, traceCap)
+	out := make([]Event, 0, n)
+	for i := r.total - n; i < r.total; i++ {
+		out = append(out, r.events[i%traceCap])
+	}
+	return out
 }
 
 // ParamsDigest hashes a parameter valuation into a stable 64-bit digest,

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -49,48 +50,58 @@ func TestParamsDigest(t *testing.T) {
 	}
 }
 
+// TestJournalBoundAndOrder: the registry's record ring keeps the newest
+// traceCap records, oldest first.
 func TestJournalBoundAndOrder(t *testing.T) {
-	j := NewJournal(4)
-	var fake int64
-	j.nowfn = func() int64 { fake++; return fake }
-	for i := int64(1); i <= 10; i++ {
-		j.Record(Event{Kind: EvBarrier, Completed: i})
+	r := NewRegistry()
+	for i := int64(1); i <= traceCap+6; i++ {
+		r.Record(Event{TimeUnixNano: i, Kind: EvDrain, Completed: i})
 	}
-	if j.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", j.Len())
+	evs := r.Events()
+	if len(evs) != traceCap {
+		t.Fatalf("%d events retained, want %d", len(evs), traceCap)
 	}
-	if j.Dropped() != 6 {
-		t.Fatalf("Dropped = %d, want 6", j.Dropped())
-	}
-	evs := j.Events()
 	for i, e := range evs {
 		if want := int64(7 + i); e.Completed != want {
-			t.Fatalf("event %d Completed = %d, want %d (newest 4, oldest first)", i, e.Completed, want)
+			t.Fatalf("event %d Completed = %d, want %d (newest %d, oldest first)", i, e.Completed, want, traceCap)
 		}
 	}
-	j.Reset()
-	if j.Len() != 0 || j.Dropped() != 0 {
-		t.Fatalf("Reset left Len=%d Dropped=%d", j.Len(), j.Dropped())
+}
+
+// TestRecordSumsTotals: the boundary totals are sums of the records, and
+// they keep counting after the ring wraps.
+func TestRecordSumsTotals(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < 100; i++ {
+		r.Record(Event{Kind: EvRebind, DurNs: 3, Detail: RowBuilt},
+			Event{Kind: EvRebind, DurNs: 2, Detail: "row=hit"},
+			Event{Kind: EvBarrier, DurNs: 10},
+			Event{Kind: EvAbort}, Event{Kind: EvRestore}, Event{Kind: EvPersist, DurNs: 99})
+	}
+	s := r.EngineSnapshot()
+	want := EngineSnapshot{Barriers: 100, Rebinds: 200, RowsBuilt: 100, RebindNs: 500, BoundaryNs: 1000, Aborts: 100, Restores: 100}
+	if !reflect.DeepEqual(s, want) {
+		t.Fatalf("totals %+v, want %+v", s, want)
 	}
 }
 
 func TestJournalRecordDoesNotAllocate(t *testing.T) {
-	j := NewJournal(64)
+	r := NewRegistry()
 	ev := Event{TimeUnixNano: 1, Kind: EvBarrier, Completed: 1, Detail: "static"}
-	if allocs := testing.AllocsPerRun(200, func() { j.Record(ev) }); allocs > 0 {
+	if allocs := testing.AllocsPerRun(200, func() { r.Record(ev) }); allocs > 0 {
 		t.Fatalf("Record allocates: %v allocs/op", allocs)
 	}
 }
 
 func TestJournalChromeTraceIsValidJSON(t *testing.T) {
-	j := NewJournal(8)
+	r := NewRegistry()
 	base := time.Now().UnixNano()
-	j.Record(Event{TimeUnixNano: base, Kind: EvRunStart})
-	j.Record(Event{TimeUnixNano: base + 2e6, Kind: EvBarrier, Completed: 1, DurNs: 1e6})
-	j.Record(Event{TimeUnixNano: base + 3e6, Kind: EvRebind, Completed: 1, DurNs: 5e5, ParamsDigest: 0xabcd, Detail: `quote"and\slash`})
-	j.Record(Event{TimeUnixNano: base + 4e6, Kind: EvRunEnd, Completed: 2})
+	r.Record(Event{TimeUnixNano: base, Kind: EvRunStart})
+	r.Record(Event{TimeUnixNano: base + 2e6, Kind: EvBarrier, Completed: 1, DurNs: 1e6})
+	r.Record(Event{TimeUnixNano: base + 3e6, Kind: EvRebind, Completed: 1, DurNs: 5e5, ParamsDigest: 0xabcd, Detail: `quote"and\slash`})
+	r.Record(Event{TimeUnixNano: base + 4e6, Kind: EvRunEnd, Completed: 2})
 	var sb strings.Builder
-	if err := j.WriteChromeTrace(&sb); err != nil {
+	if err := r.WriteChromeTrace(&sb); err != nil {
 		t.Fatal(err)
 	}
 	var evs []map[string]any
@@ -108,14 +119,34 @@ func TestJournalChromeTraceIsValidJSON(t *testing.T) {
 	}
 }
 
-func TestJournalSummaryTable(t *testing.T) {
-	j := NewJournal(8)
-	j.Record(Event{TimeUnixNano: 1e6, Kind: EvBarrier, Completed: 1, DurNs: 2e6})
-	j.Record(Event{TimeUnixNano: 5e6, Kind: EvRebind, Completed: 1, ParamsDigest: 0xff, Detail: "p=3"})
-	s := j.Summary()
-	for _, want := range []string{"event", "barrier", "rebind", "00000000000000ff", "p=3"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("summary missing %q:\n%s", want, s)
+// TestChromeTraceEncodesAnyDetail: a Detail carries node names (any string
+// the builder accepts), stall reports and error texts, so control bytes and
+// invalid UTF-8 must still make valid JSON, and the text must come back.
+// Go's %q spelling of these (\x00, \v, \xff) is not JSON.
+func TestChromeTraceEncodesAnyDetail(t *testing.T) {
+	details := []string{"nul\x00byte", "tab\vvertical", "bell\a", "bad\xffutf8", "<&>\u2028", "ok"}
+	r := NewRegistry()
+	for i, d := range details {
+		r.Record(Event{TimeUnixNano: int64(i + 1), Kind: EvStall, Detail: d})
+	}
+	var sb strings.Builder
+	if err := r.WriteChromeTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid([]byte(sb.String())) {
+		t.Fatalf("trace is not valid JSON:\n%s", sb.String())
+	}
+	var evs []struct {
+		Args struct {
+			Detail string `json:"detail"`
+		} `json:"args"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &evs); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range details {
+		if want := strings.ToValidUTF8(d, "\uFFFD"); evs[i].Args.Detail != want {
+			t.Errorf("detail %d came back %q, want %q", i, evs[i].Args.Detail, want)
 		}
 	}
 }

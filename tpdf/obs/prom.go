@@ -93,12 +93,13 @@ func renderLabels(labels []Label) string {
 	return b.String()
 }
 
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 func escapeLabelValue(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	return labelEscaper.Replace(v)
 }
 
 func formatValue(v float64) string {

@@ -52,7 +52,6 @@ type config struct {
 	compiled        *CompiledGraph
 	parallel        int
 	metrics         *obs.Registry
-	journal         *obs.Journal
 	checkpointSink  func(*Checkpoint)
 	persister       *Persister
 	resume          *Checkpoint
@@ -176,28 +175,23 @@ func WithReconfigure(fn func(completed int64) map[string]int64) Option {
 	return func(c *config) { c.reconfigure = fn }
 }
 
-// WithMetrics attaches an observability registry to a Stream run (no other
-// entry point reads it). Stream harvests per-actor counters (firings,
-// tokens in/out, busy and blocked time, park/spin/wake events) and
-// per-edge ring gauges (occupancy, high-water, grow events) into it at
-// every transaction barrier — the firing path itself updates only private
-// cache-line-padded counters with plain stores and stays 0 allocs/op. Read
-// a consistent copy at any time with Registry.EngineSnapshot; it is at most
-// one transaction old. Use one registry per run (tpdf/serve keeps one per
+// WithMetrics attaches an observability registry, the run's one sink, to a
+// Stream run (no other entry point reads it). Stream records run start/end,
+// every barrier span, rebinds with their duration and parameter digest,
+// aborts, restores, drain verdicts and watchdog stalls into it, and the
+// registry sums its boundary totals (Barriers, Rebinds, RowsBuilt, Aborts,
+// Restores, RebindNs, BoundaryNs) from those records. At every transaction
+// barrier Stream also harvests per-actor counters (firings, tokens out,
+// parks and wakes) and per-edge ring gauges (occupancy, high-water,
+// capacity, grow events) into it — the firing path itself updates only
+// private cache-line-padded counters with plain stores and stays 0
+// allocs/op. Read a consistent copy at any time with
+// Registry.EngineSnapshot (at most one transaction old) and the newest 256
+// records with Registry.Events or Registry.WriteChromeTrace
+// (chrome://tracing). Use one registry per run (tpdf/serve keeps one per
 // session) so series never mix.
 func WithMetrics(r *obs.Registry) Option {
 	return func(c *config) { c.metrics = r }
-}
-
-// WithTraceJournal attaches a bounded transaction-trace journal: Stream
-// records run start/end, every barrier span, rebinds with their duration
-// and parameter digest, drain verdicts and watchdog near-misses. The
-// journal keeps the newest Cap events (older ones are overwritten) and
-// recording never allocates, so it is safe to leave attached to a
-// long-running session. Export with Journal.WriteChromeTrace
-// (chrome://tracing) or Journal.Summary (aligned table).
-func WithTraceJournal(j *obs.Journal) Option {
-	return func(c *config) { c.journal = j }
 }
 
 // WithParallelism bounds the worker pool of the two parallel drivers: Sweep

@@ -267,7 +267,7 @@ func (s *Server) writeSessionMetrics(p *obs.PromWriter) {
 	}
 }
 
-// handleTrace exports one session's transaction journal as Chrome
+// handleTrace exports the records in one session's registry as Chrome
 // trace_event JSON (load it in chrome://tracing or Perfetto).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.m.Get(r.PathValue("id"))
@@ -276,7 +276,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	sess.TraceJournal().WriteChromeTrace(w) //nolint:errcheck // client gone is fine
+	sess.Metrics().WriteChromeTrace(w) //nolint:errcheck // client gone is fine
 }
 
 // StartAdmin exposes the debug surface — net/http/pprof and a second copy

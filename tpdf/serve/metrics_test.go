@@ -219,7 +219,7 @@ func TestAdminListener(t *testing.T) {
 	}
 }
 
-// TestSessionTraceEndpoint exports a pumped session's journal as Chrome
+// TestSessionTraceEndpoint exports a pumped session's records as Chrome
 // trace JSON and checks it parses and names the barrier spans.
 func TestSessionTraceEndpoint(t *testing.T) {
 	_, ts := testServer(t, Config{})

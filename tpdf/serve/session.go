@@ -150,12 +150,11 @@ type Session struct {
 	// when the server runs without -data-dir).
 	persister *tpdf.Persister
 
-	// metrics and journal are the session's private observability surface:
-	// the engine harvests into them at transaction barriers, /metrics and
-	// the trace export read them. One registry per session, so series from
-	// different engines never mix.
+	// metrics is the session's private observability sink: the engine
+	// records and harvests into it at transaction barriers, the persister
+	// records its writes, and /metrics and the trace export read it. One
+	// registry per session, so series from different engines never mix.
 	metrics *obs.Registry
-	journal *obs.Journal
 }
 
 // durableEnv is the manager's durability context handed to each session:
@@ -189,7 +188,6 @@ func newSession(id, tenant string, compiled *tpdf.CompiledGraph, params map[stri
 		maxRestarts: maxRestarts,
 		fleet:       fleet,
 		metrics:     obs.NewRegistry(),
-		journal:     obs.NewJournal(256),
 	}
 	g := compiled.Graph()
 	out := make([]bool, len(g.Nodes))
@@ -219,7 +217,7 @@ func newSession(id, tenant string, compiled *tpdf.CompiledGraph, params map[stri
 		// Seed the sink counters from the snapshot so stats are correct
 		// before the engine's own RestoreUser runs at resume.
 		s.restoreSinks(resume.User)
-		s.journal.Record(obs.Event{Kind: obs.EvRecover, Completed: resume.Completed})
+		s.metrics.Record(obs.Event{Kind: obs.EvRecover, Completed: resume.Completed})
 	}
 	if dur != nil && dur.store != nil {
 		p, err := dur.store.Persister(id, g, tpdf.PersistOptions{
@@ -227,7 +225,7 @@ func newSession(id, tenant string, compiled *tpdf.CompiledGraph, params map[stri
 			OnPersist: func(info tpdf.PersistInfo) {
 				if info.Err != nil {
 					dur.counters.persistErrs.Add(1)
-					s.journal.Record(obs.Event{Kind: obs.EvPersist,
+					s.metrics.Record(obs.Event{Kind: obs.EvPersist,
 						Completed: info.Completed, DurNs: int64(info.Dur), Detail: info.Err.Error()})
 					return
 				}
@@ -235,7 +233,7 @@ func newSession(id, tenant string, compiled *tpdf.CompiledGraph, params map[stri
 				dur.counters.bytes.Add(int64(info.Bytes))
 				dur.counters.lastSize.Store(int64(info.Bytes))
 				dur.counters.persistLatency.Observe(info.Dur)
-				s.journal.Record(obs.Event{Kind: obs.EvPersist,
+				s.metrics.Record(obs.Event{Kind: obs.EvPersist,
 					Completed: info.Completed, DurNs: int64(info.Dur)})
 			},
 		})
@@ -312,7 +310,7 @@ func (s *Session) countPanic() {
 
 // onRebindAbort makes rejected reconfigurations non-fatal: the engine never
 // left the previous valuation; the session and fleet count the event (the
-// engine already journaled it).
+// engine already recorded it).
 func (s *Session) onRebindAbort(error) {
 	s.rebindAborts.Add(1)
 	s.fleet.rebindAborts.Add(1)
@@ -320,9 +318,9 @@ func (s *Session) onRebindAbort(error) {
 
 // runEngine runs the session's engine under Stream's own supervisor: up to
 // maxRestarts behavior panics are recovered by restarting from the newest
-// cut. The session's registry and journal are shared by every incarnation,
-// so the engine's counters continue across restarts and each resumed start
-// is counted and journaled there (Restores, EvRestore).
+// cut. The session's registry is shared by every incarnation, so the
+// engine's counters continue across restarts and each resumed start is
+// recorded and counted there (EvRestore, Restores).
 func (s *Session) runEngine() (*tpdf.ExecResult, error) {
 	opts := []tpdf.Option{
 		tpdf.WithCompiled(s.compiled),
@@ -331,7 +329,6 @@ func (s *Session) runEngine() (*tpdf.ExecResult, error) {
 		tpdf.WithContext(s.hardCtx),
 		tpdf.WithBoundary(s.barrierHook),
 		tpdf.WithMetrics(s.metrics),
-		tpdf.WithTraceJournal(s.journal),
 		tpdf.WithPanicRecovery(s.maxRestarts),
 		tpdf.WithUserState(s.snapshotSinks, s.restore),
 		tpdf.WithRebindAbortHandler(s.onRebindAbort),
@@ -545,12 +542,10 @@ func (s *Session) Panics() int64 { return s.panics.Load() }
 // RebindAborts counts reconfigurations rejected at barriers.
 func (s *Session) RebindAborts() int64 { return s.rebindAborts.Load() }
 
-// Metrics is the session's private observability registry; the engine
-// refreshes it at every barrier it crosses (the end of each pump).
+// Metrics is the session's private observability registry: its counters
+// and its bounded trace of boundary, persist and recovery records. The
+// engine refreshes it at every barrier it crosses (the end of each pump).
 func (s *Session) Metrics() *obs.Registry { return s.metrics }
-
-// TraceJournal is the session's bounded transaction-trace journal.
-func (s *Session) TraceJournal() *obs.Journal { return s.journal }
 
 // Graph names the session's graph (a label in the metrics exposition).
 func (s *Session) Graph() string { return s.compiled.Graph().Name }

@@ -29,7 +29,7 @@ func chaosManager(extra func(*Config)) *Manager {
 // checks that the supervisor restarts its engine from the last barrier
 // checkpoint: the in-flight pump completes as if nothing happened, the
 // session returns to Running, and the restart is visible on the session,
-// the fleet, and the journal.
+// the fleet, and the session's records.
 func TestSessionPanicRecovery(t *testing.T) {
 	m := chaosManager(nil)
 	ctx := ctxT(t)
@@ -55,7 +55,7 @@ func TestSessionPanicRecovery(t *testing.T) {
 		t.Fatalf("fleet panics=%d restarts=%d, want 1/1", st.Panics, st.Restarts)
 	}
 	var sawAbort, sawRestore bool
-	for _, ev := range s.TraceJournal().Events() {
+	for _, ev := range s.Metrics().Events() {
 		switch ev.Kind {
 		case obs.EvAbort:
 			sawAbort = true
@@ -64,7 +64,7 @@ func TestSessionPanicRecovery(t *testing.T) {
 		}
 	}
 	if !sawAbort || !sawRestore {
-		t.Fatalf("journal abort=%v restore=%v, want both", sawAbort, sawRestore)
+		t.Fatalf("records abort=%v restore=%v, want both", sawAbort, sawRestore)
 	}
 
 	// The recovered session keeps working and drains cleanly.
@@ -129,7 +129,7 @@ func TestPumpPanicReplaysWholePump(t *testing.T) {
 		t.Fatalf("aborts=%d restores=%d, want 1/1", snap.Aborts, snap.Restores)
 	}
 	var restores []int64
-	for _, ev := range s.TraceJournal().Events() {
+	for _, ev := range s.Metrics().Events() {
 		if ev.Kind == obs.EvRestore {
 			restores = append(restores, ev.Completed)
 		}

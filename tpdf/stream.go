@@ -49,9 +49,8 @@ import (
 //
 // Relevant options: WithParams, WithIterations, WithContext, WithWorkers,
 // WithBoundary, WithReconfigure, WithBarrier, WithCompiled, WithMetrics,
-// WithTraceJournal, WithCheckpoints, WithResume, WithUserState,
-// WithPanicRecovery, WithDurableCheckpoints, WithRebindAbortHandler,
-// WithFaultPlan.
+// WithCheckpoints, WithResume, WithUserState, WithPanicRecovery,
+// WithDurableCheckpoints, WithRebindAbortHandler, WithFaultPlan.
 func Stream(g *Graph, behaviors map[string]Behavior, opts ...Option) (*ExecResult, error) {
 	cfg := buildConfig(opts)
 	sink := cfg.checkpointSink
@@ -78,7 +77,6 @@ func Stream(g *Graph, behaviors map[string]Behavior, opts ...Option) (*ExecResul
 		Barrier:     cfg.barrier,
 		Boundary:    cfg.boundary,
 		Metrics:     cfg.metrics,
-		Journal:     cfg.journal,
 
 		CheckpointSink: sink,
 		Resume:         cfg.resume,

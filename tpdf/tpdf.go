@@ -41,27 +41,26 @@
 // # Observability
 //
 // Streaming runs carry zero-overhead instrumentation from the tpdf/obs
-// package, attached with two options. WithMetrics(registry) publishes
-// per-actor counters (firings, tokens moved, estimated busy/blocked time)
-// and per-edge ring gauges (occupancy, high-water, capacity, grows, park
-// and wake counts) into an obs.Registry. Counters are bumped with plain
-// stores on cache-line-padded per-actor blocks by the one goroutine that
-// fires the actor and harvested into the
-// registry only at transaction barriers, when the pipeline is quiescent —
-// the warm firing path stays free of locks, atomics and allocations, and
-// clock reads are sampled, so a run with metrics attached is measurably no
-// slower (the tpdf-bench -metrics-overhead CI gate enforces <2%).
-//
-// WithTraceJournal(journal) records the run's transaction structure —
-// barriers with their boundary cost, parameter rebinds with a digest of
-// the new valuation, drains, stall warnings — into a bounded obs.Journal
-// ring. Export it with Journal.WriteChromeTrace (load in chrome://tracing
-// or Perfetto) or Journal.Summary (aligned text table). Both the registry
-// and the journal are safe to read concurrently while the run is live;
-// tpdf-serve holds one pair per session and serves them at GET /metrics in
-// Prometheus text exposition and GET /v1/sessions/{id}/trace as a Chrome
-// trace, with net/http/pprof on an opt-in admin listener. See
-// ExampleStream_metrics.
+// package, attached with one option: WithMetrics(registry) makes an
+// obs.Registry the run's one sink. The run records its transaction
+// structure into it — barriers with their boundary cost, parameter rebinds
+// with a digest of the new valuation, aborts, restores, drains, stall
+// warnings — and the registry keeps the newest 256 records and sums the
+// boundary totals from them, so the counters and the trace cannot
+// disagree. Per-actor counters (firings, tokens produced, parks and wakes)
+// and per-edge ring gauges (occupancy, high-water, capacity, grows) are
+// bumped with plain stores on cache-line-padded blocks by the one goroutine
+// that fires the actor and harvested into the registry, with the
+// boundary's records and under one lock, only at transaction barriers, when
+// the pipeline is quiescent — the warm firing path stays free of locks,
+// atomics, clock reads and allocations, so a run with metrics attached is
+// measurably no slower (the tpdf-bench -metrics-overhead CI gate enforces
+// <2%). Export the records with Registry.WriteChromeTrace (load in
+// chrome://tracing or Perfetto). The registry is safe to read concurrently
+// while the run is live; tpdf-serve holds one per session and serves it at
+// GET /metrics in Prometheus text exposition and GET
+// /v1/sessions/{id}/trace as a Chrome trace, with net/http/pprof on an
+// opt-in admin listener. See ExampleStream_metrics.
 //
 // # Fault tolerance
 //
