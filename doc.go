@@ -111,9 +111,11 @@
 //     WithBarrier and WithReconfigure are that hook with one-iteration
 //     verdicts. tpdf-serve answers a pump of N with Run N, so a pump is
 //     one epoch, one durable cut and one flush, and a session is one
-//     goroutine whatever its graph (its command loop, which is also its one
-//     context; a Context is watched through context.AfterFunc, not by a
-//     goroutine), plus the durable writer's when it persists;
+//     coroutine whatever its graph (its one context, an iter.Pull stack
+//     that the pump's caller resumes with the verdict and that yields back
+//     at the boundary acking the pump — no goroutine hand-off; a Context
+//     is watched through context.AfterFunc, not by a goroutine), plus the
+//     durable writer's goroutine when it persists;
 //   - what executing the schedule bought, rung by rung (bench/run.sh
 //     --trace 1, goroutine-per-actor parent → one context on one 2-core
 //     box, seeds 1–3, wall-clock at machine.speed 0.6–1.0):
@@ -232,13 +234,13 @@
 //
 //   - session lifecycle: a session is one client's engine, opened once and
 //     parked at a transaction barrier between requests (a parked session
-//     costs zero CPU — its command loop runs inside the engine's Barrier
-//     hook, counted as boundary work). Pump runs N iterations; parameter
-//     changes land only at transaction boundaries, per the TPDF
-//     transaction rule; Drain stops cleanly at the next barrier (in-flight
-//     firings complete, rings flush into the final result), with a bounded
-//     deadline after which the engine is cancelled. SIGTERM drains the
-//     whole fleet the same way;
+//     costs zero CPU — its engine is a coroutine suspended inside its
+//     boundary hook, and a pump resumes it on the caller's goroutine).
+//     Pump runs N iterations; parameter changes land only at transaction
+//     boundaries, per the TPDF transaction rule; Drain stops cleanly at
+//     the next barrier (in-flight firings complete, rings flush into the
+//     final result), with a bounded deadline after which the engine is
+//     cancelled. SIGTERM drains the whole fleet the same way;
 //   - program-cache sharing rule: tpdf.Compile splits compilation from
 //     execution state — an immutable CompiledGraph (the core.Skeleton:
 //     parameter index, compiled rate tables, structural lowering) that any

@@ -270,12 +270,13 @@ func (s *Server) handlePump(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("serve: bad pump request: %w", err))
 		return
 	}
-	completed, err := sess.Pump(r.Context(), req.Iterations, req.Params)
+	// sinks are the totals at the acked boundary, read under the turn.
+	completed, sinks, err := sess.pump(r.Context(), req.Iterations, req.Params, true)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, pumpResponse{Completed: completed, SinkTokens: sess.SinkTokens()})
+	writeJSON(w, http.StatusOK, pumpResponse{Completed: completed, SinkTokens: sinks})
 }
 
 func (s *Server) handleReconfigure(w http.ResponseWriter, r *http.Request) {
@@ -296,6 +297,8 @@ func (s *Server) handleReconfigure(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, pumpResponse{Completed: sess.Completed(), SinkTokens: sess.SinkTokens()})
 }
 
+// handleGet reports the session's live totals: a pump in flight on the
+// session may have moved its sink counters past the last acked boundary.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.m.Get(r.PathValue("id"))
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -56,35 +58,16 @@ type fleetCounters struct {
 	rebindAborts atomic.Int64
 }
 
-// sessCmd is one client command delivered to the session's barrier hook at
-// a quiescent transaction boundary.
-type sessCmd struct {
-	// params are parameter overrides to apply at the boundary.
-	params map[string]int64
-	// iters > 0 pumps that many graph iterations (transactions).
-	iters int64
-	// reply receives the command's acknowledgement once it has taken
-	// effect (buffered; the hook never blocks on it).
-	reply chan pumpAck
-}
-
-// pumpAck is the barrier hook's answer to one command: the session's total
-// completed iteration count, plus a non-nil err wrapping ErrNotDurable
-// when the durable flush covering the pump failed — the iterations ran,
-// but the client must not treat them as crash-safe.
-type pumpAck struct {
-	completed int64
-	err       error
-}
-
 // Session is one client's persistent streaming engine: a tpdf.Stream run
 // parked at a transaction barrier between requests. Its Program is stamped
 // from the tenant graph's shared CompiledGraph, so the session owns all of
 // its mutable engine state (single-writer per session) while the compile
-// product is shared fleet-wide.
+// product is shared fleet-wide. The engine is a coroutine (iter.Pull)
+// that whoever holds the session's turn resumes on their own goroutine:
+// a pump is a call, and a parked session is a suspended stack.
 //
 // Lifecycle: Open (stamp + start, engine parks at the completed=0 barrier)
-// → any number of Pump/Reconfigure commands, each taking effect at a
+// → any number of Pump/Reconfigure calls, each taking effect at a
 // quiescent barrier → Drain (clean stop at the next barrier, rings
 // flushed into the final result) or hard cancellation after the drain
 // deadline.
@@ -95,8 +78,9 @@ type pumpAck struct {
 // in-flight epoch — the pump — and Stream restarts the engine from the
 // newest cut, answering the boundary it restarts at with the pump's verdict
 // again, up to Config.MaxRestarts times. A panic in one session never
-// touches the process or any other session — the engine recovers it on the
-// goroutine that fired the actor and returns it as an error value.
+// touches the process or any other session: the engine recovers behavior
+// panics into error values, and any other panic is recovered where the
+// coroutine runs and becomes the session's failure.
 type Session struct {
 	ID     string
 	Tenant string
@@ -104,30 +88,37 @@ type Session struct {
 	compiled *tpdf.CompiledGraph
 	params   map[string]int64
 
-	cmds chan sessCmd
-	// soft asks the barrier hook to stop at the next boundary; hard
-	// cancels the engine outright (unparks ring waits) when the drain
-	// deadline expires.
+	// turn (capacity 1) is held by whoever resumes the engine (next, stop)
+	// or stages overrides; verdict, the hook's answer when resumed, and
+	// pending, the overrides staged for the next pump, are the holder's.
+	turn    chan struct{}
+	next    func() (int64, bool)
+	stop    func()
+	yield   func(int64) bool
+	verdict tpdf.Verdict
+	pending map[string]int64
+
+	// soft is every pump's Cut and makes the hook stop at the next
+	// boundary; hard cancels the engine outright when the drain deadline
+	// expires.
 	soft       chan struct{}
 	softOnce   sync.Once
 	hardCtx    context.Context
 	hardCancel context.CancelFunc
 
+	// done closes once the engine has exited and result or runErr is set.
 	done   chan struct{}
 	result *tpdf.ExecResult
 	runErr error
 
 	completed atomic.Int64
 	// sink token counters, parallel to sinkNames (nodes with no outgoing
-	// edges): the per-session observable output of the count profile.
+	// edges) and sinkPorts (each sink's input port names): the
+	// per-session observable output of the count profile.
 	sinkNames  []string
+	sinkPorts  [][]string
 	sinkTokens []atomic.Int64
 
-	// Supervision state. The barrier-hook fields (pumpEnd — the completed
-	// count the pump in flight ends at — pumpReply, non-nil exactly while
-	// a pump is in flight, and pumpPending, the overrides staged for the
-	// next pump) are owned by the run goroutine: tpdf.Stream calls the hook
-	// synchronously, so no other goroutine touches them.
 	state        atomic.Int32
 	restarts     atomic.Int64
 	panics       atomic.Int64
@@ -135,9 +126,6 @@ type Session struct {
 	maxRestarts  int
 	fleet        *fleetCounters
 	faults       *faultinject.Plan
-	pumpEnd      int64
-	pumpReply    chan pumpAck
-	pumpPending  map[string]int64
 
 	// resume is the durable snapshot a cold-start recovered session starts
 	// from; the first restore clears it, so only later ones count as
@@ -165,9 +153,9 @@ type durableEnv struct {
 	counters *durableCounters
 }
 
-// newSession stamps and starts a session. Its goroutine runs the engine
-// until drain, failure or hard cancellation; the engine parks (zero CPU)
-// whenever no command is pending. A non-nil dur arms durable checkpoint
+// newSession stamps and starts a session: it resumes the engine once, so
+// the engine is parked at its first boundary (or the session is
+// StateFailed) when it returns. A non-nil dur arms durable checkpoint
 // persistence; a non-nil resume seeds the session from a durable
 // snapshot's checkpoint — the engine resumes there instead of starting
 // fresh.
@@ -180,7 +168,7 @@ func newSession(id, tenant string, compiled *tpdf.CompiledGraph, params map[stri
 		Tenant:      tenant,
 		compiled:    compiled,
 		params:      params,
-		cmds:        make(chan sessCmd),
+		turn:        make(chan struct{}, 1),
 		soft:        make(chan struct{}),
 		hardCtx:     hardCtx,
 		hardCancel:  hardCancel,
@@ -191,12 +179,15 @@ func newSession(id, tenant string, compiled *tpdf.CompiledGraph, params map[stri
 	}
 	g := compiled.Graph()
 	out := make([]bool, len(g.Nodes))
+	ins := make([][]string, len(g.Nodes))
 	for _, e := range g.Edges {
 		out[e.Src] = true
+		ins[e.Dst] = append(ins[e.Dst], g.Nodes[e.Dst].Ports[e.DstPort].Name)
 	}
 	for ni, n := range g.Nodes {
 		if !out[ni] {
 			s.sinkNames = append(s.sinkNames, n.Name)
+			s.sinkPorts = append(s.sinkPorts, ins[ni])
 		}
 	}
 	s.sinkTokens = make([]atomic.Int64, len(s.sinkNames))
@@ -243,7 +234,8 @@ func newSession(id, tenant string, compiled *tpdf.CompiledGraph, params map[stri
 		}
 		s.persister = p
 	}
-	go s.run()
+	s.next, s.stop = iter.Pull(s.run)
+	s.next()
 	return s, nil
 }
 
@@ -256,11 +248,11 @@ func newSession(id, tenant string, compiled *tpdf.CompiledGraph, params map[stri
 func (s *Session) behaviors() map[string]tpdf.Behavior {
 	b := make(map[string]tpdf.Behavior, len(s.sinkNames))
 	for i, name := range s.sinkNames {
-		ctr := &s.sinkTokens[i]
+		ctr, ports := &s.sinkTokens[i], s.sinkPorts[i]
 		b[name] = func(f *tpdf.Firing) error {
 			n := 0
-			for _, vals := range f.In {
-				n += len(vals)
+			for _, port := range ports {
+				n += len(f.In[port])
 			}
 			ctr.Add(int64(n))
 			return nil
@@ -316,12 +308,31 @@ func (s *Session) onRebindAbort(error) {
 	s.fleet.rebindAborts.Add(1)
 }
 
-// runEngine runs the session's engine under Stream's own supervisor: up to
-// maxRestarts behavior panics are recovered by restarting from the newest
-// cut. The session's registry is shared by every incarnation, so the
-// engine's counters continue across restarts and each resumed start is
-// recorded and counted there (EvRestore, Restores).
-func (s *Session) runEngine() (*tpdf.ExecResult, error) {
+// run is the session's coroutine. It runs the engine under Stream's own
+// supervisor (up to maxRestarts behavior panics restart it from the newest
+// cut; the session's registry spans every incarnation) and records how it
+// ended: drained at a barrier, or failed — a behavior panic past the
+// restart budget (counted here), cancellation, a deadlock diagnosis, an
+// admission-time bug, or a panic outside any behavior, recovered here so
+// it never reaches whoever resumed the engine. Closing the persister
+// flushes the newest cut, so once Drain returns the session's last
+// consistent state is on disk.
+func (s *Session) run(yield func(int64) bool) {
+	s.yield = yield
+	defer close(s.done)
+	if s.persister != nil {
+		defer s.persister.Close() //nolint:errcheck // counted via OnPersist
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			s.runErr = fmt.Errorf("serve: engine panicked outside a behavior: %v", v)
+		}
+		if s.runErr != nil {
+			s.state.Store(int32(StateFailed))
+		} else {
+			s.state.Store(int32(StateDrained))
+		}
+	}()
 	opts := []tpdf.Option{
 		tpdf.WithCompiled(s.compiled),
 		tpdf.WithParams(s.params),
@@ -337,141 +348,58 @@ func (s *Session) runEngine() (*tpdf.ExecResult, error) {
 		opts = append(opts, tpdf.WithFaultPlan(s.faults))
 	}
 	if s.persister != nil {
-		// Cuts stream to the background writer; a pump ack flushes before
-		// replying (finishPump), so acked work is always covered by a
-		// durable cut.
+		// Cuts stream to the background writer; a pump flushes before it
+		// acks, so acked work is always covered by a durable cut.
 		opts = append(opts, tpdf.WithDurableCheckpoints(s.persister))
 	}
 	if s.resume != nil {
 		opts = append(opts, tpdf.WithResume(s.resume))
 	}
-	return tpdf.Stream(s.compiled.Graph(), s.behaviors(), opts...)
-}
-
-// run runs the engine once and records how it ended: drained at a
-// barrier, or failed — a behavior panic past the restart budget (the panic
-// that exhausted it is counted here), cancellation, a deadlock diagnosis or an
-// admission-time bug. Every cut was offered to the persister when it was
-// captured; closing the persister flushes the newest, so once Drain returns
-// the session's last consistent state is on disk.
-func (s *Session) run() {
-	defer close(s.done)
-	if s.persister != nil {
-		defer s.persister.Close() //nolint:errcheck // counted via OnPersist
-	}
-	res, err := s.runEngine()
-	if err != nil {
-		var pe *tpdf.BehaviorPanicError
-		if errors.As(err, &pe) {
-			s.countPanic()
-		}
-		s.runErr = err
-		s.state.Store(int32(StateFailed))
+	res, err := tpdf.Stream(s.compiled.Graph(), s.behaviors(), opts...)
+	if err == nil {
+		s.result = res
 		return
 	}
-	s.result = res
-	s.state.Store(int32(StateDrained))
+	if errors.As(err, new(*tpdf.BehaviorPanicError)) {
+		s.countPanic()
+	}
+	s.runErr = err
 }
 
-// barrierHook is the session's transaction-boundary command loop. It runs
-// on the session's run goroutine inside tpdf.Stream, which is also the
-// session's one execution context: between pumps it blocks here and
-// every command takes effect only at this quiescent point — the paper's
-// transaction rule, bent into a server's request loop. A pump of N
-// iterations is answered with one verdict of Run N: the session needs the
-// engine back only when the pump is over, so the pump is one epoch, one
-// durable cut and one flush, and the hook is next consulted at the
-// boundary that acks it. The verdict carries the soft-drain channel as its
-// Cut, so a drain still stops the pump at the next iteration boundary
-// rather than after the remaining N. A restarted engine never reaches this
-// hook at the boundary it restarts at: Stream answers it with the pump's
-// verdict again.
+// barrierHook is the session's transaction boundary, on the coroutine: it
+// yields the completed count to whoever resumed the engine (Open, a pump,
+// Drain) and stays suspended at this quiescent point until the next turn
+// holder resumes it with a verdict — the paper's transaction rule, bent
+// into a server's request loop. A pump of N is one verdict of Run N: one
+// epoch, one durable cut and one flush, acked at the next boundary. Its
+// Cut is soft, so a drain stops the pump at the next iteration boundary;
+// once soft is closed, every resumption stops the engine. A restarted
+// engine never reaches this hook at the boundary it restarts at: Stream
+// answers it with the pump's verdict again.
 func (s *Session) barrierHook(completed int64) tpdf.Verdict {
 	s.completed.Store(completed)
-	cut := s.pumpReply != nil && completed < s.pumpEnd
-	s.finishPump(completed)
-	if cut {
-		// A drain cut the pump short: stop here — a pump is not a critical
-		// section and every boundary is a legal stopping point.
+	if !s.yield(completed) {
 		return tpdf.Verdict{Stop: true}
 	}
-	for {
-		select {
-		case cmd := <-s.cmds:
-			if len(cmd.params) > 0 {
-				if s.pumpPending == nil {
-					s.pumpPending = map[string]int64{}
-				}
-				for k, v := range cmd.params {
-					s.pumpPending[k] = v
-				}
-			}
-			if cmd.iters > 0 {
-				// Clamped to the engine's iteration target, so the sum cannot wrap.
-				s.pumpEnd = completed + min(cmd.iters, maxSessionIterations-completed)
-				s.pumpReply = cmd.reply
-				params := s.pumpPending
-				s.pumpPending = nil
-				return tpdf.Verdict{Params: params, Run: s.pumpEnd - completed, Cut: s.soft}
-			}
-			// Pure reconfigure: acknowledged now, applied together
-			// with the next pump's first iteration.
-			if cmd.reply != nil {
-				cmd.reply <- pumpAck{completed: completed}
-			}
-		case <-s.soft:
-			return tpdf.Verdict{Stop: true}
-		case <-s.hardCtx.Done():
-			return tpdf.Verdict{Stop: true}
-		}
+	select {
+	case <-s.soft:
+		return tpdf.Verdict{Stop: true}
+	default:
+		return s.verdict
 	}
 }
 
-func (s *Session) finishPump(completed int64) {
-	if s.pumpReply == nil {
-		return
+// take waits for the session's turn under ctx; release gives it back.
+func (s *Session) take(ctx context.Context) error {
+	select {
+	case s.turn <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	var err error
-	if s.persister != nil {
-		// Durability point: the cut at this boundary (which covers every
-		// iteration being acknowledged) was offered before this hook ran;
-		// flush it to disk before the ack leaves. One
-		// fsync per pump, not per iteration. A failed flush fails the
-		// pump — the engine state is fine and the session keeps running,
-		// but the client must not be told the work is durable when it is
-		// not (Config.DataDir promises acks only after the covering
-		// checkpoint is fsynced).
-		if ferr := s.persister.Flush(); ferr != nil {
-			err = fmt.Errorf("%w: %v", ErrNotDurable, ferr)
-		}
-	}
-	s.pumpReply <- pumpAck{completed: completed, err: err}
-	s.pumpReply = nil
 }
 
-// send delivers one command to the barrier hook and waits for its ack. A
-// command sent while Stream restarts the engine after a panic just queues:
-// the restarted engine replays the pump in flight and its hook takes the
-// command at the boundary that acks it.
-func (s *Session) send(ctx context.Context, cmd sessCmd) (int64, error) {
-	cmd.reply = make(chan pumpAck, 1)
-	select {
-	case s.cmds <- cmd:
-	case <-s.done:
-		return s.completed.Load(), s.exitErr()
-	case <-ctx.Done():
-		return s.completed.Load(), ctx.Err()
-	}
-	select {
-	case a := <-cmd.reply:
-		return a.completed, a.err
-	case <-s.done:
-		return s.completed.Load(), s.exitErr()
-	case <-ctx.Done():
-		// The engine keeps pumping; only this waiter gives up.
-		return s.completed.Load(), ctx.Err()
-	}
-}
+func (s *Session) release() { <-s.turn }
 
 // Pump runs iters graph iterations (transactions) through the parked
 // engine, optionally applying parameter overrides at the first boundary,
@@ -479,39 +407,98 @@ func (s *Session) send(ctx context.Context, cmd sessCmd) (int64, error) {
 // On a durable session, an error wrapping ErrNotDurable means the
 // iterations ran (the count is still returned) but the covering checkpoint
 // could not be flushed — the work is not crash-safe.
+//
+// ctx bounds only the wait for the session's turn: a Pump whose ctx ends
+// while another pump holds the turn returns ctx.Err(). Once it has the
+// turn, the caller's goroutine is the engine, so its epoch runs to its end
+// (or to a drain's cut) whatever ctx does.
 func (s *Session) Pump(ctx context.Context, iters int64, params map[string]int64) (int64, error) {
+	n, _, err := s.pump(ctx, iters, params, false)
+	return n, err
+}
+
+// pump is Pump; with sinks it also returns the sink totals read at the
+// ack's boundary, while the turn is still held, so no other pump can have
+// moved them.
+func (s *Session) pump(ctx context.Context, iters int64, params map[string]int64, sinks bool) (int64, map[string]int64, error) {
 	if iters <= 0 {
-		return s.completed.Load(), fmt.Errorf("serve: pump iterations must be >= 1")
+		return s.completed.Load(), nil, fmt.Errorf("serve: pump iterations must be >= 1")
 	}
-	return s.send(ctx, sessCmd{iters: iters, params: params})
+	if err := s.take(ctx); err != nil {
+		return s.completed.Load(), nil, err
+	}
+	defer s.release()
+	s.stage(params)
+	// Clamped to the engine's iteration target, so the sum cannot wrap.
+	run := min(iters, maxSessionIterations-s.completed.Load())
+	s.verdict = tpdf.Verdict{Params: s.pending, Run: run, Cut: s.soft}
+	s.pending = nil
+	completed, ok := s.next()
+	if !ok {
+		return s.completed.Load(), nil, s.exitErr()
+	}
+	var tokens map[string]int64
+	if sinks {
+		tokens = s.SinkTokens()
+	}
+	if s.persister != nil {
+		// Durability point: the cut at this boundary covers every iteration
+		// acked; one fsync per pump. A failed flush fails the pump — the
+		// session keeps running, but Config.DataDir promises acks only
+		// after the covering checkpoint is fsynced.
+		if err := s.persister.Flush(); err != nil {
+			return completed, tokens, fmt.Errorf("%w: %v", ErrNotDurable, err)
+		}
+	}
+	return completed, tokens, nil
+}
+
+// stage merges overrides into the ones the next pump applies; the caller
+// holds the turn.
+func (s *Session) stage(params map[string]int64) {
+	if len(params) > 0 && s.pending == nil {
+		s.pending = map[string]int64{}
+	}
+	maps.Copy(s.pending, params)
 }
 
 // Reconfigure stages parameter overrides; they take effect at the boundary
-// opening the next pumped iteration, per the transaction semantics. An
-// override rejected there (unbounded schedule, out-of-range value) aborts
-// only that rebind: the engine keeps running under the previous
-// parameters and the abort is counted on the session and the fleet.
+// opening the next pumped iteration, per the transaction semantics. It
+// returns as soon as they are staged, without resuming the engine; ctx
+// bounds the wait for the session's turn, as in Pump. An override rejected
+// at the boundary (unbounded schedule, out-of-range value) aborts only
+// that rebind: the engine keeps running under the previous parameters and
+// the abort is counted on the session and the fleet.
 func (s *Session) Reconfigure(ctx context.Context, params map[string]int64) error {
 	if len(params) == 0 {
 		return nil
 	}
-	_, err := s.send(ctx, sessCmd{params: params})
-	return err
+	if err := s.take(ctx); err != nil {
+		return err
+	}
+	defer s.release()
+	if s.State() != StateRunning {
+		return s.exitErr()
+	}
+	s.stage(params)
+	return nil
 }
 
 // Drain stops the session cleanly at the next transaction barrier: parked
-// actors exit, leftover tokens are flushed into the final result. If the
-// context expires first (the bounded drain deadline), the engine is
-// cancelled outright. Drain is idempotent and always waits for the engine
-// goroutine to exit before returning.
+// actors exit, leftover tokens are flushed into the final result. It
+// closes soft first, which cuts a pump in flight at its next iteration
+// boundary, then takes the turn and resumes the engine one last time to
+// stop it. If ctx expires before the turn is free (the bounded drain
+// deadline), the engine is cancelled outright first. Drain is idempotent
+// and always returns after the engine has exited.
 func (s *Session) Drain(ctx context.Context) (*tpdf.ExecResult, error) {
 	s.softOnce.Do(func() { close(s.soft) })
-	select {
-	case <-s.done:
-	case <-ctx.Done():
+	if s.take(ctx) != nil {
 		s.hardCancel()
-		<-s.done
+		s.turn <- struct{}{}
 	}
+	s.stop()
+	s.release()
 	return s.result, s.runErr
 }
 

@@ -153,21 +153,7 @@ func drainMidPump(t *testing.T, m *Manager, iters int64, chaos *ChaosSpec) (*Ses
 		t.Fatalf("drained session has no final result (err %v)", s.runErr)
 	}
 
-	want := map[string]int64{}
-	count := map[string]tpdf.Behavior{}
-	for _, name := range s.sinkNames {
-		name := name
-		count[name] = func(f *tpdf.Firing) error {
-			for _, vals := range f.In {
-				want[name] += int64(len(vals))
-			}
-			return nil
-		}
-	}
-	if _, err := tpdf.Execute(g, count, tpdf.WithIterations(n)); err != nil {
-		t.Fatalf("execute %d iterations: %v", n, err)
-	}
-	if got := s.SinkTokens(); !reflect.DeepEqual(got, want) {
+	if got, want := s.SinkTokens(), sinkTotals(t, g, s.sinkNames, n); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sink tokens at %d: session %v, Execute %v", n, got, want)
 	}
 	return s, n
